@@ -53,6 +53,7 @@ from .pregroup import (
     key_lemma_check,
 )
 from .universal import (
+    CertificateError,
     ConjugacyAnswer,
     UniversalContext,
     conjugate_quadratic,

@@ -32,6 +32,7 @@ from .universal import (
     _canonical_traced,
     _interleaving_equal,
     _letter_closure_traced,
+    _preconjugate_p,
     equal_in_U,
 )
 from .words import CyclicWord, Word, involute
@@ -483,15 +484,12 @@ def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict
             if p.mul3(p.inv[a], g_p, a) == f_p:
                 return ClassificationVerdict("mks", 2, {"a": a})
         raise ValueError("pair is not conjugate in the common factor")
+    f_p = ctx.to_p(f_can)
     for i in range(n):
-        rot = [gamma_to_p(l, p) for l in g_can[i:] + g_can[:i]]
+        rot = ctx.to_p(g_can[i:] + g_can[:i])
         for h in sorted(p.subgroup_h):
-            cand = [p.mul(p.inv[h], rot[0])] + rot[1:-1] + [p.mul(rot[-1], h)]
-            if any(x is None or x == p.eps for x in cand):
-                continue
-            if _interleaving_equal(
-                tuple(cand), tuple(gamma_to_p(l, p) for l in f_can), p
-            ):
+            cand = _preconjugate_p(rot, p.inv[h], p)
+            if cand is not None and _interleaving_equal(cand, f_p, p):
                 return ClassificationVerdict("mks", 3, {"h": h, "i": i})
     raise ValueError("pair admits no amalgam case-3 witness; not conjugate?")
 
@@ -529,10 +527,8 @@ def verify_collins(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVer
                 )
         raise ValueError("pair is not conjugate by a base group element")
     # case 3: nontrivial t-sequence
-    g_std = [gamma_to_p(l, p) for l in standard_cyclic_form(CyclicWord(g_can), ctx)]
-    f_std = tuple(
-        gamma_to_p(l, p) for l in standard_cyclic_form(CyclicWord(f_can), ctx)
-    )
+    g_std = ctx.to_p(standard_cyclic_form(CyclicWord(g_can), ctx))
+    f_std = ctx.to_p(standard_cyclic_form(CyclicWord(f_can), ctx))
     n = len(g_std)
     for j in range(n):
         rot = g_std[j:] + g_std[:j]
@@ -540,15 +536,8 @@ def verify_collins(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVer
         stated = p.sub_a if sign == -1 else p.sub_b
         for pool, constrained in ((sorted(stated), True), (sorted(H - stated), False)):
             for c in pool:
-                if n == 1:
-                    cand = (p.mul3(p.inv[c], rot[0], c),)
-                else:
-                    cand = tuple(
-                        [p.mul(p.inv[c], rot[0])] + rot[1:-1] + [p.mul(rot[-1], c)]
-                    )
-                if any(x is None or x == p.eps for x in cand):
-                    continue
-                if _interleaving_equal(cand, f_std, p):
+                cand = _preconjugate_p(rot, p.inv[c], p)
+                if cand is not None and _interleaving_equal(cand, f_std, p):
                     return ClassificationVerdict(
                         "collins",
                         3,

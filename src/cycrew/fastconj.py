@@ -17,14 +17,12 @@ from .pregroup import gamma_to_p, p_to_gamma
 from .universal import (
     ConjugacyAnswer,
     UniversalContext,
-    _canonical_traced,
     _certify,
-    _closure_conjugator,
+    _conjugacy_prelude,
     _interleaving_equal,
     _nf_carries,
     _stack_reduce,
     equal_in_U,
-    letter_conjugacy_closure,
 )
 from .words import Word, involute
 
@@ -82,22 +80,12 @@ def conjugate_oracle(u: Word, v: Word, ctx: UniversalContext, max_len: int):
 
 
 def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer:
+    answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
+    if answer is not None:
+        return answer
     p = ctx.pregroup
     alphabet = ctx.alphabet
-    g_can, zu = _canonical_traced(u, ctx)
-    f_can, zv = _canonical_traced(v, ctx)
-    zv_inv = involute(zv, alphabet)
-    if len(g_can) != len(f_can):
-        return ConjugacyAnswer(False, method="linear")
     n = len(g_can)
-    if n == 0:
-        return ConjugacyAnswer(True, _certify(u, v, (), ctx), "linear")
-    if n == 1:
-        closure = letter_conjugacy_closure(g_can[0], ctx)
-        if f_can[0] not in closure:
-            return ConjugacyAnswer(False, method="linear")
-        x = zv_inv + _closure_conjugator(g_can[0], f_can[0], ctx) + zu
-        return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
 
     # normal forms keep cyclic reducedness: the element has full cyclic
     # reduction length n, so its geodesics do too

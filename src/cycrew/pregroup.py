@@ -54,6 +54,10 @@ class Pregroup:
             self.table[self.eps][i] = i
             self.table[i][self.eps] = i
         self.table = tuple(tuple(row) for row in self.table)
+        # letter -> compiled carry step, built on first use by
+        # cycrew.universal._carry_step; safe to cache since the table is
+        # immutable
+        self._carry_steps = {}
 
     def __len__(self):
         return len(self.elements)

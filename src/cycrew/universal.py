@@ -4,9 +4,12 @@ Words handed to these operations are over Gamma = P minus epsilon, encoded
 as indices into the context's alphabet.  Internally letters are converted
 to pregroup element indices.
 
-Equality of reduced words is decided by a dynamic program over interleaving
-carries; this terminates for certain and costs O(n |P|^2), unlike a search
-over the symmetric rules of S(P).
+Equality of reduced words and the shortlex normal form are decided by
+dynamic programs over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
+Both read one compiled carry step per letter (see _carry_step) and follow
+a single carry; the suffix feasibility sets of the normal form are int
+bitmasks, so a pass costs O(n |P|) word-sized bit operations.  Unlike a
+search over the symmetric rules of S(P), both terminate for certain.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Optional
 from .pregroup import (
     Pregroup,
     check_axioms,
-    derive_system,
     gamma_alphabet,
     gamma_to_p,
     p_to_gamma,
@@ -39,8 +41,12 @@ class ConjugacyAnswer:
         return self.verdict
 
 
+class CertificateError(RuntimeError):
+    """A conjugator found by a decision procedure failed its replay check."""
+
+
 class UniversalContext:
-    """Immutable bundle of a validated pregroup, its alphabet and S(P)."""
+    """Immutable bundle of a validated pregroup and its alphabet."""
 
     def __init__(self, pregroup: Pregroup):
         report = check_axioms(pregroup)
@@ -49,7 +55,6 @@ class UniversalContext:
             raise ValueError(f"pregroup fails axioms: {bad}")
         self.pregroup = pregroup
         self.alphabet = gamma_alphabet(pregroup)
-        self.system = derive_system(pregroup, "S_of_P")
         self._closure_cache = {}
 
     def to_p(self, w: Word) -> tuple:
@@ -89,38 +94,57 @@ def is_reduced_p(pw, p: Pregroup) -> bool:
     return all(p.table[pw[i]][pw[i + 1]] is None for i in range(len(pw) - 1))
 
 
-def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
-    """Carry DP: pu equals pv in U(P), both reduced of equal length."""
-    n = len(pu)
-    if n != len(pv):
-        return False
-    if n == 0:
-        return True
+def _carry_step(p: Pregroup, a: int):
+    """The carry step of letter a, compiled on first use and cached on p.
+
+    Returns (steps, pred): steps[cp] is a tuple of (c, [inv(cp) a c]) in
+    ascending c, leaving out undefined and epsilon products; pred[c] is the
+    bitmask of the carries cp with c among steps[cp].
+    """
+    got = p._carry_steps.get(a)
+    if got is not None:
+        return got
     table = p.table
-    inv = p.inv
-    size = len(p)
-    carries = {p.eps}
+    eps = p.eps
+    arow = table[a]
+    steps = []
+    pred = [0] * len(table)
+    for cp, x in enumerate(p.inv):
+        xrow = table[x]
+        xa = xrow[a]
+        if xa is not None:
+            products = enumerate(table[xa])
+        else:
+            # [x a] undefined: by P4 only [x [a c]] can be defined
+            products = ((c, None if t is None else xrow[t]) for c, t in enumerate(arow))
+        out = tuple((c, t) for c, t in products if t is not None and t != eps)
+        bit = 1 << cp
+        for c, _letter in out:
+            pred[c] |= bit
+        steps.append(out)
+    got = p._carry_steps[a] = (tuple(steps), tuple(pred))
+    return got
+
+
+def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
+    """Carry DP: pu equals pv in U(P), both reduced over Gamma and of equal
+    length.
+
+    The carry after i letters is (a_1..a_i)^-1 b_1..b_i in U(P), and P
+    embeds in U(P), so at most one carry fits each prefix and the DP
+    follows a single carry.
+    """
+    if len(pu) != len(pv):
+        return False
+    cp = p.eps
     for a, b in zip(pu, pv):
-        nxt = set()
-        for cp in carries:
-            x = inv[cp]
-            m1 = table[x][a]
-            if m1 is not None:
-                row = table[m1]
-                for c in range(size):
-                    if row[c] == b:
-                        nxt.add(c)
-            else:
-                arow = table[a]
-                xrow = table[x]
-                for c in range(size):
-                    t = arow[c]
-                    if t is not None and xrow[t] == b:
-                        nxt.add(c)
-        if not nxt:
+        for c, letter in _carry_step(p, a)[0][cp]:
+            if letter == b:
+                cp = c
+                break
+        else:
             return False
-        carries = nxt
-    return p.eps in carries
+    return cp == p.eps
 
 
 def equal_in_U(u: Word, v: Word, ctx: UniversalContext) -> bool:
@@ -132,88 +156,55 @@ def equal_in_U(u: Word, v: Word, ctx: UniversalContext) -> bool:
 
 
 def _nf_carries(pw, p: Pregroup):
-    """Shortlex normal form of a reduced P-index word, with one valid carry
+    """Shortlex normal form of a reduced P-index word, with its carry
     sequence.
 
     Every word of the same geodesic length equal to pw is an interleaving
     b_i = [inv(c_{i-1}) a_i c_i] with boundary carries epsilon, so the
-    normal form is found greedily: at each position emit the least feasible
-    letter, keeping only carries that achieve it and can still be completed
-    (suffix feasibility sets are precomputed right to left).
+    normal form is found greedily: at each position emit the least letter
+    whose carry can still be completed.  The suffix feasibility sets are
+    bitmasks computed right to left from the pred masks of the compiled
+    carry steps.  As in _interleaving_equal, the emitted prefix fixes the
+    carry, so the greedy pass follows a single carry.
 
-    Returns (nf letters, carries c_1..c_n) with c_n = epsilon.
+    Returns (nf letters, carries c_1..c_n) with c_n = epsilon.  Raises
+    ValueError when no carry sequence exists, which can happen only when pw
+    contains epsilon.
     """
     n = len(pw)
     if n == 0:
         return (), ()
-    table = p.table
-    inv = p.inv
     eps = p.eps
-    size = len(p)
+    compiled = [_carry_step(p, a) for a in pw]
 
-    def step_targets(cp, a):
-        """letters [inv(cp) a c] by carry c, as dict c -> letter."""
-        x = inv[cp]
-        out = {}
-        m1 = table[x][a]
-        if m1 is not None:
-            row = table[m1]
-            for c in range(size):
-                t = row[c]
-                if t is not None and t != eps:
-                    out[c] = t
-        else:
-            arow = table[a]
-            xrow = table[x]
-            for c in range(size):
-                t = arow[c]
-                if t is not None:
-                    r = xrow[t]
-                    if r is not None and r != eps:
-                        out[c] = r
-        return out
-
-    feasible = [None] * (n + 1)
-    feasible[n] = {eps}
+    feasible = [0] * (n + 1)
+    mask = feasible[n] = 1 << eps
     for i in range(n - 1, -1, -1):
-        a = pw[i]
-        nxt = feasible[i + 1]
-        cur = set()
-        for cp in range(size):
-            targets = step_targets(cp, a)
-            if any(c in nxt for c in targets):
-                cur.add(cp)
-        feasible[i] = cur
-    assert eps in feasible[0]
+        pred = compiled[i][1]
+        cur = 0
+        while mask:
+            low = mask & -mask
+            cur |= pred[low.bit_length() - 1]
+            mask ^= low
+        feasible[i] = mask = cur
+    if not feasible[0] >> eps & 1:
+        raise ValueError(f"no carry sequence for {pw}: it is not a word over Gamma")
 
+    none = len(p)  # above every letter
     letters = []
-    parents = []  # per position: dict carry -> previous carry
-    frontier = {eps}
+    carries = []
+    cp = eps
     for i in range(n):
-        a = pw[i]
         nxt_feasible = feasible[i + 1]
-        best = None
-        best_carries = {}
-        for cp in frontier:
-            for c, letter in step_targets(cp, a).items():
-                if c not in nxt_feasible:
-                    continue
-                if best is None or letter < best:
-                    best = letter
-                    best_carries = {c: cp}
-                elif letter == best and c not in best_carries:
-                    best_carries[c] = cp
-        assert best is not None
+        best = none
+        for c, letter in compiled[i][0][cp]:
+            if letter < best and nxt_feasible >> c & 1:
+                best, carry = letter, c
+        if best == none:
+            raise RuntimeError(f"carry DP found no feasible letter at position {i}")
         letters.append(best)
-        parents.append(best_carries)
-        frontier = set(best_carries)
-    # backtrack one carry path ending at epsilon
-    carries = [eps]
-    c = eps
-    for i in range(n - 1, 0, -1):
-        c = parents[i][c]
-        carries.append(c)
-    carries.reverse()
+        carries.append(carry)
+        cp = carry
     return tuple(letters), tuple(carries)
 
 
@@ -261,28 +252,36 @@ def _canonical_traced(w: Word, ctx: UniversalContext):
     return canon, z
 
 
-def preconjugate(c: CyclicWord, b: int, ctx: UniversalContext) -> Optional[CyclicWord]:
-    """Preconjugation of the canonical representative by pregroup element b.
+def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
+    """Preconjugation of a nonempty P-index word by pregroup element b.
 
-    For |c| >= 2 the result is ([b a_1], a_2, ..., [a_n inv(b)]); for a
-    single letter u it is [b u inv(b)].  None when a needed product is
+    For |a| >= 2 the result is ([b a_1], a_2, ..., [a_n inv(b)]); for a
+    single letter u it is ([b u inv(b)],).  None when a needed product is
     undefined (or would leave Gamma).
     """
-    p = ctx.pregroup
-    if b == p.eps or len(c) == 0:
-        return c
-    a = [gamma_to_p(i, p) for i in c.canon]
+    if b == p.eps:
+        return a
     if len(a) == 1:
-        r = p.mul3(b, a[0], p.inv[b])
-        if r is None or r == p.eps:
-            return None
-        return CyclicWord.of((p_to_gamma(r, p),))
-    first = p.mul(b, a[0])
-    last = p.mul(a[-1], p.inv[b])
+        first = last = p.mul3(b, a[0], p.inv[b])
+        out = (first,)
+    else:
+        first = p.mul(b, a[0])
+        last = p.mul(a[-1], p.inv[b])
+        out = (first,) + a[1:-1] + (last,)
     if first is None or last is None or first == p.eps or last == p.eps:
         return None
-    out = [first] + a[1:-1] + [last]
-    return CyclicWord.of(tuple(p_to_gamma(x, p) for x in out))
+    return out
+
+
+def preconjugate(c: CyclicWord, b: int, ctx: UniversalContext) -> Optional[CyclicWord]:
+    """Preconjugation of the canonical representative by pregroup element b
+    (see _preconjugate_p); None when it is not defined."""
+    if len(c) == 0:
+        return c
+    out = _preconjugate_p(ctx.to_p(c.canon), b, ctx.pregroup)
+    if out is None:
+        return None
+    return CyclicWord.of(ctx.to_gamma(out))
 
 
 def letter_conjugacy_closure(letter: int, ctx: UniversalContext) -> frozenset:
@@ -330,54 +329,55 @@ def _closure_conjugator(letter: int, target: int, ctx: UniversalContext) -> Word
 
 
 def _certify(u, v, x, ctx) -> Word:
+    """x reduced, after checking that it conjugates u to v in U(P)."""
     cert = reduce_word(x, ctx)
-    assert equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx)
+    if not equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx):
+        raise CertificateError(f"conjugator {cert} does not take {u} to {v}")
     return cert
+
+
+def _conjugacy_prelude(u: Word, v: Word, ctx: UniversalContext, method: str):
+    """The steps every conjugacy procedure shares: cyclic reduction of both
+    sides, the length test, and the cases of length 0 and 1, which the
+    letter conjugacy closure settles.
+
+    Returns (answer, g, f, zu, zv_inv) with g, f the canonical cyclically
+    reduced forms, g = zu u inv(zu) and f = zv v inv(zv) in U(P); answer is
+    None when g and f have the same length n >= 2.
+    """
+    g, zu = _canonical_traced(u, ctx)
+    f, zv = _canonical_traced(v, ctx)
+    zv_inv = involute(zv, ctx.alphabet)
+    answer = None
+    if len(g) != len(f):
+        answer = ConjugacyAnswer(False, method=method)
+    elif len(g) == 0:
+        answer = ConjugacyAnswer(True, _certify(u, v, (), ctx), method)
+    elif len(g) == 1:
+        if f[0] not in letter_conjugacy_closure(g[0], ctx):
+            answer = ConjugacyAnswer(False, method=method)
+        else:
+            x = zv_inv + _closure_conjugator(g[0], f[0], ctx) + zu
+            answer = ConjugacyAnswer(True, _certify(u, v, x, ctx), method)
+    return answer, g, f, zu, zv_inv
 
 
 def conjugate_quadratic(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer:
     """Reference conjugacy decision: cyclic reduction, then rotations times
     preconjugators, each checked with the interleaving DP."""
+    answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "quadratic")
+    if answer is not None:
+        return answer
     p = ctx.pregroup
-    alphabet = ctx.alphabet
-    g, zu = _canonical_traced(u, ctx)
-    f, zv = _canonical_traced(v, ctx)
-    zv_inv = involute(zv, alphabet)
-    if len(g) != len(f):
-        return ConjugacyAnswer(False, method="quadratic")
-    n = len(g)
-    if n == 0:
-        return ConjugacyAnswer(True, _certify(u, v, (), ctx), "quadratic")
-    if n == 1:
-        closure = letter_conjugacy_closure(g[0], ctx)
-        if f[0] not in closure:
-            return ConjugacyAnswer(False, method="quadratic")
-        x = zv_inv + _closure_conjugator(g[0], f[0], ctx) + zu
-        return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
-    f_p = tuple(gamma_to_p(i, p) for i in f)
-    for i in range(n):
-        rot = g[i:] + g[:i]
-        prefix_inv = involute(g[:i], alphabet)
+    g_p = ctx.to_p(g)
+    f_p = ctx.to_p(f)
+    for i in range(len(g)):
+        rot = g_p[i:] + g_p[:i]
+        prefix_inv = involute(g[:i], ctx.alphabet)
         for b in range(len(p)):
-            cand = _preconjugate_rotation(rot, b, ctx)
-            if cand is None:
-                continue
-            if _interleaving_equal(cand, f_p, p):
+            cand = _preconjugate_p(rot, b, p)
+            if cand is not None and _interleaving_equal(cand, f_p, p):
                 b_word = (p_to_gamma(b, p),) if b != p.eps else ()
                 x = zv_inv + b_word + prefix_inv + zu
                 return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
     return ConjugacyAnswer(False, method="quadratic")
-
-
-def _preconjugate_rotation(rot: Word, b: int, ctx: UniversalContext):
-    """P-index word ([b a_1], a_2, ..., [a_n inv(b)]) for a fixed rotation,
-    or None."""
-    p = ctx.pregroup
-    a = [gamma_to_p(i, p) for i in rot]
-    if b == p.eps:
-        return tuple(a)
-    first = p.mul(b, a[0])
-    last = p.mul(a[-1], p.inv[b])
-    if first is None or last is None or first == p.eps or last == p.eps:
-        return None
-    return tuple([first] + a[1:-1] + [last])

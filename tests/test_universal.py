@@ -1,11 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import cycrew
 from cycrew import samples
-from cycrew.pregroup import gamma_to_p, is_reduced, p_to_gamma
+from cycrew.constructions import FiniteGroupTable, hnn_pregroup
+from cycrew.pregroup import canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
 from cycrew.universal import (
     UniversalContext,
+    _interleaving_equal,
+    _nf_carries,
+    _stack_reduce,
     conjugate_quadratic,
     cyclic_reduce,
     equal_in_U,
@@ -265,3 +274,129 @@ class TestConjugateQuadratic:
     def test_empty_words(self, z4z6_ctx):
         ans = conjugate_quadratic((), (), z4z6_ctx)
         assert ans.verdict and ans.certificate == ()
+
+
+def hnn_z10_z2():
+    """HNN(Z10, t; t^-1 A t = A) with A of order 2; |P| = 110."""
+    H = FiniteGroupTable.cyclic(10, "x")
+    sub = [tok for i, tok in enumerate(H.elements) if i % 5 == 0]
+    return hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
+
+
+DP_SAMPLES = {
+    "free2": lambda: samples.free_pregroup(2),
+    "s3": lambda: samples.group_pregroup(samples.s3_table()),
+    "dinf": samples.dihedral_infinity,
+    "z4z6": samples.z4_amalgam_z6,
+    "hnn_s3": samples.hnn_s3,
+    "hnn_z10_z2": hnn_z10_z2,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DP_SAMPLES))
+def dp_ctx(request):
+    return UniversalContext(DP_SAMPLES[request.param]())
+
+
+def random_reduced_p(rng, p, n):
+    """A reduced P-index word over Gamma, of length n unless no letter can
+    extend it."""
+    gamma = [x for x in range(len(p)) if x != p.eps]
+    out = []
+    for _ in range(n):
+        choices = [x for x in gamma if not out or p.table[out[-1]][x] is None]
+        if not choices:
+            break
+        out.append(rng.choice(choices))
+    return tuple(out)
+
+
+def interleave(rng, pw, p):
+    """([c_0~ a_1 c_1], ..., [c_{n-1}~ a_n c_n]) with c_0 = c_n = epsilon
+    and the other carries drawn from G_P: a word equal to pw in U(P)."""
+    carriers = sorted(canonical_subgroup(p))
+    cs = [p.eps] + [rng.choice(carriers) for _ in pw[1:]] + [p.eps]
+    return tuple(p.mul3(p.inv[cs[i]], a, cs[i + 1]) for i, a in enumerate(pw))
+
+
+class TestCarryDPs:
+    def test_nf_carries_replay(self, dp_ctx, rng):
+        p = dp_ctx.pregroup
+        for _ in range(30):
+            pw = random_reduced_p(rng, p, 12)
+            nf, carries = _nf_carries(pw, p)
+            assert len(nf) == len(carries) == len(pw)
+            if pw:
+                assert carries[-1] == p.eps
+            prev = p.eps
+            for a, b, c in zip(pw, nf, carries):
+                assert b == p.mul3(p.inv[prev], a, c)
+                prev = c
+
+    def test_interleaving_leaves_normal_form_unchanged(self, dp_ctx, rng):
+        p = dp_ctx.pregroup
+        for _ in range(30):
+            pw = random_reduced_p(rng, p, 12)
+            mixed = interleave(rng, pw, p)
+            assert shortlex_nf(dp_ctx.to_gamma(mixed), dp_ctx) == shortlex_nf(
+                dp_ctx.to_gamma(pw), dp_ctx
+            )
+
+    def test_interleaving_equal_matches_normal_forms(self, dp_ctx, rng):
+        p = dp_ctx.pregroup
+        gamma = [x for x in range(len(p)) if x != p.eps]
+        verdicts = set()
+        for trial in range(60):
+            pu = random_reduced_p(rng, p, 10)
+            kind = trial % 4
+            if kind == 0:
+                pv = _nf_carries(pu, p)[0]
+            elif kind == 1:
+                pv = interleave(rng, pu, p)
+            elif kind == 2 and pu:
+                i = rng.randrange(len(pu))
+                pv = _stack_reduce(pu[:i] + (rng.choice(gamma),) + pu[i + 1 :], p)
+            else:
+                pv = random_reduced_p(rng, p, len(pu))
+            same_nf = _nf_carries(pu, p)[0] == _nf_carries(pv, p)[0]
+            assert _interleaving_equal(pu, pv, p) == same_nf
+            verdicts.add(same_nf)
+        assert verdicts == {True, False}
+
+
+def test_checks_survive_optimised_python():
+    code = textwrap.dedent(
+        """
+        from cycrew import UniversalContext, samples
+        from cycrew.universal import CertificateError, _certify, _nf_carries
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        ctx = UniversalContext(samples.z4_amalgam_z6())
+        p = ctx.pregroup
+        try:
+            _certify((0,), (1,), (), ctx)
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("wrong conjugator accepted")
+        try:
+            _nf_carries((p.eps,), p)
+        except ValueError:
+            pass
+        else:
+            raise SystemExit("epsilon letter accepted")
+        print("ok")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cycrew.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.strip() == "ok"
