@@ -8,6 +8,7 @@ from .words import (
     Word,
     involute,
     least_rotation,
+    least_rotation_offset,
     rotations,
     shortlex_compare,
     shortlex_key,

@@ -196,31 +196,59 @@ class CyclicRuleSet:
         return idx
 
     def one_step(self, c: CyclicWord):
-        out = set(cyclic_successors(c, self.base))
-        out.update(self._extra_index().get(c, ()))
-        out.discard(c)
-        return out
+        """The cyclic words other than c one step away from c: its
+        successors in the base system and its extra pairs."""
+        return _stepper(self, {})(c)
 
     def one_step_descending(self, c: CyclicWord):
         key = shortlex_key(c.canon)
         return {s for s in self.one_step(c) if shortlex_key(s.canon) < key}
 
 
-def _descending_closure(c: CyclicWord, crs: CyclicRuleSet, cache: dict):
-    got = cache.get(c)
+def _stepper(crs: CyclicRuleSet, base: dict):
+    """crs.one_step, memoised.  base maps a cyclic word to its
+    cyclic_successors in crs.base and is shared by every rule set over that
+    base; the step also memoises its own results, which stay valid while
+    crs.extra is unchanged.  Callers must not mutate the returned sets."""
+    extra = crs._extra_index()
+    memo = {}
+
+    def step(c: CyclicWord):
+        got = memo.get(c)
+        if got is None:
+            succ = base.get(c)
+            if succ is None:
+                succ = base[c] = cyclic_successors(c, crs.base)
+            got = memo[c] = set(succ)
+            got.update(extra.get(c, ()))
+            got.discard(c)
+        return got
+
+    return step
+
+
+def _closure(start: CyclicWord, step, cache: dict):
+    """All cyclic words reachable from start by repeated steps, start
+    included, memoised in cache under start.  The steps must reach finitely
+    many words (true on short words when no step lengthens); callers must
+    not mutate the returned set."""
+    got = cache.get(start)
     if got is not None:
         return got
-    closure = {c}
-    stack = [c]
+    closure = {start}
+    stack = [start]
     while stack:
-        node = stack.pop()
-        for s in crs.one_step_descending(node):
+        for s in step(stack.pop()):
             if s not in closure:
                 closure.add(s)
                 stack.append(s)
-    closure = frozenset(closure)
-    cache[c] = closure
+    cache[start] = closure
     return closure
+
+
+# bench/tracing.py counts closure searches and their cache hits through
+# these two names, so the engines below call the helper by them.
+_descending_closure = _thue_reachable = _closure
 
 
 def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
@@ -230,7 +258,9 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     A critical pair is two distinct one-step cyclic successors u, v of a
     short cyclic word; it is resolved when the descending closures of u and
     v meet.  Unresolved pairs are added (larger side first) and the sweep
-    repeats to a fixpoint.
+    repeats to a fixpoint.  The successors in S are computed once per call
+    and shared by every sweep; each sweep memoises its own steps and
+    descending closures.
     """
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
@@ -239,49 +269,37 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     ):
         raise PreconditionViolated("completion needs length-nonincreasing rules")
     shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    crs = CyclicRuleSet(system)
+    base = {}
     extra = []
     seen_pairs = set()
+    certificates = {}
     while True:
-        crs = CyclicRuleSet(system, tuple(extra), crs.certificates)
+        crs = CyclicRuleSet(system, tuple(extra), certificates)
+        step = _stepper(crs, base)
+
+        def down(c):
+            key = shortlex_key(c.canon)
+            return [s for s in step(c) if shortlex_key(s.canon) < key]
+
         cache = {}
         changed = False
         for w in shorts:
-            succs = sorted(crs.one_step(w), key=lambda c: shortlex_key(c.canon))
+            succs = sorted(step(w), key=lambda c: shortlex_key(c.canon))
             for a in range(len(succs)):
                 for b in range(a + 1, len(succs)):
                     v, u = succs[a], succs[b]  # u is the shortlex-larger side
                     if (u, v) in seen_pairs:
                         continue
-                    if not _descending_closure(u, crs, cache).isdisjoint(
-                        _descending_closure(v, crs, cache)
+                    if not _descending_closure(u, down, cache).isdisjoint(
+                        _descending_closure(v, down, cache)
                     ):
                         continue
                     seen_pairs.add((u, v))
                     extra.append((u, v))
-                    crs.certificates[(u, v)] = w
+                    certificates[(u, v)] = w
                     changed = True
         if not changed:
             return crs
-
-
-def _thue_reachable(c: CyclicWord, crs: CyclicRuleSet, cache: dict):
-    """All cyclic words reachable from c by one-step rewriting (lengths only
-    shrink or stay equal in a Thue system, so this is finite on shorts)."""
-    got = cache.get(c)
-    if got is not None:
-        return got
-    closure = {c}
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        for s in crs.one_step(node):
-            if s not in closure:
-                closure.add(s)
-                stack.append(s)
-    closure = frozenset(closure)
-    cache[c] = closure
-    return closure
 
 
 def thue_completion(system: RewriteSystem, check_confluence: bool = True):
@@ -293,6 +311,14 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     with |u| >= |v| >= 1, u and v not mutually reachable, forces the pair
     (u, v) (and its flip when lengths tie).  Returns (CyclicRuleSet,
     stop_index); the chain stabilises no later than stage 2 m(S) - 2.
+
+    Length-preserving steps are symmetric in a Thue system (and the pairs
+    added between equal lengths come in both orientations), so each class
+    and the union of its members' successors are built once per stage; each
+    member w then pairs its own successors against that union.  Pairs are
+    added in the order a search from w meets the successors of its class,
+    which is rebuilt for the few members that add pairs.  The successors in
+    S are computed once per call and shared by every stage.
     """
     from .rewrite import check_strong_confluence
 
@@ -301,50 +327,61 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     if check_confluence and not check_strong_confluence(system):
         raise PreconditionViolated("thue completion needs strong confluence")
     shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
+    base = {}
     extra = []
     seen_pairs = set()
     bound = 2 * system.m_of - 2
     stage = 0
     while True:
         crs = CyclicRuleSet(system, tuple(extra))
+        step = _stepper(crs, base)
         cache = {}
+
+        def class_union(w):
+            """w's length-preserving class, and the successors of its
+            members in the order a search from w meets them."""
+            n = len(w)
+            cls = _closure(w, lambda c: [s for s in step(c) if len(s) == n], {})
+            return cls, list(dict.fromkeys(v for c in cls for v in step(c) if len(v) >= 1))
+
+        def fresh(u, v):
+            """(u, v) is a divergence not yet added whose sides are not
+            mutually reachable."""
+            return not (
+                u == v
+                or len(u) < len(v)
+                or (u, v) in seen_pairs
+                or v in _thue_reachable(u, step, cache)
+                or u in _thue_reachable(v, step, cache)
+            )
+
+        unions = {}  # class member -> successors of the class
         new_pairs = []
         for w in shorts:
             if len(w) == 0:
                 continue
-            # length-preserving congruence class of w
-            cls = {w}
-            stack = [w]
-            while stack:
-                node = stack.pop()
-                for s in crs.one_step(node):
-                    if len(s) == len(w) and s not in cls:
-                        cls.add(s)
-                        stack.append(s)
-            succ_w = [u for u in crs.one_step(w) if len(u) >= 1]
-            for wp in cls:
-                for v in crs.one_step(wp):
-                    if len(v) < 1:
+            union = unions.get(w)
+            if union is None:
+                cls, union = class_union(w)
+                unions.update(dict.fromkeys(cls, union))
+            succ_w = [u for u in step(w) if len(u) >= 1]
+            if not any(fresh(u, v) for v in union for u in succ_w):
+                continue
+            for v in class_union(w)[1]:
+                for u in succ_w:
+                    if not fresh(u, v):
                         continue
-                    for u in succ_w:
-                        if u == v or len(u) < len(v):
-                            continue
-                        if (u, v) in seen_pairs:
-                            continue
-                        if v in _thue_reachable(u, crs, cache):
-                            continue
-                        if u in _thue_reachable(v, crs, cache):
-                            continue
-                        new_pairs.append((u, v))
-                        seen_pairs.add((u, v))
-                        if len(u) == len(v) and (v, u) not in seen_pairs:
-                            new_pairs.append((v, u))
-                            seen_pairs.add((v, u))
+                    new_pairs.append((u, v))
+                    seen_pairs.add((u, v))
+                    if len(u) == len(v) and (v, u) not in seen_pairs:
+                        new_pairs.append((v, u))
+                        seen_pairs.add((v, u))
         if not new_pairs:
             return crs, stage
         extra.extend(new_pairs)
         stage += 1
-        assert stage <= bound, "completion chain exceeded 2 m(S) - 2 stages"
+        if stage > bound:
+            raise RuntimeError("completion chain exceeded 2 m(S) - 2 stages")
 
 
 def cdagger(system: RewriteSystem) -> CyclicRuleSet:

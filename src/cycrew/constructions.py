@@ -28,6 +28,7 @@ from .pregroup import (
     p_to_gamma,
 )
 from .universal import (
+    CertificateError,
     UniversalContext,
     _canonical_traced,
     _interleaving_equal,
@@ -177,6 +178,8 @@ class Embedding:
     def from_tokens(cls, source: FiniteGroupTable, target: FiniteGroupTable, pairs: dict) -> "Embedding":
         mapping = [None] * len(source)
         for s_tok, t_tok in pairs.items():
+            if s_tok not in source.index or t_tok not in target.index:
+                raise InvalidEmbedding(f"unknown element in pair {s_tok}:{t_tok}")
             mapping[source.index[s_tok]] = target.index[t_tok]
         if any(x is None for x in mapping):
             raise InvalidEmbedding("mapping does not cover the source")
@@ -271,12 +274,14 @@ def amalgam_pregroup(
     p.factor_a = frozenset(range(len(A)))
     p.factor_b = frozenset(i for i in range(len(tokens)) if in_b[i] is not None)
     p.subgroup_h = p.factor_a & p.factor_b
-    assert len(p) == len(A) + len(B) - h_size
-    assert check_axioms(p)
-    ok6, _ = check_p6(p)
-    ok7, _ = check_p7(p)
-    assert ok6 and ok7
-    assert canonical_subgroup(p) == p.subgroup_h
+    if len(p) != len(A) + len(B) - h_size:
+        raise PregroupError("amalgam self-check: wrong number of elements")
+    if not check_axioms(p):
+        raise PregroupError("amalgam self-check: P1-P5 fail")
+    if not (check_p6(p)[0] and check_p7(p)[0]):
+        raise PregroupError("amalgam self-check: P6 or P7 fails")
+    if canonical_subgroup(p) != p.subgroup_h:
+        raise PregroupError("amalgam self-check: G_P is not the identified subgroup")
     return p
 
 
@@ -372,11 +377,12 @@ def hnn_pregroup(
     e = H.identity
     p.t_plus = elem_of[canon(1, e, e)]
     p.t_minus = elem_of[canon(-1, e, e)]
-    assert check_axioms(p)
-    ok6, _ = check_p6(p)
-    ok8, _ = check_p8(p)
-    assert ok6 and ok8
-    assert canonical_subgroup(p) == p.base_h
+    if not check_axioms(p):
+        raise PregroupError("HNN self-check: P1-P5 fail")
+    if not (check_p6(p)[0] and check_p8(p)[0]):
+        raise PregroupError("HNN self-check: P6 or P8 fails")
+    if canonical_subgroup(p) != p.base_h:
+        raise PregroupError("HNN self-check: G_P is not the base group")
     return p
 
 
@@ -422,9 +428,8 @@ def standard_cyclic_form(c: CyclicWord, ctx: UniversalContext) -> Word:
     # conjugacy guard: result = u1^-1 . rep . u1 in U(P)
     u1 = parts[0][0]
     conj = () if u1 == p.eps else (p_to_gamma(p.inv[u1], p),)
-    assert equal_in_U(
-        conj + c.canon + involute(conj, ctx.alphabet), result, ctx
-    )
+    if not equal_in_U(conj + c.canon + involute(conj, ctx.alphabet), result, ctx):
+        raise CertificateError("standard form is not conjugate to its input")
     return result
 
 

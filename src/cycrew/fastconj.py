@@ -24,7 +24,7 @@ from .universal import (
     _stack_reduce,
     equal_in_U,
 )
-from .words import Word, involute
+from .words import Word, involute, prefix_function
 
 __all__ = [
     "ConjugacyAnswer",
@@ -40,14 +40,7 @@ def kmp_search(pattern: Word, text: Word) -> list:
     m, n = len(pattern), len(text)
     if m == 0:
         return list(range(n + 1))
-    fail = [0] * m
-    k = 0
-    for i in range(1, m):
-        while k and pattern[i] != pattern[k]:
-            k = fail[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i] = k
+    fail = prefix_function(pattern)
     out = []
     k = 0
     for i in range(n):

@@ -154,18 +154,19 @@ def check_axioms(p: Pregroup) -> AxiomReport:
 
 def canonical_subgroup(p: Pregroup) -> frozenset:
     """G_P: the elements whose product with every element is defined both
-    ways.  Asserts the result is closed under product and involution."""
+    ways.  Raises PregroupError unless the result is a subgroup (closed
+    under product and involution, containing epsilon), as it is in every
+    pregroup."""
     n = len(p)
     g = frozenset(
         x
         for x in range(n)
         if all(p.defined(x, y) and p.defined(y, x) for y in range(n))
     )
-    for x in g:
-        assert p.inv[x] in g
-        for y in g:
-            assert p.mul(x, y) in g
-    assert p.eps in g
+    if p.eps not in g or any(
+        p.inv[x] not in g or any(p.mul(x, y) not in g for y in g) for x in g
+    ):
+        raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
     return g
 
 
@@ -205,7 +206,8 @@ def check_p7(p: Pregroup):
     ok = not witnesses
     if ok:
         ok6, _ = check_p6(p)
-        assert ok6, "P7 must imply P6"
+        if not ok6:
+            raise PregroupError("P7 holds but P6 fails: the table is not a pregroup")
     return ok, witnesses
 
 
@@ -220,7 +222,8 @@ def check_p8(p: Pregroup):
     ok = not witnesses
     if ok:
         ok6, _ = check_p6(p)
-        assert ok6, "P8 must imply P6"
+        if not ok6:
+            raise PregroupError("P8 holds but P6 fails: the table is not a pregroup")
     return ok, witnesses
 
 

@@ -327,22 +327,23 @@ def _strongly_joinable(y, z, system, succ_or_self):
 
 
 def _overlap_words(system: RewriteSystem):
-    """Words realising every genuine overlap or containment of two lhs
-    occurrences, plus each lhs on its own (same-position divergences)."""
+    """Words realising every genuine overlap of two lhs occurrences, plus
+    each lhs on its own (same-position divergences and containments).
+
+    A proper overlap puts a nonempty proper suffix of l1 as a proper prefix
+    of l2; left-hand sides are indexed by their proper prefixes, so each
+    suffix of l1 looks up its partners directly.
+    """
     lhss = sorted({lhs for lhs, _r, _i, _a in system.oriented_pairs()})
+    by_prefix = collections.defaultdict(list)
+    for l2 in lhss:
+        for o in range(1, len(l2)):
+            by_prefix[l2[:o]].append(l2)
     words = set(lhss)
     for l1 in lhss:
-        for l2 in lhss:
-            # proper overlap: a nonempty suffix of l1 is a prefix of l2
-            for o in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - o :] == l2[:o]:
-                    words.add(l1 + l2[o:])
-            # containment: l2 strictly inside l1
-            if len(l2) < len(l1):
-                for pos in range(len(l1) - len(l2) + 1):
-                    if l1[pos : pos + len(l2)] == l2:
-                        words.add(l1)
-                        break
+        for o in range(1, len(l1)):
+            for l2 in by_prefix.get(l1[len(l1) - o :], ()):
+                words.add(l1 + l2[o:])
     return words
 
 
@@ -350,11 +351,19 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     """Check that every one-step divergence y <- x -> z closes with at most
     one step on one side (the other side may take any number of steps).
 
-    Divergences whose redexes are disjoint always commute in exactly one
-    step, so only overlapping redexes need checking; these all occur inside
-    words built by overlapping two left-hand sides, and joinability of such
-    a divergence is preserved under context.  This makes the check complete
-    for finite, unanchored systems.
+    Only Knuth-Bendix critical pairs are tested: two overlapping redexes of
+    an overlap word x whose spans together cover all of x.  This is
+    complete for finite, unanchored systems.  Divergences whose redexes are
+    disjoint always commute in exactly one step.  Two overlapping redexes
+    whose spans leave part of x uncovered are a critical pair of the
+    shorter word x' that the two spans cover, placed in context; x' is a
+    left-hand side or an overlap of two, so it is an overlap word itself
+    and is tested before x (shortlex order).  Strong joinability is
+    preserved under context, so the pair in x can fail only if its pair in
+    x' fails first, and the first counterexample is the same as when every
+    overlapping pair is tested.  (The descendant search of
+    _strongly_joinable is bounded, so this holds as long as that bound is
+    not reached.)
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
@@ -362,24 +371,31 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     index = system._index
     for x in sorted(_overlap_words(system), key=shortlex_key):
         n = len(x)
-        redexes = []  # (start, end, result word)
+        spans = []  # (start, end, [(result word, its successors or self)])
         for length in system._lhs_lengths:
             for pos in range(n - length + 1):
-                chunk = x[pos : pos + length]
-                for _rid, rhs in index.get((chunk, Anchor.NONE), ()):
-                    redexes.append(
-                        (pos, pos + length, x[:pos] + rhs + x[pos + length :])
+                targets = index.get((x[pos : pos + length], Anchor.NONE))
+                if targets:
+                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in targets]
+                    spans.append(
+                        (pos, pos + length, [(y, succ_or_self(y)) for y in results])
                     )
-        for i in range(len(redexes)):
-            ai, bi, yi = redexes[i]
-            for j in range(i + 1, len(redexes)):
-                aj, bj, zj = redexes[j]
-                if yi == zj:
-                    continue
-                if bi <= aj or bj <= ai:
-                    continue  # disjoint redexes commute automatically
-                if not _strongly_joinable(yi, zj, system, succ_or_self):
-                    return ConfluenceReport(False, (x, yi, zj))
+        for i, (a1, b1, ys) in enumerate(spans):
+            # redex pairs in the order of the flat (span, rhs) redex list
+            partners = [
+                zs
+                for a2, b2, zs in spans[i + 1 :]
+                if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
+            ]
+            whole = a1 == 0 and b1 == n > 0  # the span overlaps itself
+            for k, (y, sy) in enumerate(ys):
+                for group in ([ys[k + 1 :]] if whole else []) + partners:
+                    for z, sz in group:
+                        # the one-step meet, tried first by _strongly_joinable
+                        if y == z or not sy.isdisjoint(sz):
+                            continue
+                        if not _strongly_joinable(y, z, system, succ_or_self):
+                            return ConfluenceReport(False, (x, y, z))
     return ConfluenceReport(True)
 
 

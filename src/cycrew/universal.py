@@ -25,7 +25,7 @@ from .pregroup import (
     gamma_to_p,
     p_to_gamma,
 )
-from .words import CyclicWord, Word, involute
+from .words import CyclicWord, Word, involute, least_rotation_offset
 
 
 @dataclass(frozen=True)
@@ -245,11 +245,10 @@ def _canonical_traced(w: Word, ctx: UniversalContext):
     in U(P)."""
     rep, z = _cyclic_reduce_traced(w, ctx)
     g = ctx.to_gamma(rep)
-    canon = CyclicWord.of(g).canon
-    if canon != g:
-        k = next(i for i in range(len(g)) if g[i:] + g[:i] == canon)
+    k = least_rotation_offset(g)
+    if k:
         z = involute(g[:k], ctx.alphabet) + z
-    return canon, z
+    return g[k:] + g[:k], z
 
 
 def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:

@@ -118,12 +118,10 @@ def rotations(w: Word) -> list:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def least_rotation(w: Word) -> Word:
-    """Least rotation under shortlex (equivalently plain lex, since all
-    rotations have equal length), via Booth's algorithm in O(n) comparisons."""
+def _booth(w: Word) -> int:
+    """An offset k of the least rotation w[k:] + w[:k] of a nonempty word,
+    via Booth's algorithm in O(n) comparisons."""
     n = len(w)
-    if n == 0:
-        return ()
     s = w + w
     f = [-1] * (2 * n)  # failure function over the doubled word
     k = 0
@@ -140,7 +138,45 @@ def least_rotation(w: Word) -> Word:
             f[j - k] = -1
         else:
             f[j - k] = i + 1
-    return s[k : k + n]
+    return k % n
+
+
+def least_rotation(w: Word) -> Word:
+    """Least rotation under shortlex (equivalently plain lex, since all
+    rotations have equal length), via Booth's algorithm."""
+    if not w:
+        return ()
+    k = _booth(w)
+    return w[k:] + w[:k]
+
+
+def prefix_function(w: Word) -> list:
+    """The KMP failure function: entry i is the length of the longest
+    proper border (a prefix that is also a suffix) of w[:i + 1]."""
+    border = [0] * len(w)
+    b = 0
+    for i in range(1, len(w)):
+        while b and w[i] != w[b]:
+            b = border[b - 1]
+        if w[i] == w[b]:
+            b += 1
+        border[i] = b
+    return border
+
+
+def least_rotation_offset(w: Word) -> int:
+    """The least i with w[i:] + w[:i] == least_rotation(w), in O(n).
+
+    The offsets of the least rotation are congruent modulo the least
+    period p of w as a cyclic word, so Booth's offset reduced mod p is the
+    least.  p is n - (longest proper border of w) when that divides n, and
+    n otherwise.
+    """
+    n = len(w)
+    if n == 0:
+        return 0
+    p = n - prefix_function(w)[-1]
+    return _booth(w) % (p if n % p == 0 else n)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,18 @@ class TestAxioms:
         assert "P2: FAIL" in capsys.readouterr().out
 
 
+    def test_non_pregroup_reports_violation(self, files, tmp_path, capsys):
+        # G_P = {e, a} is not closed ([aa] = b), so P6-P8 cannot be checked
+        bad = tmp_path / "bad.pg"
+        bad.write_text(
+            "[pregroup]\nelements: e a b\nepsilon: e\n[product]\n"
+            "a a = b\na b = e\nb a = e\n"
+        )
+        assert main(["axioms", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "P2: FAIL" in out and "P6: not checked" in out
+
+
 class TestReduceFamily:
     def test_reduce_pg(self, files, capsys):
         assert main(["reduce", files["dinf.pg"], "-w", "a a b"]) == 0
@@ -187,6 +199,18 @@ class TestFromAmalgam:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "pairing, code",
+        [("e:e,s:s", 0), ("e:e", 2), ("e:e,s:s,r:s", 2), ("e:e,s:zz", 2)],
+        ids=["complete", "missing-token", "unknown-token", "unknown-b-token"],
+    )
+    def test_map(self, files, capsys, pairing, code):
+        argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
+                "--ha", "e s", "--hb", "e s", "--map", pairing]
+        assert main(argv) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_non_subgroup_exit_2(self, files, capsys):
         assert (

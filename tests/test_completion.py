@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from cycrew import samples
+from cycrew import constructions, samples
 from cycrew.completion import (
     CyclicRuleSet,
     InverseAssignment,
@@ -257,3 +259,66 @@ class TestCdagger:
             assert any(
                 p.mul3(c, x, p.inv[c]) == y for c in range(len(p))
             )
+
+
+def _hnn_cyclic(n, k):
+    """HNN(Z_n, t; t^-1 A t = A), A the subgroup of order k, phi the
+    identity."""
+    H = constructions.FiniteGroupTable.cyclic(n, "x")
+    sub = [tok for i, tok in enumerate(H.elements) if i % (n // k) == 0]
+    return constructions.hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
+
+
+def _pairs_digest(pairs):
+    canon = sorted((u.canon, v.canon) for u, v in pairs)
+    return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]
+
+
+# (stage, pair count, digest of the sorted canonical pairs) of
+# thue_completion and (pair count, digest) of resolve_short_pairs and cdagger
+# on S_eps; the same values as COMPLETE_PINS in bench/workloads.py
+PINS = {
+    (4, 2): {
+        "thue": (1, 16, "7a12ce496cfbb0bb"),
+        "cstar": (32, "5ea47d732e6d7e72"),
+        "cdagger": (16, "7a12ce496cfbb0bb"),
+    },
+    (6, 3): {
+        "thue": (1, 24, "d8822864b868da17"),
+        "cstar": (48, "2675cacd38654c87"),
+        "cdagger": (24, "d8822864b868da17"),
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINS), ids=lambda nk: f"hnn_z{nk[0]}_z{nk[1]}")
+def pinned(request):
+    return derive_system(_hnn_cyclic(*request.param), "S_eps"), PINS[request.param]
+
+
+class TestPinnedResults:
+    def test_thue_completion(self, pinned):
+        s, pins = pinned
+        crs, stage = thue_completion(s, check_confluence=False)
+        assert (stage, len(crs.extra), _pairs_digest(crs.extra)) == pins["thue"]
+
+    def test_resolve_short_pairs(self, pinned):
+        s, pins = pinned
+        crs = resolve_short_pairs(s)
+        assert (len(crs.extra), _pairs_digest(crs.extra)) == pins["cstar"]
+        assert set(crs.certificates) == set(crs.extra)
+
+    def test_cdagger(self, pinned):
+        s, pins = pinned
+        crs = cdagger(s)
+        assert (len(crs.extra), _pairs_digest(crs.extra)) == pins["cdagger"]
+
+    def test_thue_pair_order(self):
+        # extra lists the pairs member by member in shortlex order, each in
+        # the order a search from the member meets its class's successors;
+        # on HNN(Z4, 1) members of one class meet them in different orders
+        s = derive_system(_hnn_cyclic(4, 1), "S_eps")
+        crs, stage = thue_completion(s, check_confluence=False)
+        ordered = [(u.canon, v.canon) for u, v in crs.extra]
+        digest = hashlib.sha256(repr(ordered).encode()).hexdigest()[:16]
+        assert (stage, len(ordered), digest) == (1, 96, "99bc3344828b90a5")

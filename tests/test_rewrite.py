@@ -4,8 +4,11 @@ from cycrew import samples
 from cycrew.rewrite import (
     Anchor,
     BudgetExhausted,
+    ConfluenceReport,
     RewriteSystem,
     Rule,
+    _strongly_joinable,
+    _successor_pool,
     check_strong_confluence,
     check_strong_confluence_naive,
     check_weak_termination_sufficient,
@@ -280,13 +283,74 @@ class TestConfluenceChecker:
     def test_free_group_system(self):
         assert check_strong_confluence(samples.free_group_system(2)).ok
 
-    def test_matches_naive_on_random_small_systems(self, rng):
-        a = _ab()
-        for _ in range(40):
+    @staticmethod
+    def _random_systems(rng, count, letters="ab"):
+        a = Alphabet.from_pairs(letters, [])
+        for _ in range(count):
             rules = []
             for _ in range(rng.randrange(1, 4)):
-                lhs = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
-                rhs = tuple(rng.randrange(2) for _ in range(rng.randrange(0, len(lhs) + 1)))
+                lhs = tuple(rng.randrange(len(a)) for _ in range(rng.randrange(1, 4)))
+                rhs = tuple(rng.randrange(len(a)) for _ in range(rng.randrange(0, len(lhs) + 1)))
                 rules.append(Rule(lhs, rhs))
-            s = RewriteSystem(a, rules)
+            yield RewriteSystem(a, rules)
+
+    def test_matches_naive_on_random_small_systems(self, rng):
+        verdicts = []
+        for s in self._random_systems(rng, 40):
             assert check_strong_confluence(s).ok == check_strong_confluence_naive(s, 5).ok
+            verdicts.append(check_strong_confluence(s).ok)
+        assert True in verdicts and False in verdicts
+
+    def test_matches_naive_on_three_letters(self, rng):
+        verdicts = []
+        for s in self._random_systems(rng, 60, "abc"):
+            assert check_strong_confluence(s).ok == check_strong_confluence_naive(s, 5).ok
+            verdicts.append(check_strong_confluence(s).ok)
+        assert True in verdicts and False in verdicts
+
+    @staticmethod
+    def _all_overlapping_pairs(system):
+        # reference: every overlapping pair of redexes on every word made
+        # by overlapping or nesting two left-hand sides, all-pairs scan
+        lhss = sorted({lhs for lhs, _r, _i, _a in system.oriented_pairs()})
+        words = set(lhss)
+        for l1 in lhss:
+            for l2 in lhss:
+                for o in range(1, min(len(l1), len(l2))):
+                    if l1[len(l1) - o :] == l2[:o]:
+                        words.add(l1 + l2[o:])
+        pool = _successor_pool(system)
+        for x in sorted(words, key=lambda w: (len(w), w)):
+            redexes = [
+                (pos, pos + len(lhs), x[:pos] + rhs + x[pos + len(lhs) :])
+                for length in system._lhs_lengths
+                for pos in range(len(x) - length + 1)
+                for lhs, rhs, _i, _a in system.oriented_pairs()
+                if lhs == x[pos : pos + length]
+            ]
+            for i, (ai, bi, y) in enumerate(redexes):
+                for aj, bj, z in redexes[i + 1 :]:
+                    if y != z and ai < bj and aj < bi:
+                        if not _strongly_joinable(y, z, system, pool):
+                            return ConfluenceReport(False, (x, y, z))
+        return ConfluenceReport(True)
+
+    def test_critical_pairs_give_the_all_pairs_report(self, rng):
+        # same verdict and the same first counterexample
+        for s in self._random_systems(rng, 80, "abc"):
+            assert check_strong_confluence(s) == self._all_overlapping_pairs(s)
+
+    def test_counterexamples_replay(self, rng):
+        # every reported divergence is real: both sides are one-step
+        # rewrites of the source and they do not join strongly
+        failures = 0
+        for s in self._random_systems(rng, 80, "abc"):
+            report = check_strong_confluence(s)
+            if report.ok:
+                continue
+            failures += 1
+            x, y, z = report.counterexample
+            succs = {r for r, _rid, _pos in word_successors(x, s)}
+            assert y in succs and z in succs and y != z
+            assert not _strongly_joinable(y, z, s, _successor_pool(s))
+        assert failures

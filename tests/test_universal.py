@@ -368,6 +368,7 @@ def test_checks_survive_optimised_python():
     code = textwrap.dedent(
         """
         from cycrew import UniversalContext, samples
+        from cycrew.pregroup import Pregroup, PregroupError, canonical_subgroup
         from cycrew.universal import CertificateError, _certify, _nf_carries
 
         if __debug__:
@@ -386,6 +387,14 @@ def test_checks_survive_optimised_python():
             pass
         else:
             raise SystemExit("epsilon letter accepted")
+        # G_P = {e, a} is not closed: [aa] = b
+        bad = Pregroup(("e", "a", "b"), "e", {}, {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "e"})
+        try:
+            canonical_subgroup(bad)
+        except PregroupError:
+            pass
+        else:
+            raise SystemExit("G_P that is not a subgroup accepted")
         print("ok")
         """
     )

@@ -7,6 +7,7 @@ from cycrew.words import (
     CyclicWord,
     involute,
     least_rotation,
+    least_rotation_offset,
     rotations,
     shortlex_compare,
     shortlex_key,
@@ -20,6 +21,11 @@ words = st.lists(st.integers(min_value=0, max_value=3), max_size=12).map(tuple)
 
 def naive_least_rotation(w):
     return min(rotations(w)) if w else ()
+
+
+def naive_offset(w):
+    canon = naive_least_rotation(w)
+    return next((i for i in range(len(w)) if w[i:] + w[:i] == canon), 0)
 
 
 class TestAlphabet:
@@ -106,6 +112,23 @@ class TestLeastRotation:
             return
         k %= len(w)
         assert least_rotation(w[k:] + w[:k]) == least_rotation(w)
+
+    @given(words)
+    def test_offset_against_naive(self, w):
+        assert least_rotation_offset(w) == naive_offset(w)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).map(tuple),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=23),
+    )
+    def test_offset_on_periodic_words(self, root, reps, k):
+        # every multiple of the period is an offset of the least rotation;
+        # the least of them is wanted
+        w = root * reps
+        k %= len(w)
+        w = w[k:] + w[:k]
+        assert least_rotation_offset(w) == naive_offset(w)
 
 
 class TestCyclicWord:
