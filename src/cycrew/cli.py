@@ -211,6 +211,9 @@ def cmd_from_amalgam(args) -> int:
                 f"missing {missing}"
             )
         hb = [pairing[t] for t in ha]
+    unknown = [t for t in ha if t not in A.index]
+    if unknown:
+        raise InvalidEmbedding(f"--ha names elements not in A: {unknown}")
     # H as an abstract table carried by the A-side tokens
     h_set = {A.index[t] for t in ha}
     if not A.is_subgroup(h_set):

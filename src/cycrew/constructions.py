@@ -294,17 +294,21 @@ def hnn_pregroup(
     isomorphism A -> B as a token dict.  Double cosets are canonicalised on
     left transversals: each element of HtH is (u, +1, v) with u the least
     index in its coset uA (identifying u a t v = u t phi(a) v), each element
-    of Ht^-1H is (u, -1, v) with u least in uB.
+    of Ht^-1H is (u, -1, v) with u least in uB.  A token that is not an
+    element of H raises InvalidEmbedding.
     """
-    a_set = frozenset(H.index[x] if isinstance(x, str) else x for x in A)
-    b_set = frozenset(H.index[x] if isinstance(x, str) else x for x in B)
+    def element(x):
+        if not isinstance(x, str):
+            return x
+        if x not in H.index:
+            raise InvalidEmbedding(f"unknown element {x!r} of H")
+        return H.index[x]
+
+    a_set = frozenset(element(x) for x in A)
+    b_set = frozenset(element(x) for x in B)
     if not H.is_subgroup(a_set) or not H.is_subgroup(b_set):
         raise InvalidEmbedding("A and B must be subgroups of H")
-    phi_idx = {}
-    for x, y in phi.items():
-        xi = H.index[x] if isinstance(x, str) else x
-        yi = H.index[y] if isinstance(y, str) else y
-        phi_idx[xi] = yi
+    phi_idx = {element(x): element(y) for x, y in phi.items()}
     if set(phi_idx) != set(a_set) or set(phi_idx.values()) != set(b_set):
         raise InvalidEmbedding("phi must be a bijection A -> B")
     for x in a_set:

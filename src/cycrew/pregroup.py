@@ -1,8 +1,11 @@
 """Finite Stallings pregroups: axiom checking and derived rewriting systems.
 
 The partial product is stored as a dense n x n table with None for
-undefined entries; axiom checks are exhaustive quantifier sweeps over the
-table, which is fine for the table sizes this library targets.
+undefined entries.  Axiom checks are exhaustive, but run as passes over the
+rows of the table rather than as nested quantifier sweeps: P1-P5 cost
+O(|dom| * deg) table reads, where dom is the set of defined pairs and deg
+the largest number of defined products in a row, and P6-P8 use per-row
+bitmasks of the defined products.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ class Pregroup:
             self.table[i][self.eps] = i
         self.table = tuple(tuple(row) for row in self.table)
         # letter -> compiled carry step, built on first use by
-        # cycrew.universal._carry_step; safe to cache since the table is
-        # immutable
+        # cycrew.universal._carry_step, and G_P, built on first use by
+        # canonical_subgroup; safe to cache since the table is immutable
         self._carry_steps = {}
+        self._canonical_subgroup = None
 
     def __len__(self):
         return len(self.elements)
@@ -112,78 +116,113 @@ class AxiomReport:
 
 
 def check_axioms(p: Pregroup) -> AxiomReport:
-    """Exhaustively verify P1-P5.
+    """Exhaustively verify P1-P5 in O(|dom| * deg) table reads plus one
+    step per witness, deg the largest number of defined products in a row.
 
     P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
-    diagnostic.  Violations are collected with witnesses, not raised.
+    diagnostic.  Violations are collected with witnesses, not raised: P1
+    and P2 as (a,), P3 as (a, b) in domain order, P4 as (a, b, c) and P5
+    as (a, b, c, d) with each later index ascending.
+
+    P5 is not a sweep over quadruples: [xyz] is undefined exactly when
+    both bracketings are, so the d with [bcd] undefined are listed once
+    per (b, c) and each triple with [abc] undefined emits its list.
     """
-    n = len(p)
+    table = p.table
+    inv = p.inv
+    eps = p.eps
     rep = AxiomReport(checked=("P1", "P2", "P3", "P4", "P5"))
     v = rep.violations
     for name in rep.checked:
         v[name] = []
-    for a in range(n):
-        if p.mul(a, p.eps) != a or p.mul(p.eps, a) != a:
-            v["P1"].append((a,))
-        if p.mul(p.inv[a], a) != p.eps or p.mul(a, p.inv[a]) != p.eps:
-            v["P2"].append((a,))
-    dom = p.domain()
-    for a, b in dom:
-        if p.mul(p.inv[b], p.inv[a]) != p.inv[p.mul(a, b)]:
-            v["P3"].append((a, b))
-    by_left = [[] for _ in range(n)]
-    for a, b in dom:
-        by_left[a].append(b)
-    for a, b in dom:
-        ab = p.mul(a, b)
-        for c in by_left[b]:
-            bc = p.mul(b, c)
-            left = p.mul(ab, c)
-            right = p.mul(a, bc)
-            if (left is None) != (right is None):
-                v["P4"].append((a, b, c))
-            elif left is not None and left != right:
-                v["P4"].append((a, b, c))
-    for a, b in dom:
-        for c in by_left[b]:
-            for d in by_left[c]:
-                if p.mul3(a, b, c) is None and p.mul3(b, c, d) is None:
-                    v["P5"].append((a, b, c, d))
+    p1, p2, p3, p4, p5 = (v[name] for name in rep.checked)
+    for a, row in enumerate(table):
+        if row[eps] != a or table[eps][a] != a:
+            p1.append((a,))
+        if table[inv[a]][a] != eps or row[inv[a]] != eps:
+            p2.append((a,))
+    rows = [[c for c, x in enumerate(row) if x is not None] for row in table]
+    # undefined_after[b][c]: the d in row(c), ascending, with [bcd]
+    # undefined, for each c in row(b) that has any
+    undefined_after = []
+    for b, row_b in enumerate(table):
+        after = {}
+        for c in rows[b]:
+            row_bc = table[row_b[c]]
+            row_c = table[c]
+            ds = [d for d in rows[c] if row_bc[d] is None and row_b[row_c[d]] is None]
+            if ds:
+                after[c] = ds
+        undefined_after.append(after)
+    for a, row_a in enumerate(table):
+        for b in rows[a]:
+            ab = row_a[b]
+            if table[inv[b]][inv[a]] != inv[ab]:
+                p3.append((a, b))
+            row_ab = table[ab]
+            row_b = table[b]
+            after = undefined_after[b]
+            for c in rows[b]:
+                left = row_ab[c]
+                if left != row_a[row_b[c]]:
+                    p4.append((a, b, c))
+                elif left is None and c in after:
+                    p5.extend([(a, b, c, d) for d in after[c]])
     return rep
+
+
+def _defined_masks(p: Pregroup):
+    """Per row x, the int bitmask of the y with [xy] defined."""
+    return [
+        sum(1 << y for y, z in enumerate(row) if z is not None) for row in p.table
+    ]
+
+
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def canonical_subgroup(p: Pregroup) -> frozenset:
     """G_P: the elements whose product with every element is defined both
     ways.  Raises PregroupError unless the result is a subgroup (closed
     under product and involution, containing epsilon), as it is in every
-    pregroup."""
-    n = len(p)
-    g = frozenset(
-        x
-        for x in range(n)
-        if all(p.defined(x, y) and p.defined(y, x) for y in range(n))
-    )
+    pregroup.  Computed once per pregroup; the table is immutable."""
+    g = p._canonical_subgroup
+    if g is not None:
+        return g
+    table = p.table
+    full = (1 << len(p)) - 1
+    masks = _defined_masks(p)
+    full_columns = full
+    for mask in masks:
+        full_columns &= mask
+    g = frozenset(x for x in _bits(full_columns) if masks[x] == full)
     if p.eps not in g or any(
-        p.inv[x] not in g or any(p.mul(x, y) not in g for y in g) for x in g
+        p.inv[x] not in g or any(table[x][y] not in g for y in g) for x in g
     ):
         raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
+    p._canonical_subgroup = g
     return g
 
 
 def check_p6(p: Pregroup):
-    """(f,g) undefined, (f, inv b) and (b, g) defined => b in G_P."""
+    """(f,g) undefined, (f, inv b) and (b, g) defined => b in G_P.
+
+    Witnesses (f, g, b) ascend in b, then f, then g."""
     gp = canonical_subgroup(p)
-    n = len(p)
+    masks = _defined_masks(p)
     witnesses = []
-    for b in range(n):
+    for b, mask_b in enumerate(masks):
         if b in gp:
             continue
-        for f in range(n):
-            if not p.defined(f, p.inv[b]):
-                continue
-            for g in range(n):
-                if p.defined(b, g) and not p.defined(f, g):
-                    witnesses.append((f, g, b))
+        bit = 1 << p.inv[b]
+        for f, mask_f in enumerate(masks):
+            if mask_f & bit:
+                witnesses.extend((f, g, b) for g in _bits(mask_b & ~mask_f))
     return (not witnesses), witnesses
 
 
@@ -191,18 +230,29 @@ def check_p7(p: Pregroup):
     """(y,z) defined, (x,[yz]) defined, [yz] not in G_P  =>  every s in
     {x, inv x}, t in {y, z} multiplies with the other both ways."""
     gp = canonical_subgroup(p)
+    table = p.table
+    inv = p.inv
+    masks = _defined_masks(p)
+    # both[s]: the t with [st] and [ts] defined
+    columns = [0] * len(p)
+    for x, mask in enumerate(masks):
+        for y in _bits(mask):
+            columns[y] |= 1 << x
+    both = [m & c for m, c in zip(masks, columns)]
+    # fine[t]: the x such that x and inv x both multiply with t both ways
+    fine = [m & sum(1 << inv[x] for x in _bits(m)) for m in both]
     witnesses = []
-    for y, z in p.domain():
-        yz = p.mul(y, z)
-        if yz in gp:
-            continue
-        for x in range(len(p)):
-            if not p.defined(x, yz):
+    for y, row_y in enumerate(table):
+        for z in _bits(masks[y]):
+            yz = row_y[z]
+            if yz in gp:
                 continue
-            for s in {x, p.inv[x]}:
-                for t in {y, z}:
-                    if not (p.defined(s, t) and p.defined(t, s)):
-                        witnesses.append((x, y, z, s, t))
+            ts = {y, z}
+            for x in _bits(columns[yz] & ~(fine[y] & fine[z])):
+                for s in {x, inv[x]}:
+                    for t in ts:
+                        if not both[s] >> t & 1:
+                            witnesses.append((x, y, z, s, t))
     ok = not witnesses
     if ok:
         ok6, _ = check_p6(p)
@@ -216,8 +266,10 @@ def check_p8(p: Pregroup):
     gp = canonical_subgroup(p)
     witnesses = [
         (a, b)
-        for a, b in p.domain()
-        if a not in gp and b not in gp and p.mul(a, b) not in gp
+        for a, row in enumerate(p.table)
+        if a not in gp
+        for b, ab in enumerate(row)
+        if ab is not None and b not in gp and ab not in gp
     ]
     ok = not witnesses
     if ok:

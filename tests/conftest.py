@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cycrew import UniversalContext, samples
+from cycrew.constructions import FiniteGroupTable, hnn_pregroup
 
 acceptance_lines = []
 
@@ -12,6 +13,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def hnn_z10_z2():
+    """HNN(Z10, t; t^-1 A t = A) with A of order 2; |P| = 110."""
+    H = FiniteGroupTable.cyclic(10, "x")
+    sub = [tok for i, tok in enumerate(H.elements) if i % 5 == 0]
+    return hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
 
 
 @pytest.fixture(scope="session")

@@ -221,6 +221,13 @@ class TestFromAmalgam:
             == 2
         )
 
+    def test_unknown_ha_token_exit_2(self, files, capsys):
+        argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
+                "--ha", "e zz", "--hb", "e s"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "zz" in err
+
 
 class TestFromHnn:
     def test_build(self, files, tmp_path, capsys):
@@ -253,3 +260,17 @@ class TestFromHnn:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sub-a", "e zz", "--sub-b", "A"],
+            ["--sub-a", "A", "--sub-b", "e zz"],
+            ["--sub-a", "A", "--sub-b", "A", "--phi", "e:e,s:zz"],
+        ],
+        ids=["sub-a", "sub-b", "phi"],
+    )
+    def test_unknown_token_exit_2(self, files, capsys, flags):
+        assert main(["from-hnn", files["s3.grp"], *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "zz" in err

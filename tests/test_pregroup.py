@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from cycrew import samples
+from cycrew.constructions import FiniteGroupTable
 from cycrew.pregroup import (
+    AxiomReport,
     Pregroup,
     PregroupError,
     canonical_subgroup,
@@ -18,6 +22,8 @@ from cycrew.pregroup import (
     p_to_gamma,
 )
 from cycrew.rewrite import check_strong_confluence
+
+from conftest import hnn_z10_z2
 
 
 def corpus():
@@ -78,7 +84,8 @@ class TestAxioms:
         assert not rep.ok("P2")
         assert rep.violations["P2"]
 
-    def test_corrupt_product_gives_p3_witness(self):
+    @staticmethod
+    def corrupt_z4():
         table = samples.z4_table()
         product = {
             (table.elements[i], table.elements[j]): table.elements[table.mul(i, j)]
@@ -87,10 +94,22 @@ class TestAxioms:
         }
         product[("x", "x")] = "x"  # break inverse compatibility
         involution = {"x": "x3", "x3": "x", "x2": "x2"}
-        bad = Pregroup(table.elements, "e", involution, product)
+        return Pregroup(table.elements, "e", involution, product)
+
+    def test_corrupt_product_gives_p3_witness(self):
+        bad = self.corrupt_z4()
         rep = check_axioms(bad)
         assert not rep.ok()
-        assert rep.violations["P3"] or rep.violations["P4"]
+        assert [bad.tokens(w) for w in rep.violations["P3"]] == [("x", "x"), ("x3", "x3")]
+
+    def test_corrupt_product_gives_p4_witness(self):
+        bad = self.corrupt_z4()
+        rep = check_axioms(bad)
+        assert [bad.tokens(w) for w in rep.violations["P4"]] == [
+            ("x", "x", "x2"), ("x", "x", "x3"), ("x", "x2", "x3"), ("x", "x3", "x2"),
+            ("x2", "x", "x"), ("x2", "x3", "x"), ("x3", "x", "x"), ("x3", "x2", "x"),
+        ]
+        assert rep.ok("P1") and rep.ok("P2") and rep.ok("P5")
 
     def test_p5_failure_detected(self):
         # a path a-b-c-d with both triple products undefined
@@ -109,7 +128,14 @@ class TestAxioms:
         put("c", "d", "cd")
         bad = Pregroup(elements, "e", involution, product)
         rep = check_axioms(bad)
-        assert rep.violations["P5"]
+        assert [bad.tokens(w) for w in rep.violations["P5"]] == [
+            ("a", "b", "a", "b"), ("a", "b", "c", "b"), ("a", "b", "c", "d"),
+            ("b", "a", "b", "a"), ("b", "a", "b", "c"), ("b", "c", "b", "a"),
+            ("b", "c", "b", "c"), ("b", "c", "d", "c"), ("c", "b", "a", "b"),
+            ("c", "b", "c", "b"), ("c", "b", "c", "d"), ("c", "d", "c", "b"),
+            ("c", "d", "c", "d"), ("d", "c", "b", "a"), ("d", "c", "b", "c"),
+            ("d", "c", "d", "c"),
+        ]
 
 
 class TestHigherAxioms:
@@ -144,6 +170,247 @@ class TestHigherAxioms:
         assert not ok
         f, g, b = p.index["f"], p.index["g"], p.index["b"]
         assert (f, g, b) in witnesses
+
+
+# Reference sweeps: the axiom checks as exhaustive quantifier sweeps through
+# Pregroup.mul, mul3 and defined.  The differential tests below require the
+# row passes of cycrew.pregroup to return exactly their results, witness
+# order included.
+
+
+def ref_check_axioms(p: Pregroup) -> AxiomReport:
+    """Exhaustively verify P1-P5.
+
+    P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
+    diagnostic.  Violations are collected with witnesses, not raised.
+    """
+    n = len(p)
+    rep = AxiomReport(checked=("P1", "P2", "P3", "P4", "P5"))
+    v = rep.violations
+    for name in rep.checked:
+        v[name] = []
+    for a in range(n):
+        if p.mul(a, p.eps) != a or p.mul(p.eps, a) != a:
+            v["P1"].append((a,))
+        if p.mul(p.inv[a], a) != p.eps or p.mul(a, p.inv[a]) != p.eps:
+            v["P2"].append((a,))
+    dom = p.domain()
+    for a, b in dom:
+        if p.mul(p.inv[b], p.inv[a]) != p.inv[p.mul(a, b)]:
+            v["P3"].append((a, b))
+    by_left = [[] for _ in range(n)]
+    for a, b in dom:
+        by_left[a].append(b)
+    for a, b in dom:
+        ab = p.mul(a, b)
+        for c in by_left[b]:
+            bc = p.mul(b, c)
+            left = p.mul(ab, c)
+            right = p.mul(a, bc)
+            if (left is None) != (right is None):
+                v["P4"].append((a, b, c))
+            elif left is not None and left != right:
+                v["P4"].append((a, b, c))
+    for a, b in dom:
+        for c in by_left[b]:
+            for d in by_left[c]:
+                if p.mul3(a, b, c) is None and p.mul3(b, c, d) is None:
+                    v["P5"].append((a, b, c, d))
+    return rep
+
+
+def ref_canonical_subgroup(p: Pregroup) -> frozenset:
+    """G_P: the elements whose product with every element is defined both
+    ways.  Raises PregroupError unless the result is a subgroup (closed
+    under product and involution, containing epsilon), as it is in every
+    pregroup."""
+    n = len(p)
+    g = frozenset(
+        x
+        for x in range(n)
+        if all(p.defined(x, y) and p.defined(y, x) for y in range(n))
+    )
+    if p.eps not in g or any(
+        p.inv[x] not in g or any(p.mul(x, y) not in g for y in g) for x in g
+    ):
+        raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
+    return g
+
+
+def ref_check_p6(p: Pregroup):
+    """(f,g) undefined, (f, inv b) and (b, g) defined => b in G_P."""
+    gp = ref_canonical_subgroup(p)
+    n = len(p)
+    witnesses = []
+    for b in range(n):
+        if b in gp:
+            continue
+        for f in range(n):
+            if not p.defined(f, p.inv[b]):
+                continue
+            for g in range(n):
+                if p.defined(b, g) and not p.defined(f, g):
+                    witnesses.append((f, g, b))
+    return (not witnesses), witnesses
+
+
+def ref_check_p7(p: Pregroup):
+    """(y,z) defined, (x,[yz]) defined, [yz] not in G_P  =>  every s in
+    {x, inv x}, t in {y, z} multiplies with the other both ways."""
+    gp = ref_canonical_subgroup(p)
+    witnesses = []
+    for y, z in p.domain():
+        yz = p.mul(y, z)
+        if yz in gp:
+            continue
+        for x in range(len(p)):
+            if not p.defined(x, yz):
+                continue
+            for s in {x, p.inv[x]}:
+                for t in {y, z}:
+                    if not (p.defined(s, t) and p.defined(t, s)):
+                        witnesses.append((x, y, z, s, t))
+    ok = not witnesses
+    if ok:
+        ok6, _ = ref_check_p6(p)
+        if not ok6:
+            raise PregroupError("P7 holds but P6 fails: the table is not a pregroup")
+    return ok, witnesses
+
+
+def ref_check_p8(p: Pregroup):
+    """(a,b) defined => a, b or [ab] lies in G_P."""
+    gp = ref_canonical_subgroup(p)
+    witnesses = [
+        (a, b)
+        for a, b in p.domain()
+        if a not in gp and b not in gp and p.mul(a, b) not in gp
+    ]
+    ok = not witnesses
+    if ok:
+        ok6, _ = ref_check_p6(p)
+        if not ok6:
+            raise PregroupError("P8 holds but P6 fails: the table is not a pregroup")
+    return ok, witnesses
+
+
+def not_subgroup_table():
+    # G_P = {e, a} is not closed: [aa] = b
+    return Pregroup(
+        ("e", "a", "b"), "e", {}, {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "e"}
+    )
+
+
+SMALL_PREGROUPS = (
+    lambda: samples.group_pregroup(samples.z2_table()),
+    lambda: samples.group_pregroup(FiniteGroupTable.cyclic(3)),
+    lambda: samples.group_pregroup(samples.z4_table()),
+    lambda: samples.group_pregroup(FiniteGroupTable.cyclic(5)),
+    lambda: samples.group_pregroup(samples.z6_table()),
+    lambda: samples.group_pregroup(samples.s3_table()),
+    lambda: samples.free_pregroup(1),
+    lambda: samples.free_pregroup(2),
+    samples.dihedral_infinity,
+)
+
+
+def random_small_table(rng):
+    """A table on 2-6 elements: a small pregroup with one or two entries
+    changed, the epsilon row and column included, or a random partial
+    product under a random involution."""
+    if rng.random() < 0.5:
+        p = rng.choice(SMALL_PREGROUPS)()
+        n, eps, elements, inv = len(p), p.eps, p.elements, p.inv
+        rows = [list(row) for row in p.table]
+        for _ in range(rng.randrange(1, 3)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice([None, *range(n)])
+    else:
+        n, eps = rng.randrange(2, 7), 0
+        elements = ["e"] + [f"x{i}" for i in range(1, n)]
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        inv = list(range(n))
+        while len(rest) >= 2 and rng.random() < 0.5:
+            i, j = rest.pop(), rest.pop()
+            inv[i], inv[j] = j, i
+        density = rng.random()
+        rows = [
+            [
+                j if i == eps else i if j == eps
+                else rng.randrange(n) if rng.random() < density else None
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    q = Pregroup(elements, elements[eps], {elements[i]: elements[j] for i, j in enumerate(inv)}, {})
+    q.table = tuple(tuple(row) for row in rows)  # bypasses the epsilon synthesis
+    return q
+
+
+DIFFERENTIAL_PAIRS = (
+    (check_axioms, ref_check_axioms),
+    (canonical_subgroup, ref_canonical_subgroup),
+    (check_p6, ref_check_p6),
+    (check_p7, ref_check_p7),
+    (check_p8, ref_check_p8),
+)
+
+
+def outcome(check, p):
+    """A check's result in comparable form: witness lists keep their order."""
+    try:
+        got = check(p)
+    except PregroupError as exc:
+        return "raises", str(exc)
+    if isinstance(got, AxiomReport):
+        return got.checked, list(got.violations.items())
+    return got
+
+
+def assert_same_as_reference(p):
+    outcomes = []
+    for check, reference in DIFFERENTIAL_PAIRS:
+        got = outcome(check, p)
+        assert got == outcome(reference, p), check.__name__
+        outcomes.append(got)
+    return outcomes
+
+
+class TestRowPassesMatchSweeps:
+    def test_corpus(self):
+        for p in corpus():
+            assert_same_as_reference(p)
+
+    def test_hnn_z10_z2(self):
+        assert_same_as_reference(hnn_z10_z2())
+
+    def test_random_small_tables(self):
+        rng = random.Random(20240531)
+        failed = set()
+        gp_raised = 0
+        for _ in range(360):
+            report, gp, *higher = assert_same_as_reference(random_small_table(rng))
+            failed.update(name for name, witnesses in report[1] if witnesses)
+            if not isinstance(gp, frozenset):
+                gp_raised += 1
+                continue
+            failed.update(
+                name for name, got in zip(("P6", "P7", "P8"), higher)
+                if got[0] is False
+            )
+        assert failed == {"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8"}
+        assert gp_raised
+
+    def test_gp_not_a_subgroup_still_raises(self):
+        bad = not_subgroup_table()
+        for check in (canonical_subgroup, check_p6, check_p7, check_p8):
+            with pytest.raises(PregroupError, match="G_P is not a subgroup"):
+                check(bad)
+        assert not check_axioms(bad)
+
+    def test_gp_computed_once(self):
+        p = samples.hnn_s3()
+        assert canonical_subgroup(p) is canonical_subgroup(p)
 
 
 class TestCanonicalSubgroup:

@@ -8,7 +8,6 @@ import pytest
 
 import cycrew
 from cycrew import samples
-from cycrew.constructions import FiniteGroupTable, hnn_pregroup
 from cycrew.pregroup import canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
 from cycrew.universal import (
     UniversalContext,
@@ -25,7 +24,7 @@ from cycrew.universal import (
 )
 from cycrew.words import CyclicWord, involute
 
-from conftest import conjugated, random_word
+from conftest import conjugated, hnn_z10_z2, random_word
 
 
 def free_reduce_tokens(word, alphabet):
@@ -276,13 +275,6 @@ class TestConjugateQuadratic:
         assert ans.verdict and ans.certificate == ()
 
 
-def hnn_z10_z2():
-    """HNN(Z10, t; t^-1 A t = A) with A of order 2; |P| = 110."""
-    H = FiniteGroupTable.cyclic(10, "x")
-    sub = [tok for i, tok in enumerate(H.elements) if i % 5 == 0]
-    return hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
-
-
 DP_SAMPLES = {
     "free2": lambda: samples.free_pregroup(2),
     "s3": lambda: samples.group_pregroup(samples.s3_table()),
@@ -368,7 +360,7 @@ def test_checks_survive_optimised_python():
     code = textwrap.dedent(
         """
         from cycrew import UniversalContext, samples
-        from cycrew.pregroup import Pregroup, PregroupError, canonical_subgroup
+        from cycrew.pregroup import Pregroup, PregroupError, canonical_subgroup, check_axioms
         from cycrew.universal import CertificateError, _certify, _nf_carries
 
         if __debug__:
@@ -395,6 +387,15 @@ def test_checks_survive_optimised_python():
             pass
         else:
             raise SystemExit("G_P that is not a subgroup accepted")
+        # a path a-b-c-d: [abc] and [bcd] are both undefined
+        elements = ["e", "a", "b", "c", "d", "ab", "bc", "cd"]
+        product = {(x, x): "e" for x in elements[1:]}
+        for x, y in (("a", "b"), ("b", "c"), ("c", "d")):
+            product[(x, y)] = product[(y, x)] = x + y
+        path = Pregroup(elements, "e", {x: x for x in elements[1:]}, product)
+        a, b, c, d = (path.index[x] for x in "abcd")
+        if (a, b, c, d) not in check_axioms(path).violations["P5"]:
+            raise SystemExit("P5 violation missed")
         print("ok")
         """
     )
