@@ -294,13 +294,6 @@ def ref_check_p8(p: Pregroup):
     return ok, witnesses
 
 
-def not_subgroup_table():
-    # G_P = {e, a} is not closed: [aa] = b
-    return Pregroup(
-        ("e", "a", "b"), "e", {}, {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "e"}
-    )
-
-
 SMALL_PREGROUPS = (
     lambda: samples.group_pregroup(samples.z2_table()),
     lambda: samples.group_pregroup(FiniteGroupTable.cyclic(3)),
@@ -402,7 +395,10 @@ class TestRowPassesMatchSweeps:
         assert gp_raised
 
     def test_gp_not_a_subgroup_still_raises(self):
-        bad = not_subgroup_table()
+        # G_P = {e, a} is not closed: [aa] = b
+        bad = Pregroup(
+            ("e", "a", "b"), "e", {}, {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "e"}
+        )
         for check in (canonical_subgroup, check_p6, check_p7, check_p8):
             with pytest.raises(PregroupError, match="G_P is not a subgroup"):
                 check(bad)
