@@ -8,6 +8,7 @@ precondition error, 3 inconclusive (oracle ran out of conjugator length).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -324,9 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, PreconditionViolated, InvalidEmbedding, ValueError) as exc:

@@ -110,34 +110,23 @@ def hat_extension(
             rules.append(Rule(lhs, rhs, anchor))
 
     for r in system.rules:
-        lhs, rhs = r.lhs, r.rhs
         if r.anchor is not Anchor.NONE:
             raise PreconditionViolated("hat extension of an anchored system")
-        n = len(lhs)
-        for cut in range(1, n):
-            p, q = lhs[:cut], lhs[cut:]
-            add(q, inverses.inverse_word(p) + rhs, Anchor.PREFIX)
-            add(p, rhs + inverses.inverse_word(q), Anchor.SUFFIX)
-        for i in range(1, n):
-            for j in range(i, n):
-                p, u, q = lhs[:i], lhs[i:j], lhs[j:]
-                add(
-                    u,
-                    inverses.inverse_word(p) + rhs + inverses.inverse_word(q),
-                    Anchor.WHOLE,
-                )
-        if r.symmetric:
-            # the reverse orientation factorises too
-            for cut in range(1, len(rhs)):
-                p, q = rhs[:cut], rhs[cut:]
-                add(q, inverses.inverse_word(p) + lhs, Anchor.PREFIX)
-                add(p, lhs + inverses.inverse_word(q), Anchor.SUFFIX)
-            for i in range(1, len(rhs)):
-                for j in range(i, len(rhs)):
-                    p, u, q = rhs[:i], rhs[i:j], rhs[j:]
+        orientations = [(r.lhs, r.rhs)]
+        if r.symmetric:  # the reverse orientation factorises too
+            orientations.append((r.rhs, r.lhs))
+        for lhs, rhs in orientations:
+            n = len(lhs)
+            for cut in range(1, n):
+                p, q = lhs[:cut], lhs[cut:]
+                add(q, inverses.inverse_word(p) + rhs, Anchor.PREFIX)
+                add(p, rhs + inverses.inverse_word(q), Anchor.SUFFIX)
+            for i in range(1, n):
+                for j in range(i, n):
+                    p, u, q = lhs[:i], lhs[i:j], lhs[j:]
                     add(
                         u,
-                        inverses.inverse_word(p) + lhs + inverses.inverse_word(q),
+                        inverses.inverse_word(p) + rhs + inverses.inverse_word(q),
                         Anchor.WHOLE,
                     )
     return RewriteSystem(system.alphabet, rules)
@@ -264,9 +253,7 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     """
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
-    if any(
-        len(rhs) > len(lhs) for lhs, rhs, _i, _a in system.oriented_pairs()
-    ):
+    if system.has_length_increasing_rules():
         raise PreconditionViolated("completion needs length-nonincreasing rules")
     shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
     base = {}

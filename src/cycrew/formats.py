@@ -25,14 +25,6 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_ANCHOR_TAGS = {
-    "prefix": Anchor.PREFIX,
-    "suffix": Anchor.SUFFIX,
-    "whole": Anchor.WHOLE,
-}
-_ANCHOR_NAMES = {v: k for k, v in _ANCHOR_TAGS.items()}
-
-
 def _lines(text: str):
     """(lineno, stripped content) for every nonblank, non-comment line."""
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -111,9 +103,9 @@ def parse_rws(text: str):
         anchor = Anchor.NONE
         body = line
         head, sep, rest = line.partition(":")
-        if sep and head.strip() in _ANCHOR_TAGS:
-            anchor = _ANCHOR_TAGS[head.strip()]
-            body = rest.strip()
+        tag = head.strip()
+        if sep and tag in [a.value for a in Anchor if a is not Anchor.NONE]:
+            anchor, body = Anchor(tag), rest.strip()
         symmetric = " <-> " in f" {body} "
         arrow = "<->" if symmetric else "->"
         toks = body.split()
@@ -161,13 +153,28 @@ def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
         arrow = "<->" if r.symmetric else "->"
         line = f"{_fmt_word(a, r.lhs)} {arrow} {_fmt_word(a, r.rhs)}"
         if r.anchor is not Anchor.NONE:
-            line = f"{_ANCHOR_NAMES[r.anchor]}: {line}"
+            line = f"{r.anchor.value}: {line}"
         out.append(line)
     if cyclic_pairs:
         out.append("[cyclic-rules]")
         for u, v in cyclic_pairs:
             out.append(f"{_fmt_word(a, u.canon)} -> {_fmt_word(a, v.canon)}")
     return "\n".join(out) + "\n"
+
+
+def _parse_product(entries, known):
+    """A [product] section as {(x, y): z}, every token one of known."""
+    product = {}
+    for no, line in entries:
+        toks = line.split()
+        if len(toks) != 4 or toks[2] != "=":
+            raise ParseError(f"expected 'x y = z', got {line!r}", no)
+        x, y, _eq, z = toks
+        for tok in (x, y, z):
+            if tok not in known:
+                raise ParseError(f"unknown element {tok!r}", no)
+        product[(x, y)] = z
+    return product
 
 
 def parse_pg(text: str) -> Pregroup:
@@ -184,17 +191,7 @@ def parse_pg(text: str) -> Pregroup:
             for x, y in _parse_pairs(line[6:].strip(), no):
                 involution[x] = y
                 involution[y] = x
-    product = {}
-    known = set(elements)
-    for no, line in sections.get("product", []):
-        toks = line.split()
-        if len(toks) != 4 or toks[2] != "=":
-            raise ParseError(f"expected 'x y = z', got {line!r}", no)
-        x, y, _eq, z = toks
-        for tok in (x, y, z):
-            if tok not in known:
-                raise ParseError(f"unknown element {tok!r}", no)
-        product[(x, y)] = z
+    product = _parse_product(sections.get("product", []), set(elements))
     try:
         return Pregroup(elements, epsilon, involution, product)
     except Exception as exc:
@@ -236,17 +233,7 @@ def parse_grp(text: str):
     _no, elements_text = _keyed(entries, "elements")
     elements = elements_text.split()
     _no, identity = _keyed(entries, "identity")
-    product = {}
-    known = set(elements)
-    for no, line in sections.get("product", []):
-        toks = line.split()
-        if len(toks) != 4 or toks[2] != "=":
-            raise ParseError(f"expected 'x y = z', got {line!r}", no)
-        x, y, _eq, z = toks
-        for tok in (x, y, z):
-            if tok not in known:
-                raise ParseError(f"unknown element {tok!r}", no)
-        product[(x, y)] = z
+    product = _parse_product(sections.get("product", []), set(elements))
     try:
         table = FiniteGroupTable(elements, identity, product)
     except Exception as exc:

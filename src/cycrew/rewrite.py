@@ -5,6 +5,14 @@ fire on ordinary words.  On cyclic words anchors dissolve: every position of
 a cycle is a rotation start, so prefix- and suffix-anchored rules act like
 plain rules there, and whole-anchored rules fire when some rotation equals
 the left-hand side.
+
+Anchors are resolved in one place.  RewriteSystem indexes its rules once by
+left-hand side, with one target tuple per Anchor, and _firing picks the
+targets that fire at a redex from where the redex lies (start of the word,
+end of the word, the whole word; on a cycle every redex is at a start and
+an end).  word_successors, cyclic_successors and reduce_greedy all read
+the index through _firing; check_strong_confluence, which accepts only
+unanchored systems, reads the plain targets.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ class Anchor(Enum):
     PREFIX = "prefix"
     SUFFIX = "suffix"
     WHOLE = "whole"
+
+
+_ANCHORS = tuple(Anchor)  # the order of the target tuples in the index
 
 
 class BudgetExhausted(RuntimeError):
@@ -44,9 +55,10 @@ class RewriteSystem:
     """A finite semi-Thue system over a fixed alphabet.
 
     Caches m(S) (sup of lhs lengths), the Thue / standard / 2-monadic flags
-    and an index from lhs to matching rules.  Symmetric rules are stored once
-    with symmetric=True; the reverse orientation is materialised in the rule
-    index.
+    and an index from each left-hand side to four tuples of (rule_id, rhs),
+    one per Anchor in Anchor order.  Symmetric rules are stored once with
+    symmetric=True; the reverse orientation is materialised in the index
+    under the same rule_id.
     """
 
     def __init__(self, alphabet: Alphabet, rules):
@@ -64,21 +76,23 @@ class RewriteSystem:
             all(len(r.lhs) > 0 for r in self.rules) and 2 <= self.m_of
         )
         self.is_2monadic = self.m_of == 2
-        # (lhs, anchor) -> list of (rule_id, rhs); symmetric rules indexed
-        # both ways under the same rule_id.
-        self._index = collections.defaultdict(list)
+        index = collections.defaultdict(lambda: ([], [], [], []))
         for rid, r in enumerate(self.rules):
-            self._index[(r.lhs, r.anchor)].append((rid, r.rhs))
+            slot = _ANCHORS.index(r.anchor)
+            index[r.lhs][slot].append((rid, r.rhs))
             if r.symmetric and r.rhs != r.lhs:
-                self._index[(r.rhs, r.anchor)].append((rid, r.lhs))
-        self._lhs_lengths = sorted({len(l) for (l, _a) in self._index})
+                index[r.rhs][slot].append((rid, r.lhs))
+        # tuples: concatenating an empty one in _firing copies nothing
+        self._index = {lhs: tuple(map(tuple, slots)) for lhs, slots in index.items()}
+        self._lhs_lengths = sorted({len(lhs) for lhs in self._index})
 
     def oriented_pairs(self):
         """All (lhs, rhs, rule_id, anchor) orientations, symmetric rules in
         both directions."""
-        for (lhs, anchor), targets in self._index.items():
-            for rid, rhs in targets:
-                yield lhs, rhs, rid, anchor
+        for lhs, slots in self._index.items():
+            for anchor, targets in zip(_ANCHORS, slots):
+                for rid, rhs in targets:
+                    yield lhs, rhs, rid, anchor
 
     def has_anchored_rules(self) -> bool:
         return any(r.anchor is not Anchor.NONE for r in self.rules)
@@ -87,6 +101,20 @@ class RewriteSystem:
         return any(
             len(rhs) > len(lhs) for lhs, rhs, _rid, _a in self.oriented_pairs()
         )
+
+
+def _firing(slots, start: bool, end: bool, whole: bool):
+    """The (rule_id, rhs) targets of one left-hand side's index entry that
+    fire at a redex, in Anchor order: plain rules anywhere, prefix rules at
+    the start of the word, suffix rules at its end, whole rules when the
+    redex is the whole word."""
+    plain, prefix, suffix, whole_word = slots
+    return (
+        plain
+        + (prefix if start else ())
+        + (suffix if end else ())
+        + (whole_word if whole else ())
+    )
 
 
 def word_successors(w: Word, system: RewriteSystem):
@@ -100,28 +128,22 @@ def word_successors(w: Word, system: RewriteSystem):
     index = system._index
     for length in system._lhs_lengths:
         for pos in range(n - length + 1):
-            chunk = w[pos : pos + length]
-            for rid, rhs in index.get((chunk, Anchor.NONE), ()):
-                out.append((w[:pos] + rhs + w[pos + length :], rid, pos))
-            if pos == 0:
-                for rid, rhs in index.get((chunk, Anchor.PREFIX), ()):
-                    out.append((rhs + w[length:], rid, 0))
-            if pos + length == n:
-                for rid, rhs in index.get((chunk, Anchor.SUFFIX), ()):
-                    out.append((w[:pos] + rhs, rid, pos))
-            if pos == 0 and length == n:
-                for rid, rhs in index.get((chunk, Anchor.WHOLE), ()):
-                    out.append((rhs, rid, 0))
+            end = pos + length
+            slots = index.get(w[pos:end])
+            if slots is not None:
+                head, tail = w[:pos], w[end:]
+                for rid, rhs in _firing(slots, pos == 0, end == n, length == n):
+                    out.append((head + rhs + tail, rid, pos))
     return out
 
 
 def cyclic_successors(c: CyclicWord, system: RewriteSystem):
     """One-step cyclic rewrites of c, deduplicated by canonical rotation.
 
-    Non-empty left-hand sides are matched on every rotation of the cycle
-    (which covers wrap-around occurrences); anchors are ignored except that
-    whole-anchored rules require a rotation equal to the whole lhs.  Empty
-    left-hand sides insert the rhs at every gap of the cycle.
+    Left-hand sides are matched at the start of every rotation of the cycle
+    (which covers wrap-around occurrences, and puts an empty lhs at every
+    gap); a rotation start is both a start and an end of the word, so only
+    whole-anchored rules are restricted, to a rotation equal to their lhs.
     """
     results = set()
     canon = c.canon
@@ -129,39 +151,40 @@ def cyclic_successors(c: CyclicWord, system: RewriteSystem):
     index = system._index
     rots = rotations(canon)
     for length in system._lhs_lengths:
-        if length == 0:
-            gaps = rots if n > 0 else [()]
-            for (lhs, anchor), targets in index.items():
-                if lhs != ():
-                    continue
-                if anchor is Anchor.WHOLE:
-                    if n == 0:
-                        for _rid, rhs in targets:
-                            results.add(CyclicWord.of(rhs))
-                    continue
-                for r in gaps:
-                    for _rid, rhs in targets:
-                        results.add(CyclicWord.of(rhs + r))
-            continue
         if length > n:
-            continue
+            break
         for rot in rots:
-            chunk = rot[:length]
-            rest = rot[length:]
-            for anchor in (Anchor.NONE, Anchor.PREFIX, Anchor.SUFFIX):
-                for _rid, rhs in index.get((chunk, anchor), ()):
+            slots = index.get(rot[:length])
+            if slots is not None:
+                rest = rot[length:]
+                for _rid, rhs in _firing(slots, True, True, length == n):
                     results.add(CyclicWord.of(rhs + rest))
-            if length == n:
-                for _rid, rhs in index.get((chunk, Anchor.WHOLE), ()):
-                    results.add(CyclicWord.of(rhs))
     return sorted(results, key=lambda cw: shortlex_key(cw.canon))
+
+
+def _leftmost_shortening(w: Word, index, lengths):
+    """(start, end, rhs) of the leftmost, then shortest, redex of w with a
+    shorter right-hand side, or None."""
+    n = len(w)
+    for pos in range(n):
+        for length in lengths:
+            end = pos + length
+            if end > n:
+                break
+            slots = index.get(w[pos:end])
+            if slots is not None:
+                for _rid, rhs in _firing(slots, pos == 0, end == n, length == n):
+                    if len(rhs) < length:
+                        return pos, end, rhs
+    return None
 
 
 def reduce_greedy(w: Word, system: RewriteSystem, budget: int = 10_000) -> Word:
     """Apply the leftmost applicable length-reducing rule until none applies.
 
-    Each application counts against the budget; BudgetExhausted signals
-    possible non-termination (it cannot trigger when every rule shortens).
+    Each application shortens the word, so at most len(w) are made;
+    BudgetExhausted means that the word is still reducible after budget
+    applications.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -169,38 +192,14 @@ def reduce_greedy(w: Word, system: RewriteSystem, budget: int = 10_000) -> Word:
     lengths = [l for l in system._lhs_lengths if l > 0]
     steps = 0
     while True:
-        applied = False
-        n = len(w)
-        for pos in range(n):
-            for length in lengths:
-                if pos + length > n:
-                    break
-                chunk = w[pos : pos + length]
-                rhs = None
-                for anchor in (Anchor.NONE, Anchor.PREFIX, Anchor.SUFFIX, Anchor.WHOLE):
-                    if anchor is Anchor.PREFIX and pos != 0:
-                        continue
-                    if anchor is Anchor.SUFFIX and pos + length != n:
-                        continue
-                    if anchor is Anchor.WHOLE and not (pos == 0 and length == n):
-                        continue
-                    for _rid, cand in index.get((chunk, anchor), ()):
-                        if len(cand) < length:
-                            rhs = cand
-                            break
-                    if rhs is not None:
-                        break
-                if rhs is not None:
-                    w = w[:pos] + rhs + w[pos + length :]
-                    applied = True
-                    break
-            if applied:
-                break
-        if not applied:
+        redex = _leftmost_shortening(w, index, lengths)
+        if redex is None:
             return w
-        steps += 1
-        if steps >= budget:
+        if steps == budget:
             raise BudgetExhausted(f"no fixpoint within {budget} steps")
+        start, end, rhs = redex
+        w = w[:start] + rhs + w[end:]
+        steps += 1
 
 
 @dataclass(frozen=True)
@@ -374,9 +373,10 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
         spans = []  # (start, end, [(result word, its successors or self)])
         for length in system._lhs_lengths:
             for pos in range(n - length + 1):
-                targets = index.get((x[pos : pos + length], Anchor.NONE))
-                if targets:
-                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in targets]
+                slots = index.get(x[pos : pos + length])
+                if slots is not None:
+                    # the system is unanchored: every target is plain
+                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
                     spans.append(
                         (pos, pos + length, [(y, succ_or_self(y)) for y in results])
                     )

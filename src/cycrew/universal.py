@@ -90,10 +90,6 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
     return ctx.to_gamma(_stack_reduce(ctx.to_p(w), ctx.pregroup))
 
 
-def is_reduced_p(pw, p: Pregroup) -> bool:
-    return all(p.table[pw[i]][pw[i + 1]] is None for i in range(len(pw) - 1))
-
-
 def _carry_step(p: Pregroup, a: int):
     """The carry step of letter a, compiled on first use and cached on p.
 

@@ -4,7 +4,9 @@ import pytest
 
 from cycrew import samples
 from cycrew.cli import main
-from cycrew.formats import emit_grp, emit_pg, emit_rws, parse_pg
+from cycrew.completion import cdagger
+from cycrew.formats import emit_grp, emit_pg, emit_rws, parse_pg, parse_rws
+from cycrew.pregroup import derive_system
 
 
 @pytest.fixture
@@ -92,6 +94,13 @@ class TestReduceFamily:
     def test_missing_file_is_exit_2(self, files, capsys):
         assert main(["reduce", "no-such-file.pg", "-w", "a"]) == 2
 
+    def test_reduce_rws_budget(self, files, capsys):
+        # two applications reduce a A b B; one is not enough
+        assert main(["reduce", files["free.rws"], "-w", "a A b B", "--budget", "2"]) == 0
+        assert capsys.readouterr().out.strip() == ""
+        assert main(["reduce", files["free.rws"], "-w", "a A b B", "--budget", "1"]) == 2
+        assert "no fixpoint within 1 steps" in capsys.readouterr().err
+
 
 class TestConj:
     def test_yes_with_conjugator(self, files, capsys):
@@ -131,6 +140,12 @@ class TestConj:
         )
         assert capsys.readouterr().out.strip() == "inconclusive"
 
+    def test_oracle_inconclusive_json(self, files, capsys):
+        argv = ["conj", files["dinf.pg"], "-u", "a", "-v", "b a b",
+                "--algo", "oracle", "--max-conj-len", "0", "--json"]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().out) == {"verdict": None, "method": "oracle"}
+
     def test_oracle_positive(self, files, capsys):
         assert (
             main(
@@ -162,6 +177,15 @@ class TestComplete:
         text = out_path.read_text()
         assert "[cyclic-rules]" in text
         assert "a c d b -> a b d c" in text
+
+    def test_cdagger(self, tmp_path, capsys):
+        s_eps = derive_system(samples.group_pregroup(samples.s3_table()), "S_eps")
+        path = tmp_path / "s_eps.rws"
+        path.write_text(emit_rws(s_eps))
+        assert main(["complete", str(path), "--mode", "cdagger"]) == 0
+        _system, pairs = parse_rws(capsys.readouterr().out)
+        extra = cdagger(s_eps).extra
+        assert extra and tuple(pairs) == extra
 
     def test_cdagger_rejects_nonthue(self, files, tmp_path, capsys):
         four = tmp_path / "four.rws"
@@ -251,6 +275,21 @@ class TestFromHnn:
             )
             == 0
         )
+
+    def test_phi_from_map_block(self, files, tmp_path, capsys):
+        # without --phi, the [map A->A] block of the .grp file gives phi
+        def build(maps):
+            path = tmp_path / "s3map.grp"
+            path.write_text(emit_grp(samples.s3_table(), {"A": ("e", "s")}, maps))
+            return main(["from-hnn", str(path), "--sub-a", "A", "--sub-b", "A"])
+
+        assert build({("A", "A"): {"e": "e", "s": "s"}}) == 0
+        from_map = capsys.readouterr().out
+        assert main(["from-hnn", files["s3.grp"], "--sub-a", "A", "--sub-b", "A",
+                     "--phi", "e:e,s:s"]) == 0
+        assert from_map == capsys.readouterr().out
+        # a map that is no isomorphism is rejected, so the block was read
+        assert build({("A", "A"): {"e": "s", "s": "e"}}) == 2
 
     def test_bad_phi_exit_2(self, files, capsys):
         assert (

@@ -71,6 +71,33 @@ class TestHatExtension:
             (r.lhs, r.rhs) for r in by_anchor[Anchor.WHOLE]
         ]
 
+    def test_symmetric_rule_factorises_both_orientations(self):
+        # the reverse orientation bab -> aba factorises after aba -> bab,
+        # and only its new rules are added
+        a = Alphabet.from_pairs("ab", [])
+        s = RewriteSystem(
+            a, [Rule(a.word("aa"), ()), Rule(a.word("aba"), a.word("bab"), symmetric=True)]
+        )
+        hat = hat_extension(s)
+        assert [(a.format(r.lhs), a.format(r.rhs), r.anchor.value) for r in hat.rules] == [
+            ("a a", "", "none"),
+            ("a b a", "b a b", "none"),
+            ("", "a a", "whole"),
+            ("b a", "a b a b", "prefix"),
+            ("a", "b a b a b", "suffix"),
+            ("a", "b a b a b", "prefix"),
+            ("a b", "b a b a", "suffix"),
+            ("", "a b a b a b", "whole"),
+            ("b", "a b a b a", "whole"),
+            ("", "b a b a b a", "whole"),
+            ("a b", "b a b a", "prefix"),
+            ("b", "a b a b a", "suffix"),
+            ("b", "a b a b a", "prefix"),
+            ("b a", "a b a b", "suffix"),
+            ("a", "b a b a b", "whole"),
+        ]
+        assert [r.symmetric for r in hat.rules[:2]] == [False, True]
+
     def test_needs_standard_system(self):
         a = Alphabet.from_pairs("ab", [])
         with pytest.raises(PreconditionViolated):

@@ -6,6 +6,7 @@ from cycrew.universal import conjugate_quadratic, cyclic_reduce, equal_in_U
 from cycrew.words import involute
 
 from conftest import conjugated, random_word
+from test_universal import interleave, random_reduced_p
 
 
 def naive_search(pattern, text):
@@ -120,3 +121,22 @@ class TestConjugateLinear:
             v = random_word(rng, k, 6)
             if len(cyclic_reduce(u, hnn_ctx)) != len(cyclic_reduce(v, hnn_ctx)):
                 assert not conjugate_linear(u, v, hnn_ctx).verdict
+
+    def test_interior_rotations_under_carries(self, hnn_ctx, rng):
+        # v is an interior rotation of u (offset 3..n-1) interleaved by G_P
+        # carries, so its rotation is found through the KMP scan of NF(g^2)
+        p = hnn_ctx.pregroup
+        pairs = 0
+        while pairs < 60:
+            pu = random_reduced_p(rng, p, rng.randint(6, 14))
+            n = len(pu)
+            if n < 6 or p.table[pu[-1]][pu[0]] is not None:
+                continue  # not cyclically reduced
+            k = rng.randrange(3, n)
+            u = hnn_ctx.to_gamma(pu)
+            v = hnn_ctx.to_gamma(interleave(rng, pu[k:] + pu[:k], p))
+            lin = conjugate_linear(u, v, hnn_ctx)
+            assert lin.verdict and conjugate_quadratic(u, v, hnn_ctx).verdict
+            cert = lin.certificate
+            assert equal_in_U(cert + u + involute(cert, hnn_ctx.alphabet), v, hnn_ctx)
+            pairs += 1

@@ -1,6 +1,7 @@
 import pytest
 
 from cycrew import samples
+from cycrew.cli import main
 from cycrew.completion import resolve_short_pairs
 from cycrew.formats import (
     ParseError,
@@ -153,3 +154,44 @@ class TestGrp:
         )
         with pytest.raises(ParseError):
             parse_grp(text)
+
+
+_PG = "[pregroup]\nelements: e a\nepsilon: e\n"
+_GRP = "[group]\nelements: e\nidentity: e\n"
+_RWS = "[alphabet]\nletters: a b\n"
+
+MALFORMED = {
+    "pg-missing-entry": ("pg", "[pregroup]\nelements: e a\n"),
+    "pg-bad-pair": ("pg", _PG + "pairs: a\n"),
+    "pg-product-shape": ("pg", _PG + "[product]\na a e\n"),
+    "pg-unknown-element": ("pg", _PG + "[product]\na a = z\n"),
+    "pg-before-section": ("pg", "elements: e a\n" + _PG),
+    "grp-missing-section": ("grp", "[subgroup A]\nelements: e\n"),
+    "grp-missing-entry": ("grp", "[group]\nelements: e\n"),
+    "grp-product-shape": ("grp", _GRP + "[product]\ne e e\n"),
+    "grp-unknown-element": ("grp", _GRP + "[product]\ne e = f\n"),
+    "grp-map-header": ("grp", _GRP + "[product]\ne e = e\n[map A]\n"),
+    "rws-missing-entry": ("rws", "[alphabet]\npairs: a b\n"),
+    "rws-bad-pair": ("rws", _RWS + "pairs: a b a\n"),
+    "rws-two-arrows": ("rws", _RWS + "[rules]\na -> b -> 1\n"),
+    "rws-no-arrow": ("rws", _RWS + "[rules]\na b\n"),
+    "rws-cyclic-no-arrow": ("rws", _RWS + "[cyclic-rules]\na b\n"),
+    "rws-symmetric-length": ("rws", _RWS + "[rules]\na b <-> a\n"),
+    "rws-unknown-tag": ("rws", _RWS + "[rules]\nnone: a -> b\n"),
+}
+
+
+@pytest.mark.parametrize("kind, text", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_text_raises_and_cli_exits_2(kind, text, tmp_path, capsys):
+    parse = {"pg": parse_pg, "grp": parse_grp, "rws": parse_rws}[kind]
+    with pytest.raises(ParseError):
+        parse(text)
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    argv = {
+        "pg": ["axioms", str(path)],
+        "grp": ["from-hnn", str(path), "--sub-a", "e", "--sub-b", "e"],
+        "rws": ["reduce", str(path), "-w", "a"],
+    }[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")

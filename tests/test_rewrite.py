@@ -1,3 +1,6 @@
+import collections
+import random
+
 import pytest
 
 from cycrew import samples
@@ -7,6 +10,7 @@ from cycrew.rewrite import (
     ConfluenceReport,
     RewriteSystem,
     Rule,
+    _overlap_words,
     _strongly_joinable,
     _successor_pool,
     check_strong_confluence,
@@ -17,7 +21,7 @@ from cycrew.rewrite import (
     reduce_greedy,
     word_successors,
 )
-from cycrew.words import Alphabet, CyclicWord
+from cycrew.words import Alphabet, CyclicWord, rotations, shortlex_key
 
 
 def _ab():
@@ -231,6 +235,15 @@ class TestReduceGreedy:
         with pytest.raises(BudgetExhausted):
             reduce_greedy(long, s, budget=3)
 
+    def test_budget_counts_applications(self):
+        # exactly budget applications reach the fixpoint
+        s = samples.free_group_system(2)
+        a = s.alphabet
+        assert reduce_greedy(a.word("aA"), s, budget=1) == ()
+        assert reduce_greedy(a.word("aAbB"), s, budget=2) == ()
+        with pytest.raises(BudgetExhausted):
+            reduce_greedy(a.word("aAbB"), s, budget=1)
+
     def test_budget_must_be_positive(self):
         s = samples.free_group_system()
         with pytest.raises(ValueError):
@@ -354,3 +367,219 @@ class TestConfluenceChecker:
             assert y in succs and z in succs and y != z
             assert not _strongly_joinable(y, z, s, _successor_pool(s))
         assert failures
+
+
+# The index-walking scanners of the (lhs, anchor)-keyed index, kept as
+# references for the one-index scanners; each builds its own index.
+
+
+def _ref_index(system):
+    index = collections.defaultdict(list)
+    for rid, r in enumerate(system.rules):
+        index[(r.lhs, r.anchor)].append((rid, r.rhs))
+        if r.symmetric and r.rhs != r.lhs:
+            index[(r.rhs, r.anchor)].append((rid, r.lhs))
+    return index, sorted({len(l) for (l, _a) in index})
+
+
+def ref_oriented_pairs(system):
+    index, _lengths = _ref_index(system)
+    for (lhs, anchor), targets in index.items():
+        for rid, rhs in targets:
+            yield lhs, rhs, rid, anchor
+
+
+def ref_word_successors(w, system):
+    index, lhs_lengths = _ref_index(system)
+    out = []
+    n = len(w)
+    for length in lhs_lengths:
+        for pos in range(n - length + 1):
+            chunk = w[pos : pos + length]
+            for rid, rhs in index.get((chunk, Anchor.NONE), ()):
+                out.append((w[:pos] + rhs + w[pos + length :], rid, pos))
+            if pos == 0:
+                for rid, rhs in index.get((chunk, Anchor.PREFIX), ()):
+                    out.append((rhs + w[length:], rid, 0))
+            if pos + length == n:
+                for rid, rhs in index.get((chunk, Anchor.SUFFIX), ()):
+                    out.append((w[:pos] + rhs, rid, pos))
+            if pos == 0 and length == n:
+                for rid, rhs in index.get((chunk, Anchor.WHOLE), ()):
+                    out.append((rhs, rid, 0))
+    return out
+
+
+def ref_cyclic_successors(c, system):
+    index, lhs_lengths = _ref_index(system)
+    results = set()
+    canon = c.canon
+    n = len(canon)
+    rots = rotations(canon)
+    for length in lhs_lengths:
+        if length == 0:
+            gaps = rots if n > 0 else [()]
+            for (lhs, anchor), targets in index.items():
+                if lhs != ():
+                    continue
+                if anchor is Anchor.WHOLE:
+                    if n == 0:
+                        for _rid, rhs in targets:
+                            results.add(CyclicWord.of(rhs))
+                    continue
+                for r in gaps:
+                    for _rid, rhs in targets:
+                        results.add(CyclicWord.of(rhs + r))
+            continue
+        if length > n:
+            continue
+        for rot in rots:
+            chunk = rot[:length]
+            rest = rot[length:]
+            for anchor in (Anchor.NONE, Anchor.PREFIX, Anchor.SUFFIX):
+                for _rid, rhs in index.get((chunk, anchor), ()):
+                    results.add(CyclicWord.of(rhs + rest))
+            if length == n:
+                for _rid, rhs in index.get((chunk, Anchor.WHOLE), ()):
+                    results.add(CyclicWord.of(rhs))
+    return sorted(results, key=lambda cw: shortlex_key(cw.canon))
+
+
+def ref_reduce_greedy(w, system, budget=10_000):
+    # raises once budget applications are made, before testing whether the
+    # word is already irreducible
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    index, lhs_lengths = _ref_index(system)
+    lengths = [l for l in lhs_lengths if l > 0]
+    steps = 0
+    while True:
+        applied = False
+        n = len(w)
+        for pos in range(n):
+            for length in lengths:
+                if pos + length > n:
+                    break
+                chunk = w[pos : pos + length]
+                rhs = None
+                for anchor in (Anchor.NONE, Anchor.PREFIX, Anchor.SUFFIX, Anchor.WHOLE):
+                    if anchor is Anchor.PREFIX and pos != 0:
+                        continue
+                    if anchor is Anchor.SUFFIX and pos + length != n:
+                        continue
+                    if anchor is Anchor.WHOLE and not (pos == 0 and length == n):
+                        continue
+                    for _rid, cand in index.get((chunk, anchor), ()):
+                        if len(cand) < length:
+                            rhs = cand
+                            break
+                    if rhs is not None:
+                        break
+                if rhs is not None:
+                    w = w[:pos] + rhs + w[pos + length :]
+                    applied = True
+                    break
+            if applied:
+                break
+        if not applied:
+            return w
+        steps += 1
+        if steps >= budget:
+            raise BudgetExhausted(f"no fixpoint within {budget} steps")
+
+
+def ref_check_strong_confluence(system):
+    if system.has_anchored_rules():
+        raise ValueError("strong confluence check requires an unanchored system")
+    succ_or_self = _successor_pool(system)
+    index, lhs_lengths = _ref_index(system)
+    for x in sorted(_overlap_words(system), key=shortlex_key):
+        n = len(x)
+        spans = []  # (start, end, [(result word, its successors or self)])
+        for length in lhs_lengths:
+            for pos in range(n - length + 1):
+                targets = index.get((x[pos : pos + length], Anchor.NONE))
+                if targets:
+                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in targets]
+                    spans.append(
+                        (pos, pos + length, [(y, succ_or_self(y)) for y in results])
+                    )
+        for i, (a1, b1, ys) in enumerate(spans):
+            partners = [
+                zs
+                for a2, b2, zs in spans[i + 1 :]
+                if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
+            ]
+            whole = a1 == 0 and b1 == n > 0
+            for k, (y, sy) in enumerate(ys):
+                for group in ([ys[k + 1 :]] if whole else []) + partners:
+                    for z, sz in group:
+                        if y == z or not sy.isdisjoint(sz):
+                            continue
+                        if not _strongly_joinable(y, z, system, succ_or_self):
+                            return ConfluenceReport(False, (x, y, z))
+    return ConfluenceReport(True)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, BudgetExhausted) as exc:
+        return type(exc)
+
+
+def _random_anchored_system(rng, letters):
+    """Rules over 2-3 letters with every anchor, symmetric rules and empty
+    left-hand sides.  About half the systems are unanchored; their rules do
+    not lengthen, which keeps the confluence check's descendant searches
+    small."""
+    a = Alphabet.from_pairs(letters, [])
+    anchored = rng.random() < 0.5
+    anchors = list(Anchor) if anchored else [Anchor.NONE]
+
+    def word(lo, hi):
+        return tuple(rng.randrange(len(a)) for _ in range(rng.randint(lo, hi)))
+
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        lhs = word(0, 3)
+        symmetric = rng.random() < 0.2
+        rhs = word(len(lhs), len(lhs)) if symmetric else word(0, 3 if anchored else len(lhs))
+        rules.append(Rule(lhs, rhs, rng.choice(anchors), symmetric))
+    return RewriteSystem(a, rules)
+
+
+class TestOneIndexMatchesAnchorKeyedIndex:
+    def test_random_systems(self):
+        rng = random.Random(20121)
+        seen = collections.Counter()
+        for count in range(2_000):
+            s = _random_anchored_system(rng, "ab" if count % 2 else "abc")
+            k = len(s.alphabet)
+            for r in s.rules:
+                seen[r.anchor] += 1
+                seen["empty lhs"] += r.lhs == ()
+                seen["symmetric"] += r.symmetric
+            assert sorted(s.oriented_pairs()) == sorted(ref_oriented_pairs(s))
+            words = [()] + [
+                tuple(rng.randrange(k) for _ in range(rng.randint(1, 5)))
+                for _ in range(6)
+            ]
+            for w in words:
+                assert word_successors(w, s) == ref_word_successors(w, s)
+                c = CyclicWord.of(w)
+                assert cyclic_successors(c, s) == ref_cyclic_successors(c, s)
+                budget = rng.randint(1, 3)
+                got = _outcome(reduce_greedy, w, s, budget)
+                want = _outcome(ref_reduce_greedy, w, s, budget)
+                if got != want:
+                    # the reference gives up one application early
+                    assert want is BudgetExhausted
+                    assert got == ref_reduce_greedy(w, s, budget + 1)
+                    seen["budget fix"] += 1
+            report = _outcome(check_strong_confluence, s)
+            assert report == _outcome(ref_check_strong_confluence, s)
+            if isinstance(report, ConfluenceReport):
+                seen[report.ok] += 1
+        for kind in (*Anchor, "empty lhs", "symmetric", "budget fix", True, False):
+            assert seen[kind], kind
