@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .words import Alphabet, CyclicWord, Word, rotations, shortlex_key, validate_word
+from .words import (
+    Alphabet,
+    CyclicWord,
+    Word,
+    involute,
+    rotations,
+    shortlex_key,
+    validate_word,
+)
 
 
 class Anchor(Enum):
@@ -363,12 +371,34 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     overlapping pair is tested.  (The descendant search of
     _strongly_joinable is bounded, so this holds as long as that bound is
     not reached.)
+
+    When the formal inverse sigma(w) = involute(w) maps the rules onto
+    themselves (S_eps of a pregroup, for one), only one word of each
+    sigma-orbit of overlap words needs its pairs tested.  sigma reverses
+    words, so it sends the redex [a, b) of x to [n - b, n - a) of sigma(x),
+    the rule l -> r to sigma(l) -> sigma(r), and the critical pairs of x
+    one-to-one onto those of sigma(x); successor sets commute with sigma,
+    so a pair closes by the one-step meet exactly when its image does.  A
+    word x is skipped when sigma(x) was tested before it and every pair of
+    sigma(x) closed by the one-step meet: every pair of x then closes by
+    it too, and x could not have failed.  Words that needed
+    _strongly_joinable are tested on both sides, because its descendant
+    search stops at a node count in BFS order and so need not agree on a
+    pair and its image.  The report is thus the same as without the skip.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
     succ_or_self = _successor_pool(system)
     index = system._index
+    alphabet = system.alphabet
+    pairs = {(lhs, rhs) for lhs, rhs, _rid, _a in system.oriented_pairs()}
+    invariant = pairs == {
+        (involute(lhs, alphabet), involute(rhs, alphabet)) for lhs, rhs in pairs
+    }
+    met = set()  # tested words whose pairs all closed by the one-step meet
     for x in sorted(_overlap_words(system), key=shortlex_key):
+        if invariant and involute(x, alphabet) in met:
+            continue
         n = len(x)
         spans = []  # (start, end, [(result word, its successors or self)])
         for length in system._lhs_lengths:
@@ -380,6 +410,7 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                     spans.append(
                         (pos, pos + length, [(y, succ_or_self(y)) for y in results])
                     )
+        one_step = True  # every pair of x so far closed by the one-step meet
         for i, (a1, b1, ys) in enumerate(spans):
             # redex pairs in the order of the flat (span, rhs) redex list
             partners = [
@@ -396,6 +427,9 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                             continue
                         if not _strongly_joinable(y, z, system, succ_or_self):
                             return ConfluenceReport(False, (x, y, z))
+                        one_step = False
+        if invariant and one_step:
+            met.add(x)
     return ConfluenceReport(True)
 
 

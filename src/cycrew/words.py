@@ -81,8 +81,9 @@ class Alphabet:
 
 
 def validate_word(w: Word, alphabet: Alphabet) -> None:
+    k = len(alphabet)
     for i in w:
-        if not (0 <= i < len(alphabet)):
+        if not (0 <= i < k):
             raise AlphabetError(f"letter index {i} out of range")
 
 

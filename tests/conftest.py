@@ -15,11 +15,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def hnn_cyclic(n, k):
+    """HNN(Z_n, t; t^-1 A t = A), A the subgroup of order k, phi the
+    identity."""
+    H = FiniteGroupTable.cyclic(n, "x")
+    sub = [tok for i, tok in enumerate(H.elements) if i % (n // k) == 0]
+    return hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
+
+
 def hnn_z10_z2():
     """HNN(Z10, t; t^-1 A t = A) with A of order 2; |P| = 110."""
-    H = FiniteGroupTable.cyclic(10, "x")
-    sub = [tok for i, tok in enumerate(H.elements) if i % 5 == 0]
-    return hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
+    return hnn_cyclic(10, 2)
 
 
 @pytest.fixture(scope="session")

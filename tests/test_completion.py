@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from cycrew import constructions, samples
+from cycrew import samples
 from cycrew.completion import (
     CyclicRuleSet,
     InverseAssignment,
@@ -18,6 +18,8 @@ from cycrew.completion import (
 from cycrew.pregroup import derive_system, gamma_to_p
 from cycrew.rewrite import Anchor, RewriteSystem, Rule, cyclic_joinable, reduce_greedy
 from cycrew.words import Alphabet, CyclicWord
+
+from conftest import hnn_cyclic
 
 
 class TestInverseAssignment:
@@ -288,14 +290,6 @@ class TestCdagger:
             )
 
 
-def _hnn_cyclic(n, k):
-    """HNN(Z_n, t; t^-1 A t = A), A the subgroup of order k, phi the
-    identity."""
-    H = constructions.FiniteGroupTable.cyclic(n, "x")
-    sub = [tok for i, tok in enumerate(H.elements) if i % (n // k) == 0]
-    return constructions.hnn_pregroup(H, sub, sub, {tok: tok for tok in sub})
-
-
 def _pairs_digest(pairs):
     canon = sorted((u.canon, v.canon) for u, v in pairs)
     return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]
@@ -320,7 +314,7 @@ PINS = {
 
 @pytest.fixture(scope="module", params=sorted(PINS), ids=lambda nk: f"hnn_z{nk[0]}_z{nk[1]}")
 def pinned(request):
-    return derive_system(_hnn_cyclic(*request.param), "S_eps"), PINS[request.param]
+    return derive_system(hnn_cyclic(*request.param), "S_eps"), PINS[request.param]
 
 
 class TestPinnedResults:
@@ -344,7 +338,7 @@ class TestPinnedResults:
         # extra lists the pairs member by member in shortlex order, each in
         # the order a search from the member meets its class's successors;
         # on HNN(Z4, 1) members of one class meet them in different orders
-        s = derive_system(_hnn_cyclic(4, 1), "S_eps")
+        s = derive_system(hnn_cyclic(4, 1), "S_eps")
         crs, stage = thue_completion(s, check_confluence=False)
         ordered = [(u.canon, v.canon) for u, v in crs.extra]
         digest = hashlib.sha256(repr(ordered).encode()).hexdigest()[:16]

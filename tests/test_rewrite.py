@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cycrew import samples
+from cycrew.pregroup import derive_system
 from cycrew.rewrite import (
     Anchor,
     BudgetExhausted,
@@ -21,7 +22,10 @@ from cycrew.rewrite import (
     reduce_greedy,
     word_successors,
 )
-from cycrew.words import Alphabet, CyclicWord, rotations, shortlex_key
+from cycrew.words import Alphabet, CyclicWord, involute, rotations, shortlex_key
+
+from conftest import hnn_cyclic
+from test_pregroup import random_small_table
 
 
 def _ab():
@@ -583,3 +587,136 @@ class TestOneIndexMatchesAnchorKeyedIndex:
                 seen[report.ok] += 1
         for kind in (*Anchor, "empty lhs", "symmetric", "budget fix", True, False):
             assert seen[kind], kind
+
+
+def _closed_under_involute(system):
+    """Whether the formal inverse maps the rule orientations, read from
+    system.rules, onto themselves."""
+    a = system.alphabet
+    pairs = set()
+    for r in system.rules:
+        pairs.add((r.lhs, r.rhs))
+        if r.symmetric:
+            pairs.add((r.rhs, r.lhs))
+    return pairs == {(involute(l, a), involute(r, a)) for l, r in pairs}
+
+
+def _one_step_closed(x, system):
+    """Every divergence y <- x -> z closes by the one-step meet."""
+
+    def meet(y):
+        return {y} | {w for w, _rid, _pos in word_successors(y, system)}
+
+    succs = [y for y, _rid, _pos in word_successors(x, system)]
+    return all(
+        y == z or meet(y) & meet(z) for i, y in enumerate(succs) for z in succs[i + 1 :]
+    )
+
+
+def _skips_before(system, x0):
+    """Some overlap word x before x0 comes after its formal inverse
+    sigma(x), and every divergence of sigma(x) closes by the one-step meet:
+    the checker may skip x on its way to x0."""
+    words = _overlap_words(system)
+    for x in sorted(words, key=shortlex_key):
+        if shortlex_key(x) >= shortlex_key(x0):
+            return False
+        sx = involute(x, system.alphabet)
+        if sx in words and shortlex_key(sx) < shortlex_key(x) and _one_step_closed(sx, system):
+            return True
+    return False
+
+
+def _random_involutive_system(rng):
+    """Unanchored rules over 2-4 letters whose involution pairs letters in
+    most alphabets.  In about 90% of the systems the rules are closed under
+    the formal inverse; the rest lack the image of their last rule.  About
+    1.5% of the systems may lengthen (empty left-hand sides, longer
+    right-hand sides): every failed one-step meet there runs a descendant
+    search to its cap, so they are kept rare."""
+    letters = "abcd"[: rng.randint(2, 4)]
+    rest = list(letters)
+    rng.shuffle(rest)
+    pairs = []
+    while len(rest) >= 2 and rng.random() < 0.8:
+        pairs.append((rest.pop(), rest.pop()))
+    a = Alphabet.from_pairs(letters, pairs)
+    lengthen = rng.random() < 0.015
+
+    def word(lo, hi):
+        return tuple(rng.randrange(len(a)) for _ in range(rng.randint(lo, hi)))
+
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = word(0 if lengthen else 1, 3)
+        symmetric = rng.random() < 0.2
+        rhs = word(len(lhs), len(lhs)) if symmetric else word(0, len(lhs) + lengthen)
+        rules.append(Rule(lhs, rhs, symmetric=symmetric))
+    closed = rng.random() < 0.9
+    for r in rules[: None if closed else -1]:
+        image = Rule(involute(r.lhs, a), involute(r.rhs, a), symmetric=r.symmetric)
+        if image not in rules:
+            rules.append(image)
+    return RewriteSystem(a, rules)
+
+
+class TestFormalInverseSkipMatchesFullScan:
+    """check_strong_confluence tests one word of each formal-inverse orbit
+    on invariant systems; its reports equal those of the full scan
+    ref_check_strong_confluence."""
+
+    def test_random_involutive_systems(self):
+        rng = random.Random(20122)
+        seen = collections.Counter()
+        for _ in range(2_000):
+            s = _random_involutive_system(rng)
+            report = check_strong_confluence(s)
+            assert report == ref_check_strong_confluence(s)
+            invariant = _closed_under_involute(s)
+            seen["invariant", invariant] += 1
+            seen["ok", report.ok] += 1
+            seen["paired"] += any(i != j for i, j in enumerate(s.alphabet.involution))
+            seen["empty lhs"] += any(r.lhs == () for r in s.rules)
+            seen["lengthening"] += s.has_length_increasing_rules()
+            if invariant and not report.ok:
+                seen["skip before failure"] += _skips_before(s, report.counterexample[0])
+        assert seen["paired"] > 1_500
+        assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
+        assert seen["ok", True] and seen["ok", False]
+        for kind in ("empty lhs", "lengthening", "skip before failure"):
+            assert seen[kind], kind
+
+    def test_s_eps_corpus(self):
+        # hnn_s3 (|P| = 42) is left to test_05_pregroup_corpus_axioms: the
+        # reference scan alone takes seconds there
+        pregroups = [
+            samples.dihedral_infinity(),
+            samples.z4_amalgam_z6(),
+            samples.free_pregroup(2),
+            samples.group_pregroup(samples.z4_table()),
+            samples.group_pregroup(samples.s3_table()),
+            hnn_cyclic(4, 2),
+        ]
+        for p in pregroups:
+            s = derive_system(p, "S_eps")
+            assert _closed_under_involute(s)
+            report = check_strong_confluence(s)
+            assert report.ok
+            assert report == ref_check_strong_confluence(s)
+
+    def test_s_eps_of_random_tables(self):
+        # Non-invariant tables on 4-6 elements are left out: neither scan
+        # skips a word there, and their descendant searches take ~0.25 s a
+        # table.
+        rng = random.Random(1)
+        seen = collections.Counter()
+        for _ in range(400):
+            p = random_small_table(rng)
+            s = derive_system(p, "S_eps")
+            invariant = _closed_under_involute(s)
+            if not invariant and len(p) > 3:
+                continue
+            report = check_strong_confluence(s)
+            assert report == ref_check_strong_confluence(s)
+            seen[invariant, report.ok] += 1
+        assert len(seen) == 4, seen
