@@ -98,10 +98,6 @@ def cmd_axioms(args) -> int:
     return 0 if report.ok() else 1
 
 
-def _word_arg(ctx, text: str):
-    return ctx.alphabet.parse(text)
-
-
 def cmd_reduce(args) -> int:
     if args.file.endswith(".rws"):
         system, _pairs = parse_rws(_read(args.file))
@@ -113,27 +109,27 @@ def cmd_reduce(args) -> int:
             return 2
         return 0
     ctx = _context(args.file)
-    print(ctx.alphabet.format(reduce_word(_word_arg(ctx, args.word), ctx)))
+    print(ctx.alphabet.format(reduce_word(ctx.alphabet.parse(args.word), ctx)))
     return 0
 
 
 def cmd_nf(args) -> int:
     ctx = _context(args.file)
-    print(ctx.alphabet.format(shortlex_nf(_word_arg(ctx, args.word), ctx)))
+    print(ctx.alphabet.format(shortlex_nf(ctx.alphabet.parse(args.word), ctx)))
     return 0
 
 
 def cmd_cyclic_reduce(args) -> int:
     ctx = _context(args.file)
-    c = cyclic_reduce(_word_arg(ctx, args.word), ctx)
+    c = cyclic_reduce(ctx.alphabet.parse(args.word), ctx)
     print(ctx.alphabet.format(c.canon))
     return 0
 
 
 def cmd_conj(args) -> int:
     ctx = _context(args.file)
-    u = _word_arg(ctx, args.u)
-    v = _word_arg(ctx, args.v)
+    u = ctx.alphabet.parse(args.u)
+    v = ctx.alphabet.parse(args.v)
     if args.algo == "oracle":
         answer = conjugate_oracle(u, v, ctx, args.max_conj_len)
         if answer is None:

@@ -7,12 +7,14 @@ yields P = H u Ht^-1H u HtH, where the double cosets are stored canonically
 as (u, sign, v) with u a fixed left-transversal representative (the least
 element index of its coset).  The verify_* functions classify conjugate
 pairs into the cases of the classical amalgam / HNN conjugacy theorems;
-they are oracles for testing, not the primary decision path.
+they are oracles for testing, not the primary decision path.  Their
+rotation x preconjugator searches and BFS path walks are those of
+conjugate_quadratic (universal._rotation_matches and universal._bfs_path),
+run over the subgroup pools that each theorem names.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,10 +32,10 @@ from .pregroup import (
 from .universal import (
     CertificateError,
     UniversalContext,
+    _bfs_path,
     _canonical_traced,
-    _interleaving_equal,
     _letter_closure_traced,
-    _preconjugate_p,
+    _rotation_matches,
     equal_in_U,
 )
 from .words import CyclicWord, Word, involute
@@ -447,16 +449,9 @@ class ClassificationVerdict:
     witness: dict = field(default_factory=dict)
 
 
-def _closure_path(parents: dict, target: int):
-    """Path of (element, conjugator) steps from the BFS root to target."""
-    path = []
-    node = target
-    while parents[node] is not None:
-        prev, c = parents[node]
-        path.append((node, c))
-        node = prev
-    path.reverse()
-    return node, path
+def _pool_conjugator(pool, x: int, y: int, p: Pregroup) -> Optional[int]:
+    """The least h in pool with [h~ x h] = y, or None."""
+    return next((h for h in sorted(pool) if p.mul3(p.inv[h], x, h) == y), None)
 
 
 def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict:
@@ -474,32 +469,27 @@ def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict
     if n == 1:
         g_p = gamma_to_p(g_can[0], p)
         f_p = gamma_to_p(f_can[0], p)
-        closure, parents_g = _letter_closure_traced(g_can[0], ctx)
-        closure_p = {gamma_to_p(l, p) for l in closure}
-        in_h = sorted(closure_p & h_letters)
+        _closure, parents_g = _letter_closure_traced(g_can[0], ctx)
+        in_h = sorted(parents_g.keys() & h_letters)
         if in_h:
             h = in_h[0]
-            _root, chain_g = _closure_path(parents_g, h)
             _closure_f, parents_f = _letter_closure_traced(f_can[0], ctx)
-            _root_f, chain_f = _closure_path(parents_f, h)
+            # letter closures are conjugacy classes: one without h is disjoint
+            if h not in parents_f:
+                raise ValueError("pair is not conjugate (letter closures differ)")
             # chains run root -> h; reversing a step (x -> [c x c~]) uses c~
-            return ClassificationVerdict(
-                "mks", 1, {"h": h, "chain_to_g": chain_g, "chain_to_f": chain_f}
-            )
+            chains = {"chain_to_g": _bfs_path(parents_g, h), "chain_to_f": _bfs_path(parents_f, h)}
+            return ClassificationVerdict("mks", 1, {"h": h, **chains})
         factor = p.factor_a if g_p in p.factor_a else p.factor_b
         if f_p not in factor:
             raise ValueError("pair is not conjugate (factors differ)")
-        for a in sorted(factor):
-            if p.mul3(p.inv[a], g_p, a) == f_p:
-                return ClassificationVerdict("mks", 2, {"a": a})
-        raise ValueError("pair is not conjugate in the common factor")
-    f_p = ctx.to_p(f_can)
-    for i in range(n):
-        rot = ctx.to_p(g_can[i:] + g_can[:i])
-        for h in sorted(p.subgroup_h):
-            cand = _preconjugate_p(rot, p.inv[h], p)
-            if cand is not None and _interleaving_equal(cand, f_p, p):
-                return ClassificationVerdict("mks", 3, {"h": h, "i": i})
+        a = _pool_conjugator(factor, g_p, f_p, p)
+        if a is None:
+            raise ValueError("pair is not conjugate in the common factor")
+        return ClassificationVerdict("mks", 2, {"a": a})
+    pre = [p.inv[h] for h in sorted(p.subgroup_h)]
+    for i, b in _rotation_matches(ctx.to_p(g_can), ctx.to_p(f_can), lambda _rot: pre, p):
+        return ClassificationVerdict("mks", 3, {"h": p.inv[b], "i": i})
     raise ValueError("pair admits no amalgam case-3 witness; not conjugate?")
 
 
@@ -525,52 +515,46 @@ def verify_collins(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVer
             chain, h = found
             return ClassificationVerdict("collins", 1, {"chain": chain, "h": h})
         # case 2: conjugate within the base group
-        for h in sorted(H):
-            if p.mul3(p.inv[h], g_p, h) == f_p:
-                closure, _parents = _letter_closure_traced(g_can[0], ctx)
-                closure_p = {gamma_to_p(l, p) for l in closure}
-                return ClassificationVerdict(
-                    "collins",
-                    2,
-                    {"h": h, "g_conjugate_into_ab": bool(closure_p & ab)},
-                )
-        raise ValueError("pair is not conjugate by a base group element")
+        h = _pool_conjugator(H, g_p, f_p, p)
+        if h is None:
+            raise ValueError("pair is not conjugate by a base group element")
+        _closure, parents = _letter_closure_traced(g_can[0], ctx)
+        return ClassificationVerdict(
+            "collins", 2, {"h": h, "g_conjugate_into_ab": not ab.isdisjoint(parents)}
+        )
     # case 3: nontrivial t-sequence
     g_std = ctx.to_p(standard_cyclic_form(CyclicWord(g_can), ctx))
     f_std = ctx.to_p(standard_cyclic_form(CyclicWord(f_can), ctx))
-    n = len(g_std)
-    for j in range(n):
-        rot = g_std[j:] + g_std[:j]
-        sign = p.stable[rot[0]][1]
-        stated = p.sub_a if sign == -1 else p.sub_b
-        for pool, constrained in ((sorted(stated), True), (sorted(H - stated), False)):
-            for c in pool:
-                cand = _preconjugate_p(rot, p.inv[c], p)
-                if cand is not None and _interleaving_equal(cand, f_std, p):
-                    return ClassificationVerdict(
-                        "collins",
-                        3,
-                        {"c": c, "j": j, "sign_constraint_met": constrained},
-                    )
+
+    def stated(letter):  # the pool the sign of a stable letter asks for
+        return p.sub_a if p.stable[letter][1] == -1 else p.sub_b
+
+    def pools(rot):
+        return [p.inv[c] for c in sorted(stated(rot[0])) + sorted(H - stated(rot[0]))]
+
+    for j, b in _rotation_matches(g_std, f_std, pools, p):
+        c = p.inv[b]
+        return ClassificationVerdict(
+            "collins", 3, {"c": c, "j": j, "sign_constraint_met": c in stated(g_std[j])}
+        )
     raise ValueError("pair admits no Collins case-3 witness; not conjugate?")
 
 
-def _collins_chain(f_p: int, g_p: Optional[int], p: HnnPregroup):
+def _collins_chain(f_p: int, g_p: int, p: HnnPregroup):
     """BFS chain f = c_0, ..., c_l within A u B, each step
     c_i = k^-1 t^-d c_{i-1} t^d k, with a final h in H such that
     h^-1 c_l h = g.  Returns ((c_i, k_i, d_i) step list, h) or None."""
-    if g_p is None:
-        return None
     ab = p.sub_a | p.sub_b
-    if f_p not in ab:
-        return None
     phi = p.phi
     phi_inv = {v: k for k, v in phi.items()}
     parents = {f_p: None}
-    queue = collections.deque([f_p])
-    order = [f_p]
-    while queue:
-        c = queue.popleft()
+    queue = [f_p]  # grows while it is read: BFS order
+    for c in queue:
+        # endpoint: a chain element conjugate to g by some h in H
+        # (h = eps when g itself lies in A u B)
+        h = _pool_conjugator(p.base_h, c, g_p, p)
+        if h is not None:
+            return _bfs_path(parents, c), h
         moves = []
         if c in p.sub_a:
             moves.append((phi[c], 1))
@@ -582,24 +566,4 @@ def _collins_chain(f_p: int, g_p: Optional[int], p: HnnPregroup):
                 if y in ab and y not in parents:
                     parents[y] = (c, k, delta)
                     queue.append(y)
-                    order.append(y)
-    # endpoint: a chain element conjugate to g by some h in H
-    # (h = eps when g itself lies in A u B)
-    target = h_final = None
-    for c in order:
-        for h in sorted(p.base_h):
-            if p.mul3(p.inv[h], c, h) == g_p:
-                target, h_final = c, h
-                break
-        if target is not None:
-            break
-    if target is None:
-        return None
-    steps = []
-    node = target
-    while parents[node] is not None:
-        prev, k, delta = parents[node]
-        steps.append((node, k, delta))
-        node = prev
-    steps.reverse()
-    return steps, h_final
+    return None

@@ -268,6 +268,19 @@ def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
     return out
 
 
+def _rotation_matches(g_p: tuple, f_p: tuple, candidates, p: Pregroup):
+    """The (i, b) with the preconjugation of rotation i of g_p by b equal
+    to f_p in U(P), rotation-major, where b runs through candidates(rotation)
+    in its order.  Every rotation x preconjugator search reads this one
+    loop, so callers taking the first hit get the least pair."""
+    for i in range(len(g_p)):
+        rot = g_p[i:] + g_p[:i]
+        for b in candidates(rot):
+            cand = _preconjugate_p(rot, b, p)
+            if cand is not None and _interleaving_equal(cand, f_p, p):
+                yield i, b
+
+
 def preconjugate(c: CyclicWord, b: int, ctx: UniversalContext) -> Optional[CyclicWord]:
     """Preconjugation of the canonical representative by pregroup element b
     (see _preconjugate_p); None when it is not defined."""
@@ -308,19 +321,29 @@ def _letter_closure_traced(letter: int, ctx: UniversalContext):
     return result
 
 
+def _bfs_path(parents: dict, target) -> list:
+    """Steps (node, *label) from the root of a BFS tree to target, root
+    side first; parents maps each node to (previous node, *label) and the
+    root to None."""
+    path = []
+    node = target
+    while parents[node] is not None:
+        prev, *label = parents[node]
+        path.append((node, *label))
+        node = prev
+    path.reverse()
+    return path
+
+
 def _closure_conjugator(letter: int, target: int, ctx: UniversalContext) -> Word:
     """Gamma word x with x . letter . inv(x) = target, from the closure
     BFS tree."""
     p = ctx.pregroup
     _closure, parents = _letter_closure_traced(letter, ctx)
-    node = gamma_to_p(target, p)
-    cs = []
-    while parents[node] is not None:
-        prev, c = parents[node]
-        cs.append(c)
-        node = prev
-    # target = c_k ( ... (c_1 . letter . inv(c_1)) ... ) inv(c_k)
-    return tuple(p_to_gamma(c, p) for c in cs if c != p.eps)
+    path = _bfs_path(parents, gamma_to_p(target, p))
+    # target = c_k ( ... (c_1 . letter . inv(c_1)) ... ) inv(c_k); no c is
+    # epsilon, since conjugating by epsilon reaches no new element
+    return tuple(p_to_gamma(c, p) for _y, c in reversed(path))
 
 
 def _certify(u, v, x, ctx) -> Word:
@@ -364,15 +387,9 @@ def conjugate_quadratic(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAns
     if answer is not None:
         return answer
     p = ctx.pregroup
-    g_p = ctx.to_p(g)
-    f_p = ctx.to_p(f)
-    for i in range(len(g)):
-        rot = g_p[i:] + g_p[:i]
-        prefix_inv = involute(g[:i], ctx.alphabet)
-        for b in range(len(p)):
-            cand = _preconjugate_p(rot, b, p)
-            if cand is not None and _interleaving_equal(cand, f_p, p):
-                b_word = (p_to_gamma(b, p),) if b != p.eps else ()
-                x = zv_inv + b_word + prefix_inv + zu
-                return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
+    every = range(len(p))
+    for i, b in _rotation_matches(ctx.to_p(g), ctx.to_p(f), lambda _rot: every, p):
+        b_word = (p_to_gamma(b, p),) if b != p.eps else ()
+        x = zv_inv + b_word + involute(g[:i], ctx.alphabet) + zu
+        return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
     return ConjugacyAnswer(False, method="quadratic")

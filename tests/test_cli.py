@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycrew import samples
 from cycrew.cli import main
@@ -313,3 +317,78 @@ class TestFromHnn:
         assert main(["from-hnn", files["s3.grp"], *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "zz" in err
+
+
+# Exit-code contract: every input, malformed ones included, gives 0-3.
+
+_FUZZ_SOURCES = {
+    "pg": emit_pg(samples.z4_amalgam_z6()),
+    "rws": emit_rws(samples.free_group_system(2)),
+    "grp": emit_grp(samples.s3_table(), {"A": ("e", "s")}, {("A", "A"): {"e": "e", "s": "s"}}),
+}
+_FUZZ_PIECES = sorted(
+    {tok for text in _FUZZ_SOURCES.values() for tok in text.split()}
+    | {"", "1", "zz", "[", "]", ":", "=", "->", "-", ",", "x y = z", "[map A->B]"}
+)
+_FUZZ_EDITS = st.tuples(
+    st.sampled_from(
+        ["delete line", "copy line", "replace line", "delete token", "insert token", "replace token"]
+    ),
+    st.integers(0, 99),
+    st.integers(0, 99),
+    st.sampled_from(_FUZZ_PIECES),
+)
+
+
+def _mutate(text, edits):
+    """text with each (operation, line, position, piece) edit applied in
+    turn; line and position wrap around."""
+    lines = text.split("\n")
+    for op, at, pos, piece in edits:
+        at %= len(lines)
+        if op == "delete line":
+            del lines[at]
+        elif op == "copy line":
+            lines.insert(at, lines[pos % len(lines)])
+        elif op == "replace line":
+            lines[at] = piece
+        else:
+            tokens = lines[at].split(" ")
+            pos %= len(tokens)
+            if op == "delete token":
+                del tokens[pos]
+            elif op == "insert token":
+                tokens.insert(pos, piece)
+            else:
+                tokens[pos] = piece
+            lines[at] = " ".join(tokens)
+        lines = lines or [""]
+    return "\n".join(lines)
+
+
+def _fuzz_commands(kind, path):
+    if kind == "pg":
+        return [
+            ["axioms", path],
+            ["conj", path, "-u", "x y", "-v", "y x"],
+            ["nf", path, "-w", "y x2 x"],
+            ["reduce", path, "-w", "x x3 y"],
+        ]
+    if kind == "rws":
+        modes = ("hat", "circle", "cstar", "cdagger")
+        return [["reduce", path, "-w", "a A b"]] + [["complete", path, "--mode", m] for m in modes]
+    return [
+        ["from-hnn", path, "--sub-a", "A", "--sub-b", "A"],
+        ["from-amalgam", "-a", path, "-b", path, "--ha", "A", "--hb", "A"],
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(sorted(_FUZZ_SOURCES)), edits=st.lists(_FUZZ_EDITS, min_size=1, max_size=3))
+def test_mutated_files_keep_exit_code_contract(tmp_path_factory, kind, edits):
+    path = tmp_path_factory.getbasetemp() / f"mutated.{kind}"
+    path.write_text(_mutate(_FUZZ_SOURCES[kind], edits))
+    for argv in _fuzz_commands(kind, str(path)):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)

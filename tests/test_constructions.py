@@ -1,13 +1,20 @@
+import collections
+import random
+from typing import Optional
+
 import pytest
 
 from cycrew import samples
 from cycrew.constructions import (
+    ClassificationVerdict,
     Embedding,
     FiniteGroupTable,
     InHSubgroup,
     InvalidEmbedding,
     NotAmalgamContext,
     NotHnnContext,
+    _require_amalgam,
+    _require_hnn,
     amalgam_pregroup,
     hnn_pregroup,
     standard_cyclic_form,
@@ -16,7 +23,14 @@ from cycrew.constructions import (
 )
 from cycrew.pregroup import gamma_to_p, p_to_gamma
 from cycrew.universal import (
+    ConjugacyAnswer,
     UniversalContext,
+    _canonical_traced,
+    _certify,
+    _conjugacy_prelude,
+    _interleaving_equal,
+    _letter_closure_traced,
+    _preconjugate_p,
     conjugate_quadratic,
     cyclic_reduce,
     equal_in_U,
@@ -286,6 +300,15 @@ class TestVerifyMks:
         with pytest.raises(ValueError):
             verify_mks((x,), (y, x, y), z4z6_ctx)
 
+    def test_letters_with_disjoint_closures_raise_value_error(self, z4z6_ctx):
+        # x2's closure meets H at x2 itself; y5's closure does not contain it
+        p = z4z6_ctx.pregroup
+        x2 = p_to_gamma(p.index["x2"], p)
+        y5 = p_to_gamma(p.index["y5"], p)
+        with pytest.raises(ValueError, match="letter closures differ"):
+            verify_mks((x2,), (y5,), z4z6_ctx)
+        assert not conjugate_quadratic((x2,), (y5,), z4z6_ctx)
+
     def test_every_conjugate_pair_classified(self, z4z6_ctx, rng):
         counts = {1: 0, 2: 0, 3: 0}
         for _ in range(60):
@@ -381,3 +404,233 @@ class TestVerifyCollins:
         s = p_to_gamma(p.index["s"], p)
         with pytest.raises(ValueError):
             verify_collins((t,), (t, s, t), hnn_ctx)
+
+
+# The rotation x preconjugator loops, BFS parent walks and pool scans of
+# conjugate_quadratic, verify_mks and verify_collins as each wrote its own,
+# kept as references for the shared _rotation_matches, _bfs_path and
+# _pool_conjugator.
+
+
+def ref_conjugate_quadratic(u, v, ctx):
+    answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "quadratic")
+    if answer is not None:
+        return answer
+    p = ctx.pregroup
+    g_p = ctx.to_p(g)
+    f_p = ctx.to_p(f)
+    for i in range(len(g)):
+        rot = g_p[i:] + g_p[:i]
+        prefix_inv = involute(g[:i], ctx.alphabet)
+        for b in range(len(p)):
+            cand = _preconjugate_p(rot, b, p)
+            if cand is not None and _interleaving_equal(cand, f_p, p):
+                b_word = (p_to_gamma(b, p),) if b != p.eps else ()
+                x = zv_inv + b_word + prefix_inv + zu
+                return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
+    return ConjugacyAnswer(False, method="quadratic")
+
+
+def ref_closure_path(parents: dict, target: int):
+    path = []
+    node = target
+    while parents[node] is not None:
+        prev, c = parents[node]
+        path.append((node, c))
+        node = prev
+    path.reverse()
+    return node, path
+
+
+def ref_verify_mks(g, f, ctx):
+    p = _require_amalgam(ctx)
+    g_can, _zg = _canonical_traced(g, ctx)
+    f_can, _zf = _canonical_traced(f, ctx)
+    if len(g_can) != len(f_can):
+        raise ValueError("pair is not conjugate (length mismatch)")
+    n = len(g_can)
+    if n == 0:
+        return ClassificationVerdict("mks", 1, {"h": p.eps, "chain_to_g": [], "chain_to_f": []})
+    h_letters = p.subgroup_h - {p.eps}
+    if n == 1:
+        g_p = gamma_to_p(g_can[0], p)
+        f_p = gamma_to_p(f_can[0], p)
+        closure, parents_g = _letter_closure_traced(g_can[0], ctx)
+        closure_p = {gamma_to_p(l, p) for l in closure}
+        in_h = sorted(closure_p & h_letters)
+        if in_h:
+            h = in_h[0]
+            _root, chain_g = ref_closure_path(parents_g, h)
+            _closure_f, parents_f = _letter_closure_traced(f_can[0], ctx)
+            _root_f, chain_f = ref_closure_path(parents_f, h)
+            return ClassificationVerdict(
+                "mks", 1, {"h": h, "chain_to_g": chain_g, "chain_to_f": chain_f}
+            )
+        factor = p.factor_a if g_p in p.factor_a else p.factor_b
+        if f_p not in factor:
+            raise ValueError("pair is not conjugate (factors differ)")
+        for a in sorted(factor):
+            if p.mul3(p.inv[a], g_p, a) == f_p:
+                return ClassificationVerdict("mks", 2, {"a": a})
+        raise ValueError("pair is not conjugate in the common factor")
+    f_p = ctx.to_p(f_can)
+    for i in range(n):
+        rot = ctx.to_p(g_can[i:] + g_can[:i])
+        for h in sorted(p.subgroup_h):
+            cand = _preconjugate_p(rot, p.inv[h], p)
+            if cand is not None and _interleaving_equal(cand, f_p, p):
+                return ClassificationVerdict("mks", 3, {"h": h, "i": i})
+    raise ValueError("pair admits no amalgam case-3 witness; not conjugate?")
+
+
+def ref_verify_collins(g, f, ctx):
+    p = _require_hnn(ctx)
+    H = p.base_h
+    ab = p.sub_a | p.sub_b
+    g_can, _zg = _canonical_traced(g, ctx)
+    f_can, _zf = _canonical_traced(f, ctx)
+    if len(g_can) != len(f_can):
+        raise ValueError("pair is not conjugate (length mismatch)")
+    if len(f_can) == 0:
+        return ClassificationVerdict("collins", 1, {"chain": [], "h": p.eps})
+    f_p = gamma_to_p(f_can[0], p) if len(f_can) == 1 else None
+    g_p = gamma_to_p(g_can[0], p) if len(g_can) == 1 else None
+    if f_p is not None and f_p in H:
+        if f_p in ab:
+            found = ref_collins_chain(f_p, g_p, p)
+            if found is None:
+                raise ValueError("no stable-letter conjugation chain found")
+            chain, h = found
+            return ClassificationVerdict("collins", 1, {"chain": chain, "h": h})
+        for h in sorted(H):
+            if p.mul3(p.inv[h], g_p, h) == f_p:
+                closure, _parents = _letter_closure_traced(g_can[0], ctx)
+                closure_p = {gamma_to_p(l, p) for l in closure}
+                return ClassificationVerdict(
+                    "collins",
+                    2,
+                    {"h": h, "g_conjugate_into_ab": bool(closure_p & ab)},
+                )
+        raise ValueError("pair is not conjugate by a base group element")
+    g_std = ctx.to_p(standard_cyclic_form(CyclicWord(g_can), ctx))
+    f_std = ctx.to_p(standard_cyclic_form(CyclicWord(f_can), ctx))
+    n = len(g_std)
+    for j in range(n):
+        rot = g_std[j:] + g_std[:j]
+        sign = p.stable[rot[0]][1]
+        stated = p.sub_a if sign == -1 else p.sub_b
+        for pool, constrained in ((sorted(stated), True), (sorted(H - stated), False)):
+            for c in pool:
+                cand = _preconjugate_p(rot, p.inv[c], p)
+                if cand is not None and _interleaving_equal(cand, f_std, p):
+                    return ClassificationVerdict(
+                        "collins",
+                        3,
+                        {"c": c, "j": j, "sign_constraint_met": constrained},
+                    )
+    raise ValueError("pair admits no Collins case-3 witness; not conjugate?")
+
+
+def ref_collins_chain(f_p: int, g_p: Optional[int], p):
+    if g_p is None:
+        return None
+    ab = p.sub_a | p.sub_b
+    if f_p not in ab:
+        return None
+    phi = p.phi
+    phi_inv = {v: k for k, v in phi.items()}
+    parents = {f_p: None}
+    queue = collections.deque([f_p])
+    order = [f_p]
+    while queue:
+        c = queue.popleft()
+        moves = []
+        if c in p.sub_a:
+            moves.append((phi[c], 1))
+        if c in p.sub_b:
+            moves.append((phi_inv[c], -1))
+        for mid, delta in moves:
+            for k in sorted(p.base_h):
+                y = p.mul(p.mul(p.inv[k], mid), k)
+                if y in ab and y not in parents:
+                    parents[y] = (c, k, delta)
+                    queue.append(y)
+                    order.append(y)
+    target = h_final = None
+    for c in order:
+        for h in sorted(p.base_h):
+            if p.mul3(p.inv[h], c, h) == g_p:
+                target, h_final = c, h
+                break
+        if target is not None:
+            break
+    if target is None:
+        return None
+    steps = []
+    node = target
+    while parents[node] is not None:
+        prev, k, delta = parents[node]
+        steps.append((node, k, delta))
+        node = prev
+    steps.reverse()
+    return steps, h_final
+
+
+def _result(f, *args):
+    """What a decision or verifier returns, or the type and message of what
+    it raises."""
+    try:
+        r = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(r, ConjugacyAnswer):
+        return r.verdict, r.certificate, r.method
+    return r.theorem, r.case, r.witness
+
+
+class TestSharedSearchesMatchPerCallerLoops:
+    def test_random_pairs(self, dinf_ctx, z4z6_ctx, hnn_ctx):
+        rng = random.Random(20128)
+        contexts = [
+            ("dinf", dinf_ctx, verify_mks, ref_verify_mks),
+            ("z4z6", z4z6_ctx, verify_mks, ref_verify_mks),
+            ("hnn", hnn_ctx, verify_collins, ref_verify_collins),
+        ]
+        seen = collections.Counter()
+        for count in range(1_500):
+            name, ctx, verify, ref_verify = contexts[count % 3]
+            k = len(ctx.alphabet)
+            u = random_word(rng, k, 8)
+            kind = rng.choice(["conjugated", "rotated", "unrelated"])
+            if kind == "unrelated":
+                v = random_word(rng, k, 8)
+            else:
+                w = u
+                if kind == "rotated" and u:
+                    i = rng.randrange(len(u))
+                    w = u[i:] + u[:i]
+                v = conjugated(rng, ctx, w)
+            answer = _result(conjugate_quadratic, u, v, ctx)
+            assert answer == _result(ref_conjugate_quadratic, u, v, ctx), (name, u, v)
+            seen[(name, "conjugate" if answer[0] is True else "not conjugate")] += 1
+            ours = _result(verify, u, v, ctx)
+            ref = _result(ref_verify, u, v, ctx)
+            if ref[0] is KeyError:
+                # the parent walked a closure that does not contain h
+                assert ours[0] is ValueError, (name, u, v, ours)
+                seen["KeyError"] += 1
+            else:
+                assert ours == ref, (name, u, v)
+            if isinstance(ours[0], str):
+                _theorem, case, witness = ours
+                seen[(name, case)] += 1
+                if case == 3 and witness.get("i", witness.get("j")) > 0:
+                    seen[(name, "rotated witness")] += 1
+            else:
+                seen[(name, "raises")] += 1
+        for name in ("dinf", "z4z6", "hnn"):
+            assert seen[(name, 1)] and seen[(name, 2)] and seen[(name, 3)], seen
+            assert seen[(name, "raises")], seen
+            assert seen[(name, "conjugate")] and seen[(name, "not conjugate")], seen
+        assert seen[("z4z6", "rotated witness")] and seen[("hnn", "rotated witness")], seen
+        assert seen["KeyError"], seen
