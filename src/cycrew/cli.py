@@ -188,6 +188,17 @@ def _subgroup_tokens(spec: str, subgroups: dict):
     return [t for t in spec.replace(",", " ").split() if t]
 
 
+def _token_pairs(flag: str, spec: str) -> dict:
+    """The x:y entries of a comma-separated --map or --phi value."""
+    pairs = {}
+    for chunk in spec.split(","):
+        x, sep, y = chunk.partition(":")
+        if not sep:
+            raise InvalidEmbedding(f"{flag} entry {chunk.strip()!r} is not of the form x:y")
+        pairs[x.strip()] = y.strip()
+    return pairs
+
+
 def cmd_from_amalgam(args) -> int:
     A, subs_a, _maps_a = parse_grp(_read(args.a))
     B, subs_b, _maps_b = parse_grp(_read(args.b))
@@ -196,10 +207,7 @@ def cmd_from_amalgam(args) -> int:
     if len(ha) != len(hb):
         raise InvalidEmbedding("subgroup token lists differ in size")
     if args.map:
-        pairing = dict(
-            tuple(s.strip() for s in chunk.split(":", 1))
-            for chunk in args.map.split(",")
-        )
+        pairing = _token_pairs("--map", args.map)
         unknown = sorted(set(pairing) - set(ha))
         missing = [t for t in ha if t not in pairing]
         if unknown or missing:
@@ -236,10 +244,7 @@ def cmd_from_hnn(args) -> int:
     sub_a = _subgroup_tokens(args.sub_a, subs)
     sub_b = _subgroup_tokens(args.sub_b, subs)
     if args.phi:
-        phi = dict(
-            tuple(s.strip() for s in chunk.split(":", 1))
-            for chunk in args.phi.split(",")
-        )
+        phi = _token_pairs("--phi", args.phi)
     elif (args.sub_a, args.sub_b) in maps:
         phi = maps[(args.sub_a, args.sub_b)]
     else:

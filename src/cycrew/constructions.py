@@ -75,8 +75,11 @@ class FiniteGroupTable:
         self.identity = self.index[identity]
         n = len(self.elements)
         self.table = [[None] * n for _ in range(n)]
-        for (x, y), z in product.items():
-            self.table[self.index[x]][self.index[y]] = self.index[z]
+        try:
+            for (x, y), z in product.items():
+                self.table[self.index[x]][self.index[y]] = self.index[z]
+        except KeyError as exc:
+            raise ValueError(f"product names unknown token {exc.args[0]!r}") from None
         for i in range(n):
             for j in range(n):
                 if self.table[i][j] is None:

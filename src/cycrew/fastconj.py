@@ -1,19 +1,19 @@
 """Linear-time conjugacy for universal groups of finite pregroups.
 
 The decision procedure cyclically reduces both inputs, handles lengths at
-most one by the letter conjugacy closure, and for longer inputs matches the
-shortlex normal form of candidate conjugates against the normal form of g
-squared with Knuth-Morris-Pratt, using the carry sequence of that normal
-form to test the last-letter condition at each match in constant time.
-Interior match offsets come from KMP; the boundary offsets 1, 2 and n are
-handled by direct equality checks.
+most one by the letter conjugacy closure, and for longer inputs preconjugates
+f by each pregroup element b and matches all but the last letter of the
+shortlex normal form of f^b against the normal form of g squared with
+Knuth-Morris-Pratt.  The carry sequence of that normal form tests the last
+letter at each match in constant time.  Matches at starts 0 .. n-1 are
+exactly the rotations of NF(g) equal to f^b (see conjugate_linear for the
+proof), so one pass decides every offset.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .pregroup import gamma_to_p, p_to_gamma
 from .universal import (
     ConjugacyAnswer,
     UniversalContext,
@@ -73,65 +73,68 @@ def conjugate_oracle(u: Word, v: Word, ctx: UniversalContext, max_len: int):
 
 
 def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer:
+    """Decide conjugacy with one KMP pass per pregroup element b.
+
+    After the prelude, g and f are cyclically reduced of length n >= 2.
+    Words are indexed from 0, x~ is the inverse of x and [x y] the pregroup
+    product.  For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
+    exactly when KMP finds NF(f^b)[:n-1] at a start s < n of NF(g g) and a
+    constant-time test on its last letter holds, so one pass covers every
+    rotation; the proof follows.  Each hit is still confirmed by the
+    interleaving DP, and its conjugator replayed by _certify.
+
+    Facts used: reduced words are geodesics in U(P) (Stallings), and a
+    factor of a shortlex normal form is a normal form.  Let G = NF(g)
+    (g_nf below).  As g is cyclically reduced, g g is reduced of length 2n,
+    so G G, of the same length, is a geodesic and hence reduced: G and its
+    rotations r_s = G[s:] G[:s] are cyclically reduced geodesics.  The
+    carries c_k of NF(X) satisfy NF(X)[:k+1] = X[:k+1] c_k in U(P).
+
+    Lemma.  Let U = NF(u) have length n, let U T be a geodesic, and let
+    N = NF(U T) with carries c_k; write c = c_{n-1}.  Then
+    N[:n-1] = U[:n-1] and [U[n-1] c] = N[n-1].
+    Proof.  N <= U T in shortlex order, so N[:n-1] <= U[:n-1].  Next,
+    u = N[:n] c~.  If [N[n-1] c~] were undefined, N[:n] c~ would be a
+    reduced word of length n + 1; so y = [N[n-1] c~] is defined, and y is
+    not epsilon, else u = N[:n-1].  Then N[:n-1] y is a geodesic of u, so
+    U <= N[:n-1] y and U[:n-1] <= N[:n-1].  Hence the prefixes agree,
+    U[n-1] = y, and [y c] = N[n-1].
+
+    Prefix lemma (U = T = G): W = NF(G G), the word big below, has
+    W[:n-1] = G[:n-1], so its carries c_0 .. c_{n-2} are epsilon.
+
+    Window lemma: for s < n and e = s + n - 1, NF(r_s)[:n-1] = W[s:e] and
+    [NF(r_s)[n-1] c_e] = W[e].  By the prefix lemma W[:s] = G[:s], so W[s:]
+    is the normal form of r_s G[s:], of which NF(r_s) G[s:] is a
+    geodesic, and its carry after n letters is c_e; apply the lemma with
+    U = NF(r_s), T = G[s:].  Conversely, a KMP hit at s that passes
+    [NF(f^b)[n-1] c_e] = W[e] gives NF(f^b) c_e = W[s:e+1] = r_s c_e.
+    """
     answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
         return answer
     p = ctx.pregroup
-    alphabet = ctx.alphabet
     n = len(g_can)
-
-    # normal forms keep cyclic reducedness: the element has full cyclic
-    # reduction length n, so its geodesics do too
-    g, _c = _nf_carries(tuple(gamma_to_p(l, p) for l in g_can), p)
-    f_p = tuple(gamma_to_p(l, p) for l in f_can)
-    big, carries = _nf_carries(g + g, p)
-    # carry sequence a_i, read off the normal form of g squared
-    a = tuple(p.inv[carries[n + i - 2]] for i in range(1, n + 1))
-    inv = p.inv
+    g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
+    f_p = ctx.to_p(f_can)
+    big, carries = _nf_carries(g_nf + g_nf, p)
     table = p.table
 
-    def success(b, i):
-        q_inv = involute(
-            tuple(p_to_gamma(l, p) for l in g[: i - 1]), alphabet
-        )
-        b_word = (p_to_gamma(b, p),) if b != p.eps else ()
-        x = zv_inv + b_word + q_inv + zu
-        return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
-
-    prefix_ok = big[: n - 1] == g[: n - 1]
     for b in range(len(p)):
-        if b == p.eps:
-            fb = f_p
-        else:
-            fb = _stack_reduce((inv[b],) + f_p + (b,), p)
+        fb = f_p if b == p.eps else _stack_reduce((p.inv[b],) + f_p + (b,), p)
         if len(fb) != n:
             continue
-        for i in (1, 2, n) if n > 2 else (1, 2):
-            rot = g[i - 1 :] + g[: i - 1]
-            if _interleaving_equal(fb, rot, p):
-                return success(b, i)
-        if n <= 3:
-            continue
-        if not prefix_ok:
-            # defensive fallback: scan the remaining rotations directly
-            for i in range(3, n):
-                rot = g[i - 1 :] + g[: i - 1]
-                if _interleaving_equal(fb, rot, p):
-                    return success(b, i)
-            continue
         fb_nf, _fc = _nf_carries(fb, p)
-        head, last = fb_nf[:-1], fb_nf[-1]
-        for start in kmp_search(head, big):
-            i = start + 1
-            if not 2 < i < n:
-                continue
-            # last-letter condition: [last a_i~] = [a_{i-1} g_{i-1} a_i~]
-            ai_inv = inv[a[i - 1]]
-            lhs = table[last][ai_inv]
-            rhs = p.mul3(a[i - 2], g[i - 2], ai_inv)
-            if lhs is None or rhs is None or lhs != rhs:
-                continue
-            rot = g[i - 1 :] + g[: i - 1]
-            if _interleaving_equal(fb, rot, p):
-                return success(b, i)
+        last = fb_nf[-1]
+        for s in kmp_search(fb_nf[:-1], big):
+            if s >= n:
+                break  # starts ascend; later ones are no rotation
+            e = s + n - 1
+            if table[last][carries[e]] == big[e] and _interleaving_equal(
+                fb, g_nf[s:] + g_nf[:s], p
+            ):
+                b_word = ctx.to_gamma((b,)) if b != p.eps else ()
+                q_inv = involute(ctx.to_gamma(g_nf[:s]), ctx.alphabet)
+                x = zv_inv + b_word + q_inv + zu
+                return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
     return ConjugacyAnswer(False, method="linear")

@@ -40,8 +40,11 @@ class Pregroup:
         self.eps = self.index[epsilon]
         n = len(self.elements)
         inv = list(range(n))
-        for x, y in involution.items():
-            inv[self.index[x]] = self.index[y]
+        try:
+            for x, y in involution.items():
+                inv[self.index[x]] = self.index[y]
+        except KeyError as exc:
+            raise PregroupError(f"involution names unknown token {exc.args[0]!r}") from None
         for i, j in enumerate(inv):
             if inv[j] != i:
                 raise PregroupError("involution is not self-inverse")
@@ -49,9 +52,12 @@ class Pregroup:
             raise PregroupError("involution must fix epsilon")
         self.inv = tuple(inv)
         self.table = [[None] * n for _ in range(n)]
-        for (x, y), z in product.items():
-            i, j, k = self.index[x], self.index[y], self.index[z]
-            self.table[i][j] = k
+        try:
+            for (x, y), z in product.items():
+                i, j, k = self.index[x], self.index[y], self.index[z]
+                self.table[i][j] = k
+        except KeyError as exc:
+            raise PregroupError(f"product names unknown token {exc.args[0]!r}") from None
         # synthesise epsilon rows/columns from P1
         for i in range(n):
             self.table[self.eps][i] = i

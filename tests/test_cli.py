@@ -249,6 +249,14 @@ class TestFromAmalgam:
             == 2
         )
 
+    def test_map_entry_without_colon_named(self, files, capsys):
+        argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
+                "--ha", "e s", "--hb", "e s", "--map", "e:e,s"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --map entry 's' is not of the form x:y\n"
+        )
+
     def test_unknown_ha_token_exit_2(self, files, capsys):
         argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
                 "--ha", "e zz", "--hb", "e s"]
@@ -302,6 +310,14 @@ class TestFromHnn:
                  "--phi", "e:s,s:e"]
             )
             == 2
+        )
+
+    def test_phi_entry_without_colon_named(self, files, capsys):
+        argv = ["from-hnn", files["s3.grp"], "--sub-a", "A", "--sub-b", "A",
+                "--phi", "e:e, s"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --phi entry 's' is not of the form x:y\n"
         )
 
     @pytest.mark.parametrize(

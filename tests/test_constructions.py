@@ -51,6 +51,15 @@ class TestFiniteGroupTable:
         with pytest.raises(ValueError):
             FiniteGroupTable(["e", "a"], "e", {("e", "e"): "e"})
 
+    @pytest.mark.parametrize(
+        "key, value", [(("e", "zz"), "e"), (("e", "e"), "zz")], ids=["key", "value"]
+    )
+    def test_unknown_token_named(self, key, value):
+        product = {(x, y): "e" for x in "ea" for y in "ea"}
+        product[key] = value
+        with pytest.raises(ValueError, match="product names unknown token 'zz'"):
+            FiniteGroupTable(["e", "a"], "e", product)
+
     def test_bad_identity_rejected(self):
         with pytest.raises(ValueError):
             FiniteGroupTable(

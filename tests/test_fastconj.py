@@ -1,11 +1,28 @@
+import collections
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from cycrew import UniversalContext
 from cycrew.fastconj import conjugate_linear, conjugate_oracle, kmp_search
-from cycrew.universal import conjugate_quadratic, cyclic_reduce, equal_in_U
+from cycrew.pregroup import gamma_to_p, p_to_gamma
+from cycrew.universal import (
+    ConjugacyAnswer,
+    _certify,
+    _conjugacy_prelude,
+    _interleaving_equal,
+    _nf_carries,
+    _preconjugate_p,
+    _stack_reduce,
+    conjugate_quadratic,
+    cyclic_reduce,
+    equal_in_U,
+)
 from cycrew.words import involute
 
-from conftest import conjugated, random_word
+from conftest import conjugated, hnn_cyclic, random_word
+from test_pregroup import corpus
 from test_universal import interleave, random_reduced_p
 
 
@@ -140,3 +157,202 @@ class TestConjugateLinear:
             cert = lin.certificate
             assert equal_in_U(cert + u + involute(cert, hnn_ctx.alphabet), v, hnn_ctx)
             pairs += 1
+
+
+def cyclically_reduced_p(rng, p, n, tries=50):
+    """A cyclically reduced P-index word over Gamma of length n, or None."""
+    for _ in range(tries):
+        pw = random_reduced_p(rng, p, n)
+        if len(pw) == n and (n < 2 or p.table[pw[-1]][pw[0]] is None):
+            return pw
+    return None
+
+
+class TestWindowLemma:
+    def test_every_offset(self):
+        # G = NF(g) for cyclically reduced g of length n >= 2, W = NF(G G)
+        # with carries c: for every s < n, NF(G[s:] G[:s]) is W[s:s+n-1]
+        # followed by the letter x with [x c_{s+n-1}] = W[s+n-1]; s = 0 is
+        # the prefix lemma, and the carries before n-1 are epsilon
+        rng = random.Random(9)
+        checked = 0
+        for p in corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3), hnn_cyclic(10, 2)]:
+            for k in range(60):
+                pw = cyclically_reduced_p(rng, p, rng.randint(2, 12))
+                if pw is None:
+                    break  # every product is defined: no such words
+                if k % 4 == 0:
+                    pw = pw + pw  # periodic: several starts below n match
+                g_nf, _c = _nf_carries(pw, p)
+                n = len(g_nf)
+                big, carries = _nf_carries(g_nf + g_nf, p)
+                assert big[: n - 1] == g_nf[: n - 1]
+                assert set(carries[: n - 1]) <= {p.eps}
+                for s in range(n):
+                    rot_nf, _rc = _nf_carries(g_nf[s:] + g_nf[:s], p)
+                    e = s + n - 1
+                    assert rot_nf[:-1] == big[s:e]
+                    assert p.table[rot_nf[-1]][carries[e]] == big[e]
+                    checked += 1
+        assert checked > 2000
+
+
+# conjugate_linear before its boundary checks and prefix_ok fallback were
+# folded into one KMP pass, kept verbatim as a differential reference.
+
+
+def ref_conjugate_linear(u, v, ctx):
+    answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
+    if answer is not None:
+        return answer
+    p = ctx.pregroup
+    alphabet = ctx.alphabet
+    n = len(g_can)
+
+    # normal forms keep cyclic reducedness: the element has full cyclic
+    # reduction length n, so its geodesics do too
+    g, _c = _nf_carries(tuple(gamma_to_p(l, p) for l in g_can), p)
+    f_p = tuple(gamma_to_p(l, p) for l in f_can)
+    big, carries = _nf_carries(g + g, p)
+    # carry sequence a_i, read off the normal form of g squared
+    a = tuple(p.inv[carries[n + i - 2]] for i in range(1, n + 1))
+    inv = p.inv
+    table = p.table
+
+    def success(b, i):
+        q_inv = involute(
+            tuple(p_to_gamma(l, p) for l in g[: i - 1]), alphabet
+        )
+        b_word = (p_to_gamma(b, p),) if b != p.eps else ()
+        x = zv_inv + b_word + q_inv + zu
+        return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
+
+    prefix_ok = big[: n - 1] == g[: n - 1]
+    for b in range(len(p)):
+        if b == p.eps:
+            fb = f_p
+        else:
+            fb = _stack_reduce((inv[b],) + f_p + (b,), p)
+        if len(fb) != n:
+            continue
+        for i in (1, 2, n) if n > 2 else (1, 2):
+            rot = g[i - 1 :] + g[: i - 1]
+            if _interleaving_equal(fb, rot, p):
+                return success(b, i)
+        if n <= 3:
+            continue
+        if not prefix_ok:
+            # defensive fallback: scan the remaining rotations directly
+            for i in range(3, n):
+                rot = g[i - 1 :] + g[: i - 1]
+                if _interleaving_equal(fb, rot, p):
+                    return success(b, i)
+            continue
+        fb_nf, _fc = _nf_carries(fb, p)
+        head, last = fb_nf[:-1], fb_nf[-1]
+        for start in kmp_search(head, big):
+            i = start + 1
+            if not 2 < i < n:
+                continue
+            # last-letter condition: [last a_i~] = [a_{i-1} g_{i-1} a_i~]
+            ai_inv = inv[a[i - 1]]
+            lhs = table[last][ai_inv]
+            rhs = p.mul3(a[i - 2], g[i - 2], ai_inv)
+            if lhs is None or rhs is None or lhs != rhs:
+                continue
+            rot = g[i - 1 :] + g[: i - 1]
+            if _interleaving_equal(fb, rot, p):
+                return success(b, i)
+    return ConjugacyAnswer(False, method="linear")
+
+
+def least_match(u, v, ctx):
+    """(b, s, certificate) for the least b, then the least rotation s of
+    NF(g), with b~ f b equal to that rotation, by direct comparison; None
+    when there is none or the prelude decides."""
+    answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
+    if answer is not None:
+        return None
+    p = ctx.pregroup
+    g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
+    f_p = ctx.to_p(f_can)
+    for b in range(len(p)):
+        fb = _stack_reduce((p.inv[b],) + f_p + (b,), p)
+        for s in range(len(g_nf)):
+            if _interleaving_equal(fb, g_nf[s:] + g_nf[:s], p):
+                b_word = ctx.to_gamma((b,)) if b != p.eps else ()
+                q_inv = involute(ctx.to_gamma(g_nf[:s]), ctx.alphabet)
+                return b, s, _certify(u, v, zv_inv + b_word + q_inv + zu, ctx)
+    return None
+
+
+def differential_pair(rng, ctx):
+    """(u, v, n, periodic): u cyclically reduced of length n, possibly a
+    power, wrapped in a conjugator; v a conjugated, interleaved and
+    preconjugated rotation of u, or an unrelated word of the same length."""
+    p = ctx.pregroup
+    n = rng.choice((2, 3, rng.randint(4, 16)))
+    periodic = rng.random() < 0.25
+    if periodic:
+        root = cyclically_reduced_p(rng, p, rng.choice((1, 2, 3)))
+        pw = None if root is None else root * -(-n // len(root))
+        if pw is None or p.table[pw[-1]][pw[0]] is not None:
+            return None
+    else:
+        pw = cyclically_reduced_p(rng, p, n)
+        if pw is None:
+            return None
+    n = len(pw)
+    u = conjugated(rng, ctx, ctx.to_gamma(pw))
+    if rng.random() < 0.25:
+        other = cyclically_reduced_p(rng, p, n)
+        return None if other is None else (u, ctx.to_gamma(other), n, periodic)
+    s = rng.randrange(n)
+    rot = interleave(rng, pw[s:] + pw[:s], p)
+    pre = _preconjugate_p(rot, rng.randrange(len(p)), p)
+    if pre is not None and len(_stack_reduce(pre, p)) == n:
+        rot = pre
+    return u, conjugated(rng, ctx, ctx.to_gamma(rot)), n, periodic
+
+
+class TestOnePassMatchesParent:
+    def test_random_pairs(self, dinf_ctx, z4z6_ctx, hnn_ctx):
+        rng = random.Random(2026)
+        reached = collections.Counter()
+        contexts = [dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(6, 3))]
+        for ctx in contexts:
+            done = 0
+            while done < 150:
+                pair = differential_pair(rng, ctx)
+                if pair is None:
+                    continue
+                u, v, n, periodic = pair
+                lin = conjugate_linear(u, v, ctx)
+                ref = ref_conjugate_linear(u, v, ctx)
+                quad = conjugate_quadratic(u, v, ctx)
+                assert lin.verdict == ref.verdict == quad.verdict, (u, v)
+                assert lin.method == "linear"
+                done += 1
+                reached["n=%d" % n] += 1
+                reached["periodic"] += periodic
+                if not lin.verdict:
+                    reached["negative"] += 1
+                    continue
+                for ans in (lin, ref):
+                    cert = ans.certificate
+                    assert equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx)
+                # the one pass returns the least rotation of the least b
+                b, s, cert = least_match(u, v, ctx)
+                assert lin.certificate == cert, (u, v)
+                reached["b!=eps"] += b != ctx.pregroup.eps
+                if s == 0:
+                    reached["s=0"] += 1
+                elif s == 1:
+                    reached["s=1"] += 1
+                elif s == n - 1:
+                    reached["s=n-1"] += 1
+                else:
+                    reached["interior"] += 1
+        for key in ("n=2", "n=3", "periodic", "negative", "b!=eps",
+                    "s=0", "s=1", "s=n-1", "interior"):
+            assert reached[key] > 0, (key, reached)

@@ -52,6 +52,20 @@ class TestConstruction:
         with pytest.raises(PregroupError):
             Pregroup(["a"], "e", {}, {})
 
+    @pytest.mark.parametrize(
+        "involution, product, where",
+        [
+            ({"zz": "a"}, {}, "involution"),
+            ({"a": "zz"}, {}, "involution"),
+            ({}, {("zz", "a"): "e"}, "product"),
+            ({}, {("a", "a"): "zz"}, "product"),
+        ],
+        ids=["involution-key", "involution-value", "product-key", "product-value"],
+    )
+    def test_unknown_token_named(self, involution, product, where):
+        with pytest.raises(PregroupError, match=f"{where} names unknown token 'zz'"):
+            Pregroup(["e", "a"], "e", involution, product)
+
     def test_involution_must_fix_epsilon(self):
         with pytest.raises(PregroupError):
             Pregroup(["e", "a"], "e", {"e": "a", "a": "e"}, {})
