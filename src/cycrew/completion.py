@@ -62,7 +62,10 @@ def check_inverse_assignment(
     inv: InverseAssignment, system: RewriteSystem, budget: int = 10_000
 ) -> bool:
     """Each a . inv(a) must rewrite to the empty word: greedy reduction
-    first, then a bounded joinability search with the empty cycle."""
+    first, then a bounded joinability search with the empty cycle.
+
+    Raises BudgetExhausted when that search runs out of budget, which
+    decides nothing either way."""
     for a in range(len(inv.alphabet)):
         w = (a,) + inv.of(a)
         try:
@@ -74,6 +77,8 @@ def check_inverse_assignment(
             CyclicWord.of(w), CyclicWord.of(()), system, budget,
             max_len=len(w) + system.m_of,
         )
+        if res.status == "exhausted":
+            raise BudgetExhausted(f"no verdict on {w} within {budget} nodes")
         if res.status != "joinable" or res.witness != CyclicWord.of(()):
             return False
     return True

@@ -136,7 +136,10 @@ class FiniteGroupTable:
     def subgroup_closure(self, gens) -> frozenset:
         got = {self.identity}
         stack = [self.identity]
-        gens = [self.index[g] if isinstance(g, str) else g for g in gens]
+        try:
+            gens = [self.index[g] if isinstance(g, str) else g for g in gens]
+        except KeyError as exc:
+            raise ValueError(f"generator names unknown token {exc.args[0]!r}") from None
         while stack:
             x = stack.pop()
             for g in gens:
@@ -414,7 +417,7 @@ def standard_cyclic_form(c: CyclicWord, ctx: UniversalContext) -> Word:
     condition cyclically.  The output is conjugate to the input by an
     element of the base group."""
     p = _require_hnn(ctx)
-    letters = [gamma_to_p(l, p) for l in c.canon]
+    letters = ctx.to_p(c.canon)
     if not letters:
         raise InHSubgroup("the empty cyclic word lies in the base group")
     if len(letters) == 1 and letters[0] in p.base_h:

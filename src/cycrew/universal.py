@@ -2,7 +2,12 @@
 
 Words handed to these operations are over Gamma = P minus epsilon, encoded
 as indices into the context's alphabet.  Internally letters are converted
-to pregroup element indices.
+to pregroup element indices by UniversalContext.to_p, which rejects a
+letter outside Gamma with AlphabetError.
+
+Cyclic reduction and the choice of canonical rotation are one linear pass,
+_canonical_traced: stack-reduce once, then merge the last letter into the
+front while their product is defined.
 
 Equality of reduced words and the shortlex normal form are decided by
 dynamic programs over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
@@ -25,7 +30,7 @@ from .pregroup import (
     gamma_to_p,
     p_to_gamma,
 )
-from .words import CyclicWord, Word, involute, least_rotation_offset
+from .words import CyclicWord, Word, involute, least_rotation_offset, validate_word
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,14 @@ class UniversalContext:
             raise ValueError(f"pregroup fails axioms: {bad}")
         self.pregroup = pregroup
         self.alphabet = gamma_alphabet(pregroup)
+        self._p_of = tuple(gamma_to_p(i, pregroup) for i in range(len(self.alphabet)))
         self._closure_cache = {}
 
     def to_p(self, w: Word) -> tuple:
-        p = self.pregroup
-        return tuple(gamma_to_p(i, p) for i in w)
+        """P indices of a Gamma word; AlphabetError (a ValueError) on a
+        letter outside Gamma.  Every entry point converts through here."""
+        validate_word(w, self.alphabet)
+        return tuple(map(self._p_of.__getitem__, w))
 
     def to_gamma(self, pw) -> Word:
         p = self.pregroup
@@ -211,40 +219,43 @@ def shortlex_nf(w: Word, ctx: UniversalContext) -> Word:
     return ctx.to_gamma(nf)
 
 
-def _cyclic_reduce_traced(w: Word, ctx: UniversalContext):
-    """Cyclically reduce w.
+def _canonical_traced(w: Word, ctx: UniversalContext):
+    """(canonical cyclically reduced Gamma word, z) with canon = z w inv(z)
+    in U(P), in one linear pass.
 
-    Returns (rep, z) where rep is a cyclically reduced P-index word and
-    z is a Gamma word with rep = z w inv(z) in U(P).
+    w is stack-reduced once to r.  While the last and first letters of the
+    word multiply, the last letter x is moved to the front (conjugation by
+    x) and merged there: x = [x first] while that product is defined and x
+    is not epsilon.  The rest of the word stays reduced, so merges happen
+    only at the front and each step shortens the word: the pass is linear
+    in |r|.  Only the front letter is ever a product, so the k letters
+    moved are r's last k letters, and z = inv(g[:o]) r[m-k:] for the
+    least-rotation offset o of the result g and m = |r|.  This is the
+    classical one-pass argument for free groups (Lyndon & Schupp,
+    Combinatorial Group Theory, 1977) carried over to pregroup words.
     """
     p = ctx.pregroup
-    cur = _stack_reduce(ctx.to_p(w), p)
-    z = ()
-    while len(cur) >= 2:
-        if p.table[cur[-1]][cur[0]] is None:
-            break
-        # rotate the last letter to the front (conjugation by it), reduce
-        z = (p_to_gamma(cur[-1], p),) + z
-        cur = _stack_reduce((cur[-1],) + cur[:-1], p)
-    return cur, z
+    table = p.table
+    r = _stack_reduce(ctx.to_p(w), p)
+    cur = collections.deque(r)
+    k = 0
+    while len(cur) >= 2 and table[cur[-1]][cur[0]] is not None:
+        x = cur.pop()
+        k += 1
+        while x != p.eps and cur and table[x][cur[0]] is not None:
+            x = table[x][cur.popleft()]
+        if x != p.eps:
+            cur.appendleft(x)
+    g = ctx.to_gamma(cur)
+    o = least_rotation_offset(g)
+    z = involute(g[:o], ctx.alphabet) + ctx.to_gamma(r[len(r) - k :])
+    return g[o:] + g[:o], z
 
 
 def cyclic_reduce(w: Word, ctx: UniversalContext) -> CyclicWord:
     """Cyclically reduced form of w, as a canonical cyclic word over
     Gamma."""
-    rep, _z = _cyclic_reduce_traced(w, ctx)
-    return CyclicWord.of(ctx.to_gamma(rep))
-
-
-def _canonical_traced(w: Word, ctx: UniversalContext):
-    """(canonical cyclically reduced Gamma word, z) with canon = z w inv(z)
-    in U(P)."""
-    rep, z = _cyclic_reduce_traced(w, ctx)
-    g = ctx.to_gamma(rep)
-    k = least_rotation_offset(g)
-    if k:
-        z = involute(g[:k], ctx.alphabet) + z
-    return g[k:] + g[:k], z
+    return CyclicWord(_canonical_traced(w, ctx)[0])
 
 
 def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
@@ -304,7 +315,7 @@ def _letter_closure_traced(letter: int, ctx: UniversalContext):
     if cached is not None:
         return cached
     p = ctx.pregroup
-    start = gamma_to_p(letter, p)
+    (start,) = ctx.to_p((letter,))
     parents = {start: None}  # P idx -> (previous P idx, conjugating c)
     queue = collections.deque([start])
     while queue:

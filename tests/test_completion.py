@@ -16,7 +16,14 @@ from cycrew.completion import (
     thue_completion,
 )
 from cycrew.pregroup import derive_system, gamma_to_p
-from cycrew.rewrite import Anchor, RewriteSystem, Rule, cyclic_joinable, reduce_greedy
+from cycrew.rewrite import (
+    Anchor,
+    BudgetExhausted,
+    RewriteSystem,
+    Rule,
+    cyclic_joinable,
+    reduce_greedy,
+)
 from cycrew.words import Alphabet, CyclicWord
 
 from conftest import hnn_cyclic
@@ -34,6 +41,16 @@ class TestInverseAssignment:
         s = samples.free_group_system(1)
         bad = InverseAssignment(s.alphabet, ((0,), (1,)))  # a^-1 := a
         assert not check_inverse_assignment(bad, s)
+
+    def test_exhausted_search_is_not_a_verdict(self):
+        # a a <-> b b, b b -> 1: a a reaches 1 only through b b, which a
+        # budget of one node does not reach
+        a = Alphabet.from_pairs("ab", [])
+        s = RewriteSystem(a, [Rule((0, 0), (1, 1), symmetric=True), Rule((1, 1), ())])
+        inv = InverseAssignment.from_involution(a)
+        with pytest.raises(BudgetExhausted):
+            check_inverse_assignment(inv, s, budget=1)
+        assert check_inverse_assignment(inv, s, budget=2)
 
     def test_word_valued_inverses(self):
         # Z3 presented on one letter: aaa -> 1, inverse of a is aa

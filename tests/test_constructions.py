@@ -35,7 +35,7 @@ from cycrew.universal import (
     cyclic_reduce,
     equal_in_U,
 )
-from cycrew.words import CyclicWord, involute
+from cycrew.words import AlphabetError, CyclicWord, involute
 
 from conftest import conjugated, random_word
 
@@ -85,6 +85,10 @@ class TestFiniteGroupTable:
         assert t.is_subgroup(sub)
         assert not t.is_subgroup({t.index["r"]})
         assert t.subgroup_closure(["r", "s"]) == frozenset(range(6))
+
+    def test_subgroup_closure_unknown_token_named(self):
+        with pytest.raises(ValueError, match="'zz'"):
+            samples.s3_table().subgroup_closure(["zz"])
 
 
 class TestEmbedding:
@@ -235,6 +239,11 @@ class TestStandardCyclicForm:
     def test_requires_hnn_context(self, z4z6_ctx):
         with pytest.raises(NotHnnContext):
             standard_cyclic_form(CyclicWord.of((0,)), z4z6_ctx)
+
+    @pytest.mark.parametrize("canon", [(99,), (-1,), (0, 41)])
+    def test_letters_outside_gamma_rejected(self, hnn_ctx, canon):
+        with pytest.raises(AlphabetError, match="out of range"):
+            standard_cyclic_form(CyclicWord(canon), hnn_ctx)
 
 
 def replay_letter_chain(start, chain, p):

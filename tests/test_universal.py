@@ -1,8 +1,12 @@
+import collections
 import itertools
 import os
+import random
+import statistics
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -11,6 +15,7 @@ from cycrew import samples
 from cycrew.pregroup import canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
 from cycrew.universal import (
     UniversalContext,
+    _canonical_traced,
     _interleaving_equal,
     _nf_carries,
     _stack_reduce,
@@ -22,9 +27,11 @@ from cycrew.universal import (
     reduce_word,
     shortlex_nf,
 )
-from cycrew.words import CyclicWord, involute
+from cycrew.fastconj import conjugate_linear
+from cycrew.words import AlphabetError, CyclicWord, involute, least_rotation_offset
 
-from conftest import conjugated, hnn_z10_z2, random_word
+from conftest import conjugated, hnn_cyclic, hnn_z10_z2, random_word
+from test_pregroup import corpus
 
 
 def free_reduce_tokens(word, alphabet):
@@ -70,6 +77,28 @@ class TestContext:
     def test_letter_conversion_round_trip(self, z4z6_ctx):
         w = tuple(range(len(z4z6_ctx.alphabet)))
         assert z4z6_ctx.to_gamma(z4z6_ctx.to_p(w)) == w
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: shortlex_nf((-1,), ctx),
+            lambda ctx: reduce_word((-1, 0), ctx),
+            lambda ctx: cyclic_reduce((7,), ctx),
+            lambda ctx: letter_conjugacy_closure(-1, ctx),
+            lambda ctx: equal_in_U((0,), (0, 7), ctx),
+            lambda ctx: conjugate_quadratic((2,), (2, -3), ctx),
+            lambda ctx: conjugate_linear((-1, 2), (6, 2), ctx),
+            lambda ctx: conjugate_linear((99,), (0,), ctx),
+        ],
+        ids=[
+            "shortlex_nf", "reduce_word", "cyclic_reduce", "closure",
+            "equal_in_U", "quadratic", "linear", "linear-99",
+        ],
+    )
+    def test_letters_outside_gamma_rejected(self, z4z6_ctx, call):
+        # z4_amalgam_z6 has 7 Gamma letters, 0..6
+        with pytest.raises(AlphabetError, match="out of range"):
+            call(z4z6_ctx)
 
 
 class TestReduceWord:
@@ -190,6 +219,113 @@ class TestCyclicReduce:
             w = random_word(rng, len(free_ctx.alphabet), 6)
             v = conjugated(rng, free_ctx, w)
             assert cyclic_reduce(v, free_ctx) == cyclic_reduce(w, free_ctx)
+
+
+# The two-step cyclic reduction that the one-pass _canonical_traced
+# replaced, kept verbatim as a reference: it re-runs _stack_reduce over the
+# whole word after every letter it moves, and canonicalises separately.
+def ref_cyclic_reduce_traced(w, ctx):
+    p = ctx.pregroup
+    cur = _stack_reduce(ctx.to_p(w), p)
+    z = ()
+    while len(cur) >= 2:
+        if p.table[cur[-1]][cur[0]] is None:
+            break
+        # rotate the last letter to the front (conjugation by it), reduce
+        z = (p_to_gamma(cur[-1], p),) + z
+        cur = _stack_reduce((cur[-1],) + cur[:-1], p)
+    return cur, z
+
+
+def ref_cyclic_reduce(w, ctx):
+    rep, _z = ref_cyclic_reduce_traced(w, ctx)
+    return CyclicWord.of(ctx.to_gamma(rep))
+
+
+def ref_canonical_traced(w, ctx):
+    rep, z = ref_cyclic_reduce_traced(w, ctx)
+    g = ctx.to_gamma(rep)
+    k = least_rotation_offset(g)
+    if k:
+        z = involute(g[:k], ctx.alphabet) + z
+    return g[k:] + g[:k], z
+
+
+def differential_words(rng, ctx, count):
+    """Words that cancel completely, periodic words, random words, and
+    conjugates x g inv(x) with |x| up to 40, in turn."""
+    letters = range(len(ctx.alphabet))
+
+    def word(max_len, min_len=0):
+        return tuple(rng.choices(letters, k=rng.randint(min_len, max_len)))
+
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            x = word(12)
+            yield x + involute(x, ctx.alphabet)
+        elif kind == 1:
+            yield word(5, 1) * rng.randint(2, 4)
+        elif kind == 2:
+            yield word(16)
+        else:
+            x = word(40)
+            yield x + word(8) + involute(x, ctx.alphabet)
+
+
+class TestOnePassCyclicReduction:
+    def test_matches_two_step_reference(self):
+        rng = random.Random(10)
+        pregroups = corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3), hnn_cyclic(10, 2)]
+        checked = 0
+        passes = collections.Counter()  # by |reduce_word(w)| - |canon|, sampled
+        for p in pregroups:
+            ctx = UniversalContext(p)
+            for i, w in enumerate(differential_words(rng, ctx, 1120)):
+                canon, z = _canonical_traced(w, ctx)
+                assert (canon, z) == ref_canonical_traced(w, ctx)
+                assert cyclic_reduce(w, ctx) == ref_cyclic_reduce(w, ctx)
+                assert equal_in_U(canon, z + w + involute(z, ctx.alphabet), ctx)
+                checked += 1
+                if i % 9 == 0:  # 9 is prime to the 4 kinds of word
+                    shrink = len(reduce_word(w, ctx)) - len(canon)
+                    size = "none" if shrink == 0 else "short" if shrink < 5 else "long"
+                    passes[size] += 1
+        assert checked >= 10_000
+        assert min(passes["none"], passes["short"], passes["long"]) > 50
+
+    def test_linear_in_conjugator_length(self, hnn_ctx):
+        # x g inv(x) is reduced, so every letter of x is moved once; the
+        # two-step reduction re-reduces the whole word per move and gives
+        # a ratio of about 15 here
+        p = hnn_ctx.pregroup
+        rng = random.Random(11)
+        g = random_reduced_p(rng, p, 64)
+        while p.table[g[-1]][g[0]] is not None:
+            g = random_reduced_p(rng, p, 64)
+        x = random_reduced_p(rng, p, 8192)
+        while (
+            p.table[x[-1]][g[0]] is not None
+            or p.table[g[-1]][p.inv[x[-1]]] is not None
+        ):
+            x = random_reduced_p(rng, p, 8192)
+        core = hnn_ctx.to_gamma(g)
+
+        def trial(n):
+            xg = hnn_ctx.to_gamma(x[-n:])
+            u = xg + core + involute(xg, hnn_ctx.alphabet)
+            t0 = time.perf_counter()
+            ans = conjugate_linear(u, core[1:] + core[:1], hnn_ctx)
+            dt = time.perf_counter() - t0
+            assert ans.verdict
+            return dt
+
+        # alternate the sizes, so a slower phase of the host hits both
+        small, big = [], []
+        for _ in range(10):
+            small.append(trial(2048))
+            big.append(trial(8192))
+        assert statistics.median(big) / statistics.median(small) < 8
 
 
 class TestPreconjugate:
