@@ -225,7 +225,7 @@ def cmd_from_amalgam(args) -> int:
         raise InvalidEmbedding("listed elements are not a subgroup of A")
     H = FiniteGroupTable(
         ha,
-        A.elements[A.identity],
+        A.elements[A.eps],
         {
             (x, y): A.elements[A.mul(A.index[x], A.index[y])]
             for x in ha

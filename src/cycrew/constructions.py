@@ -57,59 +57,42 @@ class InHSubgroup(ValueError):
     """The cyclic word lies in the base subgroup; use letter machinery."""
 
 
-class FiniteGroupTable:
-    """A finite group given by a full multiplication table.
+class FiniteGroupTable(Pregroup):
+    """A finite group given by a full multiplication table: a pregroup whose
+    product is defined everywhere, so that U(P) is the group itself.
 
-    Group laws (closure, associativity, identity, inverses) are validated on
-    construction; elements are string tokens, indices give the element
-    order used for transversal choices.
+    The involution is the two-sided inverse.  On a total table P1 is the
+    identity law, P2 the inverse law and P4 associativity, so the group laws
+    are checked by check_axioms on construction.  Elements are string tokens;
+    indices give the element order used for transversal choices.
     """
 
     def __init__(self, elements: Sequence[str], identity: str, product: dict):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element tokens")
-        self.index = {tok: i for i, tok in enumerate(self.elements)}
-        if identity not in self.index:
-            raise ValueError(f"identity {identity!r} not among elements")
-        self.identity = self.index[identity]
-        n = len(self.elements)
-        self.table = [[None] * n for _ in range(n)]
-        try:
-            for (x, y), z in product.items():
-                self.table[self.index[x]][self.index[y]] = self.index[z]
-        except KeyError as exc:
-            raise ValueError(f"product names unknown token {exc.args[0]!r}") from None
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] is None:
-                    raise ValueError(
-                        f"product table incomplete at "
-                        f"({self.elements[i]}, {self.elements[j]})"
-                    )
-        e = self.identity
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise ValueError(f"identity law fails at {self.elements[i]}")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == e and self.table[j][i] == e:
-                    inv[i] = j
-        if any(x is None for x in inv):
-            raise ValueError("some element has no two-sided inverse")
-        self.inv = tuple(inv)
-        for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError(
-                            "associativity fails at "
-                            f"({self.elements[i]}, {self.elements[j]}, "
-                            f"{self.elements[k]})"
-                        )
-        self.table = tuple(tuple(row) for row in self.table)
+        elements = tuple(elements)
+        known = set(elements)
+        for (x, y), z in product.items():
+            for tok in (x, y, z):
+                if tok not in known:
+                    raise ValueError(f"product names unknown token {tok!r}")
+        for x in elements:
+            for y in elements:
+                if (x, y) not in product:
+                    raise ValueError(f"product table incomplete at ({x}, {y})")
+        # an element without a two-sided inverse is left fixed by the
+        # involution, and P2 then fails at it
+        inverse = {
+            x: y
+            for x in elements
+            for y in elements
+            if product[x, y] == identity == product[y, x]
+        }
+        super().__init__(elements, identity, inverse, product)
+        report = check_axioms(self)
+        for name, witnesses in report.violations.items():
+            if witnesses:
+                raise PregroupError(
+                    f"group law {name} fails at {self.tokens(witnesses[0])}"
+                )
 
     @classmethod
     def from_function(cls, elements: Sequence[str], identity: str, mul) -> "FiniteGroupTable":
@@ -127,15 +110,9 @@ class FiniteGroupTable:
         }
         return cls(names, "e", product)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def subgroup_closure(self, gens) -> frozenset:
-        got = {self.identity}
-        stack = [self.identity]
+        got = {self.eps}
+        stack = [self.eps]
         try:
             gens = [self.index[g] if isinstance(g, str) else g for g in gens]
         except KeyError as exc:
@@ -148,14 +125,6 @@ class FiniteGroupTable:
                         got.add(y)
                         stack.append(y)
         return frozenset(got)
-
-    def is_subgroup(self, subset) -> bool:
-        s = frozenset(subset)
-        return (
-            self.identity in s
-            and all(self.inv[x] in s for x in s)
-            and all(self.mul(x, y) in s for x in s for y in s)
-        )
 
 
 @dataclass(frozen=True)
@@ -172,7 +141,7 @@ class Embedding:
             raise InvalidEmbedding("mapping size mismatch")
         if len(set(m)) != len(m):
             raise InvalidEmbedding("mapping is not injective")
-        if m[self.source.identity] != self.target.identity:
+        if m[self.source.eps] != self.target.eps:
             raise InvalidEmbedding("identity is not preserved")
         for x in range(len(self.source)):
             for y in range(len(self.source)):
@@ -278,7 +247,7 @@ def amalgam_pregroup(
                 continue
             product[(tokens[pi], tokens[pk])] = tokens[b_to_p(B.mul(bi, bk))]
 
-    p = AmalgamPregroup(tokens, A.elements[A.identity], involution, product)
+    p = AmalgamPregroup(tokens, A.elements[A.eps], involution, product)
     p.factor_a = frozenset(range(len(A)))
     p.factor_b = frozenset(i for i in range(len(tokens)) if in_b[i] is not None)
     p.subgroup_h = p.factor_a & p.factor_b
@@ -380,13 +349,13 @@ def hnn_pregroup(
                 value = H.mul(H.mul(u, phi_idx[w]), v2)
             product[(tokens[idx], tokens[idx2])] = tokens[value]
 
-    p = HnnPregroup(tokens, H.elements[H.identity], involution, product)
+    p = HnnPregroup(tokens, H.elements[H.eps], involution, product)
     p.base_h = frozenset(range(len(H)))
     p.sub_a = a_set
     p.sub_b = b_set
     p.phi = dict(phi_idx)
     p.stable = dict(stable)
-    e = H.identity
+    e = H.eps
     p.t_plus = elem_of[canon(1, e, e)]
     p.t_minus = elem_of[canon(-1, e, e)]
     if not check_axioms(p):

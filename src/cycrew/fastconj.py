@@ -3,11 +3,11 @@
 The decision procedure cyclically reduces both inputs, handles lengths at
 most one by the letter conjugacy closure, and for longer inputs preconjugates
 f by each pregroup element b and matches all but the last letter of the
-shortlex normal form of f^b against the normal form of g squared with
-Knuth-Morris-Pratt.  The carry sequence of that normal form tests the last
-letter at each match in constant time.  Matches at starts 0 .. n-1 are
-exactly the rotations of NF(g) equal to f^b (see conjugate_linear for the
-proof), so one pass decides every offset.
+shortlex normal form of f^b against the first 2n - 2 letters of the normal
+form of g squared with Knuth-Morris-Pratt.  The carry sequence of that
+normal form tests the last letter at each match in constant time.  The
+matches, at starts 0 .. n-1, are exactly the rotations of NF(g) equal to
+f^b (see conjugate_linear for the proof), so one pass decides every offset.
 """
 
 from __future__ import annotations
@@ -80,7 +80,10 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     product.  For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
     exactly when KMP finds NF(f^b)[:n-1] at a start s < n of NF(g g) and a
     constant-time test on its last letter holds, so one pass covers every
-    rotation; the proof follows.  Each hit is still confirmed by the
+    rotation; the proof follows.  A match of those n - 1 letters starts at
+    s <= n - 1 exactly when it ends by index 2n - 3, so KMP scans only the
+    first 2n - 2 letters of NF(g g) and every match it reports is a
+    rotation.  Each hit is still confirmed by the
     interleaving DP, and its conjugator replayed by _certify.
 
     Facts used: reduced words are geodesics in U(P) (Stallings), and a
@@ -126,9 +129,7 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
             continue
         fb_nf, _fc = _nf_carries(fb, p)
         last = fb_nf[-1]
-        for s in kmp_search(fb_nf[:-1], big):
-            if s >= n:
-                break  # starts ascend; later ones are no rotation
+        for s in kmp_search(fb_nf[:-1], big[: 2 * n - 2]):
             e = s + n - 1
             if table[last][carries[e]] == big[e] and _interleaving_equal(
                 fb, g_nf[s:] + g_nf[:s], p

@@ -265,7 +265,7 @@ def emit_grp(table: FiniteGroupTable, subgroups=None, maps=None) -> str:
     out = [
         "[group]",
         f"elements: {' '.join(toks)}",
-        f"identity: {toks[table.identity]}",
+        f"identity: {toks[table.eps]}",
         "[product]",
     ]
     for i in range(len(table)):

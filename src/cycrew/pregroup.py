@@ -26,8 +26,9 @@ class Pregroup:
     product.
 
     elements are arbitrary distinct tokens; indices into ``elements`` are
-    used everywhere internally.  The epsilon row/column is synthesised from
-    axiom P1 if missing from the supplied table.
+    used everywhere internally.  Entries of the epsilon row and column that
+    the supplied table leaves out are synthesised from axiom P1; stated
+    ones are kept, so check_axioms reports any that break P1.
     """
 
     def __init__(self, elements: Sequence[str], epsilon, involution: dict, product: dict):
@@ -52,16 +53,17 @@ class Pregroup:
             raise PregroupError("involution must fix epsilon")
         self.inv = tuple(inv)
         self.table = [[None] * n for _ in range(n)]
+        # synthesise the epsilon row and column from P1 first, so that the
+        # products stated below replace them and check_axioms sees those
+        for i in range(n):
+            self.table[self.eps][i] = i
+            self.table[i][self.eps] = i
         try:
             for (x, y), z in product.items():
                 i, j, k = self.index[x], self.index[y], self.index[z]
                 self.table[i][j] = k
         except KeyError as exc:
             raise PregroupError(f"product names unknown token {exc.args[0]!r}") from None
-        # synthesise epsilon rows/columns from P1
-        for i in range(n):
-            self.table[self.eps][i] = i
-            self.table[i][self.eps] = i
         self.table = tuple(tuple(row) for row in self.table)
         # letter -> compiled carry step, built on first use by
         # cycrew.universal._carry_step, and G_P, built on first use by
@@ -103,6 +105,17 @@ class Pregroup:
 
     def tokens(self, indices):
         return tuple(self.elements[i] for i in indices)
+
+    def is_subgroup(self, subset) -> bool:
+        """Whether the element indices in subset contain epsilon and are
+        closed under the involution and under products, each of which must
+        be defined."""
+        s = frozenset(subset)
+        return (
+            self.eps in s
+            and all(self.inv[x] in s for x in s)
+            and all(self.table[x][y] in s for x in s for y in s)
+        )
 
 
 @dataclass
@@ -200,16 +213,13 @@ def canonical_subgroup(p: Pregroup) -> frozenset:
     g = p._canonical_subgroup
     if g is not None:
         return g
-    table = p.table
     full = (1 << len(p)) - 1
     masks = _defined_masks(p)
     full_columns = full
     for mask in masks:
         full_columns &= mask
     g = frozenset(x for x in _bits(full_columns) if masks[x] == full)
-    if p.eps not in g or any(
-        p.inv[x] not in g or any(table[x][y] not in g for y in g) for x in g
-    ):
+    if not p.is_subgroup(g):
         raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
     p._canonical_subgroup = g
     return g

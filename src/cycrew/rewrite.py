@@ -303,7 +303,8 @@ def _successor_pool(system):
 
 def _bounded_descendants(w, system, max_nodes=2_000, max_len=None):
     """Words reachable from w by any number of steps, bounded by node count
-    and optional length cap."""
+    and optional length cap, and whether the node bound cut the search
+    short (the set is then only part of the descendants)."""
     seen = {w}
     queue = collections.deque([w])
     while queue and len(seen) < max_nodes:
@@ -314,23 +315,32 @@ def _bounded_descendants(w, system, max_nodes=2_000, max_len=None):
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
-    return seen
+    return seen, bool(queue)
 
 
 def _strongly_joinable(y, z, system, succ_or_self):
     """y <- x -> z closes strongly: some w with y ->(<=1) w <-* z or
     y ->* w <-(<=1) z.  The one-step/one-step case is tried first; the
-    starred side is explored by a bounded BFS."""
+    starred side is explored by a bounded BFS.  A meet inside a search cut
+    short by its node bound still proves the pair joinable; without a meet
+    such a search decides nothing, and BudgetExhausted is raised."""
     sy = succ_or_self(y)
     sz = succ_or_self(z)
     if not sy.isdisjoint(sz):
         return True
     cap = max(len(y), len(z)) + 2 * system.m_of
-    dy = _bounded_descendants(y, system, max_len=cap)
+    dy, cut_y = _bounded_descendants(y, system, max_len=cap)
     if not dy.isdisjoint(sz):
         return True
-    dz = _bounded_descendants(z, system, max_len=cap)
-    return not dz.isdisjoint(sy)
+    dz, cut_z = _bounded_descendants(z, system, max_len=cap)
+    if not dz.isdisjoint(sy):
+        return True
+    if cut_y or cut_z:
+        fmt = system.alphabet.format
+        raise BudgetExhausted(
+            f"no strong join of {fmt(y)!r} and {fmt(z)!r} within the search bound"
+        )
+    return False
 
 
 def _overlap_words(system: RewriteSystem):
@@ -368,9 +378,10 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     and is tested before x (shortlex order).  Strong joinability is
     preserved under context, so the pair in x can fail only if its pair in
     x' fails first, and the first counterexample is the same as when every
-    overlapping pair is tested.  (The descendant search of
-    _strongly_joinable is bounded, so this holds as long as that bound is
-    not reached.)
+    overlapping pair is tested.  The descendant searches of
+    _strongly_joinable stop at a node bound; a pair whose searches reach it
+    without meeting raises BudgetExhausted instead of being reported as a
+    counterexample.
 
     When the formal inverse sigma(w) = involute(w) maps the rules onto
     themselves (S_eps of a pregroup, for one), only one word of each

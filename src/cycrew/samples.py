@@ -137,14 +137,3 @@ def free_pregroup(rank: int = 1) -> Pregroup:
         product[(up, lo)] = "e"
     return Pregroup(tokens, "e", involution, product)
 
-
-def group_pregroup(table: FiniteGroupTable) -> Pregroup:
-    """A finite group seen as a pregroup with everywhere-defined product."""
-    toks = table.elements
-    involution = {toks[i]: toks[table.inv[i]] for i in range(len(table))}
-    product = {
-        (toks[i], toks[j]): toks[table.mul(i, j)]
-        for i in range(len(table))
-        for j in range(len(table))
-    }
-    return Pregroup(toks, toks[table.identity], involution, product)

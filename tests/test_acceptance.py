@@ -63,8 +63,8 @@ def corpus_pregroups():
         ("z4z6", samples.z4_amalgam_z6()),
         ("hnn", samples.hnn_s3()),
         ("free", samples.free_pregroup(2)),
-        ("z4-table", samples.group_pregroup(samples.z4_table())),
-        ("s3-table", samples.group_pregroup(samples.s3_table())),
+        ("z4-table", samples.z4_table()),
+        ("s3-table", samples.s3_table()),
     ]
 
 

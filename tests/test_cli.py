@@ -57,6 +57,18 @@ class TestAxioms:
         assert main(["axioms", str(bad)]) == 1
         assert "P2: FAIL" in capsys.readouterr().out
 
+    def test_stated_epsilon_product_fails_p1(self, tmp_path, capsys):
+        # [e a] = A breaks P1; the table must not be repaired behind the
+        # user's back, so axioms fails and nf refuses the file
+        bad = tmp_path / "bad.pg"
+        bad.write_text(
+            "[pregroup]\nelements: e a A\nepsilon: e\npairs: a A\n[product]\n"
+            "a A = e\nA a = e\ne a = A\n"
+        )
+        assert main(["axioms", str(bad)]) == 1
+        assert "P1: FAIL [('a',)]" in capsys.readouterr().out
+        assert main(["nf", str(bad), "-w", "a A a"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_non_pregroup_reports_violation(self, files, tmp_path, capsys):
         # G_P = {e, a} is not closed ([aa] = b), so P6-P8 cannot be checked
@@ -183,7 +195,7 @@ class TestComplete:
         assert "a c d b -> a b d c" in text
 
     def test_cdagger(self, tmp_path, capsys):
-        s_eps = derive_system(samples.group_pregroup(samples.s3_table()), "S_eps")
+        s_eps = derive_system(samples.s3_table(), "S_eps")
         path = tmp_path / "s_eps.rws"
         path.write_text(emit_rws(s_eps))
         assert main(["complete", str(path), "--mode", "cdagger"]) == 0

@@ -242,7 +242,7 @@ class TestThueCompletion:
         # (r s) and (s r) are distinct letters of S_eps(S3) reachable from
         # the same 2-cycle, with no moves of their own: completion must add
         # letter-to-letter pairs, within the stage bound
-        p = samples.group_pregroup(samples.s3_table())
+        p = samples.s3_table()
         s = derive_system(p, "S_eps")
         crs, stage = thue_completion(s)
         assert crs.extra
@@ -253,7 +253,7 @@ class TestThueCompletion:
     def test_added_pairs_are_conjugate_letters(self):
         from cycrew.universal import UniversalContext, conjugate_quadratic
 
-        p = samples.group_pregroup(samples.s3_table())
+        p = samples.s3_table()
         s = derive_system(p, "S_eps")
         ctx = UniversalContext(p)
         crs, _stage = thue_completion(s)
@@ -281,7 +281,7 @@ class TestCdagger:
         assert crs.extra == ()
 
     def test_s3_pairs_with_certificates(self):
-        p = samples.group_pregroup(samples.s3_table())
+        p = samples.s3_table()
         s = derive_system(p, "S_eps")
         crs = cdagger(s)
         assert crs.extra
@@ -296,8 +296,7 @@ class TestCdagger:
             assert u in succs and v in succs
 
     def test_pairs_are_conjugate_in_the_group(self):
-        table = samples.s3_table()
-        p = samples.group_pregroup(table)
+        p = samples.s3_table()
         s = derive_system(p, "S_eps")
         for u, v in cdagger(s).extra:
             x = p.index[s.alphabet.letters[u.canon[0]]]

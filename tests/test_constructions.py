@@ -1,6 +1,6 @@
 import collections
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 
@@ -21,7 +21,8 @@ from cycrew.constructions import (
     verify_collins,
     verify_mks,
 )
-from cycrew.pregroup import gamma_to_p, p_to_gamma
+from cycrew.fastconj import conjugate_linear
+from cycrew.pregroup import Pregroup, gamma_to_p, p_to_gamma
 from cycrew.universal import (
     ConjugacyAnswer,
     UniversalContext,
@@ -34,6 +35,7 @@ from cycrew.universal import (
     conjugate_quadratic,
     cyclic_reduce,
     equal_in_U,
+    shortlex_nf,
 )
 from cycrew.words import AlphabetError, CyclicWord, involute
 
@@ -652,3 +654,215 @@ class TestSharedSearchesMatchPerCallerLoops:
             assert seen[(name, "conjugate")] and seen[(name, "not conjugate")], seen
         assert seen[("z4z6", "rotated witness")] and seen[("hnn", "rotated witness")], seen
         assert seen["KeyError"], seen
+
+
+# -- FiniteGroupTable is a Pregroup: differential against the parent ------
+
+
+class ref_FiniteGroupTable:  # the parent's class, before it was a Pregroup
+    def __init__(self, elements: Sequence[str], identity: str, product: dict):
+        self.elements = tuple(elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise ValueError("duplicate element tokens")
+        self.index = {tok: i for i, tok in enumerate(self.elements)}
+        if identity not in self.index:
+            raise ValueError(f"identity {identity!r} not among elements")
+        self.identity = self.index[identity]
+        n = len(self.elements)
+        self.table = [[None] * n for _ in range(n)]
+        try:
+            for (x, y), z in product.items():
+                self.table[self.index[x]][self.index[y]] = self.index[z]
+        except KeyError as exc:
+            raise ValueError(f"product names unknown token {exc.args[0]!r}") from None
+        for i in range(n):
+            for j in range(n):
+                if self.table[i][j] is None:
+                    raise ValueError(
+                        f"product table incomplete at "
+                        f"({self.elements[i]}, {self.elements[j]})"
+                    )
+        e = self.identity
+        for i in range(n):
+            if self.table[e][i] != i or self.table[i][e] != i:
+                raise ValueError(f"identity law fails at {self.elements[i]}")
+        inv = [None] * n
+        for i in range(n):
+            for j in range(n):
+                if self.table[i][j] == e and self.table[j][i] == e:
+                    inv[i] = j
+        if any(x is None for x in inv):
+            raise ValueError("some element has no two-sided inverse")
+        self.inv = tuple(inv)
+        for i in range(n):
+            for j in range(n):
+                ij = self.table[i][j]
+                for k in range(n):
+                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
+                        raise ValueError(
+                            "associativity fails at "
+                            f"({self.elements[i]}, {self.elements[j]}, "
+                            f"{self.elements[k]})"
+                        )
+        self.table = tuple(tuple(row) for row in self.table)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def mul(self, i: int, j: int) -> int:
+        return self.table[i][j]
+
+
+def ref_group_pregroup(table: ref_FiniteGroupTable) -> Pregroup:
+    """A finite group seen as a pregroup with everywhere-defined product."""
+    toks = table.elements
+    involution = {toks[i]: toks[table.inv[i]] for i in range(len(table))}
+    product = {
+        (toks[i], toks[j]): toks[table.mul(i, j)]
+        for i in range(len(table))
+        for j in range(len(table))
+    }
+    return Pregroup(toks, toks[table.identity], involution, product)
+
+
+def _permutation_group(gens: dict, degree: int):
+    """(elements, identity, mul) of the group the named permutations
+    generate; each element is named by its shortest word in the generator
+    names, ties broken by BFS order."""
+    names = {tuple(range(degree)): "e"}
+    frontier = [tuple(range(degree))]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            for g, q in gens.items():
+                prod = tuple(perm[q[i]] for i in range(degree))
+                if prod not in names:
+                    word = names[perm]
+                    names[prod] = g if word == "e" else word + g
+                    nxt.append(prod)
+        frontier = nxt
+    by_name = {v: k for k, v in names.items()}
+
+    def mul(x, y):
+        px, py = by_name[x], by_name[y]
+        return names[tuple(px[py[i]] for i in range(degree))]
+
+    return list(names.values()), "e", mul
+
+
+def _group_inputs():
+    """(name, elements, identity, mul) of Z2..Z10, S3, Z2 x Z2 and D4."""
+    out = []
+    for n in range(2, 11):
+        names = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
+        out.append((f"Z{n}", names, "e", lambda x, y, n=n, names=names: names[
+            (names.index(x) + names.index(y)) % n
+        ]))
+    out.append(("S3", *_permutation_group({"r": (1, 2, 0), "s": (1, 0, 2)}, 3)))
+    out.append(("Z2xZ2", *_permutation_group({"a": (1, 0, 2, 3), "b": (0, 1, 3, 2)}, 4)))
+    out.append(("D4", *_permutation_group({"r": (1, 2, 3, 0), "s": (0, 3, 2, 1)}, 4)))
+    return out
+
+
+def _corruptions(rng, elements, identity, product):
+    """Seeded corruptions of a group's product dict, by kind."""
+    inv = {x: y for x in elements for y in elements if product[x, y] == identity}
+    keys = sorted(product)
+
+    def other(value):
+        return rng.choice([t for t in elements if t != value])
+
+    def changed(key):
+        bad = dict(product)
+        bad[key] = other(product[key])
+        return bad
+
+    out = [("changed", changed(rng.choice(keys)))]
+    removed = dict(product)
+    del removed[rng.choice(keys)]
+    out.append(("removed", removed))
+    out.append(("identity row", changed((identity, rng.choice(elements)))))
+    x, y = rng.choice(keys)
+    as_key = dict(product)
+    as_key[(x, "zz") if rng.random() < 0.5 else ("zz", y)] = as_key.pop((x, y))
+    out.append(("unknown key", as_key))
+    as_value = dict(product)
+    as_value[rng.choice(keys)] = "zz"
+    out.append(("unknown value", as_value))
+    # identity and two-sided inverses kept, but a row is no longer a
+    # permutation: associativity must fail (every 2-element table with an
+    # identity is associative, so Z2 has no such corruption)
+    spots = [
+        (x, y) for x, y in keys if identity not in (x, y) and y != inv[x]
+    ]
+    if spots:
+        out.append(("non-associative", changed(rng.choice(spots))))
+    return out
+
+
+def _construct(cls, elements, identity, product):
+    try:
+        return cls(elements, identity, product)
+    except ValueError as exc:
+        return exc
+
+
+class TestGroupTableIsPregroup:
+    def test_accepts_and_rejects_as_parent(self):
+        rng = random.Random(20131)
+        seen = collections.Counter()
+        for name, elements, identity, mul in _group_inputs():
+            product = {(x, y): mul(x, y) for x in elements for y in elements}
+            t = FiniteGroupTable.from_function(elements, identity, mul)
+            assert isinstance(t, Pregroup)
+            inputs = [("group", product)] + _corruptions(rng, elements, identity, product)
+            for kind, prod in inputs:
+                ours = _construct(FiniteGroupTable, elements, identity, prod)
+                ref = _construct(ref_FiniteGroupTable, elements, identity, prod)
+                assert isinstance(ours, ValueError) == isinstance(ref, ValueError), (
+                    name, kind, ours, ref,
+                )
+                seen[kind, isinstance(ours, ValueError)] += 1
+                if kind.startswith("unknown"):
+                    assert str(ours) == str(ref) == "product names unknown token 'zz'"
+                if kind == "non-associative":
+                    assert str(ref).startswith("associativity fails"), (name, ref)
+                if isinstance(ref, ValueError):
+                    continue
+                want = ref_group_pregroup(ref)
+                assert ours.elements == want.elements == t.elements
+                assert ours.index == want.index
+                assert ours.eps == want.eps == ref.identity
+                assert ours.inv == want.inv == ref.inv
+                assert ours.table == want.table == t.table
+        assert seen["group", False] == 12
+        for kind in ("removed", "identity row", "unknown key", "unknown value"):
+            assert seen[kind, True] == 12 and not seen[kind, False], kind
+        assert seen["non-associative", True] == 11 and not seen["non-associative", False]
+        assert seen["changed", True] == 12
+
+    def test_universal_group_matches_parent_pregroup(self):
+        rng = random.Random(20132)
+        pairs = []
+        for name, elements, identity, mul in _group_inputs():
+            t = FiniteGroupTable.from_function(elements, identity, mul)
+            product = {(x, y): mul(x, y) for x in elements for y in elements}
+            ref = ref_group_pregroup(ref_FiniteGroupTable(elements, identity, product))
+            pairs.append((UniversalContext(t), UniversalContext(ref)))
+        assert [len(c.alphabet) for c, _r in pairs] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 5, 3, 7]
+        verdicts = collections.Counter()
+        for count in range(200):
+            ctx, ref_ctx = pairs[count % len(pairs)]
+            assert ctx.alphabet.letters == ref_ctx.alphabet.letters
+            k = len(ctx.alphabet)
+            u = random_word(rng, k, 6)
+            v = conjugated(rng, ctx, u) if rng.random() < 0.5 else random_word(rng, k, 6)
+            assert shortlex_nf(u, ctx) == shortlex_nf(u, ref_ctx)
+            assert shortlex_nf(v, ctx) == shortlex_nf(v, ref_ctx)
+            got = conjugate_linear(u, v, ctx)
+            want = conjugate_linear(u, v, ref_ctx)
+            assert (got.verdict, got.certificate, got.method) == (
+                want.verdict, want.certificate, want.method,
+            )
+            verdicts[got.verdict] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 20, verdicts

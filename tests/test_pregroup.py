@@ -32,8 +32,8 @@ def corpus():
         samples.z4_amalgam_z6(),
         samples.hnn_s3(),
         samples.free_pregroup(2),
-        samples.group_pregroup(samples.z4_table()),
-        samples.group_pregroup(samples.s3_table()),
+        samples.z4_table(),
+        samples.s3_table(),
     ]
 
 
@@ -43,6 +43,19 @@ class TestConstruction:
         e = p.eps
         for i in range(len(p)):
             assert p.mul(e, i) == i and p.mul(i, e) == i
+
+    def test_stated_epsilon_products_kept(self):
+        # [e a] = A contradicts P1; it must reach check_axioms, not be
+        # overwritten by the synthesised epsilon row
+        p = Pregroup(
+            ["e", "a", "A"],
+            "e",
+            {"a": "A", "A": "a"},
+            {("a", "A"): "e", ("A", "a"): "e", ("e", "a"): "A"},
+        )
+        assert p.mul(0, 1) == 2
+        assert p.mul(1, 0) == 1 and p.mul(0, 2) == 2
+        assert check_axioms(p).violations["P1"] == [(1,)]
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(PregroupError):
@@ -309,12 +322,12 @@ def ref_check_p8(p: Pregroup):
 
 
 SMALL_PREGROUPS = (
-    lambda: samples.group_pregroup(samples.z2_table()),
-    lambda: samples.group_pregroup(FiniteGroupTable.cyclic(3)),
-    lambda: samples.group_pregroup(samples.z4_table()),
-    lambda: samples.group_pregroup(FiniteGroupTable.cyclic(5)),
-    lambda: samples.group_pregroup(samples.z6_table()),
-    lambda: samples.group_pregroup(samples.s3_table()),
+    lambda: samples.z2_table(),
+    lambda: FiniteGroupTable.cyclic(3),
+    lambda: samples.z4_table(),
+    lambda: FiniteGroupTable.cyclic(5),
+    lambda: samples.z6_table(),
+    lambda: samples.s3_table(),
     lambda: samples.free_pregroup(1),
     lambda: samples.free_pregroup(2),
     samples.dihedral_infinity,
@@ -425,7 +438,7 @@ class TestRowPassesMatchSweeps:
 
 class TestCanonicalSubgroup:
     def test_group_table_is_its_own_gp(self):
-        p = samples.group_pregroup(samples.s3_table())
+        p = samples.s3_table()
         assert canonical_subgroup(p) == frozenset(range(len(p)))
 
     def test_free_pregroup_gp_is_trivial(self):

@@ -300,6 +300,19 @@ class TestConfluenceChecker:
     def test_free_group_system(self):
         assert check_strong_confluence(samples.free_group_system(2)).ok
 
+    def test_truncated_descendant_search_is_no_counterexample(self):
+        # c b a a a <- c a a a -> d closes strongly (c b a a a -> c a b a a a
+        # -> c c a a a -> c d <- d), but the descendant search from
+        # c b a a a stops at its node bound before it reaches c d
+        a = Alphabet.from_pairs("abcdefghij", [])
+        w = a.word
+        rules = [Rule(w("ab"), w("c")), Rule(w("ab"), w("d")), Rule(w("caaa"), w("d"))]
+        s = RewriteSystem(a, rules + [Rule((), (x,)) for x in range(len(a))])
+        with pytest.raises(BudgetExhausted):
+            check_strong_confluence(s)
+        # a meet inside the truncated set still proves the pair joinable
+        assert _strongly_joinable(w("cbaaa"), w("ccaaa"), s, _successor_pool(s))
+
     @staticmethod
     def _random_systems(rng, count, letters="ab"):
         a = Alphabet.from_pairs(letters, [])
@@ -670,14 +683,16 @@ class TestFormalInverseSkipMatchesFullScan:
         seen = collections.Counter()
         for _ in range(2_000):
             s = _random_involutive_system(rng)
-            report = check_strong_confluence(s)
-            assert report == ref_check_strong_confluence(s)
+            report = _outcome(check_strong_confluence, s)
+            assert report == _outcome(ref_check_strong_confluence, s)
             invariant = _closed_under_involute(s)
             seen["invariant", invariant] += 1
-            seen["ok", report.ok] += 1
             seen["paired"] += any(i != j for i, j in enumerate(s.alphabet.involution))
             seen["empty lhs"] += any(r.lhs == () for r in s.rules)
             seen["lengthening"] += s.has_length_increasing_rules()
+            if report is BudgetExhausted:
+                continue
+            seen["ok", report.ok] += 1
             if invariant and not report.ok:
                 seen["skip before failure"] += _skips_before(s, report.counterexample[0])
         assert seen["paired"] > 1_500
@@ -693,8 +708,8 @@ class TestFormalInverseSkipMatchesFullScan:
             samples.dihedral_infinity(),
             samples.z4_amalgam_z6(),
             samples.free_pregroup(2),
-            samples.group_pregroup(samples.z4_table()),
-            samples.group_pregroup(samples.s3_table()),
+            samples.z4_table(),
+            samples.s3_table(),
             hnn_cyclic(4, 2),
         ]
         for p in pregroups:

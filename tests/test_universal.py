@@ -54,7 +54,7 @@ def free_cyclic_reduce_tokens(word, alphabet):
 
 @pytest.fixture(scope="module")
 def s3_ctx():
-    return UniversalContext(samples.group_pregroup(samples.s3_table()))
+    return UniversalContext(samples.s3_table())
 
 
 def s3_eval(word, ctx):
@@ -413,7 +413,7 @@ class TestConjugateQuadratic:
 
 DP_SAMPLES = {
     "free2": lambda: samples.free_pregroup(2),
-    "s3": lambda: samples.group_pregroup(samples.s3_table()),
+    "s3": lambda: samples.s3_table(),
     "dinf": samples.dihedral_infinity,
     "z4z6": samples.z4_amalgam_z6,
     "hnn_s3": samples.hnn_s3,
