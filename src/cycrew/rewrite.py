@@ -26,7 +26,6 @@ from .words import (
     Alphabet,
     CyclicWord,
     Word,
-    involute,
     rotations,
     shortlex_key,
     validate_word,
@@ -288,54 +287,106 @@ class ConfluenceReport:
         return self.ok
 
 
-def _successor_pool(system):
-    cache = {}
+class _SuccessorPool:
+    """The searches of one confluence check, memoised.
 
-    def succ_or_self(w):
-        s = cache.get(w)
-        if s is None:
-            s = frozenset([w] + [r for r, _i, _p in word_successors(w, system)])
-            cache[w] = s
-        return s
+    pool(w) is the frozenset of w and its one-step rewrites, and
+    pool.steps(w) lists the rewrites in word_successors order.
+    pool.descendants(w, cap) is the one _Descendants search from w over
+    words of at most cap letters, keyed by (w, cap): it keeps how far it
+    has run and whether a bound cut it, so that a truncated set is never
+    read as a complete one.
+    """
 
-    return succ_or_self
+    def __init__(self, system):
+        self.system = system
+        self._meets = {}
+        self._steps = {}
+        self._desc = {}
+
+    def __call__(self, w):
+        got = self._meets.get(w)
+        if got is None:
+            got = frozenset([w] + [r for r, _i, _p in word_successors(w, self.system)])
+            self._meets[w] = got
+        return got
+
+    def steps(self, w):
+        got = self._steps.get(w)
+        if got is None:
+            got = tuple(r for r, _i, _p in word_successors(w, self.system))
+            self._steps[w] = got
+        return got
+
+    def descendants(self, w, cap):
+        got = self._desc.get((w, cap))
+        if got is None:
+            got = self._desc[w, cap] = _Descendants(w, self.steps, cap)
+        return got
 
 
-def _bounded_descendants(w, system, max_nodes=2_000, max_len=None):
-    """Words reachable from w by any number of steps, bounded by node count
-    and optional length cap, and whether the node bound cut the search
-    short (the set is then only part of the descendants)."""
-    seen = {w}
-    queue = collections.deque([w])
-    while queue and len(seen) < max_nodes:
-        node = queue.popleft()
-        for s, _rid, _pos in word_successors(node, system):
-            if max_len is not None and len(s) > max_len:
-                continue
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return seen, bool(queue)
+class _Descendants:
+    """A BFS from w over its descendants (steps(u) lists the one-step
+    rewrites of u), run only as far as the questions asked of it need.
+
+    Rewrites longer than max_len letters are left out, and no word is
+    expanded once max_nodes words are seen.  meets(targets) runs the search
+    until it sees a word of targets or ends, so its answer is the same as
+    that of the whole bounded search.  Once the search has ended, cut tells
+    whether a bound left words out: a rewrite too long, or a word never
+    expanded; the set seen is then only part of the descendants.
+    """
+
+    def __init__(self, w, steps, max_len, max_nodes=2_000):
+        self.seen = {w}
+        self.queue = collections.deque([w])
+        self.pruned = False
+        self.steps = steps
+        self.max_len = max_len
+        self.max_nodes = max_nodes
+
+    def meets(self, targets) -> bool:
+        seen, queue = self.seen, self.queue
+        if not seen.isdisjoint(targets):
+            return True
+        while queue and len(seen) < self.max_nodes:
+            hit = False
+            for s in self.steps(queue.popleft()):
+                if len(s) > self.max_len:
+                    self.pruned = True
+                elif s not in seen:
+                    seen.add(s)
+                    queue.append(s)
+                    hit = hit or s in targets
+            if hit:
+                return True
+        return False
+
+    @property
+    def cut(self) -> bool:
+        return self.pruned or bool(self.queue)
 
 
-def _strongly_joinable(y, z, system, succ_or_self):
+def _strongly_joinable(y, z, system, pool):
     """y <- x -> z closes strongly: some w with y ->(<=1) w <-* z or
     y ->* w <-(<=1) z.  The one-step/one-step case is tried first; the
-    starred side is explored by a bounded BFS.  A meet inside a search cut
-    short by its node bound still proves the pair joinable; without a meet
-    such a search decides nothing, and BudgetExhausted is raised."""
-    sy = succ_or_self(y)
-    sz = succ_or_self(z)
+    starred side is explored by a bounded BFS over words of at most
+    max(|y|, |z|) + 2 m(S) letters.  A meet inside a search cut short by
+    either bound still proves the pair joinable; without a meet such a
+    search decides nothing, and BudgetExhausted is raised.  pool is the
+    check's _SuccessorPool."""
+    sy = pool(y)
+    sz = pool(z)
     if not sy.isdisjoint(sz):
         return True
     cap = max(len(y), len(z)) + 2 * system.m_of
-    dy, cut_y = _bounded_descendants(y, system, max_len=cap)
-    if not dy.isdisjoint(sz):
+    dy = pool.descendants(y, cap)
+    if dy.meets(sz):
         return True
-    dz, cut_z = _bounded_descendants(z, system, max_len=cap)
-    if not dz.isdisjoint(sy):
+    dz = pool.descendants(z, cap)
+    if dz.meets(sy):
         return True
-    if cut_y or cut_z:
+    if dy.cut or dz.cut:
         fmt = system.alphabet.format
         raise BudgetExhausted(
             f"no strong join of {fmt(y)!r} and {fmt(z)!r} within the search bound"
@@ -364,6 +415,201 @@ def _overlap_words(system: RewriteSystem):
     return words
 
 
+# Bounds on the symmetry search: its backtracking nodes (and so its
+# recursion depth), and the elements of the group closed from the maps it
+# verifies.  A cut search still returns verified symmetries, only fewer.
+_SYMMETRY_NODES = 500
+_SYMMETRY_MAPS = 2_000
+
+
+def _image(g, w: Word) -> Word:
+    """g(w) for a letter symmetry g = (perm, rev): every letter mapped by
+    perm, then the word reversed when rev (an anti-automorphism)."""
+    perm, rev = g
+    w = tuple(map(perm.__getitem__, w))
+    return w[::-1] if rev else w
+
+
+def _symmetries(system: RewriteSystem) -> set:
+    """Letter symmetries of a system: the maps g = (perm, rev) of _image
+    that send the set of oriented (lhs, rhs) pairs onto itself, the identity
+    among them.  The formal inverse (the involution, reversed) is tried
+    first.
+
+    A backtracking search assigns an image to one letter at a time.  A
+    letter's candidates are the letters with the same number of occurrences
+    at each (lhs length, rhs length, side, position), the position counted
+    from the end when rev.  Once every letter of a left-hand side l is
+    assigned, g(l) must be a left-hand side with the same right-hand side
+    lengths, and a unique right-hand side of length one forces the image of
+    its letter (ab -> [ab] forces [ab] once a and b are placed).  Letters in
+    no rule stay fixed.  A complete assignment that is not in the group
+    found so far is verified against every pair, and the group is closed
+    under composition.  _SYMMETRY_NODES caps the search nodes and
+    _SYMMETRY_MAPS the group size; every map returned is verified or a
+    product of verified maps.
+    """
+    k = len(system.alphabet)
+    pairs = {(lhs, rhs) for lhs, rhs, _rid, _a in system.oriented_pairs()}
+    rhs_of = collections.defaultdict(list)
+    by_lengths = collections.defaultdict(list)
+    for lhs, rhs in pairs:
+        rhs_of[lhs].append(rhs)
+        by_lengths[len(lhs), len(rhs)].append((lhs, rhs))
+    # letter -> {(lhs length, rhs length, side, position, position from the
+    # end): occurrences}
+    counts = [{} for _ in range(k)]
+    for (ll, lr), group in by_lengths.items():
+        for side, length in enumerate((ll, lr)):
+            for pos in range(length):
+                for x, c in collections.Counter([pair[side][pos] for pair in group]).items():
+                    counts[x][ll, lr, side, pos, length - 1 - pos] = c
+    shape = {}  # lhs -> (its rhs lengths, the letter of a unique rhs of length 1)
+    for lhs, rhss in rhs_of.items():
+        singles = [r[0] for r in rhss if len(r) == 1]
+        shape[lhs] = (sorted(map(len, rhss)), singles[0] if len(singles) == 1 else None)
+    lhs_with = collections.defaultdict(set)
+    for lhs in shape:
+        for x in lhs:
+            lhs_with[x].add(lhs)
+    # each pair as the string lhs + sep + rhs, one character per letter, and
+    # all pairs as one text joined by end, so that verifying a map is one
+    # str.translate (sep and end are no letters and translate to
+    # themselves); the mirrored text holds the pairs of reversed words
+    sep, end = chr(k), chr(k + 1)
+    code = {w: "".join(map(chr, w)) for w in {w for pair in pairs for w in pair}}
+    coded = {code[lhs] + sep + code[rhs] for lhs, rhs in pairs}
+    text = (
+        end.join(coded),
+        end.join(code[lhs][::-1] + sep + code[rhs][::-1] for lhs, rhs in pairs),
+    )
+
+    def signature(x, rev):
+        return tuple(
+            sorted(
+                ((ll, lr, side, back if rev else pos), c)
+                for (ll, lr, side, pos, back), c in counts[x].items()
+            )
+        )
+
+    with_signature = collections.defaultdict(set)  # letters by forward signature
+    for x in range(k):
+        with_signature[signature(x, False)].add(x)
+    group = {(tuple(range(k)), False)}
+    generators = []
+    nodes = 0
+
+    def add(g):
+        """Whether g is a symmetry, now in the group; None once the group
+        is at the bound."""
+        if g in group:
+            return True
+        perm, rev = g
+        if set(text[rev].translate(perm).split(end)) != coded:
+            return False
+        generators.append(g)
+        frontier = list(group)
+        while frontier:
+            grown = []
+            for q, t in frontier:
+                for p, r in generators:
+                    h = (tuple(map(p.__getitem__, q)), r != t)
+                    if h not in group:
+                        if len(group) == _SYMMETRY_MAPS:
+                            return None
+                        group.add(h)
+                        grown.append(h)
+            frontier = grown
+        return True
+
+    def direction(rev):
+        """Search the maps that reverse words when rev; None once a bound
+        is reached."""
+        cand = [with_signature[signature(x, rev)] for x in range(k)]
+        order = sorted(range(k), key=lambda x: len(cand[x]))
+        perm, taken, trail = [None] * k, [False] * k, []
+
+        def place(todo):
+            """Assign the (letter, image) pairs of todo and what they force,
+            each assigned letter pushed on trail; False on a conflict."""
+            while todo:
+                x, y = todo.pop()
+                if perm[x] is not None:
+                    if perm[x] != y:
+                        return False
+                    continue
+                if taken[y] or y not in cand[x]:
+                    return False
+                perm[x] = y
+                taken[y] = True
+                trail.append(x)
+                for lhs in lhs_with[x]:
+                    if all(perm[v] is not None for v in lhs):
+                        got = shape.get(_image((perm, rev), lhs))
+                        want, forced = shape[lhs]
+                        if got is None or got[0] != want:
+                            return False
+                        if forced is not None:
+                            todo.append((forced, got[1]))
+            return True
+
+        def search(fixed):
+            """Whether the subtree of the current assignment holds a
+            symmetry; None once a bound is reached.  fixed: every
+            assigned letter is its own image, so the symmetries below fix
+            them all.  Off that path one symmetry h found below a child
+            x -> y of a fixed node ends the child, because the rest of it
+            is h times symmetries that fix x as well, which the child
+            x -> x, searched first, has put in the group; a child whose
+            x -> y some such symmetry already gives is skipped."""
+            nonlocal nodes
+            nodes += 1
+            if nodes > _SYMMETRY_NODES:
+                return None
+            x = next((v for v in order if perm[v] is None), None)
+            if x is None:
+                return add((tuple(perm), rev))
+            found = False
+            stabiliser, size = [], 0  # the group's maps that fix every assigned letter
+            for i, y in enumerate((x, *cand[x])):  # x -> x first
+                if taken[y] or (i and y == x):
+                    continue
+                if fixed and y != x:
+                    if size != len(group):
+                        size = len(group)
+                        stabiliser = [
+                            p for p, r in group if not r and all(p[v] == v for v in trail)
+                        ]
+                    if any(p[x] == y for p in stabiliser):
+                        continue
+                mark = len(trail)
+                if place([(x, y)]):
+                    got = search(fixed and y == x)
+                    if got is None or (got and not fixed):
+                        return got
+                    found = found or got
+                while len(trail) > mark:
+                    v = trail.pop()
+                    taken[perm[v]] = False
+                    perm[v] = None
+            return found
+
+        todo = [(x, x) for x in range(k) if not counts[x]]
+        empty = shape.get(())
+        if empty is not None and empty[1] is not None:
+            todo.append((empty[1], empty[1]))
+        return place(todo) and search(not rev)
+
+    if add((system.alphabet.involution, True)) is None:
+        return group
+    for rev in (False, True):
+        if rev and any(r for _p, r in group):
+            break  # the anti-automorphisms are one coset of the automorphisms
+        if direction(rev) is None:
+            break
+    return group
+
+
 def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     """Check that every one-step divergence y <- x -> z closes with at most
     one step on one side (the other side may take any number of steps).
@@ -379,36 +625,34 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     preserved under context, so the pair in x can fail only if its pair in
     x' fails first, and the first counterexample is the same as when every
     overlapping pair is tested.  The descendant searches of
-    _strongly_joinable stop at a node bound; a pair whose searches reach it
-    without meeting raises BudgetExhausted instead of being reported as a
-    counterexample.
+    _strongly_joinable stop at a node bound and a length bound; a pair
+    whose searches reach either without meeting raises BudgetExhausted
+    instead of being reported as a counterexample.
 
-    When the formal inverse sigma(w) = involute(w) maps the rules onto
-    themselves (S_eps of a pregroup, for one), only one word of each
-    sigma-orbit of overlap words needs its pairs tested.  sigma reverses
-    words, so it sends the redex [a, b) of x to [n - b, n - a) of sigma(x),
-    the rule l -> r to sigma(l) -> sigma(r), and the critical pairs of x
-    one-to-one onto those of sigma(x); successor sets commute with sigma,
-    so a pair closes by the one-step meet exactly when its image does.  A
-    word x is skipped when sigma(x) was tested before it and every pair of
-    sigma(x) closed by the one-step meet: every pair of x then closes by
-    it too, and x could not have failed.  Words that needed
-    _strongly_joinable are tested on both sides, because its descendant
-    search stops at a node count in BFS order and so need not agree on a
-    pair and its image.  The report is thus the same as without the skip.
+    Only one word of each orbit of overlap words under the letter
+    symmetries g of _symmetries needs its pairs tested.  g maps the set of
+    oriented rules onto itself, so it commutes with word_successors: the
+    redex l -> r at [a, b) of x becomes g(l) -> g(r) at [a, b) of g(x), or
+    at [n - b, n - a) when g reverses words, and every redex of g(x) arises
+    so.  g thus maps the critical pairs of x one-to-one onto those of g(x)
+    and sends one-step meets to one-step meets (the successor sets of
+    g(y) are the images of those of y).  When every pair of a tested word x
+    closes by the one-step meet, every word g(x) of its orbit enters met,
+    and a word in met is skipped: each of its pairs closes by the meet too,
+    so it could not have failed.  Words that needed _strongly_joinable
+    never enter met, because its descendant search stops at a node count in
+    BFS order and need not agree on a pair and its image; their images are
+    tested in full.  The report, first counterexample and BudgetExhausted
+    included, is therefore the same as without the skip.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
-    succ_or_self = _successor_pool(system)
+    pool = _SuccessorPool(system)
     index = system._index
-    alphabet = system.alphabet
-    pairs = {(lhs, rhs) for lhs, rhs, _rid, _a in system.oriented_pairs()}
-    invariant = pairs == {
-        (involute(lhs, alphabet), involute(rhs, alphabet)) for lhs, rhs in pairs
-    }
-    met = set()  # tested words whose pairs all closed by the one-step meet
+    symmetries = _symmetries(system)
+    met = set()  # the orbits of tested words whose pairs closed by one-step meets
     for x in sorted(_overlap_words(system), key=shortlex_key):
-        if invariant and involute(x, alphabet) in met:
+        if x in met:
             continue
         n = len(x)
         spans = []  # (start, end, [(result word, its successors or self)])
@@ -418,9 +662,7 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                 if slots is not None:
                     # the system is unanchored: every target is plain
                     results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
-                    spans.append(
-                        (pos, pos + length, [(y, succ_or_self(y)) for y in results])
-                    )
+                    spans.append((pos, pos + length, [(y, pool(y)) for y in results]))
         one_step = True  # every pair of x so far closed by the one-step meet
         for i, (a1, b1, ys) in enumerate(spans):
             # redex pairs in the order of the flat (span, rhs) redex list
@@ -436,11 +678,11 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                         # the one-step meet, tried first by _strongly_joinable
                         if y == z or not sy.isdisjoint(sz):
                             continue
-                        if not _strongly_joinable(y, z, system, succ_or_self):
+                        if not _strongly_joinable(y, z, system, pool):
                             return ConfluenceReport(False, (x, y, z))
                         one_step = False
-        if invariant and one_step:
-            met.add(x)
+        if one_step:
+            met.update(_image(g, x) for g in symmetries)
     return ConfluenceReport(True)
 
 
@@ -451,7 +693,7 @@ def check_strong_confluence_naive(
     divergences.  Exponential; for cross-checking on small systems only."""
     import itertools
 
-    succ_or_self = _successor_pool(system)
+    succ_or_self = _SuccessorPool(system)
     k = len(system.alphabet)
     for n in range(max_len + 1):
         for x in itertools.product(range(k), repeat=n):

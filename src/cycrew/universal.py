@@ -25,6 +25,7 @@ from typing import Optional
 
 from .pregroup import (
     Pregroup,
+    PregroupError,
     check_axioms,
     gamma_alphabet,
     gamma_to_p,
@@ -61,6 +62,10 @@ class UniversalContext:
         self.pregroup = pregroup
         self.alphabet = gamma_alphabet(pregroup)
         self._p_of = tuple(gamma_to_p(i, pregroup) for i in range(len(self.alphabet)))
+        self._gamma_of = tuple(
+            None if x == pregroup.eps else p_to_gamma(x, pregroup)
+            for x in range(len(pregroup))
+        )
         self._closure_cache = {}
 
     def to_p(self, w: Word) -> tuple:
@@ -70,8 +75,12 @@ class UniversalContext:
         return tuple(map(self._p_of.__getitem__, w))
 
     def to_gamma(self, pw) -> Word:
-        p = self.pregroup
-        return tuple(p_to_gamma(x, p) for x in pw)
+        """Gamma letters of P indices; PregroupError on epsilon, which is
+        no Gamma letter."""
+        w = tuple(map(self._gamma_of.__getitem__, pw))
+        if None in w:
+            raise PregroupError("epsilon is not a Gamma letter")
+        return w
 
 
 def _stack_reduce(pw, p: Pregroup):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cycrew import samples
+from cycrew import rewrite, samples
 from cycrew.pregroup import derive_system
 from cycrew.rewrite import (
     Anchor,
@@ -11,9 +11,11 @@ from cycrew.rewrite import (
     ConfluenceReport,
     RewriteSystem,
     Rule,
+    _Descendants,
     _overlap_words,
     _strongly_joinable,
-    _successor_pool,
+    _SuccessorPool,
+    _symmetries,
     check_strong_confluence,
     check_strong_confluence_naive,
     check_weak_termination_sufficient,
@@ -311,7 +313,67 @@ class TestConfluenceChecker:
         with pytest.raises(BudgetExhausted):
             check_strong_confluence(s)
         # a meet inside the truncated set still proves the pair joinable
-        assert _strongly_joinable(w("cbaaa"), w("ccaaa"), s, _successor_pool(s))
+        assert _strongly_joinable(w("cbaaa"), w("ccaaa"), s, _SuccessorPool(s))
+
+    def test_length_pruned_search_is_no_counterexample(self):
+        # b <- a -> c closes strongly (b -> d e^10 -> ... -> d e -> d -> c),
+        # but only through words longer than the searches' length bound
+        a = Alphabet.from_pairs("abcde", [])
+        w = a.word
+        rules = [("a", "b"), ("a", "c"), ("b", "d" + "e" * 10), ("de", "d"), ("d", "c")]
+        s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+        with pytest.raises(BudgetExhausted):
+            check_strong_confluence(s)
+        search = _Descendants(w("b"), _SuccessorPool(s).steps, 5)
+        assert not search.meets({w("c")})
+        assert search.seen == {w("b")} and search.cut
+
+    def test_descendant_memo_is_keyed_by_the_length_bound(self):
+        a = Alphabet.from_pairs("abcde", [])
+        w = a.word
+        rules = [("b", "d" + "e" * 10), ("de", "d"), ("d", "c")]
+        pool = _SuccessorPool(RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules]))
+        short = pool.descendants(w("b"), 5)
+        assert not short.meets(()) and short.cut
+        # a set cut by a shorter bound is not read for a longer one
+        full = pool.descendants(w("b"), 11)
+        # the search stops at its first meet and resumes from there
+        assert full.meets({w("de")}) and len(full.seen) < 22
+        assert not full.meets(()) and not full.cut
+        assert full.seen == {w("b")} | {w(x + "e" * i) for x in "cd" for i in range(11)}
+        assert pool.descendants(w("b"), 5) is short
+
+    def test_memoised_searches_match_the_parent_searches(self):
+        # one pool per system, its searches resumed from pair to pair; the
+        # parent's searches drop rewrites over the length bound silently,
+        # so they answer False where the pool raises BudgetExhausted
+        rng = random.Random(20125)
+        seen = collections.Counter()
+        for _ in range(150):
+            a = Alphabet.from_pairs(rng.choice(["ab", "abc"]), [])
+
+            def word(lo, hi):
+                return tuple(rng.randrange(len(a)) for _ in range(rng.randint(lo, hi)))
+
+            s = RewriteSystem(a, [Rule(word(0, 3), word(0, 4)) for _ in range(rng.randint(1, 4))])
+            pool = _SuccessorPool(s)
+            for _ in range(3):
+                succs = [y for y, _rid, _pos in word_successors(word(1, 4), s)]
+                for y, z in zip(succs, succs[1:]):
+                    got = _outcome(_strongly_joinable, y, z, s, pool)
+                    want = _outcome(ref_strongly_joinable, y, z, s, _SuccessorPool(s))
+                    if got != want:
+                        assert (want, got) == (False, BudgetExhausted)
+                        cap = max(len(y), len(z)) + 2 * s.m_of
+                        assert pool.descendants(y, cap).pruned or pool.descendants(z, cap).pruned
+                    seen[got, want] += 1
+        for kind in [
+            (True, True),
+            (False, False),
+            (BudgetExhausted, BudgetExhausted),
+            (BudgetExhausted, False),
+        ]:
+            assert seen[kind], (kind, seen)
 
     @staticmethod
     def _random_systems(rng, count, letters="ab"):
@@ -349,7 +411,7 @@ class TestConfluenceChecker:
                 for o in range(1, min(len(l1), len(l2))):
                     if l1[len(l1) - o :] == l2[:o]:
                         words.add(l1 + l2[o:])
-        pool = _successor_pool(system)
+        pool = _SuccessorPool(system)
         for x in sorted(words, key=lambda w: (len(w), w)):
             redexes = [
                 (pos, pos + len(lhs), x[:pos] + rhs + x[pos + len(lhs) :])
@@ -382,7 +444,7 @@ class TestConfluenceChecker:
             x, y, z = report.counterexample
             succs = {r for r, _rid, _pos in word_successors(x, s)}
             assert y in succs and z in succs and y != z
-            assert not _strongly_joinable(y, z, s, _successor_pool(s))
+            assert not _strongly_joinable(y, z, s, _SuccessorPool(s))
         assert failures
 
 
@@ -508,7 +570,7 @@ def ref_reduce_greedy(w, system, budget=10_000):
 def ref_check_strong_confluence(system):
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
-    succ_or_self = _successor_pool(system)
+    succ_or_self = _SuccessorPool(system)
     index, lhs_lengths = _ref_index(system)
     for x in sorted(_overlap_words(system), key=shortlex_key):
         n = len(x)
@@ -535,6 +597,97 @@ def ref_check_strong_confluence(system):
                             continue
                         if not _strongly_joinable(y, z, system, succ_or_self):
                             return ConfluenceReport(False, (x, y, z))
+    return ConfluenceReport(True)
+
+
+# The parent's descendant searches, verbatim: no memo, and rewrites over
+# the length bound are dropped without marking the search as cut.
+
+
+def ref_bounded_descendants(w, system, max_nodes=2_000, max_len=None):
+    seen = {w}
+    queue = collections.deque([w])
+    while queue and len(seen) < max_nodes:
+        node = queue.popleft()
+        for s, _rid, _pos in word_successors(node, system):
+            if max_len is not None and len(s) > max_len:
+                continue
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return seen, bool(queue)
+
+
+def ref_strongly_joinable(y, z, system, succ_or_self):
+    sy = succ_or_self(y)
+    sz = succ_or_self(z)
+    if not sy.isdisjoint(sz):
+        return True
+    cap = max(len(y), len(z)) + 2 * system.m_of
+    dy, cut_y = ref_bounded_descendants(y, system, max_len=cap)
+    if not dy.isdisjoint(sz):
+        return True
+    dz, cut_z = ref_bounded_descendants(z, system, max_len=cap)
+    if not dz.isdisjoint(sy):
+        return True
+    if cut_y or cut_z:
+        fmt = system.alphabet.format
+        raise BudgetExhausted(
+            f"no strong join of {fmt(y)!r} and {fmt(z)!r} within the search bound"
+        )
+    return False
+
+
+# The parent's scan, with the formal-inverse skip: verbatim but for the
+# pool's name.  It calls the module's _strongly_joinable, so it differs from
+# check_strong_confluence only in the words it tests.
+
+
+def ref_sigma_check_strong_confluence(system):
+    if system.has_anchored_rules():
+        raise ValueError("strong confluence check requires an unanchored system")
+    succ_or_self = _SuccessorPool(system)
+    index = system._index
+    alphabet = system.alphabet
+    pairs = {(lhs, rhs) for lhs, rhs, _rid, _a in system.oriented_pairs()}
+    invariant = pairs == {
+        (involute(lhs, alphabet), involute(rhs, alphabet)) for lhs, rhs in pairs
+    }
+    met = set()  # tested words whose pairs all closed by the one-step meet
+    for x in sorted(_overlap_words(system), key=shortlex_key):
+        if invariant and involute(x, alphabet) in met:
+            continue
+        n = len(x)
+        spans = []  # (start, end, [(result word, its successors or self)])
+        for length in system._lhs_lengths:
+            for pos in range(n - length + 1):
+                slots = index.get(x[pos : pos + length])
+                if slots is not None:
+                    # the system is unanchored: every target is plain
+                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
+                    spans.append(
+                        (pos, pos + length, [(y, succ_or_self(y)) for y in results])
+                    )
+        one_step = True  # every pair of x so far closed by the one-step meet
+        for i, (a1, b1, ys) in enumerate(spans):
+            # redex pairs in the order of the flat (span, rhs) redex list
+            partners = [
+                zs
+                for a2, b2, zs in spans[i + 1 :]
+                if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
+            ]
+            whole = a1 == 0 and b1 == n > 0  # the span overlaps itself
+            for k, (y, sy) in enumerate(ys):
+                for group in ([ys[k + 1 :]] if whole else []) + partners:
+                    for z, sz in group:
+                        # the one-step meet, tried first by _strongly_joinable
+                        if y == z or not sy.isdisjoint(sz):
+                            continue
+                        if not _strongly_joinable(y, z, system, succ_or_self):
+                            return ConfluenceReport(False, (x, y, z))
+                        one_step = False
+        if invariant and one_step:
+            met.add(x)
     return ConfluenceReport(True)
 
 
@@ -626,17 +779,31 @@ def _one_step_closed(x, system):
     )
 
 
-def _skips_before(system, x0):
-    """Some overlap word x before x0 comes after its formal inverse
-    sigma(x), and every divergence of sigma(x) closes by the one-step meet:
-    the checker may skip x on its way to x0."""
+def _apply(g, w):
+    """g(w) for a letter map g = (perm, rev): letters mapped, then the word
+    reversed when rev."""
+    perm, rev = g
+    image = tuple(perm[x] for x in w)
+    return image[::-1] if rev else image
+
+
+def _is_symmetry(g, system):
+    pairs = {(l, r) for l, r, _rid, _a in system.oriented_pairs()}
+    return {(_apply(g, l), _apply(g, r)) for l, r in pairs} == pairs
+
+
+def _skips_before(system, x0, group):
+    """Some overlap word x before x0 has an image g(x), g in group, that
+    comes before it and closes every divergence by the one-step meet: the
+    checker may skip x on its way to x0."""
     words = _overlap_words(system)
     for x in sorted(words, key=shortlex_key):
         if shortlex_key(x) >= shortlex_key(x0):
             return False
-        sx = involute(x, system.alphabet)
-        if sx in words and shortlex_key(sx) < shortlex_key(x) and _one_step_closed(sx, system):
-            return True
+        for g in group:
+            gx = _apply(g, x)
+            if gx in words and shortlex_key(gx) < shortlex_key(x) and _one_step_closed(gx, system):
+                return True
     return False
 
 
@@ -694,7 +861,9 @@ class TestFormalInverseSkipMatchesFullScan:
                 continue
             seen["ok", report.ok] += 1
             if invariant and not report.ok:
-                seen["skip before failure"] += _skips_before(s, report.counterexample[0])
+                seen["skip before failure"] += _skips_before(
+                    s, report.counterexample[0], _symmetries(s)
+                )
         assert seen["paired"] > 1_500
         assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
         assert seen["ok", True] and seen["ok", False]
@@ -718,20 +887,139 @@ class TestFormalInverseSkipMatchesFullScan:
             report = check_strong_confluence(s)
             assert report.ok
             assert report == ref_check_strong_confluence(s)
+            assert report == ref_sigma_check_strong_confluence(s)
 
     def test_s_eps_of_random_tables(self):
-        # Non-invariant tables on 4-6 elements are left out: neither scan
-        # skips a word there, and their descendant searches take ~0.25 s a
-        # table.
         rng = random.Random(1)
         seen = collections.Counter()
+        large = 0  # non-invariant tables on 4-6 elements
         for _ in range(400):
             p = random_small_table(rng)
             s = derive_system(p, "S_eps")
             invariant = _closed_under_involute(s)
-            if not invariant and len(p) > 3:
-                continue
             report = check_strong_confluence(s)
-            assert report == ref_check_strong_confluence(s)
+            if invariant or len(p) <= 3:
+                assert report == ref_check_strong_confluence(s)
+            else:
+                assert report == ref_sigma_check_strong_confluence(s)
+                large += 1
             seen[invariant, report.ok] += 1
         assert len(seen) == 4, seen
+        assert large > 200
+
+
+def _random_symmetric_system(rng):
+    """Unanchored rules over 2-5 letters closed under a random letter map g,
+    returned with g: a permutation, followed by word reversal in about half
+    the systems.  The alphabet's involution pairs letters in about half.
+    In about 10% of the systems the last rule is dropped, which can break
+    the symmetry; about 3% may lengthen (empty left-hand sides, longer
+    right-hand sides), where searches can reach their bounds."""
+    letters = "abcde"[: rng.randint(2, 5)]
+    rest = list(letters)
+    rng.shuffle(rest)
+    pairs = []
+    while len(rest) >= 2 and rng.random() < 0.5:
+        pairs.append((rest.pop(), rest.pop()))
+    a = Alphabet.from_pairs(letters, pairs)
+    perm = list(range(len(a)))
+    rng.shuffle(perm)
+    g = (tuple(perm), rng.random() < 0.5)
+    lengthen = rng.random() < 0.03
+
+    def word(lo, hi):
+        return tuple(rng.randrange(len(a)) for _ in range(rng.randint(lo, hi)))
+
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = word(0 if lengthen else 1, 3)
+        symmetric = rng.random() < 0.2
+        rhs = word(len(lhs), len(lhs)) if symmetric else word(0, len(lhs) + lengthen)
+        rule = Rule(lhs, rhs, symmetric=symmetric)
+        while rule not in rules:
+            rules.append(rule)
+            rule = Rule(_apply(g, rule.lhs), _apply(g, rule.rhs), symmetric=symmetric)
+    if rng.random() < 0.1 and len(rules) > 1:
+        rules.pop()
+    return RewriteSystem(a, rules), g
+
+
+class TestLetterSymmetries:
+    """_symmetries finds the letter maps that send the rules onto
+    themselves; check_strong_confluence tests one word of each orbit under
+    them, and its reports equal those of the parent's scan
+    ref_sigma_check_strong_confluence."""
+
+    def test_random_symmetric_systems(self):
+        rng = random.Random(20123)
+        seen = collections.Counter()
+        for _ in range(1_000):
+            s, g = _random_symmetric_system(rng)
+            report = _outcome(check_strong_confluence, s)
+            assert report == _outcome(ref_sigma_check_strong_confluence, s)
+            group = _symmetries(s)
+            assert (tuple(range(len(s.alphabet))), False) in group
+            assert all(_is_symmetry(h, s) for h in group)
+            if len(group) <= 24:  # closed under composition
+                assert all(
+                    (tuple(p[x] for x in q), r != t) in group for p, r in group for q, t in group
+                )
+            planted = _is_symmetry(g, s)
+            if planted:
+                # letters in no rule stay fixed in the maps found
+                used = {x for r in s.rules for x in r.lhs + r.rhs}
+                assert any(
+                    r == g[1] and all(p[x] == g[0][x] for x in used) for p, r in group
+                )
+            seen["planted", planted] += 1
+            seen["reversing", g[1]] += planted
+            seen["order > 2"] += len(group) > 2
+            seen["lengthening"] += s.has_length_increasing_rules()
+            if report is BudgetExhausted:
+                seen["budget"] += 1
+                continue
+            seen["ok", report.ok] += 1
+            if not report.ok:
+                seen["skip before failure"] += _skips_before(s, report.counterexample[0], group)
+        assert seen["planted", True] > 850 and seen["planted", False]
+        assert seen["reversing", True] > 350 and seen["reversing", False] > 350
+        assert seen["ok", True] > 200 and seen["ok", False] > 200
+        for kind in ("order > 2", "lengthening", "budget", "skip before failure"):
+            assert seen[kind], kind
+
+    def test_bounded_search_words_are_tested_in_every_image(self, monkeypatch):
+        # a word that needed _strongly_joinable is never marked, so the pair
+        # it passed to the search is passed again from every image word
+        calls = []
+        joinable = rewrite._strongly_joinable
+
+        def spy(y, z, system, pool):
+            calls.append((y, z))
+            return joinable(y, z, system, pool)
+
+        monkeypatch.setattr(rewrite, "_strongly_joinable", spy)
+        rng = random.Random(20124)
+        searched = 0
+        for _ in range(600):
+            s, _g = _random_symmetric_system(rng)
+            calls.clear()
+            if _outcome(check_strong_confluence, s) != ConfluenceReport(True):
+                continue
+            called = {frozenset(c) for c in calls}
+            group = _symmetries(s)
+            for y, z in calls:
+                for g in group:
+                    assert frozenset((_apply(g, y), _apply(g, z))) in called
+            searched += bool(calls) and len(group) > 1
+        assert searched > 20
+
+    def test_s_eps_groups(self):
+        # the orders of the pregroups' automorphism groups (the signed
+        # permutations of two free letters; 32 on HNN(Z4, Z2)), doubled by
+        # the formal inverse
+        for p, order in [(samples.free_pregroup(2), 16), (hnn_cyclic(4, 2), 64)]:
+            s = derive_system(p, "S_eps")
+            group = _symmetries(s)
+            assert len(group) == order
+            assert (s.alphabet.involution, True) in group
+            assert all(_is_symmetry(g, s) for g in group)

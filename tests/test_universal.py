@@ -78,6 +78,19 @@ class TestContext:
         w = tuple(range(len(z4z6_ctx.alphabet)))
         assert z4z6_ctx.to_gamma(z4z6_ctx.to_p(w)) == w
 
+    def test_to_gamma_matches_p_to_gamma(self, dinf_ctx, z4z6_ctx, hnn_ctx, free_ctx):
+        from cycrew.pregroup import PregroupError, p_to_gamma
+
+        for ctx in (dinf_ctx, z4z6_ctx, hnn_ctx, free_ctx):
+            p = ctx.pregroup
+            letters = [x for x in range(len(p)) if x != p.eps]
+            assert ctx.to_gamma(letters) == tuple(p_to_gamma(x, p) for x in letters)
+            for x in letters:
+                assert ctx.to_gamma((x,)) == (p_to_gamma(x, p),)
+            for pw in [(p.eps,), (letters[0], p.eps), [p.eps, letters[-1]]]:
+                with pytest.raises(PregroupError, match="epsilon is not a Gamma letter"):
+                    ctx.to_gamma(pw)
+
     @pytest.mark.parametrize(
         "call",
         [
