@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import completion as completion_mod
-from .completion import PreconditionViolated
 from .constructions import (
     Embedding,
     FiniteGroupTable,
@@ -51,11 +50,7 @@ def _read(path: str) -> str:
 
 
 def _context(path: str) -> UniversalContext:
-    p = parse_pg(_read(path))
-    try:
-        return UniversalContext(p)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return UniversalContext(parse_pg(_read(path)))
 
 
 def cmd_axioms(args) -> int:
@@ -334,7 +329,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, PreconditionViolated, InvalidEmbedding, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

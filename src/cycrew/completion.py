@@ -21,6 +21,7 @@ from .rewrite import (
     BudgetExhausted,
     RewriteSystem,
     Rule,
+    check_strong_confluence,
     cyclic_joinable,
     cyclic_successors,
     reduce_greedy,
@@ -180,15 +181,6 @@ class CyclicRuleSet:
     extra: tuple = ()  # oriented (CyclicWord, CyclicWord) pairs
     certificates: dict = field(default_factory=dict)
 
-    def _extra_index(self):
-        idx = getattr(self, "_extra_idx", None)
-        if idx is None:
-            idx = {}
-            for u, v in self.extra:
-                idx.setdefault(u, set()).add(v)
-            self._extra_idx = idx
-        return idx
-
     def one_step(self, c: CyclicWord):
         """The cyclic words other than c one step away from c: its
         successors in the base system and its extra pairs."""
@@ -202,9 +194,13 @@ class CyclicRuleSet:
 def _stepper(crs: CyclicRuleSet, base: dict):
     """crs.one_step, memoised.  base maps a cyclic word to its
     cyclic_successors in crs.base and is shared by every rule set over that
-    base; the step also memoises its own results, which stay valid while
-    crs.extra is unchanged.  Callers must not mutate the returned sets."""
-    extra = crs._extra_index()
+    base.  The step indexes crs.extra when it is made and memoises its own
+    results, so it answers for the pairs of that moment; make a new step
+    after reassigning crs.extra.  Callers must not mutate the returned
+    sets."""
+    extra = {}
+    for u, v in crs.extra:
+        extra.setdefault(u, set()).add(v)
     memo = {}
 
     def step(c: CyclicWord):
@@ -312,8 +308,6 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     which is rebuilt for the few members that add pairs.  The successors in
     S are computed once per call and shared by every stage.
     """
-    from .rewrite import check_strong_confluence
-
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
     if check_confluence and not check_strong_confluence(system):

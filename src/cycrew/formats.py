@@ -48,11 +48,11 @@ def _sections(text: str):
     return out
 
 
-def _keyed(entries, key: str, lineno_hint=None):
+def _keyed(entries, key: str):
     for no, line in entries:
         if line.startswith(key + ":"):
             return no, line[len(key) + 1 :].strip()
-    raise ParseError(f"missing {key!r} entry", lineno_hint)
+    raise ParseError(f"missing {key!r} entry")
 
 
 def _parse_pairs(text: str, no: int):
@@ -243,7 +243,7 @@ def parse_grp(text: str):
     for header, body in sections.items():
         if header.startswith("subgroup "):
             name = header[len("subgroup ") :].strip()
-            _no, toks_text = _keyed(body, "elements", None)
+            _no, toks_text = _keyed(body, "elements")
             subgroups[name] = tuple(toks_text.split())
         elif header.startswith("map "):
             spec = header[len("map ") :].strip()

@@ -18,6 +18,7 @@ unanchored systems, reads the plain targets.
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -691,8 +692,6 @@ def check_strong_confluence_naive(
 ) -> ConfluenceReport:
     """Oracle version: enumerate every word up to max_len and test all
     divergences.  Exponential; for cross-checking on small systems only."""
-    import itertools
-
     succ_or_self = _SuccessorPool(system)
     k = len(system.alphabet)
     for n in range(max_len + 1):

@@ -119,35 +119,10 @@ def rotations(w: Word) -> list:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def _booth(w: Word) -> int:
-    """An offset k of the least rotation w[k:] + w[:k] of a nonempty word,
-    via Booth's algorithm in O(n) comparisons."""
-    n = len(w)
-    s = w + w
-    f = [-1] * (2 * n)  # failure function over the doubled word
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
-
-
 def least_rotation(w: Word) -> Word:
     """Least rotation under shortlex (equivalently plain lex, since all
-    rotations have equal length), via Booth's algorithm."""
-    if not w:
-        return ()
-    k = _booth(w)
+    rotations have equal length)."""
+    k = least_rotation_offset(w)
     return w[k:] + w[:k]
 
 
@@ -166,18 +141,38 @@ def prefix_function(w: Word) -> list:
 
 
 def least_rotation_offset(w: Word) -> int:
-    """The least i with w[i:] + w[:i] == least_rotation(w), in O(n).
+    """The least i with w[i:] + w[:i] == least_rotation(w), by one
+    two-pointer scan in at most 3n letter comparisons (0 for the empty
+    word).
 
-    The offsets of the least rotation are congruent modulo the least
-    period p of w as a cyclic word, so Booth's offset reduced mod p is the
-    least.  p is n - (longest proper border of w) when that divides n, and
-    n otherwise.
+    The scan compares the rotations at two candidate starts i != j, which
+    agree on their first k letters (indices mod n).  On a mismatch, say
+    w[i + k] > w[j + k], each start i + t with t <= k begins a rotation
+    strictly larger than the one at the matching start j + t, so i skips
+    those k + 1 starts (and j moves on by one if the two starts meet).  Hence
+    every start below max(i, j) other than min(i, j) has been skipped.  The
+    scan stops when i or j reaches n, leaving min(i, j) the one start not
+    skipped, or when k reaches n: then the rotation at each start equals
+    the one |i - j| further on, so the least rotation has an offset in
+    [min(i, j), max(i, j)), and that offset is min(i, j).  Each comparison
+    raises i + j + k, which stays below 3n.
     """
     n = len(w)
-    if n == 0:
-        return 0
-    p = n - prefix_function(w)[-1]
-    return _booth(w) % (p if n % p == 0 else n)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a = w[(i + k) % n]
+        b = w[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,16 @@ class TestCyclicRuleSet:
         assert crs.one_step_descending(u) == {v}
         assert crs.one_step_descending(v) == set()
 
+    def test_one_step_reads_reassigned_extra_pairs(self):
+        s = samples.free_group_system(1)
+        a, big_a = CyclicWord.of((0,)), CyclicWord.of((1,))
+        crs = CyclicRuleSet(s)
+        assert crs.one_step(a) == set()
+        crs.extra = ((a, big_a),)
+        assert crs.one_step(a) == {big_a} == CyclicRuleSet(s, ((a, big_a),)).one_step(a)
+        crs.extra = ()
+        assert crs.one_step(a) == set()
+
 
 class TestResolveShortPairs:
     def test_four_letter_example(self):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,67 @@ def naive_least_rotation(w):
 def naive_offset(w):
     canon = naive_least_rotation(w)
     return next((i for i in range(len(w)) if w[i:] + w[:i] == canon), 0)
+
+
+def naive_offset_bytes(w):
+    """naive_offset for letters below 256: all n rotations are compared as
+    bytes, which order like tuples of such letters, so words of 2^15
+    letters stay cheap."""
+    n = len(w)
+    s = bytes(w + w)
+    return min(range(n), key=lambda i: s[i : i + n]) if n else 0
+
+
+def fibonacci_word(n):
+    """The first n letters of the infinite Fibonacci word 0 1 0 0 1 0 1 0 ..."""
+    u, v = (0,), (0, 1)
+    while len(v) < n:
+        u, v = v, v + u
+    return v[:n]
+
+
+def structured_words():
+    """Named inputs that steer a rotation scan into its longest matches: one
+    odd letter at either end, periodic and constant words and Fibonacci
+    words (whole ones and prefixes), each also rotated by a third of its
+    length."""
+    fib_lengths = [1, 2]
+    while fib_lengths[-1] + fib_lengths[-2] <= 2**15:
+        fib_lengths.append(fib_lengths[-1] + fib_lengths[-2])
+    out = {}
+    for n in (1, 2, 3, 7, 64, 1000, 2**12 + 1, 2**15):
+        out[f"a^{n - 1}b"] = (0,) * (n - 1) + (1,)
+        out[f"ba^{n - 1}"] = (1,) + (0,) * (n - 1)
+        out[f"c^{n}"] = (2,) * n
+        out[f"fib-prefix-{n}"] = fibonacci_word(n)
+        if n % 2 == 0:
+            out[f"(ab)^{n // 2}"] = (0, 1) * (n // 2)
+    out.update((f"fib-{n}", fibonacci_word(n)) for n in fib_lengths)
+    for name, w in list(out.items()):
+        out[f"{name}-rotated"] = w[len(w) // 3 :] + w[: len(w) // 3]
+    return out
+
+
+STRUCTURED = structured_words()
+
+
+def random_periodic_words(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        root = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
+        w = root * rng.randint(1, 12)
+        k = rng.randrange(len(w))
+        yield w[k:] + w[:k]
+
+
+class CountingWord(tuple):
+    """A word that counts the letters read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
 
 
 class TestAlphabet:
@@ -129,6 +192,23 @@ class TestLeastRotation:
         k %= len(w)
         w = w[k:] + w[:k]
         assert least_rotation_offset(w) == naive_offset(w)
+
+    @pytest.mark.parametrize("w", STRUCTURED.values(), ids=STRUCTURED.keys())
+    def test_structured_words_against_naive(self, w):
+        k = naive_offset_bytes(w)
+        assert least_rotation_offset(w) == k
+        assert least_rotation(w) == w[k:] + w[:k]
+
+    def test_naive_references_agree(self):
+        for w in random_periodic_words(500, seed=2):
+            assert naive_offset_bytes(w) == naive_offset(w)
+
+    def test_offset_reads_at_most_six_letters_per_letter(self):
+        # at most 3n comparisons of two letters each, whatever the input
+        for w in [*STRUCTURED.values(), *random_periodic_words(2000, seed=3)]:
+            counted = CountingWord(w)
+            least_rotation_offset(counted)
+            assert counted.reads <= 6 * len(w), len(w)
 
 
 class TestCyclicWord:
