@@ -21,8 +21,8 @@ from .rewrite import (
     BudgetExhausted,
     RewriteSystem,
     Rule,
+    _Descendants,
     check_strong_confluence,
-    cyclic_joinable,
     cyclic_successors,
     reduce_greedy,
     word_successors,
@@ -63,10 +63,18 @@ def check_inverse_assignment(
     inv: InverseAssignment, system: RewriteSystem, budget: int = 10_000
 ) -> bool:
     """Each a . inv(a) must rewrite to the empty word: greedy reduction
-    first, then a bounded joinability search with the empty cycle.
+    first, then a BFS from the cycle of w = a . inv(a) for the empty cycle,
+    over cycles of at most |w| + m(S) letters, which stops expanding once
+    it has seen budget cycles besides w.
 
-    Raises BudgetExhausted when that search runs out of budget, which
-    decides nothing either way."""
+    Raises BudgetExhausted when that search ends without the empty cycle
+    but the budget or the length bound left cycles out, which decides
+    nothing either way; this is the rule of the confluence check's
+    searches."""
+
+    def steps(c):
+        return cyclic_successors(c, system)
+
     for a in range(len(inv.alphabet)):
         w = (a,) + inv.of(a)
         try:
@@ -74,14 +82,15 @@ def check_inverse_assignment(
                 continue
         except BudgetExhausted:
             pass
-        res = cyclic_joinable(
-            CyclicWord.of(w), CyclicWord.of(()), system, budget,
-            max_len=len(w) + system.m_of,
-        )
-        if res.status == "exhausted":
-            raise BudgetExhausted(f"no verdict on {w} within {budget} nodes")
-        if res.status != "joinable" or res.witness != CyclicWord.of(()):
-            return False
+        cap = len(w) + system.m_of
+        search = _Descendants(CyclicWord.of(w), steps, cap, budget + 1)
+        if search.meets({CyclicWord.of(())}):
+            continue
+        if search.cut:
+            raise BudgetExhausted(
+                f"no verdict on {w} within {budget} cycles of at most {cap} letters"
+            )
+        return False
     return True
 
 
@@ -273,19 +282,15 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
         changed = False
         for w in shorts:
             succs = sorted(step(w), key=lambda c: shortlex_key(c.canon))
-            for a in range(len(succs)):
-                for b in range(a + 1, len(succs)):
-                    v, u = succs[a], succs[b]  # u is the shortlex-larger side
-                    if (u, v) in seen_pairs:
-                        continue
-                    if not _descending_closure(u, down, cache).isdisjoint(
-                        _descending_closure(v, down, cache)
-                    ):
-                        continue
-                    seen_pairs.add((u, v))
-                    extra.append((u, v))
-                    certificates[(u, v)] = w
-                    changed = True
+            downs = [(s, _descending_closure(s, down, cache)) for s in succs]
+            # u is the shortlex-larger side
+            for (v, down_v), (u, down_u) in itertools.combinations(downs, 2):
+                if (u, v) in seen_pairs or not down_u.isdisjoint(down_v):
+                    continue
+                seen_pairs.add((u, v))
+                extra.append((u, v))
+                certificates[(u, v)] = w
+                changed = True
         if not changed:
             return crs
 
@@ -383,13 +388,9 @@ def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     for w in itertools.product(range(k), repeat=2):
         c = CyclicWord.of(w)
         succs = [s for s in cyclic_successors(c, system) if len(s) == 1]
-        for a in range(len(succs)):
-            for b in range(len(succs)):
-                if a == b:
-                    continue
-                pair = (succs[a], succs[b])
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-                    certs[pair] = c
+        for pair in itertools.permutations(succs, 2):
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+                certs[pair] = c
     return CyclicRuleSet(system, tuple(pairs), certs)

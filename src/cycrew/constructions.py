@@ -191,65 +191,51 @@ class HnnPregroup(Pregroup):
     t_minus: int
 
 
+def _write_group(G: FiniteGroupTable, to_p, tokens, product: dict, involution: dict):
+    """Write G's products and inverses into the token tables of a pregroup,
+    element x of G standing for the P index to_p[x]."""
+    for x in range(len(G)):
+        involution[tokens[to_p[x]]] = tokens[to_p[G.inv[x]]]
+        for y in range(len(G)):
+            product[(tokens[to_p[x]], tokens[to_p[y]])] = tokens[to_p[G.mul(x, y)]]
+
+
 def amalgam_pregroup(
     A: FiniteGroupTable, B: FiniteGroupTable, iA: Embedding, iB: Embedding
 ) -> AmalgamPregroup:
     """The pregroup P = A u B of the amalgam A *_H B, with iA(h) and iB(h)
-    identified; products are defined exactly within a factor."""
+    identified; products are defined exactly within a factor.
+
+    A keeps its indices and tokens.  An element iB(h) of B takes the index
+    of iA(h); every other element of B takes the next index in B's order,
+    its token primed until it differs from every token before it."""
     if iA.source is not iB.source and iA.source.elements != iB.source.elements:
         raise InvalidEmbedding("embeddings must share the same source H")
     if iA.target is not A or iB.target is not B:
         raise InvalidEmbedding("embedding targets must be A and B")
     h_size = len(iA.source)
-    image_b = {iB.of(h): h for h in range(h_size)}
-    b_only = [j for j in range(len(B)) if j not in image_b]
-
+    h_of_b = {iB.of(h): h for h in range(h_size)}
     tokens = list(A.elements)
     used = set(tokens)
-    b_tokens = {}
-    for j in b_only:
-        tok = B.elements[j]
+    b_to_p = []
+    for j, tok in enumerate(B.elements):
+        if j in h_of_b:
+            b_to_p.append(iA.of(h_of_b[j]))
+            continue
         while tok in used:
             tok += "'"
         used.add(tok)
-        b_tokens[j] = tok
+        b_to_p.append(len(tokens))
         tokens.append(tok)
-
-    def b_to_p(j):
-        if j in image_b:
-            return iA.of(image_b[j])
-        return len(A) + b_only.index(j)
-
-    # B-element of a P index, when it has one
-    in_b = [None] * len(tokens)
-    a_in_h = {iA.of(h): h for h in range(h_size)}
-    for i in range(len(A)):
-        if i in a_in_h:
-            in_b[i] = iB.of(a_in_h[i])
-    for j in b_only:
-        in_b[b_to_p(j)] = j
 
     product = {}
     involution = {}
-    for i in range(len(A)):
-        involution[tokens[i]] = tokens[A.inv[i]]
-        for k in range(len(A)):
-            product[(tokens[i], tokens[k])] = tokens[A.mul(i, k)]
-    for pi in range(len(tokens)):
-        bi = in_b[pi]
-        if bi is None:
-            continue
-        if pi >= len(A):
-            involution[tokens[pi]] = tokens[b_to_p(B.inv[bi])]
-        for pk in range(len(tokens)):
-            bk = in_b[pk]
-            if bk is None:
-                continue
-            product[(tokens[pi], tokens[pk])] = tokens[b_to_p(B.mul(bi, bk))]
+    _write_group(A, range(len(A)), tokens, product, involution)
+    _write_group(B, b_to_p, tokens, product, involution)
 
     p = AmalgamPregroup(tokens, A.elements[A.eps], involution, product)
     p.factor_a = frozenset(range(len(A)))
-    p.factor_b = frozenset(i for i in range(len(tokens)) if in_b[i] is not None)
+    p.factor_b = frozenset(b_to_p)
     p.subgroup_h = p.factor_a & p.factor_b
     if len(p) != len(A) + len(B) - h_size:
         raise PregroupError("amalgam self-check: wrong number of elements")
@@ -271,15 +257,14 @@ def hnn_pregroup(
     isomorphism A -> B as a token dict.  Double cosets are canonicalised on
     left transversals: each element of HtH is (u, +1, v) with u the least
     index in its coset uA (identifying u a t v = u t phi(a) v), each element
-    of Ht^-1H is (u, -1, v) with u least in uB.  A token that is not an
-    element of H raises InvalidEmbedding.
+    of Ht^-1H is (u, -1, v) with u least in uB.  A token or index that names
+    no element of H raises InvalidEmbedding.
     """
     def element(x):
-        if not isinstance(x, str):
-            return x
-        if x not in H.index:
+        i = H.index.get(x) if isinstance(x, str) else x
+        if i not in range(len(H)):
             raise InvalidEmbedding(f"unknown element {x!r} of H")
-        return H.index[x]
+        return i
 
     a_set = frozenset(element(x) for x in A)
     b_set = frozenset(element(x) for x in B)
@@ -292,69 +277,46 @@ def hnn_pregroup(
         for y in a_set:
             if phi_idx[H.mul(x, y)] != H.mul(phi_idx[x], phi_idx[y]):
                 raise InvalidEmbedding("phi is not a homomorphism")
-    phi_inv = {v: k for k, v in phi_idx.items()}
-
-    def coset_rep(u, sub):
-        return min(H.mul(u, s) for s in sub)
-
-    reps_a = sorted({coset_rep(u, a_set) for u in range(len(H))})
-    reps_b = sorted({coset_rep(u, b_set) for u in range(len(H))})
+    # sign -> (the subgroup a stable letter of that sign absorbs on its
+    # left, the map that carries it across to the right)
+    side = {1: (a_set, phi_idx), -1: (b_set, {v: k for k, v in phi_idx.items()})}
 
     def canon(sign, u, v):
-        if sign > 0:
-            r = coset_rep(u, a_set)
-            a = H.mul(H.inv[r], u)
-            return (r, sign, H.mul(phi_idx[a], v))
-        r = coset_rep(u, b_set)
-        b = H.mul(H.inv[r], u)
-        return (r, sign, H.mul(phi_inv[b], v))
+        sub, across = side[sign]
+        r = min(H.mul(u, s) for s in sub)
+        return (r, sign, H.mul(across[H.mul(H.inv[r], u)], v))
 
     tokens = list(H.elements)
-    stable = {}  # P index -> (u, sign, v)
     elem_of = {}  # (u, sign, v) canonical -> P index
-    for sign, reps, mark in ((1, reps_a, "t"), (-1, reps_b, "T")):
-        for u in reps:
+    for sign, mark in ((1, "t"), (-1, "T")):
+        for u in sorted({canon(sign, x, H.eps)[0] for x in range(len(H))}):
             for v in range(len(H)):
-                tok = f"{H.elements[u]}|{mark}|{H.elements[v]}"
-                idx = len(tokens)
-                tokens.append(tok)
-                stable[idx] = (u, sign, v)
-                elem_of[(u, sign, v)] = idx
-
-    def stable_idx(sign, u, v):
-        return elem_of[canon(sign, u, v)]
+                elem_of[(u, sign, v)] = len(tokens)
+                tokens.append(f"{H.elements[u]}|{mark}|{H.elements[v]}")
+    stable = {idx: key for key, idx in elem_of.items()}
 
     involution = {}
     product = {}
-    for i in range(len(H)):
-        involution[tokens[i]] = tokens[H.inv[i]]
-        for j in range(len(H)):
-            product[(tokens[i], tokens[j])] = tokens[H.mul(i, j)]
+    _write_group(H, range(len(H)), tokens, product, involution)
     for idx, (u, sign, v) in stable.items():
-        involution[tokens[idx]] = tokens[stable_idx(-sign, H.inv[v], H.inv[u])]
+        involution[tokens[idx]] = tokens[elem_of[canon(-sign, H.inv[v], H.inv[u])]]
         for h in range(len(H)):
-            product[(tokens[h], tokens[idx])] = tokens[stable_idx(sign, H.mul(h, u), v)]
-            product[(tokens[idx], tokens[h])] = tokens[stable_idx(sign, u, H.mul(v, h))]
+            product[(tokens[h], tokens[idx])] = tokens[elem_of[canon(sign, H.mul(h, u), v)]]
+            product[(tokens[idx], tokens[h])] = tokens[elem_of[canon(sign, u, H.mul(v, h))]]
+        # (u t^s v)(u2 t^-s v2) pinches to u [t^s w t^-s] v2 when w = v u2
+        # lies in the subgroup that t^-s absorbs
+        sub, across = side[-sign]
         for idx2, (u2, sign2, v2) in stable.items():
-            if sign2 == sign:
-                continue
             w = H.mul(v, u2)
-            if sign > 0:
-                if w not in b_set:
-                    continue
-                value = H.mul(H.mul(u, phi_inv[w]), v2)
-            else:
-                if w not in a_set:
-                    continue
-                value = H.mul(H.mul(u, phi_idx[w]), v2)
-            product[(tokens[idx], tokens[idx2])] = tokens[value]
+            if sign2 != sign and w in sub:
+                product[(tokens[idx], tokens[idx2])] = tokens[H.mul(H.mul(u, across[w]), v2)]
 
     p = HnnPregroup(tokens, H.elements[H.eps], involution, product)
     p.base_h = frozenset(range(len(H)))
     p.sub_a = a_set
     p.sub_b = b_set
     p.phi = dict(phi_idx)
-    p.stable = dict(stable)
+    p.stable = stable
     e = H.eps
     p.t_plus = elem_of[canon(1, e, e)]
     p.t_minus = elem_of[canon(-1, e, e)]

@@ -24,7 +24,7 @@ from .universal import (
     _stack_reduce,
     equal_in_U,
 )
-from .words import Word, involute, prefix_function
+from .words import Word, involute
 
 __all__ = [
     "ConjugacyAnswer",
@@ -32,6 +32,20 @@ __all__ = [
     "conjugate_linear",
     "conjugate_oracle",
 ]
+
+
+def prefix_function(w: Word) -> list:
+    """The KMP failure function: entry i is the length of the longest
+    proper border (a prefix that is also a suffix) of w[:i + 1]."""
+    border = [0] * len(w)
+    b = 0
+    for i in range(1, len(w)):
+        while b and w[i] != w[b]:
+            b = border[b - 1]
+        if w[i] == w[b]:
+            b += 1
+        border[i] = b
+    return border
 
 
 def kmp_search(pattern: Word, text: Word) -> list:

@@ -72,7 +72,7 @@ def _word(alphabet: Alphabet, toks, no: int):
         return ()
     try:
         return alphabet.word(toks)
-    except Exception as exc:
+    except ValueError as exc:
         raise ParseError(str(exc), no) from None
 
 
@@ -93,10 +93,10 @@ def parse_rws(text: str):
     pairs = []
     for no, line in alpha_entries:
         if line.startswith("pairs:"):
-            pairs = _parse_pairs(line[6:].strip(), no)
+            pairs += _parse_pairs(line[6:].strip(), no)
     try:
         alphabet = Alphabet.from_pairs(letters, pairs)
-    except Exception as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
     rules = []
     for no, line in sections.get("rules", []):
@@ -129,7 +129,7 @@ def parse_rws(text: str):
         cyclic_pairs.append((CyclicWord.of(lhs), CyclicWord.of(rhs)))
     try:
         system = RewriteSystem(alphabet, rules)
-    except Exception as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
     return system, cyclic_pairs
 
@@ -173,7 +173,8 @@ def _parse_product(entries, known):
         for tok in (x, y, z):
             if tok not in known:
                 raise ParseError(f"unknown element {tok!r}", no)
-        product[(x, y)] = z
+        if product.setdefault((x, y), z) != z:
+            raise ParseError(f"product {x} {y} given as both {product[x, y]} and {z}", no)
     return product
 
 
@@ -194,7 +195,7 @@ def parse_pg(text: str) -> Pregroup:
     product = _parse_product(sections.get("product", []), set(elements))
     try:
         return Pregroup(elements, epsilon, involution, product)
-    except Exception as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -236,7 +237,7 @@ def parse_grp(text: str):
     product = _parse_product(sections.get("product", []), set(elements))
     try:
         table = FiniteGroupTable(elements, identity, product)
-    except Exception as exc:
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
     subgroups = {}
     maps = {}

@@ -85,20 +85,20 @@ class UniversalContext:
 
 def _stack_reduce(pw, p: Pregroup):
     """Left-to-right reduction over P indices; output has no adjacent
-    defined products."""
+    defined products and no epsilon.  Each incoming letter is merged into
+    the top of the stack while their product is defined and not epsilon."""
     table = p.table
     eps = p.eps
     out = []
     for x in pw:
-        out.append(x)
-        while len(out) >= 2:
-            q = table[out[-2]][out[-1]]
+        while out and x != eps:
+            q = table[out[-1]][x]
             if q is None:
                 break
             out.pop()
-            out.pop()
-            if q != eps:
-                out.append(q)
+            x = q
+        if x != eps:
+            out.append(x)
     return tuple(out)
 
 

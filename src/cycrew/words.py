@@ -126,20 +126,6 @@ def least_rotation(w: Word) -> Word:
     return w[k:] + w[:k]
 
 
-def prefix_function(w: Word) -> list:
-    """The KMP failure function: entry i is the length of the longest
-    proper border (a prefix that is also a suffix) of w[:i + 1]."""
-    border = [0] * len(w)
-    b = 0
-    for i in range(1, len(w)):
-        while b and w[i] != w[b]:
-            b = border[b - 1]
-        if w[i] == w[b]:
-            b += 1
-        border[i] = b
-    return border
-
-
 def least_rotation_offset(w: Word) -> int:
     """The least i with w[i:] + w[:i] == least_rotation(w), by one
     two-pointer scan in at most 3n letter comparisons (0 for the empty

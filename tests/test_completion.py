@@ -52,6 +52,30 @@ class TestInverseAssignment:
             check_inverse_assignment(inv, s, budget=1)
         assert check_inverse_assignment(inv, s, budget=2)
 
+    def test_meeting_elsewhere_is_no_counterexample(self):
+        # a A -> b b -> 1, but 1 -> b b also reaches b b from the empty
+        # cycle, where a search for a common descendant can meet first
+        a = Alphabet.from_pairs("aAbc", [("a", "A")])
+        w = a.word
+        rules = [
+            Rule(w("aA"), w("bb")),
+            Rule(w("aA"), w("cc")),
+            Rule(w("Aa"), w("bb")),
+            Rule(w("bb"), ()),
+            Rule(w("cc"), ()),
+            Rule((), w("bb")),
+        ]
+        inv = InverseAssignment.from_involution(a)
+        assert check_inverse_assignment(inv, RewriteSystem(a, rules))
+        assert check_inverse_assignment(inv, RewriteSystem(a, rules[:-1]))
+
+    def test_pruned_search_is_not_a_verdict(self):
+        # a a reaches 1 only through b^5, longer than |a a| + m(S) = 4
+        a = Alphabet.from_pairs("ab", [])
+        s = RewriteSystem(a, [Rule((0, 0), (1,) * 5), Rule((1,), ())])
+        with pytest.raises(BudgetExhausted):
+            check_inverse_assignment(InverseAssignment.from_involution(a), s)
+
     def test_word_valued_inverses(self):
         # Z3 presented on one letter: aaa -> 1, inverse of a is aa
         a = Alphabet.from_pairs("a", [])

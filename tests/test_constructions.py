@@ -6,9 +6,11 @@ import pytest
 
 from cycrew import samples
 from cycrew.constructions import (
+    AmalgamPregroup,
     ClassificationVerdict,
     Embedding,
     FiniteGroupTable,
+    HnnPregroup,
     InHSubgroup,
     InvalidEmbedding,
     NotAmalgamContext,
@@ -22,7 +24,18 @@ from cycrew.constructions import (
     verify_mks,
 )
 from cycrew.fastconj import conjugate_linear
-from cycrew.pregroup import Pregroup, gamma_to_p, p_to_gamma
+from cycrew.formats import emit_pg
+from cycrew.pregroup import (
+    Pregroup,
+    PregroupError,
+    canonical_subgroup,
+    check_axioms,
+    check_p6,
+    check_p7,
+    check_p8,
+    gamma_to_p,
+    p_to_gamma,
+)
 from cycrew.universal import (
     ConjugacyAnswer,
     UniversalContext,
@@ -206,6 +219,12 @@ class TestHnnPregroup:
         H = samples.z4_table()
         with pytest.raises(InvalidEmbedding):
             hnn_pregroup(H, ("e", "x2"), ("e", "x2"), {"e": "x2", "x2": "e"})
+
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_index_outside_h_rejected(self, bad):
+        H = samples.s3_table()
+        with pytest.raises(InvalidEmbedding, match=f"unknown element {bad} of H"):
+            hnn_pregroup(H, [0, bad], [0, 3], {0: 0, bad: 3})
 
 
 class TestStandardCyclicForm:
@@ -866,3 +885,264 @@ class TestGroupTableIsPregroup:
             )
             verdicts[got.verdict] += 1
         assert verdicts[True] > 50 and verdicts[False] > 20, verdicts
+
+
+# -- Amalgam and HNN pregroups from one index map per group: differential --
+# The parent's builders, kept verbatim, from before both wrote their group
+# tables through constructions._write_group.
+
+
+def ref_amalgam_pregroup(
+    A: FiniteGroupTable, B: FiniteGroupTable, iA: Embedding, iB: Embedding
+) -> AmalgamPregroup:
+    """The pregroup P = A u B of the amalgam A *_H B, with iA(h) and iB(h)
+    identified; products are defined exactly within a factor."""
+    if iA.source is not iB.source and iA.source.elements != iB.source.elements:
+        raise InvalidEmbedding("embeddings must share the same source H")
+    if iA.target is not A or iB.target is not B:
+        raise InvalidEmbedding("embedding targets must be A and B")
+    h_size = len(iA.source)
+    image_b = {iB.of(h): h for h in range(h_size)}
+    b_only = [j for j in range(len(B)) if j not in image_b]
+
+    tokens = list(A.elements)
+    used = set(tokens)
+    b_tokens = {}
+    for j in b_only:
+        tok = B.elements[j]
+        while tok in used:
+            tok += "'"
+        used.add(tok)
+        b_tokens[j] = tok
+        tokens.append(tok)
+
+    def b_to_p(j):
+        if j in image_b:
+            return iA.of(image_b[j])
+        return len(A) + b_only.index(j)
+
+    # B-element of a P index, when it has one
+    in_b = [None] * len(tokens)
+    a_in_h = {iA.of(h): h for h in range(h_size)}
+    for i in range(len(A)):
+        if i in a_in_h:
+            in_b[i] = iB.of(a_in_h[i])
+    for j in b_only:
+        in_b[b_to_p(j)] = j
+
+    product = {}
+    involution = {}
+    for i in range(len(A)):
+        involution[tokens[i]] = tokens[A.inv[i]]
+        for k in range(len(A)):
+            product[(tokens[i], tokens[k])] = tokens[A.mul(i, k)]
+    for pi in range(len(tokens)):
+        bi = in_b[pi]
+        if bi is None:
+            continue
+        if pi >= len(A):
+            involution[tokens[pi]] = tokens[b_to_p(B.inv[bi])]
+        for pk in range(len(tokens)):
+            bk = in_b[pk]
+            if bk is None:
+                continue
+            product[(tokens[pi], tokens[pk])] = tokens[b_to_p(B.mul(bi, bk))]
+
+    p = AmalgamPregroup(tokens, A.elements[A.eps], involution, product)
+    p.factor_a = frozenset(range(len(A)))
+    p.factor_b = frozenset(i for i in range(len(tokens)) if in_b[i] is not None)
+    p.subgroup_h = p.factor_a & p.factor_b
+    if len(p) != len(A) + len(B) - h_size:
+        raise PregroupError("amalgam self-check: wrong number of elements")
+    if not check_axioms(p):
+        raise PregroupError("amalgam self-check: P1-P5 fail")
+    if not (check_p6(p)[0] and check_p7(p)[0]):
+        raise PregroupError("amalgam self-check: P6 or P7 fails")
+    if canonical_subgroup(p) != p.subgroup_h:
+        raise PregroupError("amalgam self-check: G_P is not the identified subgroup")
+    return p
+
+
+def ref_hnn_pregroup(
+    H: FiniteGroupTable, A, B, phi: dict
+) -> HnnPregroup:
+    """The pregroup P = H u Ht^-1H u HtH of HNN(H, t; t^-1 A t = B).
+
+    A and B are subgroups given by element tokens (or indices); phi is an
+    isomorphism A -> B as a token dict.  Double cosets are canonicalised on
+    left transversals: each element of HtH is (u, +1, v) with u the least
+    index in its coset uA (identifying u a t v = u t phi(a) v), each element
+    of Ht^-1H is (u, -1, v) with u least in uB.  A token that is not an
+    element of H raises InvalidEmbedding.
+    """
+    def element(x):
+        if not isinstance(x, str):
+            return x
+        if x not in H.index:
+            raise InvalidEmbedding(f"unknown element {x!r} of H")
+        return H.index[x]
+
+    a_set = frozenset(element(x) for x in A)
+    b_set = frozenset(element(x) for x in B)
+    if not H.is_subgroup(a_set) or not H.is_subgroup(b_set):
+        raise InvalidEmbedding("A and B must be subgroups of H")
+    phi_idx = {element(x): element(y) for x, y in phi.items()}
+    if set(phi_idx) != set(a_set) or set(phi_idx.values()) != set(b_set):
+        raise InvalidEmbedding("phi must be a bijection A -> B")
+    for x in a_set:
+        for y in a_set:
+            if phi_idx[H.mul(x, y)] != H.mul(phi_idx[x], phi_idx[y]):
+                raise InvalidEmbedding("phi is not a homomorphism")
+    phi_inv = {v: k for k, v in phi_idx.items()}
+
+    def coset_rep(u, sub):
+        return min(H.mul(u, s) for s in sub)
+
+    reps_a = sorted({coset_rep(u, a_set) for u in range(len(H))})
+    reps_b = sorted({coset_rep(u, b_set) for u in range(len(H))})
+
+    def canon(sign, u, v):
+        if sign > 0:
+            r = coset_rep(u, a_set)
+            a = H.mul(H.inv[r], u)
+            return (r, sign, H.mul(phi_idx[a], v))
+        r = coset_rep(u, b_set)
+        b = H.mul(H.inv[r], u)
+        return (r, sign, H.mul(phi_inv[b], v))
+
+    tokens = list(H.elements)
+    stable = {}  # P index -> (u, sign, v)
+    elem_of = {}  # (u, sign, v) canonical -> P index
+    for sign, reps, mark in ((1, reps_a, "t"), (-1, reps_b, "T")):
+        for u in reps:
+            for v in range(len(H)):
+                tok = f"{H.elements[u]}|{mark}|{H.elements[v]}"
+                idx = len(tokens)
+                tokens.append(tok)
+                stable[idx] = (u, sign, v)
+                elem_of[(u, sign, v)] = idx
+
+    def stable_idx(sign, u, v):
+        return elem_of[canon(sign, u, v)]
+
+    involution = {}
+    product = {}
+    for i in range(len(H)):
+        involution[tokens[i]] = tokens[H.inv[i]]
+        for j in range(len(H)):
+            product[(tokens[i], tokens[j])] = tokens[H.mul(i, j)]
+    for idx, (u, sign, v) in stable.items():
+        involution[tokens[idx]] = tokens[stable_idx(-sign, H.inv[v], H.inv[u])]
+        for h in range(len(H)):
+            product[(tokens[h], tokens[idx])] = tokens[stable_idx(sign, H.mul(h, u), v)]
+            product[(tokens[idx], tokens[h])] = tokens[stable_idx(sign, u, H.mul(v, h))]
+        for idx2, (u2, sign2, v2) in stable.items():
+            if sign2 == sign:
+                continue
+            w = H.mul(v, u2)
+            if sign > 0:
+                if w not in b_set:
+                    continue
+                value = H.mul(H.mul(u, phi_inv[w]), v2)
+            else:
+                if w not in a_set:
+                    continue
+                value = H.mul(H.mul(u, phi_idx[w]), v2)
+            product[(tokens[idx], tokens[idx2])] = tokens[value]
+
+    p = HnnPregroup(tokens, H.elements[H.eps], involution, product)
+    p.base_h = frozenset(range(len(H)))
+    p.sub_a = a_set
+    p.sub_b = b_set
+    p.phi = dict(phi_idx)
+    p.stable = dict(stable)
+    e = H.eps
+    p.t_plus = elem_of[canon(1, e, e)]
+    p.t_minus = elem_of[canon(-1, e, e)]
+    if not check_axioms(p):
+        raise PregroupError("HNN self-check: P1-P5 fail")
+    if not (check_p6(p)[0] and check_p8(p)[0]):
+        raise PregroupError("HNN self-check: P6 or P8 fails")
+    if canonical_subgroup(p) != p.base_h:
+        raise PregroupError("HNN self-check: G_P is not the base group")
+    return p
+
+
+def _renamed(G, names):
+    """G with its elements renamed, in order, to names."""
+    n = range(len(G))
+    return FiniteGroupTable(
+        names, names[G.eps], {(names[x], names[y]): names[G.mul(x, y)] for x in n for y in n}
+    )
+
+
+def _amalgam_inputs():
+    """(A, B, iA, iB): the two sample amalgams, S3 *_Z2 S3 whose B tokens
+    all collide with A's, and Z3 * Z3 on the tokens e a a' in both
+    factors, whose B tokens once primed collide with A's and each other."""
+    z2h, triv = samples.z2_table(("e", "h")), samples.trivial_table()
+    z2a, z2b = samples.z2_table(("e", "a")), samples.z2_table(("e", "b"))
+    z4, z6 = samples.z4_table(), samples.z6_table()
+    s3, s3b = samples.s3_table(), samples.s3_table()
+    z3, z3b = (_renamed(FiniteGroupTable.cyclic(3), ["e", "a", "a'"]) for _ in "AB")
+    cases = [
+        (z2a, z2b, triv, {"e": "e"}, {"e": "e"}),
+        (z4, z6, z2h, {"e": "e", "h": "x2"}, {"e": "e", "h": "y3"}),
+        (s3, s3b, z2h, {"e": "e", "h": "s"}, {"e": "e", "h": "rs"}),
+        (z3, z3b, triv, {"e": "e"}, {"e": "e"}),
+    ]
+    return [
+        (A, B, Embedding.from_tokens(H, A, ia), Embedding.from_tokens(H, B, ib))
+        for A, B, H, ia, ib in cases
+    ]
+
+
+def _hnn_inputs():
+    """(H, A, B, phi): every cyclic HNN(Zn, Zk) with k | n <= 10 and phi
+    the identity, then extensions of S3 and Z6: the hnn_s3 sample, phi not
+    the identity, trivial subgroups, and subgroups given by indices."""
+    out = []
+    for n in range(1, 11):
+        H = FiniteGroupTable.cyclic(n, "x")
+        for k in range(1, n + 1):
+            if n % k == 0:
+                sub = [tok for i, tok in enumerate(H.elements) if i % (n // k) == 0]
+                out.append((H, sub, sub, {tok: tok for tok in sub}))
+    s3, z6 = samples.s3_table(), samples.z6_table()
+    rot = ("e", "r", "r2")
+    out += [
+        (s3, ("e", "s"), ("e", "s"), {"e": "e", "s": "s"}),
+        (s3, ("e", "s"), ("e", "rs"), {"e": "e", "s": "rs"}),
+        (s3, rot, rot, {"e": "e", "r": "r2", "r2": "r"}),
+        (s3, ("e",), ("e",), {"e": "e"}),
+        (z6, ("e", "y2", "y4"), ("e", "y2", "y4"), {"e": "e", "y2": "y4", "y4": "y2"}),
+        (z6, [0, 3], [0, 3], {0: 0, 3: 3}),
+    ]
+    return out
+
+
+_BUILT_ATTRIBUTES = {
+    AmalgamPregroup: ("factor_a", "factor_b", "subgroup_h"),
+    HnnPregroup: ("base_h", "sub_a", "sub_b", "phi", "stable", "t_plus", "t_minus"),
+}
+
+
+def _built(p):
+    """Everything a builder sets on p, dicts as ordered item lists."""
+    attrs = [getattr(p, name) for name in _BUILT_ATTRIBUTES[type(p)]]
+    attrs = [list(a.items()) if isinstance(a, dict) else a for a in attrs]
+    return type(p), p.elements, p.eps, p.inv, p.table, attrs, emit_pg(p)
+
+
+class TestBuildersMatchParent:
+    def test_amalgams(self):
+        inputs = _amalgam_inputs()
+        for args in inputs:
+            assert _built(amalgam_pregroup(*args)) == _built(ref_amalgam_pregroup(*args))
+        assert amalgam_pregroup(*inputs[-1]).elements == ("e", "a", "a'", "a''", "a'''")
+
+    def test_hnn_extensions(self):
+        inputs = _hnn_inputs()
+        assert len(inputs) == 27 + 6
+        for args in inputs:
+            assert _built(hnn_pregroup(*args)) == _built(ref_hnn_pregroup(*args))

@@ -1,6 +1,6 @@
 import pytest
 
-from cycrew import samples
+from cycrew import formats, samples
 from cycrew.cli import main
 from cycrew.completion import resolve_short_pairs
 from cycrew.formats import (
@@ -54,6 +54,12 @@ class TestRws:
         text = "[alphabet]\nletters: a b\n[rules]\na b <-> b a\n"
         s, _ = parse_rws(text)
         assert s.rules[0].symmetric
+
+    def test_pairs_lines_accumulate(self):
+        # as in .pg files: the second line adds b B and keeps a A
+        text = "[alphabet]\nletters: a A b B\npairs: a A\npairs: b B\n"
+        s, _ = parse_rws(text)
+        assert s.alphabet.involution == (1, 0, 3, 2)
 
     def test_one_token_is_empty_word(self):
         text = "[alphabet]\nletters: a A\npairs: a A\n[rules]\na A -> 1\n"
@@ -120,6 +126,27 @@ class TestPg:
         with pytest.raises(ParseError) as err:
             parse_pg(text)
         assert err.value.line == 5
+
+    def test_conflicting_products_report_line(self, tmp_path, capsys):
+        head = "[pregroup]\nelements: e a\nepsilon: e\npairs: a a\n[product]\n"
+        # a repeated entry with the same result is accepted
+        assert parse_pg(head + "a a = e\na a = e\n").mul(1, 1) == 0
+        text = head + "a a = e\na a = a\n"
+        with pytest.raises(ParseError, match="a a given as both e and a") as err:
+            parse_pg(text)
+        assert err.value.line == 7
+        path = tmp_path / "conflict.pg"
+        path.write_text(text)
+        assert main(["axioms", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 7:")
+
+    def test_program_errors_are_not_parse_errors(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("a bug, not bad input")
+
+        monkeypatch.setattr(formats, "Pregroup", broken)
+        with pytest.raises(TypeError):
+            parse_pg(emit_pg(samples.free_pregroup(1)))
 
     def test_bad_involution_rejected(self):
         text = "[pregroup]\nelements: e a b\nepsilon: e\npairs: a e\n[product]\n"

@@ -138,6 +138,46 @@ class TestReduceWord:
             assert got == s3_eval(w, s3_ctx)
 
 
+# The stack reduction that merges each incoming letter into the top replaced
+# this loop, kept verbatim as a reference: it pushes every letter, then pops
+# the top two while their product is defined.
+def ref_stack_reduce(pw, p):
+    table = p.table
+    eps = p.eps
+    out = []
+    for x in pw:
+        out.append(x)
+        while len(out) >= 2:
+            q = table[out[-2]][out[-1]]
+            if q is None:
+                break
+            out.pop()
+            out.pop()
+            if q != eps:
+                out.append(q)
+    return tuple(out)
+
+
+class TestStackReduce:
+    def test_matches_parent_on_epsilon_free_words(self, dinf, z4z6, hnn):
+        rng = random.Random(1919)
+        for p in (hnn, z4z6, dinf):
+            letters = [x for x in range(len(p)) if x != p.eps]
+            seen = collections.Counter()
+            for _ in range(3_000):
+                pw = tuple(rng.choice(letters) for _ in range(rng.randrange(41)))
+                if rng.random() < 0.3:  # cancel a random suffix
+                    pw += tuple(p.inv[x] for x in reversed(pw))[: rng.randrange(len(pw) + 1)]
+                got = _stack_reduce(pw, p)
+                assert got == ref_stack_reduce(pw, p), pw
+                seen["shorter"] += len(got) < len(pw)
+                seen["emptied"] += len(pw) > 0 and got == ()
+            assert seen["shorter"] and seen["emptied"], seen
+
+    def test_epsilon_alone_reduces_to_empty(self, hnn):
+        assert _stack_reduce((hnn.eps,), hnn) == ()
+
+
 class TestEqualInU:
     def test_free_group_oracle(self, free_ctx, rng):
         a = free_ctx.alphabet
