@@ -209,7 +209,8 @@ def amalgam_pregroup(
     A keeps its indices and tokens.  An element iB(h) of B takes the index
     of iA(h); every other element of B takes the next index in B's order,
     its token primed until it differs from every token before it."""
-    if iA.source is not iB.source and iA.source.elements != iB.source.elements:
+    hA, hB = iA.source, iB.source
+    if hA is not hB and (hA.elements != hB.elements or hA.table != hB.table):
         raise InvalidEmbedding("embeddings must share the same source H")
     if iA.target is not A or iB.target is not B:
         raise InvalidEmbedding("embedding targets must be A and B")

@@ -2,12 +2,13 @@
 
 The decision procedure cyclically reduces both inputs, handles lengths at
 most one by the letter conjugacy closure, and for longer inputs preconjugates
-f by each pregroup element b and matches all but the last letter of the
-shortlex normal form of f^b against the first 2n - 2 letters of the normal
-form of g squared with Knuth-Morris-Pratt.  The carry sequence of that
-normal form tests the last letter at each match in constant time.  The
-matches, at starts 0 .. n-1, are exactly the rotations of NF(g) equal to
-f^b (see conjugate_linear for the proof), so one pass decides every offset.
+f by each pregroup element b for which the preconjugation is defined (two
+table reads decide that) and matches all but the last letter of the shortlex
+normal form of f^b against the first 2n - 2 letters of the normal form of g
+squared with Knuth-Morris-Pratt.  The carry sequence of that normal form
+tests the last letter at each match in constant time.  The matches, at
+starts 0 .. n-1, are exactly the rotations of NF(g) equal to f^b (see
+conjugate_linear for the proof), so one pass decides every offset.
 """
 
 from __future__ import annotations
@@ -87,11 +88,33 @@ def conjugate_oracle(u: Word, v: Word, ctx: UniversalContext, max_len: int):
 
 
 def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer:
-    """Decide conjugacy with one KMP pass per pregroup element b.
+    """Decide conjugacy with one KMP pass per reduced preconjugation of f.
 
     After the prelude, g and f are cyclically reduced of length n >= 2.
     Words are indexed from 0, x~ is the inverse of x and [x y] the pregroup
-    product.  For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
+    product.
+
+    Which b are tried.  Two cyclically reduced conjugates of length >= 2
+    differ by a rotation and one preconjugation (the pregroup form of the
+    conjugacy theorems for amalgams and HNN extensions; Lyndon and Schupp,
+    Combinatorial Group Theory, IV.2; conjugate_quadratic searches the same
+    set).  G = NF(g) is itself cyclically reduced (proved below), so with
+    G for g: f and G are conjugate exactly when some rotation of G equals,
+    in U(P), f itself (b = epsilon) or a reduced preconjugation
+    ([b~ f[0]], f[1], ..., f[n-2], [f[n-1] b]), whose end products are
+    defined and not epsilon.  The loop therefore skips every b != epsilon
+    that fails this two-entry table test before the O(n) stack reduction.
+    For b that pass it, b~ f b equals that preconjugation in U(P); reduced
+    words are geodesics, so _stack_reduce(b~ f b) has length n exactly when
+    the preconjugation is reduced, and for n >= 3 it is then that very word
+    (for n = 2, possibly another reduced word of the same element).  A
+    skipped b is either no preconjugation of f, or its b~ f b may still
+    have length n as a rotation of f with merged ends (b = f[0] gives
+    f[1:] f[:1]); the criterion never needs it, since epsilon or a b that
+    passes already matches whenever f and G are conjugate.  The surviving b
+    keep ascending order, so the least of them that matches is found first.
+
+    For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
     exactly when KMP finds NF(f^b)[:n-1] at a start s < n of NF(g g) and a
     constant-time test on its last letter holds, so one pass covers every
     rotation; the proof follows.  A match of those n - 1 letters starts at
@@ -135,10 +158,17 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
     f_p = ctx.to_p(f_can)
     big, carries = _nf_carries(g_nf + g_nf, p)
-    table = p.table
+    eps, inv, table = p.eps, p.inv, p.table
+    first, final = f_p[0], f_p[-1]
 
     for b in range(len(p)):
-        fb = f_p if b == p.eps else _stack_reduce((p.inv[b],) + f_p + (b,), p)
+        if b == eps:
+            fb = f_p
+        else:
+            head, tail = table[inv[b]][first], table[final][b]
+            if head is None or tail is None or head == eps or tail == eps:
+                continue  # not a preconjugation of f
+            fb = _stack_reduce((inv[b],) + f_p + (b,), p)
         if len(fb) != n:
             continue
         fb_nf, _fc = _nf_carries(fb, p)

@@ -176,6 +176,22 @@ class TestAmalgamPregroup:
         with pytest.raises(InvalidEmbedding):
             amalgam_pregroup(A, B, iA, iB)
 
+    def test_same_tokens_different_groups_rejected(self):
+        # Z4 and the Klein group on the tokens e g g2 g3, each embedded
+        # onto itself: equal token lists, different products
+        z4 = FiniteGroupTable.cyclic(4)
+        klein = FiniteGroupTable.from_function(
+            z4.elements, "e", lambda x, y: z4.elements[z4.index[x] ^ z4.index[y]]
+        )
+        iA = Embedding.from_tokens(z4, z4, {t: t for t in z4.elements})
+        iB = Embedding.from_tokens(klein, klein, {t: t for t in z4.elements})
+        with pytest.raises(InvalidEmbedding, match="same source H"):
+            amalgam_pregroup(z4, klein, iA, iB)
+        # an equal group built separately is still the same source
+        z4_again = FiniteGroupTable.cyclic(4)
+        iA2 = Embedding.from_tokens(z4_again, z4, {t: t for t in z4.elements})
+        assert len(amalgam_pregroup(z4, z4, iA2, iA)) == 4
+
 
 class TestHnnPregroup:
     def test_shape(self, hnn):

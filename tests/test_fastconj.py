@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cycrew import UniversalContext
+from cycrew import UniversalContext, fastconj
 from cycrew.fastconj import conjugate_linear, conjugate_oracle, kmp_search
 from cycrew.pregroup import gamma_to_p, p_to_gamma
 from cycrew.universal import (
@@ -356,3 +356,97 @@ class TestOnePassMatchesParent:
         for key in ("n=2", "n=3", "periodic", "negative", "b!=eps",
                     "s=0", "s=1", "s=n-1", "interior"):
             assert reached[key] > 0, (key, reached)
+
+
+def defines_preconjugation(b, f_p, p):
+    """Whether b passes conjugate_linear's filter: [b~ f_1] and [f_n b]
+    both defined and not epsilon."""
+    head, tail = p.table[p.inv[b]][f_p[0]], p.table[f_p[-1]][b]
+    return head not in (None, p.eps) and tail not in (None, p.eps)
+
+
+def split_preconjugators(u, v, ctx):
+    """(f_p, kept, skipped) for a pair the prelude leaves undecided: kept
+    are epsilon and the b that pass the filter with |stack_reduce(b~ f b)| =
+    n, skipped the other b with that length; None when the prelude decides."""
+    answer, _g, f_can, _zu, _zv = _conjugacy_prelude(u, v, ctx, "linear")
+    if answer is not None:
+        return None
+    p = ctx.pregroup
+    f_p = ctx.to_p(f_can)
+    n = len(f_p)
+    kept, skipped = [], []
+    for b in range(len(p)):
+        if len(_stack_reduce((p.inv[b],) + f_p + (b,), p)) != n:
+            continue
+        if b == p.eps or defines_preconjugation(b, f_p, p):
+            kept.append(b)
+        else:
+            skipped.append(b)
+    return f_p, kept, skipped
+
+
+class TestDefinedPreconjugations:
+    def test_no_dropped_b_was_needed(self, dinf_ctx, z4z6_ctx, hnn_ctx):
+        # least_match tries every b; the least one that matches is always
+        # epsilon or a b the filter keeps, although skipped b often give
+        # words of length n
+        rng = random.Random(15)
+        contexts = [dinf_ctx, z4z6_ctx, hnn_ctx] + [
+            UniversalContext(hnn_cyclic(n, k)) for n, k in ((4, 2), (6, 3), (10, 2))
+        ]
+        reached = collections.Counter()
+        for ctx in contexts:
+            p = ctx.pregroup
+            done = 0
+            while done < 400:
+                pair = differential_pair(rng, ctx)
+                if pair is None:
+                    continue
+                u, v, _n, _periodic = pair
+                lin = conjugate_linear(u, v, ctx)
+                assert lin.verdict == conjugate_quadratic(u, v, ctx).verdict, (u, v)
+                done += 1
+                split = split_preconjugators(u, v, ctx)
+                if split is None:
+                    continue
+                f_p, _kept, skipped = split
+                reached["skipped"] += len(skipped)
+                if not lin.verdict:
+                    continue
+                b, _s, cert = least_match(u, v, ctx)
+                assert b == p.eps or defines_preconjugation(b, f_p, p), (u, v, b)
+                assert lin.certificate == cert, (u, v)
+                reached["positive"] += 1
+                reached["b!=eps"] += b != p.eps
+        for key in ("skipped", "positive", "b!=eps"):
+            assert reached[key] > 0, (key, reached)
+
+    def test_normal_forms_per_negative_decision(self, hnn_ctx, monkeypatch):
+        # a negative decision computes NF(g), NF(g g) and one normal form
+        # per kept b of length n, none for the b the filter skips
+        calls = collections.Counter()
+
+        def counted(pw, p):
+            calls["nf"] += 1
+            return _nf_carries(pw, p)
+
+        monkeypatch.setattr(fastconj, "_nf_carries", counted)
+        rng = random.Random(2027)
+        negatives = skipped_total = 0
+        while negatives < 30:
+            pair = differential_pair(rng, hnn_ctx)
+            if pair is None:
+                continue
+            u, v, _n, _periodic = pair
+            split = split_preconjugators(u, v, hnn_ctx)
+            if split is None:
+                continue
+            calls.clear()
+            if conjugate_linear(u, v, hnn_ctx).verdict:
+                continue
+            _f_p, kept, skipped = split
+            assert calls["nf"] == 2 + len(kept), (u, v)
+            negatives += 1
+            skipped_total += len(skipped)
+        assert skipped_total > 0
