@@ -189,41 +189,57 @@ class CyclicRuleSet:
     base: RewriteSystem
     extra: tuple = ()  # oriented (CyclicWord, CyclicWord) pairs
     certificates: dict = field(default_factory=dict)
+    # cyclic_successors in base per cyclic word, and (the extra tuple
+    # indexed, its pairs as u -> set of v)
+    _succ: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _extra_index: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def _base_successors(self, c: CyclicWord):
+        succ = self._succ.get(c)
+        if succ is None:
+            succ = self._succ[c] = cyclic_successors(c, self.base)
+        return succ
 
     def one_step(self, c: CyclicWord):
         """The cyclic words other than c one step away from c: its
-        successors in the base system and its extra pairs."""
-        return _stepper(self, {})(c)
+        successors in the base system and its extra pairs, as a new set.
+        The extra pairs are indexed once per extra tuple, so reassigning
+        extra takes effect at the next call."""
+        indexed, index = self._extra_index
+        if indexed is not self.extra:
+            index = {}
+            for u, v in self.extra:
+                index.setdefault(u, set()).add(v)
+            self._extra_index = (self.extra, index)
+        got = set(self._base_successors(c))
+        got.update(index.get(c, ()))
+        got.discard(c)
+        return got
 
     def one_step_descending(self, c: CyclicWord):
         key = shortlex_key(c.canon)
         return {s for s in self.one_step(c) if shortlex_key(s.canon) < key}
 
 
-def _stepper(crs: CyclicRuleSet, base: dict):
-    """crs.one_step, memoised.  base maps a cyclic word to its
-    cyclic_successors in crs.base and is shared by every rule set over that
-    base.  The step indexes crs.extra when it is made and memoises its own
-    results, so it answers for the pairs of that moment; make a new step
-    after reassigning crs.extra.  Callers must not mutate the returned
-    sets."""
-    extra = {}
-    for u, v in crs.extra:
-        extra.setdefault(u, set()).add(v)
-    memo = {}
+def _short_graph(crs: CyclicRuleSet):
+    """(shorts, ids, succ): the short cyclic words of crs.base in shortlex
+    order, so that a smaller id is a shortlex-smaller word; the id of each
+    word; and each word's successors in crs.base as an ascending id list
+    without the word itself, which crs caches.  No step lengthens a word, so
+    every successor of a short word is short."""
+    system = crs.base
+    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
+    ids = {c: i for i, c in enumerate(shorts)}
+    succ = []
+    for i, c in enumerate(shorts):
+        succ.append([j for j in map(ids.__getitem__, crs._base_successors(c)) if j != i])
+    return shorts, ids, succ
 
-    def step(c: CyclicWord):
-        got = memo.get(c)
-        if got is None:
-            succ = base.get(c)
-            if succ is None:
-                succ = base[c] = cyclic_successors(c, crs.base)
-            got = memo[c] = set(succ)
-            got.update(extra.get(c, ()))
-            got.discard(c)
-        return got
 
-    return step
+def _steps(base: list, added: list):
+    """Each short word's successors as an ascending id list: base[i], its
+    successors in the base system, and the set added[i], its extra pairs."""
+    return [sorted(a.union(b)) if a else b for b, a in zip(base, added)]
 
 
 def _closure(start: CyclicWord, step, cache: dict):
@@ -246,7 +262,8 @@ def _closure(start: CyclicWord, step, cache: dict):
 
 
 # bench/tracing.py counts closure searches and their cache hits through
-# these two names, so the engines below call the helper by them.
+# these two names, so both stay bound.  Only the Thue completion calls one,
+# _thue_reachable, for the words that add pairs; C* works on bitsets.
 _descending_closure = _thue_reachable = _closure
 
 
@@ -257,42 +274,50 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     A critical pair is two distinct one-step cyclic successors u, v of a
     short cyclic word; it is resolved when the descending closures of u and
     v meet.  Unresolved pairs are added (larger side first) and the sweep
-    repeats to a fixpoint.  The successors in S are computed once per call
-    and shared by every sweep; each sweep memoises its own steps and
-    descending closures.
+    repeats to a fixpoint.
+
+    The short words are numbered once per call in shortlex order, so a
+    descending step goes to a smaller id and id order is a topological order
+    of the descending steps.  Each sweep builds every descending closure as
+    a bitset in id order, clos[i] = bit i | OR of clos[s] over the steps
+    s < i, and a pair is resolved when clos[u] & clos[v] != 0.  The
+    successors of a word are visited in id order, which is shortlex order.
+    No closure search runs, so the tracer's completion.closure.calls counts
+    only the Thue completion's searches for the words that add pairs.
     """
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
     if system.has_length_increasing_rules():
         raise PreconditionViolated("completion needs length-nonincreasing rules")
-    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    base = {}
+    shorts, _ids, base = _short_graph(CyclicRuleSet(system))
+    added = [set() for _ in shorts]  # id -> ids of its extra pairs
     extra = []
-    seen_pairs = set()
     certificates = {}
     while True:
-        crs = CyclicRuleSet(system, tuple(extra), certificates)
-        step = _stepper(crs, base)
-
-        def down(c):
-            key = shortlex_key(c.canon)
-            return [s for s in step(c) if shortlex_key(s.canon) < key]
-
-        cache = {}
+        steps = _steps(base, added)
+        clos = []
+        for i, succ in enumerate(steps):
+            down = 1 << i
+            for s in succ:
+                if s > i:
+                    break
+                down |= clos[s]
+            clos.append(down)
         changed = False
-        for w in shorts:
-            succs = sorted(step(w), key=lambda c: shortlex_key(c.canon))
-            downs = [(s, _descending_closure(s, down, cache)) for s in succs]
-            # u is the shortlex-larger side
-            for (v, down_v), (u, down_u) in itertools.combinations(downs, 2):
-                if (u, v) in seen_pairs or not down_u.isdisjoint(down_v):
-                    continue
-                seen_pairs.add((u, v))
-                extra.append((u, v))
-                certificates[(u, v)] = w
-                changed = True
+        for w, succ in enumerate(steps):
+            # v < u: u is the shortlex-larger side
+            for k, v in enumerate(succ):
+                down_v = clos[v]
+                for u in succ[k + 1 :]:
+                    if down_v & clos[u] or v in added[u]:
+                        continue
+                    added[u].add(v)
+                    pair = (shorts[u], shorts[v])
+                    extra.append(pair)
+                    certificates[pair] = shorts[w]
+                    changed = True
         if not changed:
-            return crs
+            return CyclicRuleSet(system, tuple(extra), certificates)
 
 
 def thue_completion(system: RewriteSystem, check_confluence: bool = True):
@@ -305,35 +330,94 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     (u, v) (and its flip when lengths tie).  Returns (CyclicRuleSet,
     stop_index); the chain stabilises no later than stage 2 m(S) - 2.
 
-    Length-preserving steps are symmetric in a Thue system (and the pairs
-    added between equal lengths come in both orientations), so each class
-    and the union of its members' successors are built once per stage; each
-    member w then pairs its own successors against that union.  Pairs are
-    added in the order a search from w meets the successors of its class,
-    which is rebuilt for the few members that add pairs.  The successors in
-    S are computed once per call and shared by every stage.
+    The short words are numbered once per call in shortlex order, so the
+    words of length at most L are the ids below some bound.  Length-
+    preserving steps are symmetric in a Thue system (and the pairs added
+    between equal lengths come in both orientations), so each stage takes a
+    class as one node: its reach bitset is the class plus the reach of the
+    shorter successors of its members, built by increasing length, and
+    coreach, the transpose, by decreasing length.  A member w can add a pair
+    exactly when, for some successor u of w,
+
+        union & len_le[|u|] & ~reach[u] & ~coreach[u] & ~seen_from[u]
+
+    is nonzero, where union holds the nonempty successors of w's class and
+    seen_from[u] the v of the pairs (u, v) added so far.  Only such a w runs
+    the search over cyclic words that orders its pairs: the successors of
+    its class in the order a search from w meets them, each paired with the
+    successors of w.  So the tracer's completion.closure.calls counts only
+    the reachability searches of the words that add pairs.
     """
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
     if check_confluence and not check_strong_confluence(system):
         raise PreconditionViolated("thue completion needs strong confluence")
-    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    base = {}
+    crs = CyclicRuleSet(system)  # the steps of the words that add pairs
+    shorts, ids, base = _short_graph(crs)
+    n = len(shorts)
+    length = [len(c) for c in shorts]
+    first = [0] * (length[-1] + 2)  # the ids of length L are first[L] .. first[L + 1] - 1
+    for i, size in enumerate(length):
+        first[size + 1] = i + 1
+    len_le = [(1 << end) - 1 for end in first[1:]]  # the ids of length at most L
+    added = [set() for _ in shorts]  # id -> ids of its extra pairs
+    seen_from = [0] * n  # id u -> the ids v of the pairs (u, v) added so far
     extra = []
-    seen_pairs = set()
     bound = 2 * system.m_of - 2
     stage = 0
     while True:
-        crs = CyclicRuleSet(system, tuple(extra))
-        step = _stepper(crs, base)
+        crs.extra = tuple(extra)
+        steps = _steps(base, added)
+        cls = [-1] * n
+        members = []  # class -> ids, by increasing length
+        for i in range(n):
+            if cls[i] < 0:
+                lo = first[length[i]]
+                cls[i] = len(members)
+                group = [i]
+                for c in group:
+                    for s in steps[c]:
+                        if s >= lo and cls[s] < 0:
+                            cls[s] = cls[i]
+                            group.append(s)
+                members.append(group)
+        reach = [0] * n
+        union = []  # class -> its members' nonempty successors
+        for group in members:
+            lo = first[length[group[0]]]
+            r = succ = 0
+            for c in group:
+                r |= 1 << c
+                for s in steps[c]:
+                    succ |= 1 << s
+                    if s < lo:
+                        r |= reach[s]
+            for c in group:
+                reach[c] = r
+            union.append(succ & ~1)  # id 0 is the empty word
+        coreach = [0] * n
+        pred = [[] for _ in shorts]
+        for i, succ in enumerate(steps):
+            for s in succ:
+                pred[s].append(i)
+        for group in reversed(members):
+            hi = first[length[group[0]] + 1]
+            r = 0
+            for c in group:
+                r |= 1 << c
+                for p in pred[c]:
+                    if p >= hi:
+                        r |= coreach[p]
+            for c in group:
+                coreach[c] = r
         cache = {}
 
         def class_union(w):
-            """w's length-preserving class, and the successors of its
-            members in the order a search from w meets them."""
-            n = len(w)
-            cls = _closure(w, lambda c: [s for s in step(c) if len(s) == n], {})
-            return cls, list(dict.fromkeys(v for c in cls for v in step(c) if len(v) >= 1))
+            """The nonempty successors of w's length-preserving class, in
+            the order a search from w meets them."""
+            size = len(w)
+            cls_w = _closure(w, lambda c: [s for s in crs.one_step(c) if len(s) == size], {})
+            return list(dict.fromkeys(v for c in cls_w for v in crs.one_step(c) if len(v) >= 1))
 
         def fresh(u, v):
             """(u, v) is a divergence not yet added whose sides are not
@@ -341,35 +425,37 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
             return not (
                 u == v
                 or len(u) < len(v)
-                or (u, v) in seen_pairs
-                or v in _thue_reachable(u, step, cache)
-                or u in _thue_reachable(v, step, cache)
+                or seen_from[ids[u]] >> ids[v] & 1
+                or v in _thue_reachable(u, crs.one_step, cache)
+                or u in _thue_reachable(v, crs.one_step, cache)
             )
 
-        unions = {}  # class member -> successors of the class
         new_pairs = []
-        for w in shorts:
-            if len(w) == 0:
+        for w in range(1, n):
+            mask = union[cls[w]]
+            if not any(
+                mask & len_le[length[u]] & ~(reach[u] | coreach[u] | seen_from[u])
+                for u in steps[w]
+                if u
+            ):
                 continue
-            union = unions.get(w)
-            if union is None:
-                cls, union = class_union(w)
-                unions.update(dict.fromkeys(cls, union))
-            succ_w = [u for u in step(w) if len(u) >= 1]
-            if not any(fresh(u, v) for v in union for u in succ_w):
-                continue
-            for v in class_union(w)[1]:
+            word = shorts[w]
+            succ_w = [u for u in crs.one_step(word) if len(u) >= 1]
+            for v in class_union(word):
                 for u in succ_w:
                     if not fresh(u, v):
                         continue
                     new_pairs.append((u, v))
-                    seen_pairs.add((u, v))
-                    if len(u) == len(v) and (v, u) not in seen_pairs:
+                    seen_from[ids[u]] |= 1 << ids[v]
+                    if len(u) == len(v) and not seen_from[ids[v]] >> ids[u] & 1:
                         new_pairs.append((v, u))
-                        seen_pairs.add((v, u))
+                        seen_from[ids[v]] |= 1 << ids[u]
         if not new_pairs:
-            return crs, stage
+            # a new rule set, which leaves crs's successor cache behind
+            return CyclicRuleSet(system, crs.extra), stage
         extra.extend(new_pairs)
+        for u, v in new_pairs:
+            added[ids[u]].add(ids[v])
         stage += 1
         if stage > bound:
             raise RuntimeError("completion chain exceeded 2 m(S) - 2 stages")
@@ -378,15 +464,16 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
 def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     """C-dagger for a 2-monadic Thue system: pairs of distinct letters both
     reachable in one cyclic step from a common length-2 cycle, both
-    orientations."""
+    orientations.  Each length-2 cycle is visited once, as its least
+    rotation (a, b) with a <= b: the word (b, a) is the same cycle."""
     if not (system.is_standard and system.is_2monadic and system.is_thue):
         raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
     pairs = []
     seen = set()
     certs = {}
     k = len(system.alphabet)
-    for w in itertools.product(range(k), repeat=2):
-        c = CyclicWord.of(w)
+    for w in itertools.combinations_with_replacement(range(k), 2):
+        c = CyclicWord(w)
         succs = [s for s in cyclic_successors(c, system) if len(s) == 1]
         for pair in itertools.permutations(succs, 2):
             if pair not in seen:

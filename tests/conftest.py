@@ -15,6 +15,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def corpus_pregroups():
+    return [
+        ("dinf", samples.dihedral_infinity()),
+        ("z4z6", samples.z4_amalgam_z6()),
+        ("hnn", samples.hnn_s3()),
+        ("free", samples.free_pregroup(2)),
+        ("z4-table", samples.z4_table()),
+        ("s3-table", samples.s3_table()),
+    ]
+
+
 def hnn_cyclic(n, k):
     """HNN(Z_n, t; t^-1 A t = A), A the subgroup of order k, phi the
     identity."""

@@ -12,6 +12,7 @@ import time
 import pytest
 
 import conftest
+from conftest import corpus_pregroups
 
 from cycrew import samples
 from cycrew.completion import (
@@ -55,17 +56,6 @@ def report(num, tag, ok):
     conftest.acceptance_lines.append(line)
     print(line)
     assert ok, line
-
-
-def corpus_pregroups():
-    return [
-        ("dinf", samples.dihedral_infinity()),
-        ("z4z6", samples.z4_amalgam_z6()),
-        ("hnn", samples.hnn_s3()),
-        ("free", samples.free_pregroup(2)),
-        ("z4-table", samples.z4_table()),
-        ("s3-table", samples.s3_table()),
-    ]
 
 
 @pytest.fixture(scope="module")

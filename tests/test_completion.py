@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -22,11 +23,12 @@ from cycrew.rewrite import (
     RewriteSystem,
     Rule,
     cyclic_joinable,
+    cyclic_successors,
     reduce_greedy,
 )
-from cycrew.words import Alphabet, CyclicWord
+from cycrew.words import Alphabet, CyclicWord, shortlex_key
 
-from conftest import hnn_cyclic
+from conftest import corpus_pregroups, hnn_cyclic
 
 
 class TestInverseAssignment:
@@ -393,3 +395,187 @@ class TestPinnedResults:
         ordered = [(u.canon, v.canon) for u, v in crs.extra]
         digest = hashlib.sha256(repr(ordered).encode()).hexdigest()[:16]
         assert (stage, len(ordered), digest) == (1, 96, "99bc3344828b90a5")
+
+
+# ---------------------------------------------------------------------------
+# Set-based references: C*, the Thue completion and C-dagger as they were
+# before the engines moved to numbered short words and bitsets, kept verbatim
+# in substance.
+
+
+def ref_stepper(crs, base):
+    extra = {}
+    for u, v in crs.extra:
+        extra.setdefault(u, set()).add(v)
+    memo = {}
+
+    def step(c):
+        got = memo.get(c)
+        if got is None:
+            succ = base.get(c)
+            if succ is None:
+                succ = base[c] = cyclic_successors(c, crs.base)
+            got = memo[c] = set(succ)
+            got.update(extra.get(c, ()))
+            got.discard(c)
+        return got
+
+    return step
+
+
+def ref_closure(start, step, cache):
+    got = cache.get(start)
+    if got is not None:
+        return got
+    closure = {start}
+    stack = [start]
+    while stack:
+        for s in step(stack.pop()):
+            if s not in closure:
+                closure.add(s)
+                stack.append(s)
+    cache[start] = closure
+    return closure
+
+
+def ref_resolve_short_pairs(system):
+    if not system.is_standard:
+        raise PreconditionViolated("completion needs a standard system")
+    if system.has_length_increasing_rules():
+        raise PreconditionViolated("completion needs length-nonincreasing rules")
+    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
+    base = {}
+    extra = []
+    seen_pairs = set()
+    certificates = {}
+    while True:
+        crs = CyclicRuleSet(system, tuple(extra), certificates)
+        step = ref_stepper(crs, base)
+
+        def down(c):
+            key = shortlex_key(c.canon)
+            return [s for s in step(c) if shortlex_key(s.canon) < key]
+
+        cache = {}
+        changed = False
+        for w in shorts:
+            succs = sorted(step(w), key=lambda c: shortlex_key(c.canon))
+            downs = [(s, ref_closure(s, down, cache)) for s in succs]
+            for (v, down_v), (u, down_u) in itertools.combinations(downs, 2):
+                if (u, v) in seen_pairs or not down_u.isdisjoint(down_v):
+                    continue
+                seen_pairs.add((u, v))
+                extra.append((u, v))
+                certificates[(u, v)] = w
+                changed = True
+        if not changed:
+            return crs
+
+
+def ref_thue_completion(system):
+    if not (system.is_standard and system.is_thue):
+        raise PreconditionViolated("thue completion needs a standard Thue system")
+    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
+    base = {}
+    extra = []
+    seen_pairs = set()
+    bound = 2 * system.m_of - 2
+    stage = 0
+    while True:
+        crs = CyclicRuleSet(system, tuple(extra))
+        step = ref_stepper(crs, base)
+        cache = {}
+
+        def class_union(w):
+            n = len(w)
+            cls = ref_closure(w, lambda c: [s for s in step(c) if len(s) == n], {})
+            return cls, list(dict.fromkeys(v for c in cls for v in step(c) if len(v) >= 1))
+
+        def fresh(u, v):
+            return not (
+                u == v
+                or len(u) < len(v)
+                or (u, v) in seen_pairs
+                or v in ref_closure(u, step, cache)
+                or u in ref_closure(v, step, cache)
+            )
+
+        unions = {}
+        new_pairs = []
+        for w in shorts:
+            if len(w) == 0:
+                continue
+            union = unions.get(w)
+            if union is None:
+                cls, union = class_union(w)
+                unions.update(dict.fromkeys(cls, union))
+            succ_w = [u for u in step(w) if len(u) >= 1]
+            if not any(fresh(u, v) for v in union for u in succ_w):
+                continue
+            for v in class_union(w)[1]:
+                for u in succ_w:
+                    if not fresh(u, v):
+                        continue
+                    new_pairs.append((u, v))
+                    seen_pairs.add((u, v))
+                    if len(u) == len(v) and (v, u) not in seen_pairs:
+                        new_pairs.append((v, u))
+                        seen_pairs.add((v, u))
+        if not new_pairs:
+            return crs, stage
+        extra.extend(new_pairs)
+        stage += 1
+        if stage > bound:
+            raise RuntimeError("completion chain exceeded 2 m(S) - 2 stages")
+
+
+def ref_cdagger(system):
+    if not (system.is_standard and system.is_2monadic and system.is_thue):
+        raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
+    pairs = []
+    seen = set()
+    certs = {}
+    k = len(system.alphabet)
+    for w in itertools.product(range(k), repeat=2):
+        c = CyclicWord.of(w)
+        succs = [s for s in cyclic_successors(c, system) if len(s) == 1]
+        for pair in itertools.permutations(succs, 2):
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+                certs[pair] = c
+    return CyclicRuleSet(system, tuple(pairs), certs)
+
+
+def _outcome(run, system):
+    """(extra, certificates, stage) of one engine, or the exception type
+    that its precondition check raised."""
+    try:
+        result = run(system)
+    except PreconditionViolated as exc:
+        return type(exc)
+    crs, stage = result if isinstance(result, tuple) else (result, None)
+    return tuple(crs.extra), crs.certificates, stage
+
+
+ENGINES = {
+    "cstar": (resolve_short_pairs, ref_resolve_short_pairs),
+    "thue": (lambda s: thue_completion(s, check_confluence=False), ref_thue_completion),
+    "cdagger": (cdagger, ref_cdagger),
+}
+DIFFERENTIAL_SYSTEMS = corpus_pregroups() + [
+    (f"hnn_z{n}_z{k}", hnn_cyclic(n, k)) for n, k in ((2, 1), (4, 1), (4, 2), (6, 2), (6, 3))
+]
+
+
+@pytest.fixture(scope="module", params=DIFFERENTIAL_SYSTEMS, ids=lambda e: e[0])
+def s_eps(request):
+    return derive_system(request.param[1], "S_eps")
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_engines_match_set_based_references(s_eps, engine):
+    # extra in order, certificates and stage, on S_eps of the corpus and of
+    # HNN(Z_n, Z_k); hnn_s3 is the largest (946 short cyclic words)
+    run, ref = ENGINES[engine]
+    assert _outcome(run, s_eps) == _outcome(ref, s_eps)
