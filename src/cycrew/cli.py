@@ -49,6 +49,18 @@ def _read(path: str) -> str:
         raise ParseError(str(exc)) from None
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is empty."""
+    if not path:
+        print(text, end="")
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _context(path: str) -> UniversalContext:
     return UniversalContext(parse_pg(_read(path)))
 
@@ -168,12 +180,7 @@ def cmd_complete(args) -> int:
     else:
         crs = completion_mod.cdagger(system)
         out, cyclic_pairs = crs.base, crs.extra
-    text = emit_rws(out, cyclic_pairs)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(args.output, emit_rws(out, cyclic_pairs))
     return 0
 
 
@@ -229,8 +236,7 @@ def cmd_from_amalgam(args) -> int:
     )
     iA = Embedding.from_tokens(H, A, {t: t for t in ha})
     iB = Embedding.from_tokens(H, B, dict(zip(ha, hb)))
-    p = amalgam_pregroup(A, B, iA, iB)
-    _write_pg(p, args.output)
+    _write(args.output, emit_pg(amalgam_pregroup(A, B, iA, iB)))
     return 0
 
 
@@ -244,18 +250,8 @@ def cmd_from_hnn(args) -> int:
         phi = maps[(args.sub_a, args.sub_b)]
     else:
         phi = dict(zip(sub_a, sub_b))
-    p = hnn_pregroup(H, sub_a, sub_b, phi)
-    _write_pg(p, args.output)
+    _write(args.output, emit_pg(hnn_pregroup(H, sub_a, sub_b, phi)))
     return 0
-
-
-def _write_pg(p, path) -> None:
-    text = emit_pg(p)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
 
 
 def build_parser() -> argparse.ArgumentParser:

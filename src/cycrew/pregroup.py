@@ -10,6 +10,7 @@ bitmasks of the defined products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -67,9 +68,21 @@ class Pregroup:
         self.table = tuple(tuple(row) for row in self.table)
         # letter -> compiled carry step, built on first use by
         # cycrew.universal._carry_step, and G_P, built on first use by
-        # canonical_subgroup; safe to cache since the table is immutable
+        # canonical_subgroup; like rows, safe to cache since the table is
+        # immutable
         self._carry_steps = {}
         self._canonical_subgroup = None
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """The sparse rows of the table: rows[x] is the tuple of (c, [xc])
+        over the c with [xc] defined, ascending in c.  Built once, on first
+        use; check_axioms, the bitmask checks and the compiled carry steps
+        all read these."""
+        return tuple(
+            tuple([(c, t) for c, t in enumerate(row) if t is not None])
+            for row in self.table
+        )
 
     def __len__(self):
         return len(self.elements)
@@ -160,30 +173,27 @@ def check_axioms(p: Pregroup) -> AxiomReport:
             p1.append((a,))
         if table[inv[a]][a] != eps or row[inv[a]] != eps:
             p2.append((a,))
-    rows = [[c for c, x in enumerate(row) if x is not None] for row in table]
+    rows = p.rows
     # undefined_after[b][c]: the d in row(c), ascending, with [bcd]
     # undefined, for each c in row(b) that has any
     undefined_after = []
     for b, row_b in enumerate(table):
         after = {}
-        for c in rows[b]:
-            row_bc = table[row_b[c]]
-            row_c = table[c]
-            ds = [d for d in rows[c] if row_bc[d] is None and row_b[row_c[d]] is None]
+        for c, bc in rows[b]:
+            row_bc = table[bc]
+            ds = [d for d, cd in rows[c] if row_bc[d] is None and row_b[cd] is None]
             if ds:
                 after[c] = ds
         undefined_after.append(after)
     for a, row_a in enumerate(table):
-        for b in rows[a]:
-            ab = row_a[b]
+        for b, ab in rows[a]:
             if table[inv[b]][inv[a]] != inv[ab]:
                 p3.append((a, b))
             row_ab = table[ab]
-            row_b = table[b]
             after = undefined_after[b]
-            for c in rows[b]:
+            for c, bc in rows[b]:
                 left = row_ab[c]
-                if left != row_a[row_b[c]]:
+                if left != row_a[bc]:
                     p4.append((a, b, c))
                 elif left is None and c in after:
                     p5.extend([(a, b, c, d) for d in after[c]])
@@ -192,9 +202,7 @@ def check_axioms(p: Pregroup) -> AxiomReport:
 
 def _defined_masks(p: Pregroup):
     """Per row x, the int bitmask of the y with [xy] defined."""
-    return [
-        sum(1 << y for y, z in enumerate(row) if z is not None) for row in p.table
-    ]
+    return [sum(1 << y for y, _xy in row) for row in p.rows]
 
 
 def _bits(mask: int):

@@ -13,8 +13,10 @@ Equality of reduced words and the shortlex normal form are decided by
 dynamic programs over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
 Both read one compiled carry step per letter (see _carry_step) and follow
 a single carry; the suffix feasibility sets of the normal form are int
-bitmasks, so a pass costs O(n |P|) word-sized bit operations.  Unlike a
-search over the symmetric rules of S(P), both terminate for certain.
+bitmasks, advanced through tables of CHUNK-bit chunks (the "Four Russians"
+method of Arlazarov, Dinic, Kronrod and Faradzev, 1970), so a pass costs
+O(n ceil(|P| / CHUNK)) table reads.  Unlike a search over the symmetric
+rules of S(P), both terminate for certain.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .pregroup import (
     p_to_gamma,
 )
 from .words import CyclicWord, Word, involute, least_rotation_offset, validate_word
+
+# bits of a carry mask read per table lookup in _nf_carries; a letter's
+# chunk tables hold 2**CHUNK entries per chunk
+CHUNK = 6
 
 
 @dataclass(frozen=True)
@@ -110,32 +116,47 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
 def _carry_step(p: Pregroup, a: int):
     """The carry step of letter a, compiled on first use and cached on p.
 
-    Returns (steps, pred): steps[cp] is a tuple of (c, [inv(cp) a c]) in
-    ascending c, leaving out undefined and epsilon products; pred[c] is the
-    bitmask of the carries cp with c among steps[cp].
+    Returns (steps, chunks).  steps[cp] is the tuple of (letter, c) with
+    letter = [inv(cp) a c], leaving out undefined and epsilon products, in
+    ascending letter: for a fixed cp the map c -> [inv(cp) a c] is
+    injective, since P embeds in U(P), so the letters are distinct and the
+    first entry whose c is feasible holds the least letter.  chunks[j][b],
+    for b < 2**CHUNK, is the bitmask of the carries cp that step to some
+    c = CHUNK * j + k with bit k set in b: the OR of pred[c] over those c,
+    pred[c] being the bitmask of the cp with c among steps[cp].  Both are
+    read from the sparse rows of p.
     """
     got = p._carry_steps.get(a)
     if got is not None:
         return got
     table = p.table
+    rows = p.rows
     eps = p.eps
-    arow = table[a]
+    arow = rows[a]
     steps = []
-    pred = [0] * len(table)
+    pred = [0] * (-(-len(table) // CHUNK) * CHUNK)
     for cp, x in enumerate(p.inv):
-        xrow = table[x]
-        xa = xrow[a]
+        xa = table[x][a]
         if xa is not None:
-            products = enumerate(table[xa])
+            out = [(t, c) for c, t in rows[xa] if t != eps]
         else:
             # [x a] undefined: by P4 only [x [a c]] can be defined
-            products = ((c, None if t is None else xrow[t]) for c, t in enumerate(arow))
-        out = tuple((c, t) for c, t in products if t is not None and t != eps)
+            xrow = table[x]
+            out = [(t, c) for c, ac in arow if (t := xrow[ac]) is not None and t != eps]
+        out.sort()
         bit = 1 << cp
-        for c, _letter in out:
+        for _letter, c in out:
             pred[c] |= bit
-        steps.append(out)
-    got = p._carry_steps[a] = (tuple(steps), tuple(pred))
+        steps.append(tuple(out))
+    chunks = []
+    for j in range(0, len(pred), CHUNK):
+        # entries 2**k .. 2**(k+1) - 1 are entries 0 .. 2**k - 1 with bit k
+        row = [0]
+        for k in range(CHUNK):
+            bits = pred[j + k]
+            row += [r | bits for r in row]
+        chunks.append(tuple(row))
+    got = p._carry_steps[a] = (tuple(steps), tuple(chunks))
     return got
 
 
@@ -151,7 +172,7 @@ def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
         return False
     cp = p.eps
     for a, b in zip(pu, pv):
-        for c, letter in _carry_step(p, a)[0][cp]:
+        for letter, c in _carry_step(p, a)[0][cp]:
             if letter == b:
                 cp = c
                 break
@@ -176,9 +197,11 @@ def _nf_carries(pw, p: Pregroup):
     b_i = [inv(c_{i-1}) a_i c_i] with boundary carries epsilon, so the
     normal form is found greedily: at each position emit the least letter
     whose carry can still be completed.  The suffix feasibility sets are
-    bitmasks computed right to left from the pred masks of the compiled
-    carry steps.  As in _interleaving_equal, the emitted prefix fixes the
-    carry, so the greedy pass follows a single carry.
+    bitmasks computed right to left, CHUNK bits of the mask per read of
+    the compiled chunk tables.  As in _interleaving_equal, the emitted
+    prefix fixes the carry, so the greedy pass follows a single carry, and
+    since the compiled steps are in ascending letter, the first step to a
+    feasible carry is the one taken.
 
     Returns (nf letters, carries c_1..c_n) with c_n = epsilon.  Raises
     ValueError when no carry sequence exists, which can happen only when pw
@@ -190,34 +213,33 @@ def _nf_carries(pw, p: Pregroup):
     eps = p.eps
     compiled = [_carry_step(p, a) for a in pw]
 
+    chunk_bits = (1 << CHUNK) - 1
     feasible = [0] * (n + 1)
     mask = feasible[n] = 1 << eps
     for i in range(n - 1, -1, -1):
-        pred = compiled[i][1]
         cur = 0
-        while mask:
-            low = mask & -mask
-            cur |= pred[low.bit_length() - 1]
-            mask ^= low
+        for row in compiled[i][1]:
+            cur |= row[mask & chunk_bits]
+            mask >>= CHUNK
+            if not mask:
+                break
         feasible[i] = mask = cur
     if not feasible[0] >> eps & 1:
         raise ValueError(f"no carry sequence for {pw}: it is not a word over Gamma")
 
-    none = len(p)  # above every letter
     letters = []
     carries = []
     cp = eps
     for i in range(n):
         nxt_feasible = feasible[i + 1]
-        best = none
-        for c, letter in compiled[i][0][cp]:
-            if letter < best and nxt_feasible >> c & 1:
-                best, carry = letter, c
-        if best == none:
+        for letter, c in compiled[i][0][cp]:
+            if nxt_feasible >> c & 1:
+                break
+        else:
             raise RuntimeError(f"carry DP found no feasible letter at position {i}")
-        letters.append(best)
-        carries.append(carry)
-        cp = carry
+        letters.append(letter)
+        carries.append(c)
+        cp = c
     return tuple(letters), tuple(carries)
 
 

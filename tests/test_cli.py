@@ -210,6 +210,26 @@ class TestComplete:
         assert "error:" in capsys.readouterr().err
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", "free.rws", "--mode", "hat"],
+            ["from-hnn", "s3.grp", "--sub-a", "A", "--sub-b", "A"],
+            ["from-amalgam", "-a", "z2a.grp", "-b", "z2b.grp", "--ha", "T", "--hb", "T"],
+        ],
+        ids=["complete", "from-hnn", "from-amalgam"],
+    )
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_output_is_exit_2(self, files, tmp_path, capsys, argv, target):
+        argv = [files.get(arg, arg) for arg in argv]
+        out_path = tmp_path / target
+        assert main(argv + ["-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
+
 class TestFromAmalgam:
     def test_dinf_build(self, files, capsys):
         assert (

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import os
 import random
@@ -14,8 +15,10 @@ import cycrew
 from cycrew import samples
 from cycrew.pregroup import canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
 from cycrew.universal import (
+    CHUNK,
     UniversalContext,
     _canonical_traced,
+    _carry_step,
     _interleaving_equal,
     _nf_carries,
     _stack_reduce,
@@ -543,6 +546,104 @@ class TestCarryDPs:
             assert _interleaving_equal(pu, pv, p) == same_nf
             verdicts.add(same_nf)
         assert verdicts == {True, False}
+
+
+@functools.cache
+def dense_step(p, cp, a):
+    """{(letter, c)}: the letters [inv(cp) a c] that are defined and not
+    epsilon, with their carries c, by a sweep over every c."""
+    out = set()
+    for c in range(len(p)):
+        letter = p.mul3(p.inv[cp], a, c)
+        if letter is not None and letter != p.eps:
+            out.add((letter, c))
+    return frozenset(out)
+
+
+def oracle_nf_carries(pw, p):
+    """Shortlex normal form and carries with explicit carry sets.
+
+    feasible[i] is the set of carries after i letters from which the rest
+    of pw can be matched, ending in epsilon; each position then takes the
+    least letter over the steps from the current carry into the next
+    feasible set."""
+    targets = functools.cache(lambda cp, a: {c for _letter, c in dense_step(p, cp, a)})
+    n = len(pw)
+    feasible = [set() for _ in range(n + 1)]
+    feasible[n] = {p.eps}
+    for i in range(n - 1, -1, -1):
+        feasible[i] = {
+            cp
+            for cp in range(len(p))
+            if not targets(cp, pw[i]).isdisjoint(feasible[i + 1])
+        }
+    if n and p.eps not in feasible[0]:
+        raise ValueError("no carry sequence")
+    letters, carries = [], []
+    cp = p.eps
+    for i, a in enumerate(pw):
+        letter, cp = min(
+            (letter, c) for letter, c in dense_step(p, cp, a) if c in feasible[i + 1]
+        )
+        letters.append(letter)
+        carries.append(cp)
+    return tuple(letters), tuple(carries)
+
+
+def oracle_outcome(nf, pw, p):
+    try:
+        return nf(pw, p)
+    except ValueError:
+        return "ValueError"
+
+
+class TestCompiledCarrySteps:
+    def test_sizes_cover_full_and_partial_last_chunks(self):
+        sizes = {len(samples.hnn_s3()), len(hnn_z10_z2())}
+        assert sizes == {42, 110}
+        assert {size % CHUNK == 0 for size in sizes} == {True, False}
+
+    def test_steps_match_dense_definition(self, dp_ctx):
+        p = dp_ctx.pregroup
+        n = len(p)
+        for a in range(n):
+            steps, chunks = _carry_step(p, a)
+            assert len(steps) == n
+            pred = [0] * n
+            for cp in range(n):
+                want = dense_step(p, cp, a)
+                assert set(steps[cp]) == want
+                letters = [letter for letter, _c in steps[cp]]
+                assert letters == sorted(set(letters))
+                for _letter, c in want:
+                    pred[c] |= 1 << cp
+            assert len(chunks) == -(-n // CHUNK)
+            for j, row in enumerate(chunks):
+                assert len(row) == 1 << CHUNK
+                for b, got in enumerate(row):
+                    want = 0
+                    for k in range(CHUNK):
+                        if b >> k & 1 and CHUNK * j + k < n:
+                            want |= pred[CHUNK * j + k]
+                    assert got == want, (a, j, b)
+
+    def test_nf_carries_matches_set_oracle(self, dp_ctx):
+        p = dp_ctx.pregroup
+        rng = random.Random(len(p))
+        lengths = [0, 1, 64] + [rng.randrange(2, 65) for _ in range(9)]
+        raised = 0
+        for n in lengths:
+            pw = random_reduced_p(rng, p, n)
+            assert _nf_carries(pw, p) == oracle_nf_carries(pw, p)
+            # an epsilon letter: both find no carry sequence, or the same one
+            i = rng.randrange(len(pw) + 1)
+            with_eps = pw[:i] + (p.eps,) + pw[i:]
+            got = oracle_outcome(_nf_carries, with_eps, p)
+            assert got == oracle_outcome(oracle_nf_carries, with_eps, p)
+            raised += got == "ValueError"
+        assert raised
+        with pytest.raises(ValueError):
+            _nf_carries((p.eps,), p)
 
 
 def test_checks_survive_optimised_python():
