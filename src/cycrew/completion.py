@@ -21,6 +21,7 @@ from .rewrite import (
     BudgetExhausted,
     RewriteSystem,
     Rule,
+    _cyclic_redexes,
     _Descendants,
     check_strong_confluence,
     cyclic_successors,
@@ -221,19 +222,27 @@ class CyclicRuleSet:
         return {s for s in self.one_step(c) if shortlex_key(s.canon) < key}
 
 
-def _short_graph(crs: CyclicRuleSet):
-    """(shorts, ids, succ): the short cyclic words of crs.base in shortlex
-    order, so that a smaller id is a shortlex-smaller word; the id of each
-    word; and each word's successors in crs.base as an ascending id list
-    without the word itself, which crs caches.  No step lengthens a word, so
-    every successor of a short word is short."""
-    system = crs.base
+def _short_graph(system: RewriteSystem):
+    """(shorts, ids, succ, loops): the short cyclic words of system in
+    shortlex order, so that a smaller id is a shortlex-smaller word; a map
+    from every rotation of every short word to the word's id; each word's
+    successors as an ascending id list without the word itself; and the ids
+    of the words that are one of their own successors.  No step lengthens a
+    word, so every redex of a short word is a rotation of a short word, and
+    ids names its cycle without canonicalising it."""
     shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    ids = {c: i for i, c in enumerate(shorts)}
-    succ = []
+    ids = {}
     for i, c in enumerate(shorts):
-        succ.append([j for j in map(ids.__getitem__, crs._base_successors(c)) if j != i])
-    return shorts, ids, succ
+        ids.update(dict.fromkeys(c.rotations(), i))
+    succ = []
+    loops = set()
+    for i, c in enumerate(shorts):
+        got = set(map(ids.__getitem__, _cyclic_redexes(c.canon, system)))
+        if i in got:
+            got.remove(i)
+            loops.add(i)
+        succ.append(sorted(got))
+    return shorts, ids, succ, loops
 
 
 def _steps(base: list, added: list):
@@ -261,9 +270,11 @@ def _closure(start: CyclicWord, step, cache: dict):
     return closure
 
 
-# bench/tracing.py counts closure searches and their cache hits through
-# these two names, so both stay bound.  Only the Thue completion calls one,
-# _thue_reachable, for the words that add pairs; C* works on bitsets.
+# bench/tracing.py patches these two names to count closure searches, and
+# tests/test_bench_tracer.py checks that they resolve, so both stay bound.
+# No engine calls them: C* and the Thue completion read reachability off
+# bitsets, and the Thue completion's class search calls _closure itself, so
+# the tracer's completion.closure.calls reads 0.
 _descending_closure = _thue_reachable = _closure
 
 
@@ -282,14 +293,13 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     a bitset in id order, clos[i] = bit i | OR of clos[s] over the steps
     s < i, and a pair is resolved when clos[u] & clos[v] != 0.  The
     successors of a word are visited in id order, which is shortlex order.
-    No closure search runs, so the tracer's completion.closure.calls counts
-    only the Thue completion's searches for the words that add pairs.
+    No closure search runs.
     """
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
     if system.has_length_increasing_rules():
         raise PreconditionViolated("completion needs length-nonincreasing rules")
-    shorts, _ids, base = _short_graph(CyclicRuleSet(system))
+    shorts, _ids, base, _loops = _short_graph(system)
     added = [set() for _ in shorts]  # id -> ids of its extra pairs
     extra = []
     certificates = {}
@@ -345,15 +355,22 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     seen_from[u] the v of the pairs (u, v) added so far.  Only such a w runs
     the search over cyclic words that orders its pairs: the successors of
     its class in the order a search from w meets them, each paired with the
-    successors of w.  So the tracer's completion.closure.calls counts only
-    the reachability searches of the words that add pairs.
+    successors of w.  Whether a pair (u, v) is fresh is read off the same
+    bitsets: |u| >= |v|, so u and v are mutually unreachable when reach[u]
+    does not hold v.  No reachability search runs.
     """
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
     if check_confluence and not check_strong_confluence(system):
         raise PreconditionViolated("thue completion needs strong confluence")
-    crs = CyclicRuleSet(system)  # the steps of the words that add pairs
-    shorts, ids, base = _short_graph(crs)
+    shorts, ids, base, loops = _short_graph(system)
+    # crs steps the words that add pairs.  Its base steps are read off the
+    # graph exactly as cyclic_successors lists them, the word itself included
+    # when a redex returns to it: that list fixes the iteration order of
+    # one_step's sets, and so the order of extra
+    crs = CyclicRuleSet(system)
+    for i, c in enumerate(shorts):
+        crs._succ[c] = [shorts[j] for j in (sorted([i, *base[i]]) if i in loops else base[i])]
     n = len(shorts)
     length = [len(c) for c in shorts]
     first = [0] * (length[-1] + 2)  # the ids of length L are first[L] .. first[L + 1] - 1
@@ -410,7 +427,6 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
                         r |= coreach[p]
             for c in group:
                 coreach[c] = r
-        cache = {}
 
         def class_union(w):
             """The nonempty successors of w's length-preserving class, in
@@ -419,16 +435,12 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
             cls_w = _closure(w, lambda c: [s for s in crs.one_step(c) if len(s) == size], {})
             return list(dict.fromkeys(v for c in cls_w for v in crs.one_step(c) if len(v) >= 1))
 
-        def fresh(u, v):
-            """(u, v) is a divergence not yet added whose sides are not
-            mutually reachable."""
-            return not (
-                u == v
-                or len(u) < len(v)
-                or seen_from[ids[u]] >> ids[v] & 1
-                or v in _thue_reachable(u, crs.one_step, cache)
-                or u in _thue_reachable(v, crs.one_step, cache)
-            )
+        def fresh(i, j):
+            """(i, j) is a divergence not yet added whose sides are not
+            mutually reachable.  reach[i] holds i, so i != j; and reach[j]
+            holds i only if the steps from j to i all preserve length, when
+            reach[i] holds j as well."""
+            return not (length[i] < length[j] or (reach[i] | seen_from[i]) >> j & 1)
 
         new_pairs = []
         for w in range(1, n):
@@ -440,22 +452,23 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
             ):
                 continue
             word = shorts[w]
-            succ_w = [u for u in crs.one_step(word) if len(u) >= 1]
+            succ_w = [(u, ids[u.canon]) for u in crs.one_step(word) if len(u) >= 1]
             for v in class_union(word):
-                for u in succ_w:
-                    if not fresh(u, v):
+                j = ids[v.canon]
+                for u, i in succ_w:
+                    if not fresh(i, j):
                         continue
                     new_pairs.append((u, v))
-                    seen_from[ids[u]] |= 1 << ids[v]
-                    if len(u) == len(v) and not seen_from[ids[v]] >> ids[u] & 1:
+                    added[i].add(j)
+                    seen_from[i] |= 1 << j
+                    if length[i] == length[j] and not seen_from[j] >> i & 1:
                         new_pairs.append((v, u))
-                        seen_from[ids[v]] |= 1 << ids[u]
+                        added[j].add(i)
+                        seen_from[j] |= 1 << i
         if not new_pairs:
             # a new rule set, which leaves crs's successor cache behind
             return CyclicRuleSet(system, crs.extra), stage
         extra.extend(new_pairs)
-        for u, v in new_pairs:
-            added[ids[u]].add(ids[v])
         stage += 1
         if stage > bound:
             raise RuntimeError("completion chain exceeded 2 m(S) - 2 stages")
@@ -472,12 +485,16 @@ def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     seen = set()
     certs = {}
     k = len(system.alphabet)
+    letters = [CyclicWord((a,)) for a in range(k)]
     for w in itertools.combinations_with_replacement(range(k), 2):
+        # the length-1 redexes: a length-2 lhs with a 1-letter rhs, or a
+        # length-1 lhs with an empty rhs
+        succs = sorted({r[0] for r in _cyclic_redexes(w, system) if len(r) == 1})
         c = CyclicWord(w)
-        succs = [s for s in cyclic_successors(c, system) if len(s) == 1]
-        for pair in itertools.permutations(succs, 2):
-            if pair not in seen:
-                seen.add(pair)
+        for x, y in itertools.permutations(succs, 2):
+            if (x, y) not in seen:
+                seen.add((x, y))
+                pair = (letters[x], letters[y])
                 pairs.append(pair)
                 certs[pair] = c
     return CyclicRuleSet(system, tuple(pairs), certs)

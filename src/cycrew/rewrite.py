@@ -10,15 +10,18 @@ Anchors are resolved in one place.  RewriteSystem indexes its rules once by
 left-hand side, with one target tuple per Anchor, and _firing picks the
 targets that fire at a redex from where the redex lies (start of the word,
 end of the word, the whole word; on a cycle every redex is at a start and
-an end).  word_successors, cyclic_successors and reduce_greedy all read
-the index through _firing; check_strong_confluence, which accepts only
+an end).  word_successors, reduce_greedy and _cyclic_redexes, the redexes
+of a cycle that cyclic_successors and the completions read, all read the
+index through _firing; check_strong_confluence, which accepts only
 unanchored systems, reads the plain targets.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -106,6 +109,11 @@ class RewriteSystem:
         return any(r.anchor is not Anchor.NONE for r in self.rules)
 
     def has_length_increasing_rules(self) -> bool:
+        return self._length_increasing
+
+    @functools.cached_property
+    def _length_increasing(self) -> bool:
+        # scanned on first use, not by __init__, which derive_system calls
         return any(
             len(rhs) > len(lhs) for lhs, rhs, _rid, _a in self.oriented_pairs()
         )
@@ -145,16 +153,16 @@ def word_successors(w: Word, system: RewriteSystem):
     return out
 
 
-def cyclic_successors(c: CyclicWord, system: RewriteSystem):
-    """One-step cyclic rewrites of c, deduplicated by canonical rotation.
+def _cyclic_redexes(canon: Word, system: RewriteSystem):
+    """The word rhs + rest for every redex of the cycle canon: every rule
+    l -> rhs that fires at the start of a rotation l + rest, the rotations
+    taken in positional order and the lengths of l in ascending order.
 
-    Left-hand sides are matched at the start of every rotation of the cycle
-    (which covers wrap-around occurrences, and puts an empty lhs at every
-    gap); a rotation start is both a start and an end of the word, so only
-    whole-anchored rules are restricted, to a rotation equal to their lhs.
-    """
-    results = set()
-    canon = c.canon
+    Matching at the start of every rotation covers wrap-around occurrences
+    and puts an empty lhs at every gap.  A rotation start is both a start
+    and an end of the word, so only whole-anchored rules are restricted, to
+    a rotation equal to their lhs.  The results are words, not canonical:
+    each is some rotation of its cycle."""
     n = len(canon)
     index = system._index
     rots = rotations(canon)
@@ -166,7 +174,13 @@ def cyclic_successors(c: CyclicWord, system: RewriteSystem):
             if slots is not None:
                 rest = rot[length:]
                 for _rid, rhs in _firing(slots, True, True, length == n):
-                    results.add(CyclicWord.of(rhs + rest))
+                    yield rhs + rest
+
+
+def cyclic_successors(c: CyclicWord, system: RewriteSystem):
+    """One-step cyclic rewrites of c (the redexes of _cyclic_redexes),
+    deduplicated by canonical rotation, in shortlex order."""
+    results = set(map(CyclicWord.of, _cyclic_redexes(c.canon, system)))
     return sorted(results, key=lambda cw: shortlex_key(cw.canon))
 
 
@@ -291,7 +305,8 @@ class ConfluenceReport:
 class _SuccessorPool:
     """The searches of one confluence check, memoised.
 
-    pool(w) is the frozenset of w and its one-step rewrites, and
+    pool(w) is the frozenset of w and its one-step rewrites by the plain
+    rules (the system of a confluence check is unanchored), and
     pool.steps(w) lists the rewrites in word_successors order.
     pool.descendants(w, cap) is the one _Descendants search from w over
     words of at most cap letters, keyed by (w, cap): it keeps how far it
@@ -308,8 +323,16 @@ class _SuccessorPool:
     def __call__(self, w):
         got = self._meets.get(w)
         if got is None:
-            got = frozenset([w] + [r for r, _i, _p in word_successors(w, self.system)])
-            self._meets[w] = got
+            index = self.system._index
+            n = len(w)
+            out = [w]
+            for length in self.system._lhs_lengths:
+                for pos in range(n - length + 1):
+                    slots = index.get(w[pos : pos + length])
+                    if slots is not None:
+                        head, tail = w[:pos], w[pos + length :]
+                        out.extend([head + rhs + tail for _rid, rhs in slots[0]])
+            got = self._meets[w] = frozenset(out)
         return got
 
     def steps(self, w):
@@ -651,8 +674,14 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     pool = _SuccessorPool(system)
     index = system._index
     symmetries = _symmetries(system)
+    # g(x) = itemgetter(*x)(perm), reversed when g reverses words, which
+    # itemgetter(*x[::-1]) gives; a word under 2 letters goes through _image
+    forward = [perm for perm, rev in symmetries if not rev]
+    backward = [perm for perm, rev in symmetries if rev]
     met = set()  # the orbits of tested words whose pairs closed by one-step meets
-    for x in sorted(_overlap_words(system), key=shortlex_key):
+    words = sorted(_overlap_words(system))
+    words.sort(key=len)  # stable: shortlex order
+    for x in words:
         if x in met:
             continue
         n = len(x)
@@ -683,7 +712,11 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                             return ConfluenceReport(False, (x, y, z))
                         one_step = False
         if one_step:
-            met.update(_image(g, x) for g in symmetries)
+            if n < 2:
+                met.update(_image(g, x) for g in symmetries)
+            else:
+                met.update(map(operator.itemgetter(*x), forward))
+                met.update(map(operator.itemgetter(*x[::-1]), backward))
     return ConfluenceReport(True)
 
 
@@ -692,6 +725,8 @@ def check_strong_confluence_naive(
 ) -> ConfluenceReport:
     """Oracle version: enumerate every word up to max_len and test all
     divergences.  Exponential; for cross-checking on small systems only."""
+    if system.has_anchored_rules():
+        raise ValueError("strong confluence check requires an unanchored system")
     succ_or_self = _SuccessorPool(system)
     k = len(system.alphabet)
     for n in range(max_len + 1):

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from cycrew.completion import (
     CyclicRuleSet,
     InverseAssignment,
     PreconditionViolated,
+    _short_graph,
     cdagger,
     check_inverse_assignment,
     circle_extension,
@@ -316,6 +319,16 @@ class TestCdagger:
         crs = cdagger(samples.free_group_system(2))
         assert crs.extra == ()
 
+    def test_one_letter_lhs_deleted(self):
+        # the cycle a b reaches b by a -> 1 and c by a b -> c
+        a = Alphabet.from_pairs("abc", [])
+        w = a.word
+        s = RewriteSystem(a, [Rule(w("a"), ()), Rule(w("ab"), w("c"))])
+        b, c = CyclicWord(w("b")), CyclicWord(w("c"))
+        crs = cdagger(s)
+        assert crs.extra == ((b, c), (c, b))
+        assert set(crs.certificates.values()) == {CyclicWord(w("ab"))}
+
     def test_s3_pairs_with_certificates(self):
         p = samples.s3_table()
         s = derive_system(p, "S_eps")
@@ -549,10 +562,10 @@ def ref_cdagger(system):
 
 def _outcome(run, system):
     """(extra, certificates, stage) of one engine, or the exception type
-    that its precondition check raised."""
+    that its precondition check or its stage bound raised."""
     try:
         result = run(system)
-    except PreconditionViolated as exc:
+    except (PreconditionViolated, RuntimeError) as exc:
         return type(exc)
     crs, stage = result if isinstance(result, tuple) else (result, None)
     return tuple(crs.extra), crs.certificates, stage
@@ -579,3 +592,110 @@ def test_engines_match_set_based_references(s_eps, engine):
     # HNN(Z_n, Z_k); hnn_s3 is the largest (946 short cyclic words)
     run, ref = ENGINES[engine]
     assert _outcome(run, s_eps) == _outcome(ref, s_eps)
+
+
+def test_short_graph_lists_cyclic_successors(s_eps):
+    # every rotation of a short word names its id (so ids holds every word
+    # of short length), and each id list is the word's cyclic_successors by
+    # id, without the word, ascending
+    shorts, ids, succ, loops = _short_graph(s_eps)
+    k, top = len(s_eps.alphabet), 2 * s_eps.m_of - 2
+    assert len(ids) == sum(k**n for n in range(top + 1))
+    for i, c in enumerate(shorts):
+        assert {ids[r] for r in c.rotations()} == {i}
+        got = [ids[d.canon] for d in cyclic_successors(c, s_eps)]
+        assert succ[i] == sorted(set(got) - {i}) == [j for j in got if j != i]
+        assert (i in loops) == (i in got)
+    assert loops
+
+
+def test_thue_pair_order_with_words_among_their_own_successors():
+    # b c <-> c b returns the cycle b c to itself; whether a word is among
+    # its own successors changes the iteration order of one_step's sets,
+    # and so the order of extra, here
+    a = Alphabet.from_pairs("abc", [])
+    w = a.word
+    s = RewriteSystem(
+        a,
+        [
+            Rule(w("cb"), w("a")),
+            Rule(w("bc"), w("cb"), symmetric=True),
+            Rule(w("c"), ()),
+            Rule(w("ca"), w("bc"), symmetric=True),
+            Rule(w("b"), ()),
+            Rule(w("ac"), w("cb"), symmetric=True),
+        ],
+    )
+    run, ref = ENGINES["thue"]
+    got = _outcome(run, s)
+    assert got == _outcome(ref, s)
+    assert [(u.canon, v.canon) for u, v in got[0]] == [
+        ((0,), (1,)),
+        ((1,), (0,)),
+        ((0,), (2,)),
+        ((2,), (0,)),
+        ((2,), (1,)),
+        ((1,), (2,)),
+    ]
+
+
+def _random_standard_system(rng, m):
+    """A small standard Thue system with m(S) = m over 2 or 3 letters, not
+    S_eps: rules shortening by at least one letter, some anchored, some a
+    single letter deleted (x -> ()), and symmetric length-2 rules."""
+    a = Alphabet.from_pairs(rng.choice(["ab", "abc"]), [])
+
+    def word(n):
+        return tuple(rng.randrange(len(a)) for _ in range(n))
+
+    rules = [Rule(word(m), word(rng.randrange(m)))]
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.25:
+            rules.append(Rule(word(1), ()))
+        elif kind < 0.5:
+            lhs, rhs = word(2), word(2)
+            if lhs != rhs:
+                rules.append(Rule(lhs, rhs, rng.choice(list(Anchor)), symmetric=True))
+        else:
+            n = rng.randint(1, m)
+            rules.append(Rule(word(n), word(rng.randrange(n)), rng.choice(list(Anchor))))
+    return RewriteSystem(a, rules)
+
+
+def test_engines_match_references_on_random_systems():
+    # the pinned systems are all S_eps: no anchors, no x -> (); here C*, the
+    # Thue completion and C-dagger meet both, against the set-based
+    # references, extra in order, certificates and stage
+    rng = random.Random(20181)
+    seen = collections.Counter()
+    for _ in range(300):
+        s = _random_standard_system(rng, rng.choice([2, 2, 3]))
+        for engine, (run, ref) in ENGINES.items():
+            got = _outcome(run, s)
+            assert got == _outcome(ref, s), (engine, s.rules)
+            if isinstance(got, tuple):
+                seen[engine, "pairs"] += bool(got[0])
+                seen[engine, "stage > 0"] += bool(got[2])
+            else:
+                seen[engine, got.__name__] += 1
+        for r in s.rules:
+            seen[r.anchor] += 1
+            seen["x -> ()"] += len(r.lhs) == 1 and not r.rhs
+            seen["symmetric"] += r.symmetric
+        if s.is_2monadic and any(len(r.lhs) == 1 for r in s.rules):
+            # C-dagger reads the redexes of every lhs length
+            rest = RewriteSystem(s.alphabet, [r for r in s.rules if len(r.lhs) == 2])
+            seen["cdagger needs a 1-letter lhs"] += cdagger(s).extra != cdagger(rest).extra
+    for kind in [
+        *Anchor,
+        "x -> ()",
+        "symmetric",
+        ("cstar", "pairs"),
+        ("thue", "pairs"),
+        ("thue", "stage > 0"),
+        ("cdagger", "pairs"),
+        ("cdagger", "PreconditionViolated"),
+        "cdagger needs a 1-letter lhs",
+    ]:
+        assert seen[kind], (kind, seen)

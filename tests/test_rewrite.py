@@ -58,6 +58,20 @@ class TestRuleAndSystem:
         pairs = {(l, r) for l, r, _i, _an in s.oriented_pairs()}
         assert pairs == {(a.word("ab"), a.word("ba")), (a.word("ba"), a.word("ab"))}
 
+    def test_length_increasing_flag_is_scanned_on_first_use(self):
+        # construction (which derive_system times) does not scan the pairs
+        a = _ab()
+        for rules, want in [
+            ([Rule(a.word("ab"), a.word("b"))], False),
+            ([Rule(a.word("ab"), a.word("ba"), symmetric=True)], False),
+            ([Rule(a.word("ab"), a.word("b")), Rule(a.word("b"), a.word("aa"))], True),
+        ]:
+            s = RewriteSystem(a, rules)
+            assert "_length_increasing" not in vars(s)
+            assert s.has_length_increasing_rules() is want
+            assert vars(s)["_length_increasing"] is want
+            assert check_weak_termination_sufficient(s) is not want
+
 
 class TestWordSuccessors:
     def test_plain_rule_all_positions(self):
@@ -298,6 +312,31 @@ class TestConfluenceChecker:
         s = RewriteSystem(a, [Rule(a.word("ab"), a.word("b"), Anchor.PREFIX)])
         with pytest.raises(ValueError):
             check_strong_confluence(s)
+        with pytest.raises(ValueError):
+            check_strong_confluence_naive(s, 3)
+
+    def test_pool_meets_are_the_plain_rewrites(self):
+        # pool(w) reads the plain targets alone, which on an unanchored
+        # system are all of word_successors, empty left-hand sides included
+        rng = random.Random(20126)
+        seen = collections.Counter()
+        for _ in range(200):
+            a = Alphabet.from_pairs(rng.choice(["ab", "abc"]), [])
+
+            def word(lo, hi):
+                return tuple(rng.randrange(len(a)) for _ in range(rng.randint(lo, hi)))
+
+            rules = [Rule(word(0, 3), word(0, 3)) for _ in range(rng.randint(1, 4))]
+            s = RewriteSystem(a, rules)
+            pool = _SuccessorPool(s)
+            for _ in range(4):
+                w = word(0, 5)
+                want = frozenset([w] + [r for r, _rid, _pos in word_successors(w, s)])
+                assert pool(w) == want
+                assert pool(w) is pool(w)
+                seen["rewrites"] += len(want) > 1
+            seen["empty lhs"] += any(not r.lhs for r in rules)
+        assert seen["rewrites"] and seen["empty lhs"], seen
 
     def test_free_group_system(self):
         assert check_strong_confluence(samples.free_group_system(2)).ok
