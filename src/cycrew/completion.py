@@ -26,9 +26,8 @@ from .rewrite import (
     check_strong_confluence,
     cyclic_successors,
     reduce_greedy,
-    word_successors,
 )
-from .words import Alphabet, CyclicWord, Word, involute, shortlex_key
+from .words import Alphabet, CyclicWord, Word, rotations
 
 
 class PreconditionViolated(ValueError):
@@ -168,15 +167,30 @@ def circle_extension(
     return RewriteSystem(system.alphabet, rules)
 
 
-def enumerate_short_cyclic_words(alphabet: Alphabet, m: int):
-    """All cyclic words of length at most 2m - 2, sorted shortlex by
-    canonical rotation."""
-    out = set()
+def _number_short_words(alphabet: Alphabet, m: int):
+    """(shorts, ids): the cyclic words of length at most 2m - 2 in shortlex
+    order of their least rotations, and a map from every word of that length
+    to the id of its cycle in shorts.
+
+    One pass walks the words in shortlex order.  The least rotation of a
+    cycle is the first of its rotations that the walk meets, so a word that
+    ids does not hold yet is the least rotation of a new cycle: it takes the
+    next id, and so do all its rotations.  No word is canonicalised."""
+    shorts = []
+    ids = {}
     k = len(alphabet)
     for n in range(max(0, 2 * m - 2) + 1):
         for w in itertools.product(range(k), repeat=n):
-            out.add(CyclicWord.of(w))
-    return sorted(out, key=lambda c: shortlex_key(c.canon))
+            if w not in ids:
+                ids.update(dict.fromkeys(rotations(w), len(shorts)))
+                shorts.append(CyclicWord(w))
+    return shorts, ids
+
+
+def enumerate_short_cyclic_words(alphabet: Alphabet, m: int):
+    """All cyclic words of length at most 2m - 2, sorted shortlex by
+    canonical rotation."""
+    return _number_short_words(alphabet, m)[0]
 
 
 @dataclass
@@ -217,10 +231,6 @@ class CyclicRuleSet:
         got.discard(c)
         return got
 
-    def one_step_descending(self, c: CyclicWord):
-        key = shortlex_key(c.canon)
-        return {s for s in self.one_step(c) if shortlex_key(s.canon) < key}
-
 
 def _short_graph(system: RewriteSystem):
     """(shorts, ids, succ, loops): the short cyclic words of system in
@@ -230,10 +240,7 @@ def _short_graph(system: RewriteSystem):
     of the words that are one of their own successors.  No step lengthens a
     word, so every redex of a short word is a rotation of a short word, and
     ids names its cycle without canonicalising it."""
-    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    ids = {}
-    for i, c in enumerate(shorts):
-        ids.update(dict.fromkeys(c.rotations(), i))
+    shorts, ids = _number_short_words(system.alphabet, system.m_of)
     succ = []
     loops = set()
     for i, c in enumerate(shorts):
@@ -345,19 +352,23 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     preserving steps are symmetric in a Thue system (and the pairs added
     between equal lengths come in both orientations), so each stage takes a
     class as one node: its reach bitset is the class plus the reach of the
-    shorter successors of its members, built by increasing length, and
-    coreach, the transpose, by decreasing length.  A member w can add a pair
-    exactly when, for some successor u of w,
+    shorter successors of its members, built by increasing length.
 
-        union & len_le[|u|] & ~reach[u] & ~coreach[u] & ~seen_from[u]
+    reach also answers the reverse question.  No step lengthens, so a v
+    with |v| <= |u| that reaches u does so by length-preserving steps only;
+    those are symmetric, so v lies in u's class, which reach[u] holds.
+    Hence u and v are mutually unreachable exactly when reach[u] does not
+    hold v, and a member w can add a pair exactly when, for some successor
+    u of w,
+
+        union & len_le[|u|] & ~(reach[u] | seen_from[u])
 
     is nonzero, where union holds the nonempty successors of w's class and
     seen_from[u] the v of the pairs (u, v) added so far.  Only such a w runs
     the search over cyclic words that orders its pairs: the successors of
     its class in the order a search from w meets them, each paired with the
-    successors of w.  Whether a pair (u, v) is fresh is read off the same
-    bitsets: |u| >= |v|, so u and v are mutually unreachable when reach[u]
-    does not hold v.  No reachability search runs.
+    successors of w, and each pair tested against the same bitsets.  No
+    reachability search runs.
     """
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
@@ -412,21 +423,6 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
             for c in group:
                 reach[c] = r
             union.append(succ & ~1)  # id 0 is the empty word
-        coreach = [0] * n
-        pred = [[] for _ in shorts]
-        for i, succ in enumerate(steps):
-            for s in succ:
-                pred[s].append(i)
-        for group in reversed(members):
-            hi = first[length[group[0]] + 1]
-            r = 0
-            for c in group:
-                r |= 1 << c
-                for p in pred[c]:
-                    if p >= hi:
-                        r |= coreach[p]
-            for c in group:
-                coreach[c] = r
 
         def class_union(w):
             """The nonempty successors of w's length-preserving class, in
@@ -437,16 +433,15 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
 
         def fresh(i, j):
             """(i, j) is a divergence not yet added whose sides are not
-            mutually reachable.  reach[i] holds i, so i != j; and reach[j]
-            holds i only if the steps from j to i all preserve length, when
-            reach[i] holds j as well."""
+            mutually reachable, read off reach[i] as above.  reach[i] holds
+            i, so i != j."""
             return not (length[i] < length[j] or (reach[i] | seen_from[i]) >> j & 1)
 
         new_pairs = []
         for w in range(1, n):
             mask = union[cls[w]]
             if not any(
-                mask & len_le[length[u]] & ~(reach[u] | coreach[u] | seen_from[u])
+                mask & len_le[length[u]] & ~(reach[u] | seen_from[u])
                 for u in steps[w]
                 if u
             ):

@@ -49,10 +49,17 @@ def _sections(text: str):
 
 
 def _keyed(entries, key: str):
-    for no, line in entries:
-        if line.startswith(key + ":"):
-            return no, line[len(key) + 1 :].strip()
-    raise ParseError(f"missing {key!r} entry")
+    """(lineno, value) of the one 'key:' entry; a missing or repeated key
+    is a ParseError.  A section header given twice merges its lines, so a
+    repeated block repeats its keys too."""
+    tag = key + ":"
+    found = [(no, line[len(tag) :].strip()) for no, line in entries if line.startswith(tag)]
+    if not found:
+        raise ParseError(f"missing {key!r} entry")
+    if len(found) > 1:
+        (first, _), (again, _) = found[:2]
+        raise ParseError(f"{key!r} entry repeated (first given on line {first})", again)
+    return found[0]
 
 
 def _parse_pairs(text: str, no: int):

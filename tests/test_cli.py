@@ -81,6 +81,15 @@ class TestAxioms:
         out = capsys.readouterr().out
         assert "P2: FAIL" in out and "P6: not checked" in out
 
+    def test_repeated_elements_entry_is_exit_2(self, tmp_path, capsys):
+        # a second elements line is an error, not ignored
+        bad = tmp_path / "bad.pg"
+        bad.write_text("[pregroup]\nelements: e a\nepsilon: e\nelements: e a b\n[product]\n")
+        assert main(["axioms", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 4: 'elements' entry repeated (first given on line 2)\n"
+        )
+
 
 class TestReduceFamily:
     def test_reduce_pg(self, files, capsys):
@@ -334,6 +343,15 @@ class TestFromHnn:
         assert from_map == capsys.readouterr().out
         # a map that is no isomorphism is rejected, so the block was read
         assert build({("A", "A"): {"e": "s", "s": "e"}}) == 2
+
+    def test_subgroup_block_given_twice_is_exit_2(self, tmp_path, capsys):
+        # the two [subgroup A] blocks merge, and neither one wins
+        text = emit_grp(samples.s3_table(), {"A": ("e", "s")}, {})
+        path = tmp_path / "twice.grp"
+        path.write_text(text + "[subgroup A]\nelements: e r r2\n")
+        assert main(["from-hnn", str(path), "--sub-a", "A", "--sub-b", "A"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "'elements' entry repeated" in err
 
     def test_bad_phi_exit_2(self, files, capsys):
         assert (

@@ -216,6 +216,27 @@ class TestEnumerateShorts:
         assert keys == sorted(keys)
         assert max(len(c) for c in shorts) == 4
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_brute_force(self, k):
+        # the one shortlex pass against canonicalising every word; ids must
+        # send every short word, periodic ones like (ab)^k included, to the
+        # index of its least rotation
+        a = Alphabet.from_pairs("abcd"[:k], [])
+        for m in range(5):
+            words = [
+                w
+                for n in range(max(0, 2 * m - 2) + 1)
+                for w in itertools.product(range(k), repeat=n)
+            ]
+            want = sorted({CyclicWord.of(w) for w in words}, key=lambda c: shortlex_key(c.canon))
+            assert enumerate_short_cyclic_words(a, m) == want
+            # a rule a^m -> () gives the system m(S) = m (no rule at all for m = 0)
+            s = RewriteSystem(a, [Rule((0,) * m, ())] if m else [])
+            shorts, ids, _succ, _loops = _short_graph(s)
+            assert shorts == want
+            index = {c: i for i, c in enumerate(want)}
+            assert ids == {w: index[CyclicWord.of(w)] for w in words}
+
 
 class TestCyclicRuleSet:
     def test_one_step_merges_base_and_extra(self):
@@ -225,8 +246,6 @@ class TestCyclicRuleSet:
         v = CyclicWord.of(a.word("abdc"))
         crs = CyclicRuleSet(s, ((u, v),))
         assert v in crs.one_step(u)
-        assert crs.one_step_descending(u) == {v}
-        assert crs.one_step_descending(v) == set()
 
     def test_one_step_reads_reassigned_extra_pairs(self):
         s = samples.free_group_system(1)
@@ -699,3 +718,40 @@ def test_engines_match_references_on_random_systems():
         "cdagger needs a 1-letter lhs",
     ]:
         assert seen[kind], (kind, seen)
+
+
+def _reach_lemma_pairs(crs):
+    """The number of pairs (u, v) of distinct short words with |v| <= |u|
+    and v reaching u under the base steps of crs plus its extra pairs, by
+    brute force; asserts that u reaches each such v back.  thue_completion
+    reads "u and v are mutually unreachable" off reach[u] alone on this
+    lemma."""
+    step = ref_stepper(crs, {})
+    cache = {}
+    shorts = enumerate_short_cyclic_words(crs.base.alphabet, crs.base.m_of)
+    found = 0
+    for v in shorts:
+        for u in ref_closure(v, step, cache):
+            if u != v and len(v) <= len(u):
+                assert v in ref_closure(u, step, cache), (u, v)
+                found += 1
+    return found
+
+
+def test_thue_reach_implies_coreach(s_eps):
+    # the Thue completion's freshness test, on its own result
+    crs, _stage = thue_completion(s_eps, check_confluence=False)
+    assert _reach_lemma_pairs(crs)
+
+
+def test_thue_reach_implies_coreach_on_random_systems():
+    rng = random.Random(20181)
+    found = 0
+    for _ in range(300):
+        s = _random_standard_system(rng, rng.choice([2, 2, 3]))
+        try:
+            crs, _stage = thue_completion(s, check_confluence=False)
+        except (PreconditionViolated, RuntimeError):
+            continue
+        found += _reach_lemma_pairs(crs)
+    assert found

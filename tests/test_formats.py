@@ -148,6 +148,10 @@ class TestPg:
         with pytest.raises(TypeError):
             parse_pg(emit_pg(samples.free_pregroup(1)))
 
+    def test_pairs_lines_accumulate(self):
+        p = parse_pg("[pregroup]\nelements: e a b c\nepsilon: e\npairs: a a\npairs: b c\n")
+        assert p.inv == (0, 1, 3, 2)
+
     def test_bad_involution_rejected(self):
         text = "[pregroup]\nelements: e a b\nepsilon: e\npairs: a e\n[product]\n"
         with pytest.raises(ParseError):
@@ -181,6 +185,31 @@ class TestGrp:
         )
         with pytest.raises(ParseError):
             parse_grp(text)
+
+
+# every keyed entry given twice, the second on line 4: one section, or a
+# block whose header is given twice
+REPEATED_KEYS = {
+    "pg-elements": (parse_pg, "[pregroup]\nelements: e a\nepsilon: e\nelements: e a b\n"),
+    "pg-epsilon": (parse_pg, "[pregroup]\nepsilon: e\nelements: e a\nepsilon: a\n"),
+    "rws-letters": (parse_rws, "[alphabet]\nletters: a b\npairs: a b\nletters: a\n"),
+    "grp-elements": (parse_grp, "[group]\nelements: e\nidentity: e\nelements: e\n"),
+    "grp-identity": (parse_grp, "[group]\nidentity: e\nelements: e\nidentity: e\n"),
+    "grp-subgroup-block": (
+        parse_grp,
+        "[subgroup H]\nelements: e\n[subgroup H]\nelements: e a\n"
+        "[group]\nelements: e a\nidentity: e\n[product]\n"
+        "e e = e\ne a = a\na e = a\na a = e\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, text", REPEATED_KEYS.values(), ids=REPEATED_KEYS)
+def test_repeated_key_names_both_lines(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).endswith("entry repeated (first given on line 2)")
+    assert err.value.line == 4 and str(err.value).startswith("line 4: ")
 
 
 _PG = "[pregroup]\nelements: e a\nepsilon: e\n"
