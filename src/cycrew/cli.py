@@ -191,13 +191,17 @@ def _subgroup_tokens(spec: str, subgroups: dict):
 
 
 def _token_pairs(flag: str, spec: str) -> dict:
-    """The x:y entries of a comma-separated --map or --phi value."""
+    """The x:y entries of a comma-separated --map or --phi value; an x given
+    twice is an error."""
     pairs = {}
     for chunk in spec.split(","):
         x, sep, y = chunk.partition(":")
         if not sep:
             raise InvalidEmbedding(f"{flag} entry {chunk.strip()!r} is not of the form x:y")
-        pairs[x.strip()] = y.strip()
+        x = x.strip()
+        if x in pairs:
+            raise InvalidEmbedding(f"{flag} gives {x!r} twice")
+        pairs[x] = y.strip()
     return pairs
 
 

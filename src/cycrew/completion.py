@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .pregroup import _bits
 from .rewrite import (
     Anchor,
     BudgetExhausted,
@@ -233,23 +234,19 @@ class CyclicRuleSet:
 
 
 def _short_graph(system: RewriteSystem):
-    """(shorts, ids, succ, loops): the short cyclic words of system in
-    shortlex order, so that a smaller id is a shortlex-smaller word; a map
-    from every rotation of every short word to the word's id; each word's
-    successors as an ascending id list without the word itself; and the ids
-    of the words that are one of their own successors.  No step lengthens a
-    word, so every redex of a short word is a rotation of a short word, and
-    ids names its cycle without canonicalising it."""
+    """(shorts, succ): the short cyclic words of system in shortlex order,
+    so that a smaller id is a shortlex-smaller word, and each word's
+    successors as an ascending id list without the word itself.  No step
+    lengthens a word, so every redex of a short word is a rotation of a
+    short word, and _number_short_words's ids names its cycle without
+    canonicalising it."""
     shorts, ids = _number_short_words(system.alphabet, system.m_of)
     succ = []
-    loops = set()
     for i, c in enumerate(shorts):
         got = set(map(ids.__getitem__, _cyclic_redexes(c.canon, system)))
-        if i in got:
-            got.remove(i)
-            loops.add(i)
+        got.discard(i)
         succ.append(sorted(got))
-    return shorts, ids, succ, loops
+    return shorts, succ
 
 
 def _steps(base: list, added: list):
@@ -277,11 +274,12 @@ def _closure(start: CyclicWord, step, cache: dict):
     return closure
 
 
-# bench/tracing.py patches these two names to count closure searches, and
-# tests/test_bench_tracer.py checks that they resolve, so both stay bound.
-# No engine calls them: C* and the Thue completion read reachability off
-# bitsets, and the Thue completion's class search calls _closure itself, so
-# the tracer's completion.closure.calls reads 0.
+# No engine calls _closure or its aliases any more: C* and the Thue
+# completion read reachability off bitsets, so the tracer's
+# completion.closure.calls reads 0.  _closure stays bound only for
+# bench/tracing.py, which patches these two aliases to count closure
+# searches (tests/test_bench_tracer.py checks that they resolve), and for
+# tests/test_acceptance.py, which searches with it.
 _descending_closure = _thue_reachable = _closure
 
 
@@ -306,7 +304,7 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
         raise PreconditionViolated("completion needs a standard system")
     if system.has_length_increasing_rules():
         raise PreconditionViolated("completion needs length-nonincreasing rules")
-    shorts, _ids, base, _loops = _short_graph(system)
+    shorts, base = _short_graph(system)
     added = [set() for _ in shorts]  # id -> ids of its extra pairs
     extra = []
     certificates = {}
@@ -347,6 +345,10 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     (u, v) (and its flip when lengths tie).  Returns (CyclicRuleSet,
     stop_index); the chain stabilises no later than stage 2 m(S) - 2.
 
+    extra lists the pairs stage by stage, and each stage's pairs in
+    ascending order of (u, v) by shortlex order of the least rotations.
+    The order depends on no hash value.
+
     The short words are numbered once per call in shortlex order, so the
     words of length at most L are the ids below some bound.  Length-
     preserving steps are symmetric in a Thue system (and the pairs added
@@ -357,31 +359,22 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     reach also answers the reverse question.  No step lengthens, so a v
     with |v| <= |u| that reaches u does so by length-preserving steps only;
     those are symmetric, so v lies in u's class, which reach[u] holds.
-    Hence u and v are mutually unreachable exactly when reach[u] does not
-    hold v, and a member w can add a pair exactly when, for some successor
-    u of w,
+    Hence a member w forces (u, v) exactly when u is a nonempty successor
+    of w and v a bit of
 
         union & len_le[|u|] & ~(reach[u] | seen_from[u])
 
-    is nonzero, where union holds the nonempty successors of w's class and
-    seen_from[u] the v of the pairs (u, v) added so far.  Only such a w runs
-    the search over cyclic words that orders its pairs: the successors of
-    its class in the order a search from w meets them, each paired with the
-    successors of w, and each pair tested against the same bitsets.  No
-    reachability search runs.
+    where union holds the nonempty successors of w's class and seen_from[u]
+    the v of the pairs (u, v) added so far.  The steps, and so union and
+    reach, stay fixed within a stage, and seen_from only keeps a pair from
+    being added twice, so the set of a stage's pairs does not depend on the
+    order in which the words are visited.  No reachability search runs.
     """
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
     if check_confluence and not check_strong_confluence(system):
         raise PreconditionViolated("thue completion needs strong confluence")
-    shorts, ids, base, loops = _short_graph(system)
-    # crs steps the words that add pairs.  Its base steps are read off the
-    # graph exactly as cyclic_successors lists them, the word itself included
-    # when a redex returns to it: that list fixes the iteration order of
-    # one_step's sets, and so the order of extra
-    crs = CyclicRuleSet(system)
-    for i, c in enumerate(shorts):
-        crs._succ[c] = [shorts[j] for j in (sorted([i, *base[i]]) if i in loops else base[i])]
+    shorts, base = _short_graph(system)
     n = len(shorts)
     length = [len(c) for c in shorts]
     first = [0] * (length[-1] + 2)  # the ids of length L are first[L] .. first[L + 1] - 1
@@ -394,7 +387,6 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     bound = 2 * system.m_of - 2
     stage = 0
     while True:
-        crs.extra = tuple(extra)
         steps = _steps(base, added)
         cls = [-1] * n
         members = []  # class -> ids, by increasing length
@@ -423,47 +415,27 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
             for c in group:
                 reach[c] = r
             union.append(succ & ~1)  # id 0 is the empty word
-
-        def class_union(w):
-            """The nonempty successors of w's length-preserving class, in
-            the order a search from w meets them."""
-            size = len(w)
-            cls_w = _closure(w, lambda c: [s for s in crs.one_step(c) if len(s) == size], {})
-            return list(dict.fromkeys(v for c in cls_w for v in crs.one_step(c) if len(v) >= 1))
-
-        def fresh(i, j):
-            """(i, j) is a divergence not yet added whose sides are not
-            mutually reachable, read off reach[i] as above.  reach[i] holds
-            i, so i != j."""
-            return not (length[i] < length[j] or (reach[i] | seen_from[i]) >> j & 1)
-
         new_pairs = []
         for w in range(1, n):
             mask = union[cls[w]]
-            if not any(
-                mask & len_le[length[u]] & ~(reach[u] | seen_from[u])
-                for u in steps[w]
-                if u
-            ):
-                continue
-            word = shorts[w]
-            succ_w = [(u, ids[u.canon]) for u in crs.one_step(word) if len(u) >= 1]
-            for v in class_union(word):
-                j = ids[v.canon]
-                for u, i in succ_w:
-                    if not fresh(i, j):
-                        continue
+            for u in steps[w]:
+                # empty for u = 0: len_le[0] holds id 0 alone, which union leaves out
+                fresh = mask & len_le[length[u]] & ~(reach[u] | seen_from[u])
+                if not fresh:
+                    continue
+                seen_from[u] |= fresh
+                for v in _bits(fresh):
                     new_pairs.append((u, v))
-                    added[i].add(j)
-                    seen_from[i] |= 1 << j
-                    if length[i] == length[j] and not seen_from[j] >> i & 1:
+                    # (v, u) is new too: it would have come with (u, v)
+                    if length[u] == length[v]:
+                        seen_from[v] |= 1 << u
                         new_pairs.append((v, u))
-                        added[j].add(i)
-                        seen_from[j] |= 1 << i
         if not new_pairs:
-            # a new rule set, which leaves crs's successor cache behind
-            return CyclicRuleSet(system, crs.extra), stage
-        extra.extend(new_pairs)
+            return CyclicRuleSet(system, tuple(extra)), stage
+        new_pairs.sort()
+        for u, v in new_pairs:
+            added[u].add(v)
+            extra.append((shorts[u], shorts[v]))
         stage += 1
         if stage > bound:
             raise RuntimeError("completion chain exceeded 2 m(S) - 2 stages")

@@ -259,11 +259,18 @@ def parse_grp(text: str):
                 raise ParseError(f"bad map header {header!r}")
             src, dst = (s.strip() for s in spec.split("->", 1))
             mapping = {}
+            given = {}  # x -> the line of its entry; a block given twice merges
             for no, line in body:
                 toks = line.split()
                 if len(toks) != 3 or toks[1] != ":":
                     raise ParseError(f"expected 'x : y', got {line!r}", no)
-                mapping[toks[0]] = toks[2]
+                x = toks[0]
+                if x in given:
+                    raise ParseError(
+                        f"[{header}] {x!r} entry repeated (first given on line {given[x]})", no
+                    )
+                given[x] = no
+                mapping[x] = toks[2]
             maps[(src, dst)] = mapping
     return table, subgroups, maps
 

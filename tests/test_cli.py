@@ -298,6 +298,14 @@ class TestFromAmalgam:
             "error: --map entry 's' is not of the form x:y\n"
         )
 
+    def test_map_token_given_twice_named(self, files, capsys):
+        # without the check the last entry for e would win, and the map
+        # would be valid
+        argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
+                "--ha", "e s", "--hb", "e s", "--map", "e:s,e:e,s:s"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --map gives 'e' twice\n"
+
     def test_unknown_ha_token_exit_2(self, files, capsys):
         argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
                 "--ha", "e zz", "--hb", "e s"]
@@ -352,6 +360,23 @@ class TestFromHnn:
         assert main(["from-hnn", str(path), "--sub-a", "A", "--sub-b", "A"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "'elements' entry repeated" in err
+
+    def test_map_block_entry_given_twice_is_exit_2(self, tmp_path, capsys):
+        # a second [map A->A] block merges with the first, and its e : s
+        # must not replace e : e
+        maps = {("A", "A"): {"e": "e", "s": "s"}}
+        text = emit_grp(samples.s3_table(), {"A": ("e", "s")}, maps)
+        path = tmp_path / "twice.grp"
+        path.write_text(text + "[map A->A]\ne : s\n")
+        assert main(["from-hnn", str(path), "--sub-a", "A", "--sub-b", "A"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "[map A->A] 'e' entry repeated" in err
+
+    def test_phi_token_given_twice_named(self, files, capsys):
+        argv = ["from-hnn", files["s3.grp"], "--sub-a", "A", "--sub-b", "A",
+                "--phi", "e:s,e:e,s:s"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --phi gives 'e' twice\n"
 
     def test_bad_phi_exit_2(self, files, capsys):
         assert (

@@ -187,8 +187,8 @@ class TestGrp:
             parse_grp(text)
 
 
-# every keyed entry given twice, the second on line 4: one section, or a
-# block whose header is given twice
+# every keyed entry, and a map entry, given twice, the second on line 4: one
+# section, or a block whose header is given twice
 REPEATED_KEYS = {
     "pg-elements": (parse_pg, "[pregroup]\nelements: e a\nepsilon: e\nelements: e a b\n"),
     "pg-epsilon": (parse_pg, "[pregroup]\nepsilon: e\nelements: e a\nepsilon: a\n"),
@@ -200,6 +200,14 @@ REPEATED_KEYS = {
         "[subgroup H]\nelements: e\n[subgroup H]\nelements: e a\n"
         "[group]\nelements: e a\nidentity: e\n[product]\n"
         "e e = e\ne a = a\na e = a\na a = e\n",
+    ),
+    "grp-map-entry": (
+        parse_grp,
+        "[map A->B]\ne : e\na : a\ne : a\n[group]\nelements: e\nidentity: e\n[product]\ne e = e\n",
+    ),
+    "grp-map-block": (
+        parse_grp,
+        "[map A->B]\ne : e\n[map A->B]\ne : a\n[group]\nelements: e\nidentity: e\n[product]\ne e = e\n",
     ),
 }
 
