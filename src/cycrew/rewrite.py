@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -418,30 +418,10 @@ def _strongly_joinable(y, z, system, pool):
     return False
 
 
-def _overlap_words(system: RewriteSystem):
-    """Words realising every genuine overlap of two lhs occurrences, plus
-    each lhs on its own (same-position divergences and containments).
-
-    A proper overlap puts a nonempty proper suffix of l1 as a proper prefix
-    of l2; left-hand sides are indexed by their proper prefixes, so each
-    suffix of l1 looks up its partners directly.
-    """
-    lhss = sorted({lhs for lhs, _r, _i, _a in system.oriented_pairs()})
-    by_prefix = collections.defaultdict(list)
-    for l2 in lhss:
-        for o in range(1, len(l2)):
-            by_prefix[l2[:o]].append(l2)
-    words = set(lhss)
-    for l1 in lhss:
-        for o in range(1, len(l1)):
-            for l2 in by_prefix.get(l1[len(l1) - o :], ()):
-                words.add(l1 + l2[o:])
-    return words
-
-
 # Bounds on the symmetry search: its backtracking nodes (and so its
 # recursion depth), and the elements of the group closed from the maps it
-# verifies.  A cut search still returns verified symmetries, only fewer.
+# verifies.  A cut search still returns a group of verified symmetries,
+# only a smaller one.
 _SYMMETRY_NODES = 500
 _SYMMETRY_MAPS = 2_000
 
@@ -471,7 +451,8 @@ def _symmetries(system: RewriteSystem) -> set:
     found so far is verified against every pair, and the group is closed
     under composition.  _SYMMETRY_NODES caps the search nodes and
     _SYMMETRY_MAPS the group size; every map returned is verified or a
-    product of verified maps.
+    product of verified maps, and the maps returned are a group, also when
+    a bound cut the search (check_strong_confluence reads orbits of it).
     """
     k = len(system.alphabet)
     pairs = {(lhs, rhs) for lhs, rhs, _rid, _a in system.oriented_pairs()}
@@ -524,14 +505,16 @@ def _symmetries(system: RewriteSystem) -> set:
     nodes = 0
 
     def add(g):
-        """Whether g is a symmetry, now in the group; None once the group
-        is at the bound."""
+        """Whether g is a symmetry, now in the group; None once closing the
+        group under g would pass the bound, which leaves the group as it
+        was."""
         if g in group:
             return True
         perm, rev = g
         if set(text[rev].translate(perm).split(end)) != coded:
             return False
         generators.append(g)
+        added = []
         frontier = list(group)
         while frontier:
             grown = []
@@ -540,9 +523,12 @@ def _symmetries(system: RewriteSystem) -> set:
                     h = (tuple(map(p.__getitem__, q)), r != t)
                     if h not in group:
                         if len(group) == _SYMMETRY_MAPS:
+                            group.difference_update(added, grown)
+                            generators.pop()
                             return None
                         group.add(h)
                         grown.append(h)
+            added += grown
             frontier = grown
         return True
 
@@ -634,6 +620,115 @@ def _symmetries(system: RewriteSystem) -> set:
     return group
 
 
+def _orbit_minima(system: RewriteSystem, symmetries):
+    """The overlap words of system that are least in their orbit under the
+    group symmetries, in shortlex order (check_strong_confluence gives the
+    argument).
+
+    The words of each length n are grown a letter at a time, depth first
+    and in letter order, so that they come out in shortlex order.  A prefix
+    carries the forward maps that fix each of its letters (its stabiliser,
+    memoised by that set of letters), and takes a letter y only when none
+    of them maps y below y.  A whole word is kept when no reversing map
+    sends it lower.
+
+    A trie of the left-hand sides prunes the prefixes x[:j]:
+    - head is the trie node of x[:j] while some left-hand side of at most
+      n letters extends it;
+    - p is the length of the longest left-hand side that x[:j] starts
+      with, if under n;
+    - starts are the trie walks (s, node) of x[s:j], s >= 1, each opened
+      while head reaches past s and kept while a left-hand side of n - s
+      letters extends it.
+    A prefix that neither head nor a start continues is dropped, and once
+    head is gone only the starts s < p count.  So a word of n letters
+    survives exactly when it is a left-hand side (head), or has a
+    left-hand side prefix of p < n letters and a left-hand side suffix of
+    n - s < n letters with p + (n - s) > n: when it is an overlap word.
+    """
+    children, lengths, ends = [{}], [0], [False]  # the trie of the lhss
+    for lhs in system._index:
+        bit, node = 1 << len(lhs), 0
+        for v in lhs:
+            child = children[node].get(v)
+            if child is None:
+                child = children[node][v] = len(children)
+                children.append({})
+                lengths.append(0)
+                ends.append(False)
+            node = child
+            lengths[node] |= bit
+        ends[node] = True
+    # the letters y whose child ends a left-hand side, node by node
+    finals = [{y for y, c in edges.items() if ends[c]} for edges in children]
+    forward = [perm for perm, rev in symmetries if not rev]
+    backward = [perm for perm, rev in symmetries if rev]
+    # letters fixed, as a bit mask -> (the forward maps that fix them, the
+    # least image of each letter under those maps)
+    stabilisers = {0: (forward, list(map(min, zip(*forward))))}
+
+    def least_reversed(x):
+        """No reversing map sends x below x."""
+        first, last = x[0], x[-1]
+        for perm in backward:
+            y = perm[last]
+            if y < first or (y == first and tuple(map(perm.__getitem__, x[::-1])) < x):
+                return False
+        return True
+
+    if ends[0]:
+        yield ()  # the empty left-hand side
+    for n in range(1, 2 * system.m_of):
+        upto, below = (2 << n) - 1, (1 << n) - 1  # lengths <= n, < n
+        words = []
+
+        def grow(x, fixed, head, p, starts):
+            j = len(x)
+            maps, least = stabilisers[fixed]
+            if j + 1 == n:  # the last letter ends a left-hand side
+                letters = set() if head is None else set(finals[head])
+                for s, node in starts:
+                    if s < p:
+                        letters |= finals[node]
+                for y in sorted(letters):
+                    word = x + (y,)
+                    if least[y] == y and least_reversed(word):
+                        words.append(word)
+                return
+            letters = set() if head is None else set(children[head])
+            for _s, node in starts:
+                letters.update(children[node])
+            for y in sorted(letters):
+                if least[y] != y:
+                    continue
+                starts2 = [
+                    (s, c)
+                    for s, node in starts
+                    if (c := children[node].get(y)) is not None and lengths[c] >> (n - s) & 1
+                ]
+                head2 = None if head is None else children[head].get(y)
+                p2 = p
+                if head2 is not None and lengths[head2] & upto:
+                    if ends[head2]:
+                        p2 = j + 1
+                    c = children[0].get(y)  # a start at j, which head passes
+                    if j and lengths[head2] & below and c is not None and lengths[c] >> (n - j) & 1:
+                        starts2.append((j, c))
+                else:
+                    head2 = None
+                    starts2 = [(s, c) for s, c in starts2 if s < p]
+                    if not starts2:
+                        continue
+                key = fixed | 1 << y
+                if key not in stabilisers:
+                    kept = [perm for perm in maps if perm[y] == y]
+                    stabilisers[key] = (kept, list(map(min, zip(*kept))))
+                grow(x + (y,), key, head2, p2, starts2)
+
+        grow((), 0, 0, 0, [])
+        yield from words
+
+
 def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     """Check that every one-step divergence y <- x -> z closes with at most
     one step on one side (the other side may take any number of steps).
@@ -653,38 +748,65 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     whose searches reach either without meeting raises BudgetExhausted
     instead of being reported as a counterexample.
 
-    Only one word of each orbit of overlap words under the letter
+    The overlap words are read from the rule index: x of n letters is one
+    when it is a left-hand side, or when it has a left-hand side prefix of
+    p < n letters and a left-hand side suffix of q < n letters with
+    p + q > n.  So they have at most 2 m(S) - 1 letters (none but the empty
+    word when m(S) = 0).
+
+    Only one word of each orbit of overlap words under the group of letter
     symmetries g of _symmetries needs its pairs tested.  g maps the set of
     oriented rules onto itself, so it commutes with word_successors: the
     redex l -> r at [a, b) of x becomes g(l) -> g(r) at [a, b) of g(x), or
     at [n - b, n - a) when g reverses words, and every redex of g(x) arises
     so.  g thus maps the critical pairs of x one-to-one onto those of g(x)
     and sends one-step meets to one-step meets (the successor sets of
-    g(y) are the images of those of y).  When every pair of a tested word x
-    closes by the one-step meet, every word g(x) of its orbit enters met,
-    and a word in met is skipped: each of its pairs closes by the meet too,
-    so it could not have failed.  Words that needed _strongly_joinable
-    never enter met, because its descendant search stops at a node count in
-    BFS order and need not agree on a pair and its image; their images are
-    tested in full.  The report, first counterexample and BudgetExhausted
-    included, is therefore the same as without the skip.
+    g(y) are the images of those of y): the pairs of x all close by the
+    one-step meet exactly when those of g(x) do.
+
+    _orbit_minima generates the orbit minima, the words least in shortlex
+    order in their orbit, without the rest.  Within a length shortlex is
+    letter order, and a forward map (one that does not reverse words) that
+    sends x lower fixes some prefix x[:j] letter by letter and sends x[j]
+    lower.  So x is least under the forward maps exactly when each x[j] is
+    least under the forward maps that fix x[:j]: the generator grows x a
+    letter at a time, carrying that stabiliser down, and takes only
+    letters that it does not map lower.  A reversing map reads x from its
+    end, so those are tested on each whole word.
+
+    A minimum whose pairs all close by the one-step meet stands for its
+    orbit: the other words of the orbit close theirs so too.  One that
+    needed _strongly_joinable does not, because that search stops at a node
+    count in BFS order and need not agree on a pair and its image; its
+    other images go on a shortlex heap merged into the stream of minima,
+    and are tested in turn.  So the words tested are the overlap words in
+    shortlex order less some whose pairs all close by one-step meets (the
+    other words of such orbits), and a word left out could neither fail
+    nor raise.  The answers of the
+    memoised searches do not depend on the pairs searched before (see
+    _Descendants), so the report, first counterexample and BudgetExhausted
+    included, is the same as that of the full scan.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
     pool = _SuccessorPool(system)
     index = system._index
     symmetries = _symmetries(system)
-    # g(x) = itemgetter(*x)(perm), reversed when g reverses words, which
-    # itemgetter(*x[::-1]) gives; a word under 2 letters goes through _image
-    forward = [perm for perm, rev in symmetries if not rev]
-    backward = [perm for perm, rev in symmetries if rev]
-    met = set()  # the orbits of tested words whose pairs closed by one-step meets
-    words = sorted(_overlap_words(system))
-    words.sort(key=len)  # stable: shortlex order
-    for x in words:
-        if x in met:
-            continue
-        n = len(x)
+    minima = _orbit_minima(system, symmetries)
+    # a shortlex heap of (n, x, whether x is a minimum): the next minimum
+    # and the images of the minima that needed _strongly_joinable
+    queue = []
+
+    def pull():
+        x = next(minima, None)
+        if x is not None:
+            heapq.heappush(queue, (len(x), x, True))
+
+    pull()
+    while queue:
+        n, x, minimum = heapq.heappop(queue)
+        if minimum:
+            pull()
         spans = []  # (start, end, [(result word, its successors or self)])
         for length in system._lhs_lengths:
             for pos in range(n - length + 1):
@@ -711,12 +833,9 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                         if not _strongly_joinable(y, z, system, pool):
                             return ConfluenceReport(False, (x, y, z))
                         one_step = False
-        if one_step:
-            if n < 2:
-                met.update(_image(g, x) for g in symmetries)
-            else:
-                met.update(map(operator.itemgetter(*x), forward))
-                met.update(map(operator.itemgetter(*x[::-1]), backward))
+        if minimum and not one_step:
+            for image in {_image(g, x) for g in symmetries} - {x}:
+                heapq.heappush(queue, (n, image, False))
     return ConfluenceReport(True)
 
 

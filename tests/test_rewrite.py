@@ -1,5 +1,7 @@
 import collections
+import heapq
 import random
+import types
 
 import pytest
 
@@ -12,7 +14,8 @@ from cycrew.rewrite import (
     RewriteSystem,
     Rule,
     _Descendants,
-    _overlap_words,
+    _image,
+    _orbit_minima,
     _strongly_joinable,
     _SuccessorPool,
     _symmetries,
@@ -606,6 +609,25 @@ def ref_reduce_greedy(w, system, budget=10_000):
             raise BudgetExhausted(f"no fixpoint within {budget} steps")
 
 
+def _overlap_words(system):
+    """The reference enumeration of the overlap words: every lhs on its own
+    (same-position divergences and containments) and every word realising a
+    genuine overlap of two lhs occurrences, a nonempty proper suffix of l1
+    as a proper prefix of l2.  Left-hand sides are indexed by their proper
+    prefixes, so each suffix of l1 looks up its partners directly."""
+    lhss = sorted({lhs for lhs, _r, _i, _a in system.oriented_pairs()})
+    by_prefix = collections.defaultdict(list)
+    for l2 in lhss:
+        for o in range(1, len(l2)):
+            by_prefix[l2[:o]].append(l2)
+    words = set(lhss)
+    for l1 in lhss:
+        for o in range(1, len(l1)):
+            for l2 in by_prefix.get(l1[len(l1) - o :], ()):
+                words.add(l1 + l2[o:])
+    return words
+
+
 def ref_check_strong_confluence(system):
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
@@ -879,18 +901,112 @@ def _random_involutive_system(rng):
     return RewriteSystem(a, rules)
 
 
+# The parent's scan, with the pool renamed, the orbits taken by _image, and
+# a list of the words it tests: every overlap word in shortlex order, each
+# word skipped that the orbit of an earlier word whose pairs closed by
+# one-step meets holds.
+
+
+def ref_orbit_check_strong_confluence(system, tested):
+    if system.has_anchored_rules():
+        raise ValueError("strong confluence check requires an unanchored system")
+    succ_or_self = _SuccessorPool(system)
+    index = system._index
+    symmetries = _symmetries(system)
+    met = set()  # the orbits of tested words whose pairs closed by one-step meets
+    for x in sorted(_overlap_words(system), key=shortlex_key):
+        if x in met:
+            continue
+        tested.append(x)
+        n = len(x)
+        spans = []  # (start, end, [(result word, its successors or self)])
+        for length in system._lhs_lengths:
+            for pos in range(n - length + 1):
+                slots = index.get(x[pos : pos + length])
+                if slots is not None:
+                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
+                    spans.append(
+                        (pos, pos + length, [(y, succ_or_self(y)) for y in results])
+                    )
+        one_step = True  # every pair of x so far closed by the one-step meet
+        for i, (a1, b1, ys) in enumerate(spans):
+            partners = [
+                zs
+                for a2, b2, zs in spans[i + 1 :]
+                if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
+            ]
+            whole = a1 == 0 and b1 == n > 0
+            for k, (y, sy) in enumerate(ys):
+                for group in ([ys[k + 1 :]] if whole else []) + partners:
+                    for z, sz in group:
+                        if y == z or not sy.isdisjoint(sz):
+                            continue
+                        if not _strongly_joinable(y, z, system, succ_or_self):
+                            return ConfluenceReport(False, (x, y, z))
+                        one_step = False
+        if one_step:
+            met.update(_image(g, x) for g in symmetries)
+    return ConfluenceReport(True)
+
+
+def _closed(group):
+    """group is closed under composition."""
+    return all(
+        (tuple(p[x] for x in q), r != t) in group for p, r in group for q, t in group
+    )
+
+
+def _brute_orbit_minima(system, group):
+    """The shortlex-least word of each orbit of the reference overlap words
+    under group, a group: each word not in the orbit of an earlier one."""
+    assert _closed(group)
+    minima, seen = [], set()
+    for x in sorted(_overlap_words(system), key=shortlex_key):
+        if x not in seen:
+            minima.append(x)
+            seen.update(_apply(g, x) for g in group)
+    return minima
+
+
+def _tested_words(monkeypatch, system):
+    """The outcome of check_strong_confluence on system and the words it
+    tests, in order: the words it takes from its queue."""
+    tested = []
+
+    def heappop(queue):
+        item = heapq.heappop(queue)
+        tested.append(item[1])
+        return item
+
+    spy = types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "heapq", spy)
+        return _outcome(check_strong_confluence, system), tested
+
+
 class TestFormalInverseSkipMatchesFullScan:
     """check_strong_confluence tests one word of each formal-inverse orbit
     on invariant systems; its reports equal those of the full scan
-    ref_check_strong_confluence."""
+    ref_check_strong_confluence.  The orbit minima it starts from are
+    those of the reference overlap words, and it tests the words the
+    parent's scan tests, in the same order."""
 
-    def test_random_involutive_systems(self):
+    def test_random_involutive_systems(self, monkeypatch):
         rng = random.Random(20122)
         seen = collections.Counter()
         for _ in range(2_000):
             s = _random_involutive_system(rng)
-            report = _outcome(check_strong_confluence, s)
+            report, tested = _tested_words(monkeypatch, s)
             assert report == _outcome(ref_check_strong_confluence, s)
+            want = []
+            assert report == _outcome(ref_orbit_check_strong_confluence, s, want)
+            assert tested == want
+            group = _symmetries(s)
+            minima = list(_orbit_minima(s, group))
+            assert minima == _brute_orbit_minima(s, group)
+            # images of minima that needed _strongly_joinable, from the heap
+            seen["heap"] += not set(tested) <= set(minima)
+            seen["group > 1"] += len(group) > 1
             invariant = _closed_under_involute(s)
             seen["invariant", invariant] += 1
             seen["paired"] += any(i != j for i, j in enumerate(s.alphabet.involution))
@@ -903,7 +1019,8 @@ class TestFormalInverseSkipMatchesFullScan:
                 seen["skip before failure"] += _skips_before(
                     s, report.counterexample[0], _symmetries(s)
                 )
-        assert seen["paired"] > 1_500
+        assert seen["paired"] > 1_500 and seen["group > 1"] > 1_500
+        assert seen["heap"] > 100, seen
         assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
         assert seen["ok", True] and seen["ok", False]
         for kind in ("empty lhs", "lengthening", "skip before failure"):
@@ -947,13 +1064,14 @@ class TestFormalInverseSkipMatchesFullScan:
         assert large > 200
 
 
-def _random_symmetric_system(rng):
+def _random_symmetric_system(rng, max_lhs=3):
     """Unanchored rules over 2-5 letters closed under a random letter map g,
     returned with g: a permutation, followed by word reversal in about half
     the systems.  The alphabet's involution pairs letters in about half.
     In about 10% of the systems the last rule is dropped, which can break
     the symmetry; about 3% may lengthen (empty left-hand sides, longer
-    right-hand sides), where searches can reach their bounds."""
+    right-hand sides), where searches can reach their bounds.  Left-hand
+    sides have at most max_lhs letters."""
     letters = "abcde"[: rng.randint(2, 5)]
     rest = list(letters)
     rng.shuffle(rest)
@@ -971,7 +1089,7 @@ def _random_symmetric_system(rng):
 
     rules = []
     for _ in range(rng.randint(1, 3)):
-        lhs = word(0 if lengthen else 1, 3)
+        lhs = word(0 if lengthen else 1, max_lhs)
         symmetric = rng.random() < 0.2
         rhs = word(len(lhs), len(lhs)) if symmetric else word(0, len(lhs) + lengthen)
         rule = Rule(lhs, rhs, symmetric=symmetric)
@@ -986,23 +1104,24 @@ def _random_symmetric_system(rng):
 class TestLetterSymmetries:
     """_symmetries finds the letter maps that send the rules onto
     themselves; check_strong_confluence tests one word of each orbit under
-    them, and its reports equal those of the parent's scan
-    ref_sigma_check_strong_confluence."""
+    them, and its reports equal those of the scans
+    ref_sigma_check_strong_confluence and ref_orbit_check_strong_confluence,
+    the words it tests those of the second."""
 
-    def test_random_symmetric_systems(self):
+    def test_random_symmetric_systems(self, monkeypatch):
         rng = random.Random(20123)
         seen = collections.Counter()
         for _ in range(1_000):
             s, g = _random_symmetric_system(rng)
-            report = _outcome(check_strong_confluence, s)
+            report, tested = _tested_words(monkeypatch, s)
             assert report == _outcome(ref_sigma_check_strong_confluence, s)
+            want = []
+            assert report == _outcome(ref_orbit_check_strong_confluence, s, want)
+            assert tested == want
             group = _symmetries(s)
+            assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
             assert (tuple(range(len(s.alphabet))), False) in group
             assert all(_is_symmetry(h, s) for h in group)
-            if len(group) <= 24:  # closed under composition
-                assert all(
-                    (tuple(p[x] for x in q), r != t) in group for p, r in group for q, t in group
-                )
             planted = _is_symmetry(g, s)
             if planted:
                 # letters in no rule stay fixed in the maps found
@@ -1027,8 +1146,9 @@ class TestLetterSymmetries:
             assert seen[kind], kind
 
     def test_bounded_search_words_are_tested_in_every_image(self, monkeypatch):
-        # a word that needed _strongly_joinable is never marked, so the pair
-        # it passed to the search is passed again from every image word
+        # the images of a word that needed _strongly_joinable are tested
+        # too, so the pair it passed to the search is passed again from
+        # every image word
         calls = []
         joinable = rewrite._strongly_joinable
 
@@ -1062,3 +1182,111 @@ class TestLetterSymmetries:
             assert len(group) == order
             assert (s.alphabet.involution, True) in group
             assert all(_is_symmetry(g, s) for g in group)
+
+
+class TestOrbitMinima:
+    """_orbit_minima generates the shortlex-least word of each orbit of
+    overlap words; check_strong_confluence tests them and the images of
+    those that needed _strongly_joinable, the words the parent's scan
+    ref_orbit_check_strong_confluence tests, in its order."""
+
+    def test_s_eps_corpus(self):
+        counts = {"hnn": 1_734, "hnn42": 227}  # orbit minima on the larger systems
+        pregroups = [
+            ("dinf", samples.dihedral_infinity()),
+            ("z4z6", samples.z4_amalgam_z6()),
+            ("free", samples.free_pregroup(2)),
+            ("s3-table", samples.s3_table()),
+            ("hnn42", hnn_cyclic(4, 2)),
+            ("hnn", samples.hnn_s3()),
+        ]
+        for name, p in pregroups:
+            s = derive_system(p, "S_eps")
+            group = _symmetries(s)
+            minima = list(_orbit_minima(s, group))
+            assert minima == _brute_orbit_minima(s, group), name
+            assert len(minima) == counts.get(name, len(minima)), name
+
+    def test_long_left_hand_sides(self):
+        # the random systems elsewhere have left-hand sides of at most 3
+        # letters; here a prefix can still be a left-hand side prefix when
+        # a walk for a suffix, opened for a shorter left-hand side that it
+        # then missed, completes (abcd: bcd, but neither abz nor abce)
+        a = Alphabet.from_pairs("abcdez", [])
+        w = a.word
+        s = RewriteSystem(a, [Rule(w(l), w("e")) for l in ("abce", "bcd", "abz")])
+        group = _symmetries(s)
+        assert w("abcd") not in _overlap_words(s)
+        assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
+        rng = random.Random(20127)
+        seen = collections.Counter()
+        for _ in range(300):
+            s, _g = _random_symmetric_system(rng, max_lhs=5)
+            group = _symmetries(s)
+            assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
+            seen[s.m_of] += 1
+            seen["group > 1"] += len(group) > 1
+        assert seen[4] and seen[5] and seen["group > 1"] > 100, seen
+
+    def test_empty_left_hand_sides_only(self):
+        # m(S) = 0: the empty word is the one overlap word
+        a = _ab()
+        for rhss in (["a"], ["a", "b"], ["ab", "ba"]):
+            s = RewriteSystem(a, [Rule((), a.word(r)) for r in rhss])
+            assert s.m_of == 0
+            assert list(_orbit_minima(s, _symmetries(s))) == [()]
+            assert check_strong_confluence(s) == ref_check_strong_confluence(s)
+        s = RewriteSystem(a, [])
+        assert list(_orbit_minima(s, _symmetries(s))) == []
+        assert check_strong_confluence(s) == ref_check_strong_confluence(s) == ConfluenceReport(True)
+
+    def test_one_letter_left_hand_sides(self):
+        a = Alphabet.from_pairs("abc", [])
+        w = a.word
+        cases = [
+            ([("a", "b"), ("a", "c")], False),  # b <- a -> c, both irreducible
+            ([("a", "b"), ("a", "c"), ("b", "c")], True),
+            ([("a", ""), ("b", ""), ("c", "a")], True),
+        ]
+        for rules, ok in cases:
+            s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+            report = check_strong_confluence(s)
+            assert report.ok == ok
+            assert report == ref_check_strong_confluence(s)
+            group = _symmetries(s)
+            assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
+        # the first system's group swaps b and c, with and without reversal
+        s = RewriteSystem(a, [Rule(w("a"), w("b")), Rule(w("a"), w("c"))])
+        assert len(_symmetries(s)) == 4
+        assert list(_orbit_minima(s, _symmetries(s))) == [w("a")]
+        assert check_strong_confluence(s).counterexample == (w("a"), w("b"), w("c"))
+
+    def test_trivial_symmetry_group(self):
+        # not closed under the formal inverse; no letter map fixes the rules
+        a = Alphabet.from_pairs("abc", [("a", "b")])
+        w = a.word
+        for rules, ok in [
+            ([("ab", "c"), ("bc", "a"), ("cc", "")], False),
+            ([("ab", ""), ("ac", "c"), ("ccc", "c")], True),
+        ]:
+            s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+            assert _symmetries(s) == {((0, 1, 2), False)}
+            assert list(_orbit_minima(s, _symmetries(s))) == sorted(
+                _overlap_words(s), key=shortlex_key
+            )
+            report = check_strong_confluence(s)
+            assert report.ok == ok
+            assert report == ref_check_strong_confluence(s)
+
+    def test_cut_symmetry_search_returns_a_group(self, monkeypatch):
+        # closing the group under a map that would pass the bound leaves it
+        # as it was, so its orbits still partition the overlap words
+        s = derive_system(samples.free_pregroup(2), "S_eps")
+        want = ref_check_strong_confluence(s)
+        for bound in (1, 2, 3, 5, 8, 15):
+            monkeypatch.setattr(rewrite, "_SYMMETRY_MAPS", bound)
+            group = _symmetries(s)
+            assert len(group) <= bound and _closed(group)
+            assert all(_is_symmetry(g, s) for g in group)
+            assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
+            assert check_strong_confluence(s) == want
