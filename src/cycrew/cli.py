@@ -229,14 +229,8 @@ def cmd_from_amalgam(args) -> int:
     h_set = {A.index[t] for t in ha}
     if not A.is_subgroup(h_set):
         raise InvalidEmbedding("listed elements are not a subgroup of A")
-    H = FiniteGroupTable(
-        ha,
-        A.elements[A.eps],
-        {
-            (x, y): A.elements[A.mul(A.index[x], A.index[y])]
-            for x in ha
-            for y in ha
-        },
+    H = FiniteGroupTable.from_function(
+        ha, A.elements[A.eps], lambda x, y: A.elements[A.mul(A.index[x], A.index[y])]
     )
     iA = Embedding.from_tokens(H, A, {t: t for t in ha})
     iB = Embedding.from_tokens(H, B, dict(zip(ha, hb)))

@@ -28,7 +28,7 @@ from .rewrite import (
     cyclic_successors,
     reduce_greedy,
 )
-from .words import Alphabet, CyclicWord, Word, rotations
+from .words import Alphabet, AlphabetError, CyclicWord, Word, rotations, validate_word
 
 
 class PreconditionViolated(ValueError):
@@ -45,6 +45,14 @@ class InverseAssignment:
 
     alphabet: Alphabet
     words: tuple  # letter index -> Word
+
+    def __post_init__(self):
+        if len(self.words) != len(self.alphabet):
+            raise AlphabetError(
+                f"{len(self.words)} inverse words for {len(self.alphabet)} letters"
+            )
+        for w in self.words:
+            validate_word(w, self.alphabet)
 
     @classmethod
     def from_involution(cls, alphabet: Alphabet) -> "InverseAssignment":
@@ -200,35 +208,21 @@ class CyclicRuleSet:
 
     The extra pairs rewrite a whole cycle to a whole cycle; certificates map
     each added pair to the short cyclic word whose divergence forced it.
+    A plain record: one_step reads the fields as they are at each call.
+    It is not frozen because bench/selftest.py reassigns extra on a
+    result to check that the benchmark rejects a corrupted one.
     """
 
     base: RewriteSystem
     extra: tuple = ()  # oriented (CyclicWord, CyclicWord) pairs
     certificates: dict = field(default_factory=dict)
-    # cyclic_successors in base per cyclic word, and (the extra tuple
-    # indexed, its pairs as u -> set of v)
-    _succ: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _extra_index: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-
-    def _base_successors(self, c: CyclicWord):
-        succ = self._succ.get(c)
-        if succ is None:
-            succ = self._succ[c] = cyclic_successors(c, self.base)
-        return succ
 
     def one_step(self, c: CyclicWord):
         """The cyclic words other than c one step away from c: its
-        successors in the base system and its extra pairs, as a new set.
-        The extra pairs are indexed once per extra tuple, so reassigning
-        extra takes effect at the next call."""
-        indexed, index = self._extra_index
-        if indexed is not self.extra:
-            index = {}
-            for u, v in self.extra:
-                index.setdefault(u, set()).add(v)
-            self._extra_index = (self.extra, index)
-        got = set(self._base_successors(c))
-        got.update(index.get(c, ()))
+        successors in the base system and the v of its extra pairs (c, v),
+        as a new set."""
+        got = set(cyclic_successors(c, self.base))
+        got.update(v for u, v in self.extra if u == c)
         got.discard(c)
         return got
 
@@ -274,12 +268,11 @@ def _closure(start: CyclicWord, step, cache: dict):
     return closure
 
 
-# No engine calls _closure or its aliases any more: C* and the Thue
-# completion read reachability off bitsets, so the tracer's
-# completion.closure.calls reads 0.  _closure stays bound only for
-# bench/tracing.py, which patches these two aliases to count closure
-# searches (tests/test_bench_tracer.py checks that they resolve), and for
-# tests/test_acceptance.py, which searches with it.
+# Nothing in the library or its tests calls _closure or its aliases: C*
+# and the Thue completion read reachability off bitsets.  The names stay
+# bound only because bench/tracing.py patches the two aliases by name
+# (tests/test_bench_tracer.py checks that they resolve); they can go once
+# the tracer targets the code that does the work now.
 _descending_closure = _thue_reachable = _closure
 
 
@@ -448,9 +441,7 @@ def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     rotation (a, b) with a <= b: the word (b, a) is the same cycle."""
     if not (system.is_standard and system.is_2monadic and system.is_thue):
         raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
-    pairs = []
-    seen = set()
-    certs = {}
+    certs = {}  # pair -> its first length-2 cycle, in the order found
     k = len(system.alphabet)
     letters = [CyclicWord((a,)) for a in range(k)]
     for w in itertools.combinations_with_replacement(range(k), 2):
@@ -459,9 +450,5 @@ def cdagger(system: RewriteSystem) -> CyclicRuleSet:
         succs = sorted({r[0] for r in _cyclic_redexes(w, system) if len(r) == 1})
         c = CyclicWord(w)
         for x, y in itertools.permutations(succs, 2):
-            if (x, y) not in seen:
-                seen.add((x, y))
-                pair = (letters[x], letters[y])
-                pairs.append(pair)
-                certs[pair] = c
-    return CyclicRuleSet(system, tuple(pairs), certs)
+            certs.setdefault((letters[x], letters[y]), c)
+    return CyclicRuleSet(system, tuple(certs), certs)

@@ -325,7 +325,10 @@ def _rotation_matches(g_p: tuple, f_p: tuple, candidates, p: Pregroup):
 
 def preconjugate(c: CyclicWord, b: int, ctx: UniversalContext) -> Optional[CyclicWord]:
     """Preconjugation of the canonical representative by pregroup element b
-    (see _preconjugate_p); None when it is not defined."""
+    (see _preconjugate_p); None when it is not defined.  PregroupError
+    when b is no element of the pregroup."""
+    if not 0 <= b < len(ctx.pregroup):
+        raise PregroupError(f"pregroup element {b} out of range")
     if len(c) == 0:
         return c
     out = _preconjugate_p(ctx.to_p(c.canon), b, ctx.pregroup)

@@ -30,7 +30,7 @@ from cycrew.rewrite import (
     cyclic_successors,
     reduce_greedy,
 )
-from cycrew.words import Alphabet, CyclicWord, shortlex_key
+from cycrew.words import Alphabet, AlphabetError, CyclicWord, shortlex_key
 
 from conftest import corpus_pregroups, hnn_cyclic
 
@@ -81,6 +81,16 @@ class TestInverseAssignment:
         s = RewriteSystem(a, [Rule((0, 0), (1,) * 5), Rule((1,), ())])
         with pytest.raises(BudgetExhausted):
             check_inverse_assignment(InverseAssignment.from_involution(a), s)
+
+    def test_letter_out_of_range_rejected(self):
+        s = samples.free_group_system(1)
+        with pytest.raises(AlphabetError, match="out of range"):
+            InverseAssignment(s.alphabet, ((1,), (7,)))
+
+    def test_one_word_per_letter_required(self):
+        s = samples.free_group_system(1)
+        with pytest.raises(AlphabetError, match="1 inverse words for 2 letters"):
+            InverseAssignment(s.alphabet, ((1,),))
 
     def test_word_valued_inverses(self):
         # Z3 presented on one letter: aaa -> 1, inverse of a is aa

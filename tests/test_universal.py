@@ -13,7 +13,7 @@ import pytest
 
 import cycrew
 from cycrew import samples
-from cycrew.pregroup import canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
+from cycrew.pregroup import PregroupError, canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
 from cycrew.universal import (
     CHUNK,
     UniversalContext,
@@ -82,8 +82,6 @@ class TestContext:
         assert z4z6_ctx.to_gamma(z4z6_ctx.to_p(w)) == w
 
     def test_to_gamma_matches_p_to_gamma(self, dinf_ctx, z4z6_ctx, hnn_ctx, free_ctx):
-        from cycrew.pregroup import PregroupError, p_to_gamma
-
         for ctx in (dinf_ctx, z4z6_ctx, hnn_ctx, free_ctx):
             p = ctx.pregroup
             letters = [x for x in range(len(p)) if x != p.eps]
@@ -95,25 +93,28 @@ class TestContext:
                     ctx.to_gamma(pw)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, error",
         [
-            lambda ctx: shortlex_nf((-1,), ctx),
-            lambda ctx: reduce_word((-1, 0), ctx),
-            lambda ctx: cyclic_reduce((7,), ctx),
-            lambda ctx: letter_conjugacy_closure(-1, ctx),
-            lambda ctx: equal_in_U((0,), (0, 7), ctx),
-            lambda ctx: conjugate_quadratic((2,), (2, -3), ctx),
-            lambda ctx: conjugate_linear((-1, 2), (6, 2), ctx),
-            lambda ctx: conjugate_linear((99,), (0,), ctx),
+            (lambda ctx: shortlex_nf((-1,), ctx), AlphabetError),
+            (lambda ctx: reduce_word((-1, 0), ctx), AlphabetError),
+            (lambda ctx: cyclic_reduce((7,), ctx), AlphabetError),
+            (lambda ctx: letter_conjugacy_closure(-1, ctx), AlphabetError),
+            (lambda ctx: equal_in_U((0,), (0, 7), ctx), AlphabetError),
+            (lambda ctx: conjugate_quadratic((2,), (2, -3), ctx), AlphabetError),
+            (lambda ctx: conjugate_linear((-1, 2), (6, 2), ctx), AlphabetError),
+            (lambda ctx: conjugate_linear((99,), (0,), ctx), AlphabetError),
+            (lambda ctx: preconjugate(CyclicWord.of((0,)), -1, ctx), PregroupError),
+            (lambda ctx: preconjugate(CyclicWord.of((0,)), 99, ctx), PregroupError),
         ],
         ids=[
             "shortlex_nf", "reduce_word", "cyclic_reduce", "closure",
             "equal_in_U", "quadratic", "linear", "linear-99",
+            "preconjugate-element", "preconjugate-element-99",
         ],
     )
-    def test_letters_outside_gamma_rejected(self, z4z6_ctx, call):
-        # z4_amalgam_z6 has 7 Gamma letters, 0..6
-        with pytest.raises(AlphabetError, match="out of range"):
+    def test_letters_outside_gamma_rejected(self, z4z6_ctx, call, error):
+        # z4_amalgam_z6 has 7 Gamma letters, 0..6, and 8 pregroup elements
+        with pytest.raises(error, match="out of range"):
             call(z4z6_ctx)
 
 
