@@ -38,7 +38,6 @@ from .universal import (
     shortlex_nf,
 )
 from .fastconj import conjugate_linear, conjugate_oracle
-from .words import CyclicWord
 
 
 def _read(path: str) -> str:
@@ -168,8 +167,13 @@ def cmd_conj(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    system, _pairs = parse_rws(_read(args.file))
-    cyclic_pairs = ()
+    system, cyclic_pairs = parse_rws(_read(args.file))
+    if cyclic_pairs:
+        # every mode completes the [rules] alone
+        raise ParseError(
+            f"complete reads no [cyclic-rules] section and would drop the "
+            f"{len(cyclic_pairs)} pair(s) in {args.file}"
+        )
     if args.mode == "hat":
         out = completion_mod.hat_extension(system)
     elif args.mode == "circle":

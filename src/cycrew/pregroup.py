@@ -84,6 +84,12 @@ class Pregroup:
             for row in self.table
         )
 
+    @functools.cached_property
+    def masks(self) -> tuple:
+        """Per row x, the int bitmask of the y with [xy] defined.  Built
+        once, on first use; G_P and the P6 and P7 checks read these."""
+        return tuple(sum(1 << y for y, _xy in row) for row in self.rows)
+
     def __len__(self):
         return len(self.elements)
 
@@ -200,11 +206,6 @@ def check_axioms(p: Pregroup) -> AxiomReport:
     return rep
 
 
-def _defined_masks(p: Pregroup):
-    """Per row x, the int bitmask of the y with [xy] defined."""
-    return [sum(1 << y for y, _xy in row) for row in p.rows]
-
-
 def _bits(mask: int):
     """The set bits of mask, ascending."""
     while mask:
@@ -222,7 +223,7 @@ def canonical_subgroup(p: Pregroup) -> frozenset:
     if g is not None:
         return g
     full = (1 << len(p)) - 1
-    masks = _defined_masks(p)
+    masks = p.masks
     full_columns = full
     for mask in masks:
         full_columns &= mask
@@ -238,7 +239,7 @@ def check_p6(p: Pregroup):
 
     Witnesses (f, g, b) ascend in b, then f, then g."""
     gp = canonical_subgroup(p)
-    masks = _defined_masks(p)
+    masks = p.masks
     witnesses = []
     for b, mask_b in enumerate(masks):
         if b in gp:
@@ -256,7 +257,7 @@ def check_p7(p: Pregroup):
     gp = canonical_subgroup(p)
     table = p.table
     inv = p.inv
-    masks = _defined_masks(p)
+    masks = p.masks
     # both[s]: the t with [st] and [ts] defined
     columns = [0] * len(p)
     for x, mask in enumerate(masks):

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import collections
 import functools
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -759,10 +758,15 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     oriented rules onto itself, so it commutes with word_successors: the
     redex l -> r at [a, b) of x becomes g(l) -> g(r) at [a, b) of g(x), or
     at [n - b, n - a) when g reverses words, and every redex of g(x) arises
-    so.  g thus maps the critical pairs of x one-to-one onto those of g(x)
-    and sends one-step meets to one-step meets (the successor sets of
-    g(y) are the images of those of y): the pairs of x all close by the
-    one-step meet exactly when those of g(x) do.
+    so.  g thus maps the critical pairs of x one-to-one onto those of g(x),
+    and, since it keeps lengths, the descendants of y within a length
+    bound onto those of g(y) within it.  So a join of y and z maps to a join
+    of g(y) and g(z), and a search from y ends without reaching a bound
+    exactly when the search from g(y) does, on the image set: a pair that
+    a search joined (True), or whose searches ran to their end without a
+    meet (False), has that answer on every word of its orbit.  Only the
+    "unknown" of a search cut at its node bound depends on BFS order,
+    which g need not keep.
 
     _orbit_minima generates the orbit minima, the words least in shortlex
     order in their orbit, without the rest.  Within a length shortlex is
@@ -774,39 +778,22 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     letters that it does not map lower.  A reversing map reads x from its
     end, so those are tested on each whole word.
 
-    A minimum whose pairs all close by the one-step meet stands for its
-    orbit: the other words of the orbit close theirs so too.  One that
-    needed _strongly_joinable does not, because that search stops at a node
-    count in BFS order and need not agree on a pair and its image; its
-    other images go on a shortlex heap merged into the stream of minima,
-    and are tested in turn.  So the words tested are the overlap words in
-    shortlex order less some whose pairs all close by one-step meets (the
-    other words of such orbits), and a word left out could neither fail
-    nor raise.  The answers of the
-    memoised searches do not depend on the pairs searched before (see
-    _Descendants), so the report, first counterexample and BudgetExhausted
-    included, is the same as that of the full scan.
+    The check tests the minima alone, in shortlex order.  Where the scan
+    of every overlap word reaches a decision, each pair that it tests on
+    the way has a decided answer, and so has the same pair on each word
+    of its orbit: the report, first counterexample included, is the same.
+    The first word that fails is least in its orbit, since an earlier
+    image of it would fail first.  Where that scan would raise
+    BudgetExhausted at an image of a minimum whose pairs were joined, the
+    check goes on and may decide.  A negative verdict still comes only
+    from searches that ran to their end.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
     pool = _SuccessorPool(system)
     index = system._index
-    symmetries = _symmetries(system)
-    minima = _orbit_minima(system, symmetries)
-    # a shortlex heap of (n, x, whether x is a minimum): the next minimum
-    # and the images of the minima that needed _strongly_joinable
-    queue = []
-
-    def pull():
-        x = next(minima, None)
-        if x is not None:
-            heapq.heappush(queue, (len(x), x, True))
-
-    pull()
-    while queue:
-        n, x, minimum = heapq.heappop(queue)
-        if minimum:
-            pull()
+    for x in _orbit_minima(system, _symmetries(system)):
+        n = len(x)
         spans = []  # (start, end, [(result word, its successors or self)])
         for length in system._lhs_lengths:
             for pos in range(n - length + 1):
@@ -815,7 +802,6 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                     # the system is unanchored: every target is plain
                     results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
                     spans.append((pos, pos + length, [(y, pool(y)) for y in results]))
-        one_step = True  # every pair of x so far closed by the one-step meet
         for i, (a1, b1, ys) in enumerate(spans):
             # redex pairs in the order of the flat (span, rhs) redex list
             partners = [
@@ -832,10 +818,6 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                             continue
                         if not _strongly_joinable(y, z, system, pool):
                             return ConfluenceReport(False, (x, y, z))
-                        one_step = False
-        if minimum and not one_step:
-            for image in {_image(g, x) for g in symmetries} - {x}:
-                heapq.heappush(queue, (n, image, False))
     return ConfluenceReport(True)
 
 

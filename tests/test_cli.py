@@ -218,6 +218,19 @@ class TestComplete:
         assert main(["complete", str(four), "--mode", "cdagger"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["hat", "circle", "cstar", "cdagger"])
+    def test_cyclic_rules_in_input_are_exit_2(self, tmp_path, capsys, mode):
+        # no mode reads them, so the output would silently lack the pair
+        path = tmp_path / "cyclic.rws"
+        path.write_text(
+            "[alphabet]\nletters: a A\npairs: a A\n"
+            "[rules]\na A -> 1\nA a -> 1\n[cyclic-rules]\na a -> A A\n"
+        )
+        assert main(["complete", str(path), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "[cyclic-rules]" in captured.err
+
 
 class TestOutputPath:
     @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 import collections
-import heapq
 import random
-import types
 
 import pytest
 
@@ -14,7 +12,6 @@ from cycrew.rewrite import (
     RewriteSystem,
     Rule,
     _Descendants,
-    _image,
     _orbit_minima,
     _strongly_joinable,
     _SuccessorPool,
@@ -901,52 +898,9 @@ def _random_involutive_system(rng):
     return RewriteSystem(a, rules)
 
 
-# The parent's scan, with the pool renamed, the orbits taken by _image, and
-# a list of the words it tests: every overlap word in shortlex order, each
-# word skipped that the orbit of an earlier word whose pairs closed by
-# one-step meets holds.
-
-
-def ref_orbit_check_strong_confluence(system, tested):
-    if system.has_anchored_rules():
-        raise ValueError("strong confluence check requires an unanchored system")
-    succ_or_self = _SuccessorPool(system)
-    index = system._index
-    symmetries = _symmetries(system)
-    met = set()  # the orbits of tested words whose pairs closed by one-step meets
-    for x in sorted(_overlap_words(system), key=shortlex_key):
-        if x in met:
-            continue
-        tested.append(x)
-        n = len(x)
-        spans = []  # (start, end, [(result word, its successors or self)])
-        for length in system._lhs_lengths:
-            for pos in range(n - length + 1):
-                slots = index.get(x[pos : pos + length])
-                if slots is not None:
-                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
-                    spans.append(
-                        (pos, pos + length, [(y, succ_or_self(y)) for y in results])
-                    )
-        one_step = True  # every pair of x so far closed by the one-step meet
-        for i, (a1, b1, ys) in enumerate(spans):
-            partners = [
-                zs
-                for a2, b2, zs in spans[i + 1 :]
-                if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
-            ]
-            whole = a1 == 0 and b1 == n > 0
-            for k, (y, sy) in enumerate(ys):
-                for group in ([ys[k + 1 :]] if whole else []) + partners:
-                    for z, sz in group:
-                        if y == z or not sy.isdisjoint(sz):
-                            continue
-                        if not _strongly_joinable(y, z, system, succ_or_self):
-                            return ConfluenceReport(False, (x, y, z))
-                        one_step = False
-        if one_step:
-            met.update(_image(g, x) for g in symmetries)
-    return ConfluenceReport(True)
+def _has_images(words, group):
+    """Some word of words has an image under group other than itself."""
+    return any(_apply(g, x) != x for x in words for g in group)
 
 
 def _closed(group):
@@ -970,42 +924,50 @@ def _brute_orbit_minima(system, group):
 
 def _tested_words(monkeypatch, system):
     """The outcome of check_strong_confluence on system and the words it
-    tests, in order: the words it takes from its queue."""
-    tested = []
+    tested whose pairs reached _strongly_joinable.  The words it tests,
+    those it takes from _orbit_minima, are the first orbit minima, all of
+    them when it found the system confluent."""
+    tested, searched = [], []
+    generate, joinable = rewrite._orbit_minima, rewrite._strongly_joinable
 
-    def heappop(queue):
-        item = heapq.heappop(queue)
-        tested.append(item[1])
-        return item
+    def spy_minima(system, symmetries):
+        for x in generate(system, symmetries):
+            tested.append(x)
+            yield x
 
-    spy = types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    def spy_joinable(y, z, system, pool):
+        if searched[-1:] != tested[-1:]:
+            searched.append(tested[-1])
+        return joinable(y, z, system, pool)
+
     with monkeypatch.context() as m:
-        m.setattr(rewrite, "heapq", spy)
-        return _outcome(check_strong_confluence, system), tested
+        m.setattr(rewrite, "_orbit_minima", spy_minima)
+        m.setattr(rewrite, "_strongly_joinable", spy_joinable)
+        report = _outcome(check_strong_confluence, system)
+    minima = _brute_orbit_minima(system, _symmetries(system))
+    assert tested == minima[: len(tested)]
+    if report == ConfluenceReport(True):
+        assert tested == minima
+    return report, searched
 
 
 class TestFormalInverseSkipMatchesFullScan:
     """check_strong_confluence tests one word of each formal-inverse orbit
     on invariant systems; its reports equal those of the full scan
-    ref_check_strong_confluence.  The orbit minima it starts from are
-    those of the reference overlap words, and it tests the words the
-    parent's scan tests, in the same order."""
+    ref_check_strong_confluence.  The words it tests are the first orbit
+    minima of the reference overlap words, in shortlex order."""
 
     def test_random_involutive_systems(self, monkeypatch):
         rng = random.Random(20122)
         seen = collections.Counter()
         for _ in range(2_000):
             s = _random_involutive_system(rng)
-            report, tested = _tested_words(monkeypatch, s)
+            report, searched = _tested_words(monkeypatch, s)
             assert report == _outcome(ref_check_strong_confluence, s)
-            want = []
-            assert report == _outcome(ref_orbit_check_strong_confluence, s, want)
-            assert tested == want
             group = _symmetries(s)
-            minima = list(_orbit_minima(s, group))
-            assert minima == _brute_orbit_minima(s, group)
-            # images of minima that needed _strongly_joinable, from the heap
-            seen["heap"] += not set(tested) <= set(minima)
+            assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
+            # a minimum that needed _strongly_joinable stands for its images
+            seen["searched images"] += _has_images(searched, group)
             seen["group > 1"] += len(group) > 1
             invariant = _closed_under_involute(s)
             seen["invariant", invariant] += 1
@@ -1020,7 +982,7 @@ class TestFormalInverseSkipMatchesFullScan:
                     s, report.counterexample[0], _symmetries(s)
                 )
         assert seen["paired"] > 1_500 and seen["group > 1"] > 1_500
-        assert seen["heap"] > 100, seen
+        assert seen["searched images"] > 100, seen
         assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
         assert seen["ok", True] and seen["ok", False]
         for kind in ("empty lhs", "lengthening", "skip before failure"):
@@ -1104,20 +1066,16 @@ def _random_symmetric_system(rng, max_lhs=3):
 class TestLetterSymmetries:
     """_symmetries finds the letter maps that send the rules onto
     themselves; check_strong_confluence tests one word of each orbit under
-    them, and its reports equal those of the scans
-    ref_sigma_check_strong_confluence and ref_orbit_check_strong_confluence,
-    the words it tests those of the second."""
+    them, the orbit minima, and its reports equal those of the scan
+    ref_sigma_check_strong_confluence."""
 
     def test_random_symmetric_systems(self, monkeypatch):
         rng = random.Random(20123)
         seen = collections.Counter()
         for _ in range(1_000):
             s, g = _random_symmetric_system(rng)
-            report, tested = _tested_words(monkeypatch, s)
+            report, searched = _tested_words(monkeypatch, s)
             assert report == _outcome(ref_sigma_check_strong_confluence, s)
-            want = []
-            assert report == _outcome(ref_orbit_check_strong_confluence, s, want)
-            assert tested == want
             group = _symmetries(s)
             assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
             assert (tuple(range(len(s.alphabet))), False) in group
@@ -1133,6 +1091,7 @@ class TestLetterSymmetries:
             seen["reversing", g[1]] += planted
             seen["order > 2"] += len(group) > 2
             seen["lengthening"] += s.has_length_increasing_rules()
+            seen["searched images"] += _has_images(searched, group)
             if report is BudgetExhausted:
                 seen["budget"] += 1
                 continue
@@ -1142,35 +1101,26 @@ class TestLetterSymmetries:
         assert seen["planted", True] > 850 and seen["planted", False]
         assert seen["reversing", True] > 350 and seen["reversing", False] > 350
         assert seen["ok", True] > 200 and seen["ok", False] > 200
+        assert seen["searched images"] > 200, seen
         for kind in ("order > 2", "lengthening", "budget", "skip before failure"):
             assert seen[kind], kind
 
-    def test_bounded_search_words_are_tested_in_every_image(self, monkeypatch):
-        # the images of a word that needed _strongly_joinable are tested
-        # too, so the pair it passed to the search is passed again from
-        # every image word
-        calls = []
-        joinable = rewrite._strongly_joinable
-
-        def spy(y, z, system, pool):
-            calls.append((y, z))
-            return joinable(y, z, system, pool)
-
-        monkeypatch.setattr(rewrite, "_strongly_joinable", spy)
-        rng = random.Random(20124)
-        searched = 0
-        for _ in range(600):
-            s, _g = _random_symmetric_system(rng)
-            calls.clear()
-            if _outcome(check_strong_confluence, s) != ConfluenceReport(True):
-                continue
-            called = {frozenset(c) for c in calls}
-            group = _symmetries(s)
-            for y, z in calls:
-                for g in group:
-                    assert frozenset((_apply(g, y), _apply(g, z))) in called
-            searched += bool(calls) and len(group) > 1
-        assert searched > 20
+    def test_join_of_a_minimum_holds_for_its_images(self, monkeypatch):
+        # the full scan meets 'b c a' -> 'b d' at an image of a minimum
+        # whose pairs were joined, and its search there stops at the node
+        # bound; the check tests the minimum alone and decides, as the full
+        # scan does once that bound is raised
+        a = Alphabet.from_pairs("abcdefg", [])
+        w = a.word
+        rules = [("", x) for x in "bcdefg"]
+        rules += [("ab", "db"), ("b", ""), ("ba", "bd")]
+        s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+        assert len(_symmetries(s)) == 48
+        with pytest.raises(BudgetExhausted, match="'b c a' and 'b d'"):
+            ref_check_strong_confluence(s)
+        assert check_strong_confluence(s) == ConfluenceReport(True)
+        monkeypatch.setattr(_Descendants.__init__, "__defaults__", (20_000,))
+        assert ref_check_strong_confluence(s) == ConfluenceReport(True)
 
     def test_s_eps_groups(self):
         # the orders of the pregroups' automorphism groups (the signed
@@ -1186,9 +1136,7 @@ class TestLetterSymmetries:
 
 class TestOrbitMinima:
     """_orbit_minima generates the shortlex-least word of each orbit of
-    overlap words; check_strong_confluence tests them and the images of
-    those that needed _strongly_joinable, the words the parent's scan
-    ref_orbit_check_strong_confluence tests, in its order."""
+    overlap words, the words check_strong_confluence tests."""
 
     def test_s_eps_corpus(self):
         counts = {"hnn": 1_734, "hnn42": 227}  # orbit minima on the larger systems

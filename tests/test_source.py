@@ -18,3 +18,29 @@ def test_library_has_no_assert_statements():
     ]
     assert modules
     assert found == []
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for name, line in imported.items() if name not in read]
+
+
+def test_library_imports_only_names_it_uses():
+    # __init__.py imports to re-export; every other module imports to use
+    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in modules
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert modules
+    assert found == []
