@@ -67,11 +67,9 @@ class Pregroup:
             raise PregroupError(f"product names unknown token {exc.args[0]!r}") from None
         self.table = tuple(tuple(row) for row in self.table)
         # letter -> compiled carry step, built on first use by
-        # cycrew.universal._carry_step, and G_P, built on first use by
-        # canonical_subgroup; like rows, safe to cache since the table is
-        # immutable
+        # cycrew.universal._carry_step; like rows, safe to cache since the
+        # table is immutable
         self._carry_steps = {}
-        self._canonical_subgroup = None
 
     @functools.cached_property
     def rows(self) -> tuple:
@@ -89,6 +87,20 @@ class Pregroup:
         """Per row x, the int bitmask of the y with [xy] defined.  Built
         once, on first use; G_P and the P6 and P7 checks read these."""
         return tuple(sum(1 << y for y, _xy in row) for row in self.rows)
+
+    @functools.cached_property
+    def _canonical_subgroup(self) -> frozenset:
+        """G_P, as canonical_subgroup describes it.  Built once, on first
+        use; a table that fails the subgroup test raises on every use."""
+        full = (1 << len(self)) - 1
+        masks = self.masks
+        full_columns = full
+        for mask in masks:
+            full_columns &= mask
+        g = frozenset(x for x in _bits(full_columns) if masks[x] == full)
+        if not self.is_subgroup(g):
+            raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
+        return g
 
     def __len__(self):
         return len(self.elements)
@@ -219,19 +231,7 @@ def canonical_subgroup(p: Pregroup) -> frozenset:
     ways.  Raises PregroupError unless the result is a subgroup (closed
     under product and involution, containing epsilon), as it is in every
     pregroup.  Computed once per pregroup; the table is immutable."""
-    g = p._canonical_subgroup
-    if g is not None:
-        return g
-    full = (1 << len(p)) - 1
-    masks = p.masks
-    full_columns = full
-    for mask in masks:
-        full_columns &= mask
-    g = frozenset(x for x in _bits(full_columns) if masks[x] == full)
-    if not p.is_subgroup(g):
-        raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
-    p._canonical_subgroup = g
-    return g
+    return p._canonical_subgroup
 
 
 def check_p6(p: Pregroup):

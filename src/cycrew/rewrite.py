@@ -13,7 +13,7 @@ end of the word, the whole word; on a cycle every redex is at a start and
 an end).  word_successors, reduce_greedy and _cyclic_redexes, the redexes
 of a cycle that cyclic_successors and the completions read, all read the
 index through _firing; check_strong_confluence, which accepts only
-unanchored systems, reads the plain targets.
+unanchored systems, reads the plain targets through _plain_rewrites.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -152,6 +153,25 @@ def word_successors(w: Word, system: RewriteSystem):
     return out
 
 
+def _plain_rewrites(w: Word, system: RewriteSystem) -> list:
+    """(start, end, words) for each occurrence w[start:end] of a left-hand
+    side, by length and then position; words are w with the occurrence
+    replaced by each plain target, in word_successors order.  Anchored
+    targets are left out: the confluence check, which reads this, accepts
+    only unanchored systems."""
+    out = []
+    n = len(w)
+    index = system._index
+    for length in system._lhs_lengths:
+        for pos in range(n - length + 1):
+            end = pos + length
+            slots = index.get(w[pos:end])
+            if slots is not None:
+                head, tail = w[:pos], w[end:]
+                out.append((pos, end, [head + rhs + tail for _rid, rhs in slots[0]]))
+    return out
+
+
 def _cyclic_redexes(canon: Word, system: RewriteSystem):
     """The word rhs + rest for every redex of the cycle canon: every rule
     l -> rhs that fires at the start of a rotation l + rest, the rotations
@@ -228,8 +248,8 @@ class JoinResult:
     """Outcome of a joinability search.
 
     status is one of "joinable" (witness set), "disjoint" (both descendant
-    sets fully enumerated, no overlap) or "exhausted" (budget ran out before
-    a decision).
+    sets fully enumerated, no overlap) or "exhausted" (a budget or length
+    bound cut a search before a decision).
     """
 
     status: str
@@ -247,49 +267,41 @@ def cyclic_joinable(
     max_len: Optional[int] = None,
     memo: Optional[dict] = None,
 ) -> JoinResult:
-    """Bidirectional BFS for a common cyclic descendant of u and v.
+    """Bidirectional BFS for a common cyclic descendant of u and v: one
+    _Descendants search from each, the side with the shorter queue
+    expanded first, until one side sees a cycle that the other has seen.
 
-    The budget counts expanded nodes across both sides.  With max_len set,
-    successors longer than max_len are pruned; "disjoint" then means
-    disjoint within that length bound.  A memo dict shared across calls
-    caches successor lists.
+    Each side stops expanding once it has seen budget cycles besides its
+    start.  With max_len set, successors longer than max_len are left out.
+    "disjoint" needs both searches to run to their end; when a bound cut
+    either one and they did not meet, the answer is "exhausted".  A memo
+    dict shared across calls caches successor lists.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if memo is None:
+        memo = {}
 
     def successors(node):
-        if memo is None:
-            return cyclic_successors(node, system)
         got = memo.get(node)
         if got is None:
-            got = cyclic_successors(node, system)
-            memo[node] = got
+            got = memo[node] = cyclic_successors(node, system)
         return got
 
     if u == v:
         return JoinResult("joinable", u)
-    seen = {u: 0, v: 1}  # node -> side
-    frontiers = [collections.deque([u]), collections.deque([v])]
-    expanded = 0
-    while frontiers[0] or frontiers[1]:
-        # expand the smaller nonempty frontier to keep the meet shallow
-        side = min(
-            (s for s in (0, 1) if frontiers[s]), key=lambda s: len(frontiers[s])
-        )
-        node = frontiers[side].popleft()
-        expanded += 1
-        if expanded > budget:
-            return JoinResult("exhausted")
-        for succ in successors(node):
-            if max_len is not None and len(succ) > max_len:
-                continue
-            owner = seen.get(succ)
-            if owner is None:
-                seen[succ] = side
-                frontiers[side].append(succ)
-            elif owner != side:
-                return JoinResult("joinable", succ)
-    return JoinResult("disjoint")
+    cap = math.inf if max_len is None else max_len
+    sides = [_Descendants(c, successors, cap, budget + 1) for c in (u, v)]
+    while True:
+        searching = [(len(d.queue), i) for i, d in enumerate(sides) if d.open]
+        if not searching:
+            break
+        side = min(searching)[1]
+        other = sides[1 - side].seen
+        for c in sides[side].expand():
+            if c in other:
+                return JoinResult("joinable", c)
+    return JoinResult("exhausted" if sides[0].cut or sides[1].cut else "disjoint")
 
 
 @dataclass(frozen=True)
@@ -306,40 +318,29 @@ class _SuccessorPool:
 
     pool(w) is the frozenset of w and its one-step rewrites by the plain
     rules (the system of a confluence check is unanchored), and
-    pool.steps(w) lists the rewrites in word_successors order.
-    pool.descendants(w, cap) is the one _Descendants search from w over
-    words of at most cap letters, keyed by (w, cap): it keeps how far it
-    has run and whether a bound cut it, so that a truncated set is never
-    read as a complete one.
+    pool.steps(w) lists those rewrites in word_successors order; both read
+    _plain_rewrites.  pool.descendants(w, cap) is the one _Descendants
+    search from w over words of at most cap letters, keyed by (w, cap): it
+    keeps how far it has run and whether a bound cut it, so that a
+    truncated set is never read as a complete one.
     """
 
     def __init__(self, system):
         self.system = system
         self._meets = {}
-        self._steps = {}
         self._desc = {}
 
     def __call__(self, w):
         got = self._meets.get(w)
         if got is None:
-            index = self.system._index
-            n = len(w)
             out = [w]
-            for length in self.system._lhs_lengths:
-                for pos in range(n - length + 1):
-                    slots = index.get(w[pos : pos + length])
-                    if slots is not None:
-                        head, tail = w[:pos], w[pos + length :]
-                        out.extend([head + rhs + tail for _rid, rhs in slots[0]])
+            for _start, _end, words in _plain_rewrites(w, self.system):
+                out += words
             got = self._meets[w] = frozenset(out)
         return got
 
     def steps(self, w):
-        got = self._steps.get(w)
-        if got is None:
-            got = tuple(r for r, _i, _p in word_successors(w, self.system))
-            self._steps[w] = got
-        return got
+        return [y for _start, _end, words in _plain_rewrites(w, self.system) for y in words]
 
     def descendants(self, w, cap):
         got = self._desc.get((w, cap))
@@ -353,11 +354,14 @@ class _Descendants:
     rewrites of u), run only as far as the questions asked of it need.
 
     Rewrites longer than max_len letters are left out, and no word is
-    expanded once max_nodes words are seen.  meets(targets) runs the search
-    until it sees a word of targets or ends, so its answer is the same as
-    that of the whole bounded search.  Once the search has ended, cut tells
-    whether a bound left words out: a rewrite too long, or a word never
-    expanded; the set seen is then only part of the descendants.
+    expanded once max_nodes words are seen: the search is open while it
+    has a word to expand and room to see more, and expand() expands the
+    next word and returns the words it saw first, in order.
+    meets(targets) runs the search until it sees a word of targets or
+    ends, so its answer is the same as that of the whole bounded search.
+    Once the search has ended, cut tells whether a bound left words out: a
+    rewrite too long, or a word never expanded; the set seen is then only
+    part of the descendants.
     """
 
     def __init__(self, w, steps, max_len, max_nodes=2_000):
@@ -368,20 +372,26 @@ class _Descendants:
         self.max_len = max_len
         self.max_nodes = max_nodes
 
+    @property
+    def open(self) -> bool:
+        return bool(self.queue) and len(self.seen) < self.max_nodes
+
+    def expand(self) -> list:
+        seen, new = self.seen, []
+        for s in self.steps(self.queue.popleft()):
+            if len(s) > self.max_len:
+                self.pruned = True
+            elif s not in seen:
+                seen.add(s)
+                new.append(s)
+        self.queue.extend(new)
+        return new
+
     def meets(self, targets) -> bool:
-        seen, queue = self.seen, self.queue
-        if not seen.isdisjoint(targets):
+        if not self.seen.isdisjoint(targets):
             return True
-        while queue and len(seen) < self.max_nodes:
-            hit = False
-            for s in self.steps(queue.popleft()):
-                if len(s) > self.max_len:
-                    self.pruned = True
-                elif s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-                    hit = hit or s in targets
-            if hit:
+        while self.open:
+            if any(map(targets.__contains__, self.expand())):
                 return True
         return False
 
@@ -791,17 +801,11 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
     pool = _SuccessorPool(system)
-    index = system._index
     for x in _orbit_minima(system, _symmetries(system)):
         n = len(x)
-        spans = []  # (start, end, [(result word, its successors or self)])
-        for length in system._lhs_lengths:
-            for pos in range(n - length + 1):
-                slots = index.get(x[pos : pos + length])
-                if slots is not None:
-                    # the system is unanchored: every target is plain
-                    results = [x[:pos] + rhs + x[pos + length :] for _rid, rhs in slots[0]]
-                    spans.append((pos, pos + length, [(y, pool(y)) for y in results]))
+        # (start, end, [(result word, its successors or self)]); the system
+        # is unanchored, so every target is plain
+        spans = [(a, b, [(y, pool(y)) for y in ys]) for a, b, ys in _plain_rewrites(x, system)]
         for i, (a1, b1, ys) in enumerate(spans):
             # redex pairs in the order of the flat (span, rhs) redex list
             partners = [

@@ -9,6 +9,7 @@ from cycrew.rewrite import (
     Anchor,
     BudgetExhausted,
     ConfluenceReport,
+    JoinResult,
     RewriteSystem,
     Rule,
     _Descendants,
@@ -306,6 +307,86 @@ class TestCyclicJoinable:
         assert len(memo) == before
 
 
+    def test_length_cut_search_is_exhausted_not_disjoint(self):
+        # a b -> a b b is the one cyclic rewrite of a b; with a b b over the
+        # length bound the search is cut, which decides nothing
+        s = samples.growing_cycle_system()
+        a = s.alphabet
+        u, v = CyclicWord.of(a.word("ab")), CyclicWord.of(a.word("abb"))
+        assert cyclic_successors(u, s) == [v]
+        assert cyclic_joinable(u, v, s, max_len=2).status == "exhausted"
+        assert cyclic_joinable(u, v, s, max_len=3) == JoinResult("joinable", v)
+
+    def test_budget_caps_the_cycles_each_side_sees(self):
+        # a -> b -> c -> d: the side from a sees 3 cycles besides a, the
+        # side from e none; five cycles are expanded in all
+        a = Alphabet.from_pairs("abcde", [])
+        w = a.word
+        s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in ["ab", "bc", "cd"]])
+        u, v = CyclicWord.of(w("a")), CyclicWord.of(w("e"))
+        assert cyclic_joinable(u, v, s, budget=4).status == "disjoint"
+        assert cyclic_joinable(u, v, s, budget=3).status == "exhausted"
+
+    def test_answers_match_brute_force_closures(self):
+        # random systems, anchored and lengthening rules included: a witness
+        # lies in both closures within the length bound, "disjoint" needs
+        # both closures complete and disjoint, and "exhausted" needs a
+        # bound that cut a side
+        def closure(c, system, max_len):
+            """The cycles reachable from c through cycles of at most
+            max_len letters, and whether no successor was over the bound."""
+            seen, stack, complete = {c}, [c], True
+            while stack:
+                for d in cyclic_successors(stack.pop(), system):
+                    if len(d) > max_len:
+                        complete = False
+                    elif d not in seen:
+                        seen.add(d)
+                        stack.append(d)
+            return seen, complete
+
+        rng = random.Random(20127)
+        seen = collections.Counter()
+        for _ in range(300):
+            a = Alphabet.from_pairs(rng.choice(["ab", "abc"]), [])
+
+            def word(lo, hi):
+                return tuple(rng.randrange(len(a)) for _ in range(rng.randint(lo, hi)))
+
+            rules = [
+                Rule(word(0, 3), word(0, 4), rng.choice(list(Anchor)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            s = RewriteSystem(a, rules)
+            memo = {}
+            for _ in range(3):
+                max_len = rng.randint(1, 5)
+                budget = rng.choice([3, 10, 100_000])
+                u, v = CyclicWord.of(word(0, max_len)), CyclicWord.of(word(0, max_len))
+                res = cyclic_joinable(u, v, s, budget, max_len, rng.choice([None, memo]))
+                (cu, u_complete), (cv, v_complete) = closure(u, s, max_len), closure(v, s, max_len)
+                complete = u_complete and v_complete
+                small = max(len(cu), len(cv)) <= budget
+                if res.status == "joinable":
+                    assert res.witness in cu and res.witness in cv
+                elif res.status == "disjoint":
+                    assert complete and cu.isdisjoint(cv)
+                else:
+                    assert res.status == "exhausted"
+                    assert not (complete and small)
+                    seen["cut by length"] += not complete
+                    seen["cut by budget"] += not small
+                if complete and small:
+                    assert res.status == ("disjoint" if cu.isdisjoint(cv) else "joinable")
+                seen[res.status] += 1
+            seen["lengthening"] += s.has_length_increasing_rules()
+            seen["anchored"] += s.has_anchored_rules()
+        assert all(seen[k] > 20 for k in (
+            "joinable", "disjoint", "exhausted", "cut by length", "cut by budget",
+            "lengthening", "anchored",
+        )), seen
+
+
 class TestConfluenceChecker:
     def test_anchored_systems_rejected(self):
         a = _ab()
@@ -331,8 +412,11 @@ class TestConfluenceChecker:
             pool = _SuccessorPool(s)
             for _ in range(4):
                 w = word(0, 5)
-                want = frozenset([w] + [r for r, _rid, _pos in word_successors(w, s)])
+                rewrites = [r for r, _rid, _pos in word_successors(w, s)]
+                want = frozenset([w] + rewrites)
                 assert pool(w) == want
+                # in order: the node-capped searches expand in this order
+                assert list(pool.steps(w)) == rewrites
                 assert pool(w) is pool(w)
                 seen["rewrites"] += len(want) > 1
             seen["empty lhs"] += any(not r.lhs for r in rules)
