@@ -3,12 +3,13 @@
 The decision procedure cyclically reduces both inputs, handles lengths at
 most one by the letter conjugacy closure, and for longer inputs preconjugates
 f by each pregroup element b for which the preconjugation is defined (two
-table reads decide that) and matches all but the last letter of the shortlex
-normal form of f^b against the first 2n - 2 letters of the normal form of g
-squared with Knuth-Morris-Pratt.  The carry sequence of that normal form
-tests the last letter at each match in constant time.  The matches, at
-starts 0 .. n-1, are exactly the rotations of NF(g) equal to f^b (see
-conjugate_linear for the proof), so one pass decides every offset.
+table reads decide that, and the result is then reduced; see
+universal._preconjugate_p) and matches all but the last letter of the
+shortlex normal form of f^b against the first 2n - 2 letters of the normal
+form of g squared with Knuth-Morris-Pratt.  The carry sequence of that
+normal form tests the last letter at each match in constant time.  The
+matches, at starts 0 .. n-1, are exactly the rotations of NF(g) equal to
+f^b (see conjugate_linear for the proof), so one pass decides every offset.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .universal import (
     _conjugacy_prelude,
     _interleaving_equal,
     _nf_carries,
-    _stack_reduce,
+    _preconjugate_p,
     equal_in_U,
 )
 from .words import Word, involute
@@ -100,19 +101,16 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     Combinatorial Group Theory, IV.2; conjugate_quadratic searches the same
     set).  G = NF(g) is itself cyclically reduced (proved below), so with
     G for g: f and G are conjugate exactly when some rotation of G equals,
-    in U(P), f itself (b = epsilon) or a reduced preconjugation
+    in U(P), f itself (b = epsilon) or the preconjugation
     ([b~ f[0]], f[1], ..., f[n-2], [f[n-1] b]), whose end products are
-    defined and not epsilon.  The loop therefore skips every b != epsilon
-    that fails this two-entry table test before the O(n) stack reduction.
-    For b that pass it, b~ f b equals that preconjugation in U(P); reduced
-    words are geodesics, so _stack_reduce(b~ f b) has length n exactly when
-    the preconjugation is reduced, and for n >= 3 it is then that very word
-    (for n = 2, possibly another reduced word of the same element).  A
-    skipped b is either no preconjugation of f, or its b~ f b may still
-    have length n as a rotation of f with merged ends (b = f[0] gives
-    f[1:] f[:1]); the criterion never needs it, since epsilon or a b that
-    passes already matches whenever f and G are conjugate.  The surviving b
-    keep ascending order, so the least of them that matches is found first.
+    defined and not epsilon.  _preconjugate_p(f, b~) builds it or returns
+    None; by the lemma in its docstring, the word it builds is reduced, of
+    length n, and equal to b~ f b.  A skipped b is either no
+    preconjugation of f, or its b~ f b may still have length n as a
+    rotation of f with merged ends (b = f[0] gives f[1:] f[:1]); the
+    criterion never needs it, since epsilon or a b that passes already
+    matches whenever f and G are conjugate.  The surviving b keep ascending
+    order, so the least of them that matches is found first.
 
     For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
     exactly when KMP finds NF(f^b)[:n-1] at a start s < n of NF(g g) and a
@@ -158,19 +156,12 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
     f_p = ctx.to_p(f_can)
     big, carries = _nf_carries(g_nf + g_nf, p)
-    eps, inv, table = p.eps, p.inv, p.table
-    first, final = f_p[0], f_p[-1]
+    inv, table = p.inv, p.table
 
     for b in range(len(p)):
-        if b == eps:
-            fb = f_p
-        else:
-            head, tail = table[inv[b]][first], table[final][b]
-            if head is None or tail is None or head == eps or tail == eps:
-                continue  # not a preconjugation of f
-            fb = _stack_reduce((inv[b],) + f_p + (b,), p)
-        if len(fb) != n:
-            continue
+        fb = _preconjugate_p(f_p, inv[b], p)
+        if fb is None:
+            continue  # not a preconjugation of f
         fb_nf, _fc = _nf_carries(fb, p)
         last = fb_nf[-1]
         for s in kmp_search(fb_nf[:-1], big[: 2 * n - 2]):

@@ -436,10 +436,10 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
             for c in range(n):
                 ac = p.mul(a, c)
                 cb = p.mul(p.inv[c], b)
+                # in S(P), [ab] is undefined here, so neither product is
+                # eps: [ac] = eps forces c = inv(a) and [inv(c) b] = [ab]
                 if ac is None or cb is None:
                     continue
-                if variant == "S_of_P" and (ac == p.eps or cb == p.eps):
-                    continue  # rhs must stay inside Gamma
                 lhs = (to_letter(a), to_letter(b))
                 rhs = (to_letter(ac), to_letter(cb))
                 if lhs == rhs:

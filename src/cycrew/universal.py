@@ -72,7 +72,6 @@ class UniversalContext:
             None if x == pregroup.eps else p_to_gamma(x, pregroup)
             for x in range(len(pregroup))
         )
-        self._closure_cache = {}
 
     def to_p(self, w: Word) -> tuple:
         """P indices of a Gamma word; AlphabetError (a ValueError) on a
@@ -292,29 +291,52 @@ def cyclic_reduce(w: Word, ctx: UniversalContext) -> CyclicWord:
 def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
     """Preconjugation of a nonempty P-index word by pregroup element b.
 
-    For |a| >= 2 the result is ([b a_1], a_2, ..., [a_n inv(b)]); for a
-    single letter u it is ([b u inv(b)],).  None when a needed product is
-    undefined (or would leave Gamma).
+    Write c~ for inv(c).  For |a| = n >= 2 the result is
+    (y, a_1, ..., a_{n-2}, z) with y = [b a_0] and z = [a_{n-1} b~]; for a
+    single letter u it is ([b u b~],).  None when a needed product is
+    undefined or epsilon.
+
+    Lemma.  Let a be cyclically reduced with n >= 2, and let y and z be
+    defined and not epsilon.  Then the result is reduced, and it is exactly
+    _stack_reduce((b,) + a + (b~,)).  The proof uses only
+      P4: if [uv] and [vw] are defined, then [[uv] w] is defined exactly
+          when [u [vw]] is, and then they are equal;
+      P5: if [uv], [vw] and [wx] are defined, then [uvw] or [vwx] is.
+    By P4, [b~ y] = a_0 and [z b] = a_{n-1}.
+    Left seam: if [y a_1] were defined, P5 on (a_{n-1}, b~, y, a_1) would
+    define [a_{n-1} b~ y] = [a_{n-1} a_0] or [b~ y a_1] = [a_0 a_1]; both
+    are undefined, as a is cyclically reduced.
+    Right seam: likewise P5 on (a_{n-2}, z, b, a_0) rules out [a_{n-2} z],
+    which would define [a_{n-2} a_{n-1}] or [a_{n-1} a_0].
+    For n = 2 both seams hold, so P5 on (b~, y, z, b) rules out [y z],
+    which would define [b~ y z] = [a_0 z] or [y z b] = [y a_1].
+    The interior products are those of a, undefined, and no letter is
+    epsilon, so the result is reduced.  _stack_reduce merges b and a_0 into
+    y on an empty stack, pushes a_1 .. a_{n-1} unmerged (left seam, then a
+    reduced), merges a_{n-1} and b~ into z, and pushes z (right seam; for
+    n = 2 the top is y).
+    Stallings, Group Theory and Three-Dimensional Manifolds (1971), 3.A.
     """
     if b == p.eps:
         return a
+    eps, b_inv = p.eps, p.inv[b]
     if len(a) == 1:
-        first = last = p.mul3(b, a[0], p.inv[b])
-        out = (first,)
-    else:
-        first = p.mul(b, a[0])
-        last = p.mul(a[-1], p.inv[b])
-        out = (first,) + a[1:-1] + (last,)
-    if first is None or last is None or first == p.eps or last == p.eps:
+        y = p.mul3(b, a[0], b_inv)
+        return None if y is None or y == eps else (y,)
+    y, z = p.table[b][a[0]], p.table[a[-1]][b_inv]
+    if y is None or z is None or y == eps or z == eps:
         return None
-    return out
+    return (y,) + a[1:-1] + (z,)
 
 
 def _rotation_matches(g_p: tuple, f_p: tuple, candidates, p: Pregroup):
     """The (i, b) with the preconjugation of rotation i of g_p by b equal
     to f_p in U(P), rotation-major, where b runs through candidates(rotation)
     in its order.  Every rotation x preconjugator search reads this one
-    loop, so callers taking the first hit get the least pair."""
+    loop, so callers taking the first hit get the least pair.  g_p and f_p
+    are cyclically reduced, so each rotation is too, and by the lemma of
+    _preconjugate_p every preconjugation read here is reduced, as
+    _interleaving_equal requires."""
     for i in range(len(g_p)):
         rot = g_p[i:] + g_p[:i]
         for b in candidates(rot):
@@ -339,18 +361,18 @@ def preconjugate(c: CyclicWord, b: int, ctx: UniversalContext) -> Optional[Cycli
 
 def letter_conjugacy_closure(letter: int, ctx: UniversalContext) -> frozenset:
     """All Gamma letters reachable from `letter` by preconjugations
-    x -> [c x inv(c)]; cached per context."""
+    x -> [c x inv(c)]."""
     closure, _parents = _letter_closure_traced(letter, ctx)
     return closure
 
 
 def _letter_closure_traced(letter: int, ctx: UniversalContext):
-    cached = ctx._closure_cache.get(letter)
-    if cached is not None:
-        return cached
+    """(closure, BFS tree) of letter_conjugacy_closure; the tree maps each
+    P index reached to (previous P index, conjugating c), the start to
+    None."""
     p = ctx.pregroup
     (start,) = ctx.to_p((letter,))
-    parents = {start: None}  # P idx -> (previous P idx, conjugating c)
+    parents = {start: None}
     queue = collections.deque([start])
     while queue:
         x = queue.popleft()
@@ -360,10 +382,7 @@ def _letter_closure_traced(letter: int, ctx: UniversalContext):
                 continue
             parents[y] = (x, c)
             queue.append(y)
-    closure = frozenset(p_to_gamma(x, p) for x in parents)
-    result = (closure, parents)
-    ctx._closure_cache[letter] = result
-    return result
+    return frozenset(p_to_gamma(x, p) for x in parents), parents
 
 
 def _bfs_path(parents: dict, target) -> list:
@@ -380,11 +399,10 @@ def _bfs_path(parents: dict, target) -> list:
     return path
 
 
-def _closure_conjugator(letter: int, target: int, ctx: UniversalContext) -> Word:
-    """Gamma word x with x . letter . inv(x) = target, from the closure
-    BFS tree."""
+def _closure_conjugator(parents: dict, target: int, ctx: UniversalContext) -> Word:
+    """Gamma word x with x . letter . inv(x) = target, from the BFS tree
+    of letter's closure (see _letter_closure_traced)."""
     p = ctx.pregroup
-    _closure, parents = _letter_closure_traced(letter, ctx)
     path = _bfs_path(parents, gamma_to_p(target, p))
     # target = c_k ( ... (c_1 . letter . inv(c_1)) ... ) inv(c_k); no c is
     # epsilon, since conjugating by epsilon reaches no new element
@@ -417,10 +435,11 @@ def _conjugacy_prelude(u: Word, v: Word, ctx: UniversalContext, method: str):
     elif len(g) == 0:
         answer = ConjugacyAnswer(True, _certify(u, v, (), ctx), method)
     elif len(g) == 1:
-        if f[0] not in letter_conjugacy_closure(g[0], ctx):
+        closure, parents = _letter_closure_traced(g[0], ctx)
+        if f[0] not in closure:
             answer = ConjugacyAnswer(False, method=method)
         else:
-            x = zv_inv + _closure_conjugator(g[0], f[0], ctx) + zu
+            x = zv_inv + _closure_conjugator(parents, f[0], ctx) + zu
             answer = ConjugacyAnswer(True, _certify(u, v, x, ctx), method)
     return answer, g, f, zu, zv_inv
 

@@ -374,6 +374,21 @@ class TestVerifyMks:
         assert sum(counts.values()) == 60
 
 
+def replay_collins_case1(ver, f_p, g_p, p):
+    """Replay a Collins case-1 witness from f_p: each chain step is phi or
+    its inverse followed by conjugation by k, and h takes the last node
+    to g_p."""
+    assert ver.case == 1
+    phi_inv = {v: k for k, v in p.phi.items()}
+    node = f_p
+    for nxt, k, delta in ver.witness["chain"]:
+        mid = p.phi[node] if delta == 1 else phi_inv[node]
+        assert p.mul3(p.inv[k], mid, k) == nxt
+        node = nxt
+    h = ver.witness["h"]
+    assert p.mul3(p.inv[h], node, h) == g_p
+
+
 class TestVerifyCollins:
     def test_requires_hnn(self, z4z6_ctx):
         with pytest.raises(NotHnnContext):
@@ -389,16 +404,20 @@ class TestVerifyCollins:
         # g = r t^-1 s t r^-1 is conjugate to s through a pinch
         g = (r, tbar, s, t, a.involution[r])
         ver = verify_collins(g, (s,), hnn_ctx)
-        assert ver.case == 1
-        phi_inv = {v: k for k, v in p.phi.items()}
-        node = p.index["s"]
-        for nxt, k, delta in ver.witness["chain"]:
-            mid = p.phi[node] if delta == 1 else phi_inv[node]
-            assert p.mul3(p.inv[k], mid, k) == nxt
-            node = nxt
-        h = ver.witness["h"]
         g_can = cyclic_reduce(g, hnn_ctx).canon
-        assert p.mul3(p.inv[h], node, h) == gamma_to_p(g_can[0], p)
+        replay_collins_case1(ver, p.index["s"], gamma_to_p(g_can[0], p), p)
+
+    def test_case1_chain_through_phi_replays(self):
+        # phi is the identity on hnn_s3, so the chain above has no step;
+        # here phi swaps g2 and g4, and the chain from g4 to g2 has one
+        sub = ["e", "g2", "g4"]
+        p = hnn_pregroup(
+            FiniteGroupTable.cyclic(6, "g"), sub, sub, {"e": "e", "g2": "g4", "g4": "g2"}
+        )
+        g2, g4 = p.index["g2"], p.index["g4"]
+        ver = verify_collins((p_to_gamma(g2, p),), (p_to_gamma(g4, p),), UniversalContext(p))
+        assert ver.witness["chain"]
+        replay_collins_case1(ver, g4, g2, p)
 
     def test_case2_base_conjugator(self, hnn_ctx):
         p = hnn_ctx.pregroup

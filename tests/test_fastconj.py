@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cycrew import UniversalContext, fastconj
 from cycrew.fastconj import conjugate_linear, conjugate_oracle, kmp_search
-from cycrew.pregroup import gamma_to_p, p_to_gamma
+from cycrew.pregroup import check_axioms, gamma_to_p, p_to_gamma
 from cycrew.universal import (
     ConjugacyAnswer,
     _certify,
@@ -22,7 +23,7 @@ from cycrew.universal import (
 from cycrew.words import involute
 
 from conftest import conjugated, hnn_cyclic, random_word
-from test_pregroup import corpus
+from test_pregroup import corpus, random_small_table
 from test_universal import interleave, random_reduced_p
 
 
@@ -386,7 +387,44 @@ def split_preconjugators(u, v, ctx):
     return f_p, kept, skipped
 
 
+def cyclically_reduced_words(p, n):
+    """Every cyclically reduced P-index word of length n >= 2 over Gamma."""
+    table = p.table
+    gamma = [x for x in range(len(p)) if x != p.eps]
+    for f in itertools.product(gamma, repeat=n):
+        # i = 0 tests the pair (f[n-1], f[0])
+        if all(table[f[i - 1]][f[i]] is None for i in range(n)):
+            yield f
+
+
 class TestDefinedPreconjugations:
+    def test_preconjugation_is_the_stack_reduction(self):
+        # the lemma of _preconjugate_p: where the preconjugation of a
+        # cyclically reduced f (n >= 2) is defined, it is b~ f b stack-reduced.
+        # Amalgam words have even cyclic length, so HNN(Z4, Z2) brings n = 3.
+        rng = random.Random(25)
+        cases = [(p, (2, 3, 4)) for p in corpus() if len(p) <= 8]
+        cases.append((hnn_cyclic(4, 2), (2, 3)))
+        valid = 0
+        while valid < 300:
+            q = random_small_table(rng)
+            if check_axioms(q):
+                cases.append((q, (2, 3, 4)))
+                valid += 1
+        reached = collections.Counter()
+        for p, lengths in cases:
+            for n in lengths:
+                for f in cyclically_reduced_words(p, n):
+                    for b in range(len(p)):
+                        fb = _preconjugate_p(f, p.inv[b], p)
+                        if fb is None:
+                            continue
+                        assert fb == _stack_reduce((p.inv[b],) + f + (b,), p), (p.table, f, b)
+                        assert len(fb) == n
+                        reached[n] += b != p.eps
+        for n in (2, 3, 4):
+            assert reached[n] > 0, (n, reached)
+
     def test_no_dropped_b_was_needed(self, dinf_ctx, z4z6_ctx, hnn_ctx):
         # least_match tries every b; the least one that matches is always
         # epsilon or a b the filter keeps, although skipped b often give
