@@ -110,7 +110,13 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     rotation of f with merged ends (b = f[0] gives f[1:] f[:1]); the
     criterion never needs it, since epsilon or a b that passes already
     matches whenever f and G are conjugate.  The surviving b keep ascending
-    order, so the least of them that matches is found first.
+    order, so the least of them that matches is found first.  Every b
+    that passes must be kept: a loop over G_P alone, the b that multiply
+    with every element, is wrong on pregroups where P6 fails.  The
+    smallest counterexample (p6_failing in tests/conftest.py) has six
+    elements, epsilon, x, x~, y, y~ and z = z~, with [xz] = y, [x~y] = z,
+    [yz] = x, [y~x] = z, [zx~] = y~ and [zy~] = x~; there G_P = {epsilon},
+    and some conjugate pairs match under no rotation with b = epsilon.
 
     For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
     exactly when KMP finds NF(f^b)[:n-1] at a start s < n of NF(g g) and a

@@ -66,9 +66,10 @@ class Pregroup:
         except KeyError as exc:
             raise PregroupError(f"product names unknown token {exc.args[0]!r}") from None
         self.table = tuple(tuple(row) for row in self.table)
-        # letter -> compiled carry step, built on first use by
-        # cycrew.universal._carry_step; like rows, safe to cache since the
-        # table is immutable
+        # letter a -> its carry steps, the tuple over carries cp of the
+        # (letter, c) with letter = [inv(cp) a c] in ascending letter, built
+        # on first use by cycrew.universal._carry_step; like rows, safe to
+        # cache since the table is immutable
         self._carry_steps = {}
 
     @functools.cached_property

@@ -10,13 +10,12 @@ _canonical_traced: stack-reduce once, then merge the last letter into the
 front while their product is defined.
 
 Equality of reduced words and the shortlex normal form are decided by
-dynamic programs over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
+forward passes over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
 Both read one compiled carry step per letter (see _carry_step) and follow
-a single carry; the suffix feasibility sets of the normal form are int
-bitmasks, advanced through tables of CHUNK-bit chunks (the "Four Russians"
-method of Arlazarov, Dinic, Kronrod and Faradzev, 1970), so a pass costs
-O(n ceil(|P| / CHUNK)) table reads.  Unlike a search over the symmetric
-rules of S(P), both terminate for certain.
+a single carry; the normal form takes the least step to a carry c whose
+inverse multiplies the next letter, a local test that says exactly when
+the step can be completed (see _nf_carries).  Unlike a search over the
+symmetric rules of S(P), both terminate for certain.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ from .pregroup import (
     p_to_gamma,
 )
 from .words import CyclicWord, Word, involute, least_rotation_offset, validate_word
-
-# bits of a carry mask read per table lookup in _nf_carries; a letter's
-# chunk tables hold 2**CHUNK entries per chunk
-CHUNK = 6
 
 
 @dataclass(frozen=True)
@@ -112,18 +107,14 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
     return ctx.to_gamma(_stack_reduce(ctx.to_p(w), ctx.pregroup))
 
 
-def _carry_step(p: Pregroup, a: int):
-    """The carry step of letter a, compiled on first use and cached on p.
+def _carry_step(p: Pregroup, a: int) -> tuple:
+    """The carry steps of letter a, compiled on first use and cached on p.
 
-    Returns (steps, chunks).  steps[cp] is the tuple of (letter, c) with
-    letter = [inv(cp) a c], leaving out undefined and epsilon products, in
-    ascending letter: for a fixed cp the map c -> [inv(cp) a c] is
-    injective, since P embeds in U(P), so the letters are distinct and the
-    first entry whose c is feasible holds the least letter.  chunks[j][b],
-    for b < 2**CHUNK, is the bitmask of the carries cp that step to some
-    c = CHUNK * j + k with bit k set in b: the OR of pred[c] over those c,
-    pred[c] being the bitmask of the cp with c among steps[cp].  Both are
-    read from the sparse rows of p.
+    steps[cp] is the tuple of (letter, c) with letter = [inv(cp) a c],
+    leaving out undefined and epsilon products, in ascending letter: for a
+    fixed cp the map c -> [inv(cp) a c] is injective, since P embeds in
+    U(P), so the letters are distinct and the first entry that passes a
+    test on c holds the least letter.  Read from the sparse rows of p.
     """
     got = p._carry_steps.get(a)
     if got is not None:
@@ -133,8 +124,7 @@ def _carry_step(p: Pregroup, a: int):
     eps = p.eps
     arow = rows[a]
     steps = []
-    pred = [0] * (-(-len(table) // CHUNK) * CHUNK)
-    for cp, x in enumerate(p.inv):
+    for x in p.inv:
         xa = table[x][a]
         if xa is not None:
             out = [(t, c) for c, t in rows[xa] if t != eps]
@@ -143,19 +133,8 @@ def _carry_step(p: Pregroup, a: int):
             xrow = table[x]
             out = [(t, c) for c, ac in arow if (t := xrow[ac]) is not None and t != eps]
         out.sort()
-        bit = 1 << cp
-        for _letter, c in out:
-            pred[c] |= bit
         steps.append(tuple(out))
-    chunks = []
-    for j in range(0, len(pred), CHUNK):
-        # entries 2**k .. 2**(k+1) - 1 are entries 0 .. 2**k - 1 with bit k
-        row = [0]
-        for k in range(CHUNK):
-            bits = pred[j + k]
-            row += [r | bits for r in row]
-        chunks.append(tuple(row))
-    got = p._carry_steps[a] = (tuple(steps), tuple(chunks))
+    got = p._carry_steps[a] = tuple(steps)
     return got
 
 
@@ -171,7 +150,7 @@ def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
         return False
     cp = p.eps
     for a, b in zip(pu, pv):
-        for letter, c in _carry_step(p, a)[0][cp]:
+        for letter, c in _carry_step(p, a)[cp]:
             if letter == b:
                 cp = c
                 break
@@ -192,53 +171,64 @@ def _nf_carries(pw, p: Pregroup):
     """Shortlex normal form of a reduced P-index word, with its carry
     sequence.
 
-    Every word of the same geodesic length equal to pw is an interleaving
-    b_i = [inv(c_{i-1}) a_i c_i] with boundary carries epsilon, so the
-    normal form is found greedily: at each position emit the least letter
-    whose carry can still be completed.  The suffix feasibility sets are
-    bitmasks computed right to left, CHUNK bits of the mask per read of
-    the compiled chunk tables.  As in _interleaving_equal, the emitted
-    prefix fixes the carry, so the greedy pass follows a single carry, and
-    since the compiled steps are in ascending letter, the first step to a
-    feasible carry is the one taken.
+    Write c~ for inv(c).  Every word of the same geodesic length equal to
+    pw = a_0 .. a_{n-1} is an interleaving b_i = [c_{i-1}~ a_i c_i] with
+    c_{-1} = c_{n-1} = epsilon, and since P embeds in U(P) the carry
+    c_i = (a_0 .. a_i)^-1 b_0 .. b_i is fixed by the prefix (Stallings,
+    Group Theory and Three-Dimensional Manifolds, 1971, 3.A).  So the
+    normal form is found greedily in one forward pass: at each position,
+    from carry cp, take the first step (letter, c) of _carry_step(a_i)[cp],
+    which are in ascending letter, that can still be completed.
 
-    Returns (nf letters, carries c_1..c_n) with c_n = epsilon.  Raises
-    ValueError when no carry sequence exists, which can happen only when pw
-    contains epsilon.
+    Lemma.  Let pw be reduced, and take a step (letter, c) from a carry cp
+    that the pass reaches at position i.  For i < n-1 the step can be
+    completed exactly when y = [c~ a_{i+1}] is defined, and then y is not
+    epsilon and either i+2 = n or [y a_{i+2}] is undefined.  For i = n-1
+    it can be completed exactly when c = epsilon.
+    Proof.  The steps taken so far and this one give b_0 .. b_i =
+    a_0 .. a_i c in U(P), so pw = b_0 .. b_i s with s = c~ a_{i+1} ..
+    a_{n-1}.  Reduced words are geodesics, so pw has length n and s has
+    length at least n-1-i.  A completion is a word of n-1-i letters equal
+    to s, so if one exists, s has length exactly n-1-i.  Conversely, if it
+    has, then b_0 .. b_i followed by a geodesic of s is a word of length n
+    equal to pw, hence an interleaving of pw; its carry after i+1 letters
+    is c, as the prefix fixes it, so its remaining letters complete the
+    step.  It remains to read the length of s off the next letters.  For
+    i = n-1, s = c~ is a letter of P, of length 0 exactly when c =
+    epsilon.  For i < n-1, if [c~ a_{i+1}] is undefined, then c is not
+    epsilon and c~ a_{i+1} .. a_{n-1} is reduced, a geodesic of n-i
+    letters.  If y is defined, s = y a_{i+2} .. a_{n-1} has at most n-1-i
+    letters, hence exactly n-1-i; so y is not epsilon and [y a_{i+2}] is
+    undefined, as either would give a shorter word for s.
+    The step with c = epsilon always passes: [epsilon a_{i+1}] = a_{i+1}.
+    It is among the steps, since its letter [cp~ a_i] is a_0 at i = 0,
+    and for i > 0 it is the y of the previous step, defined and not
+    epsilon by the lemma.  So some step passes at every position, and at
+    the last one the step with c = epsilon, letter [cp~ a_{n-1}], is the
+    only one.  This is the finite-state view of shortlex normal forms in
+    automatic groups (Epstein et al., Word Processing in Groups, 1992).
+
+    Returns (nf letters, carries c_0 .. c_{n-1}) with c_{n-1} = epsilon.
+    Raises ValueError when pw contains epsilon; on a word that is not
+    reduced the result is not a normal form.
     """
-    n = len(pw)
-    if n == 0:
-        return (), ()
     eps = p.eps
-    compiled = [_carry_step(p, a) for a in pw]
-
-    chunk_bits = (1 << CHUNK) - 1
-    feasible = [0] * (n + 1)
-    mask = feasible[n] = 1 << eps
-    for i in range(n - 1, -1, -1):
-        cur = 0
-        for row in compiled[i][1]:
-            cur |= row[mask & chunk_bits]
-            mask >>= CHUNK
-            if not mask:
-                break
-        feasible[i] = mask = cur
-    if not feasible[0] >> eps & 1:
-        raise ValueError(f"no carry sequence for {pw}: it is not a word over Gamma")
-
+    if eps in pw:
+        raise ValueError(f"{pw} contains epsilon: it is not a word over Gamma")
+    table, inv = p.table, p.inv
     letters = []
     carries = []
     cp = eps
-    for i in range(n):
-        nxt_feasible = feasible[i + 1]
-        for letter, c in compiled[i][0][cp]:
-            if nxt_feasible >> c & 1:
+    for a, nxt in zip(pw, pw[1:]):
+        for letter, c in _carry_step(p, a)[cp]:
+            if table[inv[c]][nxt] is not None:
                 break
-        else:
-            raise RuntimeError(f"carry DP found no feasible letter at position {i}")
         letters.append(letter)
         carries.append(c)
         cp = c
+    if pw:
+        letters.append(table[inv[cp]][pw[-1]])
+        carries.append(eps)
     return tuple(letters), tuple(carries)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from cycrew import UniversalContext, samples
 from cycrew.constructions import FiniteGroupTable, hnn_pregroup
+from cycrew.pregroup import Pregroup
 
 acceptance_lines = []
 
@@ -37,6 +38,20 @@ def hnn_cyclic(n, k):
 def hnn_z10_z2():
     """HNN(Z10, t; t^-1 A t = A) with A of order 2; |P| = 110."""
     return hnn_cyclic(10, 2)
+
+
+def p6_failing():
+    """The smallest pregroup on which P6 fails: epsilon, x, x~, y, y~ and
+    z = z~, with [xz] = y, [x~y] = z, [yz] = x, [y~x] = z, [zx~] = y~ and
+    [zy~] = x~ besides the epsilon and inverse entries.  P1-P5 hold, G_P =
+    {epsilon}, and check_p6 gives the witness (f, g, b) = (x, y~, z)."""
+    inverse = {"x": "X", "X": "x", "y": "Y", "Y": "y", "z": "z"}
+    product = {(a, b): "e" for a, b in inverse.items()}
+    product.update({
+        ("x", "z"): "y", ("X", "y"): "z", ("y", "z"): "x",
+        ("Y", "x"): "z", ("z", "X"): "Y", ("z", "Y"): "X",
+    })
+    return Pregroup(("e", "x", "X", "y", "Y", "z"), "e", inverse, product)
 
 
 @pytest.fixture(scope="session")

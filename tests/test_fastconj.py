@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cycrew import UniversalContext, fastconj
 from cycrew.fastconj import conjugate_linear, conjugate_oracle, kmp_search
-from cycrew.pregroup import check_axioms, gamma_to_p, p_to_gamma
+from cycrew.pregroup import canonical_subgroup, check_axioms, gamma_to_p, p_to_gamma
 from cycrew.universal import (
     ConjugacyAnswer,
     _certify,
@@ -22,7 +22,7 @@ from cycrew.universal import (
 )
 from cycrew.words import involute
 
-from conftest import conjugated, hnn_cyclic, random_word
+from conftest import conjugated, hnn_cyclic, p6_failing, random_word
 from test_pregroup import corpus, random_small_table
 from test_universal import interleave, random_reduced_p
 
@@ -320,7 +320,10 @@ class TestOnePassMatchesParent:
     def test_random_pairs(self, dinf_ctx, z4z6_ctx, hnn_ctx):
         rng = random.Random(2026)
         reached = collections.Counter()
-        contexts = [dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(6, 3))]
+        contexts = [
+            dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(6, 3)),
+            UniversalContext(p6_failing()),
+        ]
         for ctx in contexts:
             done = 0
             while done < 150:
@@ -426,13 +429,19 @@ class TestDefinedPreconjugations:
             assert reached[n] > 0, (n, reached)
 
     def test_no_dropped_b_was_needed(self, dinf_ctx, z4z6_ctx, hnn_ctx):
-        # least_match tries every b; the least one that matches is always
-        # epsilon or a b the filter keeps, although skipped b often give
-        # words of length n
+        # least_match tries every b.  Where P6 holds, the least b that
+        # matches is always epsilon or a b the filter keeps, although
+        # skipped b often give words of length n.  On the P6-failing
+        # pregroup some positives have their least b outside G_P =
+        # {epsilon}, so a b loop over G_P alone would answer "not
+        # conjugate" there.  That b may be one the filter skips, its b~ f b
+        # a rotation of f; then a larger kept b matches, as the certified
+        # positive of conjugate_linear shows
         rng = random.Random(15)
+        p6_ctx = UniversalContext(p6_failing())
         contexts = [dinf_ctx, z4z6_ctx, hnn_ctx] + [
             UniversalContext(hnn_cyclic(n, k)) for n, k in ((4, 2), (6, 3), (10, 2))
-        ]
+        ] + [p6_ctx]
         reached = collections.Counter()
         for ctx in contexts:
             p = ctx.pregroup
@@ -453,11 +462,16 @@ class TestDefinedPreconjugations:
                 if not lin.verdict:
                     continue
                 b, _s, cert = least_match(u, v, ctx)
-                assert b == p.eps or defines_preconjugation(b, f_p, p), (u, v, b)
+                if not (b == p.eps or defines_preconjugation(b, f_p, p)):
+                    assert ctx is p6_ctx, (u, v, b)
+                    fb = _stack_reduce((p.inv[b],) + f_p + (b,), p)
+                    assert any(fb == f_p[i:] + f_p[:i] for i in range(len(f_p))), (u, v, b)
                 assert lin.certificate == cert, (u, v)
                 reached["positive"] += 1
                 reached["b!=eps"] += b != p.eps
-        for key in ("skipped", "positive", "b!=eps"):
+                if ctx is p6_ctx:
+                    reached["P6 fails: b outside G_P"] += b not in canonical_subgroup(p)
+        for key in ("skipped", "positive", "b!=eps", "P6 fails: b outside G_P"):
             assert reached[key] > 0, (key, reached)
 
     def test_normal_forms_per_negative_decision(self, hnn_ctx, monkeypatch):

@@ -15,7 +15,6 @@ import cycrew
 from cycrew import samples
 from cycrew.pregroup import PregroupError, canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
 from cycrew.universal import (
-    CHUNK,
     UniversalContext,
     _canonical_traced,
     _carry_step,
@@ -33,7 +32,7 @@ from cycrew.universal import (
 from cycrew.fastconj import conjugate_linear
 from cycrew.words import AlphabetError, CyclicWord, involute, least_rotation_offset
 
-from conftest import conjugated, hnn_cyclic, hnn_z10_z2, random_word
+from conftest import conjugated, hnn_cyclic, hnn_z10_z2, p6_failing, random_word
 from test_pregroup import corpus
 
 
@@ -475,6 +474,7 @@ DP_SAMPLES = {
     "z4z6": samples.z4_amalgam_z6,
     "hnn_s3": samples.hnn_s3,
     "hnn_z10_z2": hnn_z10_z2,
+    "p6_failing": p6_failing,
 }
 
 
@@ -561,13 +561,10 @@ def dense_step(p, cp, a):
     return frozenset(out)
 
 
-def oracle_nf_carries(pw, p):
-    """Shortlex normal form and carries with explicit carry sets.
-
-    feasible[i] is the set of carries after i letters from which the rest
-    of pw can be matched, ending in epsilon; each position then takes the
-    least letter over the steps from the current carry into the next
-    feasible set."""
+def oracle_feasible(pw, p):
+    """feasible[i]: the set of carries after i letters from which the rest
+    of pw can be matched, ending in epsilon, computed right to left with
+    explicit sets."""
     targets = functools.cache(lambda cp, a: {c for _letter, c in dense_step(p, cp, a)})
     n = len(pw)
     feasible = [set() for _ in range(n + 1)]
@@ -578,7 +575,15 @@ def oracle_nf_carries(pw, p):
             for cp in range(len(p))
             if not targets(cp, pw[i]).isdisjoint(feasible[i + 1])
         }
-    if n and p.eps not in feasible[0]:
+    return feasible
+
+
+def oracle_nf_carries(pw, p):
+    """Shortlex normal form and carries with explicit carry sets: each
+    position takes the least letter over the steps from the current carry
+    into the next feasible set."""
+    feasible = oracle_feasible(pw, p)
+    if pw and p.eps not in feasible[0]:
         raise ValueError("no carry sequence")
     letters, carries = [], []
     cp = p.eps
@@ -591,58 +596,73 @@ def oracle_nf_carries(pw, p):
     return tuple(letters), tuple(carries)
 
 
-def oracle_outcome(nf, pw, p):
-    try:
-        return nf(pw, p)
-    except ValueError:
-        return "ValueError"
+def local_test(pw, i, c, p):
+    """The feasibility lemma of _nf_carries: whether a step to carry c at
+    position i of the reduced word pw can be completed, read off the next
+    two letters."""
+    n = len(pw)
+    if i == n - 1:
+        return c == p.eps
+    y = p.mul(p.inv[c], pw[i + 1])
+    return y not in (None, p.eps) and (i + 2 == n or p.mul(y, pw[i + 2]) is None)
 
 
 class TestCompiledCarrySteps:
-    def test_sizes_cover_full_and_partial_last_chunks(self):
-        sizes = {len(samples.hnn_s3()), len(hnn_z10_z2())}
-        assert sizes == {42, 110}
-        assert {size % CHUNK == 0 for size in sizes} == {True, False}
-
     def test_steps_match_dense_definition(self, dp_ctx):
         p = dp_ctx.pregroup
         n = len(p)
         for a in range(n):
-            steps, chunks = _carry_step(p, a)
+            steps = _carry_step(p, a)
             assert len(steps) == n
-            pred = [0] * n
             for cp in range(n):
-                want = dense_step(p, cp, a)
-                assert set(steps[cp]) == want
+                assert set(steps[cp]) == dense_step(p, cp, a)
                 letters = [letter for letter, _c in steps[cp]]
                 assert letters == sorted(set(letters))
-                for _letter, c in want:
-                    pred[c] |= 1 << cp
-            assert len(chunks) == -(-n // CHUNK)
-            for j, row in enumerate(chunks):
-                assert len(row) == 1 << CHUNK
-                for b, got in enumerate(row):
-                    want = 0
-                    for k in range(CHUNK):
-                        if b >> k & 1 and CHUNK * j + k < n:
-                            want |= pred[CHUNK * j + k]
-                    assert got == want, (a, j, b)
+
+    def test_local_test_is_exactly_feasibility(self, dp_ctx):
+        # at each (i, cp) the forward pass reaches, the steps the lemma's
+        # local test accepts are exactly those into the oracle's feasible
+        # set, and the pass takes the least of them
+        p = dp_ctx.pregroup
+        rng = random.Random(len(p) + 26)
+        reached = collections.Counter()
+        for n in [1, 2, 3, 24] + [rng.randrange(2, 25) for _ in range(16)]:
+            pw = random_reduced_p(rng, p, n)
+            feasible = oracle_feasible(pw, p)
+            letters, carries = _nf_carries(pw, p)
+            reached["two letters"] += len(pw) > 1
+            cp = p.eps
+            for i, a in enumerate(pw):
+                steps = dense_step(p, cp, a)
+                accepted = {step for step in steps if local_test(pw, i, step[1], p)}
+                # the lemma's corollary: where y = [c~ a_{i+1}] is defined, the
+                # rest of the test holds, so _nf_carries tests y alone
+                if i < len(pw) - 1:
+                    defined = {st for st in steps if p.mul(p.inv[st[1]], pw[i + 1]) is not None}
+                    assert accepted == defined, (pw, i, cp)
+                assert accepted == {step for step in steps if step[1] in feasible[i + 1]}, (
+                    pw, i, cp,
+                )
+                assert (letters[i], carries[i]) == min(accepted)
+                reached["rejected"] += len(steps) - len(accepted)
+                reached["carry"] += carries[i] != p.eps
+                cp = carries[i]
+        # free2 and dinf offer one step per position and s3 has no reduced
+        # word of two letters; every other sample rejects steps and carries
+        if len(p) > 5 and reached["two letters"]:
+            assert reached["rejected"] and reached["carry"], reached
 
     def test_nf_carries_matches_set_oracle(self, dp_ctx):
         p = dp_ctx.pregroup
         rng = random.Random(len(p))
         lengths = [0, 1, 64] + [rng.randrange(2, 65) for _ in range(9)]
-        raised = 0
         for n in lengths:
             pw = random_reduced_p(rng, p, n)
             assert _nf_carries(pw, p) == oracle_nf_carries(pw, p)
-            # an epsilon letter: both find no carry sequence, or the same one
+            # no caller passes a word containing epsilon: it is refused
             i = rng.randrange(len(pw) + 1)
-            with_eps = pw[:i] + (p.eps,) + pw[i:]
-            got = oracle_outcome(_nf_carries, with_eps, p)
-            assert got == oracle_outcome(oracle_nf_carries, with_eps, p)
-            raised += got == "ValueError"
-        assert raised
+            with pytest.raises(ValueError):
+                _nf_carries(pw[:i] + (p.eps,) + pw[i:], p)
         with pytest.raises(ValueError):
             _nf_carries((p.eps,), p)
 
