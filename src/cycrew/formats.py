@@ -134,11 +134,7 @@ def parse_rws(text: str):
         lhs = _word(alphabet, toks[:cut], no)
         rhs = _word(alphabet, toks[cut + 1 :], no)
         cyclic_pairs.append((CyclicWord.of(lhs), CyclicWord.of(rhs)))
-    try:
-        system = RewriteSystem(alphabet, rules)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return system, cyclic_pairs
+    return RewriteSystem(alphabet, rules), cyclic_pairs
 
 
 def _fmt_word(alphabet: Alphabet, w) -> str:

@@ -11,11 +11,13 @@ front while their product is defined.
 
 Equality of reduced words and the shortlex normal form are decided by
 forward passes over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
-Both read one compiled carry step per letter (see _carry_step) and follow
-a single carry; the normal form takes the least step to a carry c whose
-inverse multiplies the next letter, a local test that says exactly when
-the step can be completed (see _nf_carries).  Unlike a search over the
-symmetric rules of S(P), both terminate for certain.
+Both follow a single carry.  Equality reads it off the table as
+c_i = [inv(a_i) c_{i-1} b_i] (see _interleaving_equal).  The normal form
+takes the least of the steps of (a_i, c_{i-1}), compiled per (letter,
+carry) on first use (see _carry_step), to a carry c whose inverse
+multiplies the next letter, a local test that says exactly when the step
+can be completed (see _nf_carries).  Unlike a search over the symmetric
+rules of S(P), both terminate for certain.
 """
 
 from __future__ import annotations
@@ -107,34 +109,29 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
     return ctx.to_gamma(_stack_reduce(ctx.to_p(w), ctx.pregroup))
 
 
-def _carry_step(p: Pregroup, a: int) -> tuple:
-    """The carry steps of letter a, compiled on first use and cached on p.
+def _carry_step(p: Pregroup, a: int, cp: int) -> tuple:
+    """The carry steps of letter a from carry cp, compiled on first use and
+    cached on p under (a, cp).
 
-    steps[cp] is the tuple of (letter, c) with letter = [inv(cp) a c],
-    leaving out undefined and epsilon products, in ascending letter: for a
-    fixed cp the map c -> [inv(cp) a c] is injective, since P embeds in
-    U(P), so the letters are distinct and the first entry that passes a
-    test on c holds the least letter.  Read from the sparse rows of p.
+    The tuple of (letter, c) with letter = [inv(cp) a c], leaving out
+    undefined and epsilon products, in ascending letter: for a fixed cp
+    the map c -> [inv(cp) a c] is injective, since P embeds in U(P), so
+    the letters are distinct and the first entry that passes a test on c
+    holds the least letter.  Read from the sparse rows of p.
     """
-    got = p._carry_steps.get(a)
+    got = p._carry_steps.get((a, cp))
     if got is not None:
         return got
-    table = p.table
-    rows = p.rows
-    eps = p.eps
-    arow = rows[a]
-    steps = []
-    for x in p.inv:
-        xa = table[x][a]
-        if xa is not None:
-            out = [(t, c) for c, t in rows[xa] if t != eps]
-        else:
-            # [x a] undefined: by P4 only [x [a c]] can be defined
-            xrow = table[x]
-            out = [(t, c) for c, ac in arow if (t := xrow[ac]) is not None and t != eps]
-        out.sort()
-        steps.append(tuple(out))
-    got = p._carry_steps[a] = tuple(steps)
+    table, eps, x = p.table, p.eps, p.inv[cp]
+    xa = table[x][a]
+    if xa is not None:
+        out = [(t, c) for c, t in p.rows[xa] if t != eps]
+    else:
+        # [x a] undefined: by P4 only [x [a c]] can be defined
+        xrow = table[x]
+        out = [(t, c) for c, ac in p.rows[a] if (t := xrow[ac]) is not None and t != eps]
+    out.sort()
+    got = p._carry_steps[a, cp] = tuple(out)
     return got
 
 
@@ -142,19 +139,35 @@ def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
     """Carry DP: pu equals pv in U(P), both reduced over Gamma and of equal
     length.
 
-    The carry after i letters is (a_1..a_i)^-1 b_1..b_i in U(P), and P
-    embeds in U(P), so at most one carry fits each prefix and the DP
-    follows a single carry.
+    Write c~ for inv(c).  The carry after i letters is (a_1..a_i)^-1
+    b_1..b_i in U(P), and P embeds in U(P), so at most one carry fits each
+    prefix and the DP follows a single carry: from cp, letter b of pv
+    follows letter a of pu exactly when (b, c) is a step of (a, cp), that
+    is b = [cp~ a c] for some c, and then c = [a~ cp b].  So the DP reads
+    its carry off the table, not from compiled steps.
+
+    Lemma.  For x, y, z in P, the product [x y z] is defined (under either
+    bracketing) exactly when xyz lies in P in U(P), and then they are
+    equal.
+    Proof.  A defined product is the product in U(P), since P embeds in
+    U(P).  Conversely, let xyz lie in P.  If [x y] = d is defined, then dz
+    lies in P; were [d z] undefined, d and z would not be epsilon, and
+    (d, z) would be a reduced word, hence a geodesic (Stallings, Group
+    Theory and Three-Dimensional Manifolds, 1971, 3.A), of length 2 equal
+    to an element of P, which has length at most 1.  Likewise when [y z]
+    is defined.  If neither is, no letter is epsilon and (x, y, z) is a
+    reduced word of length 3 equal to an element of P, again impossible.
+    So for b not epsilon, b = [cp~ a c] holds exactly when b = cp~ a c in
+    U(P), that is c = a~ cp b; by the lemma, with c in P, that is exactly
+    when [a~ cp b] is defined, and then c is that product.
     """
     if len(pu) != len(pv):
         return False
+    inv, mul3 = p.inv, p.mul3
     cp = p.eps
     for a, b in zip(pu, pv):
-        for letter, c in _carry_step(p, a)[cp]:
-            if letter == b:
-                cp = c
-                break
-        else:
+        cp = mul3(inv[a], cp, b)
+        if cp is None:
             return False
     return cp == p.eps
 
@@ -177,8 +190,8 @@ def _nf_carries(pw, p: Pregroup):
     c_i = (a_0 .. a_i)^-1 b_0 .. b_i is fixed by the prefix (Stallings,
     Group Theory and Three-Dimensional Manifolds, 1971, 3.A).  So the
     normal form is found greedily in one forward pass: at each position,
-    from carry cp, take the first step (letter, c) of _carry_step(a_i)[cp],
-    which are in ascending letter, that can still be completed.
+    from carry cp, take the first step (letter, c) of _carry_step(p, a_i,
+    cp), which are in ascending letter, that can still be completed.
 
     Lemma.  Let pw be reduced, and take a step (letter, c) from a carry cp
     that the pass reaches at position i.  For i < n-1 the step can be
@@ -219,8 +232,9 @@ def _nf_carries(pw, p: Pregroup):
     letters = []
     carries = []
     cp = eps
+    compiled = p._carry_steps  # read in the loop: a call per letter costs more
     for a, nxt in zip(pw, pw[1:]):
-        for letter, c in _carry_step(p, a)[cp]:
+        for letter, c in compiled.get((a, cp)) or _carry_step(p, a, cp):
             if table[inv[c]][nxt] is not None:
                 break
         letters.append(letter)

@@ -131,6 +131,22 @@ class TestEmbedding:
         with pytest.raises(InvalidEmbedding):
             Embedding.from_tokens(h, b, {"e": "e"})
 
+    @pytest.mark.parametrize(
+        "tokens, match",
+        [
+            (("e",), "mapping size mismatch"),
+            (("e", "y3", "y"), "mapping size mismatch"),
+            (("y3", "e"), "identity is not preserved"),
+        ],
+        ids=["short", "long", "identity"],
+    )
+    def test_bad_mapping_rejected(self, tokens, match):
+        # mappings that from_tokens cannot build, given to the constructor
+        h = samples.z2_table(("e", "h"))
+        b = samples.z6_table()
+        with pytest.raises(InvalidEmbedding, match=match):
+            Embedding(h, b, tuple(b.index[t] for t in tokens))
+
 
 class TestAmalgamPregroup:
     def test_dinf_shape(self, dinf):
@@ -277,9 +293,19 @@ class TestStandardCyclicForm:
         with pytest.raises(NotHnnContext):
             standard_cyclic_form(CyclicWord.of((0,)), z4z6_ctx)
 
-    @pytest.mark.parametrize("canon", [(99,), (-1,), (0, 41)])
-    def test_letters_outside_gamma_rejected(self, hnn_ctx, canon):
-        with pytest.raises(AlphabetError, match="out of range"):
+    @pytest.mark.parametrize(
+        "canon, error, match",
+        [
+            ((99,), AlphabetError, "out of range"),
+            ((-1,), AlphabetError, "out of range"),
+            ((0, 41), AlphabetError, "out of range"),
+            ((), InHSubgroup, "empty cyclic word"),
+            ((2, 5), ValueError, "not cyclically reduced"),  # s, then e|t|e
+        ],
+        ids=["canon0", "canon1", "canon2", "empty", "base-letter"],
+    )
+    def test_letters_outside_gamma_rejected(self, hnn_ctx, canon, error, match):
+        with pytest.raises(error, match=match):
             standard_cyclic_form(CyclicWord(canon), hnn_ctx)
 
 

@@ -460,6 +460,18 @@ class TestKeyLemma:
             ok, fails = key_lemma_check(p)
             assert ok, fails
 
+    def test_corrupt_table_reports_witness(self):
+        # a partial Z3 table with [aa] = A and [AA] undefined: part 1 needs
+        # [[aa] inv(a)] = [AA] = a
+        p = Pregroup(
+            ("e", "a", "A"), "e", {"a": "A", "A": "a"},
+            {("a", "A"): "e", ("A", "a"): "e", ("a", "a"): "A"},
+        )
+        a = p.index["a"]
+        ok, fails = key_lemma_check(p)
+        assert not ok
+        assert fails == {1: [(a, a)], 2: [], 3: [], 4: [], 5: []}
+
 
 class TestAlphabets:
     def test_gamma_excludes_epsilon(self):

@@ -1322,3 +1322,21 @@ class TestOrbitMinima:
             assert all(_is_symmetry(g, s) for g in group)
             assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
             assert check_strong_confluence(s) == want
+        monkeypatch.undo()
+        # the node bound: a search cut at a few nodes returns the maps
+        # verified so far, closed to a group (16 and 64 maps uncut)
+        for p in (samples.free_pregroup(2), hnn_cyclic(4, 2)):
+            s = derive_system(p, "S_eps")
+            full = len(_symmetries(s))
+            want = check_strong_confluence(s)
+            sizes = []
+            for bound in (1, 2, 5, 10, 20):
+                monkeypatch.setattr(rewrite, "_SYMMETRY_NODES", bound)
+                group = _symmetries(s)
+                assert _closed(group)
+                assert all(_is_symmetry(g, s) for g in group)
+                assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
+                assert check_strong_confluence(s) == want
+                sizes.append(len(group))
+            monkeypatch.undo()
+            assert sizes[0] < full, sizes

@@ -496,6 +496,22 @@ def random_reduced_p(rng, p, n):
     return tuple(out)
 
 
+# The carry DP that scanned the compiled steps of (a, cp) for the letter of
+# pv, replaced by the carry read off the table; kept as a reference.
+def ref_interleaving_equal(pu, pv, p):
+    if len(pu) != len(pv):
+        return False
+    cp = p.eps
+    for a, b in zip(pu, pv):
+        for letter, c in _carry_step(p, a, cp):
+            if letter == b:
+                cp = c
+                break
+        else:
+            return False
+    return cp == p.eps
+
+
 def interleave(rng, pw, p):
     """([c_0~ a_1 c_1], ..., [c_{n-1}~ a_n c_n]) with c_0 = c_n = epsilon
     and the other carries drawn from G_P: a word equal to pw in U(P)."""
@@ -544,7 +560,7 @@ class TestCarryDPs:
             else:
                 pv = random_reduced_p(rng, p, len(pu))
             same_nf = _nf_carries(pu, p)[0] == _nf_carries(pv, p)[0]
-            assert _interleaving_equal(pu, pv, p) == same_nf
+            assert _interleaving_equal(pu, pv, p) == ref_interleaving_equal(pu, pv, p) == same_nf
             verdicts.add(same_nf)
         assert verdicts == {True, False}
 
@@ -609,15 +625,38 @@ def local_test(pw, i, c, p):
 
 class TestCompiledCarrySteps:
     def test_steps_match_dense_definition(self, dp_ctx):
+        # every (a, cp): the compiled steps are the dense sweep's, in
+        # ascending letter, and exactly the (b, [a~ cp b]) over the letters
+        # b with that product defined, the carry _interleaving_equal reads
         p = dp_ctx.pregroup
         n = len(p)
+        gamma = [x for x in range(n) if x != p.eps]
         for a in range(n):
-            steps = _carry_step(p, a)
-            assert len(steps) == n
             for cp in range(n):
-                assert set(steps[cp]) == dense_step(p, cp, a)
-                letters = [letter for letter, _c in steps[cp]]
+                steps = _carry_step(p, a, cp)
+                assert set(steps) == dense_step(p, cp, a)
+                letters = [letter for letter, _c in steps]
                 assert letters == sorted(set(letters))
+                read = {(b, c) for b in gamma if (c := p.mul3(p.inv[a], cp, b)) is not None}
+                assert set(steps) == read, (a, cp)
+
+    def test_nf_carries_compiles_only_the_steps_it_reads(self, dp_ctx):
+        # _interleaving_equal compiles nothing; _nf_carries compiles the
+        # (a_i, c_{i-1}) of its positions i < n-1 and no other entry
+        p = dp_ctx.pregroup
+        rng = random.Random(len(p) + 27)
+        p._carry_steps.clear()
+        words = [random_reduced_p(rng, p, n) for n in (0, 1, 2, 3, 24, 24, 40)]
+        for pw in words:
+            assert _interleaving_equal(pw, interleave(rng, pw, p), p)
+        assert p._carry_steps == {}
+        visited = set()
+        for pw in words:
+            _letters, carries = _nf_carries(pw, p)
+            visited.update(zip(pw[:-1], (p.eps,) + carries[:-1]))
+            assert set(p._carry_steps) == visited
+        # s3 has no reduced word of two letters
+        assert visited or max(map(len, words)) < 2
 
     def test_local_test_is_exactly_feasibility(self, dp_ctx):
         # at each (i, cp) the forward pass reaches, the steps the lemma's

@@ -113,6 +113,19 @@ class TestAlphabet:
         with pytest.raises(AlphabetError):
             Alphabet(("a", "b"), (1, 1))
 
+    @pytest.mark.parametrize(
+        "letters, involution, match",
+        [
+            (("a", ""), (0, 1), "empty letter token"),
+            (("a", "b"), (0,), "involution size mismatch"),
+            (("a", "b"), (1, 0, 2), "involution size mismatch"),
+        ],
+        ids=["empty-token", "short-involution", "long-involution"],
+    )
+    def test_malformed_alphabet_rejected(self, letters, involution, match):
+        with pytest.raises(AlphabetError, match=match):
+            Alphabet(letters, involution)
+
     def test_self_inverse_letters(self):
         a = Alphabet.from_pairs("xy", [])
         assert a.involution == (0, 1)
