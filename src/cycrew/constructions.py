@@ -23,7 +23,6 @@ from .pregroup import (
     PregroupError,
     canonical_subgroup,
     check_axioms,
-    check_p6,
     check_p7,
     check_p8,
     gamma_to_p,
@@ -242,7 +241,7 @@ def amalgam_pregroup(
         raise PregroupError("amalgam self-check: wrong number of elements")
     if not check_axioms(p):
         raise PregroupError("amalgam self-check: P1-P5 fail")
-    if not (check_p6(p)[0] and check_p7(p)[0]):
+    if not check_p7(p)[0]:  # raises itself when P7 holds and P6 fails
         raise PregroupError("amalgam self-check: P6 or P7 fails")
     if canonical_subgroup(p) != p.subgroup_h:
         raise PregroupError("amalgam self-check: G_P is not the identified subgroup")
@@ -282,10 +281,16 @@ def hnn_pregroup(
     # left, the map that carries it across to the right)
     side = {1: (a_set, phi_idx), -1: (b_set, {v: k for k, v in phi_idx.items()})}
 
+    mul = H.table
+    # least[sign][u]: the least index in uA (sign 1) or uB (sign -1)
+    least = {
+        sign: [min(mul[u][s] for s in sub) for u in range(len(H))]
+        for sign, (sub, _across) in side.items()
+    }
+
     def canon(sign, u, v):
-        sub, across = side[sign]
-        r = min(H.mul(u, s) for s in sub)
-        return (r, sign, H.mul(across[H.mul(H.inv[r], u)], v))
+        r = least[sign][u]
+        return (r, sign, mul[side[sign][1][mul[H.inv[r]][u]]][v])
 
     tokens = list(H.elements)
     elem_of = {}  # (u, sign, v) canonical -> P index
@@ -302,15 +307,15 @@ def hnn_pregroup(
     for idx, (u, sign, v) in stable.items():
         involution[tokens[idx]] = tokens[elem_of[canon(-sign, H.inv[v], H.inv[u])]]
         for h in range(len(H)):
-            product[(tokens[h], tokens[idx])] = tokens[elem_of[canon(sign, H.mul(h, u), v)]]
-            product[(tokens[idx], tokens[h])] = tokens[elem_of[canon(sign, u, H.mul(v, h))]]
+            product[(tokens[h], tokens[idx])] = tokens[elem_of[canon(sign, mul[h][u], v)]]
+            product[(tokens[idx], tokens[h])] = tokens[elem_of[canon(sign, u, mul[v][h])]]
         # (u t^s v)(u2 t^-s v2) pinches to u [t^s w t^-s] v2 when w = v u2
         # lies in the subgroup that t^-s absorbs
         sub, across = side[-sign]
         for idx2, (u2, sign2, v2) in stable.items():
-            w = H.mul(v, u2)
+            w = mul[v][u2]
             if sign2 != sign and w in sub:
-                product[(tokens[idx], tokens[idx2])] = tokens[H.mul(H.mul(u, across[w]), v2)]
+                product[(tokens[idx], tokens[idx2])] = tokens[mul[mul[u][across[w]]][v2]]
 
     p = HnnPregroup(tokens, H.elements[H.eps], involution, product)
     p.base_h = frozenset(range(len(H)))
@@ -323,7 +328,7 @@ def hnn_pregroup(
     p.t_minus = elem_of[canon(-1, e, e)]
     if not check_axioms(p):
         raise PregroupError("HNN self-check: P1-P5 fail")
-    if not (check_p6(p)[0] and check_p8(p)[0]):
+    if not check_p8(p)[0]:  # raises itself when P8 holds and P6 fails
         raise PregroupError("HNN self-check: P6 or P8 fails")
     if canonical_subgroup(p) != p.base_h:
         raise PregroupError("HNN self-check: G_P is not the base group")

@@ -90,6 +90,11 @@ class Pregroup:
         return tuple(sum(1 << y for y, _xy in row) for row in self.rows)
 
     @functools.cached_property
+    def _axiom_report(self) -> "AxiomReport":
+        """The report of check_axioms, built once, on first use."""
+        return _sweep_axioms(self)
+
+    @functools.cached_property
     def _canonical_subgroup(self) -> frozenset:
         """G_P, as canonical_subgroup describes it.  Built once, on first
         use; a table that fails the subgroup test raises on every use."""
@@ -169,6 +174,9 @@ class AxiomReport:
 def check_axioms(p: Pregroup) -> AxiomReport:
     """Exhaustively verify P1-P5 in O(|dom| * deg) table reads plus one
     step per witness, deg the largest number of defined products in a row.
+    Computed once per pregroup, since the table is immutable: a
+    construction's self-check and the UniversalContext built on its result
+    share one sweep, and every call returns the same report.
 
     P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
     diagnostic.  Violations are collected with witnesses, not raised: P1
@@ -176,9 +184,16 @@ def check_axioms(p: Pregroup) -> AxiomReport:
     as (a, b, c, d) with each later index ascending.
 
     P5 is not a sweep over quadruples: [xyz] is undefined exactly when
-    both bracketings are, so the d with [bcd] undefined are listed once
-    per (b, c) and each triple with [abc] undefined emits its list.
+    both bracketings are, so the P4 pass keeps, per (a, b) in the domain,
+    the bitmask of the c in row(b) with [abc] undefined: the c with [(ab)
+    c] undefined, read off the row masks, less the P4 witnesses among them.
+    P5 fails at (a, b, c, d) exactly when c is in the mask of (a, b) and d
+    in that of (b, c).
     """
+    return p._axiom_report
+
+
+def _sweep_axioms(p: Pregroup) -> AxiomReport:
     table = p.table
     inv = p.inv
     eps = p.eps
@@ -193,29 +208,29 @@ def check_axioms(p: Pregroup) -> AxiomReport:
         if table[inv[a]][a] != eps or row[inv[a]] != eps:
             p2.append((a,))
     rows = p.rows
-    # undefined_after[b][c]: the d in row(c), ascending, with [bcd]
-    # undefined, for each c in row(b) that has any
-    undefined_after = []
-    for b, row_b in enumerate(table):
-        after = {}
-        for c, bc in rows[b]:
-            row_bc = table[bc]
-            ds = [d for d, cd in rows[c] if row_bc[d] is None and row_b[cd] is None]
-            if ds:
-                after[c] = ds
-        undefined_after.append(after)
+    masks = p.masks
+    undefined = []  # undefined[a][b]: the mask of c with [abc] undefined
     for a, row_a in enumerate(table):
+        undefined_a = {}
         for b, ab in rows[a]:
             if table[inv[b]][inv[a]] != inv[ab]:
                 p3.append((a, b))
             row_ab = table[ab]
-            after = undefined_after[b]
+            mask = masks[b] & ~masks[ab]
             for c, bc in rows[b]:
                 left = row_ab[c]
                 if left != row_a[bc]:
                     p4.append((a, b, c))
-                elif left is None and c in after:
-                    p5.extend([(a, b, c, d) for d in after[c]])
+                    if left is None:
+                        mask ^= 1 << c
+            undefined_a[b] = mask
+        undefined.append(undefined_a)
+    # continued[b]: the mask of c in row(b) with some [bcd] undefined
+    continued = [sum(1 << c for c, mask in u.items() if mask) for u in undefined]
+    for a, undefined_a in enumerate(undefined):
+        for b, mask in undefined_a.items():
+            for c in _bits(mask & continued[b]):
+                p5.extend([(a, b, c, d) for d in _bits(undefined[b][c])])
     return rep
 
 

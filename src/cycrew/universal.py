@@ -110,8 +110,8 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
 
 
 def _carry_step(p: Pregroup, a: int, cp: int) -> tuple:
-    """The carry steps of letter a from carry cp, compiled on first use and
-    cached on p under (a, cp).
+    """The carry steps of letter a from carry cp, compiled and stored on p
+    under (a, cp), where _nf_carries looks them up first.
 
     The tuple of (letter, c) with letter = [inv(cp) a c], leaving out
     undefined and epsilon products, in ascending letter: for a fixed cp
@@ -119,9 +119,6 @@ def _carry_step(p: Pregroup, a: int, cp: int) -> tuple:
     the letters are distinct and the first entry that passes a test on c
     holds the least letter.  Read from the sparse rows of p.
     """
-    got = p._carry_steps.get((a, cp))
-    if got is not None:
-        return got
     table, eps, x = p.table, p.eps, p.inv[cp]
     xa = table[x][a]
     if xa is not None:

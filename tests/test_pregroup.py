@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cycrew import pregroup as pregroup_module
 from cycrew import samples
 from cycrew.constructions import FiniteGroupTable
 from cycrew.pregroup import (
@@ -22,6 +23,7 @@ from cycrew.pregroup import (
     p_to_gamma,
 )
 from cycrew.rewrite import check_strong_confluence
+from cycrew.universal import UniversalContext
 
 from conftest import hnn_z10_z2
 
@@ -434,6 +436,17 @@ class TestRowPassesMatchSweeps:
     def test_gp_computed_once(self):
         p = samples.hnn_s3()
         assert canonical_subgroup(p) is canonical_subgroup(p)
+
+    def test_axioms_swept_once_per_pregroup(self, monkeypatch):
+        # the self-checks of S3 and of its HNN extension, then the context
+        # built on the extension: one sweep per pregroup
+        swept = []
+        sweep = pregroup_module._sweep_axioms
+        monkeypatch.setattr(pregroup_module, "_sweep_axioms", lambda p: swept.append(p) or sweep(p))
+        p = samples.hnn_s3()
+        UniversalContext(p)
+        assert check_axioms(p) is check_axioms(p)
+        assert [len(q) for q in swept] == [6, 42]
 
 
 class TestCanonicalSubgroup:
