@@ -438,10 +438,11 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
         alphabet = gamma_alphabet(p)
         to_letter = lambda x: p_to_gamma(x, p)
         letters = [x for x in range(n) if x != p.eps]
+    table, inv, rows = p.table, p.inv, p.rows
     seen_sym = set()
     for a in letters:
         for b in letters:
-            ab = p.mul(a, b)
+            ab = table[a][b]
             if ab is not None:
                 if ab == p.eps and variant == "S_of_P":
                     rules.append(Rule((to_letter(a), to_letter(b)), ()))
@@ -449,12 +450,11 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
                     rules.append(Rule((to_letter(a), to_letter(b)), (to_letter(ab),)))
             if ab is not None and variant == "S_of_P":
                 continue  # symmetric rules only where (a,b) is undefined
-            for c in range(n):
-                ac = p.mul(a, c)
-                cb = p.mul(p.inv[c], b)
+            for c, ac in rows[a]:  # the c with [ac] defined, ascending
+                cb = table[inv[c]][b]
                 # in S(P), [ab] is undefined here, so neither product is
                 # eps: [ac] = eps forces c = inv(a) and [inv(c) b] = [ab]
-                if ac is None or cb is None:
+                if cb is None:
                     continue
                 lhs = (to_letter(a), to_letter(b))
                 rhs = (to_letter(ac), to_letter(cb))

@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
 
 from .words import (
@@ -435,68 +436,91 @@ _SYMMETRY_NODES = 500
 _SYMMETRY_MAPS = 2_000
 
 
-def _image(g, w: Word) -> Word:
-    """g(w) for a letter symmetry g = (perm, rev): every letter mapped by
-    perm, then the word reversed when rev (an anti-automorphism)."""
-    perm, rev = g
-    w = tuple(map(perm.__getitem__, w))
-    return w[::-1] if rev else w
-
-
 def _symmetries(system: RewriteSystem) -> set:
-    """Letter symmetries of a system: the maps g = (perm, rev) of _image
-    that send the set of oriented (lhs, rhs) pairs onto itself, the identity
-    among them.  The formal inverse (the involution, reversed) is tried
-    first.
+    """Letter symmetries of a system: the maps g = (perm, rev) that send
+    the set of oriented (lhs, rhs) pairs onto itself, the identity among
+    them.  g(w) maps every letter of w by perm, then reverses the word when
+    rev (an anti-automorphism).  The formal inverse (the involution,
+    reversed) is tried first.
+
+    One pass over the rule index, which groups the targets by left-hand
+    side, collects what the search reads: each left-hand side's distinct
+    targets (a rule listed twice, or a plain rule next to a symmetric one
+    that holds it, gives one pair), its shape, the pairs by (lhs length,
+    rhs length), and each pair as a record lhs + sep + rhs + sep + lhs of
+    one byte per letter.  A record read backwards is the record of the
+    pair with both words reversed, so the text of all records, joined by
+    end, read backwards holds the reversed pairs.  The letter counts are
+    then read off the pairs of each length class column by column.
 
     A backtracking search assigns an image to one letter at a time.  A
     letter's candidates are the letters with the same number of occurrences
     at each (lhs length, rhs length, side, position), the position counted
     from the end when rev.  Once every letter of a left-hand side l is
-    assigned, g(l) must be a left-hand side with the same right-hand side
-    lengths, and a unique right-hand side of length one forces the image of
-    its letter (ab -> [ab] forces [ab] once a and b are placed).  Letters in
-    no rule stay fixed.  A complete assignment that is not in the group
-    found so far is verified against every pair, and the group is closed
-    under composition.  _SYMMETRY_NODES caps the search nodes and
-    _SYMMETRY_MAPS the group size; every map returned is verified or a
-    product of verified maps, and the maps returned are a group, also when
-    a bound cut the search (check_strong_confluence reads orbits of it).
+    assigned (a count of its unassigned letters reaches 0), g(l) must be a
+    left-hand side with the same right-hand side lengths, and a unique
+    right-hand side of length one forces the image of its letter (ab -> [ab]
+    forces [ab] once a and b are placed).  Letters in no rule stay fixed.
+
+    A complete assignment that is not in the group found so far is
+    verified by one bytes.translate of the text, read backwards when rev
+    (sep and end are no letters and translate to themselves): a bijection
+    sends distinct records to distinct records, so g is a symmetry when
+    every image is a record.  Alphabets past 254 letters use str code
+    points instead of bytes.  The group is then closed by cosets (Dimino's
+    algorithm; Butler 1991, Fundamental Algorithms for Permutation
+    Groups): it grows by whole left cosets of the group before g, and only
+    the products of a generator with a new coset representative are
+    tested.  _SYMMETRY_NODES caps the search nodes and _SYMMETRY_MAPS the
+    group size; every map returned is verified or a product of verified
+    maps, and the maps returned are a group, also when a bound cut the
+    search (check_strong_confluence reads orbits of it).
     """
     k = len(system.alphabet)
-    pairs = {(lhs, rhs) for lhs, rhs, _rid, _a in system.oriented_pairs()}
-    rhs_of = collections.defaultdict(list)
-    by_lengths = collections.defaultdict(list)
-    for lhs, rhs in pairs:
-        rhs_of[lhs].append(rhs)
-        by_lengths[len(lhs), len(rhs)].append((lhs, rhs))
-    # letter -> {(lhs length, rhs length, side, position, position from the
-    # end): occurrences}
-    counts = [{} for _ in range(k)]
-    for (ll, lr), group in by_lengths.items():
-        for side, length in enumerate((ll, lr)):
-            for pos in range(length):
-                for x, c in collections.Counter([pair[side][pos] for pair in group]).items():
-                    counts[x][ll, lr, side, pos, length - 1 - pos] = c
-    shape = {}  # lhs -> (its rhs lengths, the letter of a unique rhs of length 1)
-    for lhs, rhss in rhs_of.items():
-        singles = [r[0] for r in rhss if len(r) == 1]
+    # a word as one byte per letter, and the translate table's entries past
+    # the letters, which map sep, end and every other byte to themselves;
+    # past 254 letters, str code points, which str.translate leaves as they
+    # are past the end of its table
+    if k <= 254:
+        encode, past = bytes, bytes(range(k, 256))
+    else:
+        encode, past = (lambda w: "".join(map(chr, w))), ""
+    sep, end = encode((k,)), encode((k + 1,))
+    # shape: lhs -> (its sorted rhs lengths, the letter of a unique rhs of
+    # length 1); by lhs id, the lhs and its number of letters
+    lhss, distinct, shape = [], [], {}
+    lhs_with = [[] for _ in range(k)]  # letter -> the ids of the lhss holding it
+    # (lhs length, rhs length) -> the lhss and the rhss of those pairs
+    by_lengths = collections.defaultdict(lambda: ([], []))
+    records = []  # the records of each lhs, joined by end
+    for lhs, slots in system._index.items():
+        rhss = {rhs for targets in slots for _rid, rhs in targets}
+        letters = set(lhs)
+        for x in letters:
+            lhs_with[x].append(len(lhss))
+        lhss.append(lhs)
+        distinct.append(len(letters))
+        singles = [rhs[0] for rhs in rhss if len(rhs) == 1]
         shape[lhs] = (sorted(map(len, rhss)), singles[0] if len(singles) == 1 else None)
-    lhs_with = collections.defaultdict(set)
-    for lhs in shape:
-        for x in lhs:
-            lhs_with[x].add(lhs)
-    # each pair as the string lhs + sep + rhs, one character per letter, and
-    # all pairs as one text joined by end, so that verifying a map is one
-    # str.translate (sep and end are no letters and translate to
-    # themselves); the mirrored text holds the pairs of reversed words
-    sep, end = chr(k), chr(k + 1)
-    code = {w: "".join(map(chr, w)) for w in {w for pair in pairs for w in pair}}
-    coded = {code[lhs] + sep + code[rhs] for lhs, rhs in pairs}
-    text = (
-        end.join(coded),
-        end.join(code[lhs][::-1] + sep + code[rhs][::-1] for lhs, rhs in pairs),
-    )
+        ll = len(lhs)
+        for rhs in rhss:
+            pairs = by_lengths[ll, len(rhs)]
+            pairs[0].append(lhs)
+            pairs[1].append(rhs)
+        head, foot = encode(lhs) + sep, sep + encode(lhs)
+        records.append(head + (foot + end + head).join(map(encode, rhss)) + foot)
+    forward = end.join(records)
+    text = (forward, forward[::-1])  # backwards: the records of reversed pairs
+    # with no pair, no record (split would give the empty one)
+    coded = set(forward.split(end)) if records else set()
+    # letter -> {(lhs length, rhs length, side, position, position from the
+    # end): occurrences}, counted column by column
+    counts = [{} for _ in range(k)]
+    for (ll, lr), sides in by_lengths.items():
+        for side, (length, words) in enumerate(zip((ll, lr), sides)):
+            for pos in range(length):
+                for x, c in collections.Counter(map(itemgetter(pos), words)).items():
+                    counts[x][ll, lr, side, pos, length - 1 - pos] = c
 
     def signature(x, rev):
         return tuple(
@@ -520,25 +544,24 @@ def _symmetries(system: RewriteSystem) -> set:
         if g in group:
             return True
         perm, rev = g
-        if set(text[rev].translate(perm).split(end)) != coded:
+        if not coded.issuperset(text[rev].translate(encode(perm) + past).split(end)):
             return False
         generators.append(g)
-        added = []
-        frontier = list(group)
-        while frontier:
-            grown = []
-            for q, t in frontier:
-                for p, r in generators:
-                    h = (tuple(map(p.__getitem__, q)), r != t)
-                    if h not in group:
-                        if len(group) == _SYMMETRY_MAPS:
-                            group.difference_update(added, grown)
-                            generators.pop()
-                            return None
-                        group.add(h)
-                        grown.append(h)
-            added += grown
-            frontier = grown
+        # the new group is a union of cosets e H of the old group H; e runs
+        # over g and the products s e of a generator s with an e before it
+        old, reps, grown = list(group), [g], []
+        for e in reps:  # appended to while read
+            if e in group:
+                continue  # so is its coset
+            if len(group) + len(old) > _SYMMETRY_MAPS:
+                group.difference_update(grown)
+                generators.pop()
+                return None
+            at, t = e[0].__getitem__, e[1]
+            coset = [(tuple(map(at, q)), r != t) for q, r in old]
+            group.update(coset)
+            grown += coset
+            reps += [(tuple(map(s.__getitem__, e[0])), r != t) for s, r in generators]
         return True
 
     def direction(rev):
@@ -547,12 +570,15 @@ def _symmetries(system: RewriteSystem) -> set:
         cand = [with_signature[signature(x, rev)] for x in range(k)]
         order = sorted(range(k), key=lambda x: len(cand[x]))
         perm, taken, trail = [None] * k, [False] * k, []
+        image = perm.__getitem__
+        missing = list(distinct)  # lhs id -> its letters not yet assigned
+        words = [lhs[::-1] for lhs in lhss] if rev else lhss  # g(lhs) = perm(word)
 
         def place(todo):
             """Assign the (letter, image) pairs of todo and what they force,
-            each assigned letter pushed on trail; False on a conflict."""
-            while todo:
-                x, y = todo.pop()
+            in the order found, each assigned letter pushed on trail; False
+            on a conflict."""
+            for x, y in todo:  # appended to while read
                 if perm[x] is not None:
                     if perm[x] != y:
                         return False
@@ -562,10 +588,12 @@ def _symmetries(system: RewriteSystem) -> set:
                 perm[x] = y
                 taken[y] = True
                 trail.append(x)
-                for lhs in lhs_with[x]:
-                    if all(perm[v] is not None for v in lhs):
-                        got = shape.get(_image((perm, rev), lhs))
-                        want, forced = shape[lhs]
+                for i in lhs_with[x]:
+                    missing[i] -= 1
+                for i in lhs_with[x]:
+                    if not missing[i]:
+                        got = shape.get(tuple(map(image, words[i])))
+                        want, forced = shape[lhss[i]]
                         if got is None or got[0] != want:
                             return False
                         if forced is not None:
@@ -611,6 +639,8 @@ def _symmetries(system: RewriteSystem) -> set:
                     v = trail.pop()
                     taken[perm[v]] = False
                     perm[v] = None
+                    for i in lhs_with[v]:
+                        missing[i] += 1
             return found
 
         todo = [(x, x) for x in range(k) if not counts[x]]

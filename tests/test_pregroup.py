@@ -22,10 +22,10 @@ from cycrew.pregroup import (
     key_lemma_check,
     p_to_gamma,
 )
-from cycrew.rewrite import check_strong_confluence
+from cycrew.rewrite import Rule, check_strong_confluence
 from cycrew.universal import UniversalContext
 
-from conftest import hnn_z10_z2
+from conftest import hnn_cyclic, hnn_z10_z2
 
 
 def corpus():
@@ -513,7 +513,43 @@ class TestAlphabets:
         assert len(full_alphabet(p)) == len(p)
 
 
+def ref_derive_rules(p: Pregroup, variant: str) -> list:
+    """The rules of derive_system, in its order, from p.mul for every
+    (a, b, c)."""
+    if variant == "S_eps":
+        to_letter, letters, rules = (lambda x: x), range(len(p)), [Rule((p.eps,), ())]
+    else:
+        to_letter, rules = (lambda x: p_to_gamma(x, p)), []
+        letters = [x for x in range(len(p)) if x != p.eps]
+    seen_sym = set()
+    for a in letters:
+        for b in letters:
+            ab = p.mul(a, b)
+            lhs = (to_letter(a), to_letter(b))
+            if ab is not None:
+                rhs = () if ab == p.eps and variant == "S_of_P" else (to_letter(ab),)
+                rules.append(Rule(lhs, rhs))
+                if variant == "S_of_P":
+                    continue
+            for c in range(len(p)):
+                ac, cb = p.mul(a, c), p.mul(p.inv[c], b)
+                if ac is None or cb is None:
+                    continue
+                rhs = (to_letter(ac), to_letter(cb))
+                if lhs != rhs and frozenset((lhs, rhs)) not in seen_sym:
+                    seen_sym.add(frozenset((lhs, rhs)))
+                    rules.append(Rule(lhs, rhs, symmetric=True))
+    return rules
+
+
 class TestDerivedSystems:
+    def test_rules_equal_the_reference(self):
+        # the rules are read from the table rows, ascending in c as the
+        # reference loop over every c takes them
+        cases = [(p, v) for p in corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3)] for v in ("S_of_P", "S_eps")]
+        for p, variant in cases + [(hnn_z10_z2(), "S_eps")]:
+            assert derive_system(p, variant).rules == tuple(ref_derive_rules(p, variant))
+
     def test_s_of_p_shape(self):
         p = samples.free_pregroup(2)
         s = derive_system(p, "S_of_P")

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -925,13 +926,42 @@ def _apply(g, w):
     """g(w) for a letter map g = (perm, rev): letters mapped, then the word
     reversed when rev."""
     perm, rev = g
-    image = tuple(perm[x] for x in w)
+    image = tuple(map(perm.__getitem__, w))
     return image[::-1] if rev else image
 
 
-def _is_symmetry(g, system):
-    pairs = {(l, r) for l, r, _rid, _a in system.oriented_pairs()}
+def _is_symmetry(g, system, pairs=None):
+    """g maps the set of oriented (lhs, rhs) pairs, given or read from
+    system, onto itself."""
+    if pairs is None:
+        pairs = {(l, r) for l, r, _rid, _a in system.oriented_pairs()}
     return {(_apply(g, l), _apply(g, r)) for l, r in pairs} == pairs
+
+
+def _brute_symmetries(system):
+    """The group _symmetries finds, by brute force over all k! * 2 letter
+    maps.  The maps that fix every letter in no rule and satisfy
+    _is_symmetry, when the formal inverse sigma is no symmetry.  When it
+    is one, _symmetries tries it first and searches only the maps that do
+    not reverse words (the reversing ones are their coset under sigma): then
+    the forward maps of that set and their products with sigma, which may
+    swap two letters in no rule."""
+    k = len(system.alphabet)
+    pairs = {(l, r) for l, r, _rid, _a in system.oriented_pairs()}
+    used = {x for pair in pairs for w in pair for x in w}
+    found = {
+        (perm, rev)
+        for perm in itertools.permutations(range(k))
+        if all(perm[x] == x for x in range(k) if x not in used)
+        for rev in (False, True)
+        if _is_symmetry((perm, rev), system, pairs)
+    }
+    inv = system.alphabet.involution
+    if _is_symmetry((inv, True), system):
+        forward = {perm for perm, rev in found if not rev}
+        found = {(perm, False) for perm in forward}
+        found |= {(tuple(inv[x] for x in perm), True) for perm in forward}
+    return found
 
 
 def _skips_before(system, x0, group):
@@ -1161,9 +1191,8 @@ class TestLetterSymmetries:
             report, searched = _tested_words(monkeypatch, s)
             assert report == _outcome(ref_sigma_check_strong_confluence, s)
             group = _symmetries(s)
+            assert group == _brute_symmetries(s)
             assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
-            assert (tuple(range(len(s.alphabet))), False) in group
-            assert all(_is_symmetry(h, s) for h in group)
             planted = _is_symmetry(g, s)
             if planted:
                 # letters in no rule stay fixed in the maps found
@@ -1208,14 +1237,49 @@ class TestLetterSymmetries:
 
     def test_s_eps_groups(self):
         # the orders of the pregroups' automorphism groups (the signed
-        # permutations of two free letters; 32 on HNN(Z4, Z2)), doubled by
-        # the formal inverse
-        for p, order in [(samples.free_pregroup(2), 16), (hnn_cyclic(4, 2), 64)]:
+        # permutations of two free letters; 32 on HNN(Z4, Z2), 48 on
+        # HNN(Z6, Z3)), doubled by the formal inverse
+        # (_is_symmetry tests every map of the two smaller groups, and every
+        # twelfth of the largest, where one test takes about 30 ms)
+        cases = [(samples.free_pregroup(2), 16, 1), (hnn_cyclic(4, 2), 64, 1), (hnn_cyclic(6, 3), 96, 12)]
+        for p, order, step in cases:
             s = derive_system(p, "S_eps")
             group = _symmetries(s)
             assert len(group) == order
+            assert sum(rev for _perm, rev in group) == order // 2
             assert (s.alphabet.involution, True) in group
-            assert all(_is_symmetry(g, s) for g in group)
+            assert _closed(group)
+            assert all(_is_symmetry(g, s) for g in sorted(group)[::step])
+
+    def test_orientations_listed_twice(self):
+        # the group is read off the set of oriented pairs: a rule given
+        # twice, or a plain rule next to a symmetric one that holds it,
+        # gives the group of the system without the repeat
+        a = Alphabet.from_pairs("abcd", [("a", "b")])
+        w = a.word
+        once = [Rule(w("ab"), w("c")), Rule(w("ba"), w("d"))]
+        twins = [
+            (once + [Rule(w("ab"), w("c"))], once),
+            (once + [Rule(w("cd"), w("dc")), Rule(w("cd"), w("dc"), symmetric=True)],
+             once + [Rule(w("cd"), w("dc"), symmetric=True)]),
+        ]
+        for rules, deduplicated in twins:
+            s, t = RewriteSystem(a, rules), RewriteSystem(a, deduplicated)
+            pairs = [(l, r) for l, r, _rid, _a in s.oriented_pairs()]
+            assert len(pairs) > len(set(pairs))  # an orientation listed twice
+            assert _symmetries(s) == _symmetries(t) == _brute_symmetries(t)
+            assert len(_symmetries(s)) > 1
+
+    def test_alphabet_past_a_byte(self):
+        # 300 letters, three of them in rules: the same group as over the
+        # three letters alone, the other letters fixed
+        rules = [Rule(l, r) for l, r in [((0,), (1,)), ((0,), (2,)), ((1, 2), (0,)), ((2, 1), (0,))]]
+        small = RewriteSystem(Alphabet.from_pairs("abc", []), rules)
+        wide = RewriteSystem(Alphabet.from_pairs([f"x{i}" for i in range(300)], []), rules)
+        group = _symmetries(wide)
+        assert all(perm[3:] == tuple(range(3, 300)) for perm, _rev in group)
+        assert {(perm[:3], rev) for perm, rev in group} == _symmetries(small)
+        assert _symmetries(small) == _brute_symmetries(small) and len(group) == 4
 
 
 class TestOrbitMinima:
@@ -1269,6 +1333,7 @@ class TestOrbitMinima:
             assert list(_orbit_minima(s, _symmetries(s))) == [()]
             assert check_strong_confluence(s) == ref_check_strong_confluence(s)
         s = RewriteSystem(a, [])
+        assert _symmetries(s) == {((0, 1), False)}  # no pair verifies a map
         assert list(_orbit_minima(s, _symmetries(s))) == []
         assert check_strong_confluence(s) == ref_check_strong_confluence(s) == ConfluenceReport(True)
 
@@ -1313,8 +1378,10 @@ class TestOrbitMinima:
     def test_cut_symmetry_search_returns_a_group(self, monkeypatch):
         # closing the group under a map that would pass the bound leaves it
         # as it was, so its orbits still partition the overlap words
+        # (a group that just fits the bound is kept: 8 maps at bound 8)
         s = derive_system(samples.free_pregroup(2), "S_eps")
         want = ref_check_strong_confluence(s)
+        sizes = []
         for bound in (1, 2, 3, 5, 8, 15):
             monkeypatch.setattr(rewrite, "_SYMMETRY_MAPS", bound)
             group = _symmetries(s)
@@ -1322,9 +1389,13 @@ class TestOrbitMinima:
             assert all(_is_symmetry(g, s) for g in group)
             assert list(_orbit_minima(s, group)) == _brute_orbit_minima(s, group)
             assert check_strong_confluence(s) == want
+            sizes.append(len(group))
         monkeypatch.undo()
+        assert sizes == [1, 2, 2, 4, 8, 8], sizes
         # the node bound: a search cut at a few nodes returns the maps
-        # verified so far, closed to a group (16 and 64 maps uncut)
+        # verified so far, closed to a group (16 and 64 maps uncut); the
+        # sizes at each bound are pinned, keyed by the alphabet size
+        pinned = {5: [2, 2, 2, 4, 16], 20: [2, 2, 2, 16, 64]}
         for p in (samples.free_pregroup(2), hnn_cyclic(4, 2)):
             s = derive_system(p, "S_eps")
             full = len(_symmetries(s))
@@ -1340,3 +1411,4 @@ class TestOrbitMinima:
                 sizes.append(len(group))
             monkeypatch.undo()
             assert sizes[0] < full, sizes
+            assert sizes == pinned[len(s.alphabet)], sizes
