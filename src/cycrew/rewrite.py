@@ -440,8 +440,9 @@ def _symmetries(system: RewriteSystem) -> set:
     """Letter symmetries of a system: the maps g = (perm, rev) that send
     the set of oriented (lhs, rhs) pairs onto itself, the identity among
     them.  g(w) maps every letter of w by perm, then reverses the word when
-    rev (an anti-automorphism).  The formal inverse (the involution,
-    reversed) is tried first.
+    rev (an anti-automorphism).  Every map fixes the letters in no rule.
+    The formal inverse (the involution, reversed), restricted to the
+    letters in rules, is tried first.
 
     One pass over the rule index, which groups the targets by left-hand
     side, collects what the search reads: each left-hand side's distinct
@@ -649,7 +650,12 @@ def _symmetries(system: RewriteSystem) -> set:
             todo.append((empty[1], empty[1]))
         return place(todo) and search(not rev)
 
-    if add((system.alphabet.involution, True)) is None:
+    # sigma fixes the letters in no rule, as the forward maps do, so once it
+    # is in the reversing maps are their coset under it.  Where the
+    # involution pairs a letter in a rule with one in none, sigma is no
+    # permutation, and add rejects it: no record holds the image.
+    sigma = tuple(y if counts[x] else x for x, y in enumerate(system.alphabet.involution))
+    if add((sigma, True)) is None:
         return group
     for rev in (False, True):
         if rev and any(r for _p, r in group):

@@ -4,7 +4,7 @@ import pytest
 
 from cycrew import UniversalContext, samples
 from cycrew.constructions import FiniteGroupTable, hnn_pregroup
-from cycrew.pregroup import Pregroup
+from cycrew.pregroup import AxiomReport, Pregroup
 
 acceptance_lines = []
 
@@ -52,6 +52,129 @@ def p6_failing():
         ("Y", "x"): "z", ("z", "X"): "Y", ("z", "Y"): "X",
     })
     return Pregroup(("e", "x", "X", "y", "Y", "z"), "e", inverse, product)
+
+
+def ref_check_axioms(p: Pregroup) -> AxiomReport:
+    """Exhaustively verify P1-P5 as quantifier sweeps through Pregroup.mul,
+    mul3 and domain; the row passes of check_axioms must return exactly
+    its results, witness order included.
+
+    P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
+    diagnostic.  Violations are collected with witnesses, not raised.
+    """
+    n = len(p)
+    rep = AxiomReport(checked=("P1", "P2", "P3", "P4", "P5"))
+    v = rep.violations
+    for name in rep.checked:
+        v[name] = []
+    for a in range(n):
+        if p.mul(a, p.eps) != a or p.mul(p.eps, a) != a:
+            v["P1"].append((a,))
+        if p.mul(p.inv[a], a) != p.eps or p.mul(a, p.inv[a]) != p.eps:
+            v["P2"].append((a,))
+    dom = p.domain()
+    for a, b in dom:
+        if p.mul(p.inv[b], p.inv[a]) != p.inv[p.mul(a, b)]:
+            v["P3"].append((a, b))
+    by_left = [[] for _ in range(n)]
+    for a, b in dom:
+        by_left[a].append(b)
+    for a, b in dom:
+        ab = p.mul(a, b)
+        for c in by_left[b]:
+            bc = p.mul(b, c)
+            left = p.mul(ab, c)
+            right = p.mul(a, bc)
+            if (left is None) != (right is None):
+                v["P4"].append((a, b, c))
+            elif left is not None and left != right:
+                v["P4"].append((a, b, c))
+    for a, b in dom:
+        for c in by_left[b]:
+            for d in by_left[c]:
+                if p.mul3(a, b, c) is None and p.mul3(b, c, d) is None:
+                    v["P5"].append((a, b, c, d))
+    return rep
+
+
+def census_tables(n):
+    """Every labelled pregroup table on n elements e, x1, ..., with epsilon
+    e and, for each number k of swapped pairs, the involution that swaps
+    x1 x2, ..., x(2k-1) x(2k) and fixes the rest.  Not reduced up to
+    isomorphism.
+
+    A backtracking search fills the cells (a, b) off the epsilon row and
+    column and off [a a~] = e (P1, P2), each with its P3 partner
+    [b~ a~] = [ab]~, by undefined or a letter (never e: [ab] = e forces
+    b = a~ by P4).  Each filled pair of cells is pruned by P4 on every
+    triple whose four products are filled, and a full table is kept when
+    ref_check_axioms passes it."""
+    found = []
+    elements = ["e"] + [f"x{i}" for i in range(1, n)]
+    for pairs in range((n - 1) // 2 + 1):
+        inv = list(range(n))
+        for i in range(1, 2 * pairs, 2):
+            inv[i], inv[i + 1] = i + 1, i
+        table = [[None] * n for _ in range(n)]
+        filled = [[False] * n for _ in range(n)]
+        for a in range(n):
+            table[0][a] = table[a][0] = a
+            table[a][inv[a]] = 0
+            filled[0][a] = filled[a][0] = filled[a][inv[a]] = True
+        cells = [
+            (a, b) for a in range(1, n) for b in range(1, n)
+            if b != inv[a] and (a, b) <= (inv[b], inv[a])
+        ]
+
+        def p4(a, b, c):
+            """P4 holds at (a, b, c), or a product it reads is not filled."""
+            ab, bc = table[a][b], table[b][c]
+            if ab is None or bc is None or not (filled[ab][c] and filled[a][bc]):
+                return True
+            return table[ab][c] == table[a][bc]
+
+        def p4_around(a, b):
+            """P4 at every triple that reads the cell (a, b)."""
+            r = range(n)
+            return (
+                all(p4(a, b, z) and p4(z, a, b) for z in r)
+                and all(p4(x, y, b) for x in r for y in r if table[x][y] == a)
+                and all(p4(a, y, z) for y in r for z in r if table[y][z] == b)
+            )
+
+        def fill(i):
+            if i == len(cells):
+                product = {
+                    (elements[a], elements[b]): elements[c]
+                    for a, row in enumerate(table) for b, c in enumerate(row) if c is not None
+                }
+                involution = {elements[a]: elements[b] for a, b in enumerate(inv)}
+                p = Pregroup(elements, "e", involution, product)
+                if ref_check_axioms(p):
+                    found.append(p)
+                return
+            a, b = cells[i]
+            a2, b2 = inv[b], inv[a]
+            for c in (None, *range(1, n)):
+                c2 = None if c is None else inv[c]
+                if (a, b) == (a2, b2) and c != c2:
+                    continue
+                table[a][b], table[a2][b2] = c, c2
+                filled[a][b] = filled[a2][b2] = True
+                if p4_around(a, b) and p4_around(a2, b2):
+                    fill(i + 1)
+                filled[a][b] = filled[a2][b2] = False
+            table[a][b] = table[a2][b2] = None
+
+        fill(0)
+    return found
+
+
+@pytest.fixture(scope="session")
+def census():
+    """Every labelled pregroup table on 2-7 elements (census_tables), 350
+    in all, by size."""
+    return [p for n in range(2, 8) for p in census_tables(n)]
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,12 @@
 import collections
+import hashlib
 import random
-from typing import Optional, Sequence
 
 import pytest
 
 from cycrew import samples
 from cycrew.constructions import (
     AmalgamPregroup,
-    ClassificationVerdict,
     Embedding,
     FiniteGroupTable,
     HnnPregroup,
@@ -15,8 +14,6 @@ from cycrew.constructions import (
     InvalidEmbedding,
     NotAmalgamContext,
     NotHnnContext,
-    _require_amalgam,
-    _require_hnn,
     amalgam_pregroup,
     hnn_pregroup,
     standard_cyclic_form,
@@ -27,24 +24,13 @@ from cycrew.fastconj import conjugate_linear
 from cycrew.formats import emit_pg
 from cycrew.pregroup import (
     Pregroup,
-    PregroupError,
-    canonical_subgroup,
-    check_axioms,
-    check_p6,
-    check_p7,
-    check_p8,
     gamma_to_p,
     p_to_gamma,
 )
 from cycrew.universal import (
-    ConjugacyAnswer,
     UniversalContext,
     _canonical_traced,
-    _certify,
-    _conjugacy_prelude,
     _interleaving_equal,
-    _letter_closure_traced,
-    _preconjugate_p,
     conjugate_quadratic,
     cyclic_reduce,
     equal_in_U,
@@ -318,6 +304,38 @@ def replay_letter_chain(start, chain, p):
     return node
 
 
+def preconjugated(rot, c, p):
+    """rot with c~ multiplied onto its first letter and c onto its last
+    (onto both ends of a single letter); every product defined."""
+    if len(rot) == 1:
+        cand = (p.mul3(p.inv[c], rot[0], c),)
+    else:
+        cand = (p.mul(p.inv[c], rot[0]),) + tuple(rot[1:-1]) + (p.mul(rot[-1], c),)
+    assert None not in cand
+    return cand
+
+
+def replay_mks(ver, g, f, ctx):
+    """Replay a verify_mks verdict on (g, f): case 1 chains the letters of
+    g and f to one letter h of H (or both are empty), case 2 gives a factor
+    element a with [a~ g a] = f, and case 3 a rotation i of g that h
+    preconjugates to an interleaving of f."""
+    p = ctx.pregroup
+    g_p, f_p = (ctx.to_p(_canonical_traced(w, ctx)[0]) for w in (g, f))
+    w = ver.witness
+    assert ver.theorem == "mks"
+    if ver.case == 1 and not g_p:
+        assert not f_p and w == {"h": p.eps, "chain_to_g": [], "chain_to_f": []}
+    elif ver.case == 1:
+        end_g = replay_letter_chain(g_p[0], w["chain_to_g"], p)
+        assert end_g == replay_letter_chain(f_p[0], w["chain_to_f"], p) == w["h"]
+    elif ver.case == 2:
+        assert p.mul3(p.inv[w["a"]], g_p[0], w["a"]) == f_p[0]
+    else:
+        i = w["i"]
+        assert _interleaving_equal(preconjugated(g_p[i:] + g_p[:i], w["h"], p), f_p, p)
+
+
 class TestVerifyMks:
     def test_requires_amalgam(self, hnn_ctx):
         with pytest.raises(NotAmalgamContext):
@@ -330,12 +348,8 @@ class TestVerifyMks:
         h = p_to_gamma(p.index["x2"], p)
         g = (y, h, z4z6_ctx.alphabet.involution[y])
         ver = verify_mks(g, (h,), z4z6_ctx)
-        assert ver.theorem == "mks" and ver.case == 1
-        g_can = cyclic_reduce(g, z4z6_ctx).canon
-        target = ver.witness["h"]
-        end_g = replay_letter_chain(gamma_to_p(g_can[0], p), ver.witness["chain_to_g"], p)
-        end_f = replay_letter_chain(gamma_to_p(h, p), ver.witness["chain_to_f"], p)
-        assert end_g == end_f == target
+        assert ver.case == 1
+        replay_mks(ver, g, (h,), z4z6_ctx)
 
     def test_case2_factor_conjugator(self, z4z6_ctx):
         p = z4z6_ctx.pregroup
@@ -349,10 +363,6 @@ class TestVerifyMks:
         assert p.mul3(p.inv[a], p.index["x"], a) == p.index["x"]
 
     def test_case3_rotation_and_h(self, z4z6_ctx, rng):
-        p = z4z6_ctx.pregroup
-        from cycrew.universal import _interleaving_equal
-        from cycrew.universal import _canonical_traced
-
         k = len(z4z6_ctx.alphabet)
         done = 0
         while done < 20:
@@ -362,17 +372,7 @@ class TestVerifyMks:
                 continue
             ver = verify_mks(u, v, z4z6_ctx)
             done += 1
-            if ver.case != 3:
-                continue
-            h, i = ver.witness["h"], ver.witness["i"]
-            g_can, _ = _canonical_traced(u, z4z6_ctx)
-            f_can, _ = _canonical_traced(v, z4z6_ctx)
-            rot = [gamma_to_p(l, p) for l in g_can[i:] + g_can[:i]]
-            cand = [p.mul(p.inv[h], rot[0])] + rot[1:-1] + [p.mul(rot[-1], h)]
-            assert all(x is not None for x in cand)
-            assert _interleaving_equal(
-                tuple(cand), tuple(gamma_to_p(l, p) for l in f_can), p
-            )
+            replay_mks(ver, u, v, z4z6_ctx)
 
     def test_non_conjugate_pair_raises(self, z4z6_ctx):
         p = z4z6_ctx.pregroup
@@ -396,23 +396,51 @@ class TestVerifyMks:
             u = random_word(rng, len(z4z6_ctx.alphabet), 5)
             v = conjugated(rng, z4z6_ctx, u)
             ver = verify_mks(u, v, z4z6_ctx)
+            replay_mks(ver, u, v, z4z6_ctx)
             counts[ver.case] += 1
         assert sum(counts.values()) == 60
 
 
-def replay_collins_case1(ver, f_p, g_p, p):
-    """Replay a Collins case-1 witness from f_p: each chain step is phi or
-    its inverse followed by conjugation by k, and h takes the last node
-    to g_p."""
-    assert ver.case == 1
-    phi_inv = {v: k for k, v in p.phi.items()}
-    node = f_p
-    for nxt, k, delta in ver.witness["chain"]:
-        mid = p.phi[node] if delta == 1 else phi_inv[node]
-        assert p.mul3(p.inv[k], mid, k) == nxt
-        node = nxt
-    h = ver.witness["h"]
-    assert p.mul3(p.inv[h], node, h) == g_p
+def replay_collins(ver, g, f, ctx):
+    """Replay a verify_collins verdict on (g, f): case 1 steps from the
+    letter of f through A u B, each step phi or its inverse followed by
+    conjugation by k, and h takes the last node to the letter of g (or
+    both are empty); case 2 gives h in H with [h~ g h] = f, and case 3 a
+    rotation j of the standard cyclic form of g that c preconjugates to an
+    interleaving of that of f."""
+    p = ctx.pregroup
+    g_can, f_can = (_canonical_traced(w, ctx)[0] for w in (g, f))
+    w = ver.witness
+    assert ver.theorem == "collins"
+    if ver.case == 1 and not g_can:
+        assert not f_can and w == {"chain": [], "h": p.eps}
+    elif ver.case == 1:
+        phi_inv = {v: k for k, v in p.phi.items()}
+        node = gamma_to_p(f_can[0], p)
+        for nxt, k, delta in w["chain"]:
+            mid = p.phi[node] if delta == 1 else phi_inv[node]
+            assert p.mul3(p.inv[k], mid, k) == nxt
+            node = nxt
+        assert p.mul3(p.inv[w["h"]], node, w["h"]) == gamma_to_p(g_can[0], p)
+    elif ver.case == 2:
+        assert p.mul3(p.inv[w["h"]], *ctx.to_p(g_can), w["h"]) == gamma_to_p(f_can[0], p)
+        # the letter closure of g: every [c x c~] defined from g on
+        closure, todo = set(ctx.to_p(g_can)), list(ctx.to_p(g_can))
+        while todo:
+            x = todo.pop()
+            for c in range(len(p)):
+                y = p.mul3(c, x, p.inv[c])
+                if y is not None and y not in closure:
+                    closure.add(y)
+                    todo.append(y)
+        assert w["g_conjugate_into_ab"] == bool(closure & (p.sub_a | p.sub_b))
+    else:
+        g_std, f_std = (ctx.to_p(standard_cyclic_form(CyclicWord(c), ctx)) for c in (g_can, f_can))
+        j = w["j"]
+        assert _interleaving_equal(preconjugated(g_std[j:] + g_std[:j], w["c"], p), f_std, p)
+        # a stable letter of sign -1 states A, of sign +1 states B
+        stated = p.sub_a if p.stable[g_std[j]][1] == -1 else p.sub_b
+        assert w["sign_constraint_met"] == (w["c"] in stated)
 
 
 class TestVerifyCollins:
@@ -430,8 +458,8 @@ class TestVerifyCollins:
         # g = r t^-1 s t r^-1 is conjugate to s through a pinch
         g = (r, tbar, s, t, a.involution[r])
         ver = verify_collins(g, (s,), hnn_ctx)
-        g_can = cyclic_reduce(g, hnn_ctx).canon
-        replay_collins_case1(ver, p.index["s"], gamma_to_p(g_can[0], p), p)
+        assert ver.case == 1
+        replay_collins(ver, g, (s,), hnn_ctx)
 
     def test_case1_chain_through_phi_replays(self):
         # phi is the identity on hnn_s3, so the chain above has no step;
@@ -440,10 +468,11 @@ class TestVerifyCollins:
         p = hnn_pregroup(
             FiniteGroupTable.cyclic(6, "g"), sub, sub, {"e": "e", "g2": "g4", "g4": "g2"}
         )
-        g2, g4 = p.index["g2"], p.index["g4"]
-        ver = verify_collins((p_to_gamma(g2, p),), (p_to_gamma(g4, p),), UniversalContext(p))
-        assert ver.witness["chain"]
-        replay_collins_case1(ver, g4, g2, p)
+        g2, g4 = ((p_to_gamma(p.index[tok], p),) for tok in ("g2", "g4"))
+        ctx = UniversalContext(p)
+        ver = verify_collins(g2, g4, ctx)
+        assert ver.case == 1 and ver.witness["chain"]
+        replay_collins(ver, g2, g4, ctx)
 
     def test_case2_base_conjugator(self, hnn_ctx):
         p = hnn_ctx.pregroup
@@ -453,11 +482,10 @@ class TestVerifyCollins:
         assert ver.case == 2
         h = ver.witness["h"]
         assert p.mul3(p.inv[h], p.index["r"], h) == p.index["r2"]
+        replay_collins(ver, (r,), (r2,), hnn_ctx)
 
     def test_case3_standard_form_conjugator(self, hnn_ctx, rng):
         p = hnn_ctx.pregroup
-        from cycrew.universal import _interleaving_equal
-
         k = len(hnn_ctx.alphabet)
         done = 0
         while done < 20:
@@ -470,24 +498,7 @@ class TestVerifyCollins:
             ver = verify_collins(u, v, hnn_ctx)
             done += 1
             assert ver.case == 3
-            cc, j = ver.witness["c"], ver.witness["j"]
-            g_std = [
-                gamma_to_p(l, p)
-                for l in standard_cyclic_form(cyclic_reduce(u, hnn_ctx), hnn_ctx)
-            ]
-            f_std = tuple(
-                gamma_to_p(l, p)
-                for l in standard_cyclic_form(cyclic_reduce(v, hnn_ctx), hnn_ctx)
-            )
-            rot = g_std[j:] + g_std[:j]
-            if len(rot) == 1:
-                cand = (p.mul3(p.inv[cc], rot[0], cc),)
-            else:
-                cand = tuple(
-                    [p.mul(p.inv[cc], rot[0])] + rot[1:-1] + [p.mul(rot[-1], cc)]
-                )
-            assert all(x is not None for x in cand)
-            assert _interleaving_equal(cand, f_std, p)
+            replay_collins(ver, u, v, hnn_ctx)
 
     def test_every_conjugate_pair_classified(self, hnn_ctx, rng):
         counts = {1: 0, 2: 0, 3: 0}
@@ -495,6 +506,7 @@ class TestVerifyCollins:
             u = random_word(rng, len(hnn_ctx.alphabet), 5)
             v = conjugated(rng, hnn_ctx, u)
             ver = verify_collins(u, v, hnn_ctx)
+            replay_collins(ver, u, v, hnn_ctx)
             counts[ver.case] += 1
         assert sum(counts.values()) == 60
 
@@ -506,199 +518,20 @@ class TestVerifyCollins:
             verify_collins((t,), (t, s, t), hnn_ctx)
 
 
-# The rotation x preconjugator loops, BFS parent walks and pool scans of
-# conjugate_quadratic, verify_mks and verify_collins as each wrote its own,
-# kept as references for the shared _rotation_matches, _bfs_path and
-# _pool_conjugator.
-
-
-def ref_conjugate_quadratic(u, v, ctx):
-    answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "quadratic")
-    if answer is not None:
-        return answer
-    p = ctx.pregroup
-    g_p = ctx.to_p(g)
-    f_p = ctx.to_p(f)
-    for i in range(len(g)):
-        rot = g_p[i:] + g_p[:i]
-        prefix_inv = involute(g[:i], ctx.alphabet)
-        for b in range(len(p)):
-            cand = _preconjugate_p(rot, b, p)
-            if cand is not None and _interleaving_equal(cand, f_p, p):
-                b_word = (p_to_gamma(b, p),) if b != p.eps else ()
-                x = zv_inv + b_word + prefix_inv + zu
-                return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
-    return ConjugacyAnswer(False, method="quadratic")
-
-
-def ref_closure_path(parents: dict, target: int):
-    path = []
-    node = target
-    while parents[node] is not None:
-        prev, c = parents[node]
-        path.append((node, c))
-        node = prev
-    path.reverse()
-    return node, path
-
-
-def ref_verify_mks(g, f, ctx):
-    p = _require_amalgam(ctx)
-    g_can, _zg = _canonical_traced(g, ctx)
-    f_can, _zf = _canonical_traced(f, ctx)
-    if len(g_can) != len(f_can):
-        raise ValueError("pair is not conjugate (length mismatch)")
-    n = len(g_can)
-    if n == 0:
-        return ClassificationVerdict("mks", 1, {"h": p.eps, "chain_to_g": [], "chain_to_f": []})
-    h_letters = p.subgroup_h - {p.eps}
-    if n == 1:
-        g_p = gamma_to_p(g_can[0], p)
-        f_p = gamma_to_p(f_can[0], p)
-        closure, parents_g = _letter_closure_traced(g_can[0], ctx)
-        closure_p = {gamma_to_p(l, p) for l in closure}
-        in_h = sorted(closure_p & h_letters)
-        if in_h:
-            h = in_h[0]
-            _root, chain_g = ref_closure_path(parents_g, h)
-            _closure_f, parents_f = _letter_closure_traced(f_can[0], ctx)
-            _root_f, chain_f = ref_closure_path(parents_f, h)
-            return ClassificationVerdict(
-                "mks", 1, {"h": h, "chain_to_g": chain_g, "chain_to_f": chain_f}
-            )
-        factor = p.factor_a if g_p in p.factor_a else p.factor_b
-        if f_p not in factor:
-            raise ValueError("pair is not conjugate (factors differ)")
-        for a in sorted(factor):
-            if p.mul3(p.inv[a], g_p, a) == f_p:
-                return ClassificationVerdict("mks", 2, {"a": a})
-        raise ValueError("pair is not conjugate in the common factor")
-    f_p = ctx.to_p(f_can)
-    for i in range(n):
-        rot = ctx.to_p(g_can[i:] + g_can[:i])
-        for h in sorted(p.subgroup_h):
-            cand = _preconjugate_p(rot, p.inv[h], p)
-            if cand is not None and _interleaving_equal(cand, f_p, p):
-                return ClassificationVerdict("mks", 3, {"h": h, "i": i})
-    raise ValueError("pair admits no amalgam case-3 witness; not conjugate?")
-
-
-def ref_verify_collins(g, f, ctx):
-    p = _require_hnn(ctx)
-    H = p.base_h
-    ab = p.sub_a | p.sub_b
-    g_can, _zg = _canonical_traced(g, ctx)
-    f_can, _zf = _canonical_traced(f, ctx)
-    if len(g_can) != len(f_can):
-        raise ValueError("pair is not conjugate (length mismatch)")
-    if len(f_can) == 0:
-        return ClassificationVerdict("collins", 1, {"chain": [], "h": p.eps})
-    f_p = gamma_to_p(f_can[0], p) if len(f_can) == 1 else None
-    g_p = gamma_to_p(g_can[0], p) if len(g_can) == 1 else None
-    if f_p is not None and f_p in H:
-        if f_p in ab:
-            found = ref_collins_chain(f_p, g_p, p)
-            if found is None:
-                raise ValueError("no stable-letter conjugation chain found")
-            chain, h = found
-            return ClassificationVerdict("collins", 1, {"chain": chain, "h": h})
-        for h in sorted(H):
-            if p.mul3(p.inv[h], g_p, h) == f_p:
-                closure, _parents = _letter_closure_traced(g_can[0], ctx)
-                closure_p = {gamma_to_p(l, p) for l in closure}
-                return ClassificationVerdict(
-                    "collins",
-                    2,
-                    {"h": h, "g_conjugate_into_ab": bool(closure_p & ab)},
-                )
-        raise ValueError("pair is not conjugate by a base group element")
-    g_std = ctx.to_p(standard_cyclic_form(CyclicWord(g_can), ctx))
-    f_std = ctx.to_p(standard_cyclic_form(CyclicWord(f_can), ctx))
-    n = len(g_std)
-    for j in range(n):
-        rot = g_std[j:] + g_std[:j]
-        sign = p.stable[rot[0]][1]
-        stated = p.sub_a if sign == -1 else p.sub_b
-        for pool, constrained in ((sorted(stated), True), (sorted(H - stated), False)):
-            for c in pool:
-                cand = _preconjugate_p(rot, p.inv[c], p)
-                if cand is not None and _interleaving_equal(cand, f_std, p):
-                    return ClassificationVerdict(
-                        "collins",
-                        3,
-                        {"c": c, "j": j, "sign_constraint_met": constrained},
-                    )
-    raise ValueError("pair admits no Collins case-3 witness; not conjugate?")
-
-
-def ref_collins_chain(f_p: int, g_p: Optional[int], p):
-    if g_p is None:
-        return None
-    ab = p.sub_a | p.sub_b
-    if f_p not in ab:
-        return None
-    phi = p.phi
-    phi_inv = {v: k for k, v in phi.items()}
-    parents = {f_p: None}
-    queue = collections.deque([f_p])
-    order = [f_p]
-    while queue:
-        c = queue.popleft()
-        moves = []
-        if c in p.sub_a:
-            moves.append((phi[c], 1))
-        if c in p.sub_b:
-            moves.append((phi_inv[c], -1))
-        for mid, delta in moves:
-            for k in sorted(p.base_h):
-                y = p.mul(p.mul(p.inv[k], mid), k)
-                if y in ab and y not in parents:
-                    parents[y] = (c, k, delta)
-                    queue.append(y)
-                    order.append(y)
-    target = h_final = None
-    for c in order:
-        for h in sorted(p.base_h):
-            if p.mul3(p.inv[h], c, h) == g_p:
-                target, h_final = c, h
-                break
-        if target is not None:
-            break
-    if target is None:
-        return None
-    steps = []
-    node = target
-    while parents[node] is not None:
-        prev, k, delta = parents[node]
-        steps.append((node, k, delta))
-        node = prev
-    steps.reverse()
-    return steps, h_final
-
-
-def _result(f, *args):
-    """What a decision or verifier returns, or the type and message of what
-    it raises."""
-    try:
-        r = f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-    if isinstance(r, ConjugacyAnswer):
-        return r.verdict, r.certificate, r.method
-    return r.theorem, r.case, r.witness
-
-
 class TestSharedSearchesMatchPerCallerLoops:
     def test_random_pairs(self, dinf_ctx, z4z6_ctx, hnn_ctx):
+        # conjugate_quadratic decides as conjugate_linear does, its
+        # conjugator replaying; a verifier returns a verdict exactly on the
+        # conjugate pairs, and its witness replays
         rng = random.Random(20128)
         contexts = [
-            ("dinf", dinf_ctx, verify_mks, ref_verify_mks),
-            ("z4z6", z4z6_ctx, verify_mks, ref_verify_mks),
-            ("hnn", hnn_ctx, verify_collins, ref_verify_collins),
+            ("dinf", dinf_ctx, verify_mks, replay_mks),
+            ("z4z6", z4z6_ctx, verify_mks, replay_mks),
+            ("hnn", hnn_ctx, verify_collins, replay_collins),
         ]
         seen = collections.Counter()
         for count in range(1_500):
-            name, ctx, verify, ref_verify = contexts[count % 3]
+            name, ctx, verify, replay = contexts[count % 3]
             k = len(ctx.alphabet)
             u = random_word(rng, k, 8)
             kind = rng.choice(["conjugated", "rotated", "unrelated"])
@@ -710,99 +543,56 @@ class TestSharedSearchesMatchPerCallerLoops:
                     i = rng.randrange(len(u))
                     w = u[i:] + u[:i]
                 v = conjugated(rng, ctx, w)
-            answer = _result(conjugate_quadratic, u, v, ctx)
-            assert answer == _result(ref_conjugate_quadratic, u, v, ctx), (name, u, v)
-            seen[(name, "conjugate" if answer[0] is True else "not conjugate")] += 1
-            ours = _result(verify, u, v, ctx)
-            ref = _result(ref_verify, u, v, ctx)
-            if ref[0] is KeyError:
-                # the parent walked a closure that does not contain h
-                assert ours[0] is ValueError, (name, u, v, ours)
-                seen["KeyError"] += 1
-            else:
-                assert ours == ref, (name, u, v)
-            if isinstance(ours[0], str):
-                _theorem, case, witness = ours
-                seen[(name, case)] += 1
-                if case == 3 and witness.get("i", witness.get("j")) > 0:
-                    seen[(name, "rotated witness")] += 1
-            else:
-                seen[(name, "raises")] += 1
+            quad = conjugate_quadratic(u, v, ctx)
+            assert quad.verdict == conjugate_linear(u, v, ctx).verdict, (name, u, v)
+            if not quad.verdict:
+                seen[(name, "not conjugate")] += 1
+                with pytest.raises(ValueError):
+                    verify(u, v, ctx)
+                continue
+            seen[(name, "conjugate")] += 1
+            cert = quad.certificate
+            assert equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx)
+            ver = verify(u, v, ctx)
+            replay(ver, u, v, ctx)
+            seen[(name, ver.case)] += 1
+            for flag in ("g_conjugate_into_ab", "sign_constraint_met"):
+                if flag in ver.witness:
+                    seen[(name, flag, ver.witness[flag])] += 1
+            if ver.case == 3 and ver.witness.get("i", ver.witness.get("j")) > 0:
+                seen[(name, "rotated witness")] += 1
         for name in ("dinf", "z4z6", "hnn"):
             assert seen[(name, 1)] and seen[(name, 2)] and seen[(name, 3)], seen
-            assert seen[(name, "raises")], seen
             assert seen[(name, "conjugate")] and seen[(name, "not conjugate")], seen
         assert seen[("z4z6", "rotated witness")] and seen[("hnn", "rotated witness")], seen
-        assert seen["KeyError"], seen
+        assert seen[("hnn", "g_conjugate_into_ab", True)], seen
+        assert seen[("hnn", "g_conjugate_into_ab", False)], seen
+        assert seen[("hnn", "sign_constraint_met", True)], seen
 
 
-# -- FiniteGroupTable is a Pregroup: differential against the parent ------
+# -- FiniteGroupTable is a Pregroup: the group laws by definition ---------
 
 
-class ref_FiniteGroupTable:  # the parent's class, before it was a Pregroup
-    def __init__(self, elements: Sequence[str], identity: str, product: dict):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element tokens")
-        self.index = {tok: i for i, tok in enumerate(self.elements)}
-        if identity not in self.index:
-            raise ValueError(f"identity {identity!r} not among elements")
-        self.identity = self.index[identity]
-        n = len(self.elements)
-        self.table = [[None] * n for _ in range(n)]
-        try:
-            for (x, y), z in product.items():
-                self.table[self.index[x]][self.index[y]] = self.index[z]
-        except KeyError as exc:
-            raise ValueError(f"product names unknown token {exc.args[0]!r}") from None
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] is None:
-                    raise ValueError(
-                        f"product table incomplete at "
-                        f"({self.elements[i]}, {self.elements[j]})"
-                    )
-        e = self.identity
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise ValueError(f"identity law fails at {self.elements[i]}")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == e and self.table[j][i] == e:
-                    inv[i] = j
-        if any(x is None for x in inv):
-            raise ValueError("some element has no two-sided inverse")
-        self.inv = tuple(inv)
-        for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError(
-                            "associativity fails at "
-                            f"({self.elements[i]}, {self.elements[j]}, "
-                            f"{self.elements[k]})"
-                        )
-        self.table = tuple(tuple(row) for row in self.table)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-
-def ref_group_pregroup(table: ref_FiniteGroupTable) -> Pregroup:
-    """A finite group seen as a pregroup with everywhere-defined product."""
-    toks = table.elements
-    involution = {toks[i]: toks[table.inv[i]] for i in range(len(table))}
-    product = {
-        (toks[i], toks[j]): toks[table.mul(i, j)]
-        for i in range(len(table))
-        for j in range(len(table))
+def group_laws(elements, identity, product):
+    """The two-sided inverses, by element, when the product dict is a group
+    table on elements with this identity: total, over known tokens only,
+    with the identity law, inverses and associativity; None otherwise."""
+    known = set(elements)
+    if any(t not in known for key, value in product.items() for t in (*key, value)):
+        return None
+    if any((x, y) not in product for x in elements for y in elements):
+        return None
+    if any(product[identity, x] != x or product[x, identity] != x for x in elements):
+        return None
+    inverse = {
+        x: y for x in elements for y in elements if product[x, y] == identity == product[y, x]
     }
-    return Pregroup(toks, toks[table.identity], involution, product)
+    if len(inverse) != len(elements) or any(
+        product[product[x, y], z] != product[x, product[y, z]]
+        for x in elements for y in elements for z in elements
+    ):
+        return None
+    return inverse
 
 
 def _permutation_group(gens: dict, degree: int):
@@ -889,6 +679,8 @@ def _construct(cls, elements, identity, product):
 
 class TestGroupTableIsPregroup:
     def test_accepts_and_rejects_as_parent(self):
+        # accepted exactly where the group laws hold, as the index table of
+        # the product with the two-sided inverse for involution
         rng = random.Random(20131)
         seen = collections.Counter()
         for name, elements, identity, mul in _group_inputs():
@@ -898,23 +690,20 @@ class TestGroupTableIsPregroup:
             inputs = [("group", product)] + _corruptions(rng, elements, identity, product)
             for kind, prod in inputs:
                 ours = _construct(FiniteGroupTable, elements, identity, prod)
-                ref = _construct(ref_FiniteGroupTable, elements, identity, prod)
-                assert isinstance(ours, ValueError) == isinstance(ref, ValueError), (
-                    name, kind, ours, ref,
-                )
+                inverse = group_laws(elements, identity, prod)
+                assert isinstance(ours, ValueError) == (inverse is None), (name, kind, ours)
                 seen[kind, isinstance(ours, ValueError)] += 1
                 if kind.startswith("unknown"):
-                    assert str(ours) == str(ref) == "product names unknown token 'zz'"
-                if kind == "non-associative":
-                    assert str(ref).startswith("associativity fails"), (name, ref)
-                if isinstance(ref, ValueError):
+                    assert str(ours) == "product names unknown token 'zz'"
+                if inverse is None:
                     continue
-                want = ref_group_pregroup(ref)
-                assert ours.elements == want.elements == t.elements
-                assert ours.index == want.index
-                assert ours.eps == want.eps == ref.identity
-                assert ours.inv == want.inv == ref.inv
-                assert ours.table == want.table == t.table
+                index = {x: i for i, x in enumerate(elements)}
+                assert ours.elements == t.elements == tuple(elements)
+                assert ours.index == index and ours.eps == index[identity]
+                assert ours.inv == tuple(index[inverse[x]] for x in elements)
+                assert ours.table == t.table == tuple(
+                    tuple(index[prod[x, y]] for y in elements) for x in elements
+                )
         assert seen["group", False] == 12
         for kind in ("removed", "identity row", "unknown key", "unknown value"):
             assert seen[kind, True] == 12 and not seen[kind, False], kind
@@ -922,12 +711,14 @@ class TestGroupTableIsPregroup:
         assert seen["changed", True] == 12
 
     def test_universal_group_matches_parent_pregroup(self):
+        # the universal group of the table and of a plain Pregroup on the
+        # same product
         rng = random.Random(20132)
         pairs = []
         for name, elements, identity, mul in _group_inputs():
             t = FiniteGroupTable.from_function(elements, identity, mul)
             product = {(x, y): mul(x, y) for x in elements for y in elements}
-            ref = ref_group_pregroup(ref_FiniteGroupTable(elements, identity, product))
+            ref = Pregroup(elements, identity, group_laws(elements, identity, product), product)
             pairs.append((UniversalContext(t), UniversalContext(ref)))
         assert [len(c.alphabet) for c, _r in pairs] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 5, 3, 7]
         verdicts = collections.Counter()
@@ -948,185 +739,23 @@ class TestGroupTableIsPregroup:
         assert verdicts[True] > 50 and verdicts[False] > 20, verdicts
 
 
-# -- Amalgam and HNN pregroups from one index map per group: differential --
-# The parent's builders, kept verbatim, from before both wrote their group
-# tables through constructions._write_group.
+# -- Amalgam and HNN pregroups from one index map per group ---------------
+# One digest of everything a builder sets, per fixed input, recorded from
+# the builders before both wrote their group tables through
+# constructions._write_group.
 
-
-def ref_amalgam_pregroup(
-    A: FiniteGroupTable, B: FiniteGroupTable, iA: Embedding, iB: Embedding
-) -> AmalgamPregroup:
-    """The pregroup P = A u B of the amalgam A *_H B, with iA(h) and iB(h)
-    identified; products are defined exactly within a factor."""
-    if iA.source is not iB.source and iA.source.elements != iB.source.elements:
-        raise InvalidEmbedding("embeddings must share the same source H")
-    if iA.target is not A or iB.target is not B:
-        raise InvalidEmbedding("embedding targets must be A and B")
-    h_size = len(iA.source)
-    image_b = {iB.of(h): h for h in range(h_size)}
-    b_only = [j for j in range(len(B)) if j not in image_b]
-
-    tokens = list(A.elements)
-    used = set(tokens)
-    b_tokens = {}
-    for j in b_only:
-        tok = B.elements[j]
-        while tok in used:
-            tok += "'"
-        used.add(tok)
-        b_tokens[j] = tok
-        tokens.append(tok)
-
-    def b_to_p(j):
-        if j in image_b:
-            return iA.of(image_b[j])
-        return len(A) + b_only.index(j)
-
-    # B-element of a P index, when it has one
-    in_b = [None] * len(tokens)
-    a_in_h = {iA.of(h): h for h in range(h_size)}
-    for i in range(len(A)):
-        if i in a_in_h:
-            in_b[i] = iB.of(a_in_h[i])
-    for j in b_only:
-        in_b[b_to_p(j)] = j
-
-    product = {}
-    involution = {}
-    for i in range(len(A)):
-        involution[tokens[i]] = tokens[A.inv[i]]
-        for k in range(len(A)):
-            product[(tokens[i], tokens[k])] = tokens[A.mul(i, k)]
-    for pi in range(len(tokens)):
-        bi = in_b[pi]
-        if bi is None:
-            continue
-        if pi >= len(A):
-            involution[tokens[pi]] = tokens[b_to_p(B.inv[bi])]
-        for pk in range(len(tokens)):
-            bk = in_b[pk]
-            if bk is None:
-                continue
-            product[(tokens[pi], tokens[pk])] = tokens[b_to_p(B.mul(bi, bk))]
-
-    p = AmalgamPregroup(tokens, A.elements[A.eps], involution, product)
-    p.factor_a = frozenset(range(len(A)))
-    p.factor_b = frozenset(i for i in range(len(tokens)) if in_b[i] is not None)
-    p.subgroup_h = p.factor_a & p.factor_b
-    if len(p) != len(A) + len(B) - h_size:
-        raise PregroupError("amalgam self-check: wrong number of elements")
-    if not check_axioms(p):
-        raise PregroupError("amalgam self-check: P1-P5 fail")
-    if not (check_p6(p)[0] and check_p7(p)[0]):
-        raise PregroupError("amalgam self-check: P6 or P7 fails")
-    if canonical_subgroup(p) != p.subgroup_h:
-        raise PregroupError("amalgam self-check: G_P is not the identified subgroup")
-    return p
-
-
-def ref_hnn_pregroup(
-    H: FiniteGroupTable, A, B, phi: dict
-) -> HnnPregroup:
-    """The pregroup P = H u Ht^-1H u HtH of HNN(H, t; t^-1 A t = B).
-
-    A and B are subgroups given by element tokens (or indices); phi is an
-    isomorphism A -> B as a token dict.  Double cosets are canonicalised on
-    left transversals: each element of HtH is (u, +1, v) with u the least
-    index in its coset uA (identifying u a t v = u t phi(a) v), each element
-    of Ht^-1H is (u, -1, v) with u least in uB.  A token that is not an
-    element of H raises InvalidEmbedding.
-    """
-    def element(x):
-        if not isinstance(x, str):
-            return x
-        if x not in H.index:
-            raise InvalidEmbedding(f"unknown element {x!r} of H")
-        return H.index[x]
-
-    a_set = frozenset(element(x) for x in A)
-    b_set = frozenset(element(x) for x in B)
-    if not H.is_subgroup(a_set) or not H.is_subgroup(b_set):
-        raise InvalidEmbedding("A and B must be subgroups of H")
-    phi_idx = {element(x): element(y) for x, y in phi.items()}
-    if set(phi_idx) != set(a_set) or set(phi_idx.values()) != set(b_set):
-        raise InvalidEmbedding("phi must be a bijection A -> B")
-    for x in a_set:
-        for y in a_set:
-            if phi_idx[H.mul(x, y)] != H.mul(phi_idx[x], phi_idx[y]):
-                raise InvalidEmbedding("phi is not a homomorphism")
-    phi_inv = {v: k for k, v in phi_idx.items()}
-
-    def coset_rep(u, sub):
-        return min(H.mul(u, s) for s in sub)
-
-    reps_a = sorted({coset_rep(u, a_set) for u in range(len(H))})
-    reps_b = sorted({coset_rep(u, b_set) for u in range(len(H))})
-
-    def canon(sign, u, v):
-        if sign > 0:
-            r = coset_rep(u, a_set)
-            a = H.mul(H.inv[r], u)
-            return (r, sign, H.mul(phi_idx[a], v))
-        r = coset_rep(u, b_set)
-        b = H.mul(H.inv[r], u)
-        return (r, sign, H.mul(phi_inv[b], v))
-
-    tokens = list(H.elements)
-    stable = {}  # P index -> (u, sign, v)
-    elem_of = {}  # (u, sign, v) canonical -> P index
-    for sign, reps, mark in ((1, reps_a, "t"), (-1, reps_b, "T")):
-        for u in reps:
-            for v in range(len(H)):
-                tok = f"{H.elements[u]}|{mark}|{H.elements[v]}"
-                idx = len(tokens)
-                tokens.append(tok)
-                stable[idx] = (u, sign, v)
-                elem_of[(u, sign, v)] = idx
-
-    def stable_idx(sign, u, v):
-        return elem_of[canon(sign, u, v)]
-
-    involution = {}
-    product = {}
-    for i in range(len(H)):
-        involution[tokens[i]] = tokens[H.inv[i]]
-        for j in range(len(H)):
-            product[(tokens[i], tokens[j])] = tokens[H.mul(i, j)]
-    for idx, (u, sign, v) in stable.items():
-        involution[tokens[idx]] = tokens[stable_idx(-sign, H.inv[v], H.inv[u])]
-        for h in range(len(H)):
-            product[(tokens[h], tokens[idx])] = tokens[stable_idx(sign, H.mul(h, u), v)]
-            product[(tokens[idx], tokens[h])] = tokens[stable_idx(sign, u, H.mul(v, h))]
-        for idx2, (u2, sign2, v2) in stable.items():
-            if sign2 == sign:
-                continue
-            w = H.mul(v, u2)
-            if sign > 0:
-                if w not in b_set:
-                    continue
-                value = H.mul(H.mul(u, phi_inv[w]), v2)
-            else:
-                if w not in a_set:
-                    continue
-                value = H.mul(H.mul(u, phi_idx[w]), v2)
-            product[(tokens[idx], tokens[idx2])] = tokens[value]
-
-    p = HnnPregroup(tokens, H.elements[H.eps], involution, product)
-    p.base_h = frozenset(range(len(H)))
-    p.sub_a = a_set
-    p.sub_b = b_set
-    p.phi = dict(phi_idx)
-    p.stable = dict(stable)
-    e = H.eps
-    p.t_plus = elem_of[canon(1, e, e)]
-    p.t_minus = elem_of[canon(-1, e, e)]
-    if not check_axioms(p):
-        raise PregroupError("HNN self-check: P1-P5 fail")
-    if not (check_p6(p)[0] and check_p8(p)[0]):
-        raise PregroupError("HNN self-check: P6 or P8 fails")
-    if canonical_subgroup(p) != p.base_h:
-        raise PregroupError("HNN self-check: G_P is not the base group")
-    return p
+AMALGAM_DIGESTS = ["f7a278ad94c5b6f5", "03fe4b61297042c0", "1b5ad191124d8aad", "e796953cef8e3b1e"]
+HNN_DIGESTS = [
+    "32ad1bad3d0fe2d7", "9ccdc0ec25fb5af3", "44423b2fba0afe64", "e0b2c1fea1b111a2",
+    "e61c71d800f66df3", "cf7c259f63de15fa", "1b0081609e6bcf05", "6f70e16956f86563",
+    "7ecac70608260837", "150acf6b798f4db2", "ce864a7a2fdbd988", "6792b875fb46e39b",
+    "18b230c7f843726d", "f3be6a71667bff73", "69b51f603071237b", "98415625187e5f24",
+    "e9558e90a6342d1f", "a1207e4dff9f0384", "98afc362e0d83916", "a99c1a63f84bfbfb",
+    "24b8fb255f2c7406", "baf50c2f421caede", "e01cc3571d449d01", "0fefad8f0350e51d",
+    "24f8de62193fef45", "c0c0a0ec41c159c0", "f73b09ddc62e281d", "5f93c0dfadc3566b",
+    "847138b4a5adaf0f", "cbfe321814e99422", "f9dbfffe72f65524", "e4cba39cb63f89f9",
+    "74ceb39fba2dd551",
+]
 
 
 def _renamed(G, names):
@@ -1189,21 +818,24 @@ _BUILT_ATTRIBUTES = {
 
 
 def _built(p):
-    """Everything a builder sets on p, dicts as ordered item lists."""
+    """The digest of everything a builder sets on p, sets sorted and dicts
+    as ordered item lists."""
     attrs = [getattr(p, name) for name in _BUILT_ATTRIBUTES[type(p)]]
-    attrs = [list(a.items()) if isinstance(a, dict) else a for a in attrs]
-    return type(p), p.elements, p.eps, p.inv, p.table, attrs, emit_pg(p)
+    attrs = [
+        list(a.items()) if isinstance(a, dict) else sorted(a) if isinstance(a, frozenset) else a
+        for a in attrs
+    ]
+    built = (type(p).__name__, p.elements, p.eps, p.inv, p.table, attrs, emit_pg(p))
+    return hashlib.sha256(repr(built).encode()).hexdigest()[:16]
 
 
 class TestBuildersMatchParent:
     def test_amalgams(self):
         inputs = _amalgam_inputs()
-        for args in inputs:
-            assert _built(amalgam_pregroup(*args)) == _built(ref_amalgam_pregroup(*args))
+        assert [_built(amalgam_pregroup(*args)) for args in inputs] == AMALGAM_DIGESTS
         assert amalgam_pregroup(*inputs[-1]).elements == ("e", "a", "a'", "a''", "a'''")
 
     def test_hnn_extensions(self):
         inputs = _hnn_inputs()
         assert len(inputs) == 27 + 6
-        for args in inputs:
-            assert _built(hnn_pregroup(*args)) == _built(ref_hnn_pregroup(*args))
+        assert [_built(hnn_pregroup(*args)) for args in inputs] == HNN_DIGESTS

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import random
 
 import pytest
@@ -7,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from cycrew import UniversalContext, fastconj
 from cycrew.fastconj import conjugate_linear, conjugate_oracle, kmp_search
-from cycrew.pregroup import canonical_subgroup, check_axioms, gamma_to_p, p_to_gamma
+from cycrew.pregroup import canonical_subgroup, check_p6
 from cycrew.universal import (
-    ConjugacyAnswer,
     _certify,
     _conjugacy_prelude,
     _interleaving_equal,
@@ -23,7 +21,7 @@ from cycrew.universal import (
 from cycrew.words import involute
 
 from conftest import conjugated, hnn_cyclic, p6_failing, random_word
-from test_pregroup import corpus, random_small_table
+from test_pregroup import corpus
 from test_universal import interleave, random_reduced_p
 
 
@@ -198,86 +196,17 @@ class TestWindowLemma:
         assert checked > 2000
 
 
-# conjugate_linear before its boundary checks and prefix_ok fallback were
-# folded into one KMP pass, kept verbatim as a differential reference.
-
-
-def ref_conjugate_linear(u, v, ctx):
-    answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
-    if answer is not None:
-        return answer
-    p = ctx.pregroup
-    alphabet = ctx.alphabet
-    n = len(g_can)
-
-    # normal forms keep cyclic reducedness: the element has full cyclic
-    # reduction length n, so its geodesics do too
-    g, _c = _nf_carries(tuple(gamma_to_p(l, p) for l in g_can), p)
-    f_p = tuple(gamma_to_p(l, p) for l in f_can)
-    big, carries = _nf_carries(g + g, p)
-    # carry sequence a_i, read off the normal form of g squared
-    a = tuple(p.inv[carries[n + i - 2]] for i in range(1, n + 1))
-    inv = p.inv
-    table = p.table
-
-    def success(b, i):
-        q_inv = involute(
-            tuple(p_to_gamma(l, p) for l in g[: i - 1]), alphabet
-        )
-        b_word = (p_to_gamma(b, p),) if b != p.eps else ()
-        x = zv_inv + b_word + q_inv + zu
-        return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
-
-    prefix_ok = big[: n - 1] == g[: n - 1]
-    for b in range(len(p)):
-        if b == p.eps:
-            fb = f_p
-        else:
-            fb = _stack_reduce((inv[b],) + f_p + (b,), p)
-        if len(fb) != n:
-            continue
-        for i in (1, 2, n) if n > 2 else (1, 2):
-            rot = g[i - 1 :] + g[: i - 1]
-            if _interleaving_equal(fb, rot, p):
-                return success(b, i)
-        if n <= 3:
-            continue
-        if not prefix_ok:
-            # defensive fallback: scan the remaining rotations directly
-            for i in range(3, n):
-                rot = g[i - 1 :] + g[: i - 1]
-                if _interleaving_equal(fb, rot, p):
-                    return success(b, i)
-            continue
-        fb_nf, _fc = _nf_carries(fb, p)
-        head, last = fb_nf[:-1], fb_nf[-1]
-        for start in kmp_search(head, big):
-            i = start + 1
-            if not 2 < i < n:
-                continue
-            # last-letter condition: [last a_i~] = [a_{i-1} g_{i-1} a_i~]
-            ai_inv = inv[a[i - 1]]
-            lhs = table[last][ai_inv]
-            rhs = p.mul3(a[i - 2], g[i - 2], ai_inv)
-            if lhs is None or rhs is None or lhs != rhs:
-                continue
-            rot = g[i - 1 :] + g[: i - 1]
-            if _interleaving_equal(fb, rot, p):
-                return success(b, i)
-    return ConjugacyAnswer(False, method="linear")
-
-
-def least_match(u, v, ctx):
-    """(b, s, certificate) for the least b, then the least rotation s of
-    NF(g), with b~ f b equal to that rotation, by direct comparison; None
-    when there is none or the prelude decides."""
+def least_match(u, v, ctx, bs=None):
+    """(b, s, certificate) for the least b (of bs, default every element),
+    then the least rotation s of NF(g), with b~ f b equal to that rotation,
+    by direct comparison; None when there is none or the prelude decides."""
     answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
         return None
     p = ctx.pregroup
     g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
     f_p = ctx.to_p(f_can)
-    for b in range(len(p)):
+    for b in range(len(p)) if bs is None else bs:
         fb = _stack_reduce((p.inv[b],) + f_p + (b,), p)
         for s in range(len(g_nf)):
             if _interleaving_equal(fb, g_nf[s:] + g_nf[:s], p):
@@ -316,25 +245,34 @@ def differential_pair(rng, ctx):
     return u, conjugated(rng, ctx, ctx.to_gamma(rot)), n, periodic
 
 
+@pytest.fixture(scope="module")
+def p6_failing_contexts(census):
+    """Contexts of p6_failing, then of the census tables on which P6 fails
+    (4 on six elements, p6_failing among them, and 140 on seven): the only
+    inputs that can catch a b filter that drops a needed b."""
+    return [UniversalContext(p6_failing())] + [
+        UniversalContext(p) for p in census if not check_p6(p)[0]
+    ]
+
+
 class TestOnePassMatchesParent:
-    def test_random_pairs(self, dinf_ctx, z4z6_ctx, hnn_ctx):
+    def test_random_pairs(self, dinf_ctx, z4z6_ctx, hnn_ctx, p6_failing_contexts):
+        # conjugate_linear against conjugate_quadratic and least_match
         rng = random.Random(2026)
         reached = collections.Counter()
         contexts = [
-            dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(6, 3)),
-            UniversalContext(p6_failing()),
-        ]
-        for ctx in contexts:
+            (ctx, 150) for ctx in (dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(6, 3)))
+        ] + [(p6_failing_contexts[0], 150)] + [(ctx, 5) for ctx in p6_failing_contexts[1:]]
+        for ctx, pairs in contexts:
             done = 0
-            while done < 150:
+            while done < pairs:
                 pair = differential_pair(rng, ctx)
                 if pair is None:
                     continue
                 u, v, n, periodic = pair
                 lin = conjugate_linear(u, v, ctx)
-                ref = ref_conjugate_linear(u, v, ctx)
                 quad = conjugate_quadratic(u, v, ctx)
-                assert lin.verdict == ref.verdict == quad.verdict, (u, v)
+                assert lin.verdict == quad.verdict, (u, v)
                 assert lin.method == "linear"
                 done += 1
                 reached["n=%d" % n] += 1
@@ -342,11 +280,18 @@ class TestOnePassMatchesParent:
                 if not lin.verdict:
                     reached["negative"] += 1
                     continue
-                for ans in (lin, ref):
-                    cert = ans.certificate
-                    assert equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx)
-                # the one pass returns the least rotation of the least b
+                cert = lin.certificate
+                assert equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx)
+                # the one pass returns the least rotation of the least b the
+                # filter keeps; where P6 holds, and on p6_failing, that gives
+                # least_match's certificate over every b
                 b, s, cert = least_match(u, v, ctx)
+                kept = split_preconjugators(u, v, ctx)[1]
+                if b not in kept:
+                    assert ctx in p6_failing_contexts, (u, v, b)
+                    reached["least b skipped"] += 1
+                    if ctx is not p6_failing_contexts[0]:
+                        b, s, cert = least_match(u, v, ctx, kept)
                 assert lin.certificate == cert, (u, v)
                 reached["b!=eps"] += b != ctx.pregroup.eps
                 if s == 0:
@@ -358,7 +303,7 @@ class TestOnePassMatchesParent:
                 else:
                     reached["interior"] += 1
         for key in ("n=2", "n=3", "periodic", "negative", "b!=eps",
-                    "s=0", "s=1", "s=n-1", "interior"):
+                    "s=0", "s=1", "s=n-1", "interior", "least b skipped"):
             assert reached[key] > 0, (key, reached)
 
 
@@ -394,26 +339,20 @@ def cyclically_reduced_words(p, n):
     """Every cyclically reduced P-index word of length n >= 2 over Gamma."""
     table = p.table
     gamma = [x for x in range(len(p)) if x != p.eps]
-    for f in itertools.product(gamma, repeat=n):
-        # i = 0 tests the pair (f[n-1], f[0])
-        if all(table[f[i - 1]][f[i]] is None for i in range(n)):
-            yield f
+    words = [(x,) for x in gamma]
+    for _ in range(n - 1):
+        words = [w + (x,) for w in words for x in gamma if table[w[-1]][x] is None]
+    return [w for w in words if table[w[-1]][w[0]] is None]
 
 
 class TestDefinedPreconjugations:
-    def test_preconjugation_is_the_stack_reduction(self):
+    def test_preconjugation_is_the_stack_reduction(self, census):
         # the lemma of _preconjugate_p: where the preconjugation of a
         # cyclically reduced f (n >= 2) is defined, it is b~ f b stack-reduced.
         # Amalgam words have even cyclic length, so HNN(Z4, Z2) brings n = 3.
-        rng = random.Random(25)
         cases = [(p, (2, 3, 4)) for p in corpus() if len(p) <= 8]
         cases.append((hnn_cyclic(4, 2), (2, 3)))
-        valid = 0
-        while valid < 300:
-            q = random_small_table(rng)
-            if check_axioms(q):
-                cases.append((q, (2, 3, 4)))
-                valid += 1
+        cases += [(p, (2, 3, 4)) for p in census]
         reached = collections.Counter()
         for p, lengths in cases:
             for n in lengths:
@@ -428,25 +367,28 @@ class TestDefinedPreconjugations:
         for n in (2, 3, 4):
             assert reached[n] > 0, (n, reached)
 
-    def test_no_dropped_b_was_needed(self, dinf_ctx, z4z6_ctx, hnn_ctx):
+    def test_no_dropped_b_was_needed(self, dinf_ctx, z4z6_ctx, hnn_ctx, p6_failing_contexts):
         # least_match tries every b.  Where P6 holds, the least b that
         # matches is always epsilon or a b the filter keeps, although
         # skipped b often give words of length n.  On the P6-failing
-        # pregroup some positives have their least b outside G_P =
-        # {epsilon}, so a b loop over G_P alone would answer "not
-        # conjugate" there.  That b may be one the filter skips, its b~ f b
-        # a rotation of f; then a larger kept b matches, as the certified
-        # positive of conjugate_linear shows
+        # pregroups some positives have their least b outside G_P, so a b
+        # loop over G_P alone would answer "not conjugate" there.  That b
+        # may be one the filter skips.  On p6_failing its b~ f b is then a
+        # rotation of f and conjugate_linear still certifies least_match's
+        # conjugator; on the other census tables it need not be, and the
+        # certificate is that of the least b the filter keeps.  On a
+        # negative least_match finds no b either
         rng = random.Random(15)
-        p6_ctx = UniversalContext(p6_failing())
-        contexts = [dinf_ctx, z4z6_ctx, hnn_ctx] + [
-            UniversalContext(hnn_cyclic(n, k)) for n, k in ((4, 2), (6, 3), (10, 2))
-        ] + [p6_ctx]
+        contexts = [
+            (ctx, 400) for ctx in [dinf_ctx, z4z6_ctx, hnn_ctx] + [
+                UniversalContext(hnn_cyclic(n, k)) for n, k in ((4, 2), (6, 3), (10, 2))
+            ]
+        ] + [(p6_failing_contexts[0], 400)] + [(ctx, 5) for ctx in p6_failing_contexts[1:]]
         reached = collections.Counter()
-        for ctx in contexts:
+        for ctx, pairs in contexts:
             p = ctx.pregroup
             done = 0
-            while done < 400:
+            while done < pairs:
                 pair = differential_pair(rng, ctx)
                 if pair is None:
                     continue
@@ -457,21 +399,31 @@ class TestDefinedPreconjugations:
                 split = split_preconjugators(u, v, ctx)
                 if split is None:
                     continue
-                f_p, _kept, skipped = split
+                f_p, kept, skipped = split
                 reached["skipped"] += len(skipped)
                 if not lin.verdict:
+                    if ctx in p6_failing_contexts:
+                        assert least_match(u, v, ctx) is None, (u, v)
                     continue
                 b, _s, cert = least_match(u, v, ctx)
                 if not (b == p.eps or defines_preconjugation(b, f_p, p)):
-                    assert ctx is p6_ctx, (u, v, b)
+                    assert ctx in p6_failing_contexts, (u, v, b)
                     fb = _stack_reduce((p.inv[b],) + f_p + (b,), p)
-                    assert any(fb == f_p[i:] + f_p[:i] for i in range(len(f_p))), (u, v, b)
+                    rotation = any(fb == f_p[i:] + f_p[:i] for i in range(len(f_p)))
+                    reached["skipped least b", rotation] += 1
+                    if ctx is p6_failing_contexts[0]:
+                        assert rotation, (u, v, b)
+                    else:
+                        _b, _s, cert = least_match(u, v, ctx, kept)
                 assert lin.certificate == cert, (u, v)
                 reached["positive"] += 1
                 reached["b!=eps"] += b != p.eps
-                if ctx is p6_ctx:
+                if ctx in p6_failing_contexts:
                     reached["P6 fails: b outside G_P"] += b not in canonical_subgroup(p)
-        for key in ("skipped", "positive", "b!=eps", "P6 fails: b outside G_P"):
+        for key in (
+            "skipped", "positive", "b!=eps", "P6 fails: b outside G_P",
+            ("skipped least b", True), ("skipped least b", False),
+        ):
             assert reached[key] > 0, (key, reached)
 
     def test_normal_forms_per_negative_decision(self, hnn_ctx, monkeypatch):

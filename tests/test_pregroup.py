@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from cycrew.pregroup import (
 from cycrew.rewrite import Rule, check_strong_confluence
 from cycrew.universal import UniversalContext
 
-from conftest import hnn_cyclic, hnn_z10_z2
+from conftest import hnn_cyclic, hnn_z10_z2, p6_failing, ref_check_axioms
 
 
 def corpus():
@@ -201,51 +202,10 @@ class TestHigherAxioms:
         assert (f, g, b) in witnesses
 
 
-# Reference sweeps: the axiom checks as exhaustive quantifier sweeps through
-# Pregroup.mul, mul3 and defined.  The differential tests below require the
-# row passes of cycrew.pregroup to return exactly their results, witness
-# order included.
-
-
-def ref_check_axioms(p: Pregroup) -> AxiomReport:
-    """Exhaustively verify P1-P5.
-
-    P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
-    diagnostic.  Violations are collected with witnesses, not raised.
-    """
-    n = len(p)
-    rep = AxiomReport(checked=("P1", "P2", "P3", "P4", "P5"))
-    v = rep.violations
-    for name in rep.checked:
-        v[name] = []
-    for a in range(n):
-        if p.mul(a, p.eps) != a or p.mul(p.eps, a) != a:
-            v["P1"].append((a,))
-        if p.mul(p.inv[a], a) != p.eps or p.mul(a, p.inv[a]) != p.eps:
-            v["P2"].append((a,))
-    dom = p.domain()
-    for a, b in dom:
-        if p.mul(p.inv[b], p.inv[a]) != p.inv[p.mul(a, b)]:
-            v["P3"].append((a, b))
-    by_left = [[] for _ in range(n)]
-    for a, b in dom:
-        by_left[a].append(b)
-    for a, b in dom:
-        ab = p.mul(a, b)
-        for c in by_left[b]:
-            bc = p.mul(b, c)
-            left = p.mul(ab, c)
-            right = p.mul(a, bc)
-            if (left is None) != (right is None):
-                v["P4"].append((a, b, c))
-            elif left is not None and left != right:
-                v["P4"].append((a, b, c))
-    for a, b in dom:
-        for c in by_left[b]:
-            for d in by_left[c]:
-                if p.mul3(a, b, c) is None and p.mul3(b, c, d) is None:
-                    v["P5"].append((a, b, c, d))
-    return rep
+# Reference sweeps: the higher axiom checks as exhaustive quantifier sweeps
+# through Pregroup.defined and mul (ref_check_axioms, for P1-P5, is in
+# conftest).  The differential tests below require the row passes of
+# cycrew.pregroup to return exactly their results, witness order included.
 
 
 def ref_canonical_subgroup(p: Pregroup) -> frozenset:
@@ -406,6 +366,14 @@ class TestRowPassesMatchSweeps:
     def test_hnn_z10_z2(self):
         assert_same_as_reference(hnn_z10_z2())
 
+    def test_census(self, census):
+        # G_P is a subgroup of every census table, and P7 and P8 never hold
+        # where P6 fails
+        for p in census:
+            _report, gp, _p6, p7, p8 = assert_same_as_reference(p)
+            assert isinstance(gp, frozenset)
+            assert p7[0] != "raises" and p8[0] != "raises"
+
     def test_random_small_tables(self):
         rng = random.Random(20240531)
         failed = set()
@@ -449,6 +417,17 @@ class TestRowPassesMatchSweeps:
         assert [len(q) for q in swept] == [6, 42]
 
 
+class TestCensus:
+    def test_counts(self, census):
+        # labelled tables on n = 2..7 elements, and those where P6 fails;
+        # the smallest of those, p6_failing, is one of the four on six
+        sizes = collections.Counter(len(p) for p in census)
+        p6_fails = collections.Counter(len(p) for p in census if not check_p6(p)[0])
+        assert [sizes[n] for n in range(2, 8)] == [1, 3, 5, 15, 65, 261]
+        assert [p6_fails[n] for n in range(2, 8)] == [0, 0, 0, 0, 4, 140]
+        assert p6_failing().table in {p.table for p in census}
+
+
 class TestCanonicalSubgroup:
     def test_group_table_is_its_own_gp(self):
         p = samples.s3_table()
@@ -484,6 +463,21 @@ class TestKeyLemma:
         ok, fails = key_lemma_check(p)
         assert not ok
         assert fails == {1: [(a, a)], 2: [], 3: [], 4: [], 5: []}
+
+    def test_census_passes(self, census):
+        assert all(key_lemma_check(p)[0] for p in census)
+
+    def test_random_tables_trip_every_part(self):
+        # the first draw at seed 3 that fails each of parts 2-5, and its
+        # witnesses there
+        rng = random.Random(3)
+        draws = [key_lemma_check(random_small_table(rng))[1] for _ in range(36)]
+        first = {k: next(i for i, fails in enumerate(draws) if fails[k]) for k in (2, 3, 4, 5)}
+        assert first == {2: 3, 3: 11, 4: 35, 5: 3}
+        assert draws[3][2] == [(5, 4, 1), (5, 4, 2), (5, 4, 3), (5, 4, 5)]
+        assert draws[11][3] == [(1, 2, 2, 0), (2, 2, 2, 0)]
+        assert draws[35][4] == [(1, 4, 1, 2), (2, 4, 1, 2), (3, 4, 1, 2), (4, 1, 4, 1)]
+        assert draws[3][5] == [(5, 5, 4, 4)]
 
 
 class TestAlphabets:

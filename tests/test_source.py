@@ -44,3 +44,19 @@ def test_library_imports_only_names_it_uses():
     ]
     assert modules
     assert found == []
+
+
+def test_every_reference_copy_has_a_caller():
+    # a module-level ref_* definition under tests/ is a reference kept for
+    # a differential test; once no test reads it, it is retired
+    tests = Path(__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(tests.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("ref_")
+    }
+    read = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert defined
+    assert sorted(defined - read) == []
