@@ -144,15 +144,20 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     U <= N[:n-1] y and U[:n-1] <= N[:n-1].  Hence the prefixes agree,
     U[n-1] = y, and [y c] = N[n-1].
 
-    Prefix lemma (U = T = G): W = NF(G G), the word big below, has
-    W[:n-1] = G[:n-1], so its carries c_0 .. c_{n-2} are epsilon.
+    Prefix lemma (U = T = G): W = NF(G G) has W[:n-1] = G[:n-1], so its
+    carries c_0 .. c_{n-2} are epsilon.  So the pass for W starts at
+    position n-1: the normal-form pass reads no letter before the one it
+    is at (see universal._nf_carries), so from there on it is the pass
+    over (G G)[n-1:] = G[n-1:] G.  Below, (tail, carries) is that pass:
+    W = G[:n-1] tail, and c_e = carries[e-n+1] for e >= n-1.
 
     Window lemma: for s < n and e = s + n - 1, NF(r_s)[:n-1] = W[s:e] and
-    [NF(r_s)[n-1] c_e] = W[e].  By the prefix lemma W[:s] = G[:s], so W[s:]
-    is the normal form of r_s G[s:], of which NF(r_s) G[s:] is a
-    geodesic, and its carry after n letters is c_e; apply the lemma with
-    U = NF(r_s), T = G[s:].  Conversely, a KMP hit at s that passes
-    [NF(f^b)[n-1] c_e] = W[e] gives NF(f^b) c_e = W[s:e+1] = r_s c_e.
+    [NF(r_s)[n-1] c_e] = W[e], where c_e = carries[s] and W[e] = tail[s].
+    By the prefix lemma W[:s] = G[:s], so W[s:] is the normal form of
+    r_s G[s:], of which NF(r_s) G[s:] is a geodesic, and its carry after n
+    letters is c_e; apply the lemma with U = NF(r_s), T = G[s:].
+    Conversely, a KMP hit at s that passes [NF(f^b)[n-1] c_e] = W[e]
+    gives NF(f^b) c_e = W[s:e+1] = r_s c_e.
     """
     answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
@@ -161,7 +166,8 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     n = len(g_can)
     g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
     f_p = ctx.to_p(f_can)
-    big, carries = _nf_carries(g_nf + g_nf, p)
+    tail, carries = _nf_carries(g_nf[n - 1 :] + g_nf, p)
+    text = g_nf[: n - 1] + tail[: n - 1]  # W[:2n-2], see the prefix lemma
     inv, table = p.inv, p.table
 
     for b in range(len(p)):
@@ -170,9 +176,8 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
             continue  # not a preconjugation of f
         fb_nf, _fc = _nf_carries(fb, p)
         last = fb_nf[-1]
-        for s in kmp_search(fb_nf[:-1], big[: 2 * n - 2]):
-            e = s + n - 1
-            if table[last][carries[e]] == big[e] and _interleaving_equal(
+        for s in kmp_search(fb_nf[:-1], text):
+            if table[last][carries[s]] == tail[s] and _interleaving_equal(
                 fb, g_nf[s:] + g_nf[:s], p
             ):
                 b_word = ctx.to_gamma((b,)) if b != p.eps else ()

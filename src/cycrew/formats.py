@@ -17,6 +17,11 @@ from .rewrite import Anchor, RewriteSystem, Rule
 from .words import Alphabet, CyclicWord
 
 
+# the tags a [rules] line may start with, "prefix:" and the like; a rule
+# with no tag is Anchor.NONE
+_ANCHOR_TAGS = {a.value: a for a in Anchor if a is not Anchor.NONE}
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
@@ -107,12 +112,9 @@ def parse_rws(text: str):
         raise ParseError(str(exc)) from None
     rules = []
     for no, line in sections.get("rules", []):
-        anchor = Anchor.NONE
-        body = line
         head, sep, rest = line.partition(":")
-        tag = head.strip()
-        if sep and tag in [a.value for a in Anchor if a is not Anchor.NONE]:
-            anchor, body = Anchor(tag), rest.strip()
+        anchor = _ANCHOR_TAGS.get(head.strip(), Anchor.NONE) if sep else Anchor.NONE
+        body = line if anchor is Anchor.NONE else rest.strip()
         symmetric = " <-> " in f" {body} "
         arrow = "<->" if symmetric else "->"
         toks = body.split()

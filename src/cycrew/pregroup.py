@@ -68,9 +68,15 @@ class Pregroup:
         self.table = tuple(tuple(row) for row in self.table)
         # (letter a, carry cp) -> the carry steps, the (letter, c) with
         # letter = [inv(cp) a c] in ascending letter, each entry built on
-        # first use by cycrew.universal._carry_step for the normal form;
-        # like rows, safe to cache since the table is immutable
+        # first use by cycrew.universal._carry_step; like rows, safe to
+        # cache since the table is immutable
         self._carry_steps = {}
+        # the normal-form transducer, each entry built on first use by
+        # cycrew.universal._nf_carries: the int (a * n + cp) * n + nxt ->
+        # the carry step that the normal form takes at letter a from carry
+        # cp when nxt follows; one dict with int keys, so the collector
+        # tracks one object however many entries it holds
+        self._nf_steps = {}
 
     @functools.cached_property
     def rows(self) -> tuple:

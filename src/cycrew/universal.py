@@ -13,11 +13,13 @@ Equality of reduced words and the shortlex normal form are decided by
 forward passes over interleaving carries b_i = [inv(c_{i-1}) a_i c_i].
 Both follow a single carry.  Equality reads it off the table as
 c_i = [inv(a_i) c_{i-1} b_i] (see _interleaving_equal).  The normal form
-takes the least of the steps of (a_i, c_{i-1}), compiled per (letter,
-carry) on first use (see _carry_step), to a carry c whose inverse
+takes the least of the steps of (a_i, c_{i-1}) to a carry c whose inverse
 multiplies the next letter, a local test that says exactly when the step
-can be completed (see _nf_carries).  Unlike a search over the symmetric
-rules of S(P), both terminate for certain.
+can be completed (see _nf_carries).  So the step taken is a function of
+(a_i, c_{i-1}, a_{i+1}): the pass is a finite-state transducer, whose
+entries are compiled on first use and then read with one lookup per
+letter.  Unlike a search over the symmetric rules of S(P), both
+terminate for certain.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
 
 def _carry_step(p: Pregroup, a: int, cp: int) -> tuple:
     """The carry steps of letter a from carry cp, compiled and stored on p
-    under (a, cp), where _nf_carries looks them up first.
+    under (a, cp), where _nf_carries looks them up first when its
+    transducer has no entry yet.
 
     The tuple of (letter, c) with letter = [inv(cp) a c], leaving out
     undefined and epsilon products, in ascending letter: for a fixed cp
@@ -215,8 +218,18 @@ def _nf_carries(pw, p: Pregroup):
     and for i > 0 it is the y of the previous step, defined and not
     epsilon by the lemma.  So some step passes at every position, and at
     the last one the step with c = epsilon, letter [cp~ a_{n-1}], is the
-    only one.  This is the finite-state view of shortlex normal forms in
+    only one.
+
+    The step taken at position i < n-1 reads a_i, cp and a_{i+1} alone, so
+    the pass is a finite-state transducer from state cp on the input pair
+    (a_i, a_{i+1}), the finite-state view of shortlex normal forms in
     automatic groups (Epstein et al., Word Processing in Groups, 1992).
+    Its entries are compiled on first use: on a miss the pass scans the
+    steps of (a_i, cp) for the first that passes and stores it in
+    p._nf_steps under the int (a_i |P| + cp) |P| + a_{i+1}; a hit costs
+    one dict lookup.  The pass reads no letter before a_i either, so where
+    c_{i-1} = epsilon, the pass over a_i .. a_{n-1} takes the steps of the
+    full pass from position i on.
 
     Returns (nf letters, carries c_0 .. c_{n-1}) with c_{n-1} = epsilon.
     Raises ValueError when pw contains epsilon; on a word that is not
@@ -226,17 +239,22 @@ def _nf_carries(pw, p: Pregroup):
     if eps in pw:
         raise ValueError(f"{pw} contains epsilon: it is not a word over Gamma")
     table, inv = p.table, p.inv
+    n = len(table)
+    steps, compiled = p._nf_steps, p._carry_steps
     letters = []
     carries = []
     cp = eps
-    compiled = p._carry_steps  # read in the loop: a call per letter costs more
     for a, nxt in zip(pw, pw[1:]):
-        for letter, c in compiled.get((a, cp)) or _carry_step(p, a, cp):
-            if table[inv[c]][nxt] is not None:
-                break
+        key = (a * n + cp) * n + nxt
+        step = steps.get(key)
+        if step is None:
+            for step in compiled.get((a, cp)) or _carry_step(p, a, cp):
+                if table[inv[step[1]]][nxt] is not None:
+                    break
+            steps[key] = step
+        letter, cp = step
         letters.append(letter)
-        carries.append(c)
-        cp = c
+        carries.append(cp)
     if pw:
         letters.append(table[inv[cp]][pw[-1]])
         carries.append(eps)

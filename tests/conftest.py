@@ -212,6 +212,23 @@ def free_ctx():
     return UniversalContext(samples.free_pregroup(2))
 
 
+DP_SAMPLES = {
+    "free2": lambda: samples.free_pregroup(2),
+    "s3": lambda: samples.s3_table(),
+    "dinf": samples.dihedral_infinity,
+    "z4z6": samples.z4_amalgam_z6,
+    "hnn_s3": samples.hnn_s3,
+    "hnn_z10_z2": hnn_z10_z2,
+    "p6_failing": p6_failing,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DP_SAMPLES))
+def dp_ctx(request):
+    """A context over each pregroup the carry passes are tested on."""
+    return UniversalContext(DP_SAMPLES[request.param]())
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

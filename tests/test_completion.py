@@ -20,7 +20,7 @@ from cycrew.completion import (
     resolve_short_pairs,
     thue_completion,
 )
-from cycrew.pregroup import derive_system, gamma_to_p
+from cycrew.pregroup import derive_system
 from cycrew.rewrite import (
     Anchor,
     BudgetExhausted,
@@ -28,7 +28,6 @@ from cycrew.rewrite import (
     Rule,
     cyclic_joinable,
     cyclic_successors,
-    reduce_greedy,
 )
 from cycrew.words import Alphabet, AlphabetError, CyclicWord, shortlex_key
 

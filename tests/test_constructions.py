@@ -381,6 +381,39 @@ class TestVerifyMks:
         with pytest.raises(ValueError):
             verify_mks((x,), (y, x, y), z4z6_ctx)
 
+    def test_non_central_h_chains_and_conjugators_replay(self, rng):
+        # on z4z6 H is central and on dinf trivial, so there every chain is
+        # empty and every h an involution.  Here H is not central: S3 *_Z2
+        # S3 (H = {e, s} glued to {e, rs}, from _amalgam_inputs) and Z6 *_Z3
+        # S3 (H = {e, y2, y4} glued to the rotations), so chains to H take
+        # steps, and in the second a case-3 h can differ from its inverse.
+        # Not so in S3 *_Z3 S3: a cyclically reduced word of length 2 or
+        # more is an even product of reflections, which the rotations
+        # commute with, so every case-3 h is e there.
+        z3 = FiniteGroupTable.cyclic(3, "h")
+        s3, z6 = samples.s3_table(), samples.z6_table()
+        into_z6 = Embedding.from_tokens(z3, z6, {"e": "e", "h": "y2", "h2": "y4"})
+        into_s3 = Embedding.from_tokens(z3, s3, {"e": "e", "h": "r", "h2": "r2"})
+        seen = collections.Counter()
+        for args in (_amalgam_inputs()[2], (z6, s3, into_z6, into_s3)):
+            ctx = UniversalContext(amalgam_pregroup(*args))
+            p = ctx.pregroup
+            h_letters = [p_to_gamma(h, p) for h in p.subgroup_h - {p.eps}]
+            for _ in range(200):
+                u = random_word(rng, len(ctx.alphabet), 5, min_len=1)
+                # conjugate by a letter of H too, which rotations alone miss
+                h = rng.choice(h_letters)
+                v = conjugated(rng, ctx, (ctx.alphabet.involution[h],) + u + (h,))
+                ver = verify_mks(u, v, ctx)
+                replay_mks(ver, u, v, ctx)
+                w = ver.witness
+                if ver.case == 1:
+                    seen["chain_to_g"] += bool(w["chain_to_g"])
+                    seen["chain_to_f"] += bool(w["chain_to_f"])
+                elif ver.case == 3:
+                    seen["h~ != h"] += p.inv[w["h"]] != w["h"]
+        assert seen["chain_to_g"] and seen["chain_to_f"] and seen["h~ != h"], seen
+
     def test_letters_with_disjoint_closures_raise_value_error(self, z4z6_ctx):
         # x2's closure meets H at x2 itself; y5's closure does not contain it
         p = z4z6_ctx.pregroup
@@ -499,6 +532,23 @@ class TestVerifyCollins:
             done += 1
             assert ver.case == 3
             replay_collins(ver, u, v, hnn_ctx)
+
+    def test_non_involutive_case3_conjugator_replays(self, rng):
+        # HNN(S3, t; t^-1 A t = A) over the rotations A = {e, r, r2}, phi
+        # swapping r and r2 (one of _hnn_inputs): a case-3 conjugator c in
+        # S3 can differ from its inverse
+        rot = ("e", "r", "r2")
+        p = hnn_pregroup(samples.s3_table(), rot, rot, {"e": "e", "r": "r2", "r2": "r"})
+        ctx = UniversalContext(p)
+        seen = collections.Counter()
+        for _ in range(200):
+            u = random_word(rng, len(ctx.alphabet), 5, min_len=1)
+            v = conjugated(rng, ctx, u)
+            ver = verify_collins(u, v, ctx)
+            replay_collins(ver, u, v, ctx)
+            if ver.case == 3:
+                seen["c~ != c"] += p.inv[ver.witness["c"]] != ver.witness["c"]
+        assert seen["c~ != c"], seen
 
     def test_every_conjugate_pair_classified(self, hnn_ctx, rng):
         counts = {1: 0, 2: 0, 3: 0}

@@ -196,6 +196,31 @@ class TestWindowLemma:
         assert checked > 2000
 
 
+class TestPassFromNMinusOne:
+    def test_split_pass_is_the_full_pass(self, dp_ctx):
+        # conjugate_linear runs the pass for W = NF(G G) from position n-1:
+        # G[:n-1] followed by the pass over G[n-1:] G, and n-1 epsilon
+        # carries followed by its carries, are the full pass's letters and
+        # carries
+        p = dp_ctx.pregroup
+        rng = random.Random(len(p) + 31)
+        checked = 0
+        for k in range(60):
+            pw = cyclically_reduced_p(rng, p, rng.randint(2, 24))
+            if pw is None:
+                continue  # no such word of that length (odd ones on dinf)
+            if k % 4 == 0:
+                pw = pw + pw  # periodic
+            g_nf, _c = _nf_carries(pw, p)
+            n = len(g_nf)
+            tail, carries = _nf_carries(g_nf[n - 1 :] + g_nf, p)
+            split = (g_nf[: n - 1] + tail, (p.eps,) * (n - 1) + carries)
+            assert split == _nf_carries(g_nf + g_nf, p), pw
+            checked += 1
+        # s3 has no reduced word of two letters
+        assert checked > 10 or len(random_reduced_p(rng, p, 2)) < 2
+
+
 def least_match(u, v, ctx, bs=None):
     """(b, s, certificate) for the least b (of bs, default every element),
     then the least rotation s of NF(g), with b~ f b equal to that rotation,
@@ -427,12 +452,14 @@ class TestDefinedPreconjugations:
             assert reached[key] > 0, (key, reached)
 
     def test_normal_forms_per_negative_decision(self, hnn_ctx, monkeypatch):
-        # a negative decision computes NF(g), NF(g g) and one normal form
-        # per kept b of length n, none for the b the filter skips
+        # a negative decision computes NF(g), NF(g g) from position n-1
+        # (n + 1 letters) and one normal form per kept b of length n, none
+        # for the b the filter skips
         calls = collections.Counter()
 
         def counted(pw, p):
             calls["nf"] += 1
+            calls["letters"] += len(pw)
             return _nf_carries(pw, p)
 
         monkeypatch.setattr(fastconj, "_nf_carries", counted)
@@ -442,7 +469,7 @@ class TestDefinedPreconjugations:
             pair = differential_pair(rng, hnn_ctx)
             if pair is None:
                 continue
-            u, v, _n, _periodic = pair
+            u, v, n, _periodic = pair
             split = split_preconjugators(u, v, hnn_ctx)
             if split is None:
                 continue
@@ -451,6 +478,7 @@ class TestDefinedPreconjugations:
                 continue
             _f_p, kept, skipped = split
             assert calls["nf"] == 2 + len(kept), (u, v)
+            assert calls["letters"] == n + (n + 1) + n * len(kept), (u, v)
             negatives += 1
             skipped_total += len(skipped)
         assert skipped_total > 0

@@ -13,7 +13,6 @@ from cycrew.formats import (
     parse_rws,
 )
 from cycrew.rewrite import Anchor
-from cycrew.words import CyclicWord
 
 
 def systems_equal(s1, s2):

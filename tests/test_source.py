@@ -46,6 +46,19 @@ def test_library_imports_only_names_it_uses():
     assert found == []
 
 
+def test_tests_import_only_names_they_use():
+    # the same rule under tests/: a name a test module imports is read
+    tests = Path(__file__).resolve().parent
+    modules = sorted(tests.glob("*.py"))
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in modules
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert modules
+    assert found == []
+
+
 def test_every_reference_copy_has_a_caller():
     # a module-level ref_* definition under tests/ is a reference kept for
     # a differential test; once no test reads it, it is retired

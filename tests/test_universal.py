@@ -12,8 +12,15 @@ import time
 import pytest
 
 import cycrew
-from cycrew import samples
-from cycrew.pregroup import PregroupError, canonical_subgroup, gamma_to_p, is_reduced, p_to_gamma
+from cycrew import samples, universal
+from cycrew.pregroup import (
+    PregroupError,
+    canonical_subgroup,
+    check_p6,
+    gamma_to_p,
+    is_reduced,
+    p_to_gamma,
+)
 from cycrew.universal import (
     UniversalContext,
     _canonical_traced,
@@ -32,7 +39,7 @@ from cycrew.universal import (
 from cycrew.fastconj import conjugate_linear
 from cycrew.words import AlphabetError, CyclicWord, involute, least_rotation_offset
 
-from conftest import conjugated, hnn_cyclic, hnn_z10_z2, p6_failing, random_word
+from conftest import conjugated, hnn_cyclic, random_word
 from test_pregroup import corpus
 
 
@@ -467,22 +474,6 @@ class TestConjugateQuadratic:
         assert ans.verdict and ans.certificate == ()
 
 
-DP_SAMPLES = {
-    "free2": lambda: samples.free_pregroup(2),
-    "s3": lambda: samples.s3_table(),
-    "dinf": samples.dihedral_infinity,
-    "z4z6": samples.z4_amalgam_z6,
-    "hnn_s3": samples.hnn_s3,
-    "hnn_z10_z2": hnn_z10_z2,
-    "p6_failing": p6_failing,
-}
-
-
-@pytest.fixture(scope="module", params=sorted(DP_SAMPLES))
-def dp_ctx(request):
-    return UniversalContext(DP_SAMPLES[request.param]())
-
-
 def random_reduced_p(rng, p, n):
     """A reduced P-index word over Gamma, of length n unless no letter can
     extend it."""
@@ -612,6 +603,31 @@ def oracle_nf_carries(pw, p):
     return tuple(letters), tuple(carries)
 
 
+def transducer_entries(p):
+    """{(a, cp, nxt): step} of the normal-form transducer, whose int keys
+    are (a * n + cp) * n + nxt with n = |P|."""
+    n = len(p)
+    out = {}
+    for key, step in p._nf_steps.items():
+        a_cp, nxt = divmod(key, n)
+        out[(*divmod(a_cp, n), nxt)] = step
+    return out
+
+
+def check_transducer(p, words):
+    """Run _nf_carries over words, then check every transducer entry of p
+    against the scan it replaced: the first step (letter, c) of
+    _carry_step(p, a, cp) with [c~ nxt] defined.  Returns the number of
+    entries."""
+    for pw in words:
+        _nf_carries(pw, p)
+    entries = transducer_entries(p)
+    for (a, cp, nxt), step in entries.items():
+        first = next(st for st in _carry_step(p, a, cp) if p.mul(p.inv[st[1]], nxt) is not None)
+        assert step == first, (a, cp, nxt)
+    return len(entries)
+
+
 def local_test(pw, i, c, p):
     """The feasibility lemma of _nf_carries: whether a step to carry c at
     position i of the reduced word pw can be completed, read off the next
@@ -640,23 +656,55 @@ class TestCompiledCarrySteps:
                 read = {(b, c) for b in gamma if (c := p.mul3(p.inv[a], cp, b)) is not None}
                 assert set(steps) == read, (a, cp)
 
-    def test_nf_carries_compiles_only_the_steps_it_reads(self, dp_ctx):
+    def test_nf_carries_compiles_only_the_steps_it_reads(self, dp_ctx, monkeypatch):
         # _interleaving_equal compiles nothing; _nf_carries compiles the
-        # (a_i, c_{i-1}) of its positions i < n-1 and no other entry
+        # steps of the (a_i, c_{i-1}) and the transducer entries of the
+        # (a_i, c_{i-1}, a_{i+1}) of its positions i < n-1, no other entry,
+        # and a second pass over the same words compiles and adds nothing
         p = dp_ctx.pregroup
         rng = random.Random(len(p) + 27)
         p._carry_steps.clear()
+        p._nf_steps.clear()
         words = [random_reduced_p(rng, p, n) for n in (0, 1, 2, 3, 24, 24, 40)]
         for pw in words:
             assert _interleaving_equal(pw, interleave(rng, pw, p), p)
-        assert p._carry_steps == {}
+        assert p._carry_steps == {} and p._nf_steps == {}
         visited = set()
+        cold = []
         for pw in words:
-            _letters, carries = _nf_carries(pw, p)
-            visited.update(zip(pw[:-1], (p.eps,) + carries[:-1]))
-            assert set(p._carry_steps) == visited
+            cold.append(_nf_carries(pw, p))
+            visited.update(zip(pw[:-1], (p.eps,) + cold[-1][1][:-1], pw[1:]))
+            assert set(p._carry_steps) == {(a, cp) for a, cp, _nxt in visited}
+            assert set(transducer_entries(p)) == visited
         # s3 has no reduced word of two letters
         assert visited or max(map(len, words)) < 2
+        steps, entries = dict(p._carry_steps), dict(p._nf_steps)
+
+        def compile_fails(p, a, cp):
+            raise AssertionError(f"steps of {(a, cp)} compiled on a warm pass")
+
+        monkeypatch.setattr(universal, "_carry_step", compile_fails)
+        assert [_nf_carries(pw, p) for pw in words] == cold
+        assert p._carry_steps == steps and p._nf_steps == entries
+
+    def test_transducer_entries_are_the_first_passing_steps(self, dp_ctx):
+        p = dp_ctx.pregroup
+        rng = random.Random(len(p) + 30)
+        words = [random_reduced_p(rng, p, n) for n in range(2, 41)]
+        # s3 has no reduced word of two letters
+        assert check_transducer(p, words) or max(map(len, words)) < 2
+
+    def test_transducer_on_p6_failing_census(self, census):
+        # the census tables on which P6 fails, 4 on six elements and 140 on
+        # seven; entries other tests filled are checked as well
+        tables = [p for p in census if not check_p6(p)[0]]
+        assert len(tables) == 144
+        rng = random.Random(144)
+        filled = [
+            check_transducer(p, [random_reduced_p(rng, p, n) for n in (2, 3, 5, 8, 13, 21)])
+            for p in tables
+        ]
+        assert all(filled), filled.count(0)
 
     def test_local_test_is_exactly_feasibility(self, dp_ctx):
         # at each (i, cp) the forward pass reaches, the steps the lemma's
