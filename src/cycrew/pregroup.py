@@ -69,7 +69,12 @@ class Pregroup:
         # (letter a, carry cp) -> the carry steps, the (letter, c) with
         # letter = [inv(cp) a c] in ascending letter, each entry built on
         # first use by cycrew.universal._carry_step; like rows, safe to
-        # cache since the table is immutable
+        # cache since the table is immutable.  They stay beside the
+        # transducer below because its miss path, which scans them, is hot
+        # on the conj benchmark: compiling the steps on each miss without
+        # storing them, or filling each entry straight from rows, cost
+        # 19-32% of conj ops/s (bench/run.py --seconds 5, seed 1, against
+        # this layout on a 2-core shared host); cli was level
         self._carry_steps = {}
         # the normal-form transducer, each entry built on first use by
         # cycrew.universal._nf_carries: the int (a * n + cp) * n + nxt ->

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -858,29 +857,6 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                             continue
                         if not _strongly_joinable(y, z, system, pool):
                             return ConfluenceReport(False, (x, y, z))
-    return ConfluenceReport(True)
-
-
-def check_strong_confluence_naive(
-    system: RewriteSystem, max_len: int
-) -> ConfluenceReport:
-    """Oracle version: enumerate every word up to max_len and test all
-    divergences.  Exponential; for cross-checking on small systems only."""
-    if system.has_anchored_rules():
-        raise ValueError("strong confluence check requires an unanchored system")
-    succ_or_self = _SuccessorPool(system)
-    k = len(system.alphabet)
-    for n in range(max_len + 1):
-        for x in itertools.product(range(k), repeat=n):
-            succs = [y for y, _i, _p in word_successors(x, system)]
-            for i in range(len(succs)):
-                for j in range(i + 1, len(succs)):
-                    if succs[i] == succs[j]:
-                        continue
-                    if not _strongly_joinable(
-                        succs[i], succs[j], system, succ_or_self
-                    ):
-                        return ConfluenceReport(False, (x, succs[i], succs[j]))
     return ConfluenceReport(True)
 
 

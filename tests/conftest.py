@@ -1,3 +1,6 @@
+import collections
+import itertools
+import math
 import random
 
 import pytest
@@ -5,6 +8,13 @@ import pytest
 from cycrew import UniversalContext, samples
 from cycrew.constructions import FiniteGroupTable, hnn_pregroup
 from cycrew.pregroup import AxiomReport, Pregroup
+from cycrew.rewrite import (
+    ConfluenceReport,
+    RewriteSystem,
+    _strongly_joinable,
+    _SuccessorPool,
+    word_successors,
+)
 
 acceptance_lines = []
 
@@ -52,6 +62,47 @@ def p6_failing():
         ("Y", "x"): "z", ("z", "X"): "Y", ("z", "Y"): "X",
     })
     return Pregroup(("e", "x", "X", "y", "Y", "z"), "e", inverse, product)
+
+
+def ref_reach(start, step, max_len=math.inf, max_nodes=math.inf):
+    """Breadth-first search from start, where step(node) lists the
+    successors of node: nodes are expanded first in, first out, and the
+    successors of each in the order step lists them.  A successor longer
+    than max_len is dropped, and the search expands no node once it has
+    seen max_nodes nodes.
+
+    Returns (seen, over_length, unexpanded): the set of nodes reached,
+    whether some successor was dropped for its length, and whether seen
+    nodes were left unexpanded at the node cap.  It shares no code with
+    rewrite._Descendants, the search it checks; with max_len at its
+    default, the nodes need no length."""
+    seen = {start}
+    queue = collections.deque([start])
+    over_length = False
+    while queue and len(seen) < max_nodes:
+        for s in step(queue.popleft()):
+            if max_len < math.inf and len(s) > max_len:
+                over_length = True
+            elif s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return seen, over_length, bool(queue)
+
+
+def check_strong_confluence_naive(system: RewriteSystem, max_len: int) -> ConfluenceReport:
+    """Enumerate every word up to max_len and test all its divergences.
+    Exponential; the oracle for check_strong_confluence on small systems."""
+    if system.has_anchored_rules():
+        raise ValueError("strong confluence check requires an unanchored system")
+    succ_or_self = _SuccessorPool(system)
+    k = len(system.alphabet)
+    for n in range(max_len + 1):
+        for x in itertools.product(range(k), repeat=n):
+            succs = [y for y, _i, _p in word_successors(x, system)]
+            for y, z in itertools.combinations(succs, 2):
+                if y != z and not _strongly_joinable(y, z, system, succ_or_self):
+                    return ConfluenceReport(False, (x, y, z))
+    return ConfluenceReport(True)
 
 
 def ref_check_axioms(p: Pregroup) -> AxiomReport:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import conftest
-from conftest import corpus_pregroups
+from conftest import corpus_pregroups, ref_reach
 
 from cycrew import samples
 from cycrew.completion import (
@@ -143,17 +143,7 @@ def test_03_hat_circle_free_group_completeness():
                 memo[c] = got
             return got
 
-        desc = {}
-        for c in shorts:
-            seen = {c}
-            stack = [c]
-            while stack:
-                node = stack.pop()
-                for x in succs(node):
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            desc[c] = frozenset(seen)
+        desc = {c: frozenset(ref_reach(c, succs)[0]) for c in shorts}
         # joinable iff conjugate, over every pair
         for i, u in enumerate(shorts):
             for v in shorts[i + 1 :]:
@@ -415,16 +405,7 @@ def test_10_lemma_level_properties(contexts):
         steps = [set(x) for x in succ]
         for u, v in cdagger(s).extra:
             steps[index[u]].add(index[v])
-        reach = []
-        for i in range(len(shorts)):
-            seen = {i}
-            stack = [i]
-            while stack:
-                for t in steps[stack.pop()]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            reach.append(seen)
+        reach = [ref_reach(i, steps.__getitem__)[0] for i in range(len(shorts))]
         for nxt in steps:
             for a, b in itertools.combinations(nxt, 2):
                 ok &= not reach[a].isdisjoint(reach[b])

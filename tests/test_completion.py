@@ -31,7 +31,7 @@ from cycrew.rewrite import (
 )
 from cycrew.words import Alphabet, AlphabetError, CyclicWord, shortlex_key
 
-from conftest import corpus_pregroups, hnn_cyclic
+from conftest import corpus_pregroups, hnn_cyclic, ref_reach
 
 
 class TestInverseAssignment:
@@ -468,17 +468,9 @@ def ref_stepper(crs, base):
 
 def ref_closure(start, step, cache):
     got = cache.get(start)
-    if got is not None:
-        return got
-    closure = {start}
-    stack = [start]
-    while stack:
-        for s in step(stack.pop()):
-            if s not in closure:
-                closure.add(s)
-                stack.append(s)
-    cache[start] = closure
-    return closure
+    if got is None:
+        got = cache[start] = ref_reach(start, step)[0]
+    return got
 
 
 def ref_resolve_short_pairs(system):

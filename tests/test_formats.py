@@ -55,8 +55,9 @@ class TestRws:
         assert s.rules[0].symmetric
 
     def test_pairs_lines_accumulate(self):
-        # as in .pg files: the second line adds b B and keeps a A
-        text = "[alphabet]\nletters: a A b B\npairs: a A\npairs: b B\n"
+        # as in .pg files: the last line adds b B and keeps a A, and an
+        # empty line adds no pair
+        text = "[alphabet]\nletters: a A b B\npairs: a A\npairs:\npairs: b B\n"
         s, _ = parse_rws(text)
         assert s.alphabet.involution == (1, 0, 3, 2)
 
@@ -148,7 +149,7 @@ class TestPg:
             parse_pg(emit_pg(samples.free_pregroup(1)))
 
     def test_pairs_lines_accumulate(self):
-        p = parse_pg("[pregroup]\nelements: e a b c\nepsilon: e\npairs: a a\npairs: b c\n")
+        p = parse_pg("[pregroup]\nelements: e a b c\nepsilon: e\npairs: a a\npairs:\npairs: b c\n")
         assert p.inv == (0, 1, 3, 2)
 
     def test_bad_involution_rejected(self):

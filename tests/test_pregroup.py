@@ -537,10 +537,11 @@ def ref_derive_rules(p: Pregroup, variant: str) -> list:
 
 
 class TestDerivedSystems:
-    def test_rules_equal_the_reference(self):
+    def test_rules_equal_the_reference(self, census):
         # the rules are read from the table rows, ascending in c as the
         # reference loop over every c takes them
-        cases = [(p, v) for p in corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3)] for v in ("S_of_P", "S_eps")]
+        pregroups = corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3)] + census
+        cases = [(p, v) for p in pregroups for v in ("S_of_P", "S_eps")]
         for p, variant in cases + [(hnn_z10_z2(), "S_eps")]:
             assert derive_system(p, variant).rules == tuple(ref_derive_rules(p, variant))
 

@@ -19,7 +19,6 @@ from cycrew.rewrite import (
     _SuccessorPool,
     _symmetries,
     check_strong_confluence,
-    check_strong_confluence_naive,
     check_weak_termination_sufficient,
     cyclic_joinable,
     cyclic_successors,
@@ -28,7 +27,7 @@ from cycrew.rewrite import (
 )
 from cycrew.words import Alphabet, CyclicWord, involute, rotations, shortlex_key
 
-from conftest import hnn_cyclic
+from conftest import check_strong_confluence_naive, hnn_cyclic, ref_reach
 from test_pregroup import random_small_table
 
 
@@ -337,19 +336,6 @@ class TestCyclicJoinable:
         # lies in both closures within the length bound, "disjoint" needs
         # both closures complete and disjoint, and "exhausted" needs a
         # bound that cut a side
-        def closure(c, system, max_len):
-            """The cycles reachable from c through cycles of at most
-            max_len letters, and whether no successor was over the bound."""
-            seen, stack, complete = {c}, [c], True
-            while stack:
-                for d in cyclic_successors(stack.pop(), system):
-                    if len(d) > max_len:
-                        complete = False
-                    elif d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-            return seen, complete
-
         rng = random.Random(20127)
         seen = collections.Counter()
         for _ in range(300):
@@ -369,8 +355,12 @@ class TestCyclicJoinable:
                 budget = rng.choice([3, 10, 100_000])
                 u, v = CyclicWord.of(word(0, max_len)), CyclicWord.of(word(0, max_len))
                 res = cyclic_joinable(u, v, s, budget, max_len, rng.choice([None, memo]))
-                (cu, u_complete), (cv, v_complete) = closure(u, s, max_len), closure(v, s, max_len)
-                complete = u_complete and v_complete
+                # the cycles reachable through cycles of at most max_len
+                # letters, and whether a successor was over the bound
+                (cu, u_over, _), (cv, v_over, _) = (
+                    ref_reach(x, lambda d: cyclic_successors(d, s), max_len) for x in (u, v)
+                )
+                complete = not (u_over or v_over)
                 small = max(len(cu), len(cv)) <= budget
                 if res.status == "joinable":
                     assert res.witness in cu and res.witness in cv
@@ -661,22 +651,17 @@ def ref_check_strong_confluence(system):
     return ConfluenceReport(True)
 
 
-# The parent's descendant searches, verbatim: no memo, and rewrites over
-# the length bound are dropped without marking the search as cut.
+# The parent's descendant searches: no memo, breadth first in the order of
+# word_successors, and rewrites over the length bound are dropped without
+# marking the search as cut.
 
 
-def ref_bounded_descendants(w, system, max_nodes=2_000, max_len=None):
-    seen = {w}
-    queue = collections.deque([w])
-    while queue and len(seen) < max_nodes:
-        node = queue.popleft()
-        for s, _rid, _pos in word_successors(node, system):
-            if max_len is not None and len(s) > max_len:
-                continue
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return seen, bool(queue)
+def ref_bounded_descendants(w, system, max_len, max_nodes=2_000):
+    def step(x):
+        return [y for y, _rid, _pos in word_successors(x, system)]
+
+    seen, _over_length, cut = ref_reach(w, step, max_len, max_nodes)
+    return seen, cut
 
 
 def ref_strongly_joinable(y, z, system, succ_or_self):

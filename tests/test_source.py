@@ -46,30 +46,52 @@ def test_library_imports_only_names_it_uses():
     assert found == []
 
 
+def _test_trees():
+    """The parsed modules under tests/, by file name."""
+    tests = Path(__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(tests.glob("*.py"))}
+
+
+def _names_read(trees):
+    return {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def test_tests_import_only_names_they_use():
     # the same rule under tests/: a name a test module imports is read
-    tests = Path(__file__).resolve().parent
-    modules = sorted(tests.glob("*.py"))
+    trees = _test_trees()
     found = [
-        f"{path.name}:{line} {name}"
-        for path in modules
-        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for line, name in _unused_imports(tree)
     ]
-    assert modules
+    assert trees
     assert found == []
 
 
 def test_every_reference_copy_has_a_caller():
     # a module-level ref_* definition under tests/ is a reference kept for
     # a differential test; once no test reads it, it is retired
-    tests = Path(__file__).resolve().parent
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(tests.glob("*.py"))]
+    trees = _test_trees().values()
     defined = {
         node.name
         for tree in trees
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("ref_")
     }
-    read = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert defined
-    assert sorted(defined - read) == []
+    assert sorted(defined - _names_read(trees)) == []
+
+
+def test_every_conftest_function_has_a_reader():
+    # the oracles and builders that conftest.py shares are read by some
+    # test; pytest finds hooks and fixtures by name, so they are exempt
+    trees = _test_trees()
+    defined = {
+        node.name
+        for node in trees["conftest.py"].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("pytest_")
+        and not any(ast.unparse(d).startswith("pytest.fixture") for d in node.decorator_list)
+    }
+    assert defined
+    assert sorted(defined - _names_read(trees.values())) == []
