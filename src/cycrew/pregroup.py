@@ -305,12 +305,7 @@ def check_p7(p: Pregroup):
                     for t in ts:
                         if not both[s] >> t & 1:
                             witnesses.append((x, y, z, s, t))
-    ok = not witnesses
-    if ok:
-        ok6, _ = check_p6(p)
-        if not ok6:
-            raise PregroupError("P7 holds but P6 fails: the table is not a pregroup")
-    return ok, witnesses
+    return _unless_p6_fails(p, "P7", witnesses)
 
 
 def check_p8(p: Pregroup):
@@ -323,12 +318,15 @@ def check_p8(p: Pregroup):
         for b, ab in enumerate(row)
         if ab is not None and b not in gp and ab not in gp
     ]
-    ok = not witnesses
-    if ok:
-        ok6, _ = check_p6(p)
-        if not ok6:
-            raise PregroupError("P8 holds but P6 fails: the table is not a pregroup")
-    return ok, witnesses
+    return _unless_p6_fails(p, "P8", witnesses)
+
+
+def _unless_p6_fails(p: Pregroup, axiom: str, witnesses: list):
+    """(ok, witnesses) for the check of axiom, P7 or P8.  A table on which
+    axiom holds but P6 fails is not a pregroup: PregroupError."""
+    if witnesses or check_p6(p)[0]:
+        return not witnesses, witnesses
+    raise PregroupError(f"{axiom} holds but P6 fails: the table is not a pregroup")
 
 
 def key_lemma_check(p: Pregroup):

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -8,13 +9,7 @@ import pytest
 from cycrew import UniversalContext, samples
 from cycrew.constructions import FiniteGroupTable, hnn_pregroup
 from cycrew.pregroup import AxiomReport, Pregroup
-from cycrew.rewrite import (
-    ConfluenceReport,
-    RewriteSystem,
-    _strongly_joinable,
-    _SuccessorPool,
-    word_successors,
-)
+from cycrew.rewrite import BudgetExhausted, ConfluenceReport, RewriteSystem, word_successors
 
 acceptance_lines = []
 
@@ -64,43 +59,83 @@ def p6_failing():
     return Pregroup(("e", "x", "X", "y", "Y", "z"), "e", inverse, product)
 
 
-def ref_reach(start, step, max_len=math.inf, max_nodes=math.inf):
+def ref_reach(start, step, max_len=math.inf, max_nodes=math.inf, goal=frozenset()):
     """Breadth-first search from start, where step(node) lists the
     successors of node: nodes are expanded first in, first out, and the
     successors of each in the order step lists them.  A successor longer
     than max_len is dropped, and the search expands no node once it has
-    seen max_nodes nodes.
+    seen max_nodes nodes, or a node of goal.
 
     Returns (seen, over_length, unexpanded): the set of nodes reached,
     whether some successor was dropped for its length, and whether seen
-    nodes were left unexpanded at the node cap.  It shares no code with
-    rewrite._Descendants, the search it checks; with max_len at its
+    nodes were left unexpanded when the search stopped.  It shares no code
+    with rewrite._Descendants, the search it checks; with max_len at its
     default, the nodes need no length."""
     seen = {start}
     queue = collections.deque([start])
     over_length = False
-    while queue and len(seen) < max_nodes:
+    met = start in goal
+    while queue and len(seen) < max_nodes and not met:
         for s in step(queue.popleft()):
             if max_len < math.inf and len(s) > max_len:
                 over_length = True
             elif s not in seen:
                 seen.add(s)
                 queue.append(s)
+                met = met or s in goal
     return seen, over_length, bool(queue)
 
 
+def ref_joiner(system, max_nodes=2_000):
+    """joinable(y, z) for the words of system: whether y and z join
+    strongly, some w with y ->(<=1) w <-* z or y ->* w <-(<=1) z.  It tries
+    the one-step meet first, then a search from y for the one-step meet of
+    z and one from z for that of y, over words of at most
+    max(|y|, |z|) + 2 m(S) letters and max_nodes nodes.  When neither
+    search meets and a bound cut either one, nothing is decided and
+    BudgetExhausted is raised."""
+
+    @functools.cache
+    def step(w):
+        return [y for y, _rid, _pos in word_successors(w, system)]
+
+    @functools.cache
+    def meet(w):
+        return frozenset([w, *step(w)])
+
+    def joinable(y, z):
+        if not meet(y).isdisjoint(meet(z)):
+            return True
+        cap = max(len(y), len(z)) + 2 * system.m_of
+        cut = False
+        for a, b in ((y, z), (z, y)):
+            seen, over_length, unexpanded = ref_reach(a, step, cap, max_nodes, meet(b))
+            if not seen.isdisjoint(meet(b)):
+                return True
+            cut = cut or over_length or unexpanded
+        if cut:
+            fmt = system.alphabet.format
+            raise BudgetExhausted(
+                f"no strong join of {fmt(y)!r} and {fmt(z)!r} within the search bound"
+            )
+        return False
+
+    return joinable
+
+
 def check_strong_confluence_naive(system: RewriteSystem, max_len: int) -> ConfluenceReport:
-    """Enumerate every word up to max_len and test all its divergences.
-    Exponential; the oracle for check_strong_confluence on small systems."""
+    """Enumerate every word up to max_len and test all its divergences
+    with ref_joiner.  Exponential; the oracle for check_strong_confluence
+    on small systems."""
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
-    succ_or_self = _SuccessorPool(system)
+    joinable = ref_joiner(system)
     k = len(system.alphabet)
     for n in range(max_len + 1):
         for x in itertools.product(range(k), repeat=n):
             succs = [y for y, _i, _p in word_successors(x, system)]
             for y, z in itertools.combinations(succs, 2):
-                if y != z and not _strongly_joinable(y, z, system, succ_or_self):
+                if y != z and not joinable(y, z):
                     return ConfluenceReport(False, (x, y, z))
     return ConfluenceReport(True)
 

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import random
@@ -441,163 +442,111 @@ class TestPinnedResults:
 
 
 # ---------------------------------------------------------------------------
-# Set-based references: C*, the Thue completion and C-dagger as they were
-# before the engines moved to numbered short words and bitsets, kept verbatim
-# in substance.
+# References read off the engines' docstrings, over the cyclic steps of
+# ref_steps: C* and the Thue completion decide reachability with ref_reach,
+# and none reads the numbered short words or bitsets of the engines.
 
 
-def ref_stepper(crs, base):
-    extra = {}
-    for u, v in crs.extra:
-        extra.setdefault(u, set()).add(v)
-    memo = {}
+def _shortlex(c):
+    return shortlex_key(c.canon)
 
+
+def ref_steps(system, extra):
+    """c -> the cyclic words other than c one step away from c: its
+    cyclic_successors in system and the v of the pairs (c, v) of extra."""
+    targets = collections.defaultdict(set)
+    for u, v in extra:
+        targets[u].add(v)
+
+    @functools.cache
     def step(c):
-        got = memo.get(c)
-        if got is None:
-            succ = base.get(c)
-            if succ is None:
-                succ = base[c] = cyclic_successors(c, crs.base)
-            got = memo[c] = set(succ)
-            got.update(extra.get(c, ()))
-            got.discard(c)
-        return got
+        return (set(cyclic_successors(c, system)) | targets[c]) - {c}
 
     return step
 
 
-def ref_closure(start, step, cache):
-    got = cache.get(start)
-    if got is None:
-        got = cache[start] = ref_reach(start, step)[0]
-    return got
-
-
-def ref_resolve_short_pairs(system):
+def ref_cstar(system):
+    """C*: on each sweep every two distinct successors v < u of a short
+    word w, in shortlex order, whose descending closures do not meet add
+    (u, v), certified by w, unless the pair is there already; the sweeps
+    repeat until one adds nothing."""
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
     if system.has_length_increasing_rules():
         raise PreconditionViolated("completion needs length-nonincreasing rules")
-    shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    base = {}
-    extra = []
-    seen_pairs = set()
-    certificates = {}
+    extra, certificates = [], {}
     while True:
-        crs = CyclicRuleSet(system, tuple(extra), certificates)
-        step = ref_stepper(crs, base)
+        step = ref_steps(system, tuple(extra))
 
-        def down(c):
-            key = shortlex_key(c.canon)
-            return [s for s in step(c) if shortlex_key(s.canon) < key]
+        @functools.cache
+        def descend(c):
+            return [s for s in step(c) if _shortlex(s) < _shortlex(c)]
 
-        cache = {}
-        changed = False
-        for w in shorts:
-            succs = sorted(step(w), key=lambda c: shortlex_key(c.canon))
-            downs = [(s, ref_closure(s, down, cache)) for s in succs]
+        down = functools.cache(lambda c: ref_reach(c, descend)[0])
+        added = False
+        for w in enumerate_short_cyclic_words(system.alphabet, system.m_of):
+            downs = [(c, down(c)) for c in sorted(step(w), key=_shortlex)]
             for (v, down_v), (u, down_u) in itertools.combinations(downs, 2):
-                if (u, v) in seen_pairs or not down_u.isdisjoint(down_v):
-                    continue
-                seen_pairs.add((u, v))
-                extra.append((u, v))
-                certificates[(u, v)] = w
-                changed = True
-        if not changed:
-            return crs
+                if down_u.isdisjoint(down_v) and (u, v) not in certificates:
+                    extra.append((u, v))
+                    certificates[u, v] = w
+                    added = True
+        if not added:
+            return CyclicRuleSet(system, tuple(extra), certificates)
 
 
-def ref_thue_completion(system):
-    """(crs, stage, starts), where starts[i] is the index in crs.extra at
-    which the pairs of stage i + 1 begin."""
+def ref_thue(system):
+    """The Thue completion chain: stage by stage, the pairs (u, v) with u a
+    successor of a short word w, v one of a word in w's length-preserving
+    class, |u| >= |v| >= 1, and neither of u, v reaching the other; each
+    stage's pairs in ascending order of (u, v), shortlex on the least
+    rotations.  Returns (CyclicRuleSet, stage)."""
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
     shorts = enumerate_short_cyclic_words(system.alphabet, system.m_of)
-    base = {}
     extra = []
-    seen_pairs = set()
-    bound = 2 * system.m_of - 2
     stage = 0
-    starts = []
     while True:
-        crs = CyclicRuleSet(system, tuple(extra))
-        step = ref_stepper(crs, base)
-        cache = {}
-
-        def class_union(w):
-            n = len(w)
-            cls = ref_closure(w, lambda c: [s for s in step(c) if len(s) == n], {})
-            return cls, list(dict.fromkeys(v for c in cls for v in step(c) if len(v) >= 1))
-
-        def fresh(u, v):
-            return not (
-                u == v
-                or len(u) < len(v)
-                or (u, v) in seen_pairs
-                or v in ref_closure(u, step, cache)
-                or u in ref_closure(v, step, cache)
-            )
-
-        unions = {}
-        new_pairs = []
+        step = ref_steps(system, tuple(extra))
+        reach = functools.cache(lambda c: ref_reach(c, step)[0])
+        # w and w' range over each length-preserving class, so u and v both
+        # range over the successors of its words
+        outs, classed = [], set()
         for w in shorts:
-            if len(w) == 0:
-                continue
-            union = unions.get(w)
-            if union is None:
-                cls, union = class_union(w)
-                unions.update(dict.fromkeys(cls, union))
-            succ_w = [u for u in step(w) if len(u) >= 1]
-            if not any(fresh(u, v) for v in union for u in succ_w):
-                continue
-            for v in class_union(w)[1]:
-                for u in succ_w:
-                    if not fresh(u, v):
-                        continue
-                    new_pairs.append((u, v))
-                    seen_pairs.add((u, v))
-                    if len(u) == len(v) and (v, u) not in seen_pairs:
-                        new_pairs.append((v, u))
-                        seen_pairs.add((v, u))
-        if not new_pairs:
-            return crs, stage, starts
-        starts.append(len(extra))
-        extra.extend(new_pairs)
+            if w not in classed:
+                same = ref_reach(w, lambda c, n=len(w): [s for s in step(c) if len(s) == n])[0]
+                classed |= same
+                outs.append({v for c in same for v in step(c)})
+        pairs = {
+            (u, v)
+            for union in outs
+            for u in union
+            for v in union
+            if len(u) >= len(v) >= 1 and v not in reach(u) and u not in reach(v)
+        }
+        if not pairs:
+            return CyclicRuleSet(system, tuple(extra)), stage
+        extra += sorted(pairs, key=lambda pair: [_shortlex(c) for c in pair])
         stage += 1
-        if stage > bound:
+        if stage > 2 * system.m_of - 2:
             raise RuntimeError("completion chain exceeded 2 m(S) - 2 stages")
 
 
-def ref_thue_in_stage_order(system):
-    """ref_thue_completion with each stage's pairs sorted by (u, v) in
-    shortlex order of the least rotations, the order that thue_completion
-    documents; the stages stay in order."""
-    crs, stage, starts = ref_thue_completion(system)
-    bounds = [*starts, len(crs.extra)]
-
-    def key(pair):
-        return [shortlex_key(c.canon) for c in pair]
-
-    extra = [p for lo, hi in zip(bounds, bounds[1:]) for p in sorted(crs.extra[lo:hi], key=key)]
-    return CyclicRuleSet(system, tuple(extra), crs.certificates), stage
-
-
 def ref_cdagger(system):
+    """C-dagger: each ordered pair of distinct letters that are both one
+    cyclic step from a common length-2 cycle, certified by the first such
+    cycle in shortlex order; a cycle's pairs in letter order."""
     if not (system.is_standard and system.is_2monadic and system.is_thue):
         raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
-    pairs = []
-    seen = set()
+    step = ref_steps(system, ())
     certs = {}
-    k = len(system.alphabet)
-    for w in itertools.product(range(k), repeat=2):
-        c = CyclicWord.of(w)
-        succs = [s for s in cyclic_successors(c, system) if len(s) == 1]
-        for pair in itertools.permutations(succs, 2):
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-                certs[pair] = c
-    return CyclicRuleSet(system, tuple(pairs), certs)
+    for c in enumerate_short_cyclic_words(system.alphabet, 2):
+        if len(c) < 2:
+            continue
+        letters = sorted((s for s in step(c) if len(s) == 1), key=_shortlex)
+        for pair in itertools.permutations(letters, 2):
+            certs.setdefault(pair, c)
+    return CyclicRuleSet(system, tuple(certs), certs)
 
 
 def _outcome(run, system):
@@ -612,8 +561,8 @@ def _outcome(run, system):
 
 
 ENGINES = {
-    "cstar": (resolve_short_pairs, ref_resolve_short_pairs),
-    "thue": (lambda s: thue_completion(s, check_confluence=False), ref_thue_in_stage_order),
+    "cstar": (resolve_short_pairs, ref_cstar),
+    "thue": (lambda s: thue_completion(s, check_confluence=False), ref_thue),
     "cdagger": (cdagger, ref_cdagger),
 }
 DIFFERENTIAL_SYSTEMS = corpus_pregroups() + [
@@ -628,8 +577,7 @@ def s_eps(request):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engines_match_set_based_references(s_eps, engine):
-    # extra in order (the Thue reference's sorted within each stage),
-    # certificates and stage, on S_eps of the corpus and of HNN(Z_n, Z_k);
+    # extra in order (each Thue stage's sorted), certificates and stage, on S_eps of the corpus and of HNN(Z_n, Z_k);
     # hnn_s3 is the largest (946 short cyclic words)
     run, ref = ENGINES[engine]
     assert _outcome(run, s_eps) == _outcome(ref, s_eps)
@@ -706,8 +654,8 @@ def _random_standard_system(rng, m):
 
 def test_engines_match_references_on_random_systems():
     # the pinned systems are all S_eps: no anchors, no x -> (); here C*, the
-    # Thue completion and C-dagger meet both, against the set-based
-    # references, extra in order, certificates and stage; some Thue runs
+    # Thue completion and C-dagger meet both, against the references read
+    # off their docstrings, extra in order, certificates and stage; some Thue runs
     # cross a stage boundary, where the order is sorted per stage
     rng = random.Random(20181)
     seen = collections.Counter()
@@ -751,14 +699,13 @@ def _reach_lemma_pairs(crs):
     brute force; asserts that u reaches each such v back.  thue_completion
     reads "u and v are mutually unreachable" off reach[u] alone on this
     lemma."""
-    step = ref_stepper(crs, {})
-    cache = {}
-    shorts = enumerate_short_cyclic_words(crs.base.alphabet, crs.base.m_of)
+    step = ref_steps(crs.base, crs.extra)
+    reach = functools.cache(lambda c: ref_reach(c, step)[0])
     found = 0
-    for v in shorts:
-        for u in ref_closure(v, step, cache):
+    for v in enumerate_short_cyclic_words(crs.base.alphabet, crs.base.m_of):
+        for u in reach(v):
             if u != v and len(v) <= len(u):
-                assert v in ref_closure(u, step, cache), (u, v)
+                assert v in reach(u), (u, v)
                 found += 1
     return found
 

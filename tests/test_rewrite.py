@@ -27,7 +27,7 @@ from cycrew.rewrite import (
 )
 from cycrew.words import Alphabet, CyclicWord, involute, rotations, shortlex_key
 
-from conftest import check_strong_confluence_naive, hnn_cyclic, ref_reach
+from conftest import check_strong_confluence_naive, hnn_cyclic, ref_joiner, ref_reach
 from test_pregroup import random_small_table
 
 
@@ -462,9 +462,8 @@ class TestConfluenceChecker:
         assert pool.descendants(w("b"), 5) is short
 
     def test_memoised_searches_match_the_parent_searches(self):
-        # one pool per system, its searches resumed from pair to pair; the
-        # parent's searches drop rewrites over the length bound silently,
-        # so they answer False where the pool raises BudgetExhausted
+        # one pool per system, its searches resumed from pair to pair,
+        # against ref_joiner, which searches afresh for each pair
         rng = random.Random(20125)
         seen = collections.Counter()
         for _ in range(150):
@@ -475,22 +474,19 @@ class TestConfluenceChecker:
 
             s = RewriteSystem(a, [Rule(word(0, 3), word(0, 4)) for _ in range(rng.randint(1, 4))])
             pool = _SuccessorPool(s)
+            joinable = ref_joiner(s)
             for _ in range(3):
                 succs = [y for y, _rid, _pos in word_successors(word(1, 4), s)]
                 for y, z in zip(succs, succs[1:]):
                     got = _outcome(_strongly_joinable, y, z, s, pool)
-                    want = _outcome(ref_strongly_joinable, y, z, s, _SuccessorPool(s))
-                    if got != want:
-                        assert (want, got) == (False, BudgetExhausted)
+                    assert got == _outcome(joinable, y, z)
+                    seen[got] += 1
+                    if got is BudgetExhausted:
                         cap = max(len(y), len(z)) + 2 * s.m_of
-                        assert pool.descendants(y, cap).pruned or pool.descendants(z, cap).pruned
-                    seen[got, want] += 1
-        for kind in [
-            (True, True),
-            (False, False),
-            (BudgetExhausted, BudgetExhausted),
-            (BudgetExhausted, False),
-        ]:
+                        searches = [pool.descendants(x, cap) for x in (y, z)]
+                        seen["length-pruned"] += any(d.pruned for d in searches)
+                        seen["node-capped"] += any(d.queue for d in searches)
+        for kind in [True, False, "node-capped", "length-pruned"]:
             assert seen[kind], (kind, seen)
 
     @staticmethod
@@ -504,51 +500,16 @@ class TestConfluenceChecker:
                 rules.append(Rule(lhs, rhs))
             yield RewriteSystem(a, rules)
 
-    def test_matches_naive_on_random_small_systems(self, rng):
-        verdicts = []
-        for s in self._random_systems(rng, 40):
-            assert check_strong_confluence(s).ok == check_strong_confluence_naive(s, 5).ok
-            verdicts.append(check_strong_confluence(s).ok)
-        assert True in verdicts and False in verdicts
-
-    def test_matches_naive_on_three_letters(self, rng):
-        verdicts = []
-        for s in self._random_systems(rng, 60, "abc"):
-            assert check_strong_confluence(s).ok == check_strong_confluence_naive(s, 5).ok
-            verdicts.append(check_strong_confluence(s).ok)
-        assert True in verdicts and False in verdicts
-
-    @staticmethod
-    def _all_overlapping_pairs(system):
-        # reference: every overlapping pair of redexes on every word made
-        # by overlapping or nesting two left-hand sides, all-pairs scan
-        lhss = sorted({lhs for lhs, _r, _i, _a in system.oriented_pairs()})
-        words = set(lhss)
-        for l1 in lhss:
-            for l2 in lhss:
-                for o in range(1, min(len(l1), len(l2))):
-                    if l1[len(l1) - o :] == l2[:o]:
-                        words.add(l1 + l2[o:])
-        pool = _SuccessorPool(system)
-        for x in sorted(words, key=lambda w: (len(w), w)):
-            redexes = [
-                (pos, pos + len(lhs), x[:pos] + rhs + x[pos + len(lhs) :])
-                for length in system._lhs_lengths
-                for pos in range(len(x) - length + 1)
-                for lhs, rhs, _i, _a in system.oriented_pairs()
-                if lhs == x[pos : pos + length]
-            ]
-            for i, (ai, bi, y) in enumerate(redexes):
-                for aj, bj, z in redexes[i + 1 :]:
-                    if y != z and ai < bj and aj < bi:
-                        if not _strongly_joinable(y, z, system, pool):
-                            return ConfluenceReport(False, (x, y, z))
-        return ConfluenceReport(True)
-
-    def test_critical_pairs_give_the_all_pairs_report(self, rng):
-        # same verdict and the same first counterexample
-        for s in self._random_systems(rng, 80, "abc"):
-            assert check_strong_confluence(s) == self._all_overlapping_pairs(s)
+    @pytest.mark.parametrize("letters, count", [("ab", 40), ("abc", 60), ("abc", 80)])
+    def test_reports_match_the_naive_check(self, rng, letters, count):
+        # the whole report, first counterexample included: overlap words
+        # have at most 5 letters here, and every word up to 5 is scanned
+        verdicts = set()
+        for s in self._random_systems(rng, count, letters):
+            report = check_strong_confluence(s)
+            assert report == check_strong_confluence_naive(s, 5)
+            verdicts.add(report.ok)
+        assert verdicts == {True, False}
 
     def test_counterexamples_replay(self, rng):
         # every reported divergence is real: both sides are one-step
@@ -562,7 +523,7 @@ class TestConfluenceChecker:
             x, y, z = report.counterexample
             succs = {r for r, _rid, _pos in word_successors(x, s)}
             assert y in succs and z in succs and y != z
-            assert not _strongly_joinable(y, z, s, _SuccessorPool(s))
+            assert not ref_joiner(s)(y, z)
         assert failures
 
 
@@ -623,65 +584,20 @@ def _overlap_words(system):
     return words
 
 
-def ref_check_strong_confluence(system):
+def ref_check_strong_confluence(system, max_nodes=2_000):
+    """Every pair of overlapping redexes of each overlap word, the words in
+    shortlex order and the pairs in redexes order, joined by ref_joiner:
+    the first pair that does not join is the counterexample."""
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
-    succ_or_self = _SuccessorPool(system)
+    joinable = ref_joiner(system, max_nodes)
     targets = rule_targets(system)
     for x in sorted(_overlap_words(system), key=shortlex_key):
-        n = len(x)
-        results = {}  # (start, end) -> the rewrites of x there
-        for pos, end, rhs, _rid in redexes(x, targets):
-            results.setdefault((pos, end), []).append(x[:pos] + rhs + x[end:])
-        spans = [(a, b, [(y, succ_or_self(y)) for y in ys]) for (a, b), ys in results.items()]
-        for i, (a1, b1, ys) in enumerate(spans):
-            partners = [
-                zs
-                for a2, b2, zs in spans[i + 1 :]
-                if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
-            ]
-            whole = a1 == 0 and b1 == n > 0
-            for k, (y, sy) in enumerate(ys):
-                for group in ([ys[k + 1 :]] if whole else []) + partners:
-                    for z, sz in group:
-                        if y == z or not sy.isdisjoint(sz):
-                            continue
-                        if not _strongly_joinable(y, z, system, succ_or_self):
-                            return ConfluenceReport(False, (x, y, z))
+        found = [(a, b, x[:a] + rhs + x[b:]) for a, b, rhs, _rid in redexes(x, targets)]
+        for (a1, b1, y), (a2, b2, z) in itertools.combinations(found, 2):
+            if a2 < b1 and a1 < b2 and y != z and not joinable(y, z):
+                return ConfluenceReport(False, (x, y, z))
     return ConfluenceReport(True)
-
-
-# The parent's descendant searches: no memo, breadth first in the order of
-# word_successors, and rewrites over the length bound are dropped without
-# marking the search as cut.
-
-
-def ref_bounded_descendants(w, system, max_len, max_nodes=2_000):
-    def step(x):
-        return [y for y, _rid, _pos in word_successors(x, system)]
-
-    seen, _over_length, cut = ref_reach(w, step, max_len, max_nodes)
-    return seen, cut
-
-
-def ref_strongly_joinable(y, z, system, succ_or_self):
-    sy = succ_or_self(y)
-    sz = succ_or_self(z)
-    if not sy.isdisjoint(sz):
-        return True
-    cap = max(len(y), len(z)) + 2 * system.m_of
-    dy, cut_y = ref_bounded_descendants(y, system, max_len=cap)
-    if not dy.isdisjoint(sz):
-        return True
-    dz, cut_z = ref_bounded_descendants(z, system, max_len=cap)
-    if not dz.isdisjoint(sy):
-        return True
-    if cut_y or cut_z:
-        fmt = system.alphabet.format
-        raise BudgetExhausted(
-            f"no strong join of {fmt(y)!r} and {fmt(z)!r} within the search bound"
-        )
-    return False
 
 
 def _outcome(f, *args):
@@ -933,10 +849,11 @@ def _tested_words(monkeypatch, system):
 
 
 class TestFormalInverseSkipMatchesFullScan:
-    """check_strong_confluence tests one word of each formal-inverse orbit
-    on invariant systems; its reports equal those of the full scan
-    ref_check_strong_confluence.  The words it tests are the first orbit
-    minima of the reference overlap words, in shortlex order."""
+    """On systems drawn near closure under the formal inverse, whose letter
+    symmetries include it when the rules are closed, check_strong_confluence
+    tests the orbit minima alone, and its reports equal those of the full
+    scan ref_check_strong_confluence.  The words it tests are the first
+    orbit minima of the reference overlap words, in shortlex order."""
 
     def test_random_involutive_systems(self, monkeypatch):
         rng = random.Random(20122)
@@ -1085,7 +1002,7 @@ class TestLetterSymmetries:
         for kind in ("order > 2", "lengthening", "budget", "skip before failure"):
             assert seen[kind], kind
 
-    def test_join_of_a_minimum_holds_for_its_images(self, monkeypatch):
+    def test_join_of_a_minimum_holds_for_its_images(self):
         # the full scan meets 'b c a' -> 'b d' at an image of a minimum
         # whose pairs were joined, and its search there stops at the node
         # bound; the check tests the minimum alone and decides, as the full
@@ -1099,8 +1016,7 @@ class TestLetterSymmetries:
         with pytest.raises(BudgetExhausted, match="'b c a' and 'b d'"):
             ref_check_strong_confluence(s)
         assert check_strong_confluence(s) == ConfluenceReport(True)
-        monkeypatch.setattr(_Descendants.__init__, "__defaults__", (20_000,))
-        assert ref_check_strong_confluence(s) == ConfluenceReport(True)
+        assert ref_check_strong_confluence(s, max_nodes=20_000) == ConfluenceReport(True)
 
     def test_s_eps_groups(self):
         # the orders of the pregroups' automorphism groups (the signed

@@ -95,3 +95,17 @@ def test_every_conftest_function_has_a_reader():
     }
     assert defined
     assert sorted(defined - _names_read(trees.values())) == []
+
+
+def test_conftest_imports_no_private_library_name():
+    # the oracles that conftest.py shares check the library, so they read
+    # only its public names and share none of its internals
+    tree = _test_trees()["conftest.py"]
+    found = [
+        f"conftest.py:{node.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cycrew"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
