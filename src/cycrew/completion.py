@@ -335,8 +335,9 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     At stage i, every short cyclic word w is compared with the words w' in
     its length-preserving congruence class; a divergence w -> u, w' -> v
     with |u| >= |v| >= 1, u and v not mutually reachable, forces the pair
-    (u, v) (and its flip when lengths tie).  Returns (CyclicRuleSet,
-    stop_index); the chain stabilises no later than stage 2 m(S) - 2.
+    (u, v); when the lengths tie, the divergence w' -> v, w -> u forces the
+    flip (v, u) in the same stage.  Returns (CyclicRuleSet, stop_index);
+    the chain stabilises no later than stage 2 m(S) - 2.
 
     extra lists the pairs stage by stage, and each stage's pairs in
     ascending order of (u, v) by shortlex order of the least rotations.
@@ -417,12 +418,7 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
                 if not fresh:
                     continue
                 seen_from[u] |= fresh
-                for v in _bits(fresh):
-                    new_pairs.append((u, v))
-                    # (v, u) is new too: it would have come with (u, v)
-                    if length[u] == length[v]:
-                        seen_from[v] |= 1 << u
-                        new_pairs.append((v, u))
+                new_pairs += [(u, v) for v in _bits(fresh)]
         if not new_pairs:
             return CyclicRuleSet(system, tuple(extra)), stage
         new_pairs.sort()

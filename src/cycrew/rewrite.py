@@ -13,7 +13,9 @@ end of the word, the whole word; on a cycle every redex is at a start and
 an end).  word_successors, reduce_greedy and _cyclic_redexes, the redexes
 of a cycle that cyclic_successors and the completions read, all read the
 index through _firing; check_strong_confluence, which accepts only
-unanchored systems, reads the plain targets through _plain_rewrites.
+unanchored systems, reads the plain targets through _plain_rewrites, and
+the index itself once per call, for the plain orientations whose reverse
+is a plain orientation too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from operator import itemgetter
 from typing import Optional
 
@@ -319,7 +322,10 @@ class _SuccessorPool:
     pool(w) is the frozenset of w and its one-step rewrites by the plain
     rules (the system of a confluence check is unanchored), and
     pool.steps(w) lists those rewrites in word_successors order; both read
-    _plain_rewrites.  pool.descendants(w, cap) is the one _Descendants
+    _plain_rewrites.  The check asks for pool(w) only on the two words of
+    a pair it tests, and it tests no pair with a reversible side, so on
+    S_eps, where most rules are symmetric, it fills few entries (167 on
+    HNN(Z6, Z3)).  pool.descendants(w, cap) is the one _Descendants
     search from w over words of at most cap letters, keyed by (w, cap): it
     keeps how far it has run and whether a bound cut it, so that a
     truncated set is never read as a complete one.
@@ -832,31 +838,59 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     BudgetExhausted at an image of a minimum whose pairs were joined, the
     check goes on and may decide.  A negative verdict still comes only
     from searches that ran to their end.
+
+    A pair with a reversible side closes strongly and is not tested.  The
+    redex of y <- x -> z that gives z replaces lhs by rhs at a span of x;
+    call it reversible when some plain rule takes rhs back to lhs (a
+    symmetric rule, or two opposite rules).  Then z -> x -> y, x by that
+    rule at that span, so w = y gives y ->(0) y <-* z: one reversible side
+    is enough, the other may be anything.  _strongly_joinable's search
+    from z would find this join, since x has at most |z| + m(S) letters,
+    within its length bound: the search meets unless its node bound cuts
+    it first.  So such a pair is never a counterexample, and only a search
+    cut at its node bound could have left it undecided.  The reversible
+    orientations are read off the index once per call, each overlap word
+    lists the results of its other redexes alone, and their pairs are
+    tested in the order of the full list.  So wherever the scan of every
+    pair decides, the report is the same, first counterexample included,
+    and a skipped pair can only take away a BudgetExhausted that its
+    search would have raised.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
+    index = system._index
+    plain = {(lhs, rhs) for lhs, slots in index.items() for _rid, rhs in slots[0]}
+    # lhs -> for each plain target, in index order, whether no plain rule
+    # takes it back to lhs (its redexes are not reversible)
+    forward = {
+        lhs: [(rhs, lhs) not in plain for _rid, rhs in slots[0]] for lhs, slots in index.items()
+    }
     pool = _SuccessorPool(system)
     for x in _orbit_minima(system, _symmetries(system)):
         n = len(x)
-        # (start, end, [(result word, its successors or self)]); the system
-        # is unanchored, so every target is plain
-        spans = [(a, b, [(y, pool(y)) for y in ys]) for a, b, ys in _plain_rewrites(x, system)]
+        # (start, end, the results of its redexes that are not reversible)
+        spans = []
+        for a, b, ys in _plain_rewrites(x, system):
+            ys = list(compress(ys, forward[x[a:b]]))
+            if ys:
+                spans.append((a, b, ys))
         for i, (a1, b1, ys) in enumerate(spans):
             # redex pairs in the order of the flat (span, rhs) redex list
             partners = [
-                zs
+                z
                 for a2, b2, zs in spans[i + 1 :]
                 if a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
+                for z in zs
             ]
-            whole = a1 == 0 and b1 == n > 0  # the span overlaps itself
-            for k, (y, sy) in enumerate(ys):
-                for group in ([ys[k + 1 :]] if whole else []) + partners:
-                    for z, sz in group:
-                        # the one-step meet, tried first by _strongly_joinable
-                        if y == z or not sy.isdisjoint(sz):
-                            continue
-                        if not _strongly_joinable(y, z, system, pool):
-                            return ConfluenceReport(False, (x, y, z))
+            # a span of all of x overlaps itself, and comes last
+            whole = a1 == 0 and b1 == n > 0
+            for k, y in enumerate(ys):
+                for z in ys[k + 1 :] if whole else partners:
+                    # the one-step meet, tried first by _strongly_joinable
+                    if y == z or not pool(y).isdisjoint(pool(z)):
+                        continue
+                    if not _strongly_joinable(y, z, system, pool):
+                        return ConfluenceReport(False, (x, y, z))
     return ConfluenceReport(True)
 
 

@@ -823,9 +823,14 @@ def _tested_words(monkeypatch, system):
     """The outcome of check_strong_confluence on system and the words it
     tested whose pairs reached _strongly_joinable.  The words it tests,
     those it takes from _orbit_minima, are the first orbit minima, all of
-    them when it found the system confluent."""
+    them when it found the system confluent.  Each side of a pair
+    y <- x -> z that reaches _strongly_joinable is the result of a redex
+    of x that no rule rewrites back at its own span (read off
+    rule_targets): the check skips the pairs with a reversible side, which
+    close strongly."""
     tested, searched = [], []
     generate, joinable = rewrite._orbit_minima, rewrite._strongly_joinable
+    targets = rule_targets(system)
 
     def spy_minima(system, symmetries):
         for x in generate(system, symmetries):
@@ -833,8 +838,15 @@ def _tested_words(monkeypatch, system):
             yield x
 
     def spy_joinable(y, z, system, pool):
+        x = tested[-1]
+        forward = {
+            x[:a] + rhs + x[b:]
+            for a, b, rhs, _rid in redexes(x, targets)
+            if x[a:b] not in [back for _rank, _rid, back in targets.get(rhs, ())]
+        }
+        assert y in forward and z in forward, (x, y, z)
         if searched[-1:] != tested[-1:]:
-            searched.append(tested[-1])
+            searched.append(x)
         return joinable(y, z, system, pool)
 
     with monkeypatch.context() as m:
@@ -846,6 +858,20 @@ def _tested_words(monkeypatch, system):
     if report == ConfluenceReport(True):
         assert tested == minima
     return report, searched
+
+
+def _s_eps_corpus():
+    """The pregroups whose S_eps the full scan checks.  hnn_s3 (|P| = 42)
+    is left to test_05_pregroup_corpus_axioms: the reference scan alone
+    takes seconds there."""
+    return [
+        samples.dihedral_infinity(),
+        samples.z4_amalgam_z6(),
+        samples.free_pregroup(2),
+        samples.z4_table(),
+        samples.s3_table(),
+        hnn_cyclic(4, 2),
+    ]
 
 
 class TestFormalInverseSkipMatchesFullScan:
@@ -887,17 +913,7 @@ class TestFormalInverseSkipMatchesFullScan:
             assert seen[kind], kind
 
     def test_s_eps_corpus(self):
-        # hnn_s3 (|P| = 42) is left to test_05_pregroup_corpus_axioms: the
-        # reference scan alone takes seconds there
-        pregroups = [
-            samples.dihedral_infinity(),
-            samples.z4_amalgam_z6(),
-            samples.free_pregroup(2),
-            samples.z4_table(),
-            samples.s3_table(),
-            hnn_cyclic(4, 2),
-        ]
-        for p in pregroups:
+        for p in _s_eps_corpus():
             s = derive_system(p, "S_eps")
             assert _closed_under_involute(s)
             report = check_strong_confluence(s)
@@ -1071,6 +1087,74 @@ class TestLetterSymmetries:
         assert all(perm[3:] == tuple(range(3, 300)) for perm, _rev in group)
         assert {(perm[:3], rev) for perm, rev in group} == _symmetries(small)
         assert _symmetries(small) == _brute_symmetries(small) and len(group) == 4
+
+
+def _pairs_with_a_side_back(system):
+    """Every critical pair y <- x -> z of system, read off redexes as in
+    ref_check_strong_confluence, with a side that rewrites back to x in one
+    step."""
+    targets = rule_targets(system)
+    for x in sorted(_overlap_words(system), key=shortlex_key):
+        found = [(a, b, x[:a] + rhs + x[b:]) for a, b, rhs, _rid in redexes(x, targets)]
+        back = {
+            y for _a, _b, y in found if x in [w for w, _rid, _pos in word_successors(y, system)]
+        }
+        for (a1, b1, y), (a2, b2, z) in itertools.combinations(found, 2):
+            if a2 < b1 and a1 < b2 and y != z and (y in back or z in back):
+                yield x, y, z
+
+
+class TestReversibleSides:
+    """A critical pair y <- x -> z with a side that rewrites back to x in
+    one step closes strongly (z -> x -> y gives y ->(0) y <-* z), so
+    check_strong_confluence skips the pairs with a reversible side, one
+    that a rule rewrites back at its own span."""
+
+    @staticmethod
+    def _joined_where_decided(systems):
+        seen = collections.Counter()
+        for s in systems:
+            joinable = ref_joiner(s)
+            for x, y, z in _pairs_with_a_side_back(s):
+                got = _outcome(joinable, y, z)
+                assert got is True or got is BudgetExhausted, (x, y, z)
+                seen[got] += 1
+        return seen
+
+    def test_s_eps_corpus(self):
+        seen = self._joined_where_decided(derive_system(p, "S_eps") for p in _s_eps_corpus())
+        assert seen[True] > 750_000 and not seen[BudgetExhausted], seen
+
+    def test_random_involutive_systems(self):
+        rng = random.Random(20122)
+        seen = self._joined_where_decided(_random_involutive_system(rng) for _ in range(2_000))
+        assert seen[True] > 25_000, seen
+
+    def test_random_symmetric_systems(self):
+        rng = random.Random(20123)
+        seen = self._joined_where_decided(_random_symmetric_system(rng)[0] for _ in range(1_000))
+        assert seen[True] > 40_000, seen
+
+    @pytest.mark.parametrize("rules, counterexample", [
+        # ab <-> ba as two plain rules: every pair has a reversible side
+        ([("ab", "ba"), ("ba", "ab")], None),
+        # aba and bab lead with pairs that have a reversible side; the
+        # first pair of two redexes that are not reversible, bf <- bab -> c,
+        # fails, ahead of c <- bab -> d
+        ([("ab", "ba"), ("ba", "ab"), ("ab", "f"), ("bab", "c"), ("bab", "d")], ("bab", "bf", "c")),
+    ])
+    def test_opposite_rules_not_marked_symmetric(self, monkeypatch, rules, counterexample):
+        a = Alphabet.from_pairs("abcdf", [])
+        w = a.word
+        s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+        report, searched = _tested_words(monkeypatch, s)
+        want, searched_words = ConfluenceReport(True), []
+        if counterexample is not None:
+            want, searched_words = ConfluenceReport(False, tuple(map(w, counterexample))), [w("bab")]
+        assert report == ref_check_strong_confluence(s) == want
+        # the skipped pairs of aba (baa <- aba -> fa, say) do not reach
+        # _strongly_joinable
+        assert searched == searched_words
 
 
 class TestOrbitMinima:
