@@ -1,6 +1,7 @@
 """Rules on the library's source that no behavioural test can see."""
 
 import ast
+import collections
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cycrew"
@@ -109,3 +110,46 @@ def test_conftest_imports_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def _reads(node):
+    """The names node reads: names loaded, attributes, and strings, which
+    the benchmark's tracer passes to getattr."""
+    found = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def test_every_private_library_name_has_a_reader():
+    # code the system never reads is deleted: a top-level _name of the
+    # library is read by the library or the benchmark, outside its own
+    # definition; tests do not count
+    library = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((SRC.parent.parent / "bench").glob("*.py"))]
+    read = sum((_reads(tree) for tree in library + bench), collections.Counter())
+    defined = collections.defaultdict(list)  # name -> its defining statements
+    for tree in library:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name].append(node)
+    assert defined
+    unread = [
+        name
+        for name, nodes in defined.items()
+        if read[name] <= sum(_reads(node)[name] for node in nodes)
+    ]
+    assert sorted(unread) == []
