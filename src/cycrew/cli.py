@@ -216,7 +216,7 @@ def cmd_from_amalgam(args) -> int:
     hb = _subgroup_tokens(args.hb, subs_b)
     if len(ha) != len(hb):
         raise InvalidEmbedding("subgroup token lists differ in size")
-    if args.map:
+    if args.map is not None:
         pairing = _token_pairs("--map", args.map)
         unknown = sorted(set(pairing) - set(ha))
         missing = [t for t in ha if t not in pairing]
@@ -246,7 +246,7 @@ def cmd_from_hnn(args) -> int:
     H, subs, maps = parse_grp(_read(args.file))
     sub_a = _subgroup_tokens(args.sub_a, subs)
     sub_b = _subgroup_tokens(args.sub_b, subs)
-    if args.phi:
+    if args.phi is not None:
         phi = _token_pairs("--phi", args.phi)
     elif (args.sub_a, args.sub_b) in maps:
         phi = maps[(args.sub_a, args.sub_b)]

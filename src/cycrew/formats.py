@@ -67,16 +67,29 @@ def _keyed(entries, key: str):
     return found[0]
 
 
-def _parse_pairs(text: str, no: int):
+def _read_pairs(entries):
+    """The (x, y) token pairs of every 'pairs:' line among a section's
+    entries, in order; an empty 'pairs:' line gives none."""
     pairs = []
-    if not text:
-        return pairs
-    for chunk in text.split(","):
-        toks = chunk.split()
-        if len(toks) != 2:
-            raise ParseError(f"bad involution pair {chunk.strip()!r}", no)
-        pairs.append((toks[0], toks[1]))
+    for no, line in entries:
+        if not line.startswith("pairs:") or not line[6:].strip():
+            continue
+        for chunk in line[6:].split(","):
+            toks = chunk.split()
+            if len(toks) != 2:
+                raise ParseError(f"bad involution pair {chunk.strip()!r}", no)
+            pairs.append((toks[0], toks[1]))
     return pairs
+
+
+def _pairs_line(tokens, involution):
+    """The 'pairs:' line for the tokens that involution, a self-inverse
+    index map, swaps: each pair once, in ascending index order; no line
+    when it swaps none."""
+    pairs = [(i, j) for i, j in enumerate(involution) if i < j]
+    if not pairs:
+        return []
+    return ["pairs: " + ", ".join(f"{tokens[i]} {tokens[j]}" for i, j in pairs)]
 
 
 def _word(alphabet: Alphabet, toks, no: int):
@@ -102,12 +115,8 @@ def parse_rws(text: str):
     letters = letters_text.split()
     if "1" in letters:
         raise ParseError("'1' is reserved for the empty word", _no)
-    pairs = []
-    for no, line in alpha_entries:
-        if line.startswith("pairs:"):
-            pairs += _parse_pairs(line[6:].strip(), no)
     try:
-        alphabet = Alphabet.from_pairs(letters, pairs)
+        alphabet = Alphabet.from_pairs(letters, _read_pairs(alpha_entries))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     rules = []
@@ -146,13 +155,7 @@ def _fmt_word(alphabet: Alphabet, w) -> str:
 def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
     a = system.alphabet
     out = ["[alphabet]", f"letters: {' '.join(a.letters)}"]
-    pairs = sorted(
-        {tuple(sorted((i, a.involution[i]))) for i in range(len(a)) if a.involution[i] != i}
-    )
-    if pairs:
-        out.append(
-            "pairs: " + ", ".join(f"{a.letters[i]} {a.letters[j]}" for i, j in pairs)
-        )
+    out += _pairs_line(a.letters, a.involution)
     out.append("[rules]")
     for r in system.rules:
         arrow = "<->" if r.symmetric else "->"
@@ -192,11 +195,9 @@ def parse_pg(text: str) -> Pregroup:
     elements = elements_text.split()
     _no, epsilon = _keyed(entries, "epsilon")
     involution = {}
-    for no, line in entries:
-        if line.startswith("pairs:"):
-            for x, y in _parse_pairs(line[6:].strip(), no):
-                involution[x] = y
-                involution[y] = x
+    for x, y in _read_pairs(entries):
+        involution[x] = y
+        involution[y] = x
     product = _parse_product(sections.get("product", []), set(elements))
     try:
         return Pregroup(elements, epsilon, involution, product)
@@ -207,11 +208,7 @@ def parse_pg(text: str) -> Pregroup:
 def emit_pg(p: Pregroup) -> str:
     toks = p.elements
     out = ["[pregroup]", f"elements: {' '.join(toks)}", f"epsilon: {toks[p.eps]}"]
-    pairs = sorted(
-        {tuple(sorted((i, p.inv[i]))) for i in range(len(p)) if p.inv[i] != i}
-    )
-    if pairs:
-        out.append("pairs: " + ", ".join(f"{toks[i]} {toks[j]}" for i, j in pairs))
+    out += _pairs_line(toks, p.inv)
     out.append("[product]")
     for i in range(len(p)):
         if i == p.eps:

@@ -304,12 +304,14 @@ class TestFromAmalgam:
         )
 
     def test_map_entry_without_colon_named(self, files, capsys):
-        argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
-                "--ha", "e s", "--hb", "e s", "--map", "e:e,s"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: --map entry 's' is not of the form x:y\n"
-        )
+        # an empty --map is one empty entry, not "no --map given"
+        for pairing, entry in [("e:e,s", "s"), ("", "")]:
+            argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
+                    "--ha", "e s", "--hb", "e s", "--map", pairing]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: --map entry {entry!r} is not of the form x:y\n"
+            )
 
     def test_map_token_given_twice_named(self, files, capsys):
         # without the check the last entry for e would win, and the map
@@ -401,12 +403,14 @@ class TestFromHnn:
         )
 
     def test_phi_entry_without_colon_named(self, files, capsys):
-        argv = ["from-hnn", files["s3.grp"], "--sub-a", "A", "--sub-b", "A",
-                "--phi", "e:e, s"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: --phi entry 's' is not of the form x:y\n"
-        )
+        # an empty --phi is one empty entry, not "no --phi given"
+        for phi, entry in [("e:e, s", "s"), ("", "")]:
+            argv = ["from-hnn", files["s3.grp"], "--sub-a", "A", "--sub-b", "A",
+                    "--phi", phi]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: --phi entry {entry!r} is not of the form x:y\n"
+            )
 
     @pytest.mark.parametrize(
         "flags",

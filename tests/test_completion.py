@@ -652,17 +652,28 @@ def _random_standard_system(rng, m):
     return RewriteSystem(a, rules)
 
 
-def test_engines_match_references_on_random_systems():
+@pytest.fixture(scope="module")
+def random_standard_corpus():
+    """The 300 seed-20181 systems of _random_standard_system, each with its
+    outcome under every engine of ENGINES, drawn and run once for the
+    tests that read them."""
+    rng = random.Random(20181)
+    corpus = []
+    for _ in range(300):
+        s = _random_standard_system(rng, rng.choice([2, 2, 3]))
+        corpus.append((s, {engine: _outcome(run, s) for engine, (run, _ref) in ENGINES.items()}))
+    return corpus
+
+
+def test_engines_match_references_on_random_systems(random_standard_corpus):
     # the pinned systems are all S_eps: no anchors, no x -> (); here C*, the
     # Thue completion and C-dagger meet both, against the references read
     # off their docstrings, extra in order, certificates and stage; some Thue runs
     # cross a stage boundary, where the order is sorted per stage
-    rng = random.Random(20181)
     seen = collections.Counter()
-    for _ in range(300):
-        s = _random_standard_system(rng, rng.choice([2, 2, 3]))
-        for engine, (run, ref) in ENGINES.items():
-            got = _outcome(run, s)
+    for s, outcomes in random_standard_corpus:
+        for engine, (_run, ref) in ENGINES.items():
+            got = outcomes[engine]
             assert got == _outcome(ref, s), (engine, s.rules)
             if isinstance(got, tuple):
                 seen[engine, "pairs"] += bool(got[0])
@@ -716,14 +727,11 @@ def test_thue_reach_implies_coreach(s_eps):
     assert _reach_lemma_pairs(crs)
 
 
-def test_thue_reach_implies_coreach_on_random_systems():
-    rng = random.Random(20181)
+def test_thue_reach_implies_coreach_on_random_systems(random_standard_corpus):
+    # the reach lemma on the Thue results of the engines test's corpus
     found = 0
-    for _ in range(300):
-        s = _random_standard_system(rng, rng.choice([2, 2, 3]))
-        try:
-            crs, _stage = thue_completion(s, check_confluence=False)
-        except (PreconditionViolated, RuntimeError):
-            continue
-        found += _reach_lemma_pairs(crs)
+    for s, outcomes in random_standard_corpus:
+        got = outcomes["thue"]
+        if isinstance(got, tuple):
+            found += _reach_lemma_pairs(CyclicRuleSet(s, got[0]))
     assert found

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 
@@ -509,21 +510,6 @@ class TestConfluenceChecker:
             verdicts.add(report.ok)
         assert verdicts == {True, False}
 
-    def test_counterexamples_replay(self, rng):
-        # every reported divergence is real: both sides are one-step
-        # rewrites of the source and they do not join strongly
-        failures = 0
-        for s in self._random_systems(rng, 80, "abc"):
-            report = check_strong_confluence(s)
-            if report.ok:
-                continue
-            failures += 1
-            x, y, z = report.counterexample
-            succs = {r for r, _rid, _pos in word_successors(x, s)}
-            assert y in succs and z in succs and y != z
-            assert not ref_joiner(s)(y, z)
-        assert failures
-
 
 # One rewrite oracle read off system.rules, in place of the library's rule
 # index: the scanners are checked against it, and the full scan
@@ -582,19 +568,30 @@ def _overlap_words(system):
     return words
 
 
-def ref_check_strong_confluence(system, max_nodes=2_000):
-    """Every pair of overlapping redexes of each overlap word, the words in
-    shortlex order and the pairs in redexes order, joined by ref_joiner:
-    the first pair that does not join is the counterexample."""
-    if system.has_anchored_rules():
-        raise ValueError("strong confluence check requires an unanchored system")
-    joinable = ref_joiner(system, max_nodes)
+def _overlapping_pairs(system):
+    """(x, (a1, b1, y), (a2, b2, z)) for every pair of overlapping redexes
+    of each overlap word x whose results y and z differ: the words in
+    shortlex order, each word's pairs as combinations in redexes order.
+    ref_check_strong_confluence, _open_pairs and the side-back lemma of
+    _scanned are filters over this one scan."""
     targets = rule_targets(system)
     for x in sorted(_overlap_words(system), key=shortlex_key):
         found = [(a, b, x[:a] + rhs + x[b:]) for a, b, rhs, _rid in redexes(x, targets)]
-        for (a1, b1, y), (a2, b2, z) in itertools.combinations(found, 2):
-            if a2 < b1 and a1 < b2 and y != z and not joinable(y, z):
-                return ConfluenceReport(False, (x, y, z))
+        for p, q in itertools.combinations(found, 2):
+            (a1, b1, y), (a2, b2, z) = p, q
+            if a2 < b1 and a1 < b2 and y != z:
+                yield x, p, q
+
+
+def ref_check_strong_confluence(system, max_nodes=2_000):
+    """The full scan: the first pair of _overlapping_pairs that ref_joiner
+    does not join is the counterexample."""
+    if system.has_anchored_rules():
+        raise ValueError("strong confluence check requires an unanchored system")
+    joinable = ref_joiner(system, max_nodes)
+    for x, (_a1, _b1, y), (_a2, _b2, z) in _overlapping_pairs(system):
+        if not joinable(y, z):
+            return ConfluenceReport(False, (x, y, z))
     return ConfluenceReport(True)
 
 
@@ -642,7 +639,7 @@ def greedy_path(w, targets):
         path.append(x[:pos] + rhs + x[end:])
 
 
-class TestOneIndexMatchesAnchorKeyedIndex:
+class TestScannersMatchRuleOracle:
     def test_random_systems(self):
         # the scanners against the rule oracle
         rng = random.Random(20121)
@@ -701,12 +698,14 @@ def _closed_under_involute(system):
             pairs.add((r.rhs, r.lhs))
     return pairs == {(involute(l, a), involute(r, a)) for l, r in pairs}
 
+
 def _apply(g, w):
     """g(w) for a letter map g = (perm, rev): letters mapped, then the word
     reversed when rev."""
     perm, rev = g
     image = tuple(map(perm.__getitem__, w))
     return image[::-1] if rev else image
+
 
 def _random_involutive_system(rng):
     """Unanchored rules over 2-4 letters whose involution pairs letters in
@@ -740,134 +739,6 @@ def _random_involutive_system(rng):
             rules.append(image)
     return RewriteSystem(a, rules)
 
-def _live_results(x, targets):
-    """(start, end, result) for each redex of x, in redexes order, that no
-    rule rewrites back at its own span: the live redexes, whose pairs
-    check_strong_confluence tests."""
-    return [
-        (a, b, x[:a] + rhs + x[b:])
-        for a, b, rhs, _rid in redexes(x, targets)
-        if x[a:b] not in [back for _rank, _rid, back in targets.get(rhs, ())]
-    ]
-
-
-def _open_pairs(system):
-    """The pairs y <- x -> z that check_strong_confluence searches, in the
-    full scan's order (the overlap words in shortlex order, each word's
-    pairs in redexes order): every pair of two live redexes whose spans
-    overlap and together cover x, and that the one-step meet, read off
-    word_successors, leaves open."""
-    targets = rule_targets(system)
-
-    def meet(y):
-        return {y} | {w for w, _rid, _pos in word_successors(y, system)}
-
-    for x in sorted(_overlap_words(system), key=shortlex_key):
-        n = len(x)
-        for (a1, b1, y), (a2, b2, z) in itertools.combinations(_live_results(x, targets), 2):
-            covers = a2 < b1 and a1 < b2 and min(a1, a2) == 0 and max(b1, b2) == n
-            if covers and y != z and not meet(y) & meet(z):
-                yield x, y, z
-
-
-def _tested_words(monkeypatch, system):
-    """The outcome of check_strong_confluence on system and the words x
-    whose pairs reached _strongly_joinable, in order.  The pairs that reach
-    it are the first pairs of _open_pairs, in its order: all of them when
-    the check found the system confluent, else up to the one it stopped
-    at, its counterexample when it found one.  Both sides of each are live
-    results of its word x, and those words come in shortlex order."""
-    searched = []
-    joinable = rewrite._strongly_joinable
-
-    def spy(y, z, system, pool):
-        searched.append((y, z))
-        return joinable(y, z, system, pool)
-
-    with monkeypatch.context() as m:
-        m.setattr(rewrite, "_strongly_joinable", spy)
-        report = _outcome(check_strong_confluence, system)
-    reference = _open_pairs(system)
-    if report != ConfluenceReport(True):
-        assert searched  # only a search fails or raises BudgetExhausted
-        reference = itertools.islice(reference, len(searched))
-    reference = list(reference)
-    assert searched == [(y, z) for _x, y, z in reference]
-    if report not in (BudgetExhausted, ConfluenceReport(True)):
-        assert report.counterexample == reference[-1]
-    targets = rule_targets(system)
-    words = []
-    for x, y, z in reference:
-        live = {w for _a, _b, w in _live_results(x, targets)}
-        assert y in live and z in live, (x, y, z)
-        if words[-1:] != [x]:
-            words.append(x)
-    assert words == sorted(words, key=shortlex_key)
-    return report, words
-
-def _s_eps_corpus():
-    """The pregroups whose S_eps the full scan checks.  hnn_s3 (|P| = 42)
-    is left to test_05_pregroup_corpus_axioms: the reference scan alone
-    takes seconds there."""
-    return [
-        samples.dihedral_infinity(),
-        samples.z4_amalgam_z6(),
-        samples.free_pregroup(2),
-        samples.z4_table(),
-        samples.s3_table(),
-        hnn_cyclic(4, 2),
-    ]
-
-class TestFormalInverseSkipMatchesFullScan:
-    """On systems drawn near closure under the formal inverse, and on S_eps,
-    the reports of check_strong_confluence equal those of the full scan
-    ref_check_strong_confluence, and the pairs it searches are those of
-    _open_pairs."""
-
-    def test_random_involutive_systems(self, monkeypatch):
-        rng = random.Random(20122)
-        seen = collections.Counter()
-        for _ in range(2_000):
-            s = _random_involutive_system(rng)
-            report, searched = _tested_words(monkeypatch, s)
-            assert report == _outcome(ref_check_strong_confluence, s)
-            seen["searched"] += bool(searched)
-            invariant = _closed_under_involute(s)
-            seen["invariant", invariant] += 1
-            seen["paired"] += any(i != j for i, j in enumerate(s.alphabet.involution))
-            seen["empty lhs"] += any(r.lhs == () for r in s.rules)
-            seen["lengthening"] += s.has_length_increasing_rules()
-            if report is not BudgetExhausted:
-                seen["ok", report.ok] += 1
-        assert seen["paired"] > 1_500 and seen["searched"] > 900, seen
-        assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
-        assert seen["ok", True] and seen["ok", False]
-        for kind in ("empty lhs", "lengthening"):
-            assert seen[kind], kind
-
-    def test_s_eps_corpus(self, monkeypatch):
-        # the one-step meet closes every pair of two live redexes
-        for p in _s_eps_corpus():
-            s = derive_system(p, "S_eps")
-            assert _closed_under_involute(s)
-            report, searched = _tested_words(monkeypatch, s)
-            assert report.ok and searched == []
-            assert report == ref_check_strong_confluence(s)
-
-    def test_s_eps_of_random_tables(self):
-        rng = random.Random(1)
-        seen = collections.Counter()
-        large = 0  # non-invariant tables on 4-6 elements
-        for _ in range(400):
-            p = random_small_table(rng)
-            s = derive_system(p, "S_eps")
-            invariant = _closed_under_involute(s)
-            report = check_strong_confluence(s)
-            assert report == ref_check_strong_confluence(s)
-            large += not invariant and len(p) > 3
-            seen[invariant, report.ok] += 1
-        assert len(seen) == 4, seen
-        assert large > 200
 
 def _random_symmetric_system(rng, max_lhs=3):
     """Unanchored rules over 2-5 letters closed under a random letter map g:
@@ -905,50 +776,193 @@ def _random_symmetric_system(rng, max_lhs=3):
         rules.pop()
     return RewriteSystem(a, rules)
 
-def _pairs_with_a_side_back(system):
-    """Every critical pair y <- x -> z of system, read off redexes as in
-    ref_check_strong_confluence, with a side that rewrites back to x in one
-    step."""
+
+def _open_pairs(system):
+    """The pairs y <- x -> z of _overlapping_pairs that
+    check_strong_confluence searches, in its order: both redexes live (no
+    rule rewrites the result back at the redex's span), their spans
+    together cover x, and the one-step meets, read off word_successors,
+    are disjoint."""
     targets = rule_targets(system)
-    for x in sorted(_overlap_words(system), key=shortlex_key):
-        found = [(a, b, x[:a] + rhs + x[b:]) for a, b, rhs, _rid in redexes(x, targets)]
-        back = {
-            y for _a, _b, y in found if x in [w for w, _rid, _pos in word_successors(y, system)]
-        }
-        for (a1, b1, y), (a2, b2, z) in itertools.combinations(found, 2):
-            if a2 < b1 and a1 < b2 and y != z and (y in back or z in back):
-                yield x, y, z
+    reversible = {
+        (lhs, rhs)
+        for lhs, ts in targets.items()
+        for _rank, _rid, rhs in ts
+        if lhs in [back for _rank, _rid, back in targets.get(rhs, ())]
+    }
+
+    def live(x, a, b, y):
+        return (x[a:b], y[a : len(y) - len(x) + b]) not in reversible
+
+    @functools.cache
+    def meet(y):
+        return {y} | {w for w, _rid, _pos in word_successors(y, system)}
+
+    for x, (a1, b1, y), (a2, b2, z) in _overlapping_pairs(system):
+        covers = (a1 == 0 or a2 == 0) and len(x) in (b1, b2)
+        if covers and live(x, a1, b1, y) and live(x, a2, b2, z) and not meet(y) & meet(z):
+            yield x, y, z
+
+
+def _tested_words(monkeypatch, system):
+    """The outcome of check_strong_confluence on system and the words x
+    whose pairs reached _strongly_joinable, in order.  The pairs that reach
+    it are the first pairs of _open_pairs, in its order: all of them when
+    the check found the system confluent, else up to the one it stopped
+    at, its counterexample when it found one."""
+    searched = []
+    joinable = rewrite._strongly_joinable
+
+    def spy(y, z, system, pool):
+        searched.append((y, z))
+        return joinable(y, z, system, pool)
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_strongly_joinable", spy)
+        report = _outcome(check_strong_confluence, system)
+    reference = _open_pairs(system)
+    if report != ConfluenceReport(True):
+        assert searched  # only a search fails or raises BudgetExhausted
+        reference = itertools.islice(reference, len(searched))
+    reference = list(reference)
+    assert searched == [(y, z) for _x, y, z in reference]
+    if report not in (BudgetExhausted, ConfluenceReport(True)):
+        assert report.counterexample == reference[-1]
+    return report, list(dict.fromkeys(x for x, _y, _z in reference))
+
+
+def _against_full_scan(monkeypatch, system, want, seen):
+    """check_strong_confluence on system against want, the full scan's
+    outcome: the reports are equal wherever the scan decides, and the
+    check searches the pairs of _open_pairs.  seen counts the outcomes;
+    returns the check's report and searched words."""
+    report, searched = _tested_words(monkeypatch, system)
+    seen["full scan undecided"] += want is BudgetExhausted
+    assert report == want or want is BudgetExhausted
+    seen["m", system.m_of] += 1
+    seen["searched"] += bool(searched)
+    seen["lengthening"] += system.has_length_increasing_rules()
+    if report is BudgetExhausted:
+        seen["budget"] += 1
+    else:
+        seen["ok", report.ok] += 1
+    return report, searched
+
+
+def _scanned(systems):
+    """Each system with the outcome of ref_check_strong_confluence on it,
+    read with one ref_joiner in one pass over _overlapping_pairs that checks
+    the reversible-side lemma on the way: every pair with a side that
+    rewrites back to x in one step joins where the joiner decides, after the
+    pair the scan stops at too.  The second result counts those pairs of all
+    the systems by outcome, and a pair the joiner does not join under its
+    (x, y, z)."""
+    scanned, side_backs = [], collections.Counter()
+    for system in systems:
+        joinable = ref_joiner(system)
+        step = functools.cache(lambda w, s=system: {v for v, _rid, _pos in word_successors(w, s)})
+        want = None
+        for x, (_a1, _b1, y), (_a2, _b2, z) in _overlapping_pairs(system):
+            back = x in step(y) or x in step(z)
+            if back or want is None:
+                got = _outcome(joinable, y, z)
+                if back:
+                    side_backs[got if got is True or got is BudgetExhausted else (x, y, z)] += 1
+                if got is not True and want is None:
+                    want = got if got is BudgetExhausted else ConfluenceReport(False, (x, y, z))
+        scanned.append((system, ConfluenceReport(True) if want is None else want))
+    return scanned, side_backs
+
+
+@pytest.fixture(scope="module")
+def s_eps_corpus():
+    """S_eps of six pregroups.  hnn_s3 (|P| = 42) is left to
+    test_05_pregroup_corpus_axioms: the full scan takes seconds there."""
+    return _scanned(derive_system(p, "S_eps") for p in [
+        samples.dihedral_infinity(),
+        samples.z4_amalgam_z6(),
+        samples.free_pregroup(2),
+        samples.z4_table(),
+        samples.s3_table(),
+        hnn_cyclic(4, 2),
+    ])
+
+
+@pytest.fixture(scope="module")
+def involutive_corpus():
+    """2,000 systems drawn near closure under the formal inverse."""
+    rng = random.Random(20122)
+    return _scanned(_random_involutive_system(rng) for _ in range(2_000))
+
+
+@pytest.fixture(scope="module")
+def symmetric_corpus():
+    """1,000 systems closed under a random letter map."""
+    rng = random.Random(20123)
+    return _scanned(_random_symmetric_system(rng) for _ in range(1_000))
+
+
+class TestFormalInverseSkipMatchesFullScan:
+    """On systems drawn near closure under the formal inverse, and on S_eps,
+    the reports of check_strong_confluence equal those of the full scan
+    ref_check_strong_confluence, and the pairs it searches are those of
+    _open_pairs (the class is named after a skip the check no longer has)."""
+
+    def test_random_involutive_systems(self, monkeypatch, involutive_corpus):
+        seen = collections.Counter()
+        for s, want in involutive_corpus[0]:
+            report, _searched = _against_full_scan(monkeypatch, s, want, seen)
+            assert report == want
+            seen["invariant", _closed_under_involute(s)] += 1
+            seen["paired"] += any(i != j for i, j in enumerate(s.alphabet.involution))
+            seen["empty lhs"] += any(r.lhs == () for r in s.rules)
+        assert seen["paired"] > 1_500 and seen["searched"] > 900, seen
+        assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
+        assert seen["ok", True] and seen["ok", False]
+        for kind in ("empty lhs", "lengthening"):
+            assert seen[kind], kind
+
+    def test_s_eps_corpus(self, monkeypatch, s_eps_corpus):
+        # the one-step meet closes every pair of two live redexes
+        for s, want in s_eps_corpus[0]:
+            assert _closed_under_involute(s)
+            report, searched = _against_full_scan(monkeypatch, s, want, collections.Counter())
+            assert report.ok and searched == [] and report == want
+
+    def test_s_eps_of_random_tables(self):
+        rng = random.Random(1)
+        seen = collections.Counter()
+        large = 0  # non-invariant tables on 4-6 elements
+        for _ in range(400):
+            p = random_small_table(rng)
+            s = derive_system(p, "S_eps")
+            invariant = _closed_under_involute(s)
+            report = check_strong_confluence(s)
+            assert report == ref_check_strong_confluence(s)
+            large += not invariant and len(p) > 3
+            seen[invariant, report.ok] += 1
+        assert len(seen) == 4, seen
+        assert large > 200
+
 
 class TestReversibleSides:
     """A critical pair y <- x -> z with a side that rewrites back to x in
     one step closes strongly (z -> x -> y gives y ->(0) y <-* z), so
     check_strong_confluence skips the pairs with a reversible side, one
-    that a rule rewrites back at its own span."""
+    that a rule rewrites back at its own span.  On each corpus the pairs
+    with a side back join wherever ref_joiner decides."""
 
-    @staticmethod
-    def _joined_where_decided(systems):
-        seen = collections.Counter()
-        for s in systems:
-            joinable = ref_joiner(s)
-            for x, y, z in _pairs_with_a_side_back(s):
-                got = _outcome(joinable, y, z)
-                assert got is True or got is BudgetExhausted, (x, y, z)
-                seen[got] += 1
-        return seen
+    def test_s_eps_corpus(self, s_eps_corpus):
+        side_backs = s_eps_corpus[1]
+        assert set(side_backs) == {True} and side_backs[True] > 750_000, side_backs
 
-    def test_s_eps_corpus(self):
-        seen = self._joined_where_decided(derive_system(p, "S_eps") for p in _s_eps_corpus())
-        assert seen[True] > 750_000 and not seen[BudgetExhausted], seen
+    def test_random_involutive_systems(self, involutive_corpus):
+        side_backs = involutive_corpus[1]
+        assert set(side_backs) <= {True, BudgetExhausted} and side_backs[True] > 25_000, side_backs
 
-    def test_random_involutive_systems(self):
-        rng = random.Random(20122)
-        seen = self._joined_where_decided(_random_involutive_system(rng) for _ in range(2_000))
-        assert seen[True] > 25_000, seen
-
-    def test_random_symmetric_systems(self):
-        rng = random.Random(20123)
-        seen = self._joined_where_decided(_random_symmetric_system(rng) for _ in range(1_000))
-        assert seen[True] > 40_000, seen
+    def test_random_symmetric_systems(self, symmetric_corpus):
+        side_backs = symmetric_corpus[1]
+        assert set(side_backs) <= {True, BudgetExhausted} and side_backs[True] > 40_000, side_backs
 
     @pytest.mark.parametrize("rules, counterexample", [
         # ab <-> ba as two plain rules: every pair has a reversible side
@@ -971,33 +985,16 @@ class TestReversibleSides:
         # _strongly_joinable
         assert searched == searched_words
 
+
 class TestCriticalPairs:
     """check_strong_confluence reads its critical pairs off the live rules
     alone; its reports equal those of the full scan
     ref_check_strong_confluence wherever that scan decides."""
 
-    @staticmethod
-    def _against_full_scan(monkeypatch, systems):
+    def test_random_symmetric_systems(self, monkeypatch, symmetric_corpus):
         seen = collections.Counter()
-        for s in systems:
-            report, searched = _tested_words(monkeypatch, s)
-            want = _outcome(ref_check_strong_confluence, s)
-            seen["full scan undecided"] += want is BudgetExhausted
-            assert report == want or want is BudgetExhausted
-            seen["m", s.m_of] += 1
-            seen["searched"] += bool(searched)
-            seen["lengthening"] += s.has_length_increasing_rules()
-            if report is BudgetExhausted:
-                seen["budget"] += 1
-            else:
-                seen["ok", report.ok] += 1
-        return seen
-
-    def test_random_symmetric_systems(self, monkeypatch):
-        rng = random.Random(20123)
-        seen = self._against_full_scan(
-            monkeypatch, (_random_symmetric_system(rng) for _ in range(1_000))
-        )
+        for s, want in symmetric_corpus[0]:
+            _against_full_scan(monkeypatch, s, want, seen)
         assert seen["ok", True] > 200 and seen["ok", False] > 200
         assert seen["searched"] > 450, seen
         # the full scan decides all but a few (2 of the 1,000 draws)
@@ -1015,9 +1012,10 @@ class TestCriticalPairs:
         assert w("abcd") not in _overlap_words(s)
         assert check_strong_confluence(s) == ref_check_strong_confluence(s)
         rng = random.Random(20127)
-        seen = self._against_full_scan(
-            monkeypatch, (_random_symmetric_system(rng, max_lhs=5) for _ in range(300))
-        )
+        seen = collections.Counter()
+        for _ in range(300):
+            s = _random_symmetric_system(rng, max_lhs=5)
+            _against_full_scan(monkeypatch, s, _outcome(ref_check_strong_confluence, s), seen)
         assert seen["m", 4] and seen["m", 5], seen
         assert seen["ok", True] > 100 and seen["ok", False] > 150, seen
         assert seen["searched"] > 150, seen

@@ -69,33 +69,46 @@ def test_tests_import_only_names_they_use():
     assert found == []
 
 
+def _unread_test_helpers(keep):
+    """The module-level functions and classes under tests/ that keep(module,
+    name) selects and no module there reads, as sorted (module, name);
+    asserts that keep selects some.  pytest finds tests, Test* classes,
+    hooks and fixtures by name, so they are never selected."""
+    trees = _test_trees()
+    helpers = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith(("test_", "Test", "pytest_"))
+        and not any(ast.unparse(d).startswith("pytest.fixture") for d in node.decorator_list)
+        and keep(module, node.name)
+    ]
+    assert helpers
+    read = _names_read(trees.values())
+    return sorted(key for key in helpers if key[1] not in read)
+
+
 def test_every_reference_copy_has_a_caller():
     # a module-level ref_* definition under tests/ is a reference kept for
     # a differential test; once no test reads it, it is retired
-    trees = _test_trees().values()
-    defined = {
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("ref_")
-    }
-    assert defined
-    assert sorted(defined - _names_read(trees)) == []
+    assert _unread_test_helpers(lambda module, name: name.startswith("ref_")) == []
 
 
 def test_every_conftest_function_has_a_reader():
-    # the oracles and builders that conftest.py shares are read by some
-    # test; pytest finds hooks and fixtures by name, so they are exempt
-    trees = _test_trees()
-    defined = {
-        node.name
-        for node in trees["conftest.py"].body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("pytest_")
-        and not any(ast.unparse(d).startswith("pytest.fixture") for d in node.decorator_list)
-    }
-    assert defined
-    assert sorted(defined - _names_read(trees.values())) == []
+    # the other oracles and builders that conftest.py shares are read by
+    # some test
+    assert _unread_test_helpers(
+        lambda module, name: module == "conftest.py" and not name.startswith("ref_")
+    ) == []
+
+
+def test_every_test_helper_has_a_reader():
+    # and so is every other helper under tests/ (a builder, a corpus, a
+    # filter over a reference scan)
+    assert _unread_test_helpers(
+        lambda module, name: module != "conftest.py" and not name.startswith("ref_")
+    ) == []
 
 
 def test_conftest_imports_no_private_library_name():
