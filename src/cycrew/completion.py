@@ -12,6 +12,7 @@ length two.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,8 +23,8 @@ from .rewrite import (
     BudgetExhausted,
     RewriteSystem,
     Rule,
-    _cyclic_redexes,
     _Descendants,
+    _firing,
     check_strong_confluence,
     cyclic_successors,
     reduce_greedy,
@@ -230,17 +231,39 @@ class CyclicRuleSet:
 def _short_graph(system: RewriteSystem):
     """(shorts, succ): the short cyclic words of system in shortlex order,
     so that a smaller id is a shortlex-smaller word, and each word's
-    successors as an ascending id list without the word itself.  No step
-    lengthens a word, so every redex of a short word is a rotation of a
-    short word, and _number_short_words's ids names its cycle without
-    canonicalising it."""
+    successors as an ascending id list without the word itself.
+
+    A redex of a cycle is a rule l -> rhs that fires at the start of a
+    rotation l + rest, and gives the rotation rhs + rest of its successor.
+    So each left-hand side's targets are read off the index once, and
+    every short word l + rest, rest of at most 2m - 2 - |l| letters, takes
+    rhs + rest: plain, prefix and suffix targets for every rest (a
+    rotation start is a start and an end), whole-anchored ones only for
+    the empty rest.  No step lengthens a word, so rhs + rest is short too,
+    and _number_short_words's ids names both cycles without
+    canonicalising them."""
     shorts, ids = _number_short_words(system.alphabet, system.m_of)
-    succ = []
-    for i, c in enumerate(shorts):
-        got = set(map(ids.__getitem__, _cyclic_redexes(c.canon, system)))
-        got.discard(i)
-        succ.append(sorted(got))
-    return shorts, succ
+    top = max(0, 2 * system.m_of - 2)
+    rests = [[()]]  # the words of each length that a rest can have
+    for _ in range(top - min(system._lhs_lengths, default=top)):
+        rests.append([r + (a,) for r in rests[-1] for a in range(len(system.alphabet))])
+    got = [set() for _ in shorts]
+    for lhs, slots in system._index.items():
+        free = top - len(lhs)
+        if free < 0:  # m(S) = 1: a letter is longer than the short words
+            continue
+        targets = got[ids[lhs]]
+        for _rid, rhs in _firing(slots, True, True, True):
+            targets.add(ids[rhs])
+        anywhere = _firing(slots, True, True, False)
+        for size in range(1, free + 1):
+            for rest in rests[size]:
+                targets = got[ids[lhs + rest]]
+                for _rid, rhs in anywhere:
+                    targets.add(ids[rhs + rest])
+    for i, targets in enumerate(got):
+        targets.discard(i)
+    return shorts, [sorted(targets) for targets in got]
 
 
 def _steps(base: list, added: list):
@@ -292,6 +315,13 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     s < i, and a pair is resolved when clos[u] & clos[v] != 0.  The
     successors of a word are visited in id order, which is shortlex order.
     No closure search runs.
+
+    Only the first sweep tries every pair.  Steps only grow from sweep to
+    sweep, so closures only grow: a pair once resolved stays resolved, and
+    a pair once added stays skipped.  So after a sweep every pair of the
+    steps it read is settled.  The next sweep visits only the words that
+    gained a successor in it, and tries in each only the pairs that involve
+    such a successor, in the same order as a full sweep.
     """
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
@@ -301,7 +331,10 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     added = [set() for _ in shorts]  # id -> ids of its extra pairs
     extra = []
     certificates = {}
-    while True:
+    # the words to visit: id -> the successors it gained in the last sweep
+    # (None in the first sweep, which tries every pair)
+    gained = dict.fromkeys(range(len(shorts)))
+    while gained:
         steps = _steps(base, added)
         clos = []
         for i, succ in enumerate(steps):
@@ -311,21 +344,24 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
                     break
                 down |= clos[s]
             clos.append(down)
-        changed = False
-        for w, succ in enumerate(steps):
+        visit, gained = gained, {}
+        for w in sorted(visit):
+            succ, new = steps[w], visit[w]
             # v < u: u is the shortlex-larger side
             for k, v in enumerate(succ):
                 down_v = clos[v]
-                for u in succ[k + 1 :]:
+                later = succ[k + 1 :]
+                if new is not None and v not in new:
+                    later = [u for u in later if u in new]
+                for u in later:
                     if down_v & clos[u] or v in added[u]:
                         continue
                     added[u].add(v)
+                    gained.setdefault(u, set()).add(v)
                     pair = (shorts[u], shorts[v])
                     extra.append(pair)
                     certificates[pair] = shorts[w]
-                    changed = True
-        if not changed:
-            return CyclicRuleSet(system, tuple(extra), certificates)
+    return CyclicRuleSet(system, tuple(extra), certificates)
 
 
 def thue_completion(system: RewriteSystem, check_confluence: bool = True):
@@ -433,18 +469,32 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
 def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     """C-dagger for a 2-monadic Thue system: pairs of distinct letters both
     reachable in one cyclic step from a common length-2 cycle, both
-    orientations.  Each length-2 cycle is visited once, as its least
-    rotation (a, b) with a <= b: the word (b, a) is the same cycle."""
+    orientations, each certified by the first such cycle in shortlex
+    order, a cycle's pairs in letter order.
+
+    The letters one step from the cycle of a b come from the left-hand
+    sides of at most two letters, read off the index once: a b or b a
+    rewritten to one letter by any rule (a rotation equal to the lhs is the
+    whole cycle), or a deleted by a rule that is not whole-anchored, which
+    leaves b.  A left-hand side names its cycle by its least rotation
+    (a, b) with a <= b."""
     if not (system.is_standard and system.is_2monadic and system.is_thue):
         raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
-    certs = {}  # pair -> its first length-2 cycle, in the order found
     k = len(system.alphabet)
+    succs = collections.defaultdict(set)  # (a, b), a <= b -> its letters one step away
+    for lhs, slots in system._index.items():
+        if len(lhs) == 2:
+            got = {rhs[0] for _rid, rhs in _firing(slots, True, True, True) if len(rhs) == 1}
+            if got:
+                succs[min(lhs, lhs[::-1])] |= got
+        elif len(lhs) == 1 and any(not rhs for _rid, rhs in _firing(slots, True, True, False)):
+            a = lhs[0]
+            for b in range(k):
+                succs[min(a, b), max(a, b)].add(b)
     letters = [CyclicWord((a,)) for a in range(k)]
-    for w in itertools.combinations_with_replacement(range(k), 2):
-        # the length-1 redexes: a length-2 lhs with a 1-letter rhs, or a
-        # length-1 lhs with an empty rhs
-        succs = sorted({r[0] for r in _cyclic_redexes(w, system) if len(r) == 1})
+    certs = {}  # pair -> its first length-2 cycle
+    for w in sorted(succs):
         c = CyclicWord(w)
-        for x, y in itertools.permutations(succs, 2):
+        for x, y in itertools.permutations(sorted(succs[w]), 2):
             certs.setdefault((letters[x], letters[y]), c)
     return CyclicRuleSet(system, tuple(certs), certs)

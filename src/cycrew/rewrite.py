@@ -11,11 +11,12 @@ left-hand side, with one target tuple per Anchor, and _firing picks the
 targets that fire at a redex from where the redex lies (start of the word,
 end of the word, the whole word; on a cycle every redex is at a start and
 an end).  word_successors, reduce_greedy and _cyclic_redexes, the redexes
-of a cycle that cyclic_successors and the completions read, all read the
-index through _firing.  check_strong_confluence, which accepts only
-unanchored systems, reads the plain targets off the index once per call,
-for the orientations whose reverse is no plain orientation (the live ones,
-whose critical pairs it lists).
+of a cycle that cyclic_successors reads, all read the index through
+_firing, and so do the completions' short-cycle graph and C-dagger, which
+read each left-hand side's targets once per call.  check_strong_confluence,
+which accepts only unanchored systems, reads the plain targets off the
+index once per call, for the orientations whose reverse is no plain
+orientation (the live ones, whose critical pairs it lists).
 """
 
 from __future__ import annotations
@@ -295,29 +296,26 @@ class ConfluenceReport:
         return self.ok
 
 
-class _SuccessorPool:
+class _SuccessorPool(dict):
     """The searches of one confluence check, memoised.
 
     pool.steps(w) lists the one-step rewrites of w, as word_successors
-    does, and pool(w) is the frozenset of w and those rewrites.  The check
-    asks for pool(w) only on the two words of a pair it tests, and it
-    tests no pair with a reversible side, so on S_eps, where most rules
-    are symmetric, it fills few entries (900 on HNN(Z6, Z3), of 4,447
-    rules).  pool.descendants(w, cap) is the one _Descendants search from
-    w over words of at most cap letters, keyed by (w, cap): it keeps how
-    far it has run and whether a bound cut it, so that a truncated set is
-    never read as a complete one.
+    does, and pool[w] is the frozenset of w and those rewrites, filled on
+    first use.  The check asks for pool[w] only on the two words of a pair
+    it tries, and it tries no pair with a reversible side, so on S_eps,
+    where most rules are symmetric, it fills few entries (900 on
+    HNN(Z6, Z3), of 4,447 rules).  pool.descendants(w, cap) is the one
+    _Descendants search from w over words of at most cap letters, keyed by
+    (w, cap): it keeps how far it has run and whether a bound cut it, so
+    that a truncated set is never read as a complete one.
     """
 
     def __init__(self, system):
         self.system = system
-        self._meets = {}
         self._desc = {}
 
-    def __call__(self, w):
-        got = self._meets.get(w)
-        if got is None:
-            got = self._meets[w] = frozenset([w, *self.steps(w)])
+    def __missing__(self, w):
+        got = self[w] = frozenset([w, *self.steps(w)])
         return got
 
     def steps(self, w):
@@ -389,8 +387,8 @@ def _strongly_joinable(y, z, system, pool):
     either bound still proves the pair joinable; without a meet such a
     search decides nothing, and BudgetExhausted is raised.  pool is the
     check's _SuccessorPool."""
-    sy = pool(y)
-    sz = pool(z)
+    sy = pool[y]
+    sz = pool[z]
     if not sy.isdisjoint(sz):
         return True
     cap = max(len(y), len(z)) + 2 * system.m_of
@@ -449,16 +447,25 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
       for k = b - a, 1 <= k < |l1|, k < |l2|, where l1 ends with l2[:k];
       the l2 are found through their proper prefixes.
     Each pair comes once, oriented (y, z) by its spans in (length, start)
-    order, the two targets of one span in index order.  Every pair is
-    tried against the one-step meet first, which _strongly_joinable also
-    tries first, so a pair it closes would have been joined there.  The
-    pairs it leaves open are searched in the order (|x|, x, first span,
-    its target, second span, its target): the order of a scan of the
-    overlap words in shortlex order, each word's redex pairs in the order
-    of its redexes.  So wherever the scan of every pair decides, the
-    report is the same, first counterexample included; a skipped pair can
-    only take away a BudgetExhausted that its search would have raised,
-    and any BudgetExhausted raised comes where that scan meets it.
+    order, the targets of one span numbered in index order: in an overlap
+    l1 + l2[k:], l1 at [0, |l1|) comes second when it is the longer.
+    Every pair is tried against the one-step meet first, which
+    _strongly_joinable also tries first, so a pair it closes would have
+    been joined there.  The pairs it leaves open are searched in the order
+    (|x|, x, first span, its target, second span, its target): the order
+    of a scan of the overlap words in shortlex order, each word's redex
+    pairs in the order of its redexes.  So wherever the scan of every pair
+    decides, the report is the same, first counterexample included; a
+    skipped pair can only take away a BudgetExhausted that its search
+    would have raised, and any BudgetExhausted raised comes where that
+    scan meets it.
+
+    Each pair is built and tried where it is found: a live lhs x tries
+    every live redex of x against its own live targets, and each live
+    orientation (l1, i, r1) tries the orientations (l2, j, r2) of the live
+    l2 that start with a proper suffix of l1.  The one-step meets are read
+    from the pool, each filled once per call, on the first pair of two
+    distinct words that needs it.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
@@ -470,43 +477,47 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
         rhss = [rhs for _rid, rhs in slots[0] if (rhs, lhs) not in plain]
         if rhss:
             live[lhs] = rhss
-    by_prefix = collections.defaultdict(list)  # proper prefix -> live lhss
-    for l2 in live:
-        for k in range(1, len(l2)):
-            by_prefix[l2[:k]].append(l2)
+    # the live orientations (lhs, i, rhs), rhs the i-th live target of lhs,
+    # and those of each lhs under each of its proper prefixes
+    orientations = [(lhs, i, rhs) for lhs, rhss in live.items() for i, rhs in enumerate(rhss)]
+    by_prefix = collections.defaultdict(list)
+    for o in orientations:
+        lhs = o[0]
+        for k in range(1, len(lhs)):
+            by_prefix[lhs[:k]].append(o)
     pool = _SuccessorPool(system)
     found = []  # the pairs the one-step meet leaves open, with their order
-
-    def meet(x, span1, ys, span2, zs):
-        """Try the pairs of ys at span1 and zs at span2 of x, spans as
-        (length, start); a span paired with itself pairs each target with
-        those after it."""
-        same = span1 == span2
-        for i, y in enumerate(ys):
-            for j in range(i + 1 if same else 0, len(zs)):
-                z = zs[j]
-                if y != z and pool(y).isdisjoint(pool(z)):
-                    found.append((len(x), x, span1, i, span2, j, y, z))
-
     for x, zs in live.items():
         n = len(x)
+        whole = (n, 0)
         for a in range(n + 1):
             for b in range(a, n + 1):
                 rhss = live.get(x[a:b])
                 # an empty span overlaps [0, n) only strictly inside it
-                if rhss and (a < b or 0 < a < n):
-                    meet(x, (b - a, a), [x[:a] + r + x[b:] for r in rhss], (n, 0), zs)
-    for l1, r1s in live.items():
+                if not rhss or (a == b and not 0 < a < n):
+                    continue
+                span = (b - a, a)
+                for i, r in enumerate(rhss):
+                    # a span paired with itself pairs each target with those after it
+                    y = x[:a] + r + x[b:]
+                    for j in range(i + 1 if span == whole else 0, len(zs)):
+                        z = zs[j]
+                        if y != z and pool[y].isdisjoint(pool[z]):
+                            found.append((n, x, span, i, whole, j, y, z))
+    for l1, i, r1 in orientations:
         m = len(l1)
         for k in range(1, m):
-            for l2 in by_prefix.get(l1[m - k :], ()):
-                tail, a = l2[k:], m - k
-                ys = [r + tail for r in r1s]
-                zs = [l1[:a] + r for r in live[l2]]
-                if m <= len(l2):
-                    meet(l1 + tail, (m, 0), ys, (len(l2), a), zs)
-                else:
-                    meet(l1 + tail, (len(l2), a), zs, (m, 0), ys)
+            a = m - k
+            head = l1[:a]
+            for l2, j, r2 in by_prefix.get(l1[a:], ()):
+                tail = l2[k:]
+                y, z = r1 + tail, head + r2
+                if y != z and pool[y].isdisjoint(pool[z]):
+                    x = l1 + tail
+                    if m <= len(l2):
+                        found.append((len(x), x, (m, 0), i, (len(l2), a), j, y, z))
+                    else:
+                        found.append((len(x), x, (len(l2), a), j, (m, 0), i, z, y))
     found.sort()  # no two pairs share an order, so y and z are never compared
     for _n, x, _s1, _i, _s2, _j, y, z in found:
         if not _strongly_joinable(y, z, system, pool):

@@ -465,11 +465,12 @@ def ref_steps(system, extra):
     return step
 
 
-def ref_cstar(system):
+def ref_cstar(system, sweeps=None):
     """C*: on each sweep every two distinct successors v < u of a short
     word w, in shortlex order, whose descending closures do not meet add
     (u, v), certified by w, unless the pair is there already; the sweeps
-    repeat until one adds nothing."""
+    repeat until one adds nothing.  A sweeps list, when given, gets the
+    number of pairs each sweep added."""
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
     if system.has_length_increasing_rules():
@@ -483,15 +484,16 @@ def ref_cstar(system):
             return [s for s in step(c) if _shortlex(s) < _shortlex(c)]
 
         down = functools.cache(lambda c: ref_reach(c, descend)[0])
-        added = False
+        before = len(extra)
         for w in enumerate_short_cyclic_words(system.alphabet, system.m_of):
             downs = [(c, down(c)) for c in sorted(step(w), key=_shortlex)]
             for (v, down_v), (u, down_u) in itertools.combinations(downs, 2):
                 if down_u.isdisjoint(down_v) and (u, v) not in certificates:
                     extra.append((u, v))
                     certificates[u, v] = w
-                    added = True
-        if not added:
+        if sweeps is not None:
+            sweeps.append(len(extra) - before)
+        if len(extra) == before:
             return CyclicRuleSet(system, tuple(extra), certificates)
 
 
@@ -669,10 +671,15 @@ def test_engines_match_references_on_random_systems(random_standard_corpus):
     # the pinned systems are all S_eps: no anchors, no x -> (); here C*, the
     # Thue completion and C-dagger meet both, against the references read
     # off their docstrings, extra in order, certificates and stage; some Thue runs
-    # cross a stage boundary, where the order is sorted per stage
+    # cross a stage boundary, where the order is sorted per stage, and some
+    # C* runs add pairs in a sweep after the second, which tries only the
+    # pairs of successors that the one before added
     seen = collections.Counter()
     for s, outcomes in random_standard_corpus:
+        sweeps = []  # the pairs each sweep of the C* reference added
         for engine, (_run, ref) in ENGINES.items():
+            if ref is ref_cstar:
+                ref = functools.partial(ref_cstar, sweeps=sweeps)
             got = outcomes[engine]
             assert got == _outcome(ref, s), (engine, s.rules)
             if isinstance(got, tuple):
@@ -681,6 +688,7 @@ def test_engines_match_references_on_random_systems(random_standard_corpus):
                 seen[engine, "stage >= 2"] += (got[2] or 0) >= 2
             else:
                 seen[engine, got.__name__] += 1
+        seen["cstar sweeps >= 3"] += len(sweeps) >= 3
         for r in s.rules:
             seen[r.anchor] += 1
             seen["x -> ()"] += len(r.lhs) == 1 and not r.rhs
@@ -702,6 +710,7 @@ def test_engines_match_references_on_random_systems(random_standard_corpus):
         "cdagger needs a 1-letter lhs",
     ]:
         assert seen[kind], (kind, seen)
+    assert seen["cstar sweeps >= 3"] >= 60, seen
 
 
 def _reach_lemma_pairs(crs):

@@ -391,7 +391,7 @@ class TestConfluenceChecker:
             check_strong_confluence_naive(s, 3)
 
     def test_pool_meets_are_the_plain_rewrites(self):
-        # pool(w) is w and all of word_successors, empty left-hand sides
+        # pool[w] is w and all of word_successors, empty left-hand sides
         # included
         rng = random.Random(20126)
         seen = collections.Counter()
@@ -408,10 +408,10 @@ class TestConfluenceChecker:
                 w = word(0, 5)
                 rewrites = [r for r, _rid, _pos in word_successors(w, s)]
                 want = frozenset([w] + rewrites)
-                assert pool(w) == want
+                assert pool[w] == want
                 # in order: the node-capped searches expand in this order
                 assert list(pool.steps(w)) == rewrites
-                assert pool(w) is pool(w)
+                assert pool[w] is pool[w]
                 seen["rewrites"] += len(want) > 1
             seen["empty lhs"] += any(not r.lhs for r in rules)
         assert seen["rewrites"] and seen["empty lhs"], seen
@@ -568,15 +568,19 @@ def _overlap_words(system):
     return words
 
 
-def _overlapping_pairs(system):
+def _overlapping_pairs(system, keep=None):
     """(x, (a1, b1, y), (a2, b2, z)) for every pair of overlapping redexes
     of each overlap word x whose results y and z differ: the words in
     shortlex order, each word's pairs as combinations in redexes order.
-    ref_check_strong_confluence, _open_pairs and the side-back lemma of
-    _scanned are filters over this one scan."""
+    keep(x, a, b, y), when given, filters each word's redexes before they
+    are paired, so the pairs are those of the redexes it keeps, in the same
+    order.  ref_check_strong_confluence, _open_pairs and the side-back
+    lemma of _scanned are filters over this one scan."""
     targets = rule_targets(system)
     for x in sorted(_overlap_words(system), key=shortlex_key):
         found = [(a, b, x[:a] + rhs + x[b:]) for a, b, rhs, _rid in redexes(x, targets)]
+        if keep is not None:
+            found = [(a, b, y) for a, b, y in found if keep(x, a, b, y)]
         for p, q in itertools.combinations(found, 2):
             (a1, b1, y), (a2, b2, z) = p, q
             if a2 < b1 and a1 < b2 and y != z:
@@ -777,39 +781,44 @@ def _random_symmetric_system(rng, max_lhs=3):
     return RewriteSystem(a, rules)
 
 
+def _live_targets(system):
+    """lhs -> the rhs of its live orientations, as rule_targets orders
+    them: those that no rule rewrites back from rhs to lhs."""
+    targets = rule_targets(system)
+    return {
+        lhs: [rhs for _rank, _rid, rhs in ts if lhs not in [b for _r, _i, b in targets.get(rhs, ())]]
+        for lhs, ts in targets.items()
+    }
+
+
 def _open_pairs(system):
-    """The pairs y <- x -> z of _overlapping_pairs that
+    """The pairs (x, (a1, b1, y), (a2, b2, z)) of _overlapping_pairs that
     check_strong_confluence searches, in its order: both redexes live (no
     rule rewrites the result back at the redex's span), their spans
     together cover x, and the one-step meets, read off word_successors,
-    are disjoint."""
-    targets = rule_targets(system)
-    reversible = {
-        (lhs, rhs)
-        for lhs, ts in targets.items()
-        for _rank, _rid, rhs in ts
-        if lhs in [back for _rank, _rid, back in targets.get(rhs, ())]
-    }
+    are disjoint.  The redexes that are not live are dropped before
+    pairing."""
+    live = _live_targets(system)
 
-    def live(x, a, b, y):
-        return (x[a:b], y[a : len(y) - len(x) + b]) not in reversible
+    def is_live(x, a, b, y):
+        return y[a : len(y) - len(x) + b] in live[x[a:b]]
 
     @functools.cache
     def meet(y):
         return {y} | {w for w, _rid, _pos in word_successors(y, system)}
 
-    for x, (a1, b1, y), (a2, b2, z) in _overlapping_pairs(system):
-        covers = (a1 == 0 or a2 == 0) and len(x) in (b1, b2)
-        if covers and live(x, a1, b1, y) and live(x, a2, b2, z) and not meet(y) & meet(z):
-            yield x, y, z
+    for x, p, q in _overlapping_pairs(system, is_live):
+        (a1, b1, y), (a2, b2, z) = p, q
+        if (a1 == 0 or a2 == 0) and len(x) in (b1, b2) and not meet(y) & meet(z):
+            yield x, p, q
 
 
-def _tested_words(monkeypatch, system):
-    """The outcome of check_strong_confluence on system and the words x
-    whose pairs reached _strongly_joinable, in order.  The pairs that reach
-    it are the first pairs of _open_pairs, in its order: all of them when
-    the check found the system confluent, else up to the one it stopped
-    at, its counterexample when it found one."""
+def _tested_pairs(monkeypatch, system):
+    """The outcome of check_strong_confluence on system and the pairs of
+    _open_pairs that reached _strongly_joinable, in order.  The pairs that
+    reach it are the first pairs of _open_pairs, in its order: all of them
+    when the check found the system confluent, else up to the one it
+    stopped at, its counterexample when it found one."""
     searched = []
     joinable = rewrite._strongly_joinable
 
@@ -825,18 +834,22 @@ def _tested_words(monkeypatch, system):
         assert searched  # only a search fails or raises BudgetExhausted
         reference = itertools.islice(reference, len(searched))
     reference = list(reference)
-    assert searched == [(y, z) for _x, y, z in reference]
+    assert searched == [(y, z) for _x, (_a1, _b1, y), (_a2, _b2, z) in reference]
     if report not in (BudgetExhausted, ConfluenceReport(True)):
-        assert report.counterexample == reference[-1]
-    return report, list(dict.fromkeys(x for x, _y, _z in reference))
+        x, (_a1, _b1, y), (_a2, _b2, z) = reference[-1]
+        assert report.counterexample == (x, y, z)
+    return report, reference
 
 
 def _against_full_scan(monkeypatch, system, want, seen):
     """check_strong_confluence on system against want, the full scan's
     outcome: the reports are equal wherever the scan decides, and the
-    check searches the pairs of _open_pairs.  seen counts the outcomes;
-    returns the check's report and searched words."""
-    report, searched = _tested_words(monkeypatch, system)
+    check searches the pairs of _open_pairs.  seen counts the outcomes,
+    and the searched pairs whose order the target numbers (i, j) of the
+    check fix: a span with two or more live targets ("tie"), and an
+    overlap whose longer left-hand side, at the start of x, comes second
+    ("swapped").  Returns the check's report and searched pairs."""
+    report, searched = _tested_pairs(monkeypatch, system)
     seen["full scan undecided"] += want is BudgetExhausted
     assert report == want or want is BudgetExhausted
     seen["m", system.m_of] += 1
@@ -846,6 +859,10 @@ def _against_full_scan(monkeypatch, system, want, seen):
         seen["budget"] += 1
     else:
         seen["ok", report.ok] += 1
+    live = _live_targets(system)
+    for x, (a1, b1, _y), (a2, b2, _z) in searched:
+        seen["tie"] += max(len(live[x[a1:b1]]), len(live[x[a2:b2]])) >= 2
+        seen["swapped"] += a2 == 0 < a1 and b2 < len(x)
     return report, searched
 
 
@@ -917,6 +934,8 @@ class TestFormalInverseSkipMatchesFullScan:
             seen["paired"] += any(i != j for i, j in enumerate(s.alphabet.involution))
             seen["empty lhs"] += any(r.lhs == () for r in s.rules)
         assert seen["paired"] > 1_500 and seen["searched"] > 900, seen
+        # searched pairs whose order the target numbers (i, j) fix
+        assert seen["tie"] and seen["swapped"], seen
         assert 1_600 < seen["invariant", True] and seen["invariant", False] > 100
         assert seen["ok", True] and seen["ok", False]
         for kind in ("empty lhs", "lengthening"):
@@ -976,14 +995,14 @@ class TestReversibleSides:
         a = Alphabet.from_pairs("abcdf", [])
         w = a.word
         s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
-        report, searched = _tested_words(monkeypatch, s)
+        report, searched = _tested_pairs(monkeypatch, s)
         want, searched_words = ConfluenceReport(True), []
         if counterexample is not None:
             want, searched_words = ConfluenceReport(False, tuple(map(w, counterexample))), [w("bab")]
         assert report == ref_check_strong_confluence(s) == want
         # the skipped pairs of aba (baa <- aba -> fa, say) do not reach
         # _strongly_joinable
-        assert searched == searched_words
+        assert [x for x, _p, _q in searched] == searched_words
 
 
 class TestCriticalPairs:
@@ -1019,6 +1038,18 @@ class TestCriticalPairs:
         assert seen["m", 4] and seen["m", 5], seen
         assert seen["ok", True] > 100 and seen["ok", False] > 150, seen
         assert seen["searched"] > 150, seen
+
+    def test_target_numbers_order_the_pairs_of_two_spans(self):
+        # a b has two targets at [0, 1) and two at [0, 2); eb <- ab -> c
+        # meets in one step, and eb <- ab -> d and fb <- ab -> c both fail:
+        # the first target at [0, 1) is tried against every target at
+        # [0, 2) before the second is, so the counterexample is the former
+        a = Alphabet.from_pairs("abcdef", [])
+        w = a.word
+        rules = [("ab", "c"), ("ab", "d"), ("a", "e"), ("a", "f"), ("e", "f"), ("eb", "c")]
+        s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+        want = ConfluenceReport(False, (w("ab"), w("eb"), w("d")))
+        assert check_strong_confluence(s) == ref_check_strong_confluence(s) == want
 
     def test_node_capped_search_is_unknown(self):
         # the full scan meets 'b c a' -> 'b d' after the pairs of its
