@@ -19,6 +19,7 @@ from typing import Optional
 
 from .pregroup import _bits
 from .rewrite import (
+    _ANCHORS,
     Anchor,
     BudgetExhausted,
     RewriteSystem,
@@ -63,10 +64,7 @@ class InverseAssignment:
         return self.words[letter]
 
     def inverse_word(self, w: Word) -> Word:
-        out = ()
-        for letter in reversed(w):
-            out += self.words[letter]
-        return out
+        return tuple(itertools.chain.from_iterable(map(self.words.__getitem__, reversed(w))))
 
 
 def check_inverse_assignment(
@@ -125,35 +123,37 @@ def hat_extension(
         )
     if inverses is None:
         inverses = InverseAssignment.from_involution(system.alphabet)
-    rules = list(system.rules)
-    seen = {(r.lhs, r.rhs, r.anchor) for r in rules}
-
-    def add(lhs, rhs, anchor):
-        key = (lhs, rhs, anchor)
-        if lhs != rhs and key not in seen:
-            seen.add(key)
-            rules.append(Rule(lhs, rhs, anchor))
-
+    if system.has_anchored_rules():
+        raise PreconditionViolated("hat extension of an anchored system")
+    lengths = tuple(map(len, inverses.words))
+    # (lhs, rhs, slot of the anchor in _ANCHORS) of every added rule in
+    # order, repeats included; ints key them faster than Anchor members
+    prefix, suffix, whole = map(_ANCHORS.index, (Anchor.PREFIX, Anchor.SUFFIX, Anchor.WHOLE))
+    added = []
     for r in system.rules:
-        if r.anchor is not Anchor.NONE:
-            raise PreconditionViolated("hat extension of an anchored system")
         orientations = [(r.lhs, r.rhs)]
         if r.symmetric:  # the reverse orientation factorises too
             orientations.append((r.rhs, r.lhs))
         for lhs, rhs in orientations:
             n = len(lhs)
-            for cut in range(1, n):
-                p, q = lhs[:cut], lhs[cut:]
-                add(q, inverses.inverse_word(p) + rhs, Anchor.PREFIX)
-                add(p, rhs + inverses.inverse_word(q), Anchor.SUFFIX)
+            # inv(lhs) = inv(lhs[i:]) + inv(lhs[:i]), which splits at cut[i]
+            inv = inverses.inverse_word(lhs)
+            cut = [0] * (n + 1)
+            for i in range(n - 1, 0, -1):
+                cut[i] = cut[i + 1] + lengths[lhs[i]]
             for i in range(1, n):
+                added.append((lhs[i:], inv[cut[i] :] + rhs, prefix))
+                added.append((lhs[:i], rhs + inv[: cut[i]], suffix))
+            for i in range(1, n):
+                head = inv[cut[i] :] + rhs
                 for j in range(i, n):
-                    p, u, q = lhs[:i], lhs[i:j], lhs[j:]
-                    add(
-                        u,
-                        inverses.inverse_word(p) + rhs + inverses.inverse_word(q),
-                        Anchor.WHOLE,
-                    )
+                    added.append((lhs[i:j], head + inv[: cut[j]], whole))
+    # every added rule is anchored and S has none, so added rules can only
+    # repeat one another; dict.fromkeys keeps the first of each, in order
+    rules = list(system.rules)
+    for lhs, rhs, slot in dict.fromkeys(added):
+        if lhs != rhs:
+            rules.append(Rule(lhs, rhs, _ANCHORS[slot]))
     return RewriteSystem(system.alphabet, rules)
 
 
@@ -167,12 +167,11 @@ def circle_extension(
     if inverses is None:
         inverses = InverseAssignment.from_involution(system.alphabet)
     rules = list(system.rules)
-    seen = {(r.lhs, r.rhs, r.anchor) for r in rules}
+    seen = set()  # a standard system has no rule with an empty lhs
     for a in range(len(system.alphabet)):
         for rhs in ((a,) + inverses.of(a), inverses.of(a) + (a,)):
-            key = ((), rhs, Anchor.NONE)
-            if key not in seen:
-                seen.add(key)
+            if rhs not in seen:
+                seen.add(rhs)
                 rules.append(Rule((), rhs))
     return RewriteSystem(system.alphabet, rules)
 

@@ -33,7 +33,7 @@ class ParseError(ValueError):
 def _lines(text: str):
     """(lineno, stripped content) for every nonblank, non-comment line."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield no, line
 
@@ -41,15 +41,14 @@ def _lines(text: str):
 def _sections(text: str):
     """Split into [header] -> list of (lineno, line)."""
     out = {}
-    current = None
+    current = None  # the line list of the section being read
     for no, line in _lines(text):
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            out.setdefault(current, [])
+            current = out.setdefault(line[1:-1].strip(), [])
         elif current is None:
             raise ParseError(f"content before any section: {line!r}", no)
         else:
-            out[current].append((no, line))
+            current.append((no, line))
     return out
 
 
@@ -92,13 +91,26 @@ def _pairs_line(tokens, involution):
     return ["pairs: " + ", ".join(f"{tokens[i]} {tokens[j]}" for i, j in pairs)]
 
 
-def _word(alphabet: Alphabet, toks, no: int):
+def _word(letter, toks, no: int):
+    """The word of a rule side's tokens, "1" alone being the empty word;
+    letter maps a token to its index."""
     if toks == ["1"]:
         return ()
     try:
-        return alphabet.word(toks)
-    except ValueError as exc:
-        raise ParseError(str(exc), no) from None
+        return tuple(map(letter, toks))
+    except KeyError as exc:
+        raise ParseError(f"unknown letter {exc.args[0]!r}", no) from None
+
+
+def _arrow(toks, no: int) -> str:
+    """The one arrow token of a rule, "->" or "<->"."""
+    plain, symmetric = toks.count("->"), toks.count("<->")
+    if plain and symmetric:
+        raise ParseError("rule has both '->' and '<->'", no)
+    arrow = "<->" if symmetric else "->"
+    if plain + symmetric != 1:
+        raise ParseError(f"rule needs exactly one {arrow!r}", no)
+    return arrow
 
 
 def parse_rws(text: str):
@@ -119,21 +131,18 @@ def parse_rws(text: str):
         alphabet = Alphabet.from_pairs(letters, _read_pairs(alpha_entries))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    letter = alphabet._index.__getitem__
     rules = []
     for no, line in sections.get("rules", []):
         head, sep, rest = line.partition(":")
         anchor = _ANCHOR_TAGS.get(head.strip(), Anchor.NONE) if sep else Anchor.NONE
-        body = line if anchor is Anchor.NONE else rest.strip()
-        symmetric = " <-> " in f" {body} "
-        arrow = "<->" if symmetric else "->"
-        toks = body.split()
-        if toks.count(arrow) != 1:
-            raise ParseError(f"rule needs exactly one {arrow!r}", no)
+        toks = (line if anchor is Anchor.NONE else rest).split()
+        arrow = _arrow(toks, no)
         cut = toks.index(arrow)
-        lhs = _word(alphabet, toks[:cut], no)
-        rhs = _word(alphabet, toks[cut + 1 :], no)
+        lhs = _word(letter, toks[:cut], no)
+        rhs = _word(letter, toks[cut + 1 :], no)
         try:
-            rules.append(Rule(lhs, rhs, anchor, symmetric))
+            rules.append(Rule(lhs, rhs, anchor, arrow == "<->"))
         except ValueError as exc:
             raise ParseError(str(exc), no) from None
     cyclic_pairs = []
@@ -142,31 +151,34 @@ def parse_rws(text: str):
         if "->" not in toks:
             raise ParseError("cyclic rule needs '->'", no)
         cut = toks.index("->")
-        lhs = _word(alphabet, toks[:cut], no)
-        rhs = _word(alphabet, toks[cut + 1 :], no)
+        lhs = _word(letter, toks[:cut], no)
+        rhs = _word(letter, toks[cut + 1 :], no)
         cyclic_pairs.append((CyclicWord.of(lhs), CyclicWord.of(rhs)))
     return RewriteSystem(alphabet, rules), cyclic_pairs
 
 
-def _fmt_word(alphabet: Alphabet, w) -> str:
-    return alphabet.format(w) if w else "1"
+def _fmt_word(letter, w) -> str:
+    """The tokens of w, letter mapping an index to its token; "1" for the
+    empty word."""
+    return " ".join(map(letter, w)) if w else "1"
 
 
 def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
     a = system.alphabet
+    letter = a.letters.__getitem__
     out = ["[alphabet]", f"letters: {' '.join(a.letters)}"]
     out += _pairs_line(a.letters, a.involution)
     out.append("[rules]")
     for r in system.rules:
         arrow = "<->" if r.symmetric else "->"
-        line = f"{_fmt_word(a, r.lhs)} {arrow} {_fmt_word(a, r.rhs)}"
+        line = f"{_fmt_word(letter, r.lhs)} {arrow} {_fmt_word(letter, r.rhs)}"
         if r.anchor is not Anchor.NONE:
             line = f"{r.anchor.value}: {line}"
         out.append(line)
     if cyclic_pairs:
         out.append("[cyclic-rules]")
         for u, v in cyclic_pairs:
-            out.append(f"{_fmt_word(a, u.canon)} -> {_fmt_word(a, v.canon)}")
+            out.append(f"{_fmt_word(letter, u.canon)} -> {_fmt_word(letter, v.canon)}")
     return "\n".join(out) + "\n"
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -46,6 +47,7 @@ class Anchor(Enum):
 
 
 _ANCHORS = tuple(Anchor)  # the order of the target tuples in the index
+_LHS, _RHS = operator.attrgetter("lhs"), operator.attrgetter("rhs")
 
 
 class BudgetExhausted(RuntimeError):
@@ -76,25 +78,32 @@ class RewriteSystem:
 
     def __init__(self, alphabet: Alphabet, rules):
         self.alphabet = alphabet
-        self.rules = tuple(rules)
-        for r in self.rules:
-            validate_word(r.lhs, alphabet)
-            validate_word(r.rhs, alphabet)
-        self.m_of = max((len(r.lhs) for r in self.rules), default=0)
-        self.is_thue = all(
-            len(r.rhs) < len(r.lhs) or (len(r.rhs) == len(r.lhs) and r.symmetric)
-            for r in self.rules
-        )
-        self.is_standard = (
-            all(len(r.lhs) > 0 for r in self.rules) and 2 <= self.m_of
-        )
-        self.is_2monadic = self.m_of == 2
+        self.rules = rules = tuple(rules)
+        # the letters of all the rules checked at once; the per-rule scan
+        # runs only to name the first bad letter
+        used = set().union(*map(_LHS, rules), *map(_RHS, rules))
+        if used and (min(used) < 0 or max(used) >= len(alphabet)):
+            for r in rules:
+                validate_word(r.lhs, alphabet)
+                validate_word(r.rhs, alphabet)
+        m_of, is_thue, empty_lhs = 0, True, False
         index = collections.defaultdict(lambda: ([], [], [], []))
-        for rid, r in enumerate(self.rules):
+        for rid, r in enumerate(rules):
+            lhs, rhs, symmetric = r.lhs, r.rhs, r.symmetric
+            n = len(lhs)
+            if n > m_of:
+                m_of = n
+            if not n:
+                empty_lhs = True
+            is_thue = is_thue and (len(rhs) < n or (len(rhs) == n and symmetric))
             slot = _ANCHORS.index(r.anchor)
-            index[r.lhs][slot].append((rid, r.rhs))
-            if r.symmetric and r.rhs != r.lhs:
-                index[r.rhs][slot].append((rid, r.lhs))
+            index[lhs][slot].append((rid, rhs))
+            if symmetric and rhs != lhs:
+                index[rhs][slot].append((rid, lhs))
+        self.m_of = m_of
+        self.is_thue = is_thue
+        self.is_standard = not empty_lhs and 2 <= m_of
+        self.is_2monadic = m_of == 2
         # tuples: concatenating an empty one in _firing copies nothing
         self._index = {lhs: tuple(map(tuple, slots)) for lhs, slots in index.items()}
         self._lhs_lengths = sorted({len(lhs) for lhs in self._index})
@@ -115,10 +124,9 @@ class RewriteSystem:
 
     @functools.cached_property
     def _length_increasing(self) -> bool:
-        # scanned on first use, not by __init__, which derive_system calls
-        return any(
-            len(rhs) > len(lhs) for lhs, rhs, _rid, _a in self.oriented_pairs()
-        )
+        # scanned on first use, not by __init__, which derive_system calls;
+        # a symmetric rule preserves length, so its reverse never lengthens
+        return any(len(r.rhs) > len(r.lhs) for r in self.rules)
 
 
 def _firing(slots, start: bool, end: bool, whole: bool):

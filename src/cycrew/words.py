@@ -69,7 +69,10 @@ class Alphabet:
             raise AlphabetError(f"unknown letter {token!r}") from None
 
     def word(self, tokens: Iterable[str]) -> Word:
-        return tuple(self.index(t) for t in tokens)
+        try:
+            return tuple(map(self._index.__getitem__, tokens))
+        except KeyError as exc:
+            raise AlphabetError(f"unknown letter {exc.args[0]!r}") from None
 
     def parse(self, text: str) -> Word:
         """Parse a whitespace-separated word; empty/blank text is the empty
@@ -77,7 +80,7 @@ class Alphabet:
         return self.word(text.split())
 
     def format(self, w: Word) -> str:
-        return " ".join(self.letters[i] for i in w)
+        return " ".join(map(self.letters.__getitem__, w))
 
 
 def validate_word(w: Word, alphabet: Alphabet) -> None:

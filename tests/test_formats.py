@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cycrew import formats, samples
@@ -12,7 +14,11 @@ from cycrew.formats import (
     parse_pg,
     parse_rws,
 )
-from cycrew.rewrite import Anchor
+from cycrew.pregroup import derive_system
+from cycrew.rewrite import Anchor, RewriteSystem, Rule
+from cycrew.words import Alphabet, AlphabetError
+
+from conftest import hnn_cyclic
 
 
 def systems_equal(s1, s2):
@@ -95,6 +101,90 @@ class TestRws:
     def test_content_before_section_rejected(self):
         with pytest.raises(ParseError):
             parse_rws("letters: a\n")
+
+    def test_tabs_separate_arrows_like_spaces(self):
+        head = "[alphabet]\nletters: a b\n[rules]\n"
+        s, _ = parse_rws(head + "a\t<->\tb\nb\t->\ta\nprefix:\ta b\t->\t1\n")
+        assert [(r.lhs, r.rhs, r.anchor, r.symmetric) for r in s.rules] == [
+            ((0,), (1,), Anchor.NONE, True),
+            ((1,), (0,), Anchor.NONE, False),
+            ((0, 1), (), Anchor.PREFIX, False),
+        ]
+
+    @pytest.mark.parametrize("rule", ["a -> b <-> a", "a <-> b -> a", "a\t->\tb\t<->\ta"])
+    def test_both_arrows_rejected(self, rule):
+        with pytest.raises(ParseError, match="^line 4: rule has both '->' and '<->'$"):
+            parse_rws(f"[alphabet]\nletters: a b\n[rules]\n{rule}\n")
+
+
+# (text, message, line) of malformed [rules] and [cyclic-rules] lines; every
+# message is the one the parser gave before it split each line only once
+_AB = "[alphabet]\nletters: a A b\npairs: a A\n[rules]\n"
+RULE_ERRORS = {
+    "unknown-lhs": (_AB + "a b -> 1\nz a -> b\n", "unknown letter 'z'", 6),
+    "unknown-rhs": (_AB + "a b -> a z\n", "unknown letter 'z'", 5),
+    "unknown-both": (_AB + "a y -> z\n", "unknown letter 'y'", 5),
+    "one-in-lhs": (_AB + "a 1 -> b\n", "unknown letter '1'", 5),
+    "one-in-rhs": (_AB + "a -> 1 b\n", "unknown letter '1'", 5),
+    "unknown-tag": (_AB + "a -> b\nfoo: a -> b\n", "unknown letter 'foo:'", 6),
+    "two-arrows": (_AB + "a -> b -> a\n", "rule needs exactly one '->'", 5),
+    "two-symmetric-arrows": (_AB + "a <-> b <-> a\n", "rule needs exactly one '<->'", 5),
+    "no-arrow": (_AB + "a b\n", "rule needs exactly one '->'", 5),
+    "symmetric-unequal": (_AB + "a b <-> a\n", "symmetric rules must be length preserving", 5),
+    "cyclic-unknown": (_AB + "[cyclic-rules]\na z -> b\n", "unknown letter 'z'", 6),
+    "cyclic-no-arrow": (_AB + "[cyclic-rules]\na b\n", "cyclic rule needs '->'", 6),
+}
+
+
+@pytest.mark.parametrize("text, message, line", RULE_ERRORS.values(), ids=RULE_ERRORS)
+def test_rule_parse_errors_are_pinned(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_rws(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "rules, bad",
+    [
+        ([Rule((0,), (1,)), Rule((0, 5), ()), Rule((7,), (0,))], 5),
+        ([Rule((0,), (1, -1)), Rule((3,), ())], -1),
+        ([Rule((9,), (2,)), Rule((0,), (1,))], 9),
+    ],
+)
+def test_system_names_first_bad_letter_in_rule_order(rules, bad):
+    with pytest.raises(AlphabetError, match=rf"^letter index {bad} out of range$"):
+        RewriteSystem(Alphabet.from_pairs("ab", []), rules)
+
+
+# sha256 of the output text, recorded before .rws reading, rule-set
+# construction, the hat extension and .rws writing were reworked for speed
+GOLDEN_COMPLETE = {
+    "hat": "f23d91a2acb57266b09302fa144dbbc6d716f9a9dd1ce2d471c8e26c113d6701",
+    "circle": "6b74449a26d9c2978f3682d9988075557ab641ef1c9a325b52d1873b3a3c3b3e",
+    "cstar": "5eb60a8b2743a380c62355440e7a06a473571b8b4ff51c7cc955cbc6061693fc",
+    "cdagger": "9c0aecd019403f31229a9aec6bd86d250d9b1c6b239d373ffc737666cdeb3c20",
+}
+GOLDEN_HNN_S3_RWS = "936bbe243954ec0dfa5190bad01fa4eabe42131654c683ef1e334ce9863ecba6"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_complete_output_is_byte_identical(tmp_path, capsys):
+    """cycrew complete in every mode on S_eps(HNN(Z4, Z2)), 1,321 rules."""
+    path = tmp_path / "s_eps.rws"
+    path.write_text(emit_rws(derive_system(hnn_cyclic(4, 2), "S_eps")))
+    digests = {}
+    for mode in GOLDEN_COMPLETE:
+        assert main(["complete", str(path), "--mode", mode]) == 0
+        digests[mode] = _sha256(capsys.readouterr().out)
+    assert digests == GOLDEN_COMPLETE
+
+
+def test_emitted_rule_set_is_byte_identical():
+    assert _sha256(emit_rws(derive_system(samples.hnn_s3(), "S_eps"))) == GOLDEN_HNN_S3_RWS
 
 
 class TestPg:
