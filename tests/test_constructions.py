@@ -315,6 +315,15 @@ def preconjugated(rot, c, p):
     return cand
 
 
+# sha256 of repr of the (case, witness) lists that the verifier tests
+# below collect, recorded before the conjugacy layer kept its words in P
+# indices from entry to certificate
+GOLDEN_WITNESSES = {
+    "non-central": "043a8503406711c4c658ea9b56dcf745e7fa1c46d72cca8ebbb355c12a754040",
+    "shared": "328b9d5aa5bf9847a95f833a5f88a253741def6d4fb4afa080d0423747ca2bb8",
+}
+
+
 def replay_mks(ver, g, f, ctx):
     """Replay a verify_mks verdict on (g, f): case 1 chains the letters of
     g and f to one letter h of H (or both are empty), case 2 gives a factor
@@ -395,6 +404,7 @@ class TestVerifyMks:
         into_z6 = Embedding.from_tokens(z3, z6, {"e": "e", "h": "y2", "h2": "y4"})
         into_s3 = Embedding.from_tokens(z3, s3, {"e": "e", "h": "r", "h2": "r2"})
         seen = collections.Counter()
+        verdicts = []
         for args in (_amalgam_inputs()[2], (z6, s3, into_z6, into_s3)):
             ctx = UniversalContext(amalgam_pregroup(*args))
             p = ctx.pregroup
@@ -406,6 +416,7 @@ class TestVerifyMks:
                 v = conjugated(rng, ctx, (ctx.alphabet.involution[h],) + u + (h,))
                 ver = verify_mks(u, v, ctx)
                 replay_mks(ver, u, v, ctx)
+                verdicts.append((ver.case, ver.witness))
                 w = ver.witness
                 if ver.case == 1:
                     seen["chain_to_g"] += bool(w["chain_to_g"])
@@ -413,6 +424,7 @@ class TestVerifyMks:
                 elif ver.case == 3:
                     seen["h~ != h"] += p.inv[w["h"]] != w["h"]
         assert seen["chain_to_g"] and seen["chain_to_f"] and seen["h~ != h"], seen
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == GOLDEN_WITNESSES["non-central"]
 
     def test_letters_with_disjoint_closures_raise_value_error(self, z4z6_ctx):
         # x2's closure meets H at x2 itself; y5's closure does not contain it
@@ -580,6 +592,7 @@ class TestSharedSearchesMatchPerCallerLoops:
             ("hnn", hnn_ctx, verify_collins, replay_collins),
         ]
         seen = collections.Counter()
+        verdicts = []
         for count in range(1_500):
             name, ctx, verify, replay = contexts[count % 3]
             k = len(ctx.alphabet)
@@ -605,6 +618,7 @@ class TestSharedSearchesMatchPerCallerLoops:
             assert equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx)
             ver = verify(u, v, ctx)
             replay(ver, u, v, ctx)
+            verdicts.append((name, ver.case, ver.witness))
             seen[(name, ver.case)] += 1
             for flag in ("g_conjugate_into_ab", "sign_constraint_met"):
                 if flag in ver.witness:
@@ -618,6 +632,7 @@ class TestSharedSearchesMatchPerCallerLoops:
         assert seen[("hnn", "g_conjugate_into_ab", True)], seen
         assert seen[("hnn", "g_conjugate_into_ab", False)], seen
         assert seen[("hnn", "sign_constraint_met", True)], seen
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == GOLDEN_WITNESSES["shared"]
 
 
 # -- FiniteGroupTable is a Pregroup: the group laws by definition ---------

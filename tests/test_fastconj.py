@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -482,3 +484,38 @@ class TestDefinedPreconjugations:
             negatives += 1
             skipped_total += len(skipped)
         assert skipped_total > 0
+
+
+# sha256 of repr(answers) in test_answers_are_pinned, recorded before the
+# conjugacy layer kept its words in P indices from entry to certificate
+GOLDEN_ANSWERS = "abdcf745f57720a3199351552bba3bf3581854219e77eb14b57bec4a208795ac"
+
+
+def test_answers_are_pinned(dinf_ctx, z4z6_ctx, hnn_ctx):
+    # (verdict, certificate, method) of both decisions on a seeded corpus:
+    # least_match shares the prelude and _certify with them, so only a pin
+    # sees a certificate that changes for all three at once.  Short words
+    # and their conjugates reach the prelude's cases of length 0 and 1
+    rng = random.Random(38)
+    answers = []
+    reached = collections.Counter()
+    for ctx in (dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(10, 2))):
+        k = len(ctx.alphabet)
+        done = 0
+        while done < 150:
+            if done % 3:
+                pair = differential_pair(rng, ctx)
+                if pair is None:
+                    continue
+                u, v = pair[:2]
+            else:
+                u = random_word(rng, k, 2)
+                v = conjugated(rng, ctx, u) if rng.random() < 0.5 else random_word(rng, k, 2)
+            done += 1
+            lin, quad = conjugate_linear(u, v, ctx), conjugate_quadratic(u, v, ctx)
+            assert lin.verdict == quad.verdict, (u, v)
+            answers.append((u, v) + tuple((a.verdict, a.certificate, a.method) for a in (lin, quad)))
+            reached[min(len(cyclic_reduce(u, ctx)), 2), lin.verdict] += 1
+    for key in itertools.product((0, 1, 2), (True, False)):
+        assert reached[key] > 0, (key, reached)
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == GOLDEN_ANSWERS
