@@ -25,19 +25,18 @@ from .pregroup import (
     check_axioms,
     check_p7,
     check_p8,
-    gamma_to_p,
-    p_to_gamma,
 )
 from .universal import (
     CertificateError,
     UniversalContext,
     _bfs_path,
     _canonical_traced,
+    _interleaving_equal,
     _letter_closure_traced,
     _rotation_matches,
-    equal_in_U,
+    _stack_reduce,
 )
-from .words import CyclicWord, Word, involute
+from .words import CyclicWord, Word
 
 
 class InvalidEmbedding(ValueError):
@@ -354,7 +353,12 @@ def standard_cyclic_form(c: CyclicWord, ctx: UniversalContext) -> Word:
     condition cyclically.  The output is conjugate to the input by an
     element of the base group."""
     p = _require_hnn(ctx)
-    letters = ctx.to_p(c.canon)
+    return ctx.to_gamma(_standard_form(ctx.to_p(c.canon), p))
+
+
+def _standard_form(letters: tuple, p: HnnPregroup) -> tuple:
+    """standard_cyclic_form over P indices, from the P letters of the
+    canonical representative."""
     if not letters:
         raise InHSubgroup("the empty cyclic word lies in the base group")
     if len(letters) == 1 and letters[0] in p.base_h:
@@ -373,13 +377,13 @@ def standard_cyclic_form(c: CyclicWord, ctx: UniversalContext) -> Word:
     for i in range(n):
         if p.mul(word[i], word[(i + 1) % n]) is not None:
             raise ValueError("standard form violates the Britton condition")
-    result = tuple(p_to_gamma(x, p) for x in word)
-    # conjugacy guard: result = u1^-1 . rep . u1 in U(P)
+    # conjugacy guard: word = u1^-1 . rep . u1 in U(P), decided as
+    # equal_in_U decides it
     u1 = parts[0][0]
-    conj = () if u1 == p.eps else (p_to_gamma(p.inv[u1], p),)
-    if not equal_in_U(conj + c.canon + involute(conj, ctx.alphabet), result, ctx):
+    rep = _stack_reduce((p.inv[u1],) + letters + (u1,), p)
+    if not _interleaving_equal(rep, _stack_reduce(word, p), p):
         raise CertificateError("standard form is not conjugate to its input")
-    return result
+    return tuple(word)
 
 
 @dataclass(frozen=True)
@@ -410,13 +414,12 @@ def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict
         return ClassificationVerdict("mks", 1, {"h": p.eps, "chain_to_g": [], "chain_to_f": []})
     h_letters = p.subgroup_h - {p.eps}
     if n == 1:
-        g_p = gamma_to_p(g_can[0], p)
-        f_p = gamma_to_p(f_can[0], p)
-        _closure, parents_g = _letter_closure_traced(g_can[0], ctx)
+        (g_p,), (f_p,) = g_can, f_can
+        parents_g = _letter_closure_traced(g_p, p)
         in_h = sorted(parents_g.keys() & h_letters)
         if in_h:
             h = in_h[0]
-            _closure_f, parents_f = _letter_closure_traced(f_can[0], ctx)
+            parents_f = _letter_closure_traced(f_p, p)
             # letter closures are conjugacy classes: one without h is disjoint
             if h not in parents_f:
                 raise ValueError("pair is not conjugate (letter closures differ)")
@@ -431,7 +434,7 @@ def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict
             raise ValueError("pair is not conjugate in the common factor")
         return ClassificationVerdict("mks", 2, {"a": a})
     pre = [p.inv[h] for h in sorted(p.subgroup_h)]
-    for i, b in _rotation_matches(ctx.to_p(g_can), ctx.to_p(f_can), lambda _rot: pre, p):
+    for i, b in _rotation_matches(g_can, f_can, lambda _rot: pre, p):
         return ClassificationVerdict("mks", 3, {"h": p.inv[b], "i": i})
     raise ValueError("pair admits no amalgam case-3 witness; not conjugate?")
 
@@ -448,9 +451,8 @@ def verify_collins(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVer
         raise ValueError("pair is not conjugate (length mismatch)")
     if len(f_can) == 0:
         return ClassificationVerdict("collins", 1, {"chain": [], "h": p.eps})
-    f_p = gamma_to_p(f_can[0], p) if len(f_can) == 1 else None
-    g_p = gamma_to_p(g_can[0], p) if len(g_can) == 1 else None
-    if f_p is not None and f_p in H:
+    if len(f_can) == 1 and f_can[0] in H:
+        (g_p,), (f_p,) = g_can, f_can
         if f_p in ab:
             found = _collins_chain(f_p, g_p, p)
             if found is None:
@@ -461,13 +463,12 @@ def verify_collins(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVer
         h = _pool_conjugator(H, g_p, f_p, p)
         if h is None:
             raise ValueError("pair is not conjugate by a base group element")
-        _closure, parents = _letter_closure_traced(g_can[0], ctx)
+        parents = _letter_closure_traced(g_p, p)
         return ClassificationVerdict(
             "collins", 2, {"h": h, "g_conjugate_into_ab": not ab.isdisjoint(parents)}
         )
     # case 3: nontrivial t-sequence
-    g_std = ctx.to_p(standard_cyclic_form(CyclicWord(g_can), ctx))
-    f_std = ctx.to_p(standard_cyclic_form(CyclicWord(f_can), ctx))
+    g_std, f_std = _standard_form(g_can, p), _standard_form(f_can, p)
 
     def stated(letter):  # the pool the sign of a stable letter asks for
         return p.sub_a if p.stable[letter][1] == -1 else p.sub_b

@@ -23,10 +23,11 @@ from .universal import (
     _conjugacy_prelude,
     _interleaving_equal,
     _nf_carries,
+    _p_inverse,
     _preconjugate_p,
     equal_in_U,
 )
-from .words import Word, involute
+from .words import Word
 
 __all__ = [
     "ConjugacyAnswer",
@@ -159,19 +160,18 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     Conversely, a KMP hit at s that passes [NF(f^b)[n-1] c_e] = W[e]
     gives NF(f^b) c_e = W[s:e+1] = r_s c_e.
     """
-    answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
+    answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
         return answer
     p = ctx.pregroup
-    n = len(g_can)
-    g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
-    f_p = ctx.to_p(f_can)
+    n = len(g)
+    g_nf, _c = _nf_carries(g, p)
     tail, carries = _nf_carries(g_nf[n - 1 :] + g_nf, p)
     text = g_nf[: n - 1] + tail[: n - 1]  # W[:2n-2], see the prefix lemma
     inv, table = p.inv, p.table
 
     for b in range(len(p)):
-        fb = _preconjugate_p(f_p, inv[b], p)
+        fb = _preconjugate_p(f, inv[b], p)
         if fb is None:
             continue  # not a preconjugation of f
         fb_nf, _fc = _nf_carries(fb, p)
@@ -180,8 +180,6 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
             if table[last][carries[s]] == tail[s] and _interleaving_equal(
                 fb, g_nf[s:] + g_nf[:s], p
             ):
-                b_word = ctx.to_gamma((b,)) if b != p.eps else ()
-                q_inv = involute(ctx.to_gamma(g_nf[:s]), ctx.alphabet)
-                x = zv_inv + b_word + q_inv + zu
+                x = zv_inv + (b,) + _p_inverse(g_nf[:s], p) + zu
                 return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
     return ConjugacyAnswer(False, method="linear")

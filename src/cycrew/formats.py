@@ -4,7 +4,7 @@ tables), .grp (finite group tables).
 All three formats are UTF-8, '#' starts a comment, sections are bracketed
 headers.  Words are whitespace-separated letter tokens; the bare token "1"
 denotes the empty word on either side of a rule, so "1" is reserved and may
-not be used as a letter name.
+not be used as a letter name, and a side with no tokens is an error.
 """
 
 from __future__ import annotations
@@ -93,9 +93,12 @@ def _pairs_line(tokens, involution):
 
 def _word(letter, toks, no: int):
     """The word of a rule side's tokens, "1" alone being the empty word;
-    letter maps a token to its index."""
+    letter maps a token to its index.  A side with no tokens is an error,
+    so a line cut off after its arrow does not load as another rule."""
     if toks == ["1"]:
         return ()
+    if not toks:
+        raise ParseError("rule side is empty; write '1' for the empty word", no)
     try:
         return tuple(map(letter, toks))
     except KeyError as exc:

@@ -1,9 +1,14 @@
 """Computation in the universal group of a finite pregroup.
 
 Words handed to these operations are over Gamma = P minus epsilon, encoded
-as indices into the context's alphabet.  Internally letters are converted
-to pregroup element indices by UniversalContext.to_p, which rejects a
-letter outside Gamma with AlphabetError.
+as indices into the context's alphabet.  Internally a word is a tuple of
+pregroup element indices (a P word), from its one UniversalContext.to_p at
+a public entry point, which rejects a letter outside Gamma with
+AlphabetError, until a result leaves through UniversalContext.to_gamma.
+The conjugacy procedures here, in fastconj and in constructions keep this
+rule: cyclic reduction, letter closures, preconjugation, the carry passes
+and the conjugators they build all read and return P words, and only
+_certify turns the finished conjugator into Gamma letters.
 
 Cyclic reduction and the choice of canonical rotation are one linear pass,
 _canonical_traced: stack-reduce once, then merge the last letter into the
@@ -74,7 +79,8 @@ class UniversalContext:
 
     def to_p(self, w: Word) -> tuple:
         """P indices of a Gamma word; AlphabetError (a ValueError) on a
-        letter outside Gamma.  Every entry point converts through here."""
+        letter outside Gamma.  Every entry point converts through here,
+        once per input word; inside, words stay P words."""
         validate_word(w, self.alphabet)
         return tuple(map(self._p_of.__getitem__, w))
 
@@ -104,6 +110,11 @@ def _stack_reduce(pw, p: Pregroup):
         if x != eps:
             out.append(x)
     return tuple(out)
+
+
+def _p_inverse(pw, p: Pregroup) -> tuple:
+    """The inverse of a P-index word: its letters inverted, in reverse."""
+    return tuple(map(p.inv.__getitem__, reversed(pw)))
 
 
 def reduce_word(w: Word, ctx: UniversalContext) -> Word:
@@ -269,8 +280,11 @@ def shortlex_nf(w: Word, ctx: UniversalContext) -> Word:
 
 
 def _canonical_traced(w: Word, ctx: UniversalContext):
-    """(canonical cyclically reduced Gamma word, z) with canon = z w inv(z)
-    in U(P), in one linear pass.
+    """(canon, z): the canonical cyclically reduced form of the Gamma word
+    w and a conjugator z with canon = z w inv(z) in U(P), both as P-index
+    words, in one linear pass.  w is converted with ctx.to_p here, once;
+    callers keep canon and z as P words and convert only what they hand
+    back (cyclic_reduce its canon, _certify a conjugator).
 
     w is stack-reduced once to r.  While the last and first letters of the
     word multiply, the last letter x is moved to the front (conjugation by
@@ -279,9 +293,11 @@ def _canonical_traced(w: Word, ctx: UniversalContext):
     only at the front and each step shortens the word: the pass is linear
     in |r|.  Only the front letter is ever a product, so the k letters
     moved are r's last k letters, and z = inv(g[:o]) r[m-k:] for the
-    least-rotation offset o of the result g and m = |r|.  This is the
-    classical one-pass argument for free groups (Lyndon & Schupp,
-    Combinatorial Group Theory, 1977) carried over to pregroup words.
+    least-rotation offset o of the result g and m = |r|.  gamma_to_p is
+    increasing, so o is also the least-rotation offset of g's Gamma
+    letters.  This is the classical one-pass argument for free groups
+    (Lyndon & Schupp, Combinatorial Group Theory, 1977) carried over to
+    pregroup words.
     """
     p = ctx.pregroup
     table = p.table
@@ -295,16 +311,15 @@ def _canonical_traced(w: Word, ctx: UniversalContext):
             x = table[x][cur.popleft()]
         if x != p.eps:
             cur.appendleft(x)
-    g = ctx.to_gamma(cur)
+    g = tuple(cur)
     o = least_rotation_offset(g)
-    z = involute(g[:o], ctx.alphabet) + ctx.to_gamma(r[len(r) - k :])
-    return g[o:] + g[:o], z
+    return g[o:] + g[:o], _p_inverse(g[:o], p) + r[len(r) - k :]
 
 
 def cyclic_reduce(w: Word, ctx: UniversalContext) -> CyclicWord:
     """Cyclically reduced form of w, as a canonical cyclic word over
     Gamma."""
-    return CyclicWord(_canonical_traced(w, ctx)[0])
+    return CyclicWord(ctx.to_gamma(_canonical_traced(w, ctx)[0]))
 
 
 def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
@@ -381,16 +396,15 @@ def preconjugate(c: CyclicWord, b: int, ctx: UniversalContext) -> Optional[Cycli
 def letter_conjugacy_closure(letter: int, ctx: UniversalContext) -> frozenset:
     """All Gamma letters reachable from `letter` by preconjugations
     x -> [c x inv(c)]."""
-    closure, _parents = _letter_closure_traced(letter, ctx)
-    return closure
-
-
-def _letter_closure_traced(letter: int, ctx: UniversalContext):
-    """(closure, BFS tree) of letter_conjugacy_closure; the tree maps each
-    P index reached to (previous P index, conjugating c), the start to
-    None."""
-    p = ctx.pregroup
     (start,) = ctx.to_p((letter,))
+    return frozenset(ctx.to_gamma(_letter_closure_traced(start, ctx.pregroup)))
+
+
+def _letter_closure_traced(start: int, p: Pregroup) -> dict:
+    """The BFS tree of the closure of P element start under x -> [c x
+    inv(c)], start not epsilon: it maps each P index reached to (previous
+    P index, conjugating c), the start to None, so its keys are the
+    closure."""
     parents = {start: None}
     queue = collections.deque([start])
     while queue:
@@ -401,7 +415,7 @@ def _letter_closure_traced(letter: int, ctx: UniversalContext):
                 continue
             parents[y] = (x, c)
             queue.append(y)
-    return frozenset(p_to_gamma(x, p) for x in parents), parents
+    return parents
 
 
 def _bfs_path(parents: dict, target) -> list:
@@ -418,19 +432,21 @@ def _bfs_path(parents: dict, target) -> list:
     return path
 
 
-def _closure_conjugator(parents: dict, target: int, ctx: UniversalContext) -> Word:
-    """Gamma word x with x . letter . inv(x) = target, from the BFS tree
-    of letter's closure (see _letter_closure_traced)."""
-    p = ctx.pregroup
-    path = _bfs_path(parents, gamma_to_p(target, p))
-    # target = c_k ( ... (c_1 . letter . inv(c_1)) ... ) inv(c_k); no c is
+def _closure_conjugator(parents: dict, target: int) -> tuple:
+    """P word x with x . start . inv(x) = target in U(P), from the BFS
+    tree of start's closure (see _letter_closure_traced)."""
+    # target = c_k ( ... (c_1 . start . inv(c_1)) ... ) inv(c_k); no c is
     # epsilon, since conjugating by epsilon reaches no new element
-    return tuple(p_to_gamma(c, p) for _y, c in reversed(path))
+    return tuple(c for _y, c in reversed(_bfs_path(parents, target)))
 
 
-def _certify(u, v, x, ctx) -> Word:
-    """x reduced, after checking that it conjugates u to v in U(P)."""
-    cert = reduce_word(x, ctx)
+def _certify(u: Word, v: Word, x, ctx: UniversalContext) -> Word:
+    """The conjugator x, a P-index word, reduced and turned into Gamma
+    letters, after checking that it conjugates the Gamma words u to v in
+    U(P).  This is where a conjugacy decision leaves P indices: the
+    stack reduction drops every epsilon in x, and ctx.to_gamma is the one
+    conversion back."""
+    cert = ctx.to_gamma(_stack_reduce(x, ctx.pregroup))
     if not equal_in_U(cert + u + involute(cert, ctx.alphabet), v, ctx):
         raise CertificateError(f"conjugator {cert} does not take {u} to {v}")
     return cert
@@ -441,24 +457,28 @@ def _conjugacy_prelude(u: Word, v: Word, ctx: UniversalContext, method: str):
     sides, the length test, and the cases of length 0 and 1, which the
     letter conjugacy closure settles.
 
-    Returns (answer, g, f, zu, zv_inv) with g, f the canonical cyclically
-    reduced forms, g = zu u inv(zu) and f = zv v inv(zv) in U(P); answer is
-    None when g and f have the same length n >= 2.
+    Returns (answer, g, f, zu, zv_inv), all but answer P-index words: g, f
+    the canonical cyclically reduced forms, g = zu u inv(zu) and f = zv v
+    inv(zv) in U(P).  The Gamma words u and v are converted once, by
+    _canonical_traced; a conjugator built from these words goes to
+    _certify as it is.  answer is None when g and f have the same length
+    n >= 2.
     """
+    p = ctx.pregroup
     g, zu = _canonical_traced(u, ctx)
     f, zv = _canonical_traced(v, ctx)
-    zv_inv = involute(zv, ctx.alphabet)
+    zv_inv = _p_inverse(zv, p)
     answer = None
     if len(g) != len(f):
         answer = ConjugacyAnswer(False, method=method)
     elif len(g) == 0:
         answer = ConjugacyAnswer(True, _certify(u, v, (), ctx), method)
     elif len(g) == 1:
-        closure, parents = _letter_closure_traced(g[0], ctx)
-        if f[0] not in closure:
+        parents = _letter_closure_traced(g[0], p)
+        if f[0] not in parents:
             answer = ConjugacyAnswer(False, method=method)
         else:
-            x = zv_inv + _closure_conjugator(parents, f[0], ctx) + zu
+            x = zv_inv + _closure_conjugator(parents, f[0]) + zu
             answer = ConjugacyAnswer(True, _certify(u, v, x, ctx), method)
     return answer, g, f, zu, zv_inv
 
@@ -471,8 +491,7 @@ def conjugate_quadratic(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAns
         return answer
     p = ctx.pregroup
     every = range(len(p))
-    for i, b in _rotation_matches(ctx.to_p(g), ctx.to_p(f), lambda _rot: every, p):
-        b_word = (p_to_gamma(b, p),) if b != p.eps else ()
-        x = zv_inv + b_word + involute(g[:i], ctx.alphabet) + zu
+    for i, b in _rotation_matches(g, f, lambda _rot: every, p):
+        x = zv_inv + (b,) + _p_inverse(g[:i], p) + zu
         return ConjugacyAnswer(True, _certify(u, v, x, ctx), "quadratic")
     return ConjugacyAnswer(False, method="quadratic")

@@ -29,7 +29,6 @@ from cycrew.pregroup import (
 )
 from cycrew.universal import (
     UniversalContext,
-    _canonical_traced,
     _interleaving_equal,
     conjugate_quadratic,
     cyclic_reduce,
@@ -330,7 +329,7 @@ def replay_mks(ver, g, f, ctx):
     element a with [a~ g a] = f, and case 3 a rotation i of g that h
     preconjugates to an interleaving of f."""
     p = ctx.pregroup
-    g_p, f_p = (ctx.to_p(_canonical_traced(w, ctx)[0]) for w in (g, f))
+    g_p, f_p = (ctx.to_p(cyclic_reduce(w, ctx).canon) for w in (g, f))
     w = ver.witness
     assert ver.theorem == "mks"
     if ver.case == 1 and not g_p:
@@ -454,7 +453,7 @@ def replay_collins(ver, g, f, ctx):
     rotation j of the standard cyclic form of g that c preconjugates to an
     interleaving of that of f."""
     p = ctx.pregroup
-    g_can, f_can = (_canonical_traced(w, ctx)[0] for w in (g, f))
+    g_can, f_can = (cyclic_reduce(w, ctx).canon for w in (g, f))
     w = ver.witness
     assert ver.theorem == "collins"
     if ver.case == 1 and not g_can:

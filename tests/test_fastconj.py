@@ -227,19 +227,17 @@ def least_match(u, v, ctx, bs=None):
     """(b, s, certificate) for the least b (of bs, default every element),
     then the least rotation s of NF(g), with b~ f b equal to that rotation,
     by direct comparison; None when there is none or the prelude decides."""
-    answer, g_can, f_can, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
+    answer, g_p, f_p, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
         return None
     p = ctx.pregroup
-    g_nf, _c = _nf_carries(ctx.to_p(g_can), p)
-    f_p = ctx.to_p(f_can)
+    g_nf, _c = _nf_carries(g_p, p)
     for b in range(len(p)) if bs is None else bs:
         fb = _stack_reduce((p.inv[b],) + f_p + (b,), p)
         for s in range(len(g_nf)):
             if _interleaving_equal(fb, g_nf[s:] + g_nf[:s], p):
-                b_word = ctx.to_gamma((b,)) if b != p.eps else ()
-                q_inv = involute(ctx.to_gamma(g_nf[:s]), ctx.alphabet)
-                return b, s, _certify(u, v, zv_inv + b_word + q_inv + zu, ctx)
+                q_inv = tuple(p.inv[x] for x in reversed(g_nf[:s]))
+                return b, s, _certify(u, v, zv_inv + (b,) + q_inv + zu, ctx)
     return None
 
 
@@ -345,11 +343,10 @@ def split_preconjugators(u, v, ctx):
     """(f_p, kept, skipped) for a pair the prelude leaves undecided: kept
     are epsilon and the b that pass the filter with |stack_reduce(b~ f b)| =
     n, skipped the other b with that length; None when the prelude decides."""
-    answer, _g, f_can, _zu, _zv = _conjugacy_prelude(u, v, ctx, "linear")
+    answer, _g, f_p, _zu, _zv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
         return None
     p = ctx.pregroup
-    f_p = ctx.to_p(f_can)
     n = len(f_p)
     kept, skipped = [], []
     for b in range(len(p)):

@@ -118,7 +118,8 @@ class TestRws:
 
 
 # (text, message, line) of malformed [rules] and [cyclic-rules] lines; every
-# message is the one the parser gave before it split each line only once
+# message is the one the parser gave before it split each line only once,
+# but for the empty sides, which it read as the empty word
 _AB = "[alphabet]\nletters: a A b\npairs: a A\n[rules]\n"
 RULE_ERRORS = {
     "unknown-lhs": (_AB + "a b -> 1\nz a -> b\n", "unknown letter 'z'", 6),
@@ -133,6 +134,12 @@ RULE_ERRORS = {
     "symmetric-unequal": (_AB + "a b <-> a\n", "symmetric rules must be length preserving", 5),
     "cyclic-unknown": (_AB + "[cyclic-rules]\na z -> b\n", "unknown letter 'z'", 6),
     "cyclic-no-arrow": (_AB + "[cyclic-rules]\na b\n", "cyclic rule needs '->'", 6),
+    "empty-rhs": (_AB + "a -> b\na b ->\n", "rule side is empty; write '1' for the empty word", 6),
+    "empty-lhs": (_AB + "-> a\n", "rule side is empty; write '1' for the empty word", 5),
+    "empty-symmetric-rhs": (_AB + "a <->\n", "rule side is empty; write '1' for the empty word", 5),
+    "cyclic-empty-rhs": (
+        _AB + "[cyclic-rules]\na ->\n", "rule side is empty; write '1' for the empty word", 6
+    ),
 }
 
 

@@ -340,7 +340,7 @@ class TestOnePassCyclicReduction:
         for p in pregroups:
             ctx = UniversalContext(p)
             for i, w in enumerate(differential_words(rng, ctx, 1120)):
-                canon, z = _canonical_traced(w, ctx)
+                canon, z = (ctx.to_gamma(pw) for pw in _canonical_traced(w, ctx))
                 assert (canon, z) == ref_canonical_traced(w, ctx)
                 assert cyclic_reduce(w, ctx) == CyclicWord(canon)
                 assert equal_in_U(canon, z + w + involute(z, ctx.alphabet), ctx)
