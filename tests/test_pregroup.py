@@ -324,9 +324,47 @@ def random_small_table(rng):
             ]
             for i in range(n)
         ]
+    return with_table(elements, eps, inv, rows)
+
+
+def with_table(elements, eps, inv, rows):
+    """The Pregroup on elements with epsilon eps, involution inv (a list of
+    indices) and table rows, taken as they are: the epsilon synthesis of
+    the constructor is bypassed."""
     q = Pregroup(elements, elements[eps], {elements[i]: elements[j] for i, j in enumerate(inv)}, {})
-    q.table = tuple(tuple(row) for row in rows)  # bypasses the epsilon synthesis
+    q.table = tuple(tuple(row) for row in rows)
     return q
+
+
+def corrupted(p, rng):
+    """p with 1-4 table entries changed, each to None or to another
+    element, and each in a row of G_P with probability 1/2."""
+    n, gp = len(p), sorted(canonical_subgroup(p))
+    rows = [list(row) for row in p.table]
+    for _ in range(rng.randrange(1, 5)):
+        a = rng.choice(gp) if rng.random() < 0.5 else rng.randrange(n)
+        b = rng.randrange(n)
+        old = rows[a][b]
+        if old is not None and rng.random() < 0.5:
+            rows[a][b] = None
+        else:
+            rows[a][b] = rng.choice([x for x in range(n) if x != old])
+    return with_table(p.elements, p.eps, p.inv, rows)
+
+
+def large_free_pregroup(n):
+    """The free pregroup on n elements: epsilon e, pairs x<i>, X<i> of
+    inverse letters and, when n is even, one letter z = z~.  Only products
+    with epsilon and inverse pairs are defined."""
+    elements, involution = ["e"], {}
+    for i in range((n - 1) // 2):
+        x, y = f"x{i}", f"X{i}"
+        elements += [x, y]
+        involution.update({x: y, y: x})
+    if n % 2 == 0:
+        elements.append("z")
+    product = {(x, involution.get(x, x)): "e" for x in elements[1:]}
+    return Pregroup(elements, "e", involution, product)
 
 
 DIFFERENTIAL_PAIRS = (
@@ -390,6 +428,34 @@ class TestRowPassesMatchSweeps:
             )
         assert failed == {"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8"}
         assert gp_raised
+
+    def test_corrupted_hnn_tables(self):
+        # up to 255 elements P4 is compared a row at a time as bytes, and
+        # only pairs whose bytes differ list their witnesses one by one
+        rng = random.Random(20261020)
+        hnn = samples.hnn_s3()
+        failed = set()
+        for _ in range(25):
+            report, *_rest = assert_same_as_reference(corrupted(hnn, rng))
+            failed.update(name for name, witnesses in report[1] if witnesses)
+        assert {"P3", "P4", "P5"} <= failed
+        report, *_rest = assert_same_as_reference(corrupted(hnn_z10_z2(), rng))
+        assert dict(report[1])["P4"]
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_free_pregroups_at_the_byte_limit(self, n):
+        # 255 elements are the most that fit a byte beside the undefined
+        # marker; 256 and 257 take the per-c loop for every pair
+        p = large_free_pregroup(n)
+        rows = [list(row) for row in corrupted(p, random.Random(n)).table]
+        # [x0 w] = w for the last element w: P4 then fails at (x0~, x0, w)
+        # with [x0~ w] undefined, which no encoding may confuse with w
+        rows[1][n - 1] = n - 1
+        bad = with_table(p.elements, p.eps, p.inv, rows)
+        for q in (p, bad):
+            assert outcome(check_axioms, q) == outcome(ref_check_axioms, q)
+        assert check_axioms(p)
+        assert not check_axioms(bad).ok("P4")
 
     def test_gp_not_a_subgroup_still_raises(self):
         # G_P = {e, a} is not closed: [aa] = b
