@@ -151,6 +151,51 @@ def test_rule_parse_errors_are_pinned(text, message, line):
     assert err.value.line == line
 
 
+# the [product] rows of a .pg and a .grp file on the elements e and a, and
+# the message of the row they fault; the row number counts from the first
+# row of the section, and a later fault never hides an earlier one
+_PRODUCT_HEADS = {
+    "pg": (parse_pg, "[pregroup]\nelements: e a\nepsilon: e\npairs: a a\n[product]\n"),
+    "grp": (parse_grp, "[group]\nelements: e a\nidentity: e\n[product]\n"),
+}
+_PRODUCT_ROWS = {
+    "three-tokens": ("a a = e\na a e\n", "expected 'x y = z', got 'a a e'", 2),
+    "five-tokens": ("a a = e e\n", "expected 'x y = z', got 'a a = e e'", 1),
+    "missing-eq": ("a a : e\n", "expected 'x y = z', got 'a a : e'", 1),
+    "unknown-x": ("a a = e\nz a = e\n", "unknown element 'z'", 2),
+    "unknown-y": ("a z = e\n", "unknown element 'z'", 1),
+    "unknown-z": ("a a = z\n", "unknown element 'z'", 1),
+    "unknown-x-and-z": ("y a = z\n", "unknown element 'y'", 1),
+    "other-result": ("a a = e\ne a = a\na a = a\n", "product a a given as both e and a", 3),
+    "shape-then-unknown": ("a a\na z = e\n", "expected 'x y = z', got 'a a'", 1),
+    "unknown-then-shape": ("a a = e\na z = e\na a e\n", "unknown element 'z'", 2),
+    "unknown-then-other-result": ("a a = e\nz a = e\na a = a\n", "unknown element 'z'", 2),
+    "other-result-then-shape": ("a a = e\na a = a\na a\n", "product a a given as both e and a", 2),
+}
+PRODUCT_ERRORS = {
+    f"{kind}-{name}": (parse, head + rows, message, head.count("\n") + row)
+    for kind, (parse, head) in _PRODUCT_HEADS.items()
+    for name, (rows, message, row) in _PRODUCT_ROWS.items()
+}
+
+
+@pytest.mark.parametrize("parse, text, message, line", PRODUCT_ERRORS.values(), ids=PRODUCT_ERRORS)
+def test_product_parse_errors_are_pinned(parse, text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("kind", _PRODUCT_HEADS)
+def test_product_repeated_with_the_same_result_is_accepted(kind):
+    parse, head = _PRODUCT_HEADS[kind]
+    rows = "e e = e\ne a = a\na e = a\na a = e\na a = e\n"
+    parsed = parse(head + rows)
+    table = parsed if kind == "pg" else parsed[0]
+    assert list(map(list, table.table)) == [[0, 1], [1, 0]]
+
+
 @pytest.mark.parametrize(
     "rules, bad",
     [

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -39,6 +40,33 @@ class TestRuleAndSystem:
         a = _ab()
         with pytest.raises(ValueError):
             Rule(a.word("ab"), a.word("a"), symmetric=True)
+
+    def test_rule_is_an_immutable_value(self):
+        r = Rule((0, 1), (1,))
+        assert repr(r) == "Rule(lhs=(0, 1), rhs=(1,), anchor=<Anchor.NONE: 'none'>, symmetric=False)"
+        assert repr(Rule((0,), (1,), Anchor.WHOLE, True)) == (
+            "Rule(lhs=(0,), rhs=(1,), anchor=<Anchor.WHOLE: 'whole'>, symmetric=True)"
+        )
+        same = Rule(lhs=(0, 1), rhs=(1,), anchor=Anchor.NONE, symmetric=False)
+        assert r == same and not r != same and hash(r) == hash(same)
+        swap = Rule((0, 1), (1, 0))
+        variants = [swap, Rule((0, 1), (1, 0), Anchor.PREFIX), Rule((0, 1), (1, 0), symmetric=True)]
+        variants += [Rule((0, 1), (1, 0), Anchor.SUFFIX, True)]
+        for i, u in enumerate(variants):
+            for v in variants[i + 1 :]:
+                assert u != v and not u == v
+        assert len({*variants, *variants, Rule((0, 1), (1, 0))}) == 4
+        for rule in (r, *variants):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(rule, protocol))
+                assert back == rule and type(back) is Rule and hash(back) == hash(rule)
+            before = repr(rule)
+            for field, value in (("lhs", ()), ("rhs", ()), ("anchor", Anchor.WHOLE), ("symmetric", True)):
+                with pytest.raises(AttributeError):
+                    setattr(rule, field, value)
+            assert repr(rule) == before
+        with pytest.raises(ValueError, match="^symmetric rules must be length preserving$"):
+            Rule((0, 1), (1,), Anchor.PREFIX, True)
 
     def test_flags(self):
         s = samples.four_letter_cycle_system()
