@@ -3,13 +3,16 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from cycrew import UniversalContext, samples
 from cycrew.constructions import FiniteGroupTable, hnn_pregroup
+from cycrew.formats import ParseError
 from cycrew.pregroup import AxiomReport, Pregroup
-from cycrew.rewrite import BudgetExhausted, ConfluenceReport, RewriteSystem, word_successors
+from cycrew.rewrite import Anchor, BudgetExhausted, ConfluenceReport, RewriteSystem, word_successors
+from cycrew.words import Alphabet, CyclicWord
 
 acceptance_lines = []
 
@@ -181,6 +184,147 @@ def ref_check_axioms(p: Pregroup) -> AxiomReport:
                 if p.mul3(a, b, c) is None and p.mul3(b, c, d) is None:
                     v["P5"].append((a, b, c, d))
     return rep
+
+
+def ref_sections(text):
+    r"""The sections of a .rws, .pg or .grp text as {header: [(lineno,
+    line)]}, read one line at a time as the formats module states them.
+    Lines end at "\n", "\r\n" or "\r"; '#' starts a comment that runs
+    to the end of its line; what is left is stripped of whitespace and
+    skipped when blank.  A line "[name]" starts the section name, and a
+    header given twice adds to the one section; a line before any header
+    is an error."""
+    sections, current = {}, None
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        line = raw.partition("#")[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            current = sections.setdefault(line[1:-1].strip(), [])
+        elif line and current is None:
+            raise ParseError(f"content before any section: {line!r}", lineno)
+        elif line:
+            current.append((lineno, line))
+    return sections
+
+
+def _ref_entry(entries, key):
+    """(lineno, value) of the one 'key:' line of a section."""
+    found = [(no, line[len(key) + 1 :].strip()) for no, line in entries if line.startswith(key + ":")]
+    if not found:
+        raise ParseError(f"missing {key!r} entry")
+    if len(found) > 1:
+        raise ParseError(f"{key!r} entry repeated (first given on line {found[0][0]})", found[1][0])
+    return found[0]
+
+
+def _ref_pairs(entries):
+    """The token pairs of the 'pairs:' lines, "x y" each, comma separated."""
+    pairs = []
+    for no, line in entries:
+        if line.startswith("pairs:") and line[6:].strip():
+            for chunk in line[6:].split(","):
+                if len(chunk.split()) != 2:
+                    raise ParseError(f"bad involution pair {chunk.strip()!r}", no)
+                pairs.append(tuple(chunk.split()))
+    return pairs
+
+
+def _ref_side(index, tokens, no):
+    """A rule side: "1" alone is the empty word, no token is an error."""
+    if tokens == ["1"]:
+        return ()
+    if not tokens:
+        raise ParseError("rule side is empty; write '1' for the empty word", no)
+    for tok in tokens:
+        if tok not in index:
+            raise ParseError(f"unknown letter {tok!r}", no)
+    return tuple(index[tok] for tok in tokens)
+
+
+def ref_parse_rws(text):
+    """A .rws text as (letters, involution, rules, cyclic pairs), rules as
+    (lhs, rhs, anchor, symmetric) tuples, read one line at a time; the
+    reference that formats.parse_rws is compared against.
+
+    [alphabet] has one 'letters:' line, which may not use the reserved
+    token "1", and 'pairs:' lines.  A [rules] line is "lhs -> rhs" or
+    "lhs <-> rhs", maybe after a tag "prefix:", "suffix:" or "whole:"
+    (space before the colon allowed); it has exactly one arrow token.  A
+    [cyclic-rules] line is "u -> v", cut at its first "->"."""
+    sections = ref_sections(text)
+    if "alphabet" not in sections:
+        raise ParseError("missing [alphabet] section")
+    no, letters = _ref_entry(sections["alphabet"], "letters")
+    letters = letters.split()
+    if "1" in letters:
+        raise ParseError("'1' is reserved for the empty word", no)
+    pairs = _ref_pairs(sections["alphabet"])
+    try:
+        alphabet = Alphabet.from_pairs(letters, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    index = {tok: i for i, tok in enumerate(letters)}
+    tags = {"prefix": Anchor.PREFIX, "suffix": Anchor.SUFFIX, "whole": Anchor.WHOLE}
+    rules = []
+    for no, line in sections.get("rules", []):
+        tag, colon, rest = line.partition(":")
+        anchor = tags.get(tag.strip(), Anchor.NONE) if colon else Anchor.NONE
+        tokens = (rest if anchor is not Anchor.NONE else line).split()
+        plain, symmetric = tokens.count("->"), tokens.count("<->")
+        if plain and symmetric:
+            raise ParseError("rule has both '->' and '<->'", no)
+        arrow = "<->" if symmetric else "->"
+        if plain + symmetric != 1:
+            raise ParseError(f"rule needs exactly one {arrow!r}", no)
+        cut = tokens.index(arrow)
+        lhs = _ref_side(index, tokens[:cut], no)
+        rhs = _ref_side(index, tokens[cut + 1 :], no)
+        if symmetric and len(lhs) != len(rhs):
+            raise ParseError("symmetric rules must be length preserving", no)
+        rules.append((lhs, rhs, anchor, bool(symmetric)))
+    cyclic = []
+    for no, line in sections.get("cyclic-rules", []):
+        tokens = line.split()
+        if "->" not in tokens:
+            raise ParseError("cyclic rule needs '->'", no)
+        cut = tokens.index("->")
+        u, v = _ref_side(index, tokens[:cut], no), _ref_side(index, tokens[cut + 1 :], no)
+        cyclic.append((CyclicWord.of(u).canon, CyclicWord.of(v).canon))
+    return alphabet.letters, alphabet.involution, rules, cyclic
+
+
+def ref_parse_pg(text):
+    """A .pg text as (elements, epsilon, involution, table), read one line
+    at a time; the reference that formats.parse_pg is compared against.
+
+    [pregroup] has one 'elements:' and one 'epsilon:' line and 'pairs:'
+    lines.  A [product] line is "x y = z" of known elements, and a
+    product given twice has one result."""
+    sections = ref_sections(text)
+    if "pregroup" not in sections:
+        raise ParseError("missing [pregroup] section")
+    entries = sections["pregroup"]
+    elements = _ref_entry(entries, "elements")[1].split()
+    epsilon = _ref_entry(entries, "epsilon")[1]
+    involution = {}
+    for x, y in _ref_pairs(entries):
+        involution[x], involution[y] = y, x
+    product = {}
+    for no, line in sections.get("product", []):
+        tokens = line.split()
+        if len(tokens) != 4 or tokens[2] != "=":
+            raise ParseError(f"expected 'x y = z', got {line!r}", no)
+        for tok in tokens[:2] + tokens[3:]:
+            if tok not in elements:
+                raise ParseError(f"unknown element {tok!r}", no)
+        x, y, _eq, z = tokens
+        if product.get((x, y), z) != z:
+            raise ParseError(f"product {x} {y} given as both {product[x, y]} and {z}", no)
+        product[x, y] = z
+    try:
+        p = Pregroup(elements, epsilon, involution, product)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return p.elements, p.eps, p.inv, p.table
 
 
 def census_tables(n):

@@ -1,10 +1,12 @@
+import collections
 import hashlib
+import random
 
 import pytest
 
 from cycrew import formats, samples
 from cycrew.cli import main
-from cycrew.completion import resolve_short_pairs
+from cycrew.completion import hat_extension, resolve_short_pairs
 from cycrew.formats import (
     ParseError,
     emit_grp,
@@ -18,7 +20,7 @@ from cycrew.pregroup import derive_system
 from cycrew.rewrite import Anchor, RewriteSystem, Rule
 from cycrew.words import Alphabet, AlphabetError
 
-from conftest import hnn_cyclic
+from conftest import hnn_cyclic, ref_parse_pg, ref_parse_rws
 
 
 def systems_equal(s1, s2):
@@ -119,7 +121,8 @@ class TestRws:
 
 # (text, message, line) of malformed [rules] and [cyclic-rules] lines; every
 # message is the one the parser gave before it split each line only once,
-# but for the empty sides, which it read as the empty word
+# but for the empty sides, which it read as the empty word, and for lines
+# that a boundary other than "\n", "\r\n" or "\r" used to split
 _AB = "[alphabet]\nletters: a A b\npairs: a A\n[rules]\n"
 RULE_ERRORS = {
     "unknown-lhs": (_AB + "a b -> 1\nz a -> b\n", "unknown letter 'z'", 6),
@@ -140,6 +143,15 @@ RULE_ERRORS = {
     "cyclic-empty-rhs": (
         _AB + "[cyclic-rules]\na ->\n", "rule side is empty; write '1' for the empty word", 6
     ),
+    "bad-pair": ("[alphabet]\nletters: a A b\npairs: a A b\n", "bad involution pair 'a A b'", 3),
+    # only "\n", "\r\n" and "\r" end a line; the other boundaries of
+    # str.splitlines are whitespace inside it
+    "form-feed-in-line": (_AB + "a -> b\fz -> a\n", "rule needs exactly one '->'", 5),
+    "next-line-in-line": (_AB + "a -> b\x85z -> a\n", "rule needs exactly one '->'", 5),
+    "line-separator-in-line": (_AB + "a\u2028z -> b\n", "unknown letter 'z'", 5),
+    "paragraph-separator-in-comment": (_AB + "a -> b # \u2029z -> a\nb -> y\n", "unknown letter 'y'", 6),
+    "cr-ends-line": (_AB + "a -> b\rz -> a\n", "unknown letter 'z'", 6),
+    "crlf-ends-line": (_AB.replace("\n", "\r\n") + "a -> b\r\nz -> a\r\n", "unknown letter 'z'", 6),
 }
 
 
@@ -170,6 +182,7 @@ _PRODUCT_ROWS = {
     "shape-then-unknown": ("a a\na z = e\n", "expected 'x y = z', got 'a a'", 1),
     "unknown-then-shape": ("a a = e\na z = e\na a e\n", "unknown element 'z'", 2),
     "unknown-then-other-result": ("a a = e\nz a = e\na a = a\n", "unknown element 'z'", 2),
+    "other-result-between-repeats": ("a a = e\na a = a\na a = e\n", "product a a given as both e and a", 2),
     "other-result-then-shape": ("a a = e\na a = a\na a\n", "product a a given as both e and a", 2),
 }
 PRODUCT_ERRORS = {
@@ -194,6 +207,95 @@ def test_product_repeated_with_the_same_result_is_accepted(kind):
     parsed = parse(head + rows)
     table = parsed if kind == "pg" else parsed[0]
     assert list(map(list, table.table)) == [[0, 1], [1, 0]]
+
+
+def test_lines_end_only_at_universal_newlines():
+    s, _ = parse_rws("[alphabet]\nletters: a\fb c\n[rules]\nb -> c\n")
+    assert s.alphabet.letters == ("a", "b", "c") and s.rules == (Rule((1,), (2,)),)
+    head = "[pregroup]\nelements: e a\u2028b\nepsilon: e\npairs: a b\n"
+    assert parse_pg(head).elements == ("e", "a", "b")
+    text = head + "[product]\na b = e\nb a = e\n"
+    assert parse_pg(text.replace("\n", "\r\n")).table == parse_pg(text.replace("\n", "\r")).table
+    assert parse_pg(text).table == parse_pg(text.replace("\n", "\r")).table
+
+
+# what a mutation inserts into a line: an unknown token, arrows, the empty
+# word, tags, a product's '=', a tab, a comment and line boundaries
+_INSERTS = ("zz", "->", "<->", "1", "foo:", "prefix:", "whole:", "=", "\t", "# c", "\r", "\r\n", "\x85", "\f")
+
+
+def _mutate(rng, line):
+    """line with one token dropped, duplicated, swapped with another or
+    replaced by one of _INSERTS, or with one of _INSERTS put between two
+    tokens."""
+    tokens = line.split(" ")
+    i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del tokens[i]
+    elif kind == 1:
+        tokens.insert(i, tokens[i])
+    elif kind == 2:
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif kind == 3:
+        tokens[i] = rng.choice(_INSERTS)
+    else:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_INSERTS))
+    return " ".join(tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+def _rws_fields(text):
+    s, pairs = parse_rws(text)
+    rules = [(r.lhs, r.rhs, r.anchor, r.symmetric) for r in s.rules]
+    return s.alphabet.letters, s.alphabet.involution, rules, [(u.canon, v.canon) for u, v in pairs]
+
+
+def _pg_fields(text):
+    p = parse_pg(text)
+    return p.elements, p.eps, p.inv, p.table
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    """(reader, reference, text, rows per sample) of hnn_s3 as .pg, and of
+    S_eps(HNN(Z4, Z2)) and its hat extension, whose rules are anchored, as
+    .rws; a sample keeps the lines up to [product] or [rules] and that many
+    rows after them, all of them when None."""
+    s_eps = derive_system(hnn_cyclic(4, 2), "S_eps")
+    return {
+        "hnn_s3.pg": (_pg_fields, ref_parse_pg, emit_pg(samples.hnn_s3()), None),
+        "s_eps.rws": (_rws_fields, ref_parse_rws, emit_rws(s_eps), 40),
+        "hat.rws": (_rws_fields, ref_parse_rws, emit_rws(hat_extension(s_eps)), 40),
+    }
+
+
+@pytest.mark.parametrize("name", ["hnn_s3.pg", "s_eps.rws", "hat.rws"])
+def test_readers_match_line_by_line_reference(name, emitted):
+    read, ref, text, window = emitted[name]
+    assert _outcome(read, text) == _outcome(ref, text) and _outcome(read, text)[0] == "ok"
+    lines = text.split("\n")
+    head = lines.index("[product]" if name.endswith(".pg") else "[rules]") + 1
+    rng = random.Random(f"readers {name}")
+    kinds = collections.Counter()
+    for _ in range(300):
+        start = rng.randrange(head, len(lines)) if window else head
+        sample = lines[:head] + lines[start : start + window if window else None]
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(sample))
+            sample[i] = _mutate(rng, sample[i])
+        mutated = "\n".join(sample)
+        got = _outcome(read, mutated)
+        assert got == _outcome(ref, mutated), mutated
+        # the outcome, or the message up to its first quoted token
+        kinds["ok" if got[0] == "ok" else got[1].removeprefix(f"line {got[2]}: ").split("'")[0]] += 1
+    assert kinds["ok"] >= 10 and len(kinds) >= 6, kinds
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import collections
+import copy
 import functools
 import itertools
 import pickle
@@ -67,6 +68,22 @@ class TestRuleAndSystem:
             assert repr(rule) == before
         with pytest.raises(ValueError, match="^symmetric rules must be length preserving$"):
             Rule((0, 1), (1,), Anchor.PREFIX, True)
+
+    def test_every_rule_constructor_checks_the_symmetric_length(self):
+        r = Rule((0, 1), (1, 0), Anchor.PREFIX, True)
+        for built in (Rule._make(r), r._replace(), copy.copy(r), copy.deepcopy(r), Rule(*r)):
+            assert built == r and type(built) is Rule
+        assert r._replace(anchor=Anchor.WHOLE) == Rule((0, 1), (1, 0), Anchor.WHOLE, True)
+        assert Rule((0,), (1, 0))._replace(rhs=(1,), symmetric=True) == Rule((0,), (1,), symmetric=True)
+        for build in (
+            lambda: Rule._make([(0, 1), (1,), Anchor.NONE, True]),
+            lambda: r._replace(rhs=(1,)),
+            lambda: Rule((0, 1), (1,))._replace(symmetric=True),
+            lambda: Rule.__new__(Rule, (0,), (), Anchor.WHOLE, True),
+            lambda: Rule(symmetric=True, rhs=(), lhs=(0,)),
+        ):
+            with pytest.raises(ValueError, match="^symmetric rules must be length preserving$"):
+                build()
 
     def test_flags(self):
         s = samples.four_letter_cycle_system()
