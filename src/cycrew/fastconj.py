@@ -10,6 +10,10 @@ form of g squared with Knuth-Morris-Pratt.  The carry sequence of that
 normal form tests the last letter at each match in constant time.  The
 matches, at starts 0 .. n-1, are exactly the rotations of NF(g) equal to
 f^b (see conjugate_linear for the proof), so one pass decides every offset.
+The b are read off the table row of f's last letter, not all of P (the row
+read), and a b whose normal form does not begin with one of the k-letter
+windows of that text is dropped after k + 1 letters, before its full
+normal form and KMP pass are built (the head test).
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ __all__ = [
     "conjugate_linear",
     "conjugate_oracle",
 ]
+
+# K of the head test in conjugate_linear: the letters of NF(f^b) checked
+# against the windows of the KMP text before the whole normal form is built.
+# Over the decisions of 4 seeds x 8 cycles of the conj benchmark workload
+# (hnn_s3, n from 16 to 256), K = 6 made the fewest normal-form letters
+# (164k; 187k at K = 4, 167k at 5, 170k at 8) and tied with K = 8 for the
+# least time, ahead of K = 4 and 5 (CPython 3.11, 2-core x86-64 host)
+_HEAD_LETTERS = 6
 
 
 def prefix_function(w: Word) -> list:
@@ -90,7 +102,8 @@ def conjugate_oracle(u: Word, v: Word, ctx: UniversalContext, max_len: int):
 
 
 def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer:
-    """Decide conjugacy with one KMP pass per reduced preconjugation of f.
+    """Decide conjugacy with one KMP pass per reduced preconjugation of f
+    whose head passes the head test.
 
     After the prelude, g and f are cyclically reduced of length n >= 2.
     Words are indexed from 0, x~ is the inverse of x and [x y] the pregroup
@@ -118,6 +131,12 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     elements, epsilon, x, x~, y, y~ and z = z~, with [xz] = y, [x~y] = z,
     [yz] = x, [y~x] = z, [zx~] = y~ and [zy~] = x~; there G_P = {epsilon},
     and some conjugate pairs match under no rotation with b = epsilon.
+
+    The row read.  A b passes only if z = [f[n-1] b] is defined, so the
+    loop reads its b off p.rows[f[n-1]], the columns with a defined
+    product, ascending, epsilon among them as [x epsilon] = x.  It meets
+    the same b in the same order as a loop over all of P, at the cost of
+    the row, not of |P|.
 
     For f^b = b~ f b of length n, f^b equals a rotation of NF(g)
     exactly when KMP finds NF(f^b)[:n-1] at a start s < n of NF(g g) and a
@@ -159,6 +178,17 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     letters is c_e; apply the lemma with U = NF(r_s), T = G[s:].
     Conversely, a KMP hit at s that passes [NF(f^b)[n-1] c_e] = W[e]
     gives NF(f^b) c_e = W[s:e+1] = r_s c_e.
+
+    Head lemma.  Let k = min(K, n - 1), K = _HEAD_LETTERS.  A KMP hit in
+    text = W[:2n-2] starts at some s <= n - 1 and has NF(f^b)[:k] =
+    W[s:s+k].  The normal-form pass at a position i < n - 1 reads only the
+    letters i and i + 1 and the carry (see universal._nf_carries), so for
+    i < k it takes the same steps on f^b[:k+1] as on f^b:
+    NF(f^b)[:k] = NF(f^b[:k+1])[:k].  So a b whose head NF(f^b[:k+1])[:k]
+    is none of the windows W[s:s+k], s < n, has no KMP hit, and the loop
+    drops it before it builds NF(f^b) and a failure function; that changes
+    no verdict, certificate or method.  On negatives nearly every b fails
+    within a few letters.
     """
     answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
@@ -169,11 +199,15 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     tail, carries = _nf_carries(g_nf[n - 1 :] + g_nf, p)
     text = g_nf[: n - 1] + tail[: n - 1]  # W[:2n-2], see the prefix lemma
     inv, table = p.inv, p.table
+    k = min(_HEAD_LETTERS, n - 1)
+    heads = {text[s : s + k] for s in range(n)}
 
-    for b in range(len(p)):
+    for b, _z in p.rows[f[-1]]:
         fb = _preconjugate_p(f, inv[b], p)
         if fb is None:
             continue  # not a preconjugation of f
+        if _nf_carries(fb[: k + 1], p)[0][:k] not in heads:
+            continue  # the head lemma: no KMP hit
         fb_nf, _fc = _nf_carries(fb, p)
         last = fb_nf[-1]
         for s in kmp_search(fb_nf[:-1], text):

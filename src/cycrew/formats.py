@@ -16,7 +16,8 @@ input takes that path alone.  The checks that name a fault and its line
   column (tokens per row, the '=' column, known tokens, no key with two
   results) and one dict built from the columns.
 - [rules] (.rws): per line, one split, two arrow counts and one map over
-  the letter index per side, then one Rule, a tuple with no instance dict.
+  the letter index per side that is not "1", then one Rule, a tuple with
+  no instance dict.
 On a 2-core x86-64 host, in timeit: S_eps(HNN(Z4, Z2)) as .rws (1,321
 rules) reads in about 3.8 ms, its hat extension (8,617 rules) in 28 ms,
 and hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42 and 110) in 0.46 and 2.4 ms.
@@ -112,11 +113,15 @@ def _pairs_line(tokens, involution):
     return ["pairs: " + ", ".join(f"{tokens[i]} {tokens[j]}" for i, j in pairs)]
 
 
+# the tokens of a rule side that is the empty word, as the split gives them
+_EMPTY_WORD = ["1"]
+
+
 def _word(letter, toks, no: int):
     """The word of a rule side's tokens, "1" alone being the empty word;
     letter maps a token to its index.  A side with no tokens is an error,
     so a line cut off after its arrow does not load as another rule."""
-    if toks == ["1"]:
+    if toks == _EMPTY_WORD:
         return ()
     if not toks:
         raise ParseError("rule side is empty; write '1' for the empty word", no)
@@ -170,16 +175,18 @@ def parse_rws(text: str):
         if plain + symmetric != 1:
             _arrow(toks, no)  # raises, naming the fault
         cut = toks.index("<->" if symmetric else "->")
+        left, right = toks[:cut], toks[cut + 1 :]
         try:
-            lhs = tuple(map(letter, toks[:cut]))
-            rhs = tuple(map(letter, toks[cut + 1 :]))
+            lhs = () if left == _EMPTY_WORD else tuple(map(letter, left))
+            rhs = () if right == _EMPTY_WORD else tuple(map(letter, right))
+            faulty = not (left and right)
         except KeyError:
-            lhs = rhs = ()
-        if not (lhs and rhs):
-            # a "1" side ("1" is no letter), an empty side or an unknown
-            # letter: _word reads the "1" or names the fault
-            lhs = _word(letter, toks[:cut], no)
-            rhs = _word(letter, toks[cut + 1 :], no)
+            faulty = True
+        if faulty:
+            # an empty side, or an unknown letter ("1" among other tokens
+            # too): _word names the fault
+            lhs = _word(letter, left, no)
+            rhs = _word(letter, right, no)
         try:
             rules.append(Rule(lhs, rhs, anchor, symmetric == 1))
         except ValueError as exc:

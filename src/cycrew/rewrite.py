@@ -88,11 +88,11 @@ class Rule(_RuleFields):
 class RewriteSystem:
     """A finite semi-Thue system over a fixed alphabet.
 
-    Caches m(S) (sup of lhs lengths), the Thue / standard / 2-monadic flags
-    and an index from each left-hand side to four tuples of (rule_id, rhs),
-    one per Anchor in Anchor order.  Symmetric rules are stored once with
-    symmetric=True; the reverse orientation is materialised in the index
-    under the same rule_id.
+    Caches m(S) (sup of lhs lengths), the Thue / standard / 2-monadic /
+    anchored flags and an index from each left-hand side to four tuples of
+    (rule_id, rhs), one per Anchor in Anchor order.  Symmetric rules are
+    stored once with symmetric=True; the reverse orientation is
+    materialised in the index under the same rule_id.
     """
 
     def __init__(self, alphabet: Alphabet, rules):
@@ -105,7 +105,7 @@ class RewriteSystem:
             for r in rules:
                 validate_word(r.lhs, alphabet)
                 validate_word(r.rhs, alphabet)
-        m_of, is_thue, empty_lhs = 0, True, False
+        m_of, is_thue, empty_lhs, anchored = 0, True, False, False
         index = collections.defaultdict(lambda: ([], [], [], []))
         for rid, r in enumerate(rules):
             lhs, rhs, symmetric = r.lhs, r.rhs, r.symmetric
@@ -116,6 +116,8 @@ class RewriteSystem:
                 empty_lhs = True
             is_thue = is_thue and (len(rhs) < n or (len(rhs) == n and symmetric))
             slot = _ANCHORS.index(r.anchor)
+            if slot:
+                anchored = True
             index[lhs][slot].append((rid, rhs))
             if symmetric and rhs != lhs:
                 index[rhs][slot].append((rid, lhs))
@@ -123,6 +125,7 @@ class RewriteSystem:
         self.is_thue = is_thue
         self.is_standard = not empty_lhs and 2 <= m_of
         self.is_2monadic = m_of == 2
+        self._anchored = anchored
         # tuples: concatenating an empty one in _firing copies nothing
         self._index = {lhs: tuple(map(tuple, slots)) for lhs, slots in index.items()}
         self._lhs_lengths = sorted({len(lhs) for lhs in self._index})
@@ -136,7 +139,7 @@ class RewriteSystem:
                     yield lhs, rhs, rid, anchor
 
     def has_anchored_rules(self) -> bool:
-        return any(r.anchor is not Anchor.NONE for r in self.rules)
+        return self._anchored
 
     def has_length_increasing_rules(self) -> bool:
         return self._length_increasing

@@ -451,19 +451,21 @@ class TestDefinedPreconjugations:
             assert reached[key] > 0, (key, reached)
 
     def test_normal_forms_per_negative_decision(self, hnn_ctx, monkeypatch):
-        # a negative decision computes NF(g), NF(g g) from position n-1
-        # (n + 1 letters) and one normal form per kept b of length n, none
-        # for the b the filter skips
-        calls = collections.Counter()
+        # a negative decision makes two full passes for g, NF(g) (n letters)
+        # and NF(g g) from position n-1 (n + 1 letters), then per kept b a
+        # head pass of k + 1 letters, and a full pass of n letters only if
+        # the head's first k letters are a window of the KMP text; it makes
+        # none for the b the filter skips
+        calls = []
 
         def counted(pw, p):
-            calls["nf"] += 1
-            calls["letters"] += len(pw)
+            calls.append(pw)
             return _nf_carries(pw, p)
 
         monkeypatch.setattr(fastconj, "_nf_carries", counted)
+        p = hnn_ctx.pregroup
         rng = random.Random(2027)
-        negatives = skipped_total = 0
+        negatives = skipped_total = kept_total = passed_total = 0
         while negatives < 30:
             pair = differential_pair(rng, hnn_ctx)
             if pair is None:
@@ -475,12 +477,94 @@ class TestDefinedPreconjugations:
             calls.clear()
             if conjugate_linear(u, v, hnn_ctx).verdict:
                 continue
-            _f_p, kept, skipped = split
-            assert calls["nf"] == 2 + len(kept), (u, v)
-            assert calls["letters"] == n + (n + 1) + n * len(kept), (u, v)
+            f_p, kept, skipped = split
+            g_p = _conjugacy_prelude(u, v, hnn_ctx, "linear")[1]
+            g_nf, _c = _nf_carries(g_p, p)
+            k = min(fastconj._HEAD_LETTERS, n - 1)
+            windows = {_nf_carries(g_nf + g_nf, p)[0][s : s + k] for s in range(n)}
+            passes = [g_p, g_nf[n - 1 :] + g_nf]  # the two full passes for g
+            passed = 0
+            for b in kept:
+                fb = _stack_reduce((p.inv[b],) + f_p + (b,), p)
+                passes.append(fb[: k + 1])  # its head pass
+                if _nf_carries(fb, p)[0][:k] in windows:
+                    passes.append(fb)  # its full pass
+                    passed += 1
+            assert calls == passes, (u, v)
+            assert len(calls) == 2 + len(kept) + passed
+            assert sum(map(len, calls)) == n + (n + 1) + (k + 1) * len(kept) + n * passed
             negatives += 1
             skipped_total += len(skipped)
+            kept_total += len(kept)
+            passed_total += passed
         assert skipped_total > 0
+        # the head test lets some b through to a full pass, and drops others
+        assert 0 < passed_total < kept_total, (passed_total, kept_total)
+
+
+class TestHeadTest:
+    def test_dropped_b_have_no_hit(
+        self, dinf_ctx, z4z6_ctx, hnn_ctx, p6_failing_contexts, monkeypatch
+    ):
+        # the row read meets the b that a loop over all of P, in ascending
+        # order, finds a preconjugation for, and no b that the head test
+        # drops has a KMP hit, on positives, negatives and periodic pairs.
+        # The normal-form passes of conjugate_linear are those of the b
+        # loop as specified, up to the b that matches
+        calls = []
+
+        def recorded(pw, p):
+            calls.append(pw)
+            return _nf_carries(pw, p)
+
+        monkeypatch.setattr(fastconj, "_nf_carries", recorded)
+        rng = random.Random(41)
+        contexts = [
+            (ctx, 150) for ctx in (dinf_ctx, z4z6_ctx, hnn_ctx, UniversalContext(hnn_cyclic(10, 2)))
+        ] + [(p6_failing_contexts[0], 150)] + [(ctx, 3) for ctx in p6_failing_contexts[1:]]
+        reached = collections.Counter()
+        for ctx, pairs in contexts:
+            p = ctx.pregroup
+            done = 0
+            while done < pairs:
+                pair = differential_pair(rng, ctx)
+                if pair is None:
+                    continue
+                u, v, _n, periodic = pair
+                done += 1
+                answer, g_p, f_p, _zu, _zv = _conjugacy_prelude(u, v, ctx, "linear")
+                if answer is not None:
+                    continue
+                n = len(f_p)
+                fbs = {b: _preconjugate_p(f_p, p.inv[b], p) for b in range(len(p))}
+                every = [b for b, fb in fbs.items() if fb is not None]
+                assert [b for b, _z in p.rows[f_p[-1]] if fbs[b] is not None] == every
+                g_nf, _c = _nf_carries(g_p, p)
+                text = _nf_carries(g_nf + g_nf, p)[0][: 2 * n - 2]
+                k = min(fastconj._HEAD_LETTERS, n - 1)
+                case = "n=2" if n == 2 else "n<=K+1" if k == n - 1 else "n>K+1"
+                windows = {text[s : s + k] for s in range(n)}
+                passes = [g_p, g_nf[n - 1 :] + g_nf]
+                for b in every:
+                    fb_nf, _fc = _nf_carries(fbs[b], p)
+                    passes.append(fbs[b][: k + 1])
+                    if fb_nf[:k] in windows:
+                        passes.append(fbs[b])
+                        reached[case, "passed"] += 1
+                    else:
+                        assert kmp_search(fb_nf[:-1], text) == [], (u, v, b)
+                        reached[case, "dropped"] += 1
+                calls.clear()
+                lin = conjugate_linear(u, v, ctx)
+                if lin.verdict:
+                    assert calls == passes[: len(calls)] and calls[-1] in fbs.values(), (u, v)
+                else:
+                    assert calls == passes, (u, v)
+                kind = "periodic" if periodic else "positive" if lin.verdict else "negative"
+                reached[case, kind] += 1
+        for case in ("n=2", "n<=K+1", "n>K+1"):
+            for kind in ("passed", "dropped", "positive", "negative", "periodic"):
+                assert reached[case, kind] > 0, (case, kind, reached)
 
 
 # sha256 of repr(answers) in test_answers_are_pinned, recorded before the

@@ -700,6 +700,7 @@ class TestScannersMatchRuleOracle:
                 seen[r.anchor] += 1
                 seen["empty lhs"] += r.lhs == ()
                 seen["symmetric"] += r.symmetric
+            assert s.has_anchored_rules() == any(r.anchor is not Anchor.NONE for r in s.rules)
             targets = rule_targets(s)
             pairs = [
                 (lhs, rhs, rid, ANCHORS[rank]) for lhs, ts in targets.items() for rank, rid, rhs in ts
