@@ -10,9 +10,7 @@ from .words import (
     least_rotation,
     least_rotation_offset,
     rotations,
-    shortlex_compare,
     shortlex_key,
-    shortlex_less,
 )
 from .rewrite import (
     Anchor,
@@ -22,7 +20,6 @@ from .rewrite import (
     RewriteSystem,
     Rule,
     check_strong_confluence,
-    check_weak_termination_sufficient,
     cyclic_joinable,
     cyclic_successors,
     reduce_greedy,
@@ -34,7 +31,6 @@ from .completion import (
     PreconditionViolated,
     cdagger,
     circle_extension,
-    enumerate_short_cyclic_words,
     hat_extension,
     resolve_short_pairs,
     thue_completion,
@@ -51,7 +47,6 @@ from .pregroup import (
     derive_system,
     gamma_alphabet,
     is_reduced,
-    key_lemma_check,
 )
 from .universal import (
     CertificateError,

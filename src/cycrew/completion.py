@@ -196,12 +196,6 @@ def _number_short_words(alphabet: Alphabet, m: int):
     return shorts, ids
 
 
-def enumerate_short_cyclic_words(alphabet: Alphabet, m: int):
-    """All cyclic words of length at most 2m - 2, sorted shortlex by
-    canonical rotation."""
-    return _number_short_words(alphabet, m)[0]
-
-
 @dataclass
 class CyclicRuleSet:
     """A rewriting system together with extra oriented cyclic-word pairs.

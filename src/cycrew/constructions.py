@@ -108,22 +108,6 @@ class FiniteGroupTable(Pregroup):
         }
         return cls(names, "e", product)
 
-    def subgroup_closure(self, gens) -> frozenset:
-        got = {self.eps}
-        stack = [self.eps]
-        try:
-            gens = [self.index[g] if isinstance(g, str) else g for g in gens]
-        except KeyError as exc:
-            raise ValueError(f"generator names unknown token {exc.args[0]!r}") from None
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv[g])):
-                    if y not in got:
-                        got.add(y)
-                        stack.append(y)
-        return frozenset(got)
-
 
 @dataclass(frozen=True)
 class Embedding:

@@ -354,64 +354,6 @@ def _unless_p6_fails(p: Pregroup, axiom: str, witnesses: list):
     raise PregroupError(f"{axiom} holds but P6 fails: the table is not a pregroup")
 
 
-def key_lemma_check(p: Pregroup):
-    """Verify the five consequences of Stallings' key lemma on the table.
-
-    All parts hold in any valid pregroup; a failure means the table is
-    corrupt.  Returns (ok, dict part -> witness list).
-    """
-    n = len(p)
-    fails = {k: [] for k in (1, 2, 3, 4, 5)}
-    dom = p.domain()
-    for a, b in dom:
-        ab = p.mul(a, b)
-        if p.mul(ab, p.inv[b]) != a:
-            fails[1].append((a, b))
-    for a in range(n):
-        for b in range(n):
-            if p.defined(a, b):
-                continue
-            for c in range(n):
-                if not p.defined(a, c):
-                    continue
-                if not p.defined(p.inv[c], b):
-                    continue
-                if p.defined(p.mul(a, c), p.mul(p.inv[c], b)):
-                    fails[2].append((a, b, c))
-                # part 4 needs bd defined as well
-                for d in range(n):
-                    if p.defined(b, d) and p.mul3(p.inv[c], b, d) is None:
-                        fails[4].append((a, b, c, d))
-    # part 3: abc reduced, a inv(d) and d b defined => [a inv d][d b] c reduced
-    for a in range(n):
-        for b in range(n):
-            if p.defined(a, b) or a == p.eps or b == p.eps:
-                continue
-            for c in range(n):
-                if p.defined(b, c) or c == p.eps:
-                    continue
-                for d in range(n):
-                    if not (p.defined(a, p.inv[d]) and p.defined(d, b)):
-                        continue
-                    x, y = p.mul(a, p.inv[d]), p.mul(d, b)
-                    if p.defined(x, y) or p.defined(y, c):
-                        fails[3].append((a, b, c, d))
-    # part 5
-    for g, b in dom:
-        for h in range(n):
-            if not p.defined(p.inv[b], h) or p.defined(g, h):
-                continue
-            for c in range(n):
-                if p.mul3(g, b, c) is None:
-                    continue
-                if p.mul3(p.inv[c], p.inv[b], h) is None:
-                    continue
-                if not p.defined(b, c):
-                    fails[5].append((g, b, c, h))
-    ok = all(not v for v in fails.values())
-    return ok, fails
-
-
 def is_reduced(w: Word, p: Pregroup) -> bool:
     """True iff no adjacent product is defined (letters are Gamma indices
     shifted past epsilon; see gamma_alphabet)."""

@@ -130,14 +130,6 @@ class RewriteSystem:
         self._index = {lhs: tuple(map(tuple, slots)) for lhs, slots in index.items()}
         self._lhs_lengths = sorted({len(lhs) for lhs in self._index})
 
-    def oriented_pairs(self):
-        """All (lhs, rhs, rule_id, anchor) orientations, symmetric rules in
-        both directions."""
-        for lhs, slots in self._index.items():
-            for anchor, targets in zip(_ANCHORS, slots):
-                for rid, rhs in targets:
-                    yield lhs, rhs, rid, anchor
-
     def has_anchored_rules(self) -> bool:
         return self._anchored
 
@@ -553,8 +545,3 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
         if not _strongly_joinable(y, z, system, pool):
             return ConfluenceReport(False, (x, y, z))
     return ConfluenceReport(True)
-
-
-def check_weak_termination_sufficient(system: RewriteSystem) -> bool:
-    """Sufficient condition only: no length-increasing rule."""
-    return not system.has_length_increasing_rules()

@@ -96,20 +96,6 @@ def involute(w: Word, alphabet: Alphabet) -> Word:
     return tuple(inv[i] for i in reversed(w))
 
 
-def shortlex_compare(u: Word, v: Word) -> int:
-    """-1, 0 or 1: shorter words first, ties broken lexicographically by
-    letter index."""
-    if len(u) != len(v):
-        return -1 if len(u) < len(v) else 1
-    if u == v:
-        return 0
-    return -1 if u < v else 1
-
-
-def shortlex_less(u: Word, v: Word) -> bool:
-    return (len(u), u) < (len(v), v)
-
-
 def shortlex_key(w: Word):
     return (len(w), w)
 

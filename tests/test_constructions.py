@@ -78,18 +78,6 @@ class TestFiniteGroupTable:
         with pytest.raises(ValueError):
             FiniteGroupTable(names, "e", product)
 
-    def test_subgroup_closure_and_membership(self):
-        t = samples.s3_table()
-        sub = t.subgroup_closure(["s"])
-        assert sub == frozenset({t.index["e"], t.index["s"]})
-        assert t.is_subgroup(sub)
-        assert not t.is_subgroup({t.index["r"]})
-        assert t.subgroup_closure(["r", "s"]) == frozenset(range(6))
-
-    def test_subgroup_closure_unknown_token_named(self):
-        with pytest.raises(ValueError, match="'zz'"):
-            samples.s3_table().subgroup_closure(["zz"])
-
 
 class TestEmbedding:
     def test_valid(self):

@@ -20,13 +20,12 @@ from cycrew.pregroup import (
     gamma_alphabet,
     gamma_to_p,
     is_reduced,
-    key_lemma_check,
     p_to_gamma,
 )
 from cycrew.rewrite import Rule, check_strong_confluence
 from cycrew.universal import UniversalContext
 
-from conftest import hnn_cyclic, hnn_z10_z2, p6_failing, ref_check_axioms
+from conftest import hnn_cyclic, hnn_z10_z2, p6_failing, ref_check_axioms, ref_key_lemma
 
 
 def corpus():
@@ -515,7 +514,7 @@ class TestCanonicalSubgroup:
 class TestKeyLemma:
     def test_corpus_passes(self):
         for p in corpus():
-            ok, fails = key_lemma_check(p)
+            ok, fails = ref_key_lemma(p)
             assert ok, fails
 
     def test_corrupt_table_reports_witness(self):
@@ -526,24 +525,30 @@ class TestKeyLemma:
             {("a", "A"): "e", ("A", "a"): "e", ("a", "a"): "A"},
         )
         a = p.index["a"]
-        ok, fails = key_lemma_check(p)
+        ok, fails = ref_key_lemma(p)
         assert not ok
         assert fails == {1: [(a, a)], 2: [], 3: [], 4: [], 5: []}
 
     def test_census_passes(self, census):
-        assert all(key_lemma_check(p)[0] for p in census)
+        assert all(ref_key_lemma(p)[0] for p in census)
 
     def test_random_tables_trip_every_part(self):
         # the first draw at seed 3 that fails each of parts 2-5, and its
         # witnesses there
         rng = random.Random(3)
-        draws = [key_lemma_check(random_small_table(rng))[1] for _ in range(36)]
+        tables = [random_small_table(rng) for _ in range(36)]
+        draws = [ref_key_lemma(p)[1] for p in tables]
         first = {k: next(i for i, fails in enumerate(draws) if fails[k]) for k in (2, 3, 4, 5)}
         assert first == {2: 3, 3: 11, 4: 35, 5: 3}
         assert draws[3][2] == [(5, 4, 1), (5, 4, 2), (5, 4, 3), (5, 4, 5)]
         assert draws[11][3] == [(1, 2, 2, 0), (2, 2, 2, 0)]
         assert draws[35][4] == [(1, 4, 1, 2), (2, 4, 1, 2), (3, 4, 1, 2), (4, 1, 4, 1)]
         assert draws[3][5] == [(5, 5, 4, 4)]
+        # P1-P5 imply every part of the lemma, so check_axioms rejects each
+        # draw that trips a part
+        tripped = [p for p, fails in zip(tables, draws) if any(fails.values())]
+        assert tripped
+        assert not any(check_axioms(p) for p in tripped)
 
 
 class TestAlphabets:

@@ -139,15 +139,28 @@ def _reads(node):
     return found
 
 
+def _library_and_bench():
+    """The parsed modules of src/cycrew, by file name, and of bench/."""
+    library = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((SRC.parent.parent / "bench").glob("*.py"))]
+    return library, bench
+
+
+def _unread(defined, read):
+    """The names of defined (name -> its defining nodes) that read counts no
+    more often than their own definitions read them."""
+    assert defined
+    return sorted(name for name, nodes in defined.items() if read[name] <= sum(_reads(node)[name] for node in nodes))
+
+
 def test_every_private_library_name_has_a_reader():
     # code the system never reads is deleted: a top-level _name of the
     # library is read by the library or the benchmark, outside its own
     # definition; tests do not count
-    library = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))]
-    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((SRC.parent.parent / "bench").glob("*.py"))]
-    read = sum((_reads(tree) for tree in library + bench), collections.Counter())
+    library, bench = _library_and_bench()
+    read = sum((_reads(tree) for tree in [*library.values(), *bench]), collections.Counter())
     defined = collections.defaultdict(list)  # name -> its defining statements
-    for tree in library:
+    for tree in library.values():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -159,10 +172,54 @@ def test_every_private_library_name_has_a_reader():
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined[name].append(node)
-    assert defined
-    unread = [
-        name
-        for name, nodes in defined.items()
-        if read[name] <= sum(_reads(node)[name] for node in nodes)
-    ]
-    assert sorted(unread) == []
+    assert _unread(defined, read) == []
+
+
+# the paper's operations, kept in the library even where only tests call
+# them: the pregroup's domain D, its inverse assignments, cyclic joinability,
+# the standard cyclic form, the MKS and Collins criteria, preconjugation and
+# the conjugacy closure of a letter
+PAPER_OPERATIONS = {
+    "check_inverse_assignment",
+    "cyclic_joinable",
+    "standard_cyclic_form",
+    "verify_mks",
+    "verify_collins",
+    "preconjugate",
+    "letter_conjugacy_closure",
+    "Pregroup.domain",
+}
+
+
+def test_every_public_library_name_has_a_reader():
+    # the same rule for the public top-level functions and classes of the
+    # library and the public methods of those classes: each is read by the
+    # library or the benchmark outside its own definition.  Re-exports do
+    # not count: an import is no read, and the strings of __all__ are left
+    # out.  The builders of samples.py are example inputs, and the paper's
+    # operations stay whoever calls them
+    library, bench = _library_and_bench()
+    read = collections.Counter()
+    for tree in [*library.values(), *bench]:
+        for node in tree.body:
+            if not (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                read += _reads(node)
+    public = []  # (qualified name, its definition)
+    for module, tree in library.items():
+        for node in tree.body:
+            if module != "samples.py" and isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    public += [
+                        (f"{node.name}.{sub.name}", sub)
+                        for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                    ]
+    assert PAPER_OPERATIONS <= {qualname for qualname, _node in public}
+    defined = collections.defaultdict(list)  # name -> its defining statements
+    qualified = collections.defaultdict(set)  # name -> its qualified names
+    for qualname, node in public:
+        if qualname not in PAPER_OPERATIONS:
+            defined[node.name].append(node)
+            qualified[node.name].add(qualname)
+    assert sorted(q for name in _unread(defined, read) for q in qualified[name]) == []

@@ -11,9 +11,6 @@ from cycrew.words import (
     least_rotation,
     least_rotation_offset,
     rotations,
-    shortlex_compare,
-    shortlex_key,
-    shortlex_less,
 )
 
 ALPHA = Alphabet.from_pairs("aAbB", [("a", "A"), ("b", "B")])
@@ -143,26 +140,6 @@ class TestInvolute:
     @given(words, words)
     def test_anti_homomorphism(self, u, v):
         assert involute(u + v, ALPHA) == involute(v, ALPHA) + involute(u, ALPHA)
-
-
-class TestShortlex:
-    def test_length_dominates(self):
-        assert shortlex_less((3, 3), (0, 0, 0))
-        assert shortlex_compare((3, 3), (0, 0, 0)) == -1
-
-    def test_lex_tiebreak(self):
-        assert shortlex_less((0, 1), (0, 2))
-        assert shortlex_compare((0, 2), (0, 1)) == 1
-        assert shortlex_compare((0, 2), (0, 2)) == 0
-
-    @given(words, words)
-    def test_compare_consistent_with_key(self, u, v):
-        c = shortlex_compare(u, v)
-        if c == 0:
-            assert u == v
-        else:
-            assert (c == -1) == (shortlex_key(u) < shortlex_key(v))
-            assert shortlex_less(u, v) == (c == -1)
 
 
 class TestLeastRotation:
