@@ -28,7 +28,6 @@ from .universal import (
     _interleaving_equal,
     _nf_carries,
     _p_inverse,
-    _preconjugate_p,
     equal_in_U,
 )
 from .words import Word
@@ -117,9 +116,11 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     G for g: f and G are conjugate exactly when some rotation of G equals,
     in U(P), f itself (b = epsilon) or the preconjugation
     ([b~ f[0]], f[1], ..., f[n-2], [f[n-1] b]), whose end products are
-    defined and not epsilon.  _preconjugate_p(f, b~) builds it or returns
-    None; by the lemma in its docstring, the word it builds is reduced, of
-    length n, and equal to b~ f b.  A skipped b is either no
+    defined and not epsilon.  The loop reads y = [b~ f[0]] off the table
+    and z = [f[n-1] b] off the row it runs over (the row read), and builds
+    f^b only as far as it reads it; by the lemma of
+    universal._preconjugate_p, which builds the same word, f^b is reduced,
+    of length n, and equal to b~ f b.  A skipped b is either no
     preconjugation of f, or its b~ f b may still have length n as a
     rotation of f with merged ends (b = f[0] gives f[1:] f[:1]); the
     criterion never needs it, since epsilon or a b that passes already
@@ -186,9 +187,10 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     i < k it takes the same steps on f^b[:k+1] as on f^b:
     NF(f^b)[:k] = NF(f^b[:k+1])[:k].  So a b whose head NF(f^b[:k+1])[:k]
     is none of the windows W[s:s+k], s < n, has no KMP hit, and the loop
-    drops it before it builds NF(f^b) and a failure function; that changes
-    no verdict, certificate or method.  On negatives nearly every b fails
-    within a few letters.
+    drops it before it builds the rest of f^b, NF(f^b) and a failure
+    function; that changes no verdict, certificate or method.  When
+    k + 1 = n the head is all of f^b, and it ends in z.  On negatives
+    nearly every b fails within a few letters.
     """
     answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
     if answer is not None:
@@ -198,16 +200,20 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     g_nf, _c = _nf_carries(g, p)
     tail, carries = _nf_carries(g_nf[n - 1 :] + g_nf, p)
     text = g_nf[: n - 1] + tail[: n - 1]  # W[:2n-2], see the prefix lemma
-    inv, table = p.inv, p.table
+    eps, inv, table = p.eps, p.inv, p.table
     k = min(_HEAD_LETTERS, n - 1)
     heads = {text[s : s + k] for s in range(n)}
+    whole = k + 1 == n  # the head is all of f^b
+    f_head, f_mid = f[1 : k + 1], f[1:-1]
 
-    for b, _z in p.rows[f[-1]]:
-        fb = _preconjugate_p(f, inv[b], p)
-        if fb is None:
+    for b, z in p.rows[f[-1]]:
+        y = table[inv[b]][f[0]]
+        if y is None or y == eps or z == eps:
             continue  # not a preconjugation of f
-        if _nf_carries(fb[: k + 1], p)[0][:k] not in heads:
+        head = (y,) + f_mid + (z,) if whole else (y,) + f_head
+        if _nf_carries(head, p)[0][:k] not in heads:
             continue  # the head lemma: no KMP hit
+        fb = head if whole else (y,) + f_mid + (z,)
         fb_nf, _fc = _nf_carries(fb, p)
         last = fb_nf[-1]
         for s in kmp_search(fb_nf[:-1], text):

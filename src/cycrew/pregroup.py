@@ -400,45 +400,61 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
     ab <-> [ac][inv(c) b] for every linking c when (a,b) is undefined.
     S_eps adds the letter eps, the rule eps -> 1, and drops the
     (a,b)-undefined restriction on the symmetric rules.
+
+    On a pregroup each symmetric pair turns up from both of its ends: by
+    P4 (Stallings 1971, 3.A) inv(c) takes ([ac], [inv(c) b]) back to
+    (a, b).  The rules keep the first copy in (a, b) order, so each has
+    lhs < rhs in letter order.  The second copy is dropped by an int key
+    of the unordered pair of P-index codes L = a*n + b and R = [ac]*n +
+    [inv(c) b], min(L, R)*n^2 + max(L, R).  A bare R < L skip drops the
+    same candidates on a pregroup and was 1-20% faster, but it changes the
+    rules of tables that are not pregroups, where one end may lack the
+    other.  S_eps takes 12-15 ms at |P| = 30 (HNN(Z6, Z3), 4,447 rules) and
+    0.36-0.38 s at |P| = 110 (HNN(Z10, Z2), 77,551 rules), CPython 3.11 on
+    a 2-core x86-64 host.
     """
     if variant not in ("S_of_P", "S_eps"):
         raise ValueError(f"unknown variant {variant!r}")
-    n = len(p)
-    rules = []
-    if variant == "S_eps":
-        alphabet = full_alphabet(p)
-        to_letter = lambda x: x
-        letters = range(n)
-        rules.append(Rule((p.eps,), ()))
-    else:
+    n, eps = len(p), p.eps
+    table, inv, nn = p.table, p.inv, n * n
+    gamma = variant == "S_of_P"
+    if gamma:
         alphabet = gamma_alphabet(p)
-        to_letter = lambda x: p_to_gamma(x, p)
-        letters = [x for x in range(n) if x != p.eps]
-    table, inv, rows = p.table, p.inv, p.rows
+        letters = [x for x in range(n) if x != eps]
+        letter = [x - (x > eps) for x in range(n)]  # Gamma letters; eps has none
+        rules = []
+    else:
+        alphabet = full_alphabet(p)
+        letters = letter = range(n)
+        rules = [Rule((eps,), ())]
     seen_sym = set()
     for a in letters:
+        row, la = table[a], letter[a]
+        # (ac, row of inv(c)) for the c with [ac] defined, ascending
+        links = [(ac, table[inv[c]]) for c, ac in p.rows[a]]
         for b in letters:
-            ab = table[a][b]
+            ab, lhs, left = row[b], (la, letter[b]), a * n + b
             if ab is not None:
-                if ab == p.eps and variant == "S_of_P":
-                    rules.append(Rule((to_letter(a), to_letter(b)), ()))
-                else:
-                    rules.append(Rule((to_letter(a), to_letter(b)), (to_letter(ab),)))
-            if ab is not None and variant == "S_of_P":
-                continue  # symmetric rules only where (a,b) is undefined
-            for c, ac in rows[a]:  # the c with [ac] defined, ascending
-                cb = table[inv[c]][b]
-                # in S(P), [ab] is undefined here, so neither product is
-                # eps: [ac] = eps forces c = inv(a) and [inv(c) b] = [ab]
+                if gamma:
+                    rules.append(Rule(lhs, () if ab == eps else (letter[ab],)))
+                    continue  # symmetric rules only where (a,b) is undefined
+                rules.append(Rule(lhs, (ab,)))
+            for ac, inv_c_row in links:
+                cb = inv_c_row[b]
                 if cb is None:
                     continue
-                lhs = (to_letter(a), to_letter(b))
-                rhs = (to_letter(ac), to_letter(cb))
-                if lhs == rhs:
+                right = ac * n + cb
+                if right == left:
                     continue
-                key = frozenset((lhs, rhs))
+                key = left * nn + right if left < right else right * nn + left
                 if key in seen_sym:
                     continue
                 seen_sym.add(key)
-                rules.append(Rule(lhs, rhs, symmetric=True))
+                # in S(P), [ab] is undefined here, so on a pregroup neither
+                # product is eps: [ac] = eps forces c = inv(a) and
+                # [inv(c) b] = [ab].  Elsewhere a pair with an eps side is
+                # never a second copy: its first copy raised here
+                if gamma and (ac == eps or cb == eps):
+                    raise PregroupError("epsilon is not a Gamma letter")
+                rules.append(Rule(lhs, (letter[ac], letter[cb]), symmetric=True))
     return RewriteSystem(alphabet, rules)

@@ -320,6 +320,7 @@ GOLDEN_COMPLETE = {
     "cdagger": "9c0aecd019403f31229a9aec6bd86d250d9b1c6b239d373ffc737666cdeb3c20",
 }
 GOLDEN_HNN_S3_RWS = "936bbe243954ec0dfa5190bad01fa4eabe42131654c683ef1e334ce9863ecba6"
+GOLDEN_HNN_S3_S_OF_P_RWS = "4640b2992de2938ea1a68eaa25737ca107ade58cdec775597343080bb50e60f8"
 
 
 def _sha256(text):
@@ -339,6 +340,7 @@ def test_complete_output_is_byte_identical(tmp_path, capsys):
 
 def test_emitted_rule_set_is_byte_identical():
     assert _sha256(emit_rws(derive_system(samples.hnn_s3(), "S_eps"))) == GOLDEN_HNN_S3_RWS
+    assert _sha256(emit_rws(derive_system(samples.hnn_s3(), "S_of_P"))) == GOLDEN_HNN_S3_S_OF_P_RWS
 
 
 class TestPg:

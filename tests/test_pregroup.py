@@ -616,6 +616,39 @@ class TestDerivedSystems:
         for p, variant in cases + [(hnn_z10_z2(), "S_eps")]:
             assert derive_system(p, variant).rules == tuple(ref_derive_rules(p, variant))
 
+    def test_rules_equal_the_reference_on_random_tables(self):
+        # on tables that are not pregroups one end of a symmetric pair may
+        # lack the other, so only the int key of the pair, not an order
+        # test, keeps the reference's rules; where an S(P) rule would hold
+        # epsilon both raise the same PregroupError
+        rng = random.Random(7)
+        raised = collections.Counter()
+        for _ in range(1000):
+            p = random_small_table(rng)
+            for variant in ("S_of_P", "S_eps"):
+                try:
+                    want = tuple(ref_derive_rules(p, variant))
+                except PregroupError as exc:
+                    with pytest.raises(PregroupError) as got:
+                        derive_system(p, variant)
+                    assert type(got.value) is type(exc)
+                    assert str(got.value) == str(exc) == "epsilon is not a Gamma letter"
+                    raised[variant] += 1
+                    continue
+                assert derive_system(p, variant).rules == want
+        assert raised["S_eps"] == 0 and raised["S_of_P"] > 100, raised
+
+    def test_symmetric_rules_are_ordered_pairs_kept_once(self, census):
+        # the pair lemma: on a pregroup, inv(c) takes ([ac], [inv(c) b])
+        # back to (a, b) (P4), so each symmetric pair is kept from its
+        # lesser end, once
+        pregroups = corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3)] + census
+        for p in pregroups:
+            for variant in ("S_of_P", "S_eps"):
+                pairs = [(r.lhs, r.rhs) for r in derive_system(p, variant).rules if r.symmetric]
+                assert all(lhs < rhs for lhs, rhs in pairs)
+                assert len({frozenset(pair) for pair in pairs}) == len(pairs)
+
     def test_s_of_p_shape(self):
         p = samples.free_pregroup(2)
         s = derive_system(p, "S_of_P")
