@@ -103,24 +103,19 @@ def check_inverse_assignment(
 
 
 def hat_extension(
-    system: RewriteSystem,
-    inverses: Optional[InverseAssignment] = None,
-    allow_nonterminating: bool = False,
+    system: RewriteSystem, inverses: Optional[InverseAssignment] = None
 ) -> RewriteSystem:
     """The extension S-hat: for every rule l -> r and factorisation of l,
     anchored rules that move a prefix or suffix (or both) of l across.
 
     l = pq gives the prefix rule q -> inv(p) r and the suffix rule
     p -> r inv(q); l = puq gives the whole-word rule u -> inv(p) r inv(q).
-    Requires a standard system with, by default, no length-increasing rule
-    (pass allow_nonterminating to override the termination guard).
+    Requires a standard system with no length-increasing rule.
     """
     if not system.is_standard:
         raise PreconditionViolated("hat extension needs a standard system")
-    if system.has_length_increasing_rules() and not allow_nonterminating:
-        raise PreconditionViolated(
-            "system has length-increasing rules; pass allow_nonterminating"
-        )
+    if system.has_length_increasing_rules():
+        raise PreconditionViolated("hat extension needs length-nonincreasing rules")
     if inverses is None:
         inverses = InverseAssignment.from_involution(system.alphabet)
     if system.has_anchored_rules():
@@ -246,13 +241,13 @@ def _short_graph(system: RewriteSystem):
         if free < 0:  # m(S) = 1: a letter is longer than the short words
             continue
         targets = got[ids[lhs]]
-        for _rid, rhs in _firing(slots, True, True, True):
+        for rhs in _firing(slots, True, True, True):
             targets.add(ids[rhs])
         anywhere = _firing(slots, True, True, False)
         for size in range(1, free + 1):
             for rest in rests[size]:
                 targets = got[ids[lhs + rest]]
-                for _rid, rhs in anywhere:
+                for rhs in anywhere:
                     targets.add(ids[rhs + rest])
     for i, targets in enumerate(got):
         targets.discard(i)
@@ -477,10 +472,10 @@ def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     succs = collections.defaultdict(set)  # (a, b), a <= b -> its letters one step away
     for lhs, slots in system._index.items():
         if len(lhs) == 2:
-            got = {rhs[0] for _rid, rhs in _firing(slots, True, True, True) if len(rhs) == 1}
+            got = {rhs[0] for rhs in _firing(slots, True, True, True) if len(rhs) == 1}
             if got:
                 succs[min(lhs, lhs[::-1])] |= got
-        elif len(lhs) == 1 and any(not rhs for _rid, rhs in _firing(slots, True, True, False)):
+        elif len(lhs) == 1 and any(not rhs for rhs in _firing(slots, True, True, False)):
             a = lhs[0]
             for b in range(k):
                 succs[min(a, b), max(a, b)].add(b)

@@ -5,7 +5,8 @@ All three formats are UTF-8, '#' starts a comment, sections are bracketed
 headers.  Lines end at "\n", "\r\n" or "\r" only.  Words are
 whitespace-separated letter tokens; the bare token "1" denotes the empty
 word on either side of a rule, so "1" is reserved and may not be used as a
-letter name, and a side with no tokens is an error.
+letter name, and a side with no tokens is an error.  A .rws letter may not
+hold ":", which ends the anchor tag of a rule.
 
 Cost.  Each reader does C-level work per line and per rule, and well-formed
 input takes that path alone.  The checks that name a fault and its line
@@ -156,6 +157,8 @@ def parse_rws(text: str):
     letters = letters_text.split()
     if "1" in letters:
         raise ParseError("'1' is reserved for the empty word", _no)
+    if ":" in letters_text:
+        raise ParseError("':' is reserved for anchor tags", _no)
     pairs = _read_pairs(alpha_entries)
     try:
         alphabet = Alphabet.from_pairs(letters, pairs)
@@ -285,14 +288,11 @@ def emit_pg(p: Pregroup) -> str:
     out = ["[pregroup]", f"elements: {' '.join(toks)}", f"epsilon: {toks[p.eps]}"]
     out += _pairs_line(toks, p.inv)
     out.append("[product]")
-    for i in range(len(p)):
-        if i == p.eps:
-            continue
-        for j in range(len(p)):
-            if j == p.eps:
-                continue
-            k = p.table[i][j]
-            if k is not None:
+    eps = p.eps
+    for i, row in enumerate(p.table):
+        for j, k in enumerate(row):
+            # the epsilon row and column only where they differ from P1's
+            if k is not None and not (i == eps and k == j or j == eps and k == i):
                 out.append(f"{toks[i]} {toks[j]} = {toks[k]}")
     return "\n".join(out) + "\n"
 

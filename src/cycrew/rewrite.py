@@ -7,16 +7,19 @@ plain rules there, and whole-anchored rules fire when some rotation equals
 the left-hand side.
 
 Anchors are resolved in one place.  RewriteSystem indexes its rules once by
-left-hand side, with one target tuple per Anchor, and _firing picks the
-targets that fire at a redex from where the redex lies (start of the word,
-end of the word, the whole word; on a cycle every redex is at a start and
-an end).  word_successors, reduce_greedy and _cyclic_redexes, the redexes
-of a cycle that cyclic_successors reads, all read the index through
-_firing, and so do the completions' short-cycle graph and C-dagger, which
-read each left-hand side's targets once per call.  check_strong_confluence,
-which accepts only unanchored systems, reads the plain targets off the
-index once per call, for the orientations whose reverse is no plain
-orientation (the live ones, whose critical pairs it lists).
+left-hand side, with one tuple of right-hand sides per Anchor, and _firing
+picks the right-hand sides that fire at a redex from where the redex lies
+(start of the word, end of the word, the whole word; on a cycle every
+redex is at a start and an end).  word_successors, reduce_greedy and
+_cyclic_redexes, the redexes of a cycle that cyclic_successors reads, all
+read the index through _firing, and so do the completions' short-cycle
+graph and C-dagger, which read each left-hand side's right-hand sides once
+per call.  check_strong_confluence, which accepts only unanchored systems,
+reads the plain right-hand sides off the index once per call, for the
+orientations whose reverse is no plain orientation (the live ones, whose
+critical pairs it lists).  No reader needs to know which rule gave a
+right-hand side, so the index holds none: the system is the one-step
+relation u -> v, each v once per rule orientation that gives it.
 """
 
 from __future__ import annotations
@@ -90,9 +93,11 @@ class RewriteSystem:
 
     Caches m(S) (sup of lhs lengths), the Thue / standard / 2-monadic /
     anchored flags and an index from each left-hand side to four tuples of
-    (rule_id, rhs), one per Anchor in Anchor order.  Symmetric rules are
-    stored once with symmetric=True; the reverse orientation is
-    materialised in the index under the same rule_id.
+    right-hand sides, one per Anchor in Anchor order, each in rule order.
+    Symmetric rules are stored once with symmetric=True; the reverse
+    orientation is materialised in the index beside the forward one.  A
+    rule given twice is indexed twice: every reader sees each orientation
+    once per rule.
     """
 
     def __init__(self, alphabet: Alphabet, rules):
@@ -107,7 +112,7 @@ class RewriteSystem:
                 validate_word(r.rhs, alphabet)
         m_of, is_thue, empty_lhs, anchored = 0, True, False, False
         index = collections.defaultdict(lambda: ([], [], [], []))
-        for rid, r in enumerate(rules):
+        for r in rules:
             lhs, rhs, symmetric = r.lhs, r.rhs, r.symmetric
             n = len(lhs)
             if n > m_of:
@@ -118,9 +123,9 @@ class RewriteSystem:
             slot = _ANCHORS.index(r.anchor)
             if slot:
                 anchored = True
-            index[lhs][slot].append((rid, rhs))
+            index[lhs][slot].append(rhs)
             if symmetric and rhs != lhs:
-                index[rhs][slot].append((rid, lhs))
+                index[rhs][slot].append(lhs)
         self.m_of = m_of
         self.is_thue = is_thue
         self.is_standard = not empty_lhs and 2 <= m_of
@@ -144,8 +149,8 @@ class RewriteSystem:
 
 
 def _firing(slots, start: bool, end: bool, whole: bool):
-    """The (rule_id, rhs) targets of one left-hand side's index entry that
-    fire at a redex, in Anchor order: plain rules anywhere, prefix rules at
+    """The right-hand sides of one left-hand side's index entry that fire
+    at a redex, in Anchor order: plain rules anywhere, prefix rules at
     the start of the word, suffix rules at its end, whole rules when the
     redex is the whole word."""
     plain, prefix, suffix, whole_word = slots
@@ -158,7 +163,9 @@ def _firing(slots, start: bool, end: bool, whole: bool):
 
 
 def word_successors(w: Word, system: RewriteSystem):
-    """All one-step rewrites of w, as (result, rule_id, position) triples.
+    """All one-step rewrites of w, as a list of words: by lhs length,
+    then position, then in index order, a word repeated once per rule
+    orientation that gives it.
 
     Anchored rules match only at their anchored position; whole-anchored
     rules only when lhs == w.  Empty-lhs rules insert at every gap.
@@ -172,8 +179,8 @@ def word_successors(w: Word, system: RewriteSystem):
             slots = index.get(w[pos:end])
             if slots is not None:
                 head, tail = w[:pos], w[end:]
-                for rid, rhs in _firing(slots, pos == 0, end == n, length == n):
-                    out.append((head + rhs + tail, rid, pos))
+                for rhs in _firing(slots, pos == 0, end == n, length == n):
+                    out.append(head + rhs + tail)
     return out
 
 
@@ -197,7 +204,7 @@ def _cyclic_redexes(canon: Word, system: RewriteSystem):
             slots = index.get(rot[:length])
             if slots is not None:
                 rest = rot[length:]
-                for _rid, rhs in _firing(slots, True, True, length == n):
+                for rhs in _firing(slots, True, True, length == n):
                     yield rhs + rest
 
 
@@ -219,7 +226,7 @@ def _leftmost_shortening(w: Word, index, lengths):
                 break
             slots = index.get(w[pos:end])
             if slots is not None:
-                for _rid, rhs in _firing(slots, pos == 0, end == n, length == n):
+                for rhs in _firing(slots, pos == 0, end == n, length == n):
                     if len(rhs) < length:
                         return pos, end, rhs
     return None
@@ -321,15 +328,16 @@ class ConfluenceReport:
 class _SuccessorPool(dict):
     """The searches of one confluence check, memoised.
 
-    pool.steps(w) lists the one-step rewrites of w, as word_successors
-    does, and pool[w] is the frozenset of w and those rewrites, filled on
+    pool[w] is the frozenset of w and its one-step rewrites, filled on
     first use.  The check asks for pool[w] only on the two words of a pair
     it tries, and it tries no pair with a reversible side, so on S_eps,
     where most rules are symmetric, it fills few entries (900 on
     HNN(Z6, Z3), of 4,447 rules).  pool.descendants(w, cap) is the one
     _Descendants search from w over words of at most cap letters, keyed by
     (w, cap): it keeps how far it has run and whether a bound cut it, so
-    that a truncated set is never read as a complete one.
+    that a truncated set is never read as a complete one.  Both step by
+    word_successors, looked up in this module at each use, so that the
+    wrapper bench/tracing.py binds to that name counts every call.
     """
 
     def __init__(self, system):
@@ -337,16 +345,14 @@ class _SuccessorPool(dict):
         self._desc = {}
 
     def __missing__(self, w):
-        got = self[w] = frozenset([w, *self.steps(w)])
+        got = self[w] = frozenset([w, *word_successors(w, self.system)])
         return got
-
-    def steps(self, w):
-        return [y for y, _rid, _pos in word_successors(w, self.system)]
 
     def descendants(self, w, cap):
         got = self._desc.get((w, cap))
         if got is None:
-            got = self._desc[w, cap] = _Descendants(w, self.steps, cap)
+            steps = functools.partial(word_successors, system=self.system)
+            got = self._desc[w, cap] = _Descendants(w, steps, cap)
         return got
 
 
@@ -492,11 +498,11 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
     index = system._index
-    plain = {(lhs, rhs) for lhs, slots in index.items() for _rid, rhs in slots[0]}
+    plain = {(lhs, rhs) for lhs, slots in index.items() for rhs in slots[0]}
     # lhs -> its live targets, in index order
     live = {}
     for lhs, slots in index.items():
-        rhss = [rhs for _rid, rhs in slots[0] if (rhs, lhs) not in plain]
+        rhss = [rhs for rhs in slots[0] if (rhs, lhs) not in plain]
         if rhss:
             live[lhs] = rhss
     # the live orientations (lhs, i, rhs), rhs the i-th live target of lhs,

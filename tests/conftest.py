@@ -100,7 +100,7 @@ def ref_joiner(system, max_nodes=2_000):
 
     @functools.cache
     def step(w):
-        return [y for y, _rid, _pos in word_successors(w, system)]
+        return word_successors(w, system)
 
     @functools.cache
     def meet(w):
@@ -136,7 +136,7 @@ def check_strong_confluence_naive(system: RewriteSystem, max_len: int) -> Conflu
     k = len(system.alphabet)
     for n in range(max_len + 1):
         for x in itertools.product(range(k), repeat=n):
-            succs = [y for y, _i, _p in word_successors(x, system)]
+            succs = word_successors(x, system)
             for y, z in itertools.combinations(succs, 2):
                 if y != z and not joinable(y, z):
                     return ConfluenceReport(False, (x, y, z))
@@ -304,11 +304,12 @@ def ref_parse_rws(text):
     (lhs, rhs, anchor, symmetric) tuples, read one line at a time; the
     reference that formats.parse_rws is compared against.
 
-    [alphabet] has one 'letters:' line, which may not use the reserved
-    token "1", and 'pairs:' lines.  A [rules] line is "lhs -> rhs" or
-    "lhs <-> rhs", maybe after a tag "prefix:", "suffix:" or "whole:"
-    (space before the colon allowed); it has exactly one arrow token.  A
-    [cyclic-rules] line is "u -> v", cut at its first "->"."""
+    [alphabet] has one 'letters:' line, which may use neither the reserved
+    token "1" nor a letter holding ":", and 'pairs:' lines.  A [rules] line
+    is "lhs -> rhs" or "lhs <-> rhs", maybe after a tag "prefix:",
+    "suffix:" or "whole:" (space before the colon allowed); it has exactly
+    one arrow token.  A [cyclic-rules] line is "u -> v", cut at its first
+    "->"."""
     sections = ref_sections(text)
     if "alphabet" not in sections:
         raise ParseError("missing [alphabet] section")
@@ -316,6 +317,8 @@ def ref_parse_rws(text):
     letters = letters.split()
     if "1" in letters:
         raise ParseError("'1' is reserved for the empty word", no)
+    if any(":" in tok for tok in letters):
+        raise ParseError("':' is reserved for anchor tags", no)
     pairs = _ref_pairs(sections["alphabet"])
     try:
         alphabet = Alphabet.from_pairs(letters, pairs)

@@ -89,7 +89,7 @@ def test_02_growing_cycle_example():
         nxt = word_successors(w, s)
         if not nxt:
             break
-        w = nxt[0][0]
+        w = nxt[0]
     ok &= word_successors(w, s) == []
     # cyclic iteration grows strictly through (b^k a) for k = 1..50
     c = CyclicWord.of(a.word("ba"))

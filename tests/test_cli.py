@@ -218,6 +218,14 @@ class TestComplete:
         assert main(["complete", str(four), "--mode", "cdagger"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_hat_refuses_length_increasing_rules(self, tmp_path, capsys):
+        grow = tmp_path / "grow.rws"
+        grow.write_text("[alphabet]\nletters: a b\n[rules]\nb a -> a b b\n")
+        assert main(["complete", str(grow), "--mode", "hat"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hat extension needs length-nonincreasing rules\n"
+
     @pytest.mark.parametrize("mode", ["hat", "circle", "cstar", "cdagger"])
     def test_cyclic_rules_in_input_are_exit_2(self, tmp_path, capsys, mode):
         # no mode reads them, so the output would silently lack the pair

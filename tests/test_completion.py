@@ -167,12 +167,27 @@ class TestHatExtension:
         with pytest.raises(PreconditionViolated):
             hat_extension(s)
 
-    def test_growth_guard_and_override(self):
+    def test_growth_guard(self):
         s = samples.growing_cycle_system()
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^hat extension needs length-nonincreasing rules$"):
             hat_extension(s)
-        hat = hat_extension(s, allow_nonterminating=True)
-        assert len(hat.rules) > len(s.rules)
+
+    def test_word_valued_inverses(self):
+        # Z3 on one letter, aaa -> 1 with inv(a) = aa, so inv(aaa) = a^6.
+        # aaa = p q: q -> inv(p) and p -> inv(q); aaa = p u q: u -> inv(p)
+        # inv(q).  Each cut gives its prefix rule, then its suffix rule:
+        # aa -> aa (dropped), a -> a^4, then a -> a^4, aa -> aa (dropped);
+        # the whole rules 1 -> a^6, a -> a^4, then 1 -> a^6 again
+        a = Alphabet.from_pairs("a", [])
+        s = RewriteSystem(a, [Rule((0, 0, 0), ())])
+        hat = hat_extension(s, InverseAssignment(a, ((0, 0),)))
+        assert hat.rules == (
+            Rule((0, 0, 0), ()),
+            Rule((0,), (0,) * 4, Anchor.SUFFIX),
+            Rule((0,), (0,) * 4, Anchor.PREFIX),
+            Rule((), (0,) * 6, Anchor.WHOLE),
+            Rule((0,), (0,) * 4, Anchor.WHOLE),
+        )
 
 
 class TestCircleExtension:
@@ -191,6 +206,14 @@ class TestCircleExtension:
         a = Alphabet.from_pairs("ab", [])
         with pytest.raises(PreconditionViolated):
             circle_extension(RewriteSystem(a, [Rule((0,), ())]))
+
+    def test_word_valued_inverses(self):
+        # Z3 on one letter, aaa -> 1 with inv(a) = aa: a inv(a) and inv(a) a
+        # are both aaa, so one insertion rule is added
+        a = Alphabet.from_pairs("a", [])
+        s = RewriteSystem(a, [Rule((0, 0, 0), ())])
+        circle = circle_extension(s, InverseAssignment(a, ((0, 0),)))
+        assert circle.rules == (Rule((0, 0, 0), ()), Rule((), (0, 0, 0)))
 
     def test_joins_conjugates_of_the_empty_class(self):
         s = samples.free_group_system(2)

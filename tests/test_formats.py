@@ -16,7 +16,7 @@ from cycrew.formats import (
     parse_pg,
     parse_rws,
 )
-from cycrew.pregroup import derive_system
+from cycrew.pregroup import Pregroup, check_axioms, derive_system
 from cycrew.rewrite import Anchor, RewriteSystem, Rule
 from cycrew.words import Alphabet, AlphabetError
 
@@ -143,6 +143,11 @@ RULE_ERRORS = {
     "cyclic-empty-rhs": (
         _AB + "[cyclic-rules]\na ->\n", "rule side is empty; write '1' for the empty word", 6
     ),
+    # ":" ends an anchor tag, so "prefix:a -> a" would read as a prefix rule
+    "colon-in-letter": (
+        "[alphabet]\nletters: prefix:a a\n[rules]\nprefix:a -> a\n", "':' is reserved for anchor tags", 2
+    ),
+    "colon-starts-letter": ("[alphabet]\nletters: prefix :a\n", "':' is reserved for anchor tags", 2),
     "bad-pair": ("[alphabet]\nletters: a A b\npairs: a A b\n", "bad involution pair 'a A b'", 3),
     # only "\n", "\r\n" and "\r" end a line; the other boundaries of
     # str.splitlines are whitespace inside it
@@ -362,6 +367,20 @@ class TestPg:
         text = emit_pg(p)
         assert "e a = a" not in text  # synthesised on parse, not stored
         assert parse_pg(text).mul(p.eps, p.index["a"]) == p.index["a"]
+
+    @pytest.mark.parametrize("stated", [("e", "a", "A"), ("A", "e", "e"), ("e", "e", "a")])
+    def test_epsilon_products_that_break_p1_are_written(self, stated):
+        # a product of the epsilon row or column that differs from P1's is
+        # written out, so the table read back fails P1 as the original does
+        x, y, z = stated
+        p = Pregroup(
+            ["e", "a", "A"], "e", {"a": "A", "A": "a"}, {("a", "A"): "e", ("A", "a"): "e", (x, y): z}
+        )
+        text = emit_pg(p)
+        assert f"{x} {y} = {z}" in text.split("\n")
+        back = parse_pg(text)
+        assert back.table == p.table
+        assert check_axioms(back).violations["P1"] == check_axioms(p).violations["P1"] != []
 
     def test_missing_section_rejected(self):
         with pytest.raises(ParseError):

@@ -2,6 +2,7 @@ import collections
 import copy
 import functools
 import itertools
+import math
 import pickle
 import random
 
@@ -16,7 +17,6 @@ from cycrew.rewrite import (
     JoinResult,
     RewriteSystem,
     Rule,
-    _Descendants,
     _strongly_joinable,
     _SuccessorPool,
     check_strong_confluence,
@@ -99,8 +99,8 @@ class TestRuleAndSystem:
     def test_oriented_pairs_cover_symmetric_both_ways(self):
         a = _ab()
         s = RewriteSystem(a, [Rule(a.word("ab"), a.word("ba"), symmetric=True)])
-        assert word_successors(a.word("ab"), s) == [(a.word("ba"), 0, 0)]
-        assert word_successors(a.word("ba"), s) == [(a.word("ab"), 0, 0)]
+        assert word_successors(a.word("ab"), s) == [a.word("ba")]
+        assert word_successors(a.word("ba"), s) == [a.word("ab")]
 
     def test_length_increasing_flag_is_scanned_on_first_use(self):
         # construction (which derive_system times) does not scan the pairs
@@ -120,20 +120,20 @@ class TestWordSuccessors:
     def test_plain_rule_all_positions(self):
         a = _ab()
         s = RewriteSystem(a, [Rule(a.word("ab"), a.word("b"))])
-        succs = {r for r, _i, _p in word_successors(a.word("abab"), s)}
+        succs = set(word_successors(a.word("abab"), s))
         assert succs == {a.word("bab"), a.word("abb")}
 
     def test_prefix_anchor_only_fires_at_start(self):
         a = _ab()
         s = RewriteSystem(a, [Rule(a.word("ab"), a.word("b"), Anchor.PREFIX)])
-        assert {r for r, _i, _p in word_successors(a.word("abab"), s)} == {
+        assert set(word_successors(a.word("abab"), s)) == {
             a.word("bab")
         }
 
     def test_suffix_anchor_only_fires_at_end(self):
         a = _ab()
         s = RewriteSystem(a, [Rule(a.word("ab"), a.word("b"), Anchor.SUFFIX)])
-        assert {r for r, _i, _p in word_successors(a.word("abab"), s)} == {
+        assert set(word_successors(a.word("abab"), s)) == {
             a.word("abb")
         }
 
@@ -141,14 +141,39 @@ class TestWordSuccessors:
         a = _ab()
         s = RewriteSystem(a, [Rule(a.word("ab"), a.word("b"), Anchor.WHOLE)])
         assert word_successors(a.word("abab"), s) == []
-        assert {r for r, _i, _p in word_successors(a.word("ab"), s)} == {a.word("b")}
+        assert set(word_successors(a.word("ab"), s)) == {a.word("b")}
 
     def test_empty_lhs_inserts_at_every_gap(self):
         a = _ab()
         s = RewriteSystem(a, [Rule((), a.word("b"))])
-        succs = [r for r, _i, _p in word_successors(a.word("aa"), s)]
+        succs = word_successors(a.word("aa"), s)
         assert sorted(succs) == sorted(
             [a.word("baa"), a.word("aba"), a.word("aab")]
+        )
+
+    def test_each_orientation_counts_once_per_rule(self):
+        # ab -> a given twice, and ba -> ab beside the symmetric ab <-> ba:
+        # a word comes once per rule orientation that gives it, by lhs
+        # length, position and rule order
+        a = _ab()
+        s = RewriteSystem(
+            a,
+            [
+                Rule(a.word("ab"), a.word("ba"), symmetric=True),
+                Rule(a.word("ba"), a.word("ab")),
+                Rule(a.word("ab"), a.word("a")),
+                Rule(a.word("ab"), a.word("a")),
+                Rule(a.word("bb"), a.word("a")),
+            ],
+        )
+        assert word_successors(a.word("aba"), s) == list(
+            map(a.word, ["baa", "aa", "aa", "aab", "aab"])
+        )
+        assert word_successors(a.word("abb"), s) == list(map(a.word, ["bab", "ab", "ab", "aa"]))
+        # ab <- abb -> aa is the first pair that does not join: aa is
+        # irreducible, and ab never reaches it
+        assert check_strong_confluence(s) == ConfluenceReport(
+            False, (a.word("abb"), a.word("ab"), a.word("aa"))
         )
 
 
@@ -263,7 +288,7 @@ class TestExampleGrowingCycle:
             succs = word_successors(w, s)
             if not succs:
                 break
-            w = succs[0][0]
+            w = succs[0]
         assert w == a.word("abb")
 
     def test_cyclic_lengths_strictly_increase(self):
@@ -449,11 +474,13 @@ class TestConfluenceChecker:
             pool = _SuccessorPool(s)
             for _ in range(4):
                 w = word(0, 5)
-                rewrites = [r for r, _rid, _pos in word_successors(w, s)]
+                rewrites = word_successors(w, s)
                 want = frozenset([w] + rewrites)
                 assert pool[w] == want
                 # in order: the node-capped searches expand in this order
-                assert list(pool.steps(w)) == rewrites
+                assert _SuccessorPool(s).descendants(w, math.inf).expand() == [
+                    r for r in dict.fromkeys(rewrites) if r != w
+                ]
                 assert pool[w] is pool[w]
                 seen["rewrites"] += len(want) > 1
             seen["empty lhs"] += any(not r.lhs for r in rules)
@@ -484,7 +511,7 @@ class TestConfluenceChecker:
         s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
         with pytest.raises(BudgetExhausted):
             check_strong_confluence(s)
-        search = _Descendants(w("b"), _SuccessorPool(s).steps, 5)
+        search = _SuccessorPool(s).descendants(w("b"), 5)
         assert not search.meets({w("c")})
         assert search.seen == {w("b")} and search.cut
 
@@ -518,7 +545,7 @@ class TestConfluenceChecker:
             pool = _SuccessorPool(s)
             joinable = ref_joiner(s)
             for _ in range(3):
-                succs = [y for y, _rid, _pos in word_successors(word(1, 4), s)]
+                succs = word_successors(word(1, 4), s)
                 for y, z in zip(succs, succs[1:]):
                     got = _outcome(_strongly_joinable, y, z, s, pool)
                     assert got == _outcome(joinable, y, z)
@@ -700,19 +727,22 @@ class TestScannersMatchRuleOracle:
                 seen["symmetric"] += r.symmetric
             assert s.has_anchored_rules() == any(r.anchor is not Anchor.NONE for r in s.rules)
             targets = rule_targets(s)
-            # the index, flattened: its target tuples are in ANCHORS order
+            # the index, flattened: its tuples of right-hand sides are in
+            # ANCHORS order, each in rule order
             index = {
-                lhs: sorted((rank, rid, rhs) for rank, ts in enumerate(slots) for rid, rhs in ts)
+                lhs: [(rank, rhs) for rank, rhss in enumerate(slots) for rhs in rhss]
                 for lhs, slots in s._index.items()
             }
-            assert index == targets
+            assert index == {
+                lhs: [(rank, rhs) for rank, _rid, rhs in ts] for lhs, ts in targets.items()
+            }
             words = [()] + [
                 tuple(rng.randrange(k) for _ in range(rng.randint(1, 5)))
                 for _ in range(6)
             ]
             for w in words:
                 assert word_successors(w, s) == [
-                    (w[:pos] + rhs + w[end:], rid, pos) for pos, end, rhs, rid in redexes(w, targets)
+                    w[:pos] + rhs + w[end:] for pos, end, rhs, _rid in redexes(w, targets)
                 ]
                 # on a cycle anchors dissolve: every rule fires at the start
                 # of each rotation, a whole one where the rotation is its lhs
@@ -851,7 +881,7 @@ def _open_pairs(system):
 
     @functools.cache
     def meet(y):
-        return {y} | {w for w, _rid, _pos in word_successors(y, system)}
+        return {y, *word_successors(y, system)}
 
     for x, p, q in _overlapping_pairs(system, is_live):
         (a1, b1, y), (a2, b2, z) = p, q
@@ -923,7 +953,7 @@ def _scanned(systems):
     scanned, side_backs = [], collections.Counter()
     for system in systems:
         joinable = ref_joiner(system)
-        step = functools.cache(lambda w, s=system: {v for v, _rid, _pos in word_successors(w, s)})
+        step = functools.cache(lambda w, s=system: set(word_successors(w, s)))
         want = None
         for x, (_a1, _b1, y), (_a2, _b2, z) in _overlapping_pairs(system):
             back = x in step(y) or x in step(z)
