@@ -110,7 +110,20 @@ def hat_extension(
 
     l = pq gives the prefix rule q -> inv(p) r and the suffix rule
     p -> r inv(q); l = puq gives the whole-word rule u -> inv(p) r inv(q).
+    Here p and q are nonempty and u may be empty.  The result is S, then
+    the added rules, of each rule in order and of a symmetric rule for its
+    forward orientation first, then its reverse one: for each cut l = pq,
+    p shortest first, the prefix rule and then the suffix rule; then for
+    each cut l = puq, p shortest first and then u shortest first, the
+    whole-word rule.  An added rule equal to one added before it is
+    dropped, and so is one whose two sides are equal.
     Requires a standard system with no length-increasing rule.
+
+    Cost.  The factorisations of l, as (piece, inv(p), inv(q), anchor),
+    depend on l alone.  A table that lives for the call lists them once per
+    distinct left-hand side (_factorisations), so inverse_word and the cuts
+    of inv(l) run once per lhs, and each orientation only joins
+    inv(p) r inv(q).
     """
     if not system.is_standard:
         raise PreconditionViolated("hat extension needs a standard system")
@@ -121,28 +134,19 @@ def hat_extension(
     if system.has_anchored_rules():
         raise PreconditionViolated("hat extension of an anchored system")
     lengths = tuple(map(len, inverses.words))
+    table = {}  # lhs -> _factorisations(lhs)
     # (lhs, rhs, slot of the anchor in _ANCHORS) of every added rule in
-    # order, repeats included; ints key them faster than Anchor members
-    prefix, suffix, whole = map(_ANCHORS.index, (Anchor.PREFIX, Anchor.SUFFIX, Anchor.WHOLE))
+    # order, repeats included
     added = []
     for r in system.rules:
         orientations = [(r.lhs, r.rhs)]
         if r.symmetric:  # the reverse orientation factorises too
             orientations.append((r.rhs, r.lhs))
         for lhs, rhs in orientations:
-            n = len(lhs)
-            # inv(lhs) = inv(lhs[i:]) + inv(lhs[:i]), which splits at cut[i]
-            inv = inverses.inverse_word(lhs)
-            cut = [0] * (n + 1)
-            for i in range(n - 1, 0, -1):
-                cut[i] = cut[i + 1] + lengths[lhs[i]]
-            for i in range(1, n):
-                added.append((lhs[i:], inv[cut[i] :] + rhs, prefix))
-                added.append((lhs[:i], rhs + inv[: cut[i]], suffix))
-            for i in range(1, n):
-                head = inv[cut[i] :] + rhs
-                for j in range(i, n):
-                    added.append((lhs[i:j], head + inv[: cut[j]], whole))
+            pieces = table.get(lhs)
+            if pieces is None:
+                pieces = table[lhs] = _factorisations(lhs, inverses, lengths)
+            added += [(piece, left + rhs + right, slot) for piece, left, right, slot in pieces]
     # every added rule is anchored and S has none, so added rules can only
     # repeat one another; dict.fromkeys keeps the first of each, in order
     rules = list(system.rules)
@@ -150,6 +154,34 @@ def hat_extension(
         if lhs != rhs:
             rules.append(Rule(lhs, rhs, _ANCHORS[slot]))
     return RewriteSystem(system.alphabet, rules)
+
+
+# slots in _ANCHORS; ints key the added rules of hat_extension faster than
+# Anchor members, whose hash is a Python call
+_PREFIX, _SUFFIX, _WHOLE = map(_ANCHORS.index, (Anchor.PREFIX, Anchor.SUFFIX, Anchor.WHOLE))
+
+
+def _factorisations(lhs: Word, inverses: InverseAssignment, lengths):
+    """(piece, inv(p), inv(q), anchor slot) for each rule that hat_extension
+    adds for a rule with left-hand side lhs, in its order: prefix and suffix
+    rules per cut lhs = pq, then whole-word rules per cut puq.  A prefix
+    rule has () for inv(q), a suffix rule () for inv(p).  lengths holds
+    len(inv(a)) per letter a."""
+    n = len(lhs)
+    # inv(lhs) = inv(lhs[i:]) + inv(lhs[:i]), which splits at cut[i]
+    inv = inverses.inverse_word(lhs)
+    cut = [0] * (n + 1)
+    for i in range(n - 1, 0, -1):
+        cut[i] = cut[i + 1] + lengths[lhs[i]]
+    out = []
+    for i in range(1, n):
+        out.append((lhs[i:], inv[cut[i] :], (), _PREFIX))
+        out.append((lhs[:i], (), inv[: cut[i]], _SUFFIX))
+    for i in range(1, n):
+        left = inv[cut[i] :]
+        for j in range(i, n):
+            out.append((lhs[i:j], left, inv[: cut[j]], _WHOLE))
+    return out
 
 
 def circle_extension(

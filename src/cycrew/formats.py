@@ -6,7 +6,9 @@ headers.  Lines end at "\n", "\r\n" or "\r" only.  Words are
 whitespace-separated letter tokens; the bare token "1" denotes the empty
 word on either side of a rule, so "1" is reserved and may not be used as a
 letter name, and a side with no tokens is an error.  A .rws letter may not
-hold ":", which ends the anchor tag of a rule.
+hold ":", which ends the anchor tag of a rule.  emit_rws refuses an
+alphabet that it could not write so that parse_rws reads it back
+(_check_letters).
 
 Cost.  Each reader does C-level work per line and per rule, and well-formed
 input takes that path alone.  The checks that name a fault and its line
@@ -16,12 +18,20 @@ input takes that path alone.  The checks that name a fault and its line
 - [product] (.pg, .grp): one split per row, then every check column by
   column (tokens per row, the '=' column, known tokens, no key with two
   results) and one dict built from the columns.
-- [rules] (.rws): per line, one split, two arrow counts and one map over
-  the letter index per side that is not "1", then one Rule, a tuple with
-  no instance dict.
-On a 2-core x86-64 host, in timeit: S_eps(HNN(Z4, Z2)) as .rws (1,321
-rules) reads in about 3.8 ms, its hat extension (8,617 rules) in 28 ms,
-and hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42 and 110) in 0.46 and 2.4 ms.
+- [rules] (.rws), the text path: a line whose tokens are one space apart
+  is split once at its " -> " or " <-> ", and each side text is looked up
+  in a dict that lives for the call (_SideWords), so the letters of each
+  distinct side are mapped once; then one Rule, a tuple with no instance
+  dict.  Every other line (tabs, runs of spaces, a fault) and every line
+  of an alphabet with a letter "->" or "<->" takes the token path: one
+  split, the arrow count and _word per side.
+On a 2-core x86-64 host (CPython 3.11, min of 5 calls, interleaved with
+the earlier reader, which read every line token by token):
+S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 3.4-3.5 ms (earlier
+4.7-5.1 ms), but in 5.3-5.5 ms (4.6-4.9) with every space a tab; its
+hat extension (8,617 rules) in 27-29 ms (32-36); S_eps(HNN(Z6, Z3))
+(4,447 rules) in 11 ms (17).  hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42
+and 110) read in 0.46 and 2.4 ms.
 """
 
 from __future__ import annotations
@@ -143,6 +153,31 @@ def _arrow(toks, no: int) -> str:
     return arrow
 
 
+def _token_rule(letter, line: str, no: int):
+    """(lhs, rhs, symmetric) of a [rules] line, tag removed, read token by
+    token: the path of every line that the text path of parse_rws does not
+    take, and so the one that names a fault."""
+    toks = line.split()
+    arrow = _arrow(toks, no)
+    cut = toks.index(arrow)
+    return _word(letter, toks[:cut], no), _word(letter, toks[cut + 1 :], no), arrow == "<->"
+
+
+class _SideWords(dict):
+    """Side text -> word, for one parse_rws call; "1" is the empty word.  A
+    text it does not hold yet is read as letters one space apart, and kept;
+    any other text (a tab, a run of spaces, an arrow, "1" among letters, an
+    unknown letter) raises KeyError and is not kept."""
+
+    def __init__(self, letter):
+        super().__init__({"1": ()})
+        self.letter = letter
+
+    def __missing__(self, text: str):
+        word = self[text] = tuple(map(self.letter, text.split(" ")))
+        return word
+
+
 def parse_rws(text: str):
     """Parse a .rws file.
 
@@ -165,6 +200,11 @@ def parse_rws(text: str):
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     letter = alphabet._index.__getitem__
+    # the text path splits a line at its " -> " or " <-> " and reads each
+    # side through words; a side that words refuses sends its line to the
+    # token path.  A letter "->" or "<->" would make an arrow ambiguous
+    words = _SideWords(letter)
+    text_path = "->" not in alphabet._index and "<->" not in alphabet._index
     rules = []
     for no, line in sections.get("rules", []):
         anchor = Anchor.NONE
@@ -172,26 +212,23 @@ def parse_rws(text: str):
             head, _sep, rest = line.partition(":")
             anchor = _ANCHOR_TAGS.get(head.strip(), Anchor.NONE)
             if anchor is not Anchor.NONE:
-                line = rest
-        toks = line.split()
-        plain, symmetric = toks.count("->"), toks.count("<->")
-        if plain + symmetric != 1:
-            _arrow(toks, no)  # raises, naming the fault
-        cut = toks.index("<->" if symmetric else "->")
-        left, right = toks[:cut], toks[cut + 1 :]
+                line = rest.lstrip()
+        sep = ""
+        if text_path:
+            left, sep, right = line.partition(" -> ")
+            symmetric = False
+            if not sep:
+                left, sep, right = line.partition(" <-> ")
+                symmetric = True
+            if sep:
+                try:
+                    lhs, rhs = words[left], words[right]
+                except KeyError:
+                    sep = ""
+        if not sep:
+            lhs, rhs, symmetric = _token_rule(letter, line, no)
         try:
-            lhs = () if left == _EMPTY_WORD else tuple(map(letter, left))
-            rhs = () if right == _EMPTY_WORD else tuple(map(letter, right))
-            faulty = not (left and right)
-        except KeyError:
-            faulty = True
-        if faulty:
-            # an empty side, or an unknown letter ("1" among other tokens
-            # too): _word names the fault
-            lhs = _word(letter, left, no)
-            rhs = _word(letter, right, no)
-        try:
-            rules.append(Rule(lhs, rhs, anchor, symmetric == 1))
+            rules.append(Rule(lhs, rhs, anchor, symmetric))
         except ValueError as exc:
             raise ParseError(str(exc), no) from None
     cyclic_pairs = []
@@ -212,18 +249,52 @@ def _fmt_word(letter, w) -> str:
     return " ".join(map(letter, w)) if w else "1"
 
 
+# the text that starts a written rule, by the value of its anchor; read
+# through Anchor._value_, a plain attribute, as Anchor.value is a property
+# and a dict keyed by Anchor members hashes them in Python
+_TAG_TEXT = {a.value: f"{a.value}: " if a is not Anchor.NONE else "" for a in Anchor}
+
+
+def _check_letters(alphabet: Alphabet) -> None:
+    """Raise ParseError for an alphabet that a .rws text cannot hold so that
+    parse_rws reads it back: the reader's message for "1" and ":", and one
+    for the arrows, '#', whitespace, ',' in a pair and the brackets of a
+    header."""
+    letters = alphabet.letters
+    for i, tok in enumerate(letters):
+        if tok == "1":
+            raise ParseError("'1' is reserved for the empty word")
+        if ":" in tok:
+            raise ParseError("':' is reserved for anchor tags")
+        if tok in ("->", "<->"):
+            raise ParseError(f"{tok!r} is reserved for rule arrows")
+        if "#" in tok:
+            raise ParseError(f"letter {tok!r} holds '#', which starts a comment")
+        if tok.split() != [tok]:
+            raise ParseError(f"letter {tok!r} holds whitespace, which separates letters")
+        if "," in tok and alphabet.involution[i] != i:
+            raise ParseError(f"letter {tok!r} holds ',', which separates involution pairs")
+    if any(tok[0] == "[" for tok in letters) and any(tok[-1] == "]" for tok in letters):
+        # a rule "[a -> b]" would read as a section header
+        raise ParseError("a letter starts with '[' and a letter ends with ']'")
+
+
 def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
+    """The .rws text of system and the cyclic pairs, which parse_rws reads
+    back to the same rules and pairs; ParseError for an alphabet that it
+    could not (_check_letters).  One f-string per rule, which reads the
+    rule's fields unpacked and its tag off _TAG_TEXT."""
     a = system.alphabet
+    _check_letters(a)
     letter = a.letters.__getitem__
     out = ["[alphabet]", f"letters: {' '.join(a.letters)}"]
     out += _pairs_line(a.letters, a.involution)
     out.append("[rules]")
-    for r in system.rules:
-        arrow = "<->" if r.symmetric else "->"
-        line = f"{_fmt_word(letter, r.lhs)} {arrow} {_fmt_word(letter, r.rhs)}"
-        if r.anchor is not Anchor.NONE:
-            line = f"{r.anchor.value}: {line}"
-        out.append(line)
+    for lhs, rhs, anchor, symmetric in system.rules:
+        out.append(
+            f"{_TAG_TEXT[anchor._value_]}{' '.join(map(letter, lhs)) if lhs else '1'}"
+            f"{' <-> ' if symmetric else ' -> '}{' '.join(map(letter, rhs)) if rhs else '1'}"
+        )
     if cyclic_pairs:
         out.append("[cyclic-rules]")
         for u, v in cyclic_pairs:

@@ -143,9 +143,11 @@ class RewriteSystem:
 
     @functools.cached_property
     def _length_increasing(self) -> bool:
-        # scanned on first use, not by __init__, which derive_system calls;
-        # a symmetric rule preserves length, so its reverse never lengthens
-        return any(len(r.rhs) > len(r.lhs) for r in self.rules)
+        # found on first use, not by __init__, which derive_system calls.  A
+        # Thue rule shortens, or is symmetric and keeps its length, so a
+        # Thue system needs no scan; in a scan, a symmetric rule preserves
+        # length, so its reverse never lengthens
+        return not self.is_thue and any(len(r.rhs) > len(r.lhs) for r in self.rules)
 
 
 def _firing(slots, start: bool, end: bool, whole: bool):

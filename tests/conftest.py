@@ -11,7 +11,7 @@ from cycrew import UniversalContext, samples
 from cycrew.constructions import FiniteGroupTable, hnn_pregroup
 from cycrew.formats import ParseError
 from cycrew.pregroup import AxiomReport, Pregroup
-from cycrew.rewrite import Anchor, BudgetExhausted, ConfluenceReport, RewriteSystem, word_successors
+from cycrew.rewrite import Anchor, BudgetExhausted, ConfluenceReport, RewriteSystem, Rule, word_successors
 from cycrew.words import Alphabet, CyclicWord
 
 acceptance_lines = []
@@ -243,6 +243,40 @@ def ref_key_lemma(p: Pregroup):
                     fails[5].append((g, b, c, h))
     ok = all(not v for v in fails.values())
     return ok, fails
+
+
+def ref_hat(system, inverses):
+    """The rules of S-hat as the hat_extension docstring states them, for
+    the formal inverses inverses (an InverseAssignment): S, then the added
+    rules of each rule in order, of a symmetric rule for l -> r first and
+    then r -> l.  For each cut l = pq, p and q nonempty and p shortest
+    first, the prefix rule q -> inv(p) r and then the suffix rule
+    p -> r inv(q); then for each cut l = puq, p and q nonempty, p shortest
+    first and then u shortest first, the whole-word rule
+    u -> inv(p) r inv(q).  An added rule equal to one added before it is
+    dropped, and so is one whose two sides are equal."""
+
+    def inv(w):
+        return tuple(x for a in reversed(w) for x in inverses.words[a])
+
+    added, seen = [], set()
+    for r in system.rules:
+        for lhs, rhs in [(r.lhs, r.rhs)] + ([(r.rhs, r.lhs)] if r.symmetric else []):
+            n = len(lhs)
+            new = []
+            for i in range(1, n):
+                p, q = lhs[:i], lhs[i:]
+                new.append(Rule(q, inv(p) + rhs, Anchor.PREFIX))
+                new.append(Rule(p, rhs + inv(q), Anchor.SUFFIX))
+            for i in range(1, n):
+                for j in range(i, n):
+                    p, u, q = lhs[:i], lhs[i:j], lhs[j:]
+                    new.append(Rule(u, inv(p) + rhs + inv(q), Anchor.WHOLE))
+            for rule in new:
+                if rule.lhs != rule.rhs and rule not in seen:
+                    seen.add(rule)
+                    added.append(rule)
+    return list(system.rules) + added
 
 
 def ref_sections(text):

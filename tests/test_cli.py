@@ -226,6 +226,16 @@ class TestComplete:
         assert captured.out == ""
         assert captured.err == "error: hat extension needs length-nonincreasing rules\n"
 
+    def test_letter_it_cannot_write_back_is_exit_2(self, tmp_path, capsys):
+        # the reader takes the letter "->" as long as no rule names it; the
+        # output would hold rules over it that no reader takes
+        path = tmp_path / "arrow.rws"
+        path.write_text("[alphabet]\nletters: a ->\n[rules]\na a a -> 1\n")
+        assert main(["complete", str(path), "--mode", "hat"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: '->' is reserved for rule arrows\n"
+
     @pytest.mark.parametrize("mode", ["hat", "circle", "cstar", "cdagger"])
     def test_cyclic_rules_in_input_are_exit_2(self, tmp_path, capsys, mode):
         # no mode reads them, so the output would silently lack the pair

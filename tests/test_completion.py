@@ -31,7 +31,7 @@ from cycrew.rewrite import (
 )
 from cycrew.words import Alphabet, AlphabetError, CyclicWord, shortlex_key
 
-from conftest import corpus_pregroups, hnn_cyclic, ref_reach
+from conftest import corpus_pregroups, hnn_cyclic, ref_hat, ref_reach
 
 
 class TestInverseAssignment:
@@ -188,6 +188,44 @@ class TestHatExtension:
             Rule((), (0,) * 6, Anchor.WHOLE),
             Rule((0,), (0,) * 4, Anchor.WHOLE),
         )
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+    def test_matches_reference_on_s_eps(self, n, k):
+        # S_eps(HNN(Z4, Z2)) and S_eps(HNN(Z6, Z3)): 1,321 and 4,447 rules,
+        # many sharing a left-hand side, some symmetric
+        s = derive_system(hnn_cyclic(n, k), "S_eps")
+        assert list(hat_extension(s).rules) == ref_hat(s, InverseAssignment.from_involution(s.alphabet))
+
+    def test_matches_reference_on_random_systems(self):
+        # standard systems with no length-increasing rule, and formal
+        # inverses of 0-2 letters each, which need not be inverses at all
+        rng = random.Random(20450)
+        seen = collections.Counter()
+        for _ in range(300):
+            a = Alphabet.from_pairs(rng.choice(["ab", "abc"]), [])
+
+            def word(n):
+                return tuple(rng.randrange(len(a)) for _ in range(n))
+
+            m = rng.randint(2, 4)
+            rules = [Rule(word(m), word(rng.randint(0, m)))]
+            for _ in range(rng.randint(0, 4)):
+                n = rng.randint(1, m)
+                if rng.random() < 0.3:
+                    rules.append(Rule(word(n), word(n), symmetric=True))
+                else:
+                    rules.append(Rule(word(n), word(rng.randint(0, n))))
+            s = RewriteSystem(a, rules)
+            inverses = InverseAssignment(a, tuple(word(rng.randint(0, 2)) for _ in a.letters))
+            got = list(hat_extension(s, inverses).rules)
+            assert got == ref_hat(s, inverses), (s.rules, inverses.words)
+            orientations = [r.lhs for r in s.rules] + [r.rhs for r in s.rules if r.symmetric]
+            made = sum(2 * (len(l) - 1) + len(l) * (len(l) - 1) // 2 for l in orientations)
+            seen["dropped"] += len(got) < len(s.rules) + made
+            seen["shared lhs"] += len(set(orientations)) < len(orientations)
+            seen["symmetric"] += any(r.symmetric for r in s.rules)
+            seen["empty inverse"] += () in inverses.words
+        assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 class TestCircleExtension:

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -301,6 +302,127 @@ def test_readers_match_line_by_line_reference(name, emitted):
         # the outcome, or the message up to its first quoted token
         kinds["ok" if got[0] == "ok" else got[1].removeprefix(f"line {got[2]}: ").split("'")[0]] += 1
     assert kinds["ok"] >= 10 and len(kinds) >= 6, kinds
+
+
+def _tabs(rng, line):
+    return "".join(rng.choice(" \t") if ch == " " else ch for ch in line)
+
+
+def _runs(rng, line):
+    return "".join(" " * rng.randint(1, 3) if ch == " " else ch for ch in line)
+
+
+def _tag_colon(rng, line):
+    """A tagged line with no space after its colon, or with one; an
+    untagged line given a tag either way."""
+    tag, colon, rest = line.partition(": ")
+    if not colon:
+        tag, rest = rng.choice(["prefix", "suffix", "whole", "prefix "]), line
+    return tag + ":" + rng.choice(["", " "]) + rest
+
+
+def _ones(rng, line):
+    """One side, or both, written "1", "1 1" or with "1" among its letters."""
+    tag, colon, rule = line.rpartition(": ")
+    arrow = " <-> " if " <-> " in rule else " -> "
+    sides = rule.split(arrow)
+    for i in rng.sample(range(2), rng.randint(1, 2)):
+        letters = sides[i].split(" ")
+        letters.insert(rng.randrange(len(letters) + 1), "1")
+        sides[i] = rng.choice(["1", "1", "1 1", " ".join(letters)])
+    return tag + colon + arrow.join(sides)
+
+
+def _arrow_letters(rng, line):
+    """A letter of the line replaced by "x->y" or by "->"."""
+    tokens = line.split(" ")
+    letters = [i for i, tok in enumerate(tokens) if tok not in ("->", "<->", "1") and ":" not in tok]
+    if letters:
+        tokens[rng.choice(letters)] = rng.choice(["x->y", "x->y", "->"])
+    return " ".join(tokens)
+
+
+# variant -> (line rewrite, letters added to the alphabet)
+_TEXT_PATH_VARIANTS = {
+    "tabs": (_tabs, ""),
+    "runs-of-spaces": (_runs, ""),
+    "tag-colon": (_tag_colon, ""),
+    "one-sides": (_ones, ""),
+    "letter-x->y": (_arrow_letters, " x->y"),
+    "letters-x->y-and-->": (_arrow_letters, " x->y ->"),
+}
+
+
+@pytest.mark.parametrize("name", ["s_eps.rws", "hat.rws"])
+@pytest.mark.parametrize("variant", _TEXT_PATH_VARIANTS)
+def test_text_path_matches_line_by_line_reference(name, variant, emitted):
+    # parse_rws splits a rule line whose tokens are one space apart at its
+    # arrow and reads each side text once; a line spaced otherwise, or one
+    # that is faulty, is read token by token.  Half the lines of a window of
+    # [rules] take the variant, or one or two lines, so that a variant that
+    # can make a fault still leaves some windows readable
+    _read, _ref, text, window = emitted[name]
+    rewrite, extra = _TEXT_PATH_VARIANTS[variant]
+    lines = text.split("\n")
+    lines[1] += extra
+    head = lines.index("[rules]") + 1
+    rng = random.Random(f"text path {name} {variant}")
+    kinds = collections.Counter()
+    for _ in range(60):
+        start = rng.randrange(head, len(lines) - window)
+        body = lines[start : start + window]
+        for i in rng.sample(range(window), rng.choice([1, 2, window // 2])):
+            body[i] = rewrite(rng, body[i])
+        sample = "\n".join(lines[:head] + body)
+        got = _outcome(_rws_fields, sample)
+        assert got == _outcome(ref_parse_rws, sample), sample
+        kinds[got[0]] += 1
+    # every variant reads some windows; the faults it can make fail others
+    assert kinds["ok"] >= 5, kinds
+    if variant in ("one-sides", "letters-x->y-and-->"):
+        assert kinds["error"] >= 5, kinds
+
+
+# letters that a .rws text cannot hold so that parse_rws reads it back, a
+# system over them, and the message emit_rws refuses it with
+_UNWRITABLE = {
+    "one": (["1", "a"], "'1' is reserved for the empty word"),
+    "colon": (["prefix:a", "a"], "':' is reserved for anchor tags"),
+    "arrow": (["->", "a"], "'->' is reserved for rule arrows"),
+    "symmetric-arrow": (["<->", "a"], "'<->' is reserved for rule arrows"),
+    "hash": (["#x", "a"], "letter '#x' holds '#', which starts a comment"),
+    "space": (["a b", "a"], "letter 'a b' holds whitespace, which separates letters"),
+    "tab": (["a\tb", "a"], "letter 'a\\tb' holds whitespace, which separates letters"),
+    "comma-in-pair": (["a,", "a"], "letter 'a,' holds ',', which separates involution pairs"),
+    "brackets": (["[a", "a]"], "a letter starts with '[' and a letter ends with ']'"),
+}
+
+
+@pytest.mark.parametrize("letters, message", _UNWRITABLE.values(), ids=_UNWRITABLE)
+def test_emit_refuses_letters_it_cannot_write_back(letters, message):
+    # over the first letter x and a: the rules x a -> a and a <-> x, and
+    # a ',' only where x and a swap, since an unpaired letter needs no
+    # 'pairs:' entry
+    pairs = [tuple(letters)] if "," in letters[0] else []
+    system = RewriteSystem(
+        Alphabet.from_pairs(letters, pairs), [Rule((0, 1), (1,)), Rule((1,), (0,), symmetric=True)]
+    )
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as err:
+        emit_rws(system)
+    assert err.value.line is None
+
+
+def test_emit_writes_letters_that_read_back():
+    # the neighbours of the refused letters: ',' in an unpaired letter,
+    # arrows inside a letter, '[' or ']' alone, '1' inside a letter
+    letters = ["x,", "x->y", "a<->b", "[a", "b[", "11", "a1"]
+    system = RewriteSystem(
+        Alphabet.from_pairs(letters, [("x->y", "a<->b")]),
+        [Rule((0, 1), (2,)), Rule((3, 4), (5, 6), symmetric=True), Rule((4, 3), ())],
+    )
+    text = emit_rws(system)
+    assert systems_equal(parse_rws(text)[0], system)
+    assert emit_rws(parse_rws(text)[0]) == text
 
 
 @pytest.mark.parametrize(

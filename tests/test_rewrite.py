@@ -115,6 +115,18 @@ class TestRuleAndSystem:
             assert s.has_length_increasing_rules() is want
             assert vars(s)["_length_increasing"] is want
 
+    def test_thue_system_is_not_scanned_for_length_increasing_rules(self):
+        # every rule of a Thue system shortens, or is symmetric and keeps
+        # its length: the answer is False with no pass over the rules
+        a = _ab()
+        shorten, swap = Rule(a.word("ab"), a.word("b")), Rule(a.word("ab"), a.word("ba"), symmetric=True)
+        s = RewriteSystem(a, [shorten, swap])
+        assert s.is_thue
+        s.rules = None  # a scan would raise
+        assert s.has_length_increasing_rules() is False
+        lengthening = RewriteSystem(a, [shorten, Rule(a.word("b"), a.word("ab"))])
+        assert not lengthening.is_thue and lengthening.has_length_increasing_rules() is True
+
 
 class TestWordSuccessors:
     def test_plain_rule_all_positions(self):
