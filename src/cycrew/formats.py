@@ -6,32 +6,37 @@ headers.  Lines end at "\n", "\r\n" or "\r" only.  Words are
 whitespace-separated letter tokens; the bare token "1" denotes the empty
 word on either side of a rule, so "1" is reserved and may not be used as a
 letter name, and a side with no tokens is an error.  A .rws letter may not
-hold ":", which ends the anchor tag of a rule.  emit_rws refuses an
-alphabet that it could not write so that parse_rws reads it back
-(_check_letters).
+hold ":", which ends the anchor tag of a rule.  _check_letters is the one
+letter rule of .rws: emit_rws refuses an alphabet that it could not write
+so that parse_rws reads it back, and parse_rws refuses the same alphabets
+on the letters: line, with the same messages.
 
 Cost.  Each reader does C-level work per line and per rule, and well-formed
 input takes that path alone.  The checks that name a fault and its line
-(_arrow, _word, the row loop of _parse_product) run only on faulty input.
+(_rule_fault, _word, the row loop of _parse_product) run only on faulty
+input.
 - Lines and sections: a few whole-text passes (newlines, comments, split,
   strip) and one list pass for the headers.
 - [product] (.pg, .grp): one split per row, then every check column by
   column (tokens per row, the '=' column, known tokens, no key with two
   results) and one dict built from the columns.
-- [rules] (.rws), the text path: a line whose tokens are one space apart
-  is split once at its " -> " or " <-> ", and each side text is looked up
-  in a dict that lives for the call (_SideWords), so the letters of each
-  distinct side are mapped once; then one Rule, a tuple with no instance
-  dict.  Every other line (tabs, runs of spaces, a fault) and every line
-  of an alphabet with a letter "->" or "<->" takes the token path: one
-  split, the arrow count and _word per side.
-On a 2-core x86-64 host (CPython 3.11, min of 5 calls, interleaved with
-the earlier reader, which read every line token by token):
-S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 3.4-3.5 ms (earlier
-4.7-5.1 ms), but in 5.3-5.5 ms (4.6-4.9) with every space a tab; its
-hat extension (8,617 rules) in 27-29 ms (32-36); S_eps(HNN(Z6, Z3))
-(4,447 rules) in 11 ms (17).  hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42
-and 110) read in 0.46 and 2.4 ms.
+- [rules] (.rws): each line is split once at its " -> " or " <-> ", and
+  each side text is looked up in a dict that lives for the call
+  (_SideWords), so the letters of each distinct side are mapped once;
+  then one Rule, a tuple with no instance dict.  In a text that holds a
+  tab, the rule lines first have their tabs made spaces, one replace per
+  line.  A line whose sides the dict refuses (a run of spaces, other
+  whitespace, a fault) is split again with its tokens one space apart
+  (_respaced_rule); only a line still refused, a faulty one, is read token
+  by token, to name its fault.
+On a 2-core x86-64 host (CPython 3.11, min of 30 calls, interleaved with
+the earlier reader, which sent a line that it could not split to a token
+reader): S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 3.0-3.3 ms
+(earlier 3.0-3.3 ms), and in 3.4-3.5 ms (5.0-5.2) with every space a
+tab, 5-9% over the single-spaced text (58-60% earlier); its hat extension
+(8,617 rules) in 26-27 ms (26-27); S_eps(HNN(Z6, Z3)) (4,447 rules) in
+10-11 ms (10-11).  hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42 and 110) read
+in 0.46 and 2.4 ms.
 """
 
 from __future__ import annotations
@@ -142,25 +147,20 @@ def _word(letter, toks, no: int):
         raise ParseError(f"unknown letter {exc.args[0]!r}", no) from None
 
 
-def _arrow(toks, no: int) -> str:
-    """The one arrow token of a rule, "->" or "<->"."""
+def _rule_fault(letter, line: str, no: int) -> None:
+    """Raise the ParseError of a [rules] line, tag removed, that parse_rws
+    could not split at its arrow and read: read token by token, the line
+    names its first fault (the arrow count, then each side by _word)."""
+    toks = line.split()
     plain, symmetric = toks.count("->"), toks.count("<->")
     if plain and symmetric:
         raise ParseError("rule has both '->' and '<->'", no)
     arrow = "<->" if symmetric else "->"
     if plain + symmetric != 1:
         raise ParseError(f"rule needs exactly one {arrow!r}", no)
-    return arrow
-
-
-def _token_rule(letter, line: str, no: int):
-    """(lhs, rhs, symmetric) of a [rules] line, tag removed, read token by
-    token: the path of every line that the text path of parse_rws does not
-    take, and so the one that names a fault."""
-    toks = line.split()
-    arrow = _arrow(toks, no)
     cut = toks.index(arrow)
-    return _word(letter, toks[:cut], no), _word(letter, toks[cut + 1 :], no), arrow == "<->"
+    _word(letter, toks[:cut], no)
+    _word(letter, toks[cut + 1 :], no)
 
 
 class _SideWords(dict):
@@ -178,6 +178,20 @@ class _SideWords(dict):
         return word
 
 
+def _respaced_rule(words, line: str, no: int):
+    """(lhs, rhs, arrow) of a [rules] line, tag removed, that words did not
+    read as it is spaced: the line read again with its tokens one space
+    apart, or else the fault that _rule_fault names."""
+    spaced = " ".join(line.split())
+    left, arrow, right = spaced.partition(" -> ")
+    if not arrow:
+        left, arrow, right = spaced.partition(" <-> ")
+    try:
+        return words[left], words[right], arrow
+    except KeyError:
+        _rule_fault(words.letter, line, no)
+
+
 def parse_rws(text: str):
     """Parse a .rws file.
 
@@ -190,45 +204,39 @@ def parse_rws(text: str):
     alpha_entries = sections["alphabet"]
     _no, letters_text = _keyed(alpha_entries, "letters")
     letters = letters_text.split()
-    if "1" in letters:
-        raise ParseError("'1' is reserved for the empty word", _no)
-    if ":" in letters_text:
-        raise ParseError("':' is reserved for anchor tags", _no)
+    # before the pairs are read, so no letter is swapped yet
+    _check_letters(letters, range(len(letters)), _no)
     pairs = _read_pairs(alpha_entries)
     try:
         alphabet = Alphabet.from_pairs(letters, pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     letter = alphabet._index.__getitem__
-    # the text path splits a line at its " -> " or " <-> " and reads each
-    # side through words; a side that words refuses sends its line to the
-    # token path.  A letter "->" or "<->" would make an arrow ambiguous
+    # a rule line is split at its " -> " or " <-> " and each side read
+    # through words; as no letter is an arrow, a line that reads is split
+    # at its one arrow token
     words = _SideWords(letter)
-    text_path = "->" not in alphabet._index and "<->" not in alphabet._index
+    rule_lines = sections.get("rules", [])
+    if "\t" in text:
+        # a tab spaces tokens as a space does: one C-level replace per line
+        rule_lines = [(no, line.replace("\t", " ")) for no, line in rule_lines]
     rules = []
-    for no, line in sections.get("rules", []):
+    for no, line in rule_lines:
         anchor = Anchor.NONE
         if ":" in line:
             head, _sep, rest = line.partition(":")
             anchor = _ANCHOR_TAGS.get(head.strip(), Anchor.NONE)
             if anchor is not Anchor.NONE:
                 line = rest.lstrip()
-        sep = ""
-        if text_path:
-            left, sep, right = line.partition(" -> ")
-            symmetric = False
-            if not sep:
-                left, sep, right = line.partition(" <-> ")
-                symmetric = True
-            if sep:
-                try:
-                    lhs, rhs = words[left], words[right]
-                except KeyError:
-                    sep = ""
-        if not sep:
-            lhs, rhs, symmetric = _token_rule(letter, line, no)
+        left, arrow, right = line.partition(" -> ")
+        if not arrow:
+            left, arrow, right = line.partition(" <-> ")
         try:
-            rules.append(Rule(lhs, rhs, anchor, symmetric))
+            lhs, rhs = words[left], words[right]
+        except KeyError:
+            lhs, rhs, arrow = _respaced_rule(words, line, no)
+        try:
+            rules.append(Rule(lhs, rhs, anchor, arrow == " <-> "))
         except ValueError as exc:
             raise ParseError(str(exc), no) from None
     cyclic_pairs = []
@@ -255,28 +263,30 @@ def _fmt_word(letter, w) -> str:
 _TAG_TEXT = {a.value: f"{a.value}: " if a is not Anchor.NONE else "" for a in Anchor}
 
 
-def _check_letters(alphabet: Alphabet) -> None:
-    """Raise ParseError for an alphabet that a .rws text cannot hold so that
-    parse_rws reads it back: the reader's message for "1" and ":", and one
-    for the arrows, '#', whitespace, ',' in a pair and the brackets of a
-    header."""
-    letters = alphabet.letters
+def _check_letters(letters, involution, line: Optional[int] = None) -> None:
+    """Raise ParseError, at line, for letters that a .rws text cannot hold
+    so that parse_rws reads them back; involution is their index map.  The
+    rules, in order: "1" and ":" among any letters, then letter by letter
+    the arrows, '#', whitespace and ',' in a letter that the involution
+    swaps, then the brackets of a header.  parse_rws calls it on its
+    letters: line before it reads a pair, so with no letter swapped, and
+    emit_rws on the alphabet it writes: both name the same first fault."""
+    if "1" in letters:
+        raise ParseError("'1' is reserved for the empty word", line)
+    if any(":" in tok for tok in letters):
+        raise ParseError("':' is reserved for anchor tags", line)
     for i, tok in enumerate(letters):
-        if tok == "1":
-            raise ParseError("'1' is reserved for the empty word")
-        if ":" in tok:
-            raise ParseError("':' is reserved for anchor tags")
         if tok in ("->", "<->"):
-            raise ParseError(f"{tok!r} is reserved for rule arrows")
+            raise ParseError(f"{tok!r} is reserved for rule arrows", line)
         if "#" in tok:
-            raise ParseError(f"letter {tok!r} holds '#', which starts a comment")
+            raise ParseError(f"letter {tok!r} holds '#', which starts a comment", line)
         if tok.split() != [tok]:
-            raise ParseError(f"letter {tok!r} holds whitespace, which separates letters")
-        if "," in tok and alphabet.involution[i] != i:
-            raise ParseError(f"letter {tok!r} holds ',', which separates involution pairs")
+            raise ParseError(f"letter {tok!r} holds whitespace, which separates letters", line)
+        if "," in tok and involution[i] != i:
+            raise ParseError(f"letter {tok!r} holds ',', which separates involution pairs", line)
     if any(tok[0] == "[" for tok in letters) and any(tok[-1] == "]" for tok in letters):
         # a rule "[a -> b]" would read as a section header
-        raise ParseError("a letter starts with '[' and a letter ends with ']'")
+        raise ParseError("a letter starts with '[' and a letter ends with ']'", line)
 
 
 def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
@@ -285,7 +295,7 @@ def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
     could not (_check_letters).  One f-string per rule, which reads the
     rule's fields unpacked and its tag off _TAG_TEXT."""
     a = system.alphabet
-    _check_letters(a)
+    _check_letters(a.letters, a.involution)
     letter = a.letters.__getitem__
     out = ["[alphabet]", f"letters: {' '.join(a.letters)}"]
     out += _pairs_line(a.letters, a.involution)

@@ -338,12 +338,13 @@ def ref_parse_rws(text):
     (lhs, rhs, anchor, symmetric) tuples, read one line at a time; the
     reference that formats.parse_rws is compared against.
 
-    [alphabet] has one 'letters:' line, which may use neither the reserved
-    token "1" nor a letter holding ":", and 'pairs:' lines.  A [rules] line
-    is "lhs -> rhs" or "lhs <-> rhs", maybe after a tag "prefix:",
-    "suffix:" or "whole:" (space before the colon allowed); it has exactly
-    one arrow token.  A [cyclic-rules] line is "u -> v", cut at its first
-    "->"."""
+    [alphabet] has one 'letters:' line and 'pairs:' lines.  Checked in
+    this order, no letter is the reserved token "1", holds ":" or is a rule
+    arrow "->" or "<->", and no letter starts with "[" beside one that ends
+    with "]" (a rule "[a -> b]" would read as a header).  A [rules] line is
+    "lhs -> rhs" or "lhs <-> rhs", maybe after a tag "prefix:", "suffix:"
+    or "whole:" (space before the colon allowed); it has exactly one arrow
+    token.  A [cyclic-rules] line is "u -> v", cut at its first "->"."""
     sections = ref_sections(text)
     if "alphabet" not in sections:
         raise ParseError("missing [alphabet] section")
@@ -353,6 +354,11 @@ def ref_parse_rws(text):
         raise ParseError("'1' is reserved for the empty word", no)
     if any(":" in tok for tok in letters):
         raise ParseError("':' is reserved for anchor tags", no)
+    for tok in letters:
+        if tok in ("->", "<->"):
+            raise ParseError(f"{tok!r} is reserved for rule arrows", no)
+    if any(tok.startswith("[") for tok in letters) and any(tok.endswith("]") for tok in letters):
+        raise ParseError("a letter starts with '[' and a letter ends with ']'", no)
     pairs = _ref_pairs(sections["alphabet"])
     try:
         alphabet = Alphabet.from_pairs(letters, pairs)

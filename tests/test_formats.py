@@ -149,6 +149,9 @@ RULE_ERRORS = {
         "[alphabet]\nletters: prefix:a a\n[rules]\nprefix:a -> a\n", "':' is reserved for anchor tags", 2
     ),
     "colon-starts-letter": ("[alphabet]\nletters: prefix :a\n", "':' is reserved for anchor tags", 2),
+    # an alphabet that breaks two letter rules is refused for the first in
+    # _check_letters' order, by the reader as by the writer
+    "arrow-and-one-in-letters": ("[alphabet]\nletters: -> a 1\n", "'1' is reserved for the empty word", 2),
     "bad-pair": ("[alphabet]\nletters: a A b\npairs: a A b\n", "bad involution pair 'a A b'", 3),
     # only "\n", "\r\n" and "\r" end a line; the other boundaries of
     # str.splitlines are whitespace inside it
@@ -334,7 +337,8 @@ def _ones(rng, line):
 
 
 def _arrow_letters(rng, line):
-    """A letter of the line replaced by "x->y" or by "->"."""
+    """A letter of the line replaced by the letter "x->y" or by "->", which
+    no letter may be."""
     tokens = line.split(" ")
     letters = [i for i, tok in enumerate(tokens) if tok not in ("->", "<->", "1") and ":" not in tok]
     if letters:
@@ -356,9 +360,9 @@ _TEXT_PATH_VARIANTS = {
 @pytest.mark.parametrize("name", ["s_eps.rws", "hat.rws"])
 @pytest.mark.parametrize("variant", _TEXT_PATH_VARIANTS)
 def test_text_path_matches_line_by_line_reference(name, variant, emitted):
-    # parse_rws splits a rule line whose tokens are one space apart at its
-    # arrow and reads each side text once; a line spaced otherwise, or one
-    # that is faulty, is read token by token.  Half the lines of a window of
+    # parse_rws splits every rule line at its arrow and reads each side text
+    # once, the line respaced if it has tabs or runs of spaces; only a
+    # faulty line is read token by token.  Half the lines of a window of
     # [rules] take the variant, or one or two lines, so that a variant that
     # can make a fault still leaves some windows readable
     _read, _ref, text, window = emitted[name]
@@ -376,11 +380,43 @@ def test_text_path_matches_line_by_line_reference(name, variant, emitted):
         sample = "\n".join(lines[:head] + body)
         got = _outcome(_rws_fields, sample)
         assert got == _outcome(ref_parse_rws, sample), sample
-        kinds[got[0]] += 1
+        kinds[got[0] if got[0] == "ok" else got[1]] += 1
+    if variant == "letters-x->y-and-->":
+        # no rule can name the letter "->", so its letters: line is refused
+        assert kinds == {"line 2: '->' is reserved for rule arrows": 60}, kinds
+        return
     # every variant reads some windows; the faults it can make fail others
     assert kinds["ok"] >= 5, kinds
-    if variant in ("one-sides", "letters-x->y-and-->"):
-        assert kinds["error"] >= 5, kinds
+    if variant == "one-sides":
+        assert sum(kinds.values()) - kinds["ok"] >= 5, kinds
+
+
+@pytest.mark.parametrize("name", ["s_eps.rws", "hat.rws"])
+def test_well_formed_rule_lines_never_reach_the_fault_namer(name, emitted, monkeypatch):
+    # every [rules] line takes a variant; a "1" side is kept only where the
+    # reference reads the line.  However it is spaced or tagged, a
+    # well-formed line is split at its arrow, and _rule_fault, which reads
+    # a line token by token, is reached only by a faulty one
+    def fault(letter, line, no):
+        raise AssertionError(f"line {no} reached the fault namer: {line!r}")
+
+    monkeypatch.setattr(formats, "_rule_fault", fault)
+    lines = emitted[name][2].splitlines()
+    head = lines.index("[rules]") + 1
+    alphabet = "\n".join(lines[:head]) + "\n"
+    rng = random.Random(f"fault namer {name}")
+    for variant in ("tabs", "runs-of-spaces", "tag-colon", "one-sides"):
+        rewrite = _TEXT_PATH_VARIANTS[variant][0]
+        body = [rewrite(rng, line) for line in lines[head:]]
+        if variant == "one-sides":
+            body = [
+                new if _outcome(ref_parse_rws, alphabet + new)[0] == "ok" else old
+                for old, new in zip(lines[head:], body)
+            ]
+        assert sum(map(str.__ne__, lines[head:], body)) >= len(body) // 10, variant
+        sample = alphabet + "\n".join(body)
+        want = _outcome(ref_parse_rws, sample)
+        assert want[0] == "ok" and _outcome(_rws_fields, sample) == want, variant
 
 
 # letters that a .rws text cannot hold so that parse_rws reads it back, a
@@ -395,6 +431,9 @@ _UNWRITABLE = {
     "tab": (["a\tb", "a"], "letter 'a\\tb' holds whitespace, which separates letters"),
     "comma-in-pair": (["a,", "a"], "letter 'a,' holds ',', which separates involution pairs"),
     "brackets": (["[a", "a]"], "a letter starts with '[' and a letter ends with ']'"),
+    # two rules broken: the first in _check_letters' order is named
+    "arrow-and-one": (["->", "1"], "'1' is reserved for the empty word"),
+    "brackets-and-arrow": (["[a", "<->", "a]"], "'<->' is reserved for rule arrows"),
 }
 
 
@@ -410,6 +449,19 @@ def test_emit_refuses_letters_it_cannot_write_back(letters, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as err:
         emit_rws(system)
     assert err.value.line is None
+
+
+# the alphabets of _UNWRITABLE that a letters: line can hold: the others
+# hold '#', whitespace or a paired ','
+@pytest.mark.parametrize(
+    "case", ["one", "colon", "arrow", "symmetric-arrow", "brackets", "arrow-and-one", "brackets-and-arrow"]
+)
+def test_reader_refuses_the_letters_that_emit_refuses(case):
+    letters, message = _UNWRITABLE[case]
+    text = f"[alphabet]\nletters: {' '.join(letters)}\n[rules]\n{letters[0]} -> 1\n"
+    with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$") as err:
+        parse_rws(text)
+    assert err.value.line == 2
 
 
 def test_emit_writes_letters_that_read_back():
