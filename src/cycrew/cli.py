@@ -89,12 +89,8 @@ def cmd_axioms(args) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        for name in ("P1", "P2", "P3", "P4", "P5"):
-            info = payload["axioms"][name]
-            status = "ok" if info["ok"] else f"FAIL {info['witnesses']}"
-            print(f"{name}: {status}")
-        for name in ("P6", "P7", "P8"):
-            info = payload[name]
+        checks = dict(payload["axioms"], P6=payload["P6"], P7=payload["P7"], P8=payload["P8"])
+        for name, info in checks.items():
             if info["ok"] is None:
                 status = "not checked (P1-P5 fail)"
             else:

@@ -10,7 +10,9 @@ pairs into the cases of the classical amalgam / HNN conjugacy theorems;
 they are oracles for testing, not the primary decision path.  Their
 rotation x preconjugator searches and BFS path walks are those of
 conjugate_quadratic (universal._rotation_matches and universal._bfs_path),
-run over the subgroup pools that each theorem names.
+run over the subgroup pools that each theorem names, and Collins' chain
+through A u B builds its BFS tree with universal._bfs_tree, as the letter
+conjugacy closure does.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .universal import (
     CertificateError,
     UniversalContext,
     _bfs_path,
+    _bfs_tree,
     _canonical_traced,
     _interleaving_equal,
     _letter_closure_traced,
@@ -473,25 +476,22 @@ def _collins_chain(f_p: int, g_p: int, p: HnnPregroup):
     c_i = k^-1 t^-d c_{i-1} t^d k, with a final h in H such that
     h^-1 c_l h = g.  Returns ((c_i, k_i, d_i) step list, h) or None."""
     ab = p.sub_a | p.sub_b
-    phi = p.phi
-    phi_inv = {v: k for k, v in phi.items()}
-    parents = {f_p: None}
-    queue = [f_p]  # grows while it is read: BFS order
-    for c in queue:
-        # endpoint: a chain element conjugate to g by some h in H
-        # (h = eps when g itself lies in A u B)
+    phi_inv = {v: k for k, v in p.phi.items()}
+
+    def moves(c):
+        # phi maps A onto B, so c is in A exactly when phi takes it across
+        for mid, delta in ((p.phi.get(c), 1), (phi_inv.get(c), -1)):
+            if mid is not None:
+                for k in sorted(p.base_h):
+                    y = p.mul(p.mul(p.inv[k], mid), k)
+                    if y in ab:
+                        yield y, k, delta
+
+    parents = _bfs_tree(f_p, moves)
+    # endpoint: the first chain element, in BFS order, conjugate to g by
+    # some h in H (h = eps when g itself lies in A u B)
+    for c in parents:
         h = _pool_conjugator(p.base_h, c, g_p, p)
         if h is not None:
             return _bfs_path(parents, c), h
-        moves = []
-        if c in p.sub_a:
-            moves.append((phi[c], 1))
-        if c in p.sub_b:
-            moves.append((phi_inv[c], -1))
-        for mid, delta in moves:
-            for k in sorted(p.base_h):
-                y = p.mul(p.mul(p.inv[k], mid), k)
-                if y in ab and y not in parents:
-                    parents[y] = (c, k, delta)
-                    queue.append(y)
     return None

@@ -3,18 +3,22 @@ tables), .grp (finite group tables).
 
 All three formats are UTF-8, '#' starts a comment, sections are bracketed
 headers.  Lines end at "\n", "\r\n" or "\r" only.  Words are
-whitespace-separated letter tokens; the bare token "1" denotes the empty
-word on either side of a rule, so "1" is reserved and may not be used as a
-letter name, and a side with no tokens is an error.  A .rws letter may not
-hold ":", which ends the anchor tag of a rule.  _check_letters is the one
-letter rule of .rws: emit_rws refuses an alphabet that it could not write
-so that parse_rws reads it back, and parse_rws refuses the same alphabets
-on the letters: line, with the same messages.
+whitespace-separated letter tokens; in .rws the bare token "1" denotes the
+empty word on either side of a rule, so "1" is reserved and may not be
+used as a letter name (.pg and .grp read it as an element), and a side
+with no tokens is an error.  A .rws letter may not hold ":", which ends
+the anchor tag of a rule.  _check_letters is the one letter rule of .rws:
+emit_rws refuses an alphabet that it could not write so that parse_rws
+reads it back, and parse_rws refuses the same alphabets on the letters:
+line, with the same messages.  emit_pg and emit_grp refuse elements by
+the rules of _check_letters that are not .rws's own (_check_tokens).  A
+fault of an alphabet or pregroup is named at the line of the entry at
+fault (_built).
 
 Cost.  Each reader does C-level work per line and per rule, and well-formed
 input takes that path alone.  The checks that name a fault and its line
-(_rule_fault, _word, the row loop of _parse_product) run only on faulty
-input.
+(_rule_fault, _word, the row loop of _parse_product, the pair search of
+_built) run only on faulty input.
 - Lines and sections: a few whole-text passes (newlines, comments, split,
   strip) and one list pass for the headers.
 - [product] (.pg, .grp): one split per row, then every check column by
@@ -29,14 +33,12 @@ input.
   whitespace, a fault) is split again with its tokens one space apart
   (_respaced_rule); only a line still refused, a faulty one, is read token
   by token, to name its fault.
-On a 2-core x86-64 host (CPython 3.11, min of 30 calls, interleaved with
-the earlier reader, which sent a line that it could not split to a token
-reader): S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 3.0-3.3 ms
-(earlier 3.0-3.3 ms), and in 3.4-3.5 ms (5.0-5.2) with every space a
-tab, 5-9% over the single-spaced text (58-60% earlier); its hat extension
-(8,617 rules) in 26-27 ms (26-27); S_eps(HNN(Z6, Z3)) (4,447 rules) in
-10-11 ms (10-11).  hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42 and 110) read
-in 0.46 and 2.4 ms.
+On a 2-core x86-64 host (CPython 3.11, min of 30 calls):
+S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 3.0-3.3 ms, and in
+3.4-3.5 ms with every space a tab, 5-9% over the single-spaced text; its
+hat extension (8,617 rules) in 26-27 ms; S_eps(HNN(Z6, Z3)) (4,447 rules)
+in 10-11 ms.  hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42 and 110) read in
+0.46 and 2.4 ms.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def _keyed(entries, key: str):
 
 
 def _read_pairs(entries):
-    """The (x, y) token pairs of every 'pairs:' line among a section's
-    entries, in order; an empty 'pairs:' line gives none."""
+    """The (lineno, x, y) of the token pairs of every 'pairs:' line among a
+    section's entries, in order; an empty 'pairs:' line gives none."""
     pairs = []
     for no, line in entries:
         if not line.startswith("pairs:") or not line[6:].strip():
@@ -115,8 +117,26 @@ def _read_pairs(entries):
             toks = chunk.split()
             if len(toks) != 2:
                 raise ParseError(f"bad involution pair {chunk.strip()!r}", no)
-            pairs.append((toks[0], toks[1]))
+            pairs.append((no, toks[0], toks[1]))
     return pairs
+
+
+def _built(build, pairs, line: int):
+    """build(pairs), pairs as _read_pairs gives them.  A ValueError that it
+    raises becomes a ParseError at the line of the entry at fault: the pair
+    through which build first raises the same message, or line, that of
+    the section's head entry, when build raises it with no pair.  The
+    search runs only on faulty input."""
+    try:
+        return build(pairs)
+    except ValueError as exc:
+        message = str(exc)
+    for k in range(len(pairs) + 1):
+        try:
+            build(pairs[:k])
+        except ValueError as exc:
+            if str(exc) == message:
+                raise ParseError(message, pairs[k - 1][0] if k else line) from None
 
 
 def _pairs_line(tokens, involution):
@@ -202,15 +222,15 @@ def parse_rws(text: str):
     if "alphabet" not in sections:
         raise ParseError("missing [alphabet] section")
     alpha_entries = sections["alphabet"]
-    _no, letters_text = _keyed(alpha_entries, "letters")
+    letters_no, letters_text = _keyed(alpha_entries, "letters")
     letters = letters_text.split()
     # before the pairs are read, so no letter is swapped yet
-    _check_letters(letters, range(len(letters)), _no)
-    pairs = _read_pairs(alpha_entries)
-    try:
-        alphabet = Alphabet.from_pairs(letters, pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    _check_letters(letters, range(len(letters)), letters_no)
+    alphabet = _built(
+        lambda pairs: Alphabet.from_pairs(letters, [(x, y) for _no, x, y in pairs]),
+        _read_pairs(alpha_entries),
+        letters_no,
+    )
     letter = alphabet._index.__getitem__
     # a rule line is split at its " -> " or " <-> " and each side read
     # through words; as no letter is an arrow, a line that reads is split
@@ -266,27 +286,35 @@ _TAG_TEXT = {a.value: f"{a.value}: " if a is not Anchor.NONE else "" for a in An
 def _check_letters(letters, involution, line: Optional[int] = None) -> None:
     """Raise ParseError, at line, for letters that a .rws text cannot hold
     so that parse_rws reads them back; involution is their index map.  The
-    rules, in order: "1" and ":" among any letters, then letter by letter
-    the arrows, '#', whitespace and ',' in a letter that the involution
-    swaps, then the brackets of a header.  parse_rws calls it on its
-    letters: line before it reads a pair, so with no letter swapped, and
-    emit_rws on the alphabet it writes: both name the same first fault."""
+    rules, in order: "1" and ":" among any letters, then those of
+    _check_tokens, with the arrows.  parse_rws calls it on its letters:
+    line before it reads a pair, so with no letter swapped, and emit_rws on
+    the alphabet it writes: both name the same first fault."""
     if "1" in letters:
         raise ParseError("'1' is reserved for the empty word", line)
     if any(":" in tok for tok in letters):
         raise ParseError("':' is reserved for anchor tags", line)
-    for i, tok in enumerate(letters):
-        if tok in ("->", "<->"):
+    _check_tokens(letters, involution, line, "letter", ("->", "<->"))
+
+
+def _check_tokens(tokens, involution, line=None, noun="token", arrows=()) -> None:
+    """Raise ParseError, at line, for tokens that a text of any of the three
+    formats cannot hold so that its reader reads them back; involution is
+    their index map.  The rules, in order: token by token the arrows given,
+    '#', whitespace and ',' in a token that the involution swaps, then the
+    brackets of a header."""
+    for i, tok in enumerate(tokens):
+        if tok in arrows:
             raise ParseError(f"{tok!r} is reserved for rule arrows", line)
         if "#" in tok:
-            raise ParseError(f"letter {tok!r} holds '#', which starts a comment", line)
+            raise ParseError(f"{noun} {tok!r} holds '#', which starts a comment", line)
         if tok.split() != [tok]:
-            raise ParseError(f"letter {tok!r} holds whitespace, which separates letters", line)
+            raise ParseError(f"{noun} {tok!r} holds whitespace, which separates {noun}s", line)
         if "," in tok and involution[i] != i:
-            raise ParseError(f"letter {tok!r} holds ',', which separates involution pairs", line)
-    if any(tok[0] == "[" for tok in letters) and any(tok[-1] == "]" for tok in letters):
-        # a rule "[a -> b]" would read as a section header
-        raise ParseError("a letter starts with '[' and a letter ends with ']'", line)
+            raise ParseError(f"{noun} {tok!r} holds ',', which separates involution pairs", line)
+    if any(tok[0] == "[" for tok in tokens) and any(tok[-1] == "]" for tok in tokens):
+        # a rule "[a -> b]" or a row "[a] e = [a]" would read as a header
+        raise ParseError(f"a {noun} starts with '[' and a {noun} ends with ']'", line)
 
 
 def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
@@ -331,7 +359,9 @@ def _parse_product(entries, known):
             and (len(product) == len(rows) or len(product) == len(set(zip(xs, ys, zs))))
         ):
             return product
-    product = {}
+    # some row is faulty: every column check above that fails has a row on
+    # which this loop raises
+    given = {}
     for no, line in entries:
         toks = line.split()
         if len(toks) != 4 or toks[2] != "=":
@@ -340,9 +370,8 @@ def _parse_product(entries, known):
         for tok in (x, y, z):
             if tok not in known:
                 raise ParseError(f"unknown element {tok!r}", no)
-        if product.setdefault((x, y), z) != z:
-            raise ParseError(f"product {x} {y} given as both {product[x, y]} and {z}", no)
-    return product
+        if given.setdefault((x, y), z) != z:
+            raise ParseError(f"product {x} {y} given as both {given[x, y]} and {z}", no)
 
 
 def parse_pg(text: str) -> Pregroup:
@@ -350,22 +379,28 @@ def parse_pg(text: str) -> Pregroup:
     if "pregroup" not in sections:
         raise ParseError("missing [pregroup] section")
     entries = sections["pregroup"]
-    _no, elements_text = _keyed(entries, "elements")
+    elements_no, elements_text = _keyed(entries, "elements")
     elements = elements_text.split()
-    _no, epsilon = _keyed(entries, "epsilon")
-    involution = {}
-    for x, y in _read_pairs(entries):
-        involution[x] = y
-        involution[y] = x
+    eps_no, epsilon = _keyed(entries, "epsilon")
+    pairs = _read_pairs(entries)
     product = _parse_product(sections.get("product", []), set(elements))
-    try:
+
+    def build(pairs):
+        involution = {}
+        for _no, x, y in pairs:
+            involution[x] = y
+            involution[y] = x
         return Pregroup(elements, epsilon, involution, product)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+
+    # with no pair, Pregroup refuses only repeated elements or epsilon
+    return _built(build, pairs, elements_no if len(set(elements)) < len(elements) else eps_no)
 
 
 def emit_pg(p: Pregroup) -> str:
+    """The .pg text of p, which parse_pg reads back to the same table;
+    ParseError for elements that it could not (_check_tokens)."""
     toks = p.elements
+    _check_tokens(toks, p.inv)
     out = ["[pregroup]", f"elements: {' '.join(toks)}", f"epsilon: {toks[p.eps]}"]
     out += _pairs_line(toks, p.inv)
     out.append("[product]")
@@ -389,10 +424,16 @@ def parse_grp(text: str):
     if "group" not in sections:
         raise ParseError("missing [group] section")
     entries = sections["group"]
-    _no, elements_text = _keyed(entries, "elements")
+    elements_no, elements_text = _keyed(entries, "elements")
     elements = elements_text.split()
-    _no, identity = _keyed(entries, "identity")
+    identity_no, identity = _keyed(entries, "identity")
     product = _parse_product(sections.get("product", []), set(elements))
+    # the faults of the head entries, at their lines, as FiniteGroupTable
+    # names an unknown identity its epsilon
+    if len(set(elements)) < len(elements):
+        raise ParseError("duplicate element tokens", elements_no)
+    if identity not in elements:
+        raise ParseError(f"identity {identity!r} not among elements", identity_no)
     try:
         table = FiniteGroupTable(elements, identity, product)
     except ValueError as exc:
@@ -427,7 +468,11 @@ def parse_grp(text: str):
 
 
 def emit_grp(table: FiniteGroupTable, subgroups=None, maps=None) -> str:
+    """The .grp text of table, subgroups and maps, which parse_grp reads
+    back; ParseError for elements that it could not (_check_tokens).  No
+    'pairs:' line is written, so a ',' is no fault here."""
     toks = table.elements
+    _check_tokens(toks, range(len(toks)))
     out = [
         "[group]",
         f"elements: {' '.join(toks)}",

@@ -281,22 +281,29 @@ def canonical_subgroup(p: Pregroup) -> frozenset:
     return p._canonical_subgroup
 
 
+def _columns(p: Pregroup) -> list:
+    """Per column y, the int bitmask of the x with [xy] defined, built from
+    the sparse rows; the P6 and P7 checks read it."""
+    columns = [0] * len(p)
+    for x, row in enumerate(p.rows):
+        bit = 1 << x
+        for y, _xy in row:
+            columns[y] |= bit
+    return columns
+
+
 def check_p6(p: Pregroup):
     """(f,g) undefined, (f, inv b) and (b, g) defined => b in G_P.
 
     Witnesses (f, g, b) ascend in b, then f, then g."""
     gp = canonical_subgroup(p)
     masks = p.masks
-    # columns[y]: the f with [fy] defined, ascending
-    columns = [[] for _ in masks]
-    for f, row in enumerate(p.rows):
-        for y, _fy in row:
-            columns[y].append(f)
+    columns = _columns(p)
     witnesses = []
     for b, mask_b in enumerate(masks):
         if b in gp:
             continue
-        for f in columns[p.inv[b]]:
+        for f in _bits(columns[p.inv[b]]):
             missing = mask_b & ~masks[f]
             if missing:
                 witnesses.extend((f, g, b) for g in _bits(missing))
@@ -310,11 +317,8 @@ def check_p7(p: Pregroup):
     table = p.table
     inv = p.inv
     masks = p.masks
+    columns = _columns(p)
     # both[s]: the t with [st] and [ts] defined
-    columns = [0] * len(p)
-    for x, mask in enumerate(masks):
-        for y in _bits(mask):
-            columns[y] |= 1 << x
     both = [m & c for m, c in zip(masks, columns)]
     # fine[t]: the x such that x and inv x both multiply with t both ways
     fine = [m & sum(1 << inv[x] for x in _bits(m)) for m in both]
@@ -366,12 +370,7 @@ def is_reduced(w: Word, p: Pregroup) -> bool:
 def gamma_alphabet(p: Pregroup) -> Alphabet:
     """The alphabet Gamma = P minus epsilon, ordered by element order."""
     letters = [tok for i, tok in enumerate(p.elements) if i != p.eps]
-    lookup = {tok: k for k, tok in enumerate(letters)}
-    pairs = []
-    for tok in letters:
-        inv_tok = p.elements[p.inv[p.index[tok]]]
-        if inv_tok in lookup:
-            pairs.append((tok, inv_tok))
+    pairs = [(tok, p.elements[p.inv[p.index[tok]]]) for tok in letters]
     return Alphabet.from_pairs(letters, pairs)
 
 

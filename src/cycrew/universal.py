@@ -405,16 +405,31 @@ def _letter_closure_traced(start: int, p: Pregroup) -> dict:
     inv(c)], start not epsilon: it maps each P index reached to (previous
     P index, conjugating c), the start to None, so its keys are the
     closure."""
+    inv, eps, mul3 = p.inv, p.eps, p.mul3
+
+    def moves(x):
+        for c in range(len(inv)):
+            y = mul3(c, x, inv[c])
+            if y is not None and y != eps:
+                yield y, c
+
+    return _bfs_tree(start, moves)
+
+
+def _bfs_tree(start, moves) -> dict:
+    """The BFS tree from start, where moves(x) yields the steps (y, *label)
+    out of node x: it maps each node reached to (previous node, *label) and
+    start to None, in the order found, so a node's path never changes once
+    it is in the tree.  A step is unpacked only when it reaches a new node,
+    as most steps of the letter closure do not."""
     parents = {start: None}
-    queue = collections.deque([start])
-    while queue:
-        x = queue.popleft()
-        for c in range(len(p)):
-            y = p.mul3(c, x, p.inv[c])
-            if y is None or y == p.eps or y in parents:
-                continue
-            parents[y] = (x, c)
-            queue.append(y)
+    queue = [start]  # grows while it is read: BFS order
+    for x in queue:
+        for step in moves(x):
+            y = step[0]
+            if y not in parents:
+                parents[y] = (x, *step[1:])
+                queue.append(y)
     return parents
 
 

@@ -62,12 +62,6 @@ class Alphabet:
     def __len__(self):
         return len(self.letters)
 
-    def index(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise AlphabetError(f"unknown letter {token!r}") from None
-
     def word(self, tokens: Iterable[str]) -> Word:
         try:
             return tuple(map(self._index.__getitem__, tokens))
@@ -163,9 +157,3 @@ class CyclicWord:
 
     def __len__(self):
         return len(self.canon)
-
-    def rotations(self) -> list:
-        return rotations(self.canon)
-
-    def format(self, alphabet: Alphabet) -> str:
-        return alphabet.format(self.canon)

@@ -310,15 +310,33 @@ def _ref_entry(entries, key):
 
 
 def _ref_pairs(entries):
-    """The token pairs of the 'pairs:' lines, "x y" each, comma separated."""
+    """The (lineno, x, y) of the token pairs of the 'pairs:' lines, "x y"
+    each, comma separated."""
     pairs = []
     for no, line in entries:
         if line.startswith("pairs:") and line[6:].strip():
             for chunk in line[6:].split(","):
                 if len(chunk.split()) != 2:
                     raise ParseError(f"bad involution pair {chunk.strip()!r}", no)
-                pairs.append(tuple(chunk.split()))
+                pairs.append((no, *chunk.split()))
     return pairs
+
+
+def _ref_built(build, pairs, head):
+    """build(pairs), or the ParseError of its fault at the line of the entry
+    at fault: read the head entry, on line head, and then the pairs one at
+    a time, and take the first after which build, given the pairs read so
+    far, fails with the message of the whole."""
+    try:
+        return build(pairs)
+    except ValueError as exc:
+        message = str(exc)
+    for k, no in enumerate([head] + [no for no, _x, _y in pairs]):
+        try:
+            build(pairs[:k])
+        except ValueError as exc:
+            if str(exc) == message:
+                raise ParseError(message, no) from None
 
 
 def _ref_side(index, tokens, no):
@@ -341,7 +359,9 @@ def ref_parse_rws(text):
     [alphabet] has one 'letters:' line and 'pairs:' lines.  Checked in
     this order, no letter is the reserved token "1", holds ":" or is a rule
     arrow "->" or "<->", and no letter starts with "[" beside one that ends
-    with "]" (a rule "[a -> b]" would read as a header).  A [rules] line is
+    with "]" (a rule "[a -> b]" would read as a header); the alphabet
+    built from them and the pairs is refused at the line of the entry at
+    fault (_ref_built).  A [rules] line is
     "lhs -> rhs" or "lhs <-> rhs", maybe after a tag "prefix:", "suffix:"
     or "whole:" (space before the colon allowed); it has exactly one arrow
     token.  A [cyclic-rules] line is "u -> v", cut at its first "->"."""
@@ -359,11 +379,11 @@ def ref_parse_rws(text):
             raise ParseError(f"{tok!r} is reserved for rule arrows", no)
     if any(tok.startswith("[") for tok in letters) and any(tok.endswith("]") for tok in letters):
         raise ParseError("a letter starts with '[' and a letter ends with ']'", no)
-    pairs = _ref_pairs(sections["alphabet"])
-    try:
-        alphabet = Alphabet.from_pairs(letters, pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    alphabet = _ref_built(
+        lambda pairs: Alphabet.from_pairs(letters, [(x, y) for _no, x, y in pairs]),
+        _ref_pairs(sections["alphabet"]),
+        no,
+    )
     index = {tok: i for i, tok in enumerate(letters)}
     tags = {"prefix": Anchor.PREFIX, "suffix": Anchor.SUFFIX, "whole": Anchor.WHOLE}
     rules = []
@@ -400,16 +420,16 @@ def ref_parse_pg(text):
 
     [pregroup] has one 'elements:' and one 'epsilon:' line and 'pairs:'
     lines.  A [product] line is "x y = z" of known elements, and a
-    product given twice has one result."""
+    product given twice has one result.  The pregroup built from them is
+    refused at the line of the entry at fault (_ref_built)."""
     sections = ref_sections(text)
     if "pregroup" not in sections:
         raise ParseError("missing [pregroup] section")
     entries = sections["pregroup"]
-    elements = _ref_entry(entries, "elements")[1].split()
-    epsilon = _ref_entry(entries, "epsilon")[1]
-    involution = {}
-    for x, y in _ref_pairs(entries):
-        involution[x], involution[y] = y, x
+    elements_no, elements = _ref_entry(entries, "elements")
+    elements = elements.split()
+    epsilon_no, epsilon = _ref_entry(entries, "epsilon")
+    pairs = _ref_pairs(entries)
     product = {}
     for no, line in sections.get("product", []):
         tokens = line.split()
@@ -422,10 +442,16 @@ def ref_parse_pg(text):
         if product.get((x, y), z) != z:
             raise ParseError(f"product {x} {y} given as both {product[x, y]} and {z}", no)
         product[x, y] = z
-    try:
-        p = Pregroup(elements, epsilon, involution, product)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+
+    def build(pairs):
+        involution = {}
+        for _no, x, y in pairs:
+            involution[x], involution[y] = y, x
+        return Pregroup(elements, epsilon, involution, product)
+
+    # the head entry at fault: the elements if one repeats, else epsilon
+    head = elements_no if len(set(elements)) != len(elements) else epsilon_no
+    p = _ref_built(build, pairs, head)
     return p.elements, p.eps, p.inv, p.table
 
 

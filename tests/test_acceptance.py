@@ -93,7 +93,7 @@ def test_02_growing_cycle_example():
     ok &= word_successors(w, s) == []
     # cyclic iteration grows strictly through (b^k a) for k = 1..50
     c = CyclicWord.of(a.word("ba"))
-    b_idx, a_idx = a.index("b"), a.index("a")
+    b_idx, a_idx = a.word(["b", "a"])
     for k in range(1, 51):
         ok &= c.canon == (a_idx,) + (b_idx,) * k
         nxt = cyclic_successors(c, s)

@@ -29,7 +29,7 @@ from cycrew.rewrite import (
     cyclic_joinable,
     cyclic_successors,
 )
-from cycrew.words import Alphabet, AlphabetError, CyclicWord, shortlex_key
+from cycrew.words import Alphabet, AlphabetError, CyclicWord, rotations, shortlex_key
 
 from conftest import corpus_pregroups, hnn_cyclic, ref_hat, ref_reach
 
@@ -56,6 +56,18 @@ class TestInverseAssignment:
         with pytest.raises(BudgetExhausted):
             check_inverse_assignment(inv, s, budget=1)
         assert check_inverse_assignment(inv, s, budget=2)
+
+    def test_greedy_reduction_out_of_budget_leaves_the_verdict_to_the_search(self):
+        # a A -> 1 takes greedy reduction two steps, a -> 1 then A -> 1,
+        # past a budget of one; the cycle search then meets the empty cycle
+        # in one step by a A -> 1, and without that rule needs two
+        a = Alphabet.from_pairs("aA", [("a", "A")])
+        w = a.word
+        rules = [Rule(w("a"), ()), Rule(w("A"), ()), Rule(w("aA"), ())]
+        inv = InverseAssignment.from_involution(a)
+        assert check_inverse_assignment(inv, RewriteSystem(a, rules), budget=1)
+        with pytest.raises(BudgetExhausted):
+            check_inverse_assignment(inv, RewriteSystem(a, rules[:2]), budget=1)
 
     def test_meeting_elsewhere_is_no_counterexample(self):
         # a A -> b b -> 1, but 1 -> b b also reaches b b from the empty
@@ -654,7 +666,7 @@ def test_short_graph_lists_cyclic_successors(s_eps):
     k, top = len(s_eps.alphabet), 2 * s_eps.m_of - 2
     assert len(ids) == sum(k**n for n in range(top + 1))
     for i, c in enumerate(shorts):
-        assert {ids[r] for r in c.rotations()} == {i}
+        assert {ids[r] for r in rotations(c.canon)} == {i}
         got = [ids[d.canon] for d in cyclic_successors(c, s_eps)]
         assert succ[i] == sorted(set(got) - {i}) == [j for j in got if j != i]
 

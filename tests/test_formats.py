@@ -8,6 +8,7 @@ import pytest
 from cycrew import formats, samples
 from cycrew.cli import main
 from cycrew.completion import hat_extension, resolve_short_pairs
+from cycrew.constructions import FiniteGroupTable
 from cycrew.formats import (
     ParseError,
     emit_grp,
@@ -21,7 +22,7 @@ from cycrew.pregroup import Pregroup, check_axioms, derive_system
 from cycrew.rewrite import Anchor, RewriteSystem, Rule
 from cycrew.words import Alphabet, AlphabetError
 
-from conftest import hnn_cyclic, ref_parse_pg, ref_parse_rws
+from conftest import corpus_pregroups, hnn_cyclic, ref_parse_pg, ref_parse_rws
 
 
 def systems_equal(s1, s2):
@@ -462,6 +463,99 @@ def test_reader_refuses_the_letters_that_emit_refuses(case):
     with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$") as err:
         parse_rws(text)
     assert err.value.line == 2
+
+
+# faults of the head entries and the pairs of .rws, .pg and .grp texts,
+# named at the line of the entry at fault: (reader, text, message, line)
+HEAD_ERRORS = {
+    "rws-duplicate-letter": (parse_rws, "[alphabet]\nletters: a b a\n", "duplicate letter tokens", 2),
+    "rws-unknown-pair-letter": (
+        parse_rws, "[alphabet]\nletters: a b\npairs: a b\npairs: a z\n", "involution pair (a, z) uses unknown letter", 4
+    ),
+    "rws-letter-paired-twice": (
+        parse_rws, "[alphabet]\nletters: a b c\npairs: a b, a c\n", "involution is not self-inverse", 3
+    ),
+    "rws-letter-paired-twice-over-lines": (
+        parse_rws, "[alphabet]\nletters: a b c\npairs: a b\n\npairs: a c\n", "involution is not self-inverse", 5
+    ),
+    "pg-duplicate-element": (parse_pg, "[pregroup]\nelements: e a a\nepsilon: e\n", "duplicate element tokens", 2),
+    "pg-unknown-epsilon": (parse_pg, "[pregroup]\nelements: e a\nepsilon: z\n", "epsilon 'z' not among elements", 3),
+    "pg-unknown-pair-token": (
+        parse_pg,
+        "[pregroup]\nelements: e a\nepsilon: e\npairs: a a\npairs: a z\n",
+        "involution names unknown token 'z'",
+        5,
+    ),
+    "pg-epsilon-paired": (
+        parse_pg, "[pregroup]\nelements: e a b\nepsilon: e\npairs: a a\npairs: b e\n", "involution must fix epsilon", 5
+    ),
+    "grp-duplicate-element": (
+        parse_grp, "[group]\nelements: e e\nidentity: e\n[product]\ne e = e\n", "duplicate element tokens", 2
+    ),
+    "grp-unknown-identity": (
+        parse_grp, "[group]\nelements: e\nidentity: z\n[product]\ne e = e\n", "identity 'z' not among elements", 3
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, text, message, line", HEAD_ERRORS.values(), ids=HEAD_ERRORS)
+def test_head_and_pair_errors_name_their_line(parse, text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+def test_pairs_that_end_self_inverse_are_read():
+    # a pair at fault is the first through which the involution fails; a
+    # later pair that mends it leaves nothing at fault
+    s, _ = parse_rws("[alphabet]\nletters: a b c\npairs: a b, a c, b b\n")
+    assert s.alphabet.involution == (2, 1, 0)
+
+
+def _with_token(kind, tok):
+    """A .pg pregroup on e, tok and x, with tok and x swapped, or a .grp
+    group of order 3 on the same elements."""
+    elements = ["e", tok, "x"]
+    if kind == "pg":
+        return Pregroup(elements, "e", {tok: "x", "x": tok}, {(tok, "x"): "e", ("x", tok): "e"})
+    return FiniteGroupTable.from_function(elements, "e", lambda a, b: elements[(elements.index(a) + elements.index(b)) % 3])
+
+
+# tokens that a .pg or .grp text cannot hold so that its reader reads them
+# back, and the message the writer refuses them with; .grp writes no
+# 'pairs:' line, so a ',' is no fault there
+_UNWRITABLE_TOKENS = {
+    "pg-hash": ("pg", "a#b", "token 'a#b' holds '#', which starts a comment"),
+    "pg-space": ("pg", "a b", "token 'a b' holds whitespace, which separates tokens"),
+    "pg-swapped-comma": ("pg", "a,b", "token 'a,b' holds ',', which separates involution pairs"),
+    "pg-brackets": ("pg", "[a]", "a token starts with '[' and a token ends with ']'"),
+    "grp-hash": ("grp", "a#b", "token 'a#b' holds '#', which starts a comment"),
+    "grp-space": ("grp", "a b", "token 'a b' holds whitespace, which separates tokens"),
+    "grp-brackets": ("grp", "[a]", "a token starts with '[' and a token ends with ']'"),
+}
+
+
+@pytest.mark.parametrize("kind, tok, message", _UNWRITABLE_TOKENS.values(), ids=_UNWRITABLE_TOKENS)
+def test_emit_pg_and_grp_refuse_tokens_they_cannot_write_back(kind, tok, message):
+    emit = {"pg": emit_pg, "grp": emit_grp}[kind]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as err:
+        emit(_with_token(kind, tok))
+    assert err.value.line is None
+
+
+def test_emit_pg_and_grp_write_what_reads_back(census):
+    # the refused tokens' neighbours, the samples and the census
+    pregroups = [_with_token("pg", tok) for tok in ("1", "->", "a:b", "[a", "a]")]
+    pregroups += [Pregroup(["e", "a,b"], "e", {}, {("a,b", "a,b"): "e"})]
+    for p in pregroups + [p for _name, p in corpus_pregroups()] + census:
+        back = parse_pg(emit_pg(p))
+        assert (back.elements, back.eps, back.inv, back.table) == (p.elements, p.eps, p.inv, p.table)
+    groups = [_with_token("grp", tok) for tok in ("1", "->", "a,b", "[a", "a]")]
+    groups += [samples.z2_table(), samples.z4_table(), samples.z6_table(), samples.s3_table(), samples.trivial_table()]
+    for t in groups:
+        back = parse_grp(emit_grp(t))[0]
+        assert (back.elements, back.eps, back.table) == (t.elements, t.eps, t.table)
 
 
 def test_emit_writes_letters_that_read_back():

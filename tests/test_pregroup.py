@@ -662,7 +662,7 @@ class TestDerivedSystems:
         p = samples.dihedral_infinity()
         s = derive_system(p, "S_eps")
         assert len(s.alphabet) == len(p)
-        eps_letter = s.alphabet.index(p.elements[p.eps])
+        (eps_letter,) = s.alphabet.word([p.elements[p.eps]])
         assert any(r.lhs == (eps_letter,) and r.rhs == () for r in s.rules)
 
     def test_s_of_p_symmetric_rules_only_off_domain(self):

@@ -315,7 +315,7 @@ class TestExampleGrowingCycle:
             lengths.append(len(c))
         assert lengths == sorted(set(lengths))
         # each iterate is (b^k a) as a cyclic word
-        assert c.canon.count(a.index("a")) == 1
+        assert c.canon.count(a.word(["a"])[0]) == 1
 
     def test_termination_heuristic(self):
         assert samples.growing_cycle_system().has_length_increasing_rules()

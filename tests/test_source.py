@@ -125,12 +125,13 @@ def test_conftest_imports_no_private_library_name():
     assert found == []
 
 
-def _reads(node):
-    """The names node reads: names loaded, attributes, and strings, which
-    the benchmark's tracer passes to getattr."""
+def _reads(node, bare=True):
+    """The names node reads: names loaded (unless bare is false),
+    attributes, and strings, which the benchmark's tracer passes to
+    getattr."""
     found = collections.Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+        if bare and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             found[sub.attr] += 1
@@ -146,11 +147,14 @@ def _library_and_bench():
     return library, bench
 
 
-def _unread(defined, read):
+def _unread(defined, read, bare=True):
     """The names of defined (name -> its defining nodes) that read counts no
-    more often than their own definitions read them."""
+    more often than their own definitions read them, bare names counted
+    unless bare is false."""
     assert defined
-    return sorted(name for name, nodes in defined.items() if read[name] <= sum(_reads(node)[name] for node in nodes))
+    return sorted(
+        name for name, nodes in defined.items() if read[name] <= sum(_reads(node, bare)[name] for node in nodes)
+    )
 
 
 def test_every_private_library_name_has_a_reader():
@@ -194,16 +198,18 @@ PAPER_OPERATIONS = {
 def test_every_public_library_name_has_a_reader():
     # the same rule for the public top-level functions and classes of the
     # library and the public methods of those classes: each is read by the
-    # library or the benchmark outside its own definition.  Re-exports do
-    # not count: an import is no read, and the strings of __all__ are left
-    # out.  The builders of samples.py are example inputs, and the paper's
-    # operations stay whoever calls them
+    # library or the benchmark outside its own definition, a method only
+    # through an attribute or a string, as a bare name is some function's.
+    # Re-exports do not count: an import is no read, and the strings of
+    # __all__ are left out.  The builders of samples.py are example inputs,
+    # and the paper's operations stay whoever calls them
     library, bench = _library_and_bench()
-    read = collections.Counter()
+    read, read_as_method = collections.Counter(), collections.Counter()
     for tree in [*library.values(), *bench]:
         for node in tree.body:
             if not (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                 read += _reads(node)
+                read_as_method += _reads(node, bare=False)
     public = []  # (qualified name, its definition)
     for module, tree in library.items():
         for node in tree.body:
@@ -216,10 +222,13 @@ def test_every_public_library_name_has_a_reader():
                         if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
                     ]
     assert PAPER_OPERATIONS <= {qualname for qualname, _node in public}
-    defined = collections.defaultdict(list)  # name -> its defining statements
-    qualified = collections.defaultdict(set)  # name -> its qualified names
-    for qualname, node in public:
-        if qualname not in PAPER_OPERATIONS:
-            defined[node.name].append(node)
-            qualified[node.name].add(qualname)
-    assert sorted(q for name in _unread(defined, read) for q in qualified[name]) == []
+    unread = []
+    for methods, counter in ((False, read), (True, read_as_method)):
+        defined = collections.defaultdict(list)  # name -> its defining statements
+        qualified = collections.defaultdict(set)  # name -> its qualified names
+        for qualname, node in public:
+            if qualname not in PAPER_OPERATIONS and ("." in qualname) == methods:
+                defined[node.name].append(node)
+                qualified[node.name].add(qualname)
+        unread += [q for name in _unread(defined, counter, bare=not methods) for q in qualified[name]]
+    assert sorted(unread) == []
