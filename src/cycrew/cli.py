@@ -2,7 +2,10 @@
 
 Answers go to stdout, diagnostics to stderr.  Exit codes: 0 success/yes,
 1 negative verdict (axiom violation, not conjugate), 2 usage/parse/
-precondition error, 3 inconclusive (oracle ran out of conjugator length).
+precondition error, or a greedy reduction (or any other bounded search)
+out of budget, 3 inconclusive (oracle ran out of conjugator length).
+main is the one place that turns an error into exit 2 and its "error: "
+line on stderr.
 """
 
 from __future__ import annotations
@@ -104,11 +107,7 @@ def cmd_reduce(args) -> int:
     if args.file.endswith(".rws"):
         system, _pairs = parse_rws(_read(args.file))
         w = system.alphabet.parse(args.word)
-        try:
-            print(system.alphabet.format(reduce_greedy(w, system, args.budget)))
-        except BudgetExhausted as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        print(system.alphabet.format(reduce_greedy(w, system, args.budget)))
         return 0
     ctx = _context(args.file)
     print(ctx.alphabet.format(reduce_word(ctx.alphabet.parse(args.word), ctx)))
@@ -267,7 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="greedy reduction (.pg or .rws)")
     p.add_argument("file")
     p.add_argument("-w", "--word", required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=100_000,
+        help="rewrite steps of a .rws greedy reduction (default %(default)s); "
+        "a .pg reduction needs no budget",
+    )
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("nf", help="shortlex normal form over a .pg file")
@@ -323,7 +328,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, BudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,9 +11,10 @@ the anchor tag of a rule.  _check_letters is the one letter rule of .rws:
 emit_rws refuses an alphabet that it could not write so that parse_rws
 reads it back, and parse_rws refuses the same alphabets on the letters:
 line, with the same messages.  emit_pg and emit_grp refuse elements by
-the rules of _check_letters that are not .rws's own (_check_tokens).  A
-fault of an alphabet or pregroup is named at the line of the entry at
-fault (_built).
+the rules of _check_letters that are not .rws's own (_check_tokens), and
+emit_grp refuses the subgroup and map blocks that parse_grp would misread
+(_check_block_name).  A fault of an alphabet or pregroup is named at the
+line of the entry at fault (_built).
 
 Cost.  Each reader does C-level work per line and per rule, and well-formed
 input takes that path alone.  The checks that name a fault and its line
@@ -300,10 +301,12 @@ def _check_letters(letters, involution, line: Optional[int] = None) -> None:
 def _check_tokens(tokens, involution, line=None, noun="token", arrows=()) -> None:
     """Raise ParseError, at line, for tokens that a text of any of the three
     formats cannot hold so that its reader reads them back; involution is
-    their index map.  The rules, in order: token by token the arrows given,
-    '#', whitespace and ',' in a token that the involution swaps, then the
-    brackets of a header."""
+    their index map.  The rules, in order: token by token the empty token,
+    the arrows given, '#', whitespace and ',' in a token that the
+    involution swaps, then the brackets of a header."""
     for i, tok in enumerate(tokens):
+        if not tok:
+            raise ParseError(f"{noun} is empty", line)
         if tok in arrows:
             raise ParseError(f"{tok!r} is reserved for rule arrows", line)
         if "#" in tok:
@@ -467,10 +470,29 @@ def parse_grp(text: str):
     return table, subgroups, maps
 
 
+def _check_block_name(name: str, noun: str) -> None:
+    """Raise ParseError for a subgroup name, map source or map target that
+    its .grp header would not give back: parse_grp cuts a header at '#' or
+    a line break and strips it."""
+    if not name:
+        raise ParseError(f"{noun} is empty")
+    if "#" in name:
+        raise ParseError(f"{noun} {name!r} holds '#', which starts a comment")
+    if "\n" in name or "\r" in name:
+        raise ParseError(f"{noun} {name!r} holds a line break")
+    if name != name.strip():
+        raise ParseError(f"{noun} {name!r} has leading or trailing whitespace")
+
+
 def emit_grp(table: FiniteGroupTable, subgroups=None, maps=None) -> str:
     """The .grp text of table, subgroups and maps, which parse_grp reads
-    back; ParseError for elements that it could not (_check_tokens).  No
-    'pairs:' line is written, so a ',' is no fault here."""
+    back; ParseError for elements that it could not (_check_tokens), and
+    for block names that it could not (_check_block_name, and a map source
+    with '->', at which its header splits).  The members of a subgroup and
+    the two tokens of a map entry name elements and take the elements'
+    rules, under which no subset of the elements is refused; the bracket
+    rule keeps a map entry "[a : b]" from reading as a header.  No 'pairs:'
+    line is written, so a ',' is no fault here."""
     toks = table.elements
     _check_tokens(toks, range(len(toks)))
     out = [
@@ -483,10 +505,17 @@ def emit_grp(table: FiniteGroupTable, subgroups=None, maps=None) -> str:
         for j in range(len(table)):
             out.append(f"{toks[i]} {toks[j]} = {toks[table.table[i][j]]}")
     for name, members in (subgroups or {}).items():
+        _check_block_name(name, "subgroup name")
+        _check_tokens(members, range(len(members)), noun="subgroup member")
         out.append(f"[subgroup {name}]")
         out.append(f"elements: {' '.join(members)}")
     for (src, dst), mapping in (maps or {}).items():
+        _check_block_name(src, "map source")
+        if "->" in src:
+            raise ParseError(f"map source {src!r} holds '->', which ends a map source")
+        _check_block_name(dst, "map target")
         out.append(f"[map {src}->{dst}]")
         for x, y in mapping.items():
+            _check_tokens((x, y), (0, 1), noun="map entry token")
             out.append(f"{x} : {y}")
     return "\n".join(out) + "\n"

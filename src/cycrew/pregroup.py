@@ -299,11 +299,13 @@ def check_p6(p: Pregroup):
     gp = canonical_subgroup(p)
     masks = p.masks
     columns = _columns(p)
+    # an f in G_P multiplies with every g, so only the f outside it can fail
+    outside = sum(1 << f for f in range(len(p)) if f not in gp)
     witnesses = []
     for b, mask_b in enumerate(masks):
         if b in gp:
             continue
-        for f in _bits(columns[p.inv[b]]):
+        for f in _bits(columns[p.inv[b]] & outside):
             missing = mask_b & ~masks[f]
             if missing:
                 witnesses.extend((f, g, b) for g in _bits(missing))

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,12 @@ from hypothesis import strategies as st
 
 from cycrew import samples
 from cycrew.cli import main
-from cycrew.completion import cdagger
-from cycrew.formats import emit_grp, emit_pg, emit_rws, parse_pg, parse_rws
+from cycrew.completion import cdagger, hat_extension, resolve_short_pairs
+from cycrew.constructions import FiniteGroupTable
+from cycrew.formats import emit_grp, emit_pg, emit_rws, parse_grp, parse_pg, parse_rws
 from cycrew.pregroup import derive_system
+
+from conftest import hnn_cyclic
 
 
 @pytest.fixture
@@ -443,6 +449,142 @@ class TestFromHnn:
         assert main(["from-hnn", files["s3.grp"], *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "zz" in err
+
+
+# The CLI contract on one set of files: Z4 as .grp with its subgroup
+# H = {e, x2}, the .pg of HNN(Z4, H), S_eps of that pregroup as .rws (1,321
+# rules), and what the CLI makes of them.  A new check of the cycrew command
+# is a row here, or a call of test_exit_status_through_a_process when it
+# needs a process; the CI workflow checks only the installed entry point.
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """The input files of CONTRACT_ROWS, and the outputs that rows compare
+    with, each written by the library."""
+    hnn = hnn_cyclic(4, 2)
+    s_eps = derive_system(hnn, "S_eps")
+    rws = emit_rws(s_eps)
+    crs = resolve_short_pairs(s_eps)
+    pg = emit_pg(hnn)
+    *head, last = pg.splitlines()
+    lhs = last.split(" = ")[0]
+    texts = {
+        "z4.grp": emit_grp(FiniteGroupTable.cyclic(4, "x"), {"H": ("e", "x2")}, {}),
+        "hnn.pg": pg,
+        "s_eps.rws": rws,
+        "cstar.rws": emit_rws(crs.base, crs.extra),
+        "hat.rws": emit_rws(hat_extension(s_eps)),
+        # every space a tab
+        "tabs.rws": rws.replace(" ", "\t"),
+        # "[alphabet]\nlet": cut inside its letters: entry
+        "cut.rws": rws[:14],
+        # cut right after the arrow of its last rule: an empty rule side
+        "arrow.rws": rws[: rws.rindex("->") + 2],
+        # the last product rewritten to equal its own left factor
+        "bad.pg": "\n".join(head + [f"{lhs} = {lhs.split()[0]}"]) + "\n",
+    }
+    root = tmp_path_factory.mktemp("contract")
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return root
+
+
+class ContractRow(NamedTuple):
+    argv: list  # file names are those of contract_files; "out" is the -o file
+    code: int
+    stdout: Optional[str] = None  # compared where the check reads it
+    output: Optional[str] = None  # the file whose bytes "out" holds
+    round_trip: tuple = ()  # files that read and write back to the same bytes
+
+
+_U = "e|t|x e|t|x e|t|x"
+# two pairs of cyclic length 3, so the linear decision runs its b loop
+_CONJ = {"yes": (_U, "x e|t|x e|t|x e|t|x x3", 0), "no": (_U, "e|t|x e|t|x e|t|x2", 1)}
+CONTRACT_ROWS = {
+    "from-hnn": ContractRow(
+        ["from-hnn", "z4.grp", "--sub-a", "H", "--sub-b", "H", "-o", "out"],
+        0,
+        output="hnn.pg",
+        round_trip=("z4.grp", "hnn.pg"),
+    ),
+    "axioms": ContractRow(["axioms", "hnn.pg"], 0),
+    **{
+        f"conj-{algo}-{answer}": ContractRow(["conj", "hnn.pg", "--algo", algo, "-u", u, "-v", v], code)
+        for algo in ("linear", "quadratic")
+        for answer, (u, v, code) in _CONJ.items()
+    },
+    # C* writes its [cyclic-rules]; the reader reads a tab as a space
+    "cstar": ContractRow(
+        ["complete", "s_eps.rws", "--mode", "cstar", "-o", "out"],
+        0,
+        output="cstar.rws",
+        round_trip=("cstar.rws",),
+    ),
+    "cstar-tabs": ContractRow(
+        ["complete", "tabs.rws", "--mode", "cstar", "-o", "out"], 0, output="cstar.rws"
+    ),
+    "cstar-cut": ContractRow(["complete", "cut.rws", "--mode", "cstar"], 2),
+    "cstar-arrow": ContractRow(["complete", "arrow.rws", "--mode", "cstar"], 2),
+    # about 8k anchored rules, which C* refuses as no standard system
+    "hat": ContractRow(
+        ["complete", "s_eps.rws", "--mode", "hat", "-o", "out"],
+        0,
+        output="hat.rws",
+        round_trip=("hat.rws",),
+    ),
+    "cstar-hat": ContractRow(["complete", "hat.rws", "--mode", "cstar"], 2),
+    # x e|t|e x3 has the normal form x|t|x3 under S_eps and its hat extension
+    "reduce-s_eps": ContractRow(["reduce", "s_eps.rws", "-w", "x e|t|e x3"], 0, "x|t|x3\n"),
+    "reduce-hat": ContractRow(["reduce", "hat.rws", "-w", "x e|t|e x3"], 0, "x|t|x3\n"),
+    # the axiom report fails, and a query refuses the file
+    "axioms-bad": ContractRow(["axioms", "bad.pg"], 1),
+    "reduce-bad": ContractRow(["reduce", "bad.pg", "-w", "x"], 2),
+}
+
+_WRITE_BACK = {
+    ".grp": lambda text: emit_grp(*parse_grp(text)),
+    ".pg": lambda text: emit_pg(parse_pg(text)),
+    ".rws": lambda text: emit_rws(*parse_rws(text)),
+}
+
+
+@pytest.mark.parametrize("row", CONTRACT_ROWS.values(), ids=CONTRACT_ROWS)
+def test_contract_row(contract_files, tmp_path, capsys, row):
+    out = tmp_path / "out"
+    paths = {p.name: str(p) for p in contract_files.iterdir()} | {"out": str(out)}
+    assert main([paths.get(a, a) for a in row.argv]) == row.code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") if row.code == 2 else captured.err == ""
+    if row.stdout is not None:
+        assert captured.out == row.stdout
+    if row.output is not None:
+        assert out.read_text() == (contract_files / row.output).read_text()
+    for name in row.round_trip:
+        path = contract_files / name
+        text = path.read_text()
+        assert _WRITE_BACK[path.suffix](text) == text, name
+
+
+def test_exit_status_through_a_process(files):
+    """python -m cycrew.cli, run with the suite's environment, exits with
+    the code that main returns: one call for each of 0-3."""
+    dinf = files["dinf.pg"]
+    calls = [
+        ["reduce", dinf, "-w", "a a b"],
+        ["conj", dinf, "-u", "a", "-v", "b"],
+        ["reduce", dinf, "-w", "z"],
+        ["conj", dinf, "-u", "a", "-v", "b a b", "--algo", "oracle", "--max-conj-len", "0"],
+    ]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "cycrew.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        for argv in calls
+    ]
+    assert [run.returncode for run in runs] == [0, 1, 2, 3], [run.stderr for run in runs]
+    assert [run.stdout for run in runs] == ["b\n", "no\n", "", "inconclusive\n"]
+    assert runs[2].stderr == "error: unknown letter 'z'\n"
 
 
 # Exit-code contract: every input, malformed ones included, gives 0-3.

@@ -526,6 +526,7 @@ def _with_token(kind, tok):
 # back, and the message the writer refuses them with; .grp writes no
 # 'pairs:' line, so a ',' is no fault there
 _UNWRITABLE_TOKENS = {
+    "pg-empty": ("pg", "", "token is empty"),
     "pg-hash": ("pg", "a#b", "token 'a#b' holds '#', which starts a comment"),
     "pg-space": ("pg", "a b", "token 'a b' holds whitespace, which separates tokens"),
     "pg-swapped-comma": ("pg", "a,b", "token 'a,b' holds ',', which separates involution pairs"),
@@ -718,6 +719,79 @@ class TestGrp:
         )
         with pytest.raises(ParseError):
             parse_grp(text)
+
+
+# subgroup and map blocks that parse_grp would misread, and the message
+# emit_grp refuses them with: (subgroups, maps, message)
+_S3_A = {"A": ("e", "s")}
+_UNWRITABLE_BLOCKS = {
+    "name-empty": ({"": ("e",)}, {}, "subgroup name is empty"),
+    "name-hash": ({"a#b": ("e",)}, {}, "subgroup name 'a#b' holds '#', which starts a comment"),
+    "name-line-break": ({"a\nb": ("e",)}, {}, "subgroup name 'a\\nb' holds a line break"),
+    "name-leading-space": ({" A": ("e",)}, {}, "subgroup name ' A' has leading or trailing whitespace"),
+    "name-trailing-tab": ({"A\t": ("e",)}, {}, "subgroup name 'A\\t' has leading or trailing whitespace"),
+    "source-arrow": (_S3_A, {("x->y", "A"): {}}, "map source 'x->y' holds '->', which ends a map source"),
+    "source-empty": (_S3_A, {("", "A"): {}}, "map source is empty"),
+    "target-hash": (_S3_A, {("A", "B#"): {}}, "map target 'B#' holds '#', which starts a comment"),
+    "target-carriage-return": (_S3_A, {("A", "B\rC"): {}}, "map target 'B\\rC' holds a line break"),
+    "target-trailing-space": (_S3_A, {("A", "B "): {}}, "map target 'B ' has leading or trailing whitespace"),
+    "member-empty": ({"A": ("e", "")}, {}, "subgroup member is empty"),
+    "member-hash": ({"A": ("e", "s#")}, {}, "subgroup member 's#' holds '#', which starts a comment"),
+    "member-space": (
+        {"A": ("e s",)}, {}, "subgroup member 'e s' holds whitespace, which separates subgroup members"
+    ),
+    "entry-empty": (_S3_A, {("A", "A"): {"e": ""}}, "map entry token is empty"),
+    "entry-hash": (
+        _S3_A, {("A", "A"): {"#e": "e"}}, "map entry token '#e' holds '#', which starts a comment"
+    ),
+    "entry-tab": (
+        _S3_A,
+        {("A", "A"): {"e": "s\t"}},
+        "map entry token 's\\t' holds whitespace, which separates map entry tokens",
+    ),
+    # the line "[e : s]" would read as a header
+    "entry-brackets": (
+        _S3_A,
+        {("A", "A"): {"[e": "s]"}},
+        "a map entry token starts with '[' and a map entry token ends with ']'",
+    ),
+}
+
+
+@pytest.mark.parametrize("subgroups, maps, message", _UNWRITABLE_BLOCKS.values(), ids=_UNWRITABLE_BLOCKS)
+def test_emit_grp_refuses_blocks_it_cannot_write_back(subgroups, maps, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        emit_grp(samples.s3_table(), subgroups, maps)
+
+
+# the pieces of a drawn block name or token: letters, and the characters
+# that a .grp line cuts, splits or strips at, or reads a header by; the
+# letters are drawn ten times as often as each other piece
+_BLOCK_PIECES = ("a", "b", "#", " ", "\t", "\n", "\r", "->", "[", "]", ",", ":")
+_BLOCK_WEIGHTS = (10, 10) + (1,) * 10
+
+
+def test_grp_blocks_read_back_or_are_refused():
+    rng = random.Random("grp blocks")
+
+    def draw():
+        return "".join(rng.choices(_BLOCK_PIECES, _BLOCK_WEIGHTS, k=rng.choice((0, 1, 1, 2, 2, 3, 3, 3))))
+
+    table = samples.z2_table(("e", "a"))
+    kinds = collections.Counter()
+    for _ in range(3000):
+        subgroups = {draw(): tuple(draw() for _ in range(rng.randint(0, 2))) for _ in range(rng.randint(0, 2))}
+        maps = {
+            (draw(), draw()): {draw(): draw() for _ in range(rng.randint(0, 2))} for _ in range(rng.randint(0, 2))
+        }
+        try:
+            text = emit_grp(table, subgroups, maps)
+        except ParseError:
+            kinds["refused"] += 1
+            continue
+        assert parse_grp(text)[1:] == (subgroups, maps), text
+        kinds["read back" if subgroups or maps else "no block"] += 1
+    assert kinds["refused"] >= 1500 and kinds["read back"] >= 200, kinds
 
 
 # every keyed entry, and a map entry, given twice, the second on line 4: one
