@@ -19,7 +19,6 @@ from typing import Optional
 
 from .pregroup import _bits
 from .rewrite import (
-    _ANCHORS,
     Anchor,
     BudgetExhausted,
     RewriteSystem,
@@ -135,8 +134,7 @@ def hat_extension(
         raise PreconditionViolated("hat extension of an anchored system")
     lengths = tuple(map(len, inverses.words))
     table = {}  # lhs -> _factorisations(lhs)
-    # (lhs, rhs, slot of the anchor in _ANCHORS) of every added rule in
-    # order, repeats included
+    # (lhs, rhs, anchor) of every added rule in order, repeats included
     added = []
     for r in system.rules:
         orientations = [(r.lhs, r.rhs)]
@@ -146,23 +144,18 @@ def hat_extension(
             pieces = table.get(lhs)
             if pieces is None:
                 pieces = table[lhs] = _factorisations(lhs, inverses, lengths)
-            added += [(piece, left + rhs + right, slot) for piece, left, right, slot in pieces]
+            added += [(piece, left + rhs + right, anchor) for piece, left, right, anchor in pieces]
     # every added rule is anchored and S has none, so added rules can only
     # repeat one another; dict.fromkeys keeps the first of each, in order
     rules = list(system.rules)
-    for lhs, rhs, slot in dict.fromkeys(added):
+    for lhs, rhs, anchor in dict.fromkeys(added):
         if lhs != rhs:
-            rules.append(Rule(lhs, rhs, _ANCHORS[slot]))
+            rules.append(Rule(lhs, rhs, anchor))
     return RewriteSystem(system.alphabet, rules)
 
 
-# slots in _ANCHORS; ints key the added rules of hat_extension faster than
-# Anchor members, whose hash is a Python call
-_PREFIX, _SUFFIX, _WHOLE = map(_ANCHORS.index, (Anchor.PREFIX, Anchor.SUFFIX, Anchor.WHOLE))
-
-
 def _factorisations(lhs: Word, inverses: InverseAssignment, lengths):
-    """(piece, inv(p), inv(q), anchor slot) for each rule that hat_extension
+    """(piece, inv(p), inv(q), anchor) for each rule that hat_extension
     adds for a rule with left-hand side lhs, in its order: prefix and suffix
     rules per cut lhs = pq, then whole-word rules per cut puq.  A prefix
     rule has () for inv(q), a suffix rule () for inv(p).  lengths holds
@@ -175,12 +168,12 @@ def _factorisations(lhs: Word, inverses: InverseAssignment, lengths):
         cut[i] = cut[i + 1] + lengths[lhs[i]]
     out = []
     for i in range(1, n):
-        out.append((lhs[i:], inv[cut[i] :], (), _PREFIX))
-        out.append((lhs[:i], (), inv[: cut[i]], _SUFFIX))
+        out.append((lhs[i:], inv[cut[i] :], (), Anchor.PREFIX))
+        out.append((lhs[:i], (), inv[: cut[i]], Anchor.SUFFIX))
     for i in range(1, n):
         left = inv[cut[i] :]
         for j in range(i, n):
-            out.append((lhs[i:j], left, inv[: cut[j]], _WHOLE))
+            out.append((lhs[i:j], left, inv[: cut[j]], Anchor.WHOLE))
     return out
 
 

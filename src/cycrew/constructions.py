@@ -388,14 +388,21 @@ def _pool_conjugator(pool, x: int, y: int, p: Pregroup) -> Optional[int]:
     return next((h for h in sorted(pool) if p.mul3(p.inv[h], x, h) == y), None)
 
 
-def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict:
-    """Classify a conjugate pair over an amalgam pregroup into the cases of
-    the classical amalgam conjugacy theorem, with replayable witnesses."""
-    p = _require_amalgam(ctx)
+def _canonical_pair(g: Word, f: Word, ctx: UniversalContext):
+    """The canonical forms of g and f, which the verifiers classify; a
+    pair of different lengths is not conjugate: ValueError."""
     g_can, _zg = _canonical_traced(g, ctx)
     f_can, _zf = _canonical_traced(f, ctx)
     if len(g_can) != len(f_can):
         raise ValueError("pair is not conjugate (length mismatch)")
+    return g_can, f_can
+
+
+def verify_mks(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVerdict:
+    """Classify a conjugate pair over an amalgam pregroup into the cases of
+    the classical amalgam conjugacy theorem, with replayable witnesses."""
+    p = _require_amalgam(ctx)
+    g_can, f_can = _canonical_pair(g, f, ctx)
     n = len(g_can)
     if n == 0:
         return ClassificationVerdict("mks", 1, {"h": p.eps, "chain_to_g": [], "chain_to_f": []})
@@ -432,10 +439,7 @@ def verify_collins(g: Word, f: Word, ctx: UniversalContext) -> ClassificationVer
     p = _require_hnn(ctx)
     H = p.base_h
     ab = p.sub_a | p.sub_b
-    g_can, _zg = _canonical_traced(g, ctx)
-    f_can, _zf = _canonical_traced(f, ctx)
-    if len(g_can) != len(f_can):
-        raise ValueError("pair is not conjugate (length mismatch)")
+    g_can, f_can = _canonical_pair(g, f, ctx)
     if len(f_can) == 0:
         return ClassificationVerdict("collins", 1, {"chain": [], "h": p.eps})
     if len(f_can) == 1 and f_can[0] in H:

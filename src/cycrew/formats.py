@@ -278,10 +278,8 @@ def _fmt_word(letter, w) -> str:
     return " ".join(map(letter, w)) if w else "1"
 
 
-# the text that starts a written rule, by the value of its anchor; read
-# through Anchor._value_, a plain attribute, as Anchor.value is a property
-# and a dict keyed by Anchor members hashes them in Python
-_TAG_TEXT = {a.value: f"{a.value}: " if a is not Anchor.NONE else "" for a in Anchor}
+# the text that starts a written rule, by its anchor
+_TAG_TEXT = {a: f"{a.value}: " if a is not Anchor.NONE else "" for a in Anchor}
 
 
 def _check_letters(letters, involution, line: Optional[int] = None) -> None:
@@ -333,7 +331,7 @@ def emit_rws(system: RewriteSystem, cyclic_pairs=()) -> str:
     out.append("[rules]")
     for lhs, rhs, anchor, symmetric in system.rules:
         out.append(
-            f"{_TAG_TEXT[anchor._value_]}{' '.join(map(letter, lhs)) if lhs else '1'}"
+            f"{_TAG_TEXT[anchor]}{' '.join(map(letter, lhs)) if lhs else '1'}"
             f"{' <-> ' if symmetric else ' -> '}{' '.join(map(letter, rhs)) if rhs else '1'}"
         )
     if cyclic_pairs:

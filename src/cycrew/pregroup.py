@@ -4,12 +4,15 @@ The partial product is stored as a dense n x n table with None for
 undefined entries.  Axiom checks are exhaustive, but run as passes over the
 rows of the table rather than as nested quantifier sweeps: P1-P5 cost
 O(|dom| * deg) table reads, where dom is the set of defined pairs and deg
-the largest number of defined products in a row, and P6-P8 use per-row
-bitmasks of the defined products.  Up to 255 elements the P4 reads of a
-defined pair are one comparison of byte strings in C, so Python steps once
-per pair rather than once per triple: on a 2-core shared x86 host the
-sweep takes 0.6-1.1 ms instead of 1.0-1.8 ms on hnn_s3 (|P| = 42) and
-3-5 ms instead of 8-11 ms on HNN(Z10, Z2) (|P| = 110).
+the largest number of defined products in a row.  Up to 255 elements the
+P4 reads of a defined pair are one comparison of byte strings in C, so
+Python steps once per pair rather than once per triple: on a 2-core shared
+x86 host the sweep takes 0.6-1.1 ms instead of 1.0-1.8 ms on hnn_s3
+(|P| = 42) and 3-5 ms instead of 8-11 ms on HNN(Z10, Z2) (|P| = 110).
+G_P, P6 and P7 read the int bitmasks of the defined products, one per row
+(Pregroup.masks) and one per column (Pregroup.columns); P8 reads G_P and
+the sparse rows.  P6-P8 and G_P mean something only on a table that
+satisfies P1-P5.
 """
 
 from __future__ import annotations
@@ -101,8 +104,20 @@ class Pregroup:
     @functools.cached_property
     def masks(self) -> tuple:
         """Per row x, the int bitmask of the y with [xy] defined.  Built
-        once, on first use; G_P and the P6 and P7 checks read these."""
+        once, on first use; with the column bitmasks (columns), G_P and the
+        P6 and P7 checks read these."""
         return tuple(sum(1 << y for y, _xy in row) for row in self.rows)
+
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """Per column y, the int bitmask of the x with [xy] defined: the
+        transpose of masks.  Built once, on first use."""
+        columns = [0] * len(self)
+        for x, row in enumerate(self.rows):
+            bit = 1 << x
+            for y, _xy in row:
+                columns[y] |= bit
+        return tuple(columns)
 
     @functools.cached_property
     def _axiom_report(self) -> "AxiomReport":
@@ -114,11 +129,7 @@ class Pregroup:
         """G_P, as canonical_subgroup describes it.  Built once, on first
         use; a table that fails the subgroup test raises on every use."""
         full = (1 << len(self)) - 1
-        masks = self.masks
-        full_columns = full
-        for mask in masks:
-            full_columns &= mask
-        g = frozenset(x for x in _bits(full_columns) if masks[x] == full)
+        g = frozenset(x for x, row in enumerate(self.masks) if row == self.columns[x] == full)
         if not self.is_subgroup(g):
             raise PregroupError("G_P is not a subgroup: the table is not a pregroup")
         return g
@@ -281,24 +292,13 @@ def canonical_subgroup(p: Pregroup) -> frozenset:
     return p._canonical_subgroup
 
 
-def _columns(p: Pregroup) -> list:
-    """Per column y, the int bitmask of the x with [xy] defined, built from
-    the sparse rows; the P6 and P7 checks read it."""
-    columns = [0] * len(p)
-    for x, row in enumerate(p.rows):
-        bit = 1 << x
-        for y, _xy in row:
-            columns[y] |= bit
-    return columns
-
-
 def check_p6(p: Pregroup):
     """(f,g) undefined, (f, inv b) and (b, g) defined => b in G_P.
 
     Witnesses (f, g, b) ascend in b, then f, then g."""
     gp = canonical_subgroup(p)
     masks = p.masks
-    columns = _columns(p)
+    columns = p.columns
     # an f in G_P multiplies with every g, so only the f outside it can fail
     outside = sum(1 << f for f in range(len(p)) if f not in gp)
     witnesses = []
@@ -319,7 +319,7 @@ def check_p7(p: Pregroup):
     table = p.table
     inv = p.inv
     masks = p.masks
-    columns = _columns(p)
+    columns = p.columns
     # both[s]: the t with [st] and [ts] defined
     both = [m & c for m, c in zip(masks, columns)]
     # fine[t]: the x such that x and inv x both multiply with t both ways

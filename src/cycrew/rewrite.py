@@ -48,6 +48,11 @@ class Anchor(Enum):
     SUFFIX = "suffix"
     WHOLE = "whole"
 
+    # members are singletons that compare by identity, so the identity hash
+    # is valid, and it runs in C where Enum.__hash__ is a Python call: the
+    # hat extension and emit_rws key dicts on thousands of anchors
+    __hash__ = object.__hash__
+
 
 _ANCHORS = tuple(Anchor)  # the order of the target tuples in the index
 _LHS, _RHS = operator.attrgetter("lhs"), operator.attrgetter("rhs")

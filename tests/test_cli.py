@@ -87,6 +87,32 @@ class TestAxioms:
         out = capsys.readouterr().out
         assert "P2: FAIL" in out and "P6: not checked" in out
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "elements: e a\nepsilon: e\n[product]\n",
+            "elements: e a b\nepsilon: e\n[product]\na a = b\na b = e\nb a = e\n",
+        ],
+        ids=["fails-p2-only", "g_p-not-a-subgroup"],
+    )
+    def test_p6_to_p8_not_checked_where_p1_to_p5_fail(self, tmp_path, capsys, table):
+        # P6-P8 and G_P mean something only on a table that satisfies
+        # P1-P5, whether or not their computation would raise on it
+        bad = tmp_path / "bad.pg"
+        bad.write_text("[pregroup]\n" + table)
+        assert main(["axioms", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith(
+            "P6: not checked (P1-P5 fail)\nP7: not checked (P1-P5 fail)\n"
+            "P8: not checked (P1-P5 fail)\nG_P = {}\n"
+        )
+        assert err == ""
+        assert main(["axioms", str(bad), "--json"]) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert [payload[name] for name in ("P6", "P7", "P8")] == [{"ok": None, "witnesses": []}] * 3
+        assert payload["G_P"] == [] and err == ""
+
     def test_repeated_elements_entry_is_exit_2(self, tmp_path, capsys):
         # a second elements line is an error, not ignored
         bad = tmp_path / "bad.pg"

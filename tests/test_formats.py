@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycrew import formats, samples
 from cycrew.cli import main
@@ -20,7 +22,7 @@ from cycrew.formats import (
 )
 from cycrew.pregroup import Pregroup, check_axioms, derive_system
 from cycrew.rewrite import Anchor, RewriteSystem, Rule
-from cycrew.words import Alphabet, AlphabetError
+from cycrew.words import Alphabet, AlphabetError, CyclicWord
 
 from conftest import corpus_pregroups, hnn_cyclic, ref_parse_pg, ref_parse_rws
 
@@ -570,6 +572,81 @@ def test_emit_writes_letters_that_read_back():
     text = emit_rws(system)
     assert systems_equal(parse_rws(text)[0], system)
     assert emit_rws(parse_rws(text)[0]) == text
+
+
+# the tokens the round-trip properties draw letters and elements from:
+# short ordinary ones, and the awkward ones that a writer must refuse or
+# write back (the empty word, an anchor colon, a comment, a pair comma,
+# header brackets, the arrows, whitespace inside a token)
+_AWKWARD = ["1", "a:b", "#", "a,b", "[a", "b]", "->", "<->", "x->y", "a b", "a\tb"]
+_TOKENS = st.one_of(st.text("abxyAB2", min_size=1, max_size=2), st.sampled_from(_AWKWARD))
+
+
+@st.composite
+def _involution(draw, n, fixed=None):
+    """A self-inverse index map on range(n) that fixes fixed."""
+    free = draw(st.permutations([i for i in range(n) if i != fixed]))
+    inv = list(range(n))
+    k = draw(st.integers(0, len(free) // 2))
+    for x, y in zip(free[: 2 * k : 2], free[1 : 2 * k : 2]):
+        inv[x], inv[y] = y, x
+    return tuple(inv)
+
+
+@st.composite
+def _rws_objects(draw):
+    """A system over drawn letters, with rules of every anchor (symmetric
+    only where both sides have one length), and cyclic pairs."""
+    letters = tuple(draw(st.lists(_TOKENS, min_size=1, max_size=5, unique=True)))
+    words = st.lists(st.integers(0, len(letters) - 1), max_size=3).map(tuple)
+    rules = [
+        Rule(lhs, rhs, anchor, len(lhs) == len(rhs) and symmetric)
+        for lhs, rhs, anchor, symmetric in draw(
+            st.lists(st.tuples(words, words, st.sampled_from(list(Anchor)), st.booleans()), max_size=6)
+        )
+    ]
+    pairs = [(CyclicWord.of(u), CyclicWord.of(v)) for u, v in draw(st.lists(st.tuples(words, words), max_size=3))]
+    return RewriteSystem(Alphabet(letters, draw(_involution(len(letters)))), rules), pairs
+
+
+@st.composite
+def _pg_objects(draw):
+    """A table over drawn elements with a partial product, whose stated
+    epsilon-row and epsilon-column entries may break P1."""
+    elements = draw(st.lists(_TOKENS, min_size=1, max_size=4, unique=True))
+    n = len(elements)
+    eps = draw(st.integers(0, n - 1))
+    inv = draw(_involution(n, eps))
+    entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    product = {(elements[x], elements[y]): elements[z] for x, y, z in draw(st.lists(entries, max_size=10))}
+    return Pregroup(elements, elements[eps], {elements[i]: elements[j] for i, j in enumerate(inv)}, product)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(drawn=_rws_objects())
+def test_rws_objects_read_back_or_are_refused(drawn):
+    system, pairs = drawn
+    try:
+        text = emit_rws(system, pairs)
+    except ParseError:
+        return
+    back, back_pairs = parse_rws(text)
+    assert systems_equal(back, system)
+    assert back.alphabet.involution == system.alphabet.involution
+    assert back_pairs == pairs
+    assert emit_rws(back, back_pairs) == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=_pg_objects())
+def test_pg_objects_read_back_or_are_refused(p):
+    try:
+        text = emit_pg(p)
+    except ParseError:
+        return
+    back = parse_pg(text)
+    assert (back.elements, back.eps, back.inv, back.table) == (p.elements, p.eps, p.inv, p.table)
+    assert emit_pg(back) == text
 
 
 @pytest.mark.parametrize(

@@ -232,3 +232,18 @@ def test_every_public_library_name_has_a_reader():
                 qualified[node.name].add(qualname)
         unread += [q for name in _unread(defined, counter, bare=not methods) for q in qualified[name]]
     assert sorted(unread) == []
+
+
+def test_cli_catches_errors_only_in_main_and_its_file_helpers():
+    # main is the one place that turns an error into exit 2 and its
+    # "error: " line, and _read and _write turn an OSError into a
+    # ParseError for it; no command catches an error of its own
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    holders = collections.defaultdict(list)  # top-level name -> its try lines
+    for top in tree.body:
+        name = getattr(top, "name", f"line {top.lineno}")
+        holders[name] += [node.lineno for node in ast.walk(top) if isinstance(node, tries)]
+    assert holders["main"]
+    allowed = ("main", "_read", "_write")
+    assert {name: lines for name, lines in holders.items() if lines and name not in allowed} == {}
