@@ -2,8 +2,7 @@
 
 Answers go to stdout, diagnostics to stderr.  Exit codes: 0 success/yes,
 1 negative verdict (axiom violation, not conjugate), 2 usage/parse/
-precondition error, or a greedy reduction (or any other bounded search)
-out of budget, 3 inconclusive (oracle ran out of conjugator length).
+precondition error, 3 inconclusive (oracle ran out of conjugator length).
 main is the one place that turns an error into exit 2 and its "error: "
 line on stderr.
 """
@@ -25,7 +24,7 @@ from .constructions import (
 )
 from .formats import ParseError, emit_pg, emit_rws, parse_grp, parse_pg, parse_rws
 from .pregroup import canonical_subgroup, check_axioms, check_p6, check_p7, check_p8
-from .rewrite import BudgetExhausted, reduce_greedy
+from .rewrite import reduce_greedy
 from .universal import (
     UniversalContext,
     cyclic_reduce,
@@ -93,7 +92,7 @@ def cmd_reduce(args) -> int:
     if args.file.endswith(".rws"):
         system, _pairs = parse_rws(_read(args.file))
         w = system.alphabet.parse(args.word)
-        print(system.alphabet.format(reduce_greedy(w, system, args.budget)))
+        print(system.alphabet.format(reduce_greedy(w, system)))
         return 0
     ctx = _context(args.file)
     print(ctx.alphabet.format(reduce_word(ctx.alphabet.parse(args.word), ctx)))
@@ -119,32 +118,24 @@ def cmd_conj(args) -> int:
     v = ctx.alphabet.parse(args.v)
     if args.algo == "oracle":
         answer = conjugate_oracle(u, v, ctx, args.max_conj_len)
-        if answer is None:
-            if args.json:
-                print(json.dumps({"verdict": None, "method": "oracle"}))
-            else:
-                print("inconclusive")
-            return 3
     elif args.algo == "quadratic":
         answer = conjugate_quadratic(u, v, ctx)
     else:
         answer = conjugate_linear(u, v, ctx)
-    cert = (
-        ctx.alphabet.format(answer.certificate)
-        if answer.certificate is not None
-        else None
-    )
+    if answer is None:  # the oracle ran out of conjugator length
+        verdict, cert, method = None, None, "oracle"
+    else:
+        verdict, method = answer.verdict, answer.method
+        cert = None if answer.certificate is None else ctx.alphabet.format(answer.certificate)
     if args.json:
-        print(
-            json.dumps(
-                {"verdict": answer.verdict, "certificate": cert, "method": answer.method}
-            )
-        )
-    elif answer.verdict:
+        print(json.dumps({"verdict": verdict, "certificate": cert, "method": method}))
+    elif verdict is None:
+        print("inconclusive")
+    elif verdict:
         print(f"yes  conjugator: {cert if cert else '1'}")
     else:
         print("no")
-    return 0 if answer.verdict else 1
+    return 3 if verdict is None else 0 if verdict else 1
 
 
 def cmd_complete(args) -> int:
@@ -252,13 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="greedy reduction (.pg or .rws)")
     p.add_argument("file")
     p.add_argument("-w", "--word", required=True)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=100_000,
-        help="rewrite steps of a .rws greedy reduction (default %(default)s); "
-        "a .pg reduction needs no budget",
-    )
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("nf", help="shortlex normal form over a .pg file")
@@ -314,7 +298,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetExhausted) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

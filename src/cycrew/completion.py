@@ -70,9 +70,10 @@ def check_inverse_assignment(
     inv: InverseAssignment, system: RewriteSystem, budget: int = 10_000
 ) -> bool:
     """Each a . inv(a) must rewrite to the empty word: greedy reduction
-    first, then a BFS from the cycle of w = a . inv(a) for the empty cycle,
-    over cycles of at most |w| + m(S) letters, which stops expanding once
-    it has seen budget cycles besides w.
+    first, which always ends, then a BFS from the cycle of w = a . inv(a)
+    for the empty cycle, over cycles of at most |w| + m(S) letters, which
+    stops expanding once it has seen budget cycles besides w.  budget
+    bounds that search alone.
 
     Raises BudgetExhausted when that search ends without the empty cycle
     but the budget or the length bound left cycles out, which decides
@@ -84,11 +85,8 @@ def check_inverse_assignment(
 
     for a in range(len(inv.alphabet)):
         w = (a,) + inv.of(a)
-        try:
-            if reduce_greedy(w, system, budget) == ():
-                continue
-        except BudgetExhausted:
-            pass
+        if reduce_greedy(w, system) == ():
+            continue
         cap = len(w) + system.m_of
         search = _Descendants(CyclicWord.of(w), steps, cap, budget + 1)
         if search.meets({CyclicWord.of(())}):

@@ -71,6 +71,8 @@ class FiniteGroupTable(Pregroup):
     def __init__(self, elements: Sequence[str], identity: str, product: dict):
         elements = tuple(elements)
         known = set(elements)
+        if identity not in known:
+            raise PregroupError(f"identity {identity!r} not among elements")
         for (x, y), z in product.items():
             for tok in (x, y, z):
                 if tok not in known:

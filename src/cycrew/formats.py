@@ -429,8 +429,8 @@ def parse_grp(text: str):
     elements = elements_text.split()
     identity_no, identity = _keyed(entries, "identity")
     product = _parse_product(sections.get("product", []), set(elements))
-    # the faults of the head entries, at their lines, as FiniteGroupTable
-    # names an unknown identity its epsilon
+    # the faults of the head entries, with the lines that FiniteGroupTable
+    # cannot give
     if len(set(elements)) < len(elements):
         raise ParseError("duplicate element tokens", elements_no)
     if identity not in elements:

@@ -59,7 +59,7 @@ _LHS, _RHS = operator.attrgetter("lhs"), operator.attrgetter("rhs")
 
 
 class BudgetExhausted(RuntimeError):
-    """A bounded search ran out of budget; possible non-termination."""
+    """A bounded search was cut before it decided."""
 
 
 class _RuleFields(NamedTuple):
@@ -239,27 +239,20 @@ def _leftmost_shortening(w: Word, index, lengths):
     return None
 
 
-def reduce_greedy(w: Word, system: RewriteSystem, budget: int = 10_000) -> Word:
+def reduce_greedy(w: Word, system: RewriteSystem) -> Word:
     """Apply the leftmost applicable length-reducing rule until none applies.
 
-    Each application shortens the word, so at most len(w) are made;
-    BudgetExhausted means that the word is still reducible after budget
-    applications.
+    Each application removes at least one letter, so at most len(w) are
+    made, and no bound is needed.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     index = system._index
     lengths = [l for l in system._lhs_lengths if l > 0]
-    steps = 0
     while True:
         redex = _leftmost_shortening(w, index, lengths)
         if redex is None:
             return w
-        if steps == budget:
-            raise BudgetExhausted(f"no fixpoint within {budget} steps")
         start, end, rhs = redex
         w = w[:start] + rhs + w[end:]
-        steps += 1
 
 
 @dataclass(frozen=True)

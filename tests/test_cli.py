@@ -151,13 +151,6 @@ class TestReduceFamily:
     def test_missing_file_is_exit_2(self, files, capsys):
         assert main(["reduce", "no-such-file.pg", "-w", "a"]) == 2
 
-    def test_reduce_rws_budget(self, files, capsys):
-        # two applications reduce a A b B; one is not enough
-        assert main(["reduce", files["free.rws"], "-w", "a A b B", "--budget", "2"]) == 0
-        assert capsys.readouterr().out.strip() == ""
-        assert main(["reduce", files["free.rws"], "-w", "a A b B", "--budget", "1"]) == 2
-        assert "no fixpoint within 1 steps" in capsys.readouterr().err
-
 
 class TestConj:
     def test_yes_with_conjugator(self, files, capsys):
@@ -201,7 +194,9 @@ class TestConj:
         argv = ["conj", files["dinf.pg"], "-u", "a", "-v", "b a b",
                 "--algo", "oracle", "--max-conj-len", "0", "--json"]
         assert main(argv) == 3
-        assert json.loads(capsys.readouterr().out) == {"verdict": None, "method": "oracle"}
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": None, "certificate": None, "method": "oracle"
+        }
 
     def test_oracle_positive(self, files, capsys):
         assert (

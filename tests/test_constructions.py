@@ -24,6 +24,7 @@ from cycrew.fastconj import conjugate_linear
 from cycrew.formats import emit_pg
 from cycrew.pregroup import (
     Pregroup,
+    PregroupError,
     gamma_to_p,
     p_to_gamma,
 )
@@ -761,6 +762,11 @@ class TestGroupTableIsPregroup:
             assert seen[kind, True] == 12 and not seen[kind, False], kind
         assert seen["non-associative", True] == 11 and not seen["non-associative", False]
         assert seen["changed", True] == 12
+
+    def test_names_an_unknown_identity(self):
+        with pytest.raises(PregroupError) as exc:
+            FiniteGroupTable(["e"], "z", {("e", "e"): "e"})
+        assert str(exc.value) == "identity 'z' not among elements"
 
     def test_universal_group_matches_parent_pregroup(self):
         # the universal group of the table and of a plain Pregroup on the
