@@ -73,16 +73,6 @@ class Pregroup:
         except KeyError as exc:
             raise PregroupError(f"product names unknown token {exc.args[0]!r}") from None
         self.table = tuple(tuple(row) for row in self.table)
-        # (letter a, carry cp) -> the carry steps, the (letter, c) with
-        # letter = [inv(cp) a c] in ascending letter, each entry built on
-        # first use by cycrew.universal._carry_step; like rows, safe to
-        # cache since the table is immutable.  They stay beside the
-        # transducer below because its miss path, which scans them, is hot
-        # on the conj benchmark: compiling the steps on each miss without
-        # storing them, or filling each entry straight from rows, cost
-        # 19-32% of conj ops/s (bench/run.py --seconds 5, seed 1, against
-        # this layout on a 2-core shared host); cli was level
-        self._carry_steps = {}
         # the normal-form transducer, each entry built on first use by
         # cycrew.universal._nf_carries: the int (a * n + cp) * n + nxt ->
         # the carry step that the normal form takes at letter a from carry
@@ -94,8 +84,8 @@ class Pregroup:
     def rows(self) -> tuple:
         """The sparse rows of the table: rows[x] is the tuple of (c, [xc])
         over the c with [xc] defined, ascending in c.  Built once, on first
-        use; check_axioms, the bitmask checks and the compiled carry steps
-        all read these."""
+        use; check_axioms, the bitmask checks and the normal-form
+        transducer, which fills each entry from one row, all read these."""
         return tuple(
             tuple([(c, t) for c, t in enumerate(row) if t is not None])
             for row in self.table

@@ -20,11 +20,12 @@ Both follow a single carry.  Equality reads it off the table as
 c_i = [inv(a_i) c_{i-1} b_i] (see _interleaving_equal).  The normal form
 takes the least of the steps of (a_i, c_{i-1}) to a carry c whose inverse
 multiplies the next letter, a local test that says exactly when the step
-can be completed (see _nf_carries).  So the step taken is a function of
-(a_i, c_{i-1}, a_{i+1}): the pass is a finite-state transducer, whose
-entries are compiled on first use and then read with one lookup per
-letter.  Unlike a search over the symmetric rules of S(P), both
-terminate for certain.
+can be completed (see _nf_carries).  Those steps are one sparse row of the
+table, that of [inv(a_i) c_{i-1}], already in ascending letter.  So the
+step taken is a function of (a_i, c_{i-1}, a_{i+1}): the pass is a
+finite-state transducer, each entry filled on first use from that row and
+then read with one lookup per letter.  Unlike a search over the symmetric
+rules of S(P), both terminate for certain.
 """
 
 from __future__ import annotations
@@ -122,30 +123,6 @@ def reduce_word(w: Word, ctx: UniversalContext) -> Word:
     return ctx.to_gamma(_stack_reduce(ctx.to_p(w), ctx.pregroup))
 
 
-def _carry_step(p: Pregroup, a: int, cp: int) -> tuple:
-    """The carry steps of letter a from carry cp, compiled and stored on p
-    under (a, cp), where _nf_carries looks them up first when its
-    transducer has no entry yet.
-
-    The tuple of (letter, c) with letter = [inv(cp) a c], leaving out
-    undefined and epsilon products, in ascending letter: for a fixed cp
-    the map c -> [inv(cp) a c] is injective, since P embeds in U(P), so
-    the letters are distinct and the first entry that passes a test on c
-    holds the least letter.  Read from the sparse rows of p.
-    """
-    table, eps, x = p.table, p.eps, p.inv[cp]
-    xa = table[x][a]
-    if xa is not None:
-        out = [(t, c) for c, t in p.rows[xa] if t != eps]
-    else:
-        # [x a] undefined: by P4 only [x [a c]] can be defined
-        xrow = table[x]
-        out = [(t, c) for c, ac in p.rows[a] if (t := xrow[ac]) is not None and t != eps]
-    out.sort()
-    got = p._carry_steps[a, cp] = tuple(out)
-    return got
-
-
 def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
     """Carry DP: pu equals pv in U(P), both reduced over Gamma and of equal
     length.
@@ -155,7 +132,7 @@ def _interleaving_equal(pu, pv, p: Pregroup) -> bool:
     prefix and the DP follows a single carry: from cp, letter b of pv
     follows letter a of pu exactly when (b, c) is a step of (a, cp), that
     is b = [cp~ a c] for some c, and then c = [a~ cp b].  So the DP reads
-    its carry off the table, not from compiled steps.
+    its carry off the table; only _nf_carries reads steps, as table rows.
 
     Lemma.  For x, y, z in P, the product [x y z] is defined (under either
     bracketing) exactly when xyz lies in P in U(P), and then they are
@@ -201,8 +178,9 @@ def _nf_carries(pw, p: Pregroup):
     c_i = (a_0 .. a_i)^-1 b_0 .. b_i is fixed by the prefix (Stallings,
     Group Theory and Three-Dimensional Manifolds, 1971, 3.A).  So the
     normal form is found greedily in one forward pass: at each position,
-    from carry cp, take the first step (letter, c) of _carry_step(p, a_i,
-    cp), which are in ascending letter, that can still be completed.
+    from carry cp, take the least of the steps of (a_i, cp), the (letter,
+    c) with letter = [cp~ a_i c] defined and not epsilon, that can still be
+    completed.
 
     Lemma.  Let pw be reduced, and take a step (letter, c) from a carry cp
     that the pass reaches at position i.  For i < n-1 the step can be
@@ -231,16 +209,34 @@ def _nf_carries(pw, p: Pregroup):
     the last one the step with c = epsilon, letter [cp~ a_{n-1}], is the
     only one.
 
+    Lemma (i).  On any word without epsilon, reduced or not, the pass
+    reaches only pairs (a_i, cp) with [cp~ a_i] defined, so it reads no
+    undefined row.
+    Proof.  At i = 0, cp = epsilon and [epsilon a_0] = a_0.  At i > 0, cp
+    is the carry c of the step taken at i-1, which passed, so [c~ a_i] is
+    defined, provided some step passed there.  One always does: with y =
+    [cp~ a_{i-1}], if y is not epsilon, then (y, epsilon) is an entry of
+    the row of y~ by P2, and [epsilon a_i] is defined; if y is epsilon,
+    the row of epsilon holds (a_i, a_i), and [a_i~ a_i] is defined.
+
+    Lemma (ii).  Let y = [cp~ a] be defined.  The steps of (a, cp) are the
+    entries (t, c) of p.rows[y~] with t not epsilon, in ascending letter t
+    as the row is; y~ = [a~ cp] by P3.
+    Proof.  By the lemma of _interleaving_equal, t = [cp~ a c] exactly when
+    t = [y c].  If [y c] = t, then [y~ y] = epsilon (P2) and [[y~ y] c] = c
+    are defined, so by P4 [y~ [y c]] = [y~ t] is defined and equals c.  The
+    converse is the same argument with y and y~, and c and t, exchanged.
+
     The step taken at position i < n-1 reads a_i, cp and a_{i+1} alone, so
     the pass is a finite-state transducer from state cp on the input pair
     (a_i, a_{i+1}), the finite-state view of shortlex normal forms in
     automatic groups (Epstein et al., Word Processing in Groups, 1992).
     Its entries are compiled on first use: on a miss the pass scans the
-    steps of (a_i, cp) for the first that passes and stores it in
-    p._nf_steps under the int (a_i |P| + cp) |P| + a_{i+1}; a hit costs
-    one dict lookup.  The pass reads no letter before a_i either, so where
-    c_{i-1} = epsilon, the pass over a_i .. a_{n-1} takes the steps of the
-    full pass from position i on.
+    row of [a_i~ cp] (lemma (ii)) for the first step that passes and
+    stores it in p._nf_steps under the int (a_i |P| + cp) |P| + a_{i+1};
+    a hit costs one dict lookup.  The pass reads no letter before a_i
+    either, so where c_{i-1} = epsilon, the pass over a_i .. a_{n-1} takes
+    the steps of the full pass from position i on.
 
     Returns (nf letters, carries c_0 .. c_{n-1}) with c_{n-1} = epsilon.
     Raises ValueError when pw contains epsilon; on a word that is not
@@ -249,9 +245,9 @@ def _nf_carries(pw, p: Pregroup):
     eps = p.eps
     if eps in pw:
         raise ValueError(f"{pw} contains epsilon: it is not a word over Gamma")
-    table, inv = p.table, p.inv
+    table, inv, rows = p.table, p.inv, p.rows
     n = len(table)
-    steps, compiled = p._nf_steps, p._carry_steps
+    steps = p._nf_steps
     letters = []
     carries = []
     cp = eps
@@ -259,8 +255,8 @@ def _nf_carries(pw, p: Pregroup):
         key = (a * n + cp) * n + nxt
         step = steps.get(key)
         if step is None:
-            for step in compiled.get((a, cp)) or _carry_step(p, a, cp):
-                if table[inv[step[1]]][nxt] is not None:
+            for step in rows[table[inv[a]][cp]]:
+                if step[0] != eps and table[inv[step[1]]][nxt] is not None:
                     break
             steps[key] = step
         letter, cp = step

@@ -182,6 +182,17 @@ class TestAmalgamPregroup:
         iA2 = Embedding.from_tokens(z4_again, z4, {t: t for t in z4.elements})
         assert len(amalgam_pregroup(z4, z4, iA2, iA)) == 4
 
+    def test_embedding_into_another_group_rejected(self):
+        # the embeddings share H but one targets a group that is neither A
+        # nor B, or they target A and B the wrong way round
+        A, B, C = samples.z4_table(), samples.z6_table(), samples.z2_table(("e", "c"))
+        H = samples.trivial_table()
+        iA, iB, iC = (Embedding.from_tokens(H, G, {"e": "e"}) for G in (A, B, C))
+        assert len(amalgam_pregroup(A, B, iA, iB)) == 9
+        for pair in ((iA, iC), (iC, iB), (iB, iA)):
+            with pytest.raises(InvalidEmbedding, match="embedding targets must be A and B"):
+                amalgam_pregroup(A, B, *pair)
+
 
 class TestHnnPregroup:
     def test_shape(self, hnn):

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import cycrew
-from cycrew import samples, universal
+from cycrew import samples
 from cycrew.pregroup import (
     PregroupError,
     canonical_subgroup,
@@ -23,8 +23,9 @@ from cycrew.pregroup import (
 )
 from cycrew.universal import (
     UniversalContext,
+    CertificateError,
     _canonical_traced,
-    _carry_step,
+    _certify,
     _interleaving_equal,
     _nf_carries,
     _stack_reduce,
@@ -468,6 +469,26 @@ class TestConjugateQuadratic:
         ans = conjugate_quadratic((), (), z4z6_ctx)
         assert ans.verdict and ans.certificate == ()
 
+    def test_certify_refuses_a_wrong_conjugator(self, z4z6_ctx, rng):
+        # the replay check behind every positive answer: a conjugator that
+        # does not take u to v raises, whichever procedure built it
+        ctx = z4z6_ctx
+        k = len(ctx.alphabet)
+        refused = 0
+        for _ in range(20):
+            u = random_word(rng, k, 5, min_len=1)
+            v = conjugated(rng, ctx, u)
+            cert = conjugate_quadratic(u, v, ctx).certificate
+            assert _certify(u, v, ctx.to_p(cert), ctx) == cert
+            for letter in range(k):
+                x = cert + (letter,)
+                if equal_in_U(x + u + involute(x, ctx.alphabet), v, ctx):
+                    continue
+                with pytest.raises(CertificateError, match="does not take"):
+                    _certify(u, v, ctx.to_p(x), ctx)
+                refused += 1
+        assert refused
+
 
 def random_reduced_p(rng, p, n):
     """A reduced P-index word over Gamma, of length n unless no letter can
@@ -594,17 +615,25 @@ def transducer_entries(p):
 
 
 def check_transducer(p, words):
-    """Run _nf_carries over words, then check every transducer entry of p
-    against the scan it replaced: the first step (letter, c) of
-    _carry_step(p, a, cp) with [c~ nxt] defined.  Returns the number of
-    entries."""
+    """Run _nf_carries over words, then check every transducer entry of p:
+    it is at an (a, cp) with [cp~ a] defined, so its miss read a table row
+    (lemma (i) of _nf_carries), and it is the least step (letter, c) of the
+    dense sweep dense_step(p, cp, a) with [c~ nxt] defined.  Returns the
+    number of entries."""
     for pw in words:
         _nf_carries(pw, p)
     entries = transducer_entries(p)
     for (a, cp, nxt), step in entries.items():
-        first = next(st for st in _carry_step(p, a, cp) if p.mul(p.inv[st[1]], nxt) is not None)
-        assert step == first, (a, cp, nxt)
+        assert p.mul(p.inv[cp], a) is not None, (a, cp, nxt)
+        least = min(st for st in dense_step(p, cp, a) if p.mul(p.inv[st[1]], nxt) is not None)
+        assert step == least, (a, cp, nxt)
     return len(entries)
+
+
+def random_gamma_p(rng, p, n):
+    """A P-index word over Gamma of n letters, reduced or not."""
+    gamma = [x for x in range(len(p)) if x != p.eps]
+    return tuple(rng.choice(gamma) for _ in range(n))
 
 
 def local_test(pw, i, c, p):
@@ -620,51 +649,56 @@ def local_test(pw, i, c, p):
 
 class TestCompiledCarrySteps:
     def test_steps_match_dense_definition(self, dp_ctx):
-        # every (a, cp): the compiled steps are the dense sweep's, in
-        # ascending letter, and exactly the (b, [a~ cp b]) over the letters
-        # b with that product defined, the carry _interleaving_equal reads
+        # lemma (i): on words without epsilon, reduced or not, the pass
+        # reaches only (a, cp) with [cp~ a] defined, so it reads no
+        # undefined row; the entries it fills are the dense sweep's
         p = dp_ctx.pregroup
-        n = len(p)
-        gamma = [x for x in range(n) if x != p.eps]
-        for a in range(n):
-            for cp in range(n):
-                steps = _carry_step(p, a, cp)
-                assert set(steps) == dense_step(p, cp, a)
-                letters = [letter for letter, _c in steps]
-                assert letters == sorted(set(letters))
-                read = {(b, c) for b in gamma if (c := p.mul3(p.inv[a], cp, b)) is not None}
-                assert set(steps) == read, (a, cp)
+        rng = random.Random(len(p) + 51)
+        words = [random_gamma_p(rng, p, n) for n in range(2, 41)]
+        assert any(_stack_reduce(pw, p) != pw for pw in words)
+        assert check_transducer(p, words)
+
+    def test_rows_defined_on_p6_failing_census(self, census):
+        # lemma (i) on the census tables on which P6 fails, over words
+        # that are mostly not reduced
+        tables = [p for p in census if not check_p6(p)[0]]
+        rng = random.Random(51)
+        unreduced = 0
+        for p in tables:
+            words = [random_gamma_p(rng, p, n) for n in (2, 3, 5, 8, 13)]
+            unreduced += sum(_stack_reduce(pw, p) != pw for pw in words)
+            assert check_transducer(p, words)
+        assert unreduced > len(tables)
 
     def test_nf_carries_compiles_only_the_steps_it_reads(self, dp_ctx, monkeypatch):
         # _interleaving_equal compiles nothing; _nf_carries compiles the
-        # steps of the (a_i, c_{i-1}) and the transducer entries of the
-        # (a_i, c_{i-1}, a_{i+1}) of its positions i < n-1, no other entry,
-        # and a second pass over the same words compiles and adds nothing
+        # transducer entries of the (a_i, c_{i-1}, a_{i+1}) of its
+        # positions i < n-1, no other entry, and a second pass over the
+        # same words reads no table row and adds nothing
         p = dp_ctx.pregroup
         rng = random.Random(len(p) + 27)
-        p._carry_steps.clear()
         p._nf_steps.clear()
         words = [random_reduced_p(rng, p, n) for n in (0, 1, 2, 3, 24, 24, 40)]
         for pw in words:
             assert _interleaving_equal(pw, interleave(rng, pw, p), p)
-        assert p._carry_steps == {} and p._nf_steps == {}
+        assert p._nf_steps == {}
         visited = set()
         cold = []
         for pw in words:
             cold.append(_nf_carries(pw, p))
             visited.update(zip(pw[:-1], (p.eps,) + cold[-1][1][:-1], pw[1:]))
-            assert set(p._carry_steps) == {(a, cp) for a, cp, _nxt in visited}
             assert set(transducer_entries(p)) == visited
         # s3 has no reduced word of two letters
         assert visited or max(map(len, words)) < 2
-        steps, entries = dict(p._carry_steps), dict(p._nf_steps)
+        entries = dict(p._nf_steps)
 
-        def compile_fails(p, a, cp):
-            raise AssertionError(f"steps of {(a, cp)} compiled on a warm pass")
+        class RowsFail:
+            def __getitem__(self, x):
+                raise AssertionError(f"row {x} read on a warm pass")
 
-        monkeypatch.setattr(universal, "_carry_step", compile_fails)
+        monkeypatch.setitem(vars(p), "rows", RowsFail())
         assert [_nf_carries(pw, p) for pw in words] == cold
-        assert p._carry_steps == steps and p._nf_steps == entries
+        assert p._nf_steps == entries
 
     def test_transducer_entries_are_the_first_passing_steps(self, dp_ctx):
         p = dp_ctx.pregroup
