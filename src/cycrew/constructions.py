@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 from .pregroup import (
     Pregroup,
     PregroupError,
+    _require_pregroup,
     canonical_subgroup,
-    check_axioms,
     check_p7,
     check_p8,
 )
@@ -90,12 +90,7 @@ class FiniteGroupTable(Pregroup):
             if product[x, y] == identity == product[y, x]
         }
         super().__init__(elements, identity, inverse, product)
-        report = check_axioms(self)
-        for name, witnesses in report.violations.items():
-            if witnesses:
-                raise PregroupError(
-                    f"group law {name} fails at {self.tokens(witnesses[0])}"
-                )
+        _require_pregroup(self, "group law")
 
     @classmethod
     def from_function(cls, elements: Sequence[str], identity: str, mul) -> "FiniteGroupTable":
@@ -227,8 +222,7 @@ def amalgam_pregroup(
     p.subgroup_h = p.factor_a & p.factor_b
     if len(p) != len(A) + len(B) - h_size:
         raise PregroupError("amalgam self-check: wrong number of elements")
-    if not check_axioms(p):
-        raise PregroupError("amalgam self-check: P1-P5 fail")
+    _require_pregroup(p, "amalgam self-check:")
     if not check_p7(p)[0]:  # raises itself when P7 holds and P6 fails
         raise PregroupError("amalgam self-check: P6 or P7 fails")
     if canonical_subgroup(p) != p.subgroup_h:
@@ -314,8 +308,7 @@ def hnn_pregroup(
     e = H.eps
     p.t_plus = elem_of[canon(1, e, e)]
     p.t_minus = elem_of[canon(-1, e, e)]
-    if not check_axioms(p):
-        raise PregroupError("HNN self-check: P1-P5 fail")
+    _require_pregroup(p, "HNN self-check:")
     if not check_p8(p)[0]:  # raises itself when P8 holds and P6 fails
         raise PregroupError("HNN self-check: P6 or P8 fails")
     if canonical_subgroup(p) != p.base_h:

@@ -6,9 +6,13 @@ rows of the table rather than as nested quantifier sweeps: P1-P5 cost
 O(|dom| * deg) table reads, where dom is the set of defined pairs and deg
 the largest number of defined products in a row.  Up to 255 elements the
 P4 reads of a defined pair are one comparison of byte strings in C, so
-Python steps once per pair rather than once per triple: on a 2-core shared
-x86 host the sweep takes 0.6-1.1 ms instead of 1.0-1.8 ms on hnn_s3
-(|P| = 42) and 3-5 ms instead of 8-11 ms on HNN(Z10, Z2) (|P| = 110).
+Python steps once per pair rather than once per triple: on a fresh table,
+its sparse rows included, the sweep takes 1.0-1.2 ms on hnn_s3 (|P| = 42)
+and 4.6-5.6 ms on HNN(Z10, Z2) (|P| = 110), CPython 3.11 on a 2-core
+shared x86-64 host.  Only check_axioms reports on a table that fails
+P1-P5: every other reader that needs a pregroup (derive_system,
+UniversalContext, the constructions) refuses it through _require_pregroup,
+which names the first failing axiom and its first witness.
 G_P, P6 and P7 read the int bitmasks of the defined products, one per row
 (Pregroup.masks) and one per column (Pregroup.columns); P8 reads G_P and
 the sparse rows.  P6-P8 and G_P mean something only on a table that
@@ -212,6 +216,15 @@ def check_axioms(p: Pregroup) -> AxiomReport:
     return p._axiom_report
 
 
+def _require_pregroup(p: Pregroup, what: str) -> None:
+    """Raise PregroupError "{what} {axiom} fails at {witness}" unless p
+    satisfies P1-P5, for the first failing axiom and its first witness, in
+    element tokens.  Reads the report of check_axioms, which is cached."""
+    for name, witnesses in check_axioms(p).violations.items():
+        if witnesses:
+            raise PregroupError(f"{what} {name} fails at {p.tokens(witnesses[0])}")
+
+
 def _sweep_axioms(p: Pregroup) -> AxiomReport:
     table = p.table
     inv = p.inv
@@ -390,24 +403,31 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
     S(P): ab -> 1 when [ab] = eps; ab -> [ab] when defined otherwise;
     ab <-> [ac][inv(c) b] for every linking c when (a,b) is undefined.
     S_eps adds the letter eps, the rule eps -> 1, and drops the
-    (a,b)-undefined restriction on the symmetric rules.
+    (a,b)-undefined restriction on the symmetric rules.  Both are defined
+    for pregroups (Stallings 1971, 3.A): a table that fails P1-P5 raises
+    PregroupError naming the first failing axiom.
 
     On a pregroup each symmetric pair turns up from both of its ends: by
-    P4 (Stallings 1971, 3.A) inv(c) takes ([ac], [inv(c) b]) back to
-    (a, b).  The rules keep the first copy in (a, b) order, so each has
-    lhs < rhs in letter order.  The second copy is dropped by an int key
-    of the unordered pair of P-index codes L = a*n + b and R = [ac]*n +
-    [inv(c) b], min(L, R)*n^2 + max(L, R).  A bare R < L skip drops the
-    same candidates on a pregroup and was 1-20% faster, but it changes the
-    rules of tables that are not pregroups, where one end may lack the
-    other.  S_eps takes 12-15 ms at |P| = 30 (HNN(Z6, Z3), 4,447 rules) and
-    0.36-0.38 s at |P| = 110 (HNN(Z10, Z2), 77,551 rules), CPython 3.11 on
-    a 2-core x86-64 host.
+    P4, inv(c) takes ([ac], [inv(c) b]) back to (a, b).  In S(P) the far
+    end is undefined too, since [[ac][inv(c) b]] defined would make [ab]
+    defined; and there [ac] is never eps, which would force c = inv(a)
+    and [inv(c) b] = [ab].  The far end comes after (a, b) in letter order
+    exactly when [ac] > a: [ac] = a only at c = eps (by P4, [inv(a) [ac]]
+    = c), where the far end is the pair itself.  So a link c is kept only
+    when [ac] > a, a test made once per (a, c) before the loop over b, and
+    each pair is kept once, from its lesser end, with lhs < rhs.  S_eps takes
+    2.3-2.4 ms at |P| = 20 (HNN(Z4, Z2), 1,321 rules), 7.3-7.8 ms at
+    |P| = 30 (HNN(Z6, Z3), 4,447 rules), 13.8-14.2 ms at |P| = 42
+    (hnn_s3, 7,687 rules) and 0.18-0.19 s at |P| = 110 (HNN(Z10, Z2),
+    77,551 rules), the least of 15 calls (7 at 110) on a table whose
+    axioms are already checked, CPython 3.11 on a 2-core shared x86-64
+    host.
     """
     if variant not in ("S_of_P", "S_eps"):
         raise ValueError(f"unknown variant {variant!r}")
+    _require_pregroup(p, "pregroup axiom")
     n, eps = len(p), p.eps
-    table, inv, nn = p.table, p.inv, n * n
+    table, inv = p.table, p.inv
     gamma = variant == "S_of_P"
     if gamma:
         alphabet = gamma_alphabet(p)
@@ -418,34 +438,19 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
         alphabet = full_alphabet(p)
         letters = letter = range(n)
         rules = [Rule((eps,), ())]
-    seen_sym = set()
     for a in letters:
         row, la = table[a], letter[a]
-        # (ac, row of inv(c)) for the c with [ac] defined, ascending
-        links = [(ac, table[inv[c]]) for c, ac in p.rows[a]]
+        # (letter of [ac], row of inv(c)) for the c with [ac] > a, ascending
+        links = [(letter[ac], table[inv[c]]) for c, ac in p.rows[a] if ac > a]
         for b in letters:
-            ab, lhs, left = row[b], (la, letter[b]), a * n + b
+            ab, lhs = row[b], (la, letter[b])
             if ab is not None:
                 if gamma:
                     rules.append(Rule(lhs, () if ab == eps else (letter[ab],)))
                     continue  # symmetric rules only where (a,b) is undefined
                 rules.append(Rule(lhs, (ab,)))
-            for ac, inv_c_row in links:
+            for l_ac, inv_c_row in links:
                 cb = inv_c_row[b]
-                if cb is None:
-                    continue
-                right = ac * n + cb
-                if right == left:
-                    continue
-                key = left * nn + right if left < right else right * nn + left
-                if key in seen_sym:
-                    continue
-                seen_sym.add(key)
-                # in S(P), [ab] is undefined here, so on a pregroup neither
-                # product is eps: [ac] = eps forces c = inv(a) and
-                # [inv(c) b] = [ab].  Elsewhere a pair with an eps side is
-                # never a second copy: its first copy raised here
-                if gamma and (ac == eps or cb == eps):
-                    raise PregroupError("epsilon is not a Gamma letter")
-                rules.append(Rule(lhs, (letter[ac], letter[cb]), symmetric=True))
+                if cb is not None:
+                    rules.append(Rule(lhs, (l_ac, letter[cb]), symmetric=True))
     return RewriteSystem(alphabet, rules)

@@ -37,7 +37,7 @@ from typing import Optional
 from .pregroup import (
     Pregroup,
     PregroupError,
-    check_axioms,
+    _require_pregroup,
     gamma_alphabet,
     gamma_to_p,
     p_to_gamma,
@@ -66,10 +66,7 @@ class UniversalContext:
     """Immutable bundle of a validated pregroup and its alphabet."""
 
     def __init__(self, pregroup: Pregroup):
-        report = check_axioms(pregroup)
-        if not report:
-            bad = {k: v for k, v in report.violations.items() if v}
-            raise ValueError(f"pregroup fails axioms: {bad}")
+        _require_pregroup(pregroup, "pregroup axiom")
         self.pregroup = pregroup
         self.alphabet = gamma_alphabet(pregroup)
         self._p_of = tuple(gamma_to_p(i, pregroup) for i in range(len(self.alphabet)))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from typing import NamedTuple, Optional
@@ -16,7 +17,7 @@ from cycrew.constructions import FiniteGroupTable
 from cycrew.formats import emit_grp, emit_pg, emit_rws, parse_grp, parse_pg, parse_rws
 from cycrew.pregroup import derive_system
 
-from conftest import hnn_cyclic
+from conftest import hnn_cyclic, ref_check_axioms
 
 
 @pytest.fixture
@@ -585,6 +586,22 @@ def test_contract_row(contract_files, tmp_path, capsys, row):
         path = contract_files / name
         text = path.read_text()
         assert _WRITE_BACK[path.suffix](text) == text, name
+
+
+@pytest.mark.parametrize(
+    "command, words", [("reduce", ["-w", "x"]), ("conj", ["-u", "x", "-v", "x"])], ids=["reduce", "conj"]
+)
+def test_bad_pg_names_its_first_failing_axiom(contract_files, capsys, command, words):
+    # a query refuses a table that fails P1-P5 with one error line: the
+    # first failing axiom and its first witness, in element tokens
+    bad = contract_files / "bad.pg"
+    p = parse_pg(bad.read_text())
+    name, witnesses = next((k, v) for k, v in ref_check_axioms(p).violations.items() if v)
+    assert main([command, str(bad), *words]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: pregroup axiom {name} fails at {p.tokens(witnesses[0])}\n"
+    assert not re.search(r"\(\d+,", err)
 
 
 def test_exit_status_through_a_process(files):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cycrew import samples
+from cycrew import completion, samples
 from cycrew.completion import (
     CyclicRuleSet,
     InverseAssignment,
@@ -370,6 +370,30 @@ class TestThueCompletion:
         s = RewriteSystem(a, [Rule(a.word("aa"), a.word("a")), Rule(a.word("aa"), a.word("b"))])
         with pytest.raises(PreconditionViolated):
             thue_completion(s)
+
+    def test_stage_bound_guard(self, monkeypatch):
+        # steps that give the word a a two new letter successors at each of
+        # stages 0-2 (a b, b c, c d) force a pair at each, past the bound
+        # 2 m(S) - 2 = 2
+        a = Alphabet.from_pairs("abcd", [])
+        s = RewriteSystem(a, [Rule(a.word("ab"), ())])
+        shorts, _base = _short_graph(s)
+        aa = shorts.index(CyclicWord.of(a.word("aa")))
+        letters = [shorts.index(CyclicWord.of((x,))) for x in range(4)]
+        assert thue_completion(s) == (CyclicRuleSet(s, ()), 0)
+        stage = itertools.count()
+        steps = completion._steps
+
+        def diverging(base, added):
+            got = steps(base, added)
+            i = min(next(stage), 2)
+            got[aa] = sorted({*got[aa], *letters[i : i + 2]})
+            return got
+
+        monkeypatch.setattr(completion, "_steps", diverging)
+        with pytest.raises(RuntimeError) as exc:
+            thue_completion(s)
+        assert str(exc.value) == "completion chain exceeded 2 m(S) - 2 stages"
 
     def test_stage_zero_on_group_pregroups(self):
         for p in (samples.dihedral_infinity(), samples.z4_amalgam_z6()):

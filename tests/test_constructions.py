@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from cycrew import samples
+from cycrew import constructions, samples
+from cycrew import pregroup as pregroup_module
 from cycrew.constructions import (
     AmalgamPregroup,
     Embedding,
@@ -23,12 +24,14 @@ from cycrew.constructions import (
 from cycrew.fastconj import conjugate_linear
 from cycrew.formats import emit_pg
 from cycrew.pregroup import (
+    AxiomReport,
     Pregroup,
     PregroupError,
     gamma_to_p,
     p_to_gamma,
 )
 from cycrew.universal import (
+    CertificateError,
     UniversalContext,
     _interleaving_equal,
     conjugate_quadratic,
@@ -244,6 +247,58 @@ class TestHnnPregroup:
             hnn_pregroup(H, [0, bad], [0, 3], {0: 0, bad: 3})
 
 
+def _constructions():
+    """amalgam_pregroup and hnn_pregroup on their inputs, built ahead: Z4
+    *_Z2 Z6, and HNN(S3, t; t^-1 A t = A) with A = {e, s}."""
+    A, B, H = samples.z4_table(), samples.z6_table(), samples.z2_table(("e", "h"))
+    iA = Embedding.from_tokens(H, A, {"e": "e", "h": "x2"})
+    iB = Embedding.from_tokens(H, B, {"e": "e", "h": "y3"})
+    s3, sub = samples.s3_table(), ("e", "s")
+    return {
+        "amalgam": lambda: amalgam_pregroup(A, B, iA, iB),
+        "HNN": lambda: hnn_pregroup(s3, sub, sub, {"e": "e", "s": "s"}),
+    }
+
+
+# a P1-P5 report that fails first at P4, at the elements 0, 1, 2
+_FAILING_REPORT = AxiomReport({"P1": [], "P2": [], "P4": [(0, 1, 2), (1, 1, 1)], "P5": [(0, 0, 0, 0)]})
+
+
+class TestSelfChecks:
+    """Each self-check of the two constructions fires once the read it
+    checks is broken: the element count, the P1-P5 report, P6 with P7 or
+    P8, and G_P."""
+
+    @pytest.mark.parametrize(
+        "build, target, name, broken, message",
+        [
+            ("amalgam", AmalgamPregroup, "__len__", lambda p: len(p.elements) + 1,
+             "amalgam self-check: wrong number of elements"),
+            ("amalgam", pregroup_module, "check_axioms", lambda p: _FAILING_REPORT,
+             "amalgam self-check: P4 fails at ('e', 'x', 'x2')"),
+            ("amalgam", constructions, "check_p7", lambda p: (False, [(0, 0, 0, 0, 0)]),
+             "amalgam self-check: P6 or P7 fails"),
+            ("amalgam", constructions, "canonical_subgroup", lambda p: frozenset({p.eps}),
+             "amalgam self-check: G_P is not the identified subgroup"),
+            ("HNN", pregroup_module, "check_axioms", lambda p: _FAILING_REPORT,
+             "HNN self-check: P4 fails at ('e', 'r', 'r2')"),
+            ("HNN", constructions, "check_p8", lambda p: (False, [(0, 0)]),
+             "HNN self-check: P6 or P8 fails"),
+            ("HNN", constructions, "canonical_subgroup", lambda p: frozenset({p.eps}),
+             "HNN self-check: G_P is not the base group"),
+        ],
+        ids=["amalgam-count", "amalgam-P1-P5", "amalgam-P6-P7", "amalgam-G_P",
+             "hnn-P1-P5", "hnn-P6-P8", "hnn-G_P"],
+    )
+    def test_self_check_fires(self, monkeypatch, build, target, name, broken, message):
+        construct = _constructions()[build]
+        assert construct()
+        monkeypatch.setattr(target, name, broken)
+        with pytest.raises(PregroupError) as exc:
+            construct()
+        assert str(exc.value) == message
+
+
 class TestStandardCyclicForm:
     def test_single_stable_letter(self, hnn_ctx):
         p = hnn_ctx.pregroup
@@ -277,6 +332,27 @@ class TestStandardCyclicForm:
     def test_requires_hnn_context(self, z4z6_ctx):
         with pytest.raises(NotHnnContext):
             standard_cyclic_form(CyclicWord.of((0,)), z4z6_ctx)
+
+    def test_britton_guard(self, hnn_ctx):
+        # t t^-1 is not cyclically reduced: its standard form pinches at
+        # the seam, which the Britton check refuses
+        p = hnn_ctx.pregroup
+        c = CyclicWord.of((p_to_gamma(p.t_plus, p), p_to_gamma(p.t_minus, p)))
+        with pytest.raises(ValueError) as exc:
+            standard_cyclic_form(c, hnn_ctx)
+        assert str(exc.value) == "standard form violates the Britton condition"
+
+    def test_conjugacy_guard(self, monkeypatch):
+        # with t r standing in for t, the form of t is t r, which is not
+        # t: the replay against the input refuses it
+        p = samples.hnn_s3()
+        ctx = UniversalContext(p)
+        t = CyclicWord.of((p_to_gamma(p.t_plus, p),))
+        assert standard_cyclic_form(t, ctx) == t.canon
+        monkeypatch.setattr(p, "t_plus", p.index["e|t|r"])
+        with pytest.raises(CertificateError) as exc:
+            standard_cyclic_form(t, ctx)
+        assert str(exc.value) == "standard form is not conjugate to its input"
 
     @pytest.mark.parametrize(
         "canon, error, match",

@@ -247,3 +247,17 @@ def test_cli_catches_errors_only_in_main_and_its_file_helpers():
     assert holders["main"]
     allowed = ("main", "_read", "_write")
     assert {name: lines for name, lines in holders.items() if lines and name not in allowed} == {}
+
+
+def test_only_the_gate_and_the_axioms_command_read_check_axioms():
+    # one place turns an AxiomReport into an error: a reader of a pregroup
+    # that needs P1-P5 calls pregroup._require_pregroup, and only the
+    # axioms command reports the axioms as they are.  An import is no read
+    library, _bench = _library_and_bench()
+    readers = []
+    for module, tree in library.items():
+        for top in tree.body:
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if _reads(node)["check_axioms"]:
+                    readers.append(f"{module}:{getattr(node, 'name', node.lineno)}")
+    assert readers == ["cli.py:cmd_axioms", "pregroup.py:_require_pregroup"]
