@@ -62,7 +62,6 @@ from .universal import (
 )
 from .constructions import (
     ClassificationVerdict,
-    Embedding,
     FiniteGroupTable,
     InHSubgroup,
     InvalidEmbedding,

@@ -15,13 +15,7 @@ import json
 import sys
 
 from . import completion as completion_mod
-from .constructions import (
-    Embedding,
-    FiniteGroupTable,
-    InvalidEmbedding,
-    amalgam_pregroup,
-    hnn_pregroup,
-)
+from .constructions import InvalidEmbedding, amalgam_pregroup, hnn_pregroup
 from .formats import ParseError, emit_pg, emit_rws, parse_grp, parse_pg, parse_rws
 from .pregroup import canonical_subgroup, check_axioms, check_p6, check_p7, check_p8
 from .rewrite import reduce_greedy
@@ -186,31 +180,8 @@ def cmd_from_amalgam(args) -> int:
     B, subs_b, _maps_b = parse_grp(_read(args.b))
     ha = _subgroup_tokens(args.ha, subs_a)
     hb = _subgroup_tokens(args.hb, subs_b)
-    if len(ha) != len(hb):
-        raise InvalidEmbedding("subgroup token lists differ in size")
-    if args.map is not None:
-        pairing = _token_pairs("--map", args.map)
-        unknown = sorted(set(pairing) - set(ha))
-        missing = [t for t in ha if t not in pairing]
-        if unknown or missing:
-            raise InvalidEmbedding(
-                f"--map must pair every A-side subgroup token: unknown {unknown}, "
-                f"missing {missing}"
-            )
-        hb = [pairing[t] for t in ha]
-    unknown = [t for t in ha if t not in A.index]
-    if unknown:
-        raise InvalidEmbedding(f"--ha names elements not in A: {unknown}")
-    # H as an abstract table carried by the A-side tokens
-    h_set = {A.index[t] for t in ha}
-    if not A.is_subgroup(h_set):
-        raise InvalidEmbedding("listed elements are not a subgroup of A")
-    H = FiniteGroupTable.from_function(
-        ha, A.elements[A.eps], lambda x, y: A.elements[A.mul(A.index[x], A.index[y])]
-    )
-    iA = Embedding.from_tokens(H, A, {t: t for t in ha})
-    iB = Embedding.from_tokens(H, B, dict(zip(ha, hb)))
-    _write(args.output, emit_pg(amalgam_pregroup(A, B, iA, iB)))
+    phi = dict(zip(ha, hb)) if args.map is None else _token_pairs("--map", args.map)
+    _write(args.output, emit_pg(amalgam_pregroup(A, B, ha, hb, phi)))
     return 0
 
 
@@ -275,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", required=True, help="factor B .grp file")
     p.add_argument("--ha", required=True, help="H inside A: subgroup name or token list")
     p.add_argument("--hb", required=True, help="H inside B: subgroup name or token list")
-    p.add_argument("--map", help="explicit pairing 'x:y,...' from A-side to B-side")
+    p.add_argument("--map", help="isomorphism 'x:y,...' from H in A to H in B")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_from_amalgam)
 

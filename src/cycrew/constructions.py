@@ -5,14 +5,17 @@ An amalgamated product A *_H B yields the pregroup P = A u B with products
 defined exactly within a factor.  An HNN extension HNN(H, t; t^-1 A t = B)
 yields P = H u Ht^-1H u HtH, where the double cosets are stored canonically
 as (u, sign, v) with u a fixed left-transversal representative (the least
-element index of its coset).  The verify_* functions classify conjugate
-pairs into the cases of the classical amalgam / HNN conjugacy theorems;
-they are oracles for testing, not the primary decision path.  Their
-rotation x preconjugator searches and BFS path walks are those of
-conjugate_quadratic (universal._rotation_matches and universal._bfs_path),
-run over the subgroup pools that each theorem names, and Collins' chain
-through A u B builds its BFS tree with universal._bfs_tree, as the letter
-conjugacy closure does.
+element index of its coset).  Both builders take their edge group the same
+way: two subgroups as token lists and an isomorphism phi between them as a
+token dict, which one checker, _isomorphism, turns into an index map.
+
+The verify_* functions classify conjugate pairs into the cases of the
+classical amalgam / HNN conjugacy theorems; they are oracles for testing,
+not the primary decision path.  Their rotation x preconjugator searches and
+BFS path walks are those of conjugate_quadratic (universal._rotation_matches
+and universal._bfs_path), run over the subgroup pools that each theorem
+names, and Collins' chain through A u B builds its BFS tree with
+universal._bfs_tree, as the letter conjugacy closure does.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from .words import CyclicWord, Word
 
 
 class InvalidEmbedding(ValueError):
-    pass
+    """Subgroup token lists and a map phi, as amalgam_pregroup and
+    hnn_pregroup take them, that are not an isomorphism between subgroups;
+    or a --map or --phi value that the CLI cannot read as phi."""
 
 
 class NotAmalgamContext(TypeError):
@@ -109,45 +114,6 @@ class FiniteGroupTable(Pregroup):
         return cls(names, "e", product)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """An injective homomorphism, given element-index-wise."""
-
-    source: FiniteGroupTable
-    target: FiniteGroupTable
-    mapping: tuple  # source index -> target index
-
-    def __post_init__(self):
-        m = self.mapping
-        if len(m) != len(self.source):
-            raise InvalidEmbedding("mapping size mismatch")
-        if len(set(m)) != len(m):
-            raise InvalidEmbedding("mapping is not injective")
-        if m[self.source.eps] != self.target.eps:
-            raise InvalidEmbedding("identity is not preserved")
-        for x in range(len(self.source)):
-            for y in range(len(self.source)):
-                if m[self.source.mul(x, y)] != self.target.mul(m[x], m[y]):
-                    raise InvalidEmbedding(
-                        f"not a homomorphism at "
-                        f"({self.source.elements[x]}, {self.source.elements[y]})"
-                    )
-
-    @classmethod
-    def from_tokens(cls, source: FiniteGroupTable, target: FiniteGroupTable, pairs: dict) -> "Embedding":
-        mapping = [None] * len(source)
-        for s_tok, t_tok in pairs.items():
-            if s_tok not in source.index or t_tok not in target.index:
-                raise InvalidEmbedding(f"unknown element in pair {s_tok}:{t_tok}")
-            mapping[source.index[s_tok]] = target.index[t_tok]
-        if any(x is None for x in mapping):
-            raise InvalidEmbedding("mapping does not cover the source")
-        return cls(source, target, tuple(mapping))
-
-    def of(self, i: int) -> int:
-        return self.mapping[i]
-
-
 class AmalgamPregroup(Pregroup):
     """Pregroup of A *_H B; factor membership kept for the diagnostics."""
 
@@ -182,28 +148,53 @@ def _write_group(G: FiniteGroupTable, to_p, tokens, product: dict, involution: d
             product[(tokens[to_p[x]], tokens[to_p[y]])] = tokens[to_p[G.mul(x, y)]]
 
 
-def amalgam_pregroup(
-    A: FiniteGroupTable, B: FiniteGroupTable, iA: Embedding, iB: Embedding
-) -> AmalgamPregroup:
-    """The pregroup P = A u B of the amalgam A *_H B, with iA(h) and iB(h)
-    identified; products are defined exactly within a factor.
+def _isomorphism(G: FiniteGroupTable, HG, K: FiniteGroupTable, HK, phi: dict) -> dict:
+    """phi, a token map from the subgroup HG of G onto the subgroup HK of K,
+    as an index map in phi's insertion order.  Raises InvalidEmbedding for a
+    token that names no element, a list that is not a subgroup, a phi whose
+    keys are not HG or whose values are not HK, and a phi that is not
+    injective or not a homomorphism."""
+    for group, sub in ((G, HG), (K, HK)):
+        unknown = [tok for tok in sub if tok not in group.index]
+        if unknown:
+            raise InvalidEmbedding(f"unknown elements {unknown} in {list(sub)}")
+        if not group.is_subgroup(group.index[tok] for tok in sub):
+            raise InvalidEmbedding(f"{list(sub)} is not a subgroup")
+    if set(phi) != set(HG) or set(phi.values()) != set(HK):
+        raise InvalidEmbedding(
+            f"phi maps {list(phi)} to {list(phi.values())}, not {list(HG)} onto {list(HK)}"
+        )
+    if len(set(phi.values())) != len(phi):
+        raise InvalidEmbedding("phi is not injective")
+    m = {G.index[x]: K.index[y] for x, y in phi.items()}
+    for x in m:
+        for y in m:
+            if m[G.mul(x, y)] != K.mul(m[x], m[y]):
+                raise InvalidEmbedding(
+                    f"phi is not a homomorphism at ({G.elements[x]}, {G.elements[y]})"
+                )
+    return m
 
-    A keeps its indices and tokens.  An element iB(h) of B takes the index
-    of iA(h); every other element of B takes the next index in B's order,
-    its token primed until it differs from every token before it."""
-    hA, hB = iA.source, iB.source
-    if hA is not hB and (hA.elements != hB.elements or hA.table != hB.table):
-        raise InvalidEmbedding("embeddings must share the same source H")
-    if iA.target is not A or iB.target is not B:
-        raise InvalidEmbedding("embedding targets must be A and B")
-    h_size = len(iA.source)
-    h_of_b = {iB.of(h): h for h in range(h_size)}
+
+def amalgam_pregroup(
+    A: FiniteGroupTable, B: FiniteGroupTable, HA, HB, phi: dict
+) -> AmalgamPregroup:
+    """The pregroup P = A u B of the amalgam A *_H B, where H is the
+    subgroup HA of A identified with the subgroup HB of B by phi, an
+    isomorphism HA -> HB given as a token dict; products are defined
+    exactly within a factor.  An unknown token, a list that is not a
+    subgroup, or a phi that is no isomorphism raises InvalidEmbedding.
+
+    A keeps its indices and tokens.  An element phi(h) of B takes the index
+    of h; every other element of B takes the next index in B's order, its
+    token primed until it differs from every token before it."""
+    h_of_b = {b: h for h, b in _isomorphism(A, HA, B, HB, phi).items()}
     tokens = list(A.elements)
     used = set(tokens)
     b_to_p = []
     for j, tok in enumerate(B.elements):
         if j in h_of_b:
-            b_to_p.append(iA.of(h_of_b[j]))
+            b_to_p.append(h_of_b[j])
             continue
         while tok in used:
             tok += "'"
@@ -220,7 +211,7 @@ def amalgam_pregroup(
     p.factor_a = frozenset(range(len(A)))
     p.factor_b = frozenset(b_to_p)
     p.subgroup_h = p.factor_a & p.factor_b
-    if len(p) != len(A) + len(B) - h_size:
+    if len(p) != len(A) + len(B) - len(h_of_b):
         raise PregroupError("amalgam self-check: wrong number of elements")
     _require_pregroup(p, "amalgam self-check:")
     if not check_p7(p)[0]:  # raises itself when P7 holds and P6 fails
@@ -235,30 +226,15 @@ def hnn_pregroup(
 ) -> HnnPregroup:
     """The pregroup P = H u Ht^-1H u HtH of HNN(H, t; t^-1 A t = B).
 
-    A and B are subgroups given by element tokens (or indices); phi is an
-    isomorphism A -> B as a token dict.  Double cosets are canonicalised on
-    left transversals: each element of HtH is (u, +1, v) with u the least
-    index in its coset uA (identifying u a t v = u t phi(a) v), each element
-    of Ht^-1H is (u, -1, v) with u least in uB.  A token or index that names
-    no element of H raises InvalidEmbedding.
+    A and B are subgroups of H given by element tokens; phi is an
+    isomorphism A -> B as a token dict, checked as amalgam_pregroup checks
+    its own.  Double cosets are canonicalised on left transversals: each
+    element of HtH is (u, +1, v) with u the least index in its coset uA
+    (identifying u a t v = u t phi(a) v), each element of Ht^-1H is
+    (u, -1, v) with u least in uB.
     """
-    def element(x):
-        i = H.index.get(x) if isinstance(x, str) else x
-        if i not in range(len(H)):
-            raise InvalidEmbedding(f"unknown element {x!r} of H")
-        return i
-
-    a_set = frozenset(element(x) for x in A)
-    b_set = frozenset(element(x) for x in B)
-    if not H.is_subgroup(a_set) or not H.is_subgroup(b_set):
-        raise InvalidEmbedding("A and B must be subgroups of H")
-    phi_idx = {element(x): element(y) for x, y in phi.items()}
-    if set(phi_idx) != set(a_set) or set(phi_idx.values()) != set(b_set):
-        raise InvalidEmbedding("phi must be a bijection A -> B")
-    for x in a_set:
-        for y in a_set:
-            if phi_idx[H.mul(x, y)] != H.mul(phi_idx[x], phi_idx[y]):
-                raise InvalidEmbedding("phi is not a homomorphism")
+    phi_idx = _isomorphism(H, A, H, B, phi)
+    a_set, b_set = frozenset(phi_idx), frozenset(phi_idx.values())
     # sign -> (the subgroup a stable letter of that sign absorbs on its
     # left, the map that carries it across to the right)
     side = {1: (a_set, phi_idx), -1: (b_set, {v: k for k, v in phi_idx.items()})}
@@ -303,7 +279,7 @@ def hnn_pregroup(
     p.base_h = frozenset(range(len(H)))
     p.sub_a = a_set
     p.sub_b = b_set
-    p.phi = dict(phi_idx)
+    p.phi = phi_idx
     p.stable = stable
     e = H.eps
     p.t_plus = elem_of[canon(1, e, e)]

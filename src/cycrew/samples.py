@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from .constructions import (
     AmalgamPregroup,
-    Embedding,
     FiniteGroupTable,
     HnnPregroup,
     amalgam_pregroup,
@@ -97,22 +96,14 @@ def trivial_table() -> FiniteGroupTable:
 def dihedral_infinity() -> AmalgamPregroup:
     """Z2 * Z2 over the trivial subgroup: the 3-element pregroup of the
     infinite dihedral group."""
-    A = z2_table(("e", "a"))
-    B = z2_table(("e", "b"))
-    H = trivial_table()
-    iA = Embedding.from_tokens(H, A, {"e": "e"})
-    iB = Embedding.from_tokens(H, B, {"e": "e"})
-    return amalgam_pregroup(A, B, iA, iB)
+    return amalgam_pregroup(z2_table(("e", "a")), z2_table(("e", "b")), ["e"], ["e"], {"e": "e"})
 
 
 def z4_amalgam_z6() -> AmalgamPregroup:
     """Z4 *_{Z2} Z6 with the Z2 identified as x^2 = y^3; 8 elements."""
-    A = z4_table()
-    B = z6_table()
-    H = z2_table(("e", "h"))
-    iA = Embedding.from_tokens(H, A, {"e": "e", "h": "x2"})
-    iB = Embedding.from_tokens(H, B, {"e": "e", "h": "y3"})
-    return amalgam_pregroup(A, B, iA, iB)
+    return amalgam_pregroup(
+        z4_table(), z6_table(), ["e", "x2"], ["e", "y3"], {"e": "e", "x2": "y3"}
+    )
 
 
 def hnn_s3() -> HnnPregroup:

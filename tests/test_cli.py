@@ -367,6 +367,13 @@ class TestFromAmalgam:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --map gives 'e' twice\n"
 
+    def test_map_checks_hb(self, files, capsys):
+        # {e, r} is no subgroup of S3, though --map sends --ha onto {e, s}
+        argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
+                "--ha", "e s", "--hb", "e r", "--map", "e:e,s:s"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: ['e', 'r'] is not a subgroup\n"
+
     def test_unknown_ha_token_exit_2(self, files, capsys):
         argv = ["from-amalgam", "-a", files["s3.grp"], "-b", files["s3.grp"],
                 "--ha", "e zz", "--hb", "e s"]
@@ -518,6 +525,7 @@ class ContractRow(NamedTuple):
     stdout: Optional[str] = None  # compared where the check reads it
     output: Optional[str] = None  # the file whose bytes "out" holds
     round_trip: tuple = ()  # files that read and write back to the same bytes
+    stderr: Optional[str] = None  # compared where the check reads it
 
 
 _U = "e|t|x e|t|x e|t|x"
@@ -531,6 +539,12 @@ CONTRACT_ROWS = {
         round_trip=("z4.grp", "hnn.pg"),
     ),
     "axioms": ContractRow(["axioms", "hnn.pg"], 0),
+    # phi folds H = {e, x2} onto {e}: its key and value sets are right
+    "from-hnn-phi-not-injective": ContractRow(
+        ["from-hnn", "z4.grp", "--sub-a", "e x2", "--sub-b", "e", "--phi", "e:e,x2:e"],
+        2,
+        stderr="error: phi is not injective\n",
+    ),
     **{
         f"conj-{algo}-{answer}": ContractRow(["conj", "hnn.pg", "--algo", algo, "-u", u, "-v", v], code)
         for algo in ("linear", "quadratic")
@@ -580,6 +594,8 @@ def test_contract_row(contract_files, tmp_path, capsys, row):
     assert captured.err.startswith("error: ") if row.code == 2 else captured.err == ""
     if row.stdout is not None:
         assert captured.out == row.stdout
+    if row.stderr is not None:
+        assert captured.err == row.stderr
     if row.output is not None:
         assert out.read_text() == (contract_files / row.output).read_text()
     for name in row.round_trip:

@@ -8,7 +8,6 @@ from cycrew import constructions, samples
 from cycrew import pregroup as pregroup_module
 from cycrew.constructions import (
     AmalgamPregroup,
-    Embedding,
     FiniteGroupTable,
     HnnPregroup,
     InHSubgroup,
@@ -83,46 +82,44 @@ class TestFiniteGroupTable:
             FiniteGroupTable(names, "e", product)
 
 
+# the ways subgroup lists and a map phi fail to be an isomorphism between
+# subgroups, as (HG, HK, phi, error) inside Z6
+_Z6 = samples.z6_table().elements
+_BAD_MAPPINGS = {
+    "short": (["e", "y3"], ["e", "y3"], {"e": "e"}, "phi maps"),
+    "long": (["e", "y3"], ["e", "y3"], {"e": "e", "y3": "y3", "y": "y"}, "phi maps"),
+    "identity": (["e", "y3"], ["e", "y3"], {"e": "y3", "y3": "e"}, "not a homomorphism"),
+    "not-injective": (["e", "y3"], ["e"], {"e": "e", "y3": "e"}, "phi is not injective"),
+    "not-a-homomorphism": (
+        _Z6, _Z6, dict(zip(_Z6, ["e", "y3", "y2", "y", "y4", "y5"])), r"not a homomorphism at \(y, y\)"
+    ),
+    "not-a-subgroup": (["e", "y"], ["e", "y"], {"e": "e", "y": "y"}, "is not a subgroup"),
+    "unknown-token": (["e", "zz"], ["e", "y3"], {"e": "e", "zz": "y3"}, r"unknown elements \['zz'\]"),
+}
+
+
 class TestEmbedding:
+    """The isomorphism between two subgroups that amalgam_pregroup and
+    hnn_pregroup take, which one checker reads for both."""
+
     def test_valid(self):
-        h = samples.z2_table(("e", "h"))
-        b = samples.z6_table()
-        emb = Embedding.from_tokens(h, b, {"e": "e", "h": "y3"})
-        assert emb.of(h.index["h"]) == b.index["y3"]
+        # Z6 *_Z2 Z6 identifies y3 with y3; HNN(Z6, t; t^-1 A t = A) with A
+        # = {e, y2, y4} keeps phi in its given order, on indices
+        z6 = samples.z6_table()
+        assert len(amalgam_pregroup(z6, z6, ["e", "y3"], ["e", "y3"], {"e": "e", "y3": "y3"})) == 10
+        sub = ["e", "y2", "y4"]
+        p = hnn_pregroup(z6, sub, sub, {"y4": "y2", "e": "e", "y2": "y4"})
+        assert p.phi == {4: 2, 0: 0, 2: 4} and list(p.phi) == [4, 0, 2]
 
-    def test_non_injective_rejected(self):
-        h = samples.z2_table(("e", "h"))
-        b = samples.z6_table()
-        with pytest.raises(InvalidEmbedding):
-            Embedding.from_tokens(h, b, {"e": "e", "h": "e"})
-
-    def test_non_homomorphism_rejected(self):
-        h = samples.z2_table(("e", "h"))
-        b = samples.z6_table()
-        with pytest.raises(InvalidEmbedding):
-            Embedding.from_tokens(h, b, {"e": "e", "h": "y"})  # y has order 6
-
-    def test_partial_mapping_rejected(self):
-        h = samples.z2_table(("e", "h"))
-        b = samples.z6_table()
-        with pytest.raises(InvalidEmbedding):
-            Embedding.from_tokens(h, b, {"e": "e"})
-
-    @pytest.mark.parametrize(
-        "tokens, match",
-        [
-            (("e",), "mapping size mismatch"),
-            (("e", "y3", "y"), "mapping size mismatch"),
-            (("y3", "e"), "identity is not preserved"),
-        ],
-        ids=["short", "long", "identity"],
-    )
-    def test_bad_mapping_rejected(self, tokens, match):
-        # mappings that from_tokens cannot build, given to the constructor
-        h = samples.z2_table(("e", "h"))
-        b = samples.z6_table()
+    @pytest.mark.parametrize("case", _BAD_MAPPINGS.values(), ids=_BAD_MAPPINGS)
+    def test_bad_mapping_rejected(self, case):
+        # both builders refuse each one alike: Z6 *_H Z6, and HNN(Z6, t)
+        HG, HK, phi, match = case
+        z6 = samples.z6_table()
         with pytest.raises(InvalidEmbedding, match=match):
-            Embedding(h, b, tuple(b.index[t] for t in tokens))
+            amalgam_pregroup(z6, z6, HG, HK, phi)
+        with pytest.raises(InvalidEmbedding, match=match):
+            hnn_pregroup(z6, HG, HK, phi)
 
 
 class TestAmalgamPregroup:
@@ -153,48 +150,22 @@ class TestAmalgamPregroup:
     def test_token_collision_renamed(self):
         A = samples.z2_table(("e", "a"))
         B = samples.z2_table(("e", "a"))  # same token on the B side
-        H = samples.trivial_table()
-        iA = Embedding.from_tokens(H, A, {"e": "e"})
-        iB = Embedding.from_tokens(H, B, {"e": "e"})
-        p = amalgam_pregroup(A, B, iA, iB)
+        p = amalgam_pregroup(A, B, ["e"], ["e"], {"e": "e"})
         assert set(p.elements) == {"e", "a", "a'"}
 
-    def test_mismatched_sources_rejected(self):
-        A = samples.z4_table()
-        B = samples.z6_table()
-        iA = Embedding.from_tokens(samples.trivial_table(), A, {"e": "e"})
-        iB = Embedding.from_tokens(
-            samples.z2_table(("e", "h")), B, {"e": "e", "h": "y3"}
-        )
-        with pytest.raises(InvalidEmbedding):
-            amalgam_pregroup(A, B, iA, iB)
-
     def test_same_tokens_different_groups_rejected(self):
-        # Z4 and the Klein group on the tokens e g g2 g3, each embedded
-        # onto itself: equal token lists, different products
+        # Z4 and the Klein group on the tokens e g g2 g3, identified whole
+        # by the identity on tokens: equal token lists, different products
         z4 = FiniteGroupTable.cyclic(4)
         klein = FiniteGroupTable.from_function(
             z4.elements, "e", lambda x, y: z4.elements[z4.index[x] ^ z4.index[y]]
         )
-        iA = Embedding.from_tokens(z4, z4, {t: t for t in z4.elements})
-        iB = Embedding.from_tokens(klein, klein, {t: t for t in z4.elements})
-        with pytest.raises(InvalidEmbedding, match="same source H"):
-            amalgam_pregroup(z4, klein, iA, iB)
-        # an equal group built separately is still the same source
+        identity = {t: t for t in z4.elements}
+        with pytest.raises(InvalidEmbedding, match="not a homomorphism"):
+            amalgam_pregroup(z4, klein, z4.elements, klein.elements, identity)
+        # an equal group built separately is identified with it
         z4_again = FiniteGroupTable.cyclic(4)
-        iA2 = Embedding.from_tokens(z4_again, z4, {t: t for t in z4.elements})
-        assert len(amalgam_pregroup(z4, z4, iA2, iA)) == 4
-
-    def test_embedding_into_another_group_rejected(self):
-        # the embeddings share H but one targets a group that is neither A
-        # nor B, or they target A and B the wrong way round
-        A, B, C = samples.z4_table(), samples.z6_table(), samples.z2_table(("e", "c"))
-        H = samples.trivial_table()
-        iA, iB, iC = (Embedding.from_tokens(H, G, {"e": "e"}) for G in (A, B, C))
-        assert len(amalgam_pregroup(A, B, iA, iB)) == 9
-        for pair in ((iA, iC), (iC, iB), (iB, iA)):
-            with pytest.raises(InvalidEmbedding, match="embedding targets must be A and B"):
-                amalgam_pregroup(A, B, *pair)
+        assert len(amalgam_pregroup(z4, z4_again, z4.elements, z4.elements, identity)) == 4
 
 
 class TestHnnPregroup:
@@ -242,20 +213,20 @@ class TestHnnPregroup:
 
     @pytest.mark.parametrize("bad", [99, -1])
     def test_index_outside_h_rejected(self, bad):
+        # elements are named by their tokens, so an index names none,
+        # outside H or in its range
         H = samples.s3_table()
-        with pytest.raises(InvalidEmbedding, match=f"unknown element {bad} of H"):
+        with pytest.raises(InvalidEmbedding, match=rf"unknown elements \[0, {bad}\]"):
             hnn_pregroup(H, [0, bad], [0, 3], {0: 0, bad: 3})
 
 
 def _constructions():
     """amalgam_pregroup and hnn_pregroup on their inputs, built ahead: Z4
     *_Z2 Z6, and HNN(S3, t; t^-1 A t = A) with A = {e, s}."""
-    A, B, H = samples.z4_table(), samples.z6_table(), samples.z2_table(("e", "h"))
-    iA = Embedding.from_tokens(H, A, {"e": "e", "h": "x2"})
-    iB = Embedding.from_tokens(H, B, {"e": "e", "h": "y3"})
+    A, B = samples.z4_table(), samples.z6_table()
     s3, sub = samples.s3_table(), ("e", "s")
     return {
-        "amalgam": lambda: amalgam_pregroup(A, B, iA, iB),
+        "amalgam": lambda: amalgam_pregroup(A, B, ("e", "x2"), ("e", "y3"), {"e": "e", "x2": "y3"}),
         "HNN": lambda: hnn_pregroup(s3, sub, sub, {"e": "e", "s": "s"}),
     }
 
@@ -474,13 +445,11 @@ class TestVerifyMks:
         # Not so in S3 *_Z3 S3: a cyclically reduced word of length 2 or
         # more is an even product of reflections, which the rotations
         # commute with, so every case-3 h is e there.
-        z3 = FiniteGroupTable.cyclic(3, "h")
         s3, z6 = samples.s3_table(), samples.z6_table()
-        into_z6 = Embedding.from_tokens(z3, z6, {"e": "e", "h": "y2", "h2": "y4"})
-        into_s3 = Embedding.from_tokens(z3, s3, {"e": "e", "h": "r", "h2": "r2"})
+        z3_glued = (z6, s3, ("e", "y2", "y4"), ("e", "r", "r2"), {"e": "e", "y2": "r", "y4": "r2"})
         seen = collections.Counter()
         verdicts = []
-        for args in (_amalgam_inputs()[2], (z6, s3, into_z6, into_s3)):
+        for args in (_amalgam_inputs()[2], z3_glued):
             ctx = UniversalContext(amalgam_pregroup(*args))
             p = ctx.pregroup
             h_letters = [p_to_gamma(h, p) for h in p.subgroup_h - {p.eps}]
@@ -912,30 +881,25 @@ def _renamed(G, names):
 
 
 def _amalgam_inputs():
-    """(A, B, iA, iB): the two sample amalgams, S3 *_Z2 S3 whose B tokens
-    all collide with A's, and Z3 * Z3 on the tokens e a a' in both
+    """(A, B, HA, HB, phi): the two sample amalgams, S3 *_Z2 S3 whose B
+    tokens all collide with A's, and Z3 * Z3 on the tokens e a a' in both
     factors, whose B tokens once primed collide with A's and each other."""
-    z2h, triv = samples.z2_table(("e", "h")), samples.trivial_table()
     z2a, z2b = samples.z2_table(("e", "a")), samples.z2_table(("e", "b"))
     z4, z6 = samples.z4_table(), samples.z6_table()
     s3, s3b = samples.s3_table(), samples.s3_table()
     z3, z3b = (_renamed(FiniteGroupTable.cyclic(3), ["e", "a", "a'"]) for _ in "AB")
-    cases = [
-        (z2a, z2b, triv, {"e": "e"}, {"e": "e"}),
-        (z4, z6, z2h, {"e": "e", "h": "x2"}, {"e": "e", "h": "y3"}),
-        (s3, s3b, z2h, {"e": "e", "h": "s"}, {"e": "e", "h": "rs"}),
-        (z3, z3b, triv, {"e": "e"}, {"e": "e"}),
-    ]
     return [
-        (A, B, Embedding.from_tokens(H, A, ia), Embedding.from_tokens(H, B, ib))
-        for A, B, H, ia, ib in cases
+        (z2a, z2b, ("e",), ("e",), {"e": "e"}),
+        (z4, z6, ("e", "x2"), ("e", "y3"), {"e": "e", "x2": "y3"}),
+        (s3, s3b, ("e", "s"), ("e", "rs"), {"e": "e", "s": "rs"}),
+        (z3, z3b, ("e",), ("e",), {"e": "e"}),
     ]
 
 
 def _hnn_inputs():
     """(H, A, B, phi): every cyclic HNN(Zn, Zk) with k | n <= 10 and phi
     the identity, then extensions of S3 and Z6: the hnn_s3 sample, phi not
-    the identity, trivial subgroups, and subgroups given by indices."""
+    the identity, trivial subgroups, and the Z2 of Z6."""
     out = []
     for n in range(1, 11):
         H = FiniteGroupTable.cyclic(n, "x")
@@ -951,7 +915,7 @@ def _hnn_inputs():
         (s3, rot, rot, {"e": "e", "r": "r2", "r2": "r"}),
         (s3, ("e",), ("e",), {"e": "e"}),
         (z6, ("e", "y2", "y4"), ("e", "y2", "y4"), {"e": "e", "y2": "y4", "y4": "y2"}),
-        (z6, [0, 3], [0, 3], {0: 0, 3: 3}),
+        (z6, ["e", "y3"], ["e", "y3"], {"e": "e", "y3": "y3"}),
     ]
     return out
 

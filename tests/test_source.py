@@ -261,3 +261,19 @@ def test_only_the_gate_and_the_axioms_command_read_check_axioms():
                 if _reads(node)["check_axioms"]:
                     readers.append(f"{module}:{getattr(node, 'name', node.lineno)}")
     assert readers == ["cli.py:cmd_axioms", "pregroup.py:_require_pregroup"]
+
+
+def test_only_the_isomorphism_checker_and_the_pair_reader_raise_invalid_embedding():
+    # one checker decides whether subgroup lists and a map phi are an
+    # isomorphism between subgroups, for the amalgam and the HNN builder
+    # alike; the CLI raises the error itself only where it reads phi
+    library, _bench = _library_and_bench()
+    raisers = []
+    for module, tree in library.items():
+        for top in tree.body:
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if any(
+                    _reads(sub)["InvalidEmbedding"] for sub in ast.walk(node) if isinstance(sub, ast.Raise)
+                ):
+                    raisers.append(f"{module}:{getattr(node, 'name', node.lineno)}")
+    assert raisers == ["cli.py:_token_pairs", "constructions.py:_isomorphism"]
