@@ -111,6 +111,16 @@ class TestEmbedding:
         p = hnn_pregroup(z6, sub, sub, {"y4": "y2", "e": "e", "y2": "y4"})
         assert p.phi == {4: 2, 0: 0, 2: 4} and list(p.phi) == [4, 0, 2]
 
+    def test_partial_mapping_rejected(self):
+        # phi names two of the three elements of A = {e, y2, y4} in Z6
+        z6 = samples.z6_table()
+        sub = ["e", "y2", "y4"]
+        phi = {"e": "e", "y2": "y4"}
+        with pytest.raises(InvalidEmbedding, match="phi maps"):
+            amalgam_pregroup(z6, z6, sub, sub, phi)
+        with pytest.raises(InvalidEmbedding, match="phi maps"):
+            hnn_pregroup(z6, sub, sub, phi)
+
     @pytest.mark.parametrize("case", _BAD_MAPPINGS.values(), ids=_BAD_MAPPINGS)
     def test_bad_mapping_rejected(self, case):
         # both builders refuse each one alike: Z6 *_H Z6, and HNN(Z6, t)
