@@ -78,7 +78,10 @@ def check_inverse_assignment(
     Raises BudgetExhausted when that search ends without the empty cycle
     but the budget or the length bound left cycles out, which decides
     nothing either way; this is the rule of the confluence check's
-    searches."""
+    searches.  A budget below 1 is refused with ValueError before any
+    work, as cyclic_joinable refuses it."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
 
     def steps(c):
         return cyclic_successors(c, system)

@@ -2,14 +2,15 @@
 
 The decision procedure cyclically reduces both inputs, handles lengths at
 most one by the letter conjugacy closure, and for longer inputs preconjugates
-f by each pregroup element b for which the preconjugation is defined (two
-table reads decide that, and the result is then reduced; see
-universal._preconjugate_p) and matches all but the last letter of the
-shortlex normal form of f^b against the first 2n - 2 letters of the normal
-form of g squared with Knuth-Morris-Pratt.  The carry sequence of that
-normal form tests the last letter at each match in constant time.  The
-matches, at starts 0 .. n-1, are exactly the rotations of NF(g) equal to
-f^b (see conjugate_linear for the proof), so one pass decides every offset.
+f by each pregroup element b for which the preconjugation is defined
+(universal._preconjugate_p builds it, reduced, from two table reads) and
+matches all but the last letter of the shortlex normal form of f^b against
+the first 2n - 2 letters of the normal form of g squared with
+Knuth-Morris-Pratt.  The carry sequence of that normal form tests the last
+letter at each match in constant time, and that test alone decides the
+match.  The matches that pass it, at starts 0 .. n-1, are exactly the
+rotations of NF(g) equal to f^b (see conjugate_linear for the proof), so
+one pass decides every offset.
 The b are read off the table row of f's last letter, not all of P (the row
 read), and a b whose normal form does not begin with one of the k-letter
 windows of that text is dropped after k + 1 letters, before its full
@@ -25,9 +26,9 @@ from .universal import (
     UniversalContext,
     _certify,
     _conjugacy_prelude,
-    _interleaving_equal,
     _nf_carries,
     _p_inverse,
+    _preconjugate_p,
     equal_in_U,
 )
 from .words import Word
@@ -116,22 +117,21 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     G for g: f and G are conjugate exactly when some rotation of G equals,
     in U(P), f itself (b = epsilon) or the preconjugation
     ([b~ f[0]], f[1], ..., f[n-2], [f[n-1] b]), whose end products are
-    defined and not epsilon.  The loop reads y = [b~ f[0]] off the table
-    and z = [f[n-1] b] off the row it runs over (the row read), and builds
-    f^b only as far as it reads it; by the lemma of
-    universal._preconjugate_p, which builds the same word, f^b is reduced,
-    of length n, and equal to b~ f b.  A skipped b is either no
-    preconjugation of f, or its b~ f b may still have length n as a
-    rotation of f with merged ends (b = f[0] gives f[1:] f[:1]); the
-    criterion never needs it, since epsilon or a b that passes already
-    matches whenever f and G are conjugate.  The surviving b keep ascending
-    order, so the least of them that matches is found first.  Every b
-    that passes must be kept: a loop over G_P alone, the b that multiply
-    with every element, is wrong on pregroups where P6 fails.  The
-    smallest counterexample (p6_failing in tests/conftest.py) has six
-    elements, epsilon, x, x~, y, y~ and z = z~, with [xz] = y, [x~y] = z,
-    [yz] = x, [y~x] = z, [zx~] = y~ and [zy~] = x~; there G_P = {epsilon},
-    and some conjugate pairs match under no rotation with b = epsilon.
+    defined and not epsilon.  The loop builds each such f^b as
+    universal._preconjugate_p(f, b~, p), which is None for every other b;
+    by its lemma f^b is reduced, of length n, and equal to b~ f b.  A
+    skipped b is either no preconjugation of f, or its b~ f b may still
+    have length n as a rotation of f with merged ends (b = f[0] gives
+    f[1:] f[:1]); the criterion never needs it, since epsilon or a b that
+    passes already matches whenever f and G are conjugate.  The surviving
+    b keep ascending order, so the least of them that matches is found
+    first.  Every b that passes must be kept: a loop over G_P alone, the b
+    that multiply with every element, is wrong on pregroups where P6
+    fails.  The smallest counterexample (p6_failing in tests/conftest.py)
+    has six elements, epsilon, x, x~, y, y~ and z = z~, with [xz] = y,
+    [x~y] = z, [yz] = x, [y~x] = z, [zx~] = y~ and [zy~] = x~; there
+    G_P = {epsilon}, and some conjugate pairs match under no rotation with
+    b = epsilon.
 
     The row read.  A b passes only if z = [f[n-1] b] is defined, so the
     loop reads its b off p.rows[f[n-1]], the columns with a defined
@@ -145,8 +145,9 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     rotation; the proof follows.  A match of those n - 1 letters starts at
     s <= n - 1 exactly when it ends by index 2n - 3, so KMP scans only the
     first 2n - 2 letters of NF(g g) and every match it reports is a
-    rotation.  Each hit is still confirmed by the
-    interleaving DP, and its conjugator replayed by _certify.
+    rotation.  By the window lemma the last-letter test decides each hit,
+    with no other check; _certify replays the conjugator of the hit taken
+    and raises CertificateError should it fail.
 
     Facts used: reduced words are geodesics in U(P) (Stallings), and a
     factor of a shortlex normal form is a normal form.  Let G = NF(g)
@@ -178,7 +179,8 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     r_s G[s:], of which NF(r_s) G[s:] is a geodesic, and its carry after n
     letters is c_e; apply the lemma with U = NF(r_s), T = G[s:].
     Conversely, a KMP hit at s that passes [NF(f^b)[n-1] c_e] = W[e]
-    gives NF(f^b) c_e = W[s:e+1] = r_s c_e.
+    gives NF(f^b) c_e = W[s:e+1] = NF(r_s) c_e, so f^b = r_s in U(P):
+    the test is exact.
 
     Head lemma.  Let k = min(K, n - 1), K = _HEAD_LETTERS.  A KMP hit in
     text = W[:2n-2] starts at some s <= n - 1 and has NF(f^b)[:k] =
@@ -187,9 +189,9 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     i < k it takes the same steps on f^b[:k+1] as on f^b:
     NF(f^b)[:k] = NF(f^b[:k+1])[:k].  So a b whose head NF(f^b[:k+1])[:k]
     is none of the windows W[s:s+k], s < n, has no KMP hit, and the loop
-    drops it before it builds the rest of f^b, NF(f^b) and a failure
-    function; that changes no verdict, certificate or method.  When
-    k + 1 = n the head is all of f^b, and it ends in z.  On negatives
+    drops it after the normal form of fb[: k + 1], before it builds
+    NF(f^b) and a failure function; that changes no verdict, certificate
+    or method.  When k + 1 = n the head is all of f^b.  On negatives
     nearly every b fails within a few letters.
     """
     answer, g, f, zu, zv_inv = _conjugacy_prelude(u, v, ctx, "linear")
@@ -200,26 +202,20 @@ def conjugate_linear(u: Word, v: Word, ctx: UniversalContext) -> ConjugacyAnswer
     g_nf, _c = _nf_carries(g, p)
     tail, carries = _nf_carries(g_nf[n - 1 :] + g_nf, p)
     text = g_nf[: n - 1] + tail[: n - 1]  # W[:2n-2], see the prefix lemma
-    eps, inv, table = p.eps, p.inv, p.table
+    inv, table = p.inv, p.table
     k = min(_HEAD_LETTERS, n - 1)
     heads = {text[s : s + k] for s in range(n)}
-    whole = k + 1 == n  # the head is all of f^b
-    f_head, f_mid = f[1 : k + 1], f[1:-1]
 
-    for b, z in p.rows[f[-1]]:
-        y = table[inv[b]][f[0]]
-        if y is None or y == eps or z == eps:
+    for b, _z in p.rows[f[-1]]:
+        fb = _preconjugate_p(f, inv[b], p)
+        if fb is None:
             continue  # not a preconjugation of f
-        head = (y,) + f_mid + (z,) if whole else (y,) + f_head
-        if _nf_carries(head, p)[0][:k] not in heads:
+        if _nf_carries(fb[: k + 1], p)[0][:k] not in heads:
             continue  # the head lemma: no KMP hit
-        fb = head if whole else (y,) + f_mid + (z,)
         fb_nf, _fc = _nf_carries(fb, p)
         last = fb_nf[-1]
         for s in kmp_search(fb_nf[:-1], text):
-            if table[last][carries[s]] == tail[s] and _interleaving_equal(
-                fb, g_nf[s:] + g_nf[:s], p
-            ):
+            if table[last][carries[s]] == tail[s]:  # the window lemma
                 x = zv_inv + (b,) + _p_inverse(g_nf[:s], p) + zu
                 return ConjugacyAnswer(True, _certify(u, v, x, ctx), "linear")
     return ConjugacyAnswer(False, method="linear")

@@ -321,7 +321,10 @@ def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
     Write c~ for inv(c).  For |a| = n >= 2 the result is
     (y, a_1, ..., a_{n-2}, z) with y = [b a_0] and z = [a_{n-1} b~]; for a
     single letter u it is ([b u b~],).  None when a needed product is
-    undefined or epsilon.
+    undefined or epsilon.  It is the one preconjugation builder: its
+    callers are preconjugate, fastconj.conjugate_linear and
+    _rotation_matches, through which conjugate_quadratic and
+    constructions.verify_mks and verify_collins read it.
 
     Lemma.  Let a be cyclically reduced with n >= 2, and let y and z be
     defined and not epsilon.  Then the result is reduced, and it is exactly

@@ -57,6 +57,17 @@ class TestInverseAssignment:
             check_inverse_assignment(inv, s, budget=1)
         assert check_inverse_assignment(inv, s, budget=2)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("image", [(1,), (0,)])
+    def test_budget_below_one_refused(self, budget, image):
+        # refused before any work, as cyclic_joinable refuses it, whether
+        # greedy reduction would decide (a^-1 := A) or the search would
+        # run (a^-1 := a); BudgetExhausted is left to a search that was cut
+        s = samples.free_group_system(1)
+        inv = InverseAssignment(s.alphabet, (image, (0,)))
+        with pytest.raises(ValueError, match="budget must be positive"):
+            check_inverse_assignment(inv, s, budget=budget)
+
     def test_greedy_reduction_out_of_budget_leaves_the_verdict_to_the_search(self):
         # the budget bounds the cycle search alone: without a A -> 1,
         # greedy reduction takes a A to 1 in two steps, a -> 1 then A -> 1,

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cycrew import UniversalContext, fastconj
+from cycrew import UniversalContext, fastconj, samples
 from cycrew.fastconj import conjugate_linear, conjugate_oracle, kmp_search
 from cycrew.pregroup import canonical_subgroup, check_p6
 from cycrew.universal import (
@@ -174,9 +174,24 @@ class TestWindowLemma:
         # G = NF(g) for cyclically reduced g of length n >= 2, W = NF(G G)
         # with carries c: for every s < n, NF(G[s:] G[:s]) is W[s:s+n-1]
         # followed by the letter x with [x c_{s+n-1}] = W[s+n-1]; s = 0 is
-        # the prefix lemma, and the carries before n-1 are epsilon
+        # the prefix lemma, and the carries before n-1 are epsilon.
+        # conjugate_linear decides each KMP hit by this lemma alone
         rng = random.Random(9)
         checked = 0
+
+        def check_offsets(p, pw):
+            g_nf, _c = _nf_carries(pw, p)
+            n = len(g_nf)
+            big, carries = _nf_carries(g_nf + g_nf, p)
+            assert big[: n - 1] == g_nf[: n - 1]
+            assert set(carries[: n - 1]) <= {p.eps}
+            for s in range(n):
+                rot_nf, _rc = _nf_carries(g_nf[s:] + g_nf[:s], p)
+                e = s + n - 1
+                assert rot_nf[:-1] == big[s:e]
+                assert p.table[rot_nf[-1]][carries[e]] == big[e]
+            return n
+
         for p in corpus() + [hnn_cyclic(4, 2), hnn_cyclic(6, 3), hnn_cyclic(10, 2)]:
             for k in range(60):
                 pw = cyclically_reduced_p(rng, p, rng.randint(2, 12))
@@ -184,18 +199,15 @@ class TestWindowLemma:
                     break  # every product is defined: no such words
                 if k % 4 == 0:
                     pw = pw + pw  # periodic: several starts below n match
-                g_nf, _c = _nf_carries(pw, p)
-                n = len(g_nf)
-                big, carries = _nf_carries(g_nf + g_nf, p)
-                assert big[: n - 1] == g_nf[: n - 1]
-                assert set(carries[: n - 1]) <= {p.eps}
-                for s in range(n):
-                    rot_nf, _rc = _nf_carries(g_nf[s:] + g_nf[:s], p)
-                    e = s + n - 1
-                    assert rot_nf[:-1] == big[s:e]
-                    assert p.table[rot_nf[-1]][carries[e]] == big[e]
-                    checked += 1
+                checked += check_offsets(p, pw)
         assert checked > 2000
+        # words of the lengths the conj benchmark workload runs, one of
+        # them periodic
+        for p in (samples.hnn_s3(), hnn_cyclic(10, 2)):
+            for n in (64, 100, 160, 256):
+                assert check_offsets(p, cyclically_reduced_p(rng, p, n)) == n
+            half = cyclically_reduced_p(rng, p, 128)
+            assert check_offsets(p, half + half) == 256
 
 
 class TestPassFromNMinusOne:

@@ -988,11 +988,11 @@ def symmetric_corpus():
     return _scanned(_random_symmetric_system(rng) for _ in range(1_000))
 
 
-class TestFormalInverseSkipMatchesFullScan:
+class TestNearInvolutiveSystemsMatchFullScan:
     """On systems drawn near closure under the formal inverse, and on S_eps,
     the reports of check_strong_confluence equal those of the full scan
     ref_check_strong_confluence, and the pairs it searches are those of
-    _open_pairs (the class is named after a skip the check no longer has)."""
+    _open_pairs."""
 
     def test_random_involutive_systems(self, monkeypatch, involutive_corpus):
         seen = collections.Counter()
@@ -1120,6 +1120,23 @@ class TestCriticalPairs:
         rules = [("ab", "c"), ("ab", "d"), ("a", "e"), ("a", "f"), ("e", "f"), ("eb", "c")]
         s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
         want = ConfluenceReport(False, (w("ab"), w("eb"), w("d")))
+        assert check_strong_confluence(s) == ref_check_strong_confluence(s) == want
+
+    def test_target_numbers_order_an_overlap_by_its_shorter_span_first(self):
+        # abcd overlaps abc at [0, 3), targets p and q, and the shorter cd
+        # at [2, 4), targets s and u: y = pd, qd against z = abs, abu.
+        # Each side's own pair closes (q -> p; s -> D -> V <- u), and so do
+        # pd and abs (pd -> C <- abD <- abs; abD's own pair, C against abV,
+        # meets at W); qd against abs and pd against abu both fail.  The
+        # span [2, 4) is the lesser, so its first target is tried against
+        # both of abc's before its second is, and the counterexample is abs
+        # against qd, not abu against pd
+        a = Alphabet.from_pairs("abcdpqsuCDVW", [])
+        w = a.word
+        rules = [("abc", "p"), ("abc", "q"), ("cd", "s"), ("cd", "u"), ("q", "p"), ("pd", "C")]
+        rules += [("s", "D"), ("D", "V"), ("u", "V"), ("abD", "C"), ("C", "W"), ("abV", "W")]
+        s = RewriteSystem(a, [Rule(w(l), w(r)) for l, r in rules])
+        want = ConfluenceReport(False, (w("abcd"), w("abs"), w("qd")))
         assert check_strong_confluence(s) == ref_check_strong_confluence(s) == want
 
     def test_node_capped_search_is_unknown(self):
