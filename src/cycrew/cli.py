@@ -82,40 +82,44 @@ def cmd_axioms(args) -> int:
     return 0 if checked else 1
 
 
-def cmd_reduce(args) -> int:
-    if args.file.endswith(".rws"):
+# The word queries: command -> (help, its query on a word over a .pg file);
+# reduce reads a .rws file by greedy reduction instead
+_WORD_QUERIES = {
+    "reduce": ("greedy reduction (.pg or .rws)", reduce_word),
+    "nf": ("shortlex normal form over a .pg file", shortlex_nf),
+    "cyclic-reduce": (
+        "cyclically reduce over a .pg file",
+        lambda w, ctx: cyclic_reduce(w, ctx).canon,
+    ),
+}
+
+
+def cmd_word_query(args) -> int:
+    if args.command == "reduce" and args.file.endswith(".rws"):
         system, _pairs = parse_rws(_read(args.file))
         w = system.alphabet.parse(args.word)
         print(system.alphabet.format(reduce_greedy(w, system)))
         return 0
     ctx = _context(args.file)
-    print(ctx.alphabet.format(reduce_word(ctx.alphabet.parse(args.word), ctx)))
+    _help, query = _WORD_QUERIES[args.command]
+    print(ctx.alphabet.format(query(ctx.alphabet.parse(args.word), ctx)))
     return 0
 
 
-def cmd_nf(args) -> int:
-    ctx = _context(args.file)
-    print(ctx.alphabet.format(shortlex_nf(ctx.alphabet.parse(args.word), ctx)))
-    return 0
-
-
-def cmd_cyclic_reduce(args) -> int:
-    ctx = _context(args.file)
-    c = cyclic_reduce(ctx.alphabet.parse(args.word), ctx)
-    print(ctx.alphabet.format(c.canon))
-    return 0
+# --algo: the decision procedure; only the oracle reads --max-conj-len
+_CONJ_ALGOS = {
+    "linear": conjugate_linear,
+    "quadratic": conjugate_quadratic,
+    "oracle": conjugate_oracle,
+}
 
 
 def cmd_conj(args) -> int:
     ctx = _context(args.file)
     u = ctx.alphabet.parse(args.u)
     v = ctx.alphabet.parse(args.v)
-    if args.algo == "oracle":
-        answer = conjugate_oracle(u, v, ctx, args.max_conj_len)
-    elif args.algo == "quadratic":
-        answer = conjugate_quadratic(u, v, ctx)
-    else:
-        answer = conjugate_linear(u, v, ctx)
+    bound = (args.max_conj_len,) if args.algo == "oracle" else ()
+    answer = _CONJ_ALGOS[args.algo](u, v, ctx, *bound)
     if answer is None:  # the oracle ran out of conjugator length
         verdict, cert, method = None, None, "oracle"
     else:
@@ -132,6 +136,15 @@ def cmd_conj(args) -> int:
     return 3 if verdict is None else 0 if verdict else 1
 
 
+# --mode: an extension returns a system, a completion a CyclicRuleSet
+_COMPLETE_MODES = {
+    "hat": completion_mod.hat_extension,
+    "circle": completion_mod.circle_extension,
+    "cstar": completion_mod.resolve_short_pairs,
+    "cdagger": completion_mod.cdagger,
+}
+
+
 def cmd_complete(args) -> int:
     system, cyclic_pairs = parse_rws(_read(args.file))
     if cyclic_pairs:
@@ -140,16 +153,9 @@ def cmd_complete(args) -> int:
             f"complete reads no [cyclic-rules] section and would drop the "
             f"{len(cyclic_pairs)} pair(s) in {args.file}"
         )
-    if args.mode == "hat":
-        out = completion_mod.hat_extension(system)
-    elif args.mode == "circle":
-        out = completion_mod.circle_extension(system)
-    elif args.mode == "cstar":
-        crs = completion_mod.resolve_short_pairs(system)
-        out, cyclic_pairs = crs.base, crs.extra
-    else:
-        crs = completion_mod.cdagger(system)
-        out, cyclic_pairs = crs.base, crs.extra
+    out = _COMPLETE_MODES[args.mode](system)
+    if isinstance(out, completion_mod.CyclicRuleSet):
+        out, cyclic_pairs = out.base, out.extra
     _write(args.output, emit_rws(out, cyclic_pairs))
     return 0
 
@@ -157,7 +163,7 @@ def cmd_complete(args) -> int:
 def _subgroup_tokens(spec: str, subgroups: dict):
     if spec in subgroups:
         return list(subgroups[spec])
-    return [t for t in spec.replace(",", " ").split() if t]
+    return spec.replace(",", " ").split()
 
 
 def _token_pairs(flag: str, spec: str) -> dict:
@@ -211,33 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("reduce", help="greedy reduction (.pg or .rws)")
-    p.add_argument("file")
-    p.add_argument("-w", "--word", required=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("nf", help="shortlex normal form over a .pg file")
-    p.add_argument("file")
-    p.add_argument("-w", "--word", required=True)
-    p.set_defaults(func=cmd_nf)
-
-    p = sub.add_parser("cyclic-reduce", help="cyclically reduce over a .pg file")
-    p.add_argument("file")
-    p.add_argument("-w", "--word", required=True)
-    p.set_defaults(func=cmd_cyclic_reduce)
+    for name, (help_text, _query) in _WORD_QUERIES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.add_argument("-w", "--word", required=True)
+        p.set_defaults(func=cmd_word_query)
 
     p = sub.add_parser("conj", help="decide conjugacy over a .pg file")
     p.add_argument("file")
     p.add_argument("-u", required=True)
     p.add_argument("-v", required=True)
-    p.add_argument("--algo", choices=("linear", "quadratic", "oracle"), default="linear")
+    p.add_argument("--algo", choices=tuple(_CONJ_ALGOS), default="linear")
     p.add_argument("--max-conj-len", type=int, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_conj)
 
     p = sub.add_parser("complete", help="extend or complete a .rws system")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("hat", "circle", "cstar", "cdagger"), required=True)
+    p.add_argument("--mode", choices=tuple(_COMPLETE_MODES), required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_complete)
 

@@ -221,8 +221,10 @@ def _number_short_words(alphabet: Alphabet, m: int):
 class CyclicRuleSet:
     """A rewriting system together with extra oriented cyclic-word pairs.
 
-    The extra pairs rewrite a whole cycle to a whole cycle; certificates map
-    each added pair to the short cyclic word whose divergence forced it.
+    The extra pairs rewrite a whole cycle to a whole cycle.  C*
+    (resolve_short_pairs) and C-dagger (cdagger) fill certificates, which
+    map each added pair to the short cyclic word whose divergence forced
+    it; thue_completion leaves it empty.
     A plain record: one_step reads the fields as they are at each call.
     It is not frozen because bench/selftest.py reassigns extra on a
     result to check that the benchmark rejects a corrupted one.
@@ -386,8 +388,9 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     its length-preserving congruence class; a divergence w -> u, w' -> v
     with |u| >= |v| >= 1, u and v not mutually reachable, forces the pair
     (u, v); when the lengths tie, the divergence w' -> v, w -> u forces the
-    flip (v, u) in the same stage.  Returns (CyclicRuleSet, stop_index);
-    the chain stabilises no later than stage 2 m(S) - 2.
+    flip (v, u) in the same stage.  Returns (CyclicRuleSet, stop_index),
+    whose CyclicRuleSet carries no certificates; the chain stabilises no
+    later than stage 2 m(S) - 2.
 
     extra lists the pairs stage by stage, and each stage's pairs in
     ascending order of (u, v) by shortlex order of the least rotations.

@@ -321,7 +321,9 @@ def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
     Write c~ for inv(c).  For |a| = n >= 2 the result is
     (y, a_1, ..., a_{n-2}, z) with y = [b a_0] and z = [a_{n-1} b~]; for a
     single letter u it is ([b u b~],).  None when a needed product is
-    undefined or epsilon.  It is the one preconjugation builder: its
+    undefined or epsilon.  For b = epsilon, P1 gives y = a_0 and
+    z = a_{n-1} (and [epsilon u epsilon] = u), so a word with no epsilon
+    letter comes back unchanged.  It is the one preconjugation builder: its
     callers are preconjugate, fastconj.conjugate_linear and
     _rotation_matches, through which conjugate_quadratic and
     constructions.verify_mks and verify_collins read it.
@@ -347,8 +349,6 @@ def _preconjugate_p(a: tuple, b: int, p: Pregroup) -> Optional[tuple]:
     n = 2 the top is y).
     Stallings, Group Theory and Three-Dimensional Manifolds (1971), 3.A.
     """
-    if b == p.eps:
-        return a
     eps, b_inv = p.eps, p.inv[b]
     if len(a) == 1:
         y = p.mul3(b, a[0], b_inv)

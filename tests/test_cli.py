@@ -480,6 +480,47 @@ class TestFromHnn:
         assert err.startswith("error:") and "zz" in err
 
 
+# The help is checked by substring and line, since argparse lays it out
+# differently from one Python version to the next
+
+
+_COMMAND_HELP = {
+    "axioms": "check pregroup axioms of a .pg file",
+    "reduce": "greedy reduction (.pg or .rws)",
+    "nf": "shortlex normal form over a .pg file",
+    "cyclic-reduce": "cyclically reduce over a .pg file",
+    "conj": "decide conjugacy over a .pg file",
+    "complete": "extend or complete a .rws system",
+    "from-amalgam": "build an amalgam pregroup .pg",
+    "from-hnn": "build an HNN pregroup .pg",
+}
+
+
+def _help(monkeypatch, capsys, argv):
+    """The help text of cycrew argv, laid out 200 columns wide."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_names_every_command(monkeypatch, capsys):
+    out = _help(monkeypatch, capsys, ["-h"])
+    assert "{" + ",".join(_COMMAND_HELP) + "}" in out
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    for name, text in _COMMAND_HELP.items():
+        assert [name, text] in lines
+
+
+@pytest.mark.parametrize(
+    "command, choices",
+    [("conj", "--algo {linear,quadratic,oracle}"), ("complete", "--mode {hat,circle,cstar,cdagger}")],
+)
+def test_help_lists_the_choices_in_order(monkeypatch, capsys, command, choices):
+    assert choices in _help(monkeypatch, capsys, [command, "-h"])
+
+
 # The CLI contract on one set of files: Z4 as .grp with its subgroup
 # H = {e, x2}, the .pg of HNN(Z4, H), S_eps of that pregroup as .rws (1,321
 # rules), and what the CLI makes of them.  A new check of the cycrew command
@@ -570,6 +611,15 @@ CONTRACT_ROWS = {
         round_trip=("hat.rws",),
     ),
     "cstar-hat": ContractRow(["complete", "hat.rws", "--mode", "cstar"], 2),
+    # one word on which the three word queries print three different words
+    **{
+        f"{command}-pg": ContractRow([command, "hnn.pg", "-w", "x e|T|x e|t|x"], 0, answer)
+        for command, answer in (
+            ("reduce", "x|T|x e|t|x\n"),
+            ("nf", "x|T|e x|t|x\n"),
+            ("cyclic-reduce", "x3\n"),
+        )
+    },
     # x e|t|e x3 has the normal form x|t|x3 under S_eps and its hat extension
     "reduce-s_eps": ContractRow(["reduce", "s_eps.rws", "-w", "x e|t|e x3"], 0, "x|t|x3\n"),
     "reduce-hat": ContractRow(["reduce", "hat.rws", "-w", "x e|t|e x3"], 0, "x|t|x3\n"),
