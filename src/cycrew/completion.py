@@ -260,9 +260,6 @@ def _short_graph(system: RewriteSystem):
     canonicalising them."""
     shorts, ids = _number_short_words(system.alphabet, system.m_of)
     top = max(0, 2 * system.m_of - 2)
-    rests = [[()]]  # the words of each length that a rest can have
-    for _ in range(top - min(system._lhs_lengths, default=top)):
-        rests.append([r + (a,) for r in rests[-1] for a in range(len(system.alphabet))])
     got = [set() for _ in shorts]
     for lhs, slots in system._index.items():
         free = top - len(lhs)
@@ -273,7 +270,7 @@ def _short_graph(system: RewriteSystem):
             targets.add(ids[rhs])
         anywhere = _firing(slots, True, True, False)
         for size in range(1, free + 1):
-            for rest in rests[size]:
+            for rest in itertools.product(range(len(system.alphabet)), repeat=size):
                 targets = got[ids[lhs + rest]]
                 for rhs in anywhere:
                     targets.add(ids[rhs + rest])
@@ -332,12 +329,17 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     successors of a word are visited in id order, which is shortlex order.
     No closure search runs.
 
-    Only the first sweep tries every pair.  Steps only grow from sweep to
-    sweep, so closures only grow: a pair once resolved stays resolved, and
-    a pair once added stays skipped.  So after a sweep every pair of the
-    steps it read is settled.  The next sweep visits only the words that
-    gained a successor in it, and tries in each only the pairs that involve
-    such a successor, in the same order as a full sweep.
+    Every sweep visits every short word in id order, and the sweeps repeat
+    until one adds no pair.  Two lemmas:
+    - steps only grow from sweep to sweep, so closures only grow: a pair
+      once resolved stays resolved, and a pair once added resolves from the
+      next sweep on.  So a later sweep adds pairs only at the words that
+      gained a successor in the sweep before, and only pairs that involve
+      such a successor;
+    - if common, the AND of clos[s] over a word's successors, is non-zero,
+      any two of them share that descendant, so every pair at the word
+      resolves and the word is skipped whole (a critical-pair criterion in
+      the sense of Bachmair and Dershowitz 1988).
     """
     if not system.is_standard:
         raise PreconditionViolated("completion needs a standard system")
@@ -347,10 +349,9 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
     added = [set() for _ in shorts]  # id -> ids of its extra pairs
     extra = []
     certificates = {}
-    # the words to visit: id -> the successors it gained in the last sweep
-    # (None in the first sweep, which tries every pair)
-    gained = dict.fromkeys(range(len(shorts)))
-    while gained:
+    size = -1
+    while size < len(extra):
+        size = len(extra)
         steps = _steps(base, added)
         clos = []
         for i, succ in enumerate(steps):
@@ -360,20 +361,19 @@ def resolve_short_pairs(system: RewriteSystem) -> CyclicRuleSet:
                     break
                 down |= clos[s]
             clos.append(down)
-        visit, gained = gained, {}
-        for w in sorted(visit):
-            succ, new = steps[w], visit[w]
+        for w, succ in enumerate(steps):
+            common = -1
+            for s in succ:
+                common &= clos[s]
+            if common:
+                continue
             # v < u: u is the shortlex-larger side
             for k, v in enumerate(succ):
                 down_v = clos[v]
-                later = succ[k + 1 :]
-                if new is not None and v not in new:
-                    later = [u for u in later if u in new]
-                for u in later:
+                for u in succ[k + 1 :]:
                     if down_v & clos[u] or v in added[u]:
                         continue
                     added[u].add(v)
-                    gained.setdefault(u, set()).add(v)
                     pair = (shorts[u], shorts[v])
                     extra.append(pair)
                     certificates[pair] = shorts[w]

@@ -498,7 +498,9 @@ def _pairs_digest(pairs):
 
 # (stage, pair count, digest of the sorted canonical pairs) of
 # thue_completion and (pair count, digest) of resolve_short_pairs and cdagger
-# on S_eps; the same values as COMPLETE_PINS in bench/workloads.py
+# on S_eps; (4, 2) and (6, 3) hold the values of COMPLETE_PINS in
+# bench/workloads.py, and (10, 2), |P| = 110, is larger than any system of
+# the reference differential below
 PINS = {
     (4, 2): {
         "thue": (1, 16, "7a12ce496cfbb0bb"),
@@ -509,6 +511,11 @@ PINS = {
         "thue": (1, 24, "d8822864b868da17"),
         "cstar": (48, "2675cacd38654c87"),
         "cdagger": (24, "d8822864b868da17"),
+    },
+    (10, 2): {
+        "thue": (1, 400, "d268b455e7116393"),
+        "cstar": (1120, "94035a266ab4d404"),
+        "cdagger": (400, "d268b455e7116393"),
     },
 }
 
@@ -777,8 +784,8 @@ def test_engines_match_references_on_random_systems(random_standard_corpus):
     # Thue completion and C-dagger meet both, against the references read
     # off their docstrings, extra in order, certificates and stage; some Thue runs
     # cross a stage boundary, where the order is sorted per stage, and some
-    # C* runs add pairs in a sweep after the second, which tries only the
-    # pairs of successors that the one before added
+    # C* runs add pairs in a sweep after the second, so the order of pairs
+    # across sweeps is checked too
     seen = collections.Counter()
     for s, outcomes in random_standard_corpus:
         sweeps = []  # the pairs each sweep of the C* reference added
