@@ -400,22 +400,32 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     words of length at most L are the ids below some bound.  Length-
     preserving steps are symmetric in a Thue system (and the pairs added
     between equal lengths come in both orientations), so each stage takes a
-    class as one node: its reach bitset is the class plus the reach of the
-    shorter successors of its members, built by increasing length.
+    class as one node.  One pass visits the classes in id order, each grown
+    from its least id; as it grows, its reach bitset collects the class and
+    the reach of its members' shorter successors, and union its members'
+    nonempty successors.
 
     reach also answers the reverse question.  No step lengthens, so a v
     with |v| <= |u| that reaches u does so by length-preserving steps only;
     those are symmetric, so v lies in u's class, which reach[u] holds.
-    Hence a member w forces (u, v) exactly when u is a nonempty successor
-    of w and v a bit of
+    Hence the class forces (u, v) exactly when u is a bit of union and v a
+    bit of
 
-        union & len_le[|u|] & ~(reach[u] | seen_from[u])
+        union & len_le[|u|] & ~reach[u]
 
-    where union holds the nonempty successors of w's class and seen_from[u]
-    the v of the pairs (u, v) added so far.  The steps, and so union and
-    reach, stay fixed within a stage, and seen_from only keeps a pair from
-    being added twice, so the set of a stage's pairs does not depend on the
-    order in which the words are visited.  No reachability search runs.
+    and its pairs are read once per bit u of union.  Two lemmas:
+    - reach[u] is final when the class is reached.  u is either shorter, so
+      it lies in an earlier class, or it lies in the class itself, because
+      no step lengthens a word;
+    - a pair added at stage k is never fresh again.  From stage k + 1 on,
+      (u, v) is a step and |v| <= |u|, so v is a shorter successor of u or
+      lies in u's class, and either way in reach[u].  Within a stage, the
+      set keeps a pair that two classes force only once.
+    No reachability search runs.
+
+    With check_confluence=True, a BudgetExhausted from check_strong_confluence
+    passes through uncaught: a cut search decides nothing, so it is never
+    turned into PreconditionViolated.
     """
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
@@ -429,29 +439,20 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
         first[size + 1] = i + 1
     len_le = [(1 << end) - 1 for end in first[1:]]  # the ids of length at most L
     added = [set() for _ in shorts]  # id -> ids of its extra pairs
-    seen_from = [0] * n  # id u -> the ids v of the pairs (u, v) added so far
     extra = []
     bound = 2 * system.m_of - 2
     stage = 0
     while True:
         steps = _steps(base, added)
-        cls = [-1] * n
-        members = []  # class -> ids, by increasing length
-        for i in range(n):
-            if cls[i] < 0:
-                lo = first[length[i]]
-                cls[i] = len(members)
-                group = [i]
-                for c in group:
-                    for s in steps[c]:
-                        if s >= lo and cls[s] < 0:
-                            cls[s] = cls[i]
-                            group.append(s)
-                members.append(group)
+        grown = [False] * n  # whether the word's class has been visited
         reach = [0] * n
-        union = []  # class -> its members' nonempty successors
-        for group in members:
-            lo = first[length[group[0]]]
+        pairs = set()
+        for i in range(n):
+            if grown[i]:
+                continue
+            grown[i] = True
+            lo = first[length[i]]
+            group = [i]
             r = succ = 0
             for c in group:
                 r |= 1 << c
@@ -459,23 +460,17 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
                     succ |= 1 << s
                     if s < lo:
                         r |= reach[s]
+                    elif not grown[s]:
+                        grown[s] = True
+                        group.append(s)
             for c in group:
                 reach[c] = r
-            union.append(succ & ~1)  # id 0 is the empty word
-        new_pairs = []
-        for w in range(1, n):
-            mask = union[cls[w]]
-            for u in steps[w]:
-                # empty for u = 0: len_le[0] holds id 0 alone, which union leaves out
-                fresh = mask & len_le[length[u]] & ~(reach[u] | seen_from[u])
-                if not fresh:
-                    continue
-                seen_from[u] |= fresh
-                new_pairs += [(u, v) for v in _bits(fresh)]
-        if not new_pairs:
+            union = succ & ~1  # id 0 is the empty word
+            for u in _bits(union):
+                pairs.update((u, v) for v in _bits(union & len_le[length[u]] & ~reach[u]))
+        if not pairs:
             return CyclicRuleSet(system, tuple(extra)), stage
-        new_pairs.sort()
-        for u, v in new_pairs:
+        for u, v in sorted(pairs):
             added[u].add(v)
             extra.append((shorts[u], shorts[v]))
         stage += 1

@@ -715,10 +715,11 @@ def test_short_graph_lists_cyclic_successors(s_eps):
 def test_thue_pair_order_with_words_among_their_own_successors():
     # b c <-> c b returns the cycle b c to itself, which the engine leaves
     # out of the cycle's own successors; the pairs must not change, and
-    # extra lists them in ascending (u, v) order
+    # extra lists them in ascending (u, v) order.  The second system's
+    # classes {a b} and {a e} both force (c, d), which extra lists once
     a = Alphabet.from_pairs("abc", [])
     w = a.word
-    s = RewriteSystem(
+    loop = RewriteSystem(
         a,
         [
             Rule(w("cb"), w("a")),
@@ -729,17 +730,37 @@ def test_thue_pair_order_with_words_among_their_own_successors():
             Rule(w("ac"), w("cb"), symmetric=True),
         ],
     )
-    run, ref = ENGINES["thue"]
-    got = _outcome(run, s)
-    assert got == _outcome(ref, s)
-    assert [(u.canon, v.canon) for u, v in got[0]] == [
-        ((0,), (1,)),
-        ((0,), (2,)),
-        ((1,), (0,)),
-        ((1,), (2,)),
-        ((2,), (0,)),
-        ((2,), (1,)),
+    a = Alphabet.from_pairs("abcde", [])
+    w = a.word
+    twice = RewriteSystem(
+        a,
+        [
+            Rule(w("ab"), w("c")),
+            Rule(w("ab"), w("d")),
+            Rule(w("ae"), w("c")),
+            Rule(w("ae"), w("d")),
+        ],
+    )
+    cases = [
+        (
+            loop,
+            [
+                ((0,), (1,)),
+                ((0,), (2,)),
+                ((1,), (0,)),
+                ((1,), (2,)),
+                ((2,), (0,)),
+                ((2,), (1,)),
+            ],
+        ),
+        (twice, [((2,), (3,)), ((3,), (2,))]),
     ]
+    run, ref = ENGINES["thue"]
+    for s, pairs in cases:
+        got = _outcome(run, s)
+        assert got == _outcome(ref, s)
+        assert [(u.canon, v.canon) for u, v in got[0]] == pairs
+        assert got[2] == 1
 
 
 def _random_standard_system(rng, m):
