@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,13 +24,14 @@ from .rewrite import (
     BudgetExhausted,
     RewriteSystem,
     Rule,
+    _SYMMETRIC,
     _Descendants,
     _firing,
     check_strong_confluence,
     cyclic_successors,
     reduce_greedy,
 )
-from .words import Alphabet, AlphabetError, CyclicWord, Word, rotations, validate_word
+from .words import Alphabet, AlphabetError, CyclicWord, Word, validate_word
 
 
 class PreconditionViolated(ValueError):
@@ -202,18 +204,31 @@ def _number_short_words(alphabet: Alphabet, m: int):
     order of their least rotations, and a map from every word of that length
     to the id of its cycle in shorts.
 
-    One pass walks the words in shortlex order.  The least rotation of a
-    cycle is the first of its rotations that the walk meets, so a word that
-    ids does not hold yet is the least rotation of a new cycle: it takes the
-    next id, and so do all its rotations.  No word is canonicalised."""
-    shorts = []
-    ids = {}
+    Each length n is numbered in bulk.  The words of length n, in shortlex
+    order, are the base-k codes 0 .. k^n - 1, k = |alphabet|.  Turning a
+    word d r (first letter d) into r d takes code d k^(n-1) + r to r k + d,
+    so the codes of the turned words, listed by the code of the word, are
+    the runs d, d + k, d + 2k, ... for d = 0 .. k - 1.  A word's least
+    rotation is the least code among its n turns, taken by map(min, ...), a
+    cycle is numbered by the code of its least rotation, and each word takes
+    the id of its least rotation's code.  No Python loop runs per word or
+    per cycle, and no word is canonicalised."""
+    shorts = [CyclicWord(())]
+    ids = {(): 0}
     k = len(alphabet)
-    for n in range(max(0, 2 * m - 2) + 1):
-        for w in itertools.product(range(k), repeat=n):
-            if w not in ids:
-                ids.update(dict.fromkeys(rotations(w), len(shorts)))
-                shorts.append(CyclicWord(w))
+    for n in range(1, max(0, 2 * m - 2) + 1):
+        size = k**n
+        codes = range(size)
+        words = list(itertools.product(range(k), repeat=n))
+        turn = list(itertools.chain.from_iterable(range(d, size, k) for d in range(k)))
+        least = turned = codes
+        for _ in range(n - 1):
+            turned = list(map(turn.__getitem__, turned))
+            least = list(map(min, least, turned))
+        heads = list(itertools.compress(codes, map(operator.eq, least, codes)))
+        number = dict(zip(heads, itertools.count(len(shorts))))
+        ids.update(zip(words, map(number.__getitem__, least)))
+        shorts += map(CyclicWord, map(words.__getitem__, heads))
     return shorts, ids
 
 
@@ -257,23 +272,26 @@ def _short_graph(system: RewriteSystem):
     rotation start is a start and an end), whole-anchored ones only for
     the empty rest.  No step lengthens a word, so rhs + rest is short too,
     and _number_short_words's ids names both cycles without
-    canonicalising them."""
+    canonicalising them.  Each word's set takes its targets' ids in one
+    update, and a left-hand side of the longest short length, which has no
+    rest, skips its anywhere targets."""
     shorts, ids = _number_short_words(system.alphabet, system.m_of)
+    id_of = ids.__getitem__
     top = max(0, 2 * system.m_of - 2)
     got = [set() for _ in shorts]
     for lhs, slots in system._index.items():
         free = top - len(lhs)
         if free < 0:  # m(S) = 1: a letter is longer than the short words
             continue
-        targets = got[ids[lhs]]
-        for rhs in _firing(slots, True, True, True):
-            targets.add(ids[rhs])
+        got[ids[lhs]].update(map(id_of, _firing(slots, True, True, True)))
+        if not free:
+            continue
         anywhere = _firing(slots, True, True, False)
         for size in range(1, free + 1):
             for rest in itertools.product(range(len(system.alphabet)), repeat=size):
-                targets = got[ids[lhs + rest]]
-                for rhs in anywhere:
-                    targets.add(ids[rhs + rest])
+                got[ids[lhs + rest]].update(
+                    map(id_of, map(operator.add, anywhere, itertools.repeat(rest)))
+                )
     for i, targets in enumerate(got):
         targets.discard(i)
     return shorts, [sorted(targets) for targets in got]
@@ -401,9 +419,10 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
     preserving steps are symmetric in a Thue system (and the pairs added
     between equal lengths come in both orientations), so each stage takes a
     class as one node.  One pass visits the classes in id order, each grown
-    from its least id; as it grows, its reach bitset collects the class and
-    the reach of its members' shorter successors, and union its members'
-    nonempty successors.
+    from its least id, collecting its members' distinct successors as it
+    grows.  Its reach bitset is the class and the reach of each shorter
+    one, and union is its nonempty ones: one OR per distinct successor,
+    not per edge.
 
     reach also answers the reverse question.  No step lengthens, so a v
     with |v| <= |u| that reaches u does so by length-preserving steps only;
@@ -454,15 +473,18 @@ def thue_completion(system: RewriteSystem, check_confluence: bool = True):
             lo = first[length[i]]
             group = [i]
             r = succ = 0
+            outs = set()  # the members' distinct successors
             for c in group:
                 r |= 1 << c
+                outs.update(steps[c])
                 for s in steps[c]:
-                    succ |= 1 << s
-                    if s < lo:
-                        r |= reach[s]
-                    elif not grown[s]:
+                    if s >= lo and not grown[s]:
                         grown[s] = True
                         group.append(s)
+            for s in outs:
+                succ |= 1 << s
+                if s < lo:
+                    r |= reach[s]
             for c in group:
                 reach[c] = r
             union = succ & ~1  # id 0 is the empty word
@@ -484,22 +506,23 @@ def cdagger(system: RewriteSystem) -> CyclicRuleSet:
     orientations, each certified by the first such cycle in shortlex
     order, a cycle's pairs in letter order.
 
-    The letters one step from the cycle of a b come from the left-hand
-    sides of at most two letters, read off the index once: a b or b a
-    rewritten to one letter by any rule (a rotation equal to the lhs is the
-    whole cycle), or a deleted by a rule that is not whole-anchored, which
-    leaves b.  A left-hand side names its cycle by its least rotation
-    (a, b) with a <= b."""
+    Only a shortening rule takes a cycle of two letters to a letter, and
+    in a Thue system those are the rules that are not symmetric, so the
+    letters one step from the cycle of a b are read off those rules once: a
+    b or b a rewritten to one letter by any rule (a rotation equal to the
+    lhs is the whole cycle), or a deleted by a rule that is not
+    whole-anchored, which leaves b.  No symmetric rule is read.  A
+    left-hand side names its cycle by its least rotation (a, b) with
+    a <= b."""
     if not (system.is_standard and system.is_2monadic and system.is_thue):
         raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
     k = len(system.alphabet)
     succs = collections.defaultdict(set)  # (a, b), a <= b -> its letters one step away
-    for lhs, slots in system._index.items():
+    for lhs, rhs, anchor, _symmetric in itertools.filterfalse(_SYMMETRIC, system.rules):
         if len(lhs) == 2:
-            got = {rhs[0] for rhs in _firing(slots, True, True, True) if len(rhs) == 1}
-            if got:
-                succs[min(lhs, lhs[::-1])] |= got
-        elif len(lhs) == 1 and any(not rhs for rhs in _firing(slots, True, True, False)):
+            if len(rhs) == 1:
+                succs[min(lhs, lhs[::-1])].add(rhs[0])
+        elif anchor is not Anchor.WHOLE:  # a 1-letter lhs: it shortens to ()
             a = lhs[0]
             for b in range(k):
                 succs[min(a, b), max(a, b)].add(b)

@@ -12,20 +12,26 @@ picks the right-hand sides that fire at a redex from where the redex lies
 (start of the word, end of the word, the whole word; on a cycle every
 redex is at a start and an end).  word_successors, reduce_greedy and
 _cyclic_redexes, the redexes of a cycle that cyclic_successors reads, all
-read the index through _firing, and so do the completions' short-cycle
-graph and C-dagger, which read each left-hand side's right-hand sides once
-per call.  check_strong_confluence, which accepts only unanchored systems,
-reads the plain right-hand sides off the index once per call, for the
-orientations whose reverse is no plain orientation (the live ones, whose
-critical pairs it lists).  No reader needs to know which rule gave a
-right-hand side, so the index holds none: the system is the one-step
-relation u -> v, each v once per rule orientation that gives it.
+read the index through _firing, and so does the completions' short-cycle
+graph, which reads each left-hand side's right-hand sides once per call.
+No reader of the index needs to know which rule gave a right-hand side, so
+the index holds none: the system is the one-step relation u -> v, each v
+once per rule orientation that gives it.
+
+Two readers need only the rules that are not symmetric, and read those off
+system.rules rather than every target in the index.  check_strong_confluence,
+which accepts only unanchored systems, lists the critical pairs of the live
+orientations, those whose reverse is no plain orientation: the two
+orientations of a symmetric rule reverse each other, so the live ones are
+the non-symmetric rules whose reverse the index lacks.  C-dagger reads the
+shortening rules, the only ones that take a cycle of two letters to one.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -56,6 +62,7 @@ class Anchor(Enum):
 
 _ANCHORS = tuple(Anchor)  # the order of the target tuples in the index
 _LHS, _RHS = operator.attrgetter("lhs"), operator.attrgetter("rhs")
+_SYMMETRIC = operator.attrgetter("symmetric")
 
 
 class BudgetExhausted(RuntimeError):
@@ -331,7 +338,7 @@ class _SuccessorPool(dict):
     pool[w] is the frozenset of w and its one-step rewrites, filled on
     first use.  The check asks for pool[w] only on the two words of a pair
     it tries, and it tries no pair with a reversible side, so on S_eps,
-    where most rules are symmetric, it fills few entries (900 on
+    where most rules are symmetric, it fills few entries (930 on
     HNN(Z6, Z3), of 4,447 rules).  pool.descendants(w, cap) is the one
     _Descendants search from w over words of at most cap letters, keyed by
     (w, cap): it keeps how far it has run and whether a bound cut it, so
@@ -466,7 +473,12 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
 
     The pairs tested are read straight off the rules.  Call a plain
     orientation lhs -> rhs live when no plain rule takes rhs back to lhs.
-    Two overlapping live redexes of x of n letters that cover x are
+    The two orientations of a symmetric rule take each other back, so the
+    live ones are those of the other rules whose rhs has no plain target
+    lhs in the index: the check reads the non-symmetric rules alone, each
+    live lhs's targets in rule order, which is index order, a rule given
+    twice listed twice.  Two overlapping live redexes of x of n letters
+    that cover x are
     - both at all of x: x is a live left-hand side, not empty, and the
       pair is two of its live targets;
     - one at all of x, the other a live left-hand side at a span
@@ -492,19 +504,19 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
     every live redex of x against its own live targets, and each live
     orientation (l1, i, r1) tries the orientations (l2, j, r2) of the live
     l2 that start with a proper suffix of l1.  The one-step meets are read
-    from the pool, each filled once per call, on the first pair of two
-    distinct words that needs it.
+    from the pool, each filled once per call, on the first pair that needs
+    it.  A pair with y == z needs no test of its own: pool[y] holds y, so
+    it meets itself and the pair is never kept.
     """
     if system.has_anchored_rules():
         raise ValueError("strong confluence check requires an unanchored system")
     index = system._index
-    plain = {(lhs, rhs) for lhs, slots in index.items() for rhs in slots[0]}
-    # lhs -> its live targets, in index order
-    live = {}
-    for lhs, slots in index.items():
-        rhss = [rhs for rhs in slots[0] if (rhs, lhs) not in plain]
-        if rhss:
-            live[lhs] = rhss
+    # lhs -> its live targets, in index order: a symmetric rule's two
+    # orientations reverse each other, so only the other rules give any
+    live = collections.defaultdict(list)
+    for lhs, rhs, _anchor, _symmetric in itertools.filterfalse(_SYMMETRIC, system.rules):
+        if lhs not in index.get(rhs, ((),))[0]:
+            live[lhs].append(rhs)
     # the live orientations (lhs, i, rhs), rhs the i-th live target of lhs,
     # and those of each lhs under each of its proper prefixes
     orientations = [(lhs, i, rhs) for lhs, rhss in live.items() for i, rhs in enumerate(rhss)]
@@ -530,7 +542,7 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
                     y = x[:a] + r + x[b:]
                     for j in range(i + 1 if span == whole else 0, len(zs)):
                         z = zs[j]
-                        if y != z and pool[y].isdisjoint(pool[z]):
+                        if pool[y].isdisjoint(pool[z]):
                             found.append((n, x, span, i, whole, j, y, z))
     for l1, i, r1 in orientations:
         m = len(l1)
@@ -540,7 +552,7 @@ def check_strong_confluence(system: RewriteSystem) -> ConfluenceReport:
             for l2, j, r2 in by_prefix.get(l1[a:], ()):
                 tail = l2[k:]
                 y, z = r1 + tail, head + r2
-                if y != z and pool[y].isdisjoint(pool[z]):
+                if pool[y].isdisjoint(pool[z]):
                     x = l1 + tail
                     if m <= len(l2):
                         found.append((len(x), x, (m, 0), i, (len(l2), a), j, y, z))

@@ -24,14 +24,17 @@ from cycrew.pregroup import derive_system
 from cycrew.rewrite import (
     Anchor,
     BudgetExhausted,
+    ConfluenceReport,
     RewriteSystem,
     Rule,
+    check_strong_confluence,
     cyclic_joinable,
     cyclic_successors,
 )
 from cycrew.words import Alphabet, AlphabetError, CyclicWord, rotations, shortlex_key
 
 from conftest import corpus_pregroups, hnn_cyclic, ref_hat, ref_reach
+from test_rewrite import _tested_pairs, ref_check_strong_confluence
 
 
 class TestInverseAssignment:
@@ -311,7 +314,7 @@ class TestEnumerateShorts:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_brute_force(self, k):
-        # the one shortlex pass against canonicalising every word; ids must
+        # the bulk numbering against canonicalising every word; ids must
         # send every short word, periodic ones like (ab)^k included, to the
         # index of its least rotation
         a = Alphabet.from_pairs("abcd"[:k], [])
@@ -321,7 +324,7 @@ class TestEnumerateShorts:
                 for n in range(max(0, 2 * m - 2) + 1)
                 for w in itertools.product(range(k), repeat=n)
             ]
-            want = sorted({CyclicWord.of(w) for w in words}, key=lambda c: shortlex_key(c.canon))
+            want = ref_shorts(a, m)
             # a rule a^m -> () gives the system m(S) = m (no rule at all for m = 0)
             s = RewriteSystem(a, [Rule((0,) * m, ())] if m else [])
             assert _short_graph(s)[0] == want
@@ -555,12 +558,24 @@ class TestPinnedResults:
 
 # ---------------------------------------------------------------------------
 # References read off the engines' docstrings, over the cyclic steps of
-# ref_steps: C* and the Thue completion decide reachability with ref_reach,
-# and none reads the numbered short words or bitsets of the engines.
+# ref_steps and the short words of ref_shorts: C* and the Thue completion
+# decide reachability with ref_reach, and none reads the numbered short
+# words or bitsets of the engines.
 
 
 def _shortlex(c):
     return shortlex_key(c.canon)
+
+
+def ref_shorts(alphabet, m):
+    """The cyclic words of length at most 2m - 2 in shortlex order, each
+    word of those lengths canonicalised on its own."""
+    words = (
+        w
+        for n in range(max(0, 2 * m - 2) + 1)
+        for w in itertools.product(range(len(alphabet)), repeat=n)
+    )
+    return sorted({CyclicWord.of(w) for w in words}, key=_shortlex)
 
 
 def ref_steps(system, extra):
@@ -587,6 +602,7 @@ def ref_cstar(system, sweeps=None):
         raise PreconditionViolated("completion needs a standard system")
     if system.has_length_increasing_rules():
         raise PreconditionViolated("completion needs length-nonincreasing rules")
+    shorts = ref_shorts(system.alphabet, system.m_of)
     extra, certificates = [], {}
     while True:
         step = ref_steps(system, tuple(extra))
@@ -597,7 +613,7 @@ def ref_cstar(system, sweeps=None):
 
         down = functools.cache(lambda c: ref_reach(c, descend)[0])
         before = len(extra)
-        for w in _number_short_words(system.alphabet, system.m_of)[0]:
+        for w in shorts:
             downs = [(c, down(c)) for c in sorted(step(w), key=_shortlex)]
             for (v, down_v), (u, down_u) in itertools.combinations(downs, 2):
                 if down_u.isdisjoint(down_v) and (u, v) not in certificates:
@@ -617,7 +633,7 @@ def ref_thue(system):
     rotations.  Returns (CyclicRuleSet, stage)."""
     if not (system.is_standard and system.is_thue):
         raise PreconditionViolated("thue completion needs a standard Thue system")
-    shorts = _number_short_words(system.alphabet, system.m_of)[0]
+    shorts = ref_shorts(system.alphabet, system.m_of)
     extra = []
     stage = 0
     while True:
@@ -654,7 +670,7 @@ def ref_cdagger(system):
         raise PreconditionViolated("cdagger needs a standard 2-monadic Thue system")
     step = ref_steps(system, ())
     certs = {}
-    for c in _number_short_words(system.alphabet, 2)[0]:
+    for c in ref_shorts(system.alphabet, 2):
         if len(c) < 2:
             continue
         letters = sorted((s for s in step(c) if len(s) == 1), key=_shortlex)
@@ -763,6 +779,63 @@ def test_thue_pair_order_with_words_among_their_own_successors():
         assert got[2] == 1
 
 
+_ABC = Alphabet.from_pairs("abc", [])
+_w = _ABC.word
+
+# Rule sets at the edges of how the confluence check and C-dagger read the
+# rules that are not symmetric, each with the check's report, or the
+# exception it raises, and C-dagger's pairs of letters, or the exception it
+# raises:
+# - a rule given twice has its target live twice, so the check meets a pair
+#   y == z, which the one-step meet closes;
+# - a symmetric rule beside a plain copy of one of its orientations, and two
+#   opposite plain rules, have no live orientation between ab and ba, and
+#   neither is a Thue system;
+# - a whole-anchored a -> 1 fires on no cycle of two letters, while the
+#   prefix-anchored b -> 1 takes the cycle a b to a.
+EDGE_RULES = {
+    "twice": (
+        [Rule(_w("ab"), _w("c")), Rule(_w("ab"), _w("c")), Rule(_w("ba"), _w("a"))],
+        ConfluenceReport(False, ((0, 1, 0), (2, 0), (0, 0))),
+        [(0, 2), (2, 0)],
+    ),
+    "symmetric and a plain copy": (
+        [Rule(_w("ab"), _w("ba"), symmetric=True), Rule(_w("ba"), _w("ab")), Rule(_w("ab"), _w("c"))],
+        ConfluenceReport(True),
+        PreconditionViolated,
+    ),
+    "opposite plain rules": (
+        [Rule(_w("ab"), _w("ba")), Rule(_w("ba"), _w("ab")), Rule(_w("ab"), _w("c"))],
+        ConfluenceReport(True),
+        PreconditionViolated,
+    ),
+    "whole and prefix deletions": (
+        [Rule(_w("a"), (), Anchor.WHOLE), Rule(_w("b"), (), Anchor.PREFIX), Rule(_w("ab"), _w("c"))],
+        ValueError,
+        [(0, 2), (2, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_RULES))
+def test_rule_reading_edge_cases(monkeypatch, case):
+    # both engines against their references and the pins; where the check
+    # runs, the pairs it searches are those of the live orientations alone
+    rules, report, letter_pairs = EDGE_RULES[case]
+    s = RewriteSystem(_ABC, rules)
+    if report is ValueError:
+        for check in (check_strong_confluence, ref_check_strong_confluence):
+            with pytest.raises(ValueError):
+                check(s)
+    else:
+        assert _tested_pairs(monkeypatch, s)[0] == ref_check_strong_confluence(s) == report
+    got = _outcome(cdagger, s)
+    assert got == _outcome(ref_cdagger, s)
+    if got is not PreconditionViolated:
+        got = [(u.canon[0], v.canon[0]) for u, v in got[0]]
+    assert got == letter_pairs
+
+
 def _random_standard_system(rng, m):
     """A small standard Thue system with m(S) = m over 2 or 3 letters, not
     S_eps: rules shortening by at least one letter, some anchored, some a
@@ -855,7 +928,7 @@ def _reach_lemma_pairs(crs):
     step = ref_steps(crs.base, crs.extra)
     reach = functools.cache(lambda c: ref_reach(c, step)[0])
     found = 0
-    for v in _number_short_words(crs.base.alphabet, crs.base.m_of)[0]:
+    for v in ref_shorts(crs.base.alphabet, crs.base.m_of):
         for u in reach(v):
             if u != v and len(v) <= len(u):
                 assert v in reach(u), (u, v)
