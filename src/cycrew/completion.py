@@ -149,11 +149,11 @@ def hat_extension(
                 pieces = table[lhs] = _factorisations(lhs, inverses, lengths)
             added += [(piece, left + rhs + right, anchor) for piece, left, right, anchor in pieces]
     # every added rule is anchored and S has none, so added rules can only
-    # repeat one another; dict.fromkeys keeps the first of each, in order
+    # repeat one another; dict.fromkeys keeps the first of each, in order.
+    # Each is built by tuple.__new__, and RewriteSystem checks it
+    new = tuple.__new__
     rules = list(system.rules)
-    for lhs, rhs, anchor in dict.fromkeys(added):
-        if lhs != rhs:
-            rules.append(Rule(lhs, rhs, anchor))
+    rules += [new(Rule, (lhs, rhs, a, False)) for lhs, rhs, a in dict.fromkeys(added) if lhs != rhs]
     return RewriteSystem(system.alphabet, rules)
 
 
@@ -195,7 +195,7 @@ def circle_extension(
         for rhs in ((a,) + inverses.of(a), inverses.of(a) + (a,)):
             if rhs not in seen:
                 seen.add(rhs)
-                rules.append(Rule((), rhs))
+                rules.append(tuple.__new__(Rule, ((), rhs, Anchor.NONE, False)))
     return RewriteSystem(system.alphabet, rules)
 
 

@@ -28,18 +28,19 @@ _built) run only on faulty input.
 - [rules] (.rws): each line is split once at its " -> " or " <-> ", and
   each side text is looked up in a dict that lives for the call
   (_SideWords), so the letters of each distinct side are mapped once;
-  then one Rule, a tuple with no instance dict.  In a text that holds a
+  then one Rule, built by tuple.__new__ once the reader has tested the
+  length of a symmetric one to name its line.  In a text that holds a
   tab, the rule lines first have their tabs made spaces, one replace per
   line.  A line whose sides the dict refuses (a run of spaces, other
   whitespace, a fault) is split again with its tokens one space apart
   (_respaced_rule); only a line still refused, a faulty one, is read token
   by token, to name its fault.
-On a 2-core x86-64 host (CPython 3.11, min of 30 calls):
-S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 3.0-3.3 ms, and in
-3.4-3.5 ms with every space a tab, 5-9% over the single-spaced text; its
-hat extension (8,617 rules) in 26-27 ms; S_eps(HNN(Z6, Z3)) (4,447 rules)
-in 10-11 ms.  hnn_s3 and HNN(Z10, Z2) as .pg (|P| = 42 and 110) read in
-0.46 and 2.4 ms.
+On a 2-core shared x86-64 host (CPython 3.11, min of 30 calls, in each
+of five runs): S_eps(HNN(Z4, Z2)) as .rws (1,321 rules) reads in 2.2-2.3
+ms, and in 2.4-2.6 ms with every space a tab, 7-15% over the
+single-spaced text; its hat extension (8,617 rules) in 17-18 ms;
+S_eps(HNN(Z6, Z3)) (4,447 rules) in 6.6-7.1 ms.  hnn_s3 and HNN(Z10, Z2)
+as .pg (|P| = 42 and 110) read in 0.47-0.72 and 2.3-2.4 ms.
 """
 
 from __future__ import annotations
@@ -241,7 +242,10 @@ def parse_rws(text: str):
     if "\t" in text:
         # a tab spaces tokens as a space does: one C-level replace per line
         rule_lines = [(no, line.replace("\t", " ")) for no, line in rule_lines]
-    rules = []
+    # each Rule is built by tuple.__new__: the reader checks the length of a
+    # symmetric rule itself, to name its line, and RewriteSystem checks it
+    # on every rule
+    new, rules = tuple.__new__, []
     for no, line in rule_lines:
         anchor = Anchor.NONE
         if ":" in line:
@@ -256,10 +260,10 @@ def parse_rws(text: str):
             lhs, rhs = words[left], words[right]
         except KeyError:
             lhs, rhs, arrow = _respaced_rule(words, line, no)
-        try:
-            rules.append(Rule(lhs, rhs, anchor, arrow == " <-> "))
-        except ValueError as exc:
-            raise ParseError(str(exc), no) from None
+        symmetric = arrow == " <-> "
+        if symmetric and len(lhs) != len(rhs):
+            raise ParseError("symmetric rules must be length preserving", no)
+        rules.append(new(Rule, (lhs, rhs, anchor, symmetric)))
     cyclic_pairs = []
     for no, line in sections.get("cyclic-rules", []):
         toks = line.split()

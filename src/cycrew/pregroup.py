@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .rewrite import RewriteSystem, Rule
+from .rewrite import Anchor, RewriteSystem, Rule
 from .words import Alphabet, Word
 
 
@@ -415,13 +415,15 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
     exactly when [ac] > a: [ac] = a only at c = eps (by P4, [inv(a) [ac]]
     = c), where the far end is the pair itself.  So a link c is kept only
     when [ac] > a, a test made once per (a, c) before the loop over b, and
-    each pair is kept once, from its lesser end, with lhs < rhs.  S_eps takes
-    2.3-2.4 ms at |P| = 20 (HNN(Z4, Z2), 1,321 rules), 7.3-7.8 ms at
-    |P| = 30 (HNN(Z6, Z3), 4,447 rules), 13.8-14.2 ms at |P| = 42
-    (hnn_s3, 7,687 rules) and 0.18-0.19 s at |P| = 110 (HNN(Z10, Z2),
-    77,551 rules), the least of 15 calls (7 at 110) on a table whose
-    axioms are already checked, CPython 3.11 on a 2-core shared x86-64
-    host.
+    each pair is kept once, from its lesser end, with lhs < rhs.  The rules
+    of letter pairs are built by tuple.__new__, and the RewriteSystem checks
+    them (see Rule).
+    S_eps takes 1.2-1.6 ms at |P| = 20 (HNN(Z4, Z2), 1,321 rules),
+    3.4-3.7 ms at |P| = 30 (HNN(Z6, Z3), 4,447 rules), 6.2-6.6 ms at
+    |P| = 42 (hnn_s3, 7,687 rules) and 62-69 ms at |P| = 110 (HNN(Z10,
+    Z2), 77,551 rules), the least of 15 calls (7 at 110) in each of five
+    runs, on a table whose axioms are already checked, CPython 3.11 on a
+    2-core shared x86-64 host.
     """
     if variant not in ("S_of_P", "S_eps"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -429,6 +431,7 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
     n, eps = len(p), p.eps
     table, inv = p.table, p.inv
     gamma = variant == "S_of_P"
+    new, none = tuple.__new__, Anchor.NONE
     if gamma:
         alphabet = gamma_alphabet(p)
         letters = [x for x in range(n) if x != eps]
@@ -446,11 +449,11 @@ def derive_system(p: Pregroup, variant: str = "S_of_P") -> RewriteSystem:
             ab, lhs = row[b], (la, letter[b])
             if ab is not None:
                 if gamma:
-                    rules.append(Rule(lhs, () if ab == eps else (letter[ab],)))
+                    rules.append(new(Rule, (lhs, () if ab == eps else (letter[ab],), none, False)))
                     continue  # symmetric rules only where (a,b) is undefined
-                rules.append(Rule(lhs, (ab,)))
+                rules.append(new(Rule, (lhs, (ab,), none, False)))
             for l_ac, inv_c_row in links:
                 cb = inv_c_row[b]
                 if cb is not None:
-                    rules.append(Rule(lhs, (l_ac, letter[cb]), symmetric=True))
+                    rules.append(new(Rule, (lhs, (l_ac, letter[cb]), none, True)))
     return RewriteSystem(alphabet, rules)

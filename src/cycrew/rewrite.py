@@ -60,7 +60,9 @@ class Anchor(Enum):
     __hash__ = object.__hash__
 
 
-_ANCHORS = tuple(Anchor)  # the order of the target tuples in the index
+# the slot of an anchor's right-hand sides in an index entry, in Anchor order
+_SLOT = {anchor: slot for slot, anchor in enumerate(Anchor)}
+_ANCHORED_SLOTS = operator.itemgetter(1, 2, 3)  # of an entry: all but plain
 _LHS, _RHS = operator.attrgetter("lhs"), operator.attrgetter("rhs")
 _SYMMETRIC = operator.attrgetter("symmetric")
 
@@ -85,7 +87,12 @@ class Rule(_RuleFields):
     takes 0.34-0.47 us to build and 80 bytes (timeit and tracemalloc,
     CPython 3.11 on a 2-core x86-64 host), a frozen dataclass 0.74-0.90 us
     and 104 bytes.  Every way to build one (the constructor, _make,
-    _replace, unpickling) checks the length."""
+    _replace, unpickling) checks the length, and a RewriteSystem checks it
+    on all its rules at once, in the pass that indexes them.  So the
+    producers of whole rule sets (derive_system, parse_rws, hat_extension,
+    circle_extension) build each rule by tuple.__new__(Rule, (lhs, rhs,
+    anchor, symmetric)), 0.17-0.18 us where the constructor, a Python call,
+    takes 0.34-0.36 us, and hand it to a RewriteSystem."""
 
     __slots__ = ()
 
@@ -110,42 +117,50 @@ class RewriteSystem:
     orientation is materialised in the index beside the forward one.  A
     rule given twice is indexed twice: every reader sees each orientation
     once per rule.
+
+    A system checks that every symmetric rule preserves length, on all its
+    rules at once as it indexes them, with the message of Rule's own check:
+    its producers build their rules by tuple.__new__, past that check.
     """
 
     def __init__(self, alphabet: Alphabet, rules):
         self.alphabet = alphabet
         self.rules = rules = tuple(rules)
-        # the letters of all the rules checked at once; the per-rule scan
-        # runs only to name the first bad letter
-        used = set().union(*map(_LHS, rules), *map(_RHS, rules))
+        # one pass unpacks each rule, indexes it and checks the length of a
+        # symmetric one; the check inline costs less than a pass of map and
+        # attrgetter over the rules would
+        index = collections.defaultdict(lambda: ([], [], [], []))
+        slot_of = _SLOT
+        for lhs, rhs, anchor, symmetric in rules:
+            slot = slot_of[anchor]
+            index[lhs][slot].append(rhs)
+            if symmetric and rhs != lhs:
+                if len(rhs) != len(lhs):
+                    raise ValueError("symmetric rules must be length preserving")
+                index[rhs][slot].append(lhs)
+        # the sides of a symmetric rule are index keys of one length, so
+        # only the other rules add words and can break the Thue form
+        plain = list(itertools.filterfalse(_SYMMETRIC, rules))
+        # the letters of the distinct words checked at once; the per-rule
+        # scan runs only to name the first bad letter
+        used = set(itertools.chain.from_iterable(index))
+        used.update(itertools.chain.from_iterable(map(_RHS, plain)))
         if used and (min(used) < 0 or max(used) >= len(alphabet)):
             for r in rules:
                 validate_word(r.lhs, alphabet)
                 validate_word(r.rhs, alphabet)
-        m_of, is_thue, empty_lhs, anchored = 0, True, False, False
-        index = collections.defaultdict(lambda: ([], [], [], []))
-        for r in rules:
-            lhs, rhs, symmetric = r.lhs, r.rhs, r.symmetric
-            n = len(lhs)
-            if n > m_of:
-                m_of = n
-            if not n:
-                empty_lhs = True
-            is_thue = is_thue and (len(rhs) < n or (len(rhs) == n and symmetric))
-            slot = _ANCHORS.index(r.anchor)
-            if slot:
-                anchored = True
-            index[lhs][slot].append(rhs)
-            if symmetric and rhs != lhs:
-                index[rhs][slot].append(lhs)
-        self.m_of = m_of
-        self.is_thue = is_thue
-        self.is_standard = not empty_lhs and 2 <= m_of
+        self.is_thue = all(map(operator.gt, map(len, map(_LHS, plain)), map(len, map(_RHS, plain))))
+        self._anchored = any(map(any, map(_ANCHORED_SLOTS, index.values())))
+        # tuples: concatenating an empty one in _firing copies nothing.  Each
+        # entry is replaced in place, so its lists go as its tuples come
+        for lhs, slots in index.items():
+            index[lhs] = tuple(map(tuple, slots))
+        self._index = dict(index)
+        # a symmetric rule keeps its length: the key lengths are lhs lengths
+        self._lhs_lengths = lengths = sorted(set(map(len, index)))
+        self.m_of = m_of = lengths[-1] if lengths else 0
+        self.is_standard = 2 <= m_of and lengths[0] != 0
         self.is_2monadic = m_of == 2
-        self._anchored = anchored
-        # tuples: concatenating an empty one in _firing copies nothing
-        self._index = {lhs: tuple(map(tuple, slots)) for lhs, slots in index.items()}
-        self._lhs_lengths = sorted({len(lhs) for lhs in self._index})
 
     def has_anchored_rules(self) -> bool:
         return self._anchored

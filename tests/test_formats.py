@@ -139,6 +139,8 @@ RULE_ERRORS = {
     "two-symmetric-arrows": (_AB + "a <-> b <-> a\n", "rule needs exactly one '<->'", 5),
     "no-arrow": (_AB + "a b\n", "rule needs exactly one '->'", 5),
     "symmetric-unequal": (_AB + "a b <-> a\n", "symmetric rules must be length preserving", 5),
+    "symmetric-unequal-tabs": (_AB + "a -> b\na\tb\t<->\ta\n", "symmetric rules must be length preserving", 6),
+    "symmetric-unequal-anchored": (_AB + "prefix: a b <-> a\n", "symmetric rules must be length preserving", 5),
     "cyclic-unknown": (_AB + "[cyclic-rules]\na z -> b\n", "unknown letter 'z'", 6),
     "cyclic-no-arrow": (_AB + "[cyclic-rules]\na b\n", "cyclic rule needs '->'", 6),
     "empty-rhs": (_AB + "a -> b\na b ->\n", "rule side is empty; write '1' for the empty word", 6),

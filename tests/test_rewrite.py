@@ -9,6 +9,8 @@ import random
 import pytest
 
 from cycrew import rewrite, samples
+from cycrew.completion import circle_extension, hat_extension
+from cycrew.formats import emit_rws, parse_rws
 from cycrew.pregroup import derive_system, full_alphabet
 from cycrew.rewrite import (
     Anchor,
@@ -27,7 +29,7 @@ from cycrew.rewrite import (
 )
 from cycrew.words import Alphabet, CyclicWord, involute, rotations, shortlex_key
 
-from conftest import check_strong_confluence_naive, hnn_cyclic, ref_joiner, ref_reach
+from conftest import check_strong_confluence_naive, corpus_pregroups, hnn_cyclic, ref_joiner, ref_reach
 from test_pregroup import random_small_table, ref_derive_rules
 
 
@@ -80,9 +82,36 @@ class TestRuleAndSystem:
             lambda: Rule((0, 1), (1,))._replace(symmetric=True),
             lambda: Rule.__new__(Rule, (0,), (), Anchor.WHOLE, True),
             lambda: Rule(symmetric=True, rhs=(), lhs=(0,)),
+            # past every Rule check: the system checks each rule it is given
+            lambda: RewriteSystem(_ab(), [r, tuple.__new__(Rule, ((0, 1), (1,), Anchor.NONE, True))]),
         ):
             with pytest.raises(ValueError, match="^symmetric rules must be length preserving$"):
                 build()
+
+    def test_producers_build_the_system_their_rules_construct(self):
+        # derive_system, parse_rws and the two extensions build their Rules
+        # by tuple.__new__; the same rules through the constructor give the
+        # same system
+        a = _ab()
+        anchored = RewriteSystem(
+            a, [Rule(a.word("ab"), a.word("b"), Anchor.PREFIX), Rule(a.word("ba"), a.word("ab"), Anchor.WHOLE, True)]
+        )
+        s_eps = [derive_system(p, "S_eps") for _name, p in corpus_pregroups()]
+        built = s_eps + [derive_system(p, "S_of_P") for _name, p in corpus_pregroups()]
+        bases = [s_eps[0], s_eps[1], samples.four_letter_cycle_system(), samples.free_group_system(2)]
+        built += [hat_extension(s) for s in bases] + [circle_extension(s) for s in bases]
+        inputs = bases + [anchored, samples.growing_cycle_system(), hat_extension(bases[0])]
+        built += [parse_rws(emit_rws(s))[0] for s in inputs]
+        both = {False, True}
+        assert {s.has_anchored_rules() for s in built} == {s.has_length_increasing_rules() for s in built} == both
+        for s in built:
+            assert all(type(r) is Rule for r in s.rules)
+            again = RewriteSystem(s.alphabet, [Rule(*r) for r in s.rules])
+            assert again.rules == s.rules and list(again._index.items()) == list(s._index.items())
+            assert again._lhs_lengths == s._lhs_lengths
+            for flag in ("m_of", "is_thue", "is_standard", "is_2monadic"):
+                assert getattr(again, flag) == getattr(s, flag)
+            assert again.has_anchored_rules() == s.has_anchored_rules()
 
     def test_flags(self):
         s = samples.four_letter_cycle_system()
