@@ -7,12 +7,13 @@ O(|dom| * deg) table reads, where dom is the set of defined pairs and deg
 the largest number of defined products in a row.  Up to 255 elements the
 P4 reads of a defined pair are one comparison of byte strings in C, so
 Python steps once per pair rather than once per triple: on a fresh table,
-its sparse rows included, the sweep takes 1.0-1.2 ms on hnn_s3 (|P| = 42)
-and 4.6-5.6 ms on HNN(Z10, Z2) (|P| = 110), CPython 3.11 on a 2-core
-shared x86-64 host.  Only check_axioms reports on a table that fails
-P1-P5: every other reader that needs a pregroup (derive_system,
-UniversalContext, the constructions) refuses it through _require_pregroup,
-which names the first failing axiom and its first witness.
+its sparse rows and masks included, the sweep takes 0.38-0.45 ms on hnn_s3
+(|P| = 42) and 1.9-2.3 ms on HNN(Z10, Z2) (|P| = 110), the least of 61
+calls in each of six rounds, CPython 3.11 on a 2-core shared x86-64 host.
+Only check_axioms reports on a table that fails P1-P5: every other reader
+that needs a pregroup (derive_system, UniversalContext, the constructions)
+refuses it through _require_pregroup, which names the first failing axiom
+and its first witness.
 G_P, P6 and P7 read the int bitmasks of the defined products, one per row
 (Pregroup.masks) and one per column (Pregroup.columns); P8 reads G_P and
 the sparse rows.  P6-P8 and G_P mean something only on a table that
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .rewrite import Anchor, RewriteSystem, Rule
@@ -196,22 +198,33 @@ def check_axioms(p: Pregroup) -> AxiomReport:
     step per witness, deg the largest number of defined products in a row.
     Up to 255 elements the deg reads of P4 at a defined pair (a, b) are made
     in C, as one comparison of two byte strings, and Python visits the c of
-    that pair only when they differ, to list its witnesses.  Computed once
+    that pair only when they differ, to list its witnesses; the strings and
+    translation tables of each row are built in C too.  Computed once
     per pregroup, since the table is immutable: a construction's self-check
     and the UniversalContext built on its result share one sweep, and every
     call returns the same report.
 
-    P3 is implied by P1, P2 and P4 but is still swept as a table-consistency
-    diagnostic.  Violations are collected with witnesses, not raised: P1
-    and P2 as (a,), P3 as (a, b) in domain order, P4 as (a, b, c) and P5
-    as (a, b, c, d) with each later index ascending.
+    P3 follows from P1, P2 and P4 (Stallings 1971, 3.A), so it is swept,
+    as a table-consistency diagnostic, only on a table where one of them
+    has a witness; on any other table its witness list is empty.  With c =
+    [ab], each step reads [x~ x] = [x x~] = eps (P2) and [eps x] = [x eps]
+    = x (P1):
+      P4 on (a~, a, b) gives [a~ c] = b, since [eps b] = b;
+      P4 on (a, b, b~) gives [c b~] = a, since [a eps] = a;
+      P4 on (c~, c, b~) gives [c~ a] = b~, since [eps b~] = b~;
+      P4 on (c~, a, a~) gives [b~ a~] = c~, since [c~ eps] = c~,
+    which is P3 at (a, b).  Violations are collected with witnesses, not
+    raised: P1 and P2 as (a,), P3 as (a, b) in domain order, P4 as (a, b,
+    c) and P5 as (a, b, c, d) with each later index ascending.
 
     P5 is not a sweep over quadruples: [xyz] is undefined exactly when
     both bracketings are, so the P4 pass keeps, per (a, b) in the domain,
     the bitmask of the c in row(b) with [abc] undefined: the c with [(ab)
     c] undefined, read off the row masks, less the P4 witnesses among them.
     P5 fails at (a, b, c, d) exactly when c is in the mask of (a, b) and d
-    in that of (b, c).
+    in that of (b, c).  So a pair whose mask meets none of the c in row(b)
+    with a nonzero mask of (b, c) is passed with one test; on a pregroup
+    every pair is.
     """
     return p._axiom_report
 
@@ -247,18 +260,18 @@ def _sweep_axioms(p: Pregroup) -> AxiomReport:
     # loop below then runs only where they differ, to list the witnesses.
     by_bytes = len(table) <= 255
     if by_bytes:
+        every = bytes(range(256))
+        first, second = itemgetter(0), itemgetter(1)
+        cols = [bytes(map(first, row)) for row in rows]
+        vals = [bytes(map(second, row)) for row in rows]
         trans = [
-            bytes([255 if t is None else t for t in row]).ljust(256, b"\xff")
-            for row in table
+            bytes.maketrans(col + every.translate(None, col), val.ljust(256, b"\xff"))
+            for col, val in zip(cols, vals)
         ]
-        cols = [bytes([c for c, _bc in row]) for row in rows]
-        vals = [bytes([bc for _c, bc in row]) for row in rows]
     undefined = []  # undefined[a][b]: the mask of c with [abc] undefined
     for a, row_a in enumerate(table):
         undefined_a = {}
         for b, ab in rows[a]:
-            if table[inv[b]][inv[a]] != inv[ab]:
-                p3.append((a, b))
             mask = masks[b] & ~masks[ab]
             if not by_bytes or cols[b].translate(trans[ab]) != vals[b].translate(trans[a]):
                 row_ab = table[ab]
@@ -270,12 +283,21 @@ def _sweep_axioms(p: Pregroup) -> AxiomReport:
                             mask ^= 1 << c
             undefined_a[b] = mask
         undefined.append(undefined_a)
+    if p1 or p2 or p4:  # else P3 holds: see check_axioms
+        p3.extend(
+            (a, b)
+            for a, row in enumerate(rows)
+            for b, ab in row
+            if table[inv[b]][inv[a]] != inv[ab]
+        )
     # continued[b]: the mask of c in row(b) with some [bcd] undefined
     continued = [sum(1 << c for c, mask in u.items() if mask) for u in undefined]
     for a, undefined_a in enumerate(undefined):
         for b, mask in undefined_a.items():
-            for c in _bits(mask & continued[b]):
-                p5.extend([(a, b, c, d) for d in _bits(undefined[b][c])])
+            mask &= continued[b]
+            if mask:
+                for c in _bits(mask):
+                    p5.extend([(a, b, c, d) for d in _bits(undefined[b][c])])
     return rep
 
 

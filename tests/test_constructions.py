@@ -866,7 +866,8 @@ class TestGroupTableIsPregroup:
 # -- Amalgam and HNN pregroups from one index map per group ---------------
 # One digest of everything a builder sets, per fixed input, recorded from
 # the builders before both wrote their group tables through
-# constructions._write_group.
+# constructions._write_group; the D4 and A4 extensions' from hnn_pregroup
+# before it read its products off per-sign coset tables.
 
 AMALGAM_DIGESTS = ["f7a278ad94c5b6f5", "03fe4b61297042c0", "1b5ad191124d8aad", "e796953cef8e3b1e"]
 HNN_DIGESTS = [
@@ -878,7 +879,7 @@ HNN_DIGESTS = [
     "24b8fb255f2c7406", "baf50c2f421caede", "e01cc3571d449d01", "0fefad8f0350e51d",
     "24f8de62193fef45", "c0c0a0ec41c159c0", "f73b09ddc62e281d", "5f93c0dfadc3566b",
     "847138b4a5adaf0f", "cbfe321814e99422", "f9dbfffe72f65524", "e4cba39cb63f89f9",
-    "74ceb39fba2dd551",
+    "74ceb39fba2dd551", "587bffc7b463f147", "ce013c82ee2d0d9d",
 ]
 
 
@@ -909,7 +910,9 @@ def _amalgam_inputs():
 def _hnn_inputs():
     """(H, A, B, phi): every cyclic HNN(Zn, Zk) with k | n <= 10 and phi
     the identity, then extensions of S3 and Z6: the hnn_s3 sample, phi not
-    the identity, trivial subgroups, and the Z2 of Z6."""
+    the identity, trivial subgroups, and the Z2 of Z6; then two whose A and
+    B differ and are not normal: <s> onto <sr> in D4 (|P| = 72), and <a>
+    onto <b> in A4 = <a, b> (|P| = 108), a taken to bb."""
     out = []
     for n in range(1, 11):
         H = FiniteGroupTable.cyclic(n, "x")
@@ -926,6 +929,14 @@ def _hnn_inputs():
         (s3, ("e",), ("e",), {"e": "e"}),
         (z6, ("e", "y2", "y4"), ("e", "y2", "y4"), {"e": "e", "y2": "y4", "y4": "y2"}),
         (z6, ["e", "y3"], ["e", "y3"], {"e": "e", "y3": "y3"}),
+    ]
+    d4, a4 = (
+        FiniteGroupTable.from_function(*_permutation_group(gens, 4))
+        for gens in ({"r": (1, 2, 3, 0), "s": (0, 3, 2, 1)}, {"a": (1, 2, 0, 3), "b": (1, 3, 2, 0)})
+    )
+    out += [
+        (d4, ("e", "s"), ("e", "sr"), {"e": "e", "s": "sr"}),
+        (a4, ("e", "a", "aa"), ("e", "b", "bb"), {"e": "e", "a": "bb", "aa": "b"}),
     ]
     return out
 
@@ -956,5 +967,5 @@ class TestBuildersMatchParent:
 
     def test_hnn_extensions(self):
         inputs = _hnn_inputs()
-        assert len(inputs) == 27 + 6
+        assert len(inputs) == 27 + 8
         assert [_built(hnn_pregroup(*args)) for args in inputs] == HNN_DIGESTS

@@ -482,6 +482,32 @@ class TestRowPassesMatchSweeps:
         assert [len(q) for q in swept] == [6, 42]
 
 
+class TestP3FollowsFromP1P2P4:
+    def test_on_the_tables_of_the_row_pass_tests(self, census):
+        # The sweep reads P3 only where P1, P2 or P4 fails (Stallings 1971,
+        # 3.A; the steps are in check_axioms).  The lemma is checked on the
+        # reference's reports alone, over the tables that
+        # TestRowPassesMatchSweeps draws; where P3 fails beside P1 or P2
+        # only, the sweep's P3 pass must run and match the reference.
+        rng = random.Random(20240531)
+        tables = list(census) + [random_small_table(rng) for _ in range(360)]
+        rng = random.Random(20261020)
+        hnn = samples.hnn_s3()
+        tables += [corrupted(hnn, rng) for _ in range(25)]
+        tables.append(corrupted(hnn_z10_z2(), rng))
+        p4_holds = []
+        for p in tables:
+            report = ref_check_axioms(p)
+            if report.ok("P3"):
+                continue
+            assert not all(report.ok(name) for name in ("P1", "P2", "P4")), p.table
+            if report.ok("P4"):
+                p4_holds.append(p)
+        assert p4_holds
+        for p in p4_holds:
+            assert outcome(check_axioms, p) == outcome(ref_check_axioms, p)
+
+
 class TestCensus:
     def test_counts(self, census):
         # labelled tables on n = 2..7 elements, and those where P6 fails;
